@@ -171,7 +171,6 @@ NoiseResult ClusterMacromodel::analyzeAt(
     }
 
     if (opt_.usePrima) {
-        const mor::LinearNetwork lin(net_);
         std::vector<spice::NodeId> portNodes = drvNodes;
         std::vector<spice::NodeId> rcvNodes;
         for (int w = 0; w < net_.wireCount(); ++w) {

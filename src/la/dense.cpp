@@ -62,10 +62,20 @@ double DenseMatrix::maxAbs() const {
 }
 
 DenseLu::DenseLu(DenseMatrix a, double pivotTol) : lu_(std::move(a)) {
+    decompose(pivotTol);
+}
+
+void DenseLu::refactor(const DenseMatrix& a, double pivotTol) {
+    lu_ = a;
+    decompose(pivotTol);
+}
+
+void DenseLu::decompose(double pivotTol) {
     SNA_REQUIRE(lu_.rows() == lu_.cols(), "LU needs a square matrix");
     const std::size_t n = lu_.rows();
     perm_.resize(n);
     for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+    permSign_ = 1;
 
     for (std::size_t k = 0; k < n; ++k) {
         // Partial pivot: largest magnitude in column k at/below the diagonal.
@@ -103,30 +113,36 @@ DenseLu::DenseLu(DenseMatrix a, double pivotTol) : lu_(std::move(a)) {
 }
 
 Vector DenseLu::solve(const Vector& b) const {
-    Vector x = b;
-    solveInPlace(x);
+    Vector x;
+    solveInto(b, x);
     return x;
 }
 
 void DenseLu::solveInPlace(Vector& b) const {
+    Vector x;
+    solveInto(b, x);
+    b = std::move(x);
+}
+
+void DenseLu::solveInto(const Vector& b, Vector& x) const {
     const std::size_t n = lu_.rows();
     SNA_REQUIRE(b.size() == n, "rhs size mismatch in LU solve");
+    SNA_REQUIRE(&x != &b, "LU solve output aliases its right-hand side");
+    x.resize(n);
     // Apply permutation.
-    Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
+    for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
     // Forward substitution (unit lower).
     for (std::size_t i = 0; i < n; ++i) {
-        double acc = y[i];
-        for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * y[j];
-        y[i] = acc;
+        double acc = x[i];
+        for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
+        x[i] = acc;
     }
     // Back substitution.
     for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * y[j];
-        y[ii] = acc / lu_(ii, ii);
+        double acc = x[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
+        x[ii] = acc / lu_(ii, ii);
     }
-    b = std::move(y);
 }
 
 double DenseLu::determinant() const {

@@ -2,9 +2,10 @@
 //
 // Sized for the workloads of this library: MNA systems of a few hundred
 // unknowns (full SPICE on extracted clusters) down to ~10 unknowns (the
-// cluster macromodel engine). LU uses partial pivoting; factorizations are
-// value types so an engine can keep one per Newton iteration without heap
-// churn beyond the pivot/value vectors.
+// cluster macromodel engine). LU uses partial pivoting. The Newton engine
+// keeps one DenseLu per solve and re-factors each Jacobian into its storage
+// (refactor + solveInto), so an iteration allocates nothing once the
+// shapes are set.
 #pragma once
 
 #include <cstddef>
@@ -61,18 +62,33 @@ public:
     /// is numerically singular (pivot below `pivotTol`).
     explicit DenseLu(DenseMatrix a, double pivotTol = 1e-14);
 
+    /// Empty factorization; call refactor() before solving.
+    DenseLu() = default;
+
+    /// Factorizes a copy of `a` into this object's existing storage (no
+    /// allocation once sized), with the same arithmetic as the constructor.
+    /// The previous factorization is discarded, also when this throws.
+    void refactor(const DenseMatrix& a, double pivotTol = 1e-14);
+
     std::size_t size() const { return lu_.rows(); }
 
     /// Solve A x = b.
     Vector solve(const Vector& b) const;
 
-    /// In-place solve, b is replaced by x (no allocation).
+    /// Solve A x = b into caller-supplied storage (resized to size(); no
+    /// allocation when it already has that size). `x` must not alias `b`.
+    void solveInto(const Vector& b, Vector& x) const;
+
+    /// In-place solve, b is replaced by x.
     void solveInPlace(Vector& b) const;
 
     /// Determinant of A (with pivot signs).
     double determinant() const;
 
 private:
+    /// Factorizes lu_ in place; perm_/permSign_ restart from the identity.
+    void decompose(double pivotTol);
+
     DenseMatrix lu_;
     std::vector<std::size_t> perm_;
     int permSign_ = 1;

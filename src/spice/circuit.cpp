@@ -45,6 +45,7 @@ void Circuit::registerDevice(std::unique_ptr<Device> dev) {
                     "device references unknown node");
         nodeDevices_[n].push_back(idx);
     }
+    dev->index_ = idx;
     devices_.push_back(std::move(dev));
 }
 

@@ -74,7 +74,8 @@ private:
         return ref;
     }
 
-    /// Validates the name/node references and indexes the device.
+    /// Validates the name/node references, indexes the device, and assigns
+    /// its Device::index().
     void registerDevice(std::unique_ptr<Device> dev);
 
     std::vector<std::string> names_;

@@ -45,10 +45,11 @@ double DcSolution::sourceCurrent(const std::string& vsourceName) const {
     return delivered;
 }
 
-void robustDcSolve(MnaMap& map, la::Vector& x, const DcOptions& options) {
+void robustDcSolve(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
+                   const DcOptions& options) {
     auto tryNewton = [&](double gmin, double srcScale) {
         map.setGmin(gmin);
-        return solveNewton(map, x, /*time=*/0.0, /*dt=*/0.0,
+        return solveNewton(map, ws, x, /*time=*/0.0, /*dt=*/0.0,
                            Integration::BackwardEuler, /*transient=*/false,
                            srcScale, nullptr, nullptr, options.newton)
             .converged;
@@ -96,7 +97,8 @@ DcSolution solveDc(const Circuit& circuit, const DcOptions& options,
                     "warm start has wrong dimension");
         x = *warmStart;
     }
-    robustDcSolve(map, x, options);
+    NewtonWorkspace ws(map);
+    robustDcSolve(map, ws, x, options);
     return DcSolution(circuit, std::move(map), std::move(x));
 }
 

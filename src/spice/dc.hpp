@@ -45,8 +45,10 @@ private:
 DcSolution solveDc(const Circuit& circuit, const DcOptions& options = {},
                    const la::Vector* warmStart = nullptr);
 
-/// The fallback ladder on an existing map/state; used by solveDc and by the
-/// transient initial condition. Throws ConvergenceError if everything fails.
-void robustDcSolve(MnaMap& map, la::Vector& x, const DcOptions& options);
+/// The fallback ladder on an existing map/state, solving in `ws` (built for
+/// `map`); used by solveDc and by the transient initial condition. Throws
+/// ConvergenceError if everything fails.
+void robustDcSolve(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
+                   const DcOptions& options);
 
 }  // namespace sna::spice

@@ -8,6 +8,8 @@
 // KCL property tests.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -51,6 +53,13 @@ public:
     const std::string& name() const { return name_; }
     const std::vector<NodeId>& nodes() const { return nodes_; }
 
+    /// Position in the owning circuit's devices(), assigned when the circuit
+    /// registers the device (kUnregistered before that). The MNA map indexes
+    /// its per-device state and branch offsets by it.
+    static constexpr std::size_t kUnregistered =
+        std::numeric_limits<std::size_t>::max();
+    std::size_t index() const { return index_; }
+
     /// Number of per-device transient state slots (e.g. capacitor current).
     virtual std::size_t stateCount() const { return 0; }
 
@@ -68,8 +77,11 @@ public:
     virtual double currentInto(NodeId n, const EvalContext& ctx) const = 0;
 
 private:
+    friend class Circuit;  // assigns index_
+
     std::string name_;
     std::vector<NodeId> nodes_;
+    std::size_t index_ = kUnregistered;
 };
 
 class Resistor : public Device {

@@ -25,63 +25,16 @@ EvalContext::EvalContext(const MnaMap& map, const la::Vector& x,
       statePrev_(statePrev),
       stateNext_(stateNext) {}
 
-double EvalContext::v(NodeId n) const { return map_.voltage(n, x_); }
-
-double EvalContext::unknown(int index) const {
-    SNA_REQUIRE(index >= 0 && static_cast<std::size_t>(index) < x_.size(),
-                "unknown index out of range");
-    return x_[static_cast<std::size_t>(index)];
-}
-
-double EvalContext::vPrev(NodeId n) const {
-    SNA_REQUIRE(xPrev_ != nullptr, "no previous time point in this context");
-    return map_.voltagePrev(n, *xPrev_);
-}
-
-double EvalContext::state(const Device& d, std::size_t slot) const {
-    SNA_REQUIRE(statePrev_ != nullptr, "no state storage in this context");
-    return (*statePrev_)[map_.stateBaseOf(d) + slot];
-}
-
-void EvalContext::setState(const Device& d, std::size_t slot, double v) const {
-    SNA_REQUIRE(stateNext_ != nullptr, "no writable state in this context");
-    (*stateNext_)[map_.stateBaseOf(d) + slot] = v;
-}
-
-int EvalContext::branchRow(const Device& d, std::size_t branch) const {
-    return map_.branchBaseOf(d) + static_cast<int>(branch);
-}
-
 // ----------------------------------------------------------------- Stamper
 
+Stamper::Stamper(const MnaMap& map, la::DenseMatrix& j, la::Vector& rhs)
+    : map_(map), dense_(&j), rhs_(rhs) {}
+
 Stamper::Stamper(const MnaMap& map, la::SparseMatrix& j, la::Vector& rhs)
-    : map_(map), j_(j), rhs_(rhs) {}
-
-void Stamper::dependence(NodeId node, NodeId ctrl, double didv) {
-    const int row = map_.indexOf(node);
-    if (row < 0) return;
-    const int col = map_.indexOf(ctrl);
-    if (col >= 0) {
-        j_.add(row, col, didv);
-    } else {
-        rhs_[row] -= didv * map_.knownVoltage(ctrl);
-    }
-}
-
-void Stamper::conductance(NodeId a, NodeId b, double g) {
-    dependence(a, a, +g);
-    dependence(a, b, -g);
-    dependence(b, b, +g);
-    dependence(b, a, -g);
-}
-
-void Stamper::current(NodeId n, double i) {
-    const int row = map_.indexOf(n);
-    if (row >= 0) rhs_[row] += i;
-}
+    : map_(map), sparse_(&j), rhs_(rhs) {}
 
 void Stamper::norton(NodeId from, NodeId to, double i0,
-                     const std::vector<std::pair<NodeId, double>>& partials,
+                     std::initializer_list<std::pair<NodeId, double>> partials,
                      const EvalContext& ctx) {
     double linearizedAtPoint = 0.0;
     for (const auto& [ctrl, g] : partials) {
@@ -100,13 +53,13 @@ void Stamper::branchVoltage(int branch, NodeId pos, NodeId neg, double value) {
     double rhs = value;
     const int ip = map_.indexOf(pos);
     if (ip >= 0) {
-        j_.add(branch, ip, +1.0);
+        add(branch, ip, +1.0);
     } else {
         rhs -= map_.knownVoltage(pos);
     }
     const int in = map_.indexOf(neg);
     if (in >= 0) {
-        j_.add(branch, in, -1.0);
+        add(branch, in, -1.0);
     } else {
         rhs += map_.knownVoltage(neg);
     }
@@ -116,7 +69,7 @@ void Stamper::branchVoltage(int branch, NodeId pos, NodeId neg, double value) {
 void Stamper::branchControl(int branch, NodeId ctrl, double coeff) {
     const int ic = map_.indexOf(ctrl);
     if (ic >= 0) {
-        j_.add(branch, ic, coeff);
+        add(branch, ic, coeff);
     } else {
         rhs_[branch] -= coeff * map_.knownVoltage(ctrl);
     }
@@ -124,20 +77,20 @@ void Stamper::branchControl(int branch, NodeId ctrl, double coeff) {
 
 void Stamper::branchCurrentInto(int branch, NodeId pos, NodeId neg) {
     const int ip = map_.indexOf(pos);
-    if (ip >= 0) j_.add(ip, branch, +1.0);
+    if (ip >= 0) add(ip, branch, +1.0);
     const int in = map_.indexOf(neg);
-    if (in >= 0) j_.add(in, branch, -1.0);
+    if (in >= 0) add(in, branch, -1.0);
 }
 
 void Stamper::branchPair(int row, int branchCol, double value) {
-    j_.add(row, branchCol, value);
+    add(row, branchCol, value);
 }
 
 void Stamper::branchRhs(int row, double value) { rhs_[row] += value; }
 
 void Stamper::nodeBranch(NodeId n, int branchCol, double coeff) {
     const int row = map_.indexOf(n);
-    if (row >= 0) j_.add(row, branchCol, coeff);
+    if (row >= 0) add(row, branchCol, coeff);
 }
 
 // ------------------------------------------------------------------ MnaMap
@@ -176,40 +129,24 @@ MnaMap::MnaMap(const Circuit& circuit) : circuit_(&circuit) {
     }
     unknowns_ = nodeUnknowns_;
 
-    // Pass 3: branch unknowns and state slots.
-    for (const auto& dev : circuit.devices()) {
-        if (const std::size_t bc = dev->branchCount(); bc > 0) {
-            branchBase_[dev.get()] = static_cast<int>(unknowns_);
+    // Pass 3: branch unknowns and state slots, in device order.
+    const std::size_t devCount = circuit.devices().size();
+    branchBase_.assign(devCount, -1);
+    stateBase_.assign(devCount, kNone);
+    for (std::size_t i = 0; i < devCount; ++i) {
+        const Device& dev = *circuit.devices()[i];
+        if (const std::size_t bc = dev.branchCount(); bc > 0) {
+            branchBase_[i] = static_cast<int>(unknowns_);
             unknowns_ += bc;
         }
-        if (const std::size_t sc = dev->stateCount(); sc > 0) {
-            stateBase_[dev.get()] = stateSlots_;
+        if (const std::size_t sc = dev.stateCount(); sc > 0) {
+            stateBase_[i] = stateSlots_;
             stateSlots_ += sc;
         }
     }
 
     updateFixed(0.0, 1.0);
     commitFixed();
-}
-
-double MnaMap::voltage(NodeId n, const la::Vector& x) const {
-    if (n == kGround) return 0.0;
-    const int idx = index_[n];
-    if (idx >= 0) return x[static_cast<std::size_t>(idx)];
-    return fixedValue_[n];
-}
-
-double MnaMap::voltagePrev(NodeId n, const la::Vector& xPrev) const {
-    if (n == kGround) return 0.0;
-    const int idx = index_[n];
-    if (idx >= 0) return xPrev[static_cast<std::size_t>(idx)];
-    return fixedPrev_[n];
-}
-
-double MnaMap::knownVoltage(NodeId n) const {
-    if (n == kGround) return 0.0;
-    SNA_REQUIRE(fixed_[n], "knownVoltage on a free node");
-    return fixedValue_[n];
 }
 
 void MnaMap::updateFixed(double time, double srcScale) {
@@ -222,16 +159,20 @@ void MnaMap::updateFixed(double time, double srcScale) {
 
 void MnaMap::commitFixed() { fixedPrev_ = fixedValue_; }
 
-std::size_t MnaMap::stateBaseOf(const Device& d) const {
-    const auto it = stateBase_.find(&d);
-    SNA_REQUIRE(it != stateBase_.end(), "device has no state slots: " + d.name());
-    return it->second;
+void MnaMap::stampAll(Stamper& st, const EvalContext& ctx) const {
+    for (const auto& dev : circuit_->devices()) dev->stamp(st, ctx);
 }
 
-int MnaMap::branchBaseOf(const Device& d) const {
-    const auto it = branchBase_.find(&d);
-    SNA_REQUIRE(it != branchBase_.end(), "device has no branch rows: " + d.name());
-    return it->second;
+void MnaMap::assemble(la::DenseMatrix& j, la::Vector& rhs,
+                      const EvalContext& ctx) const {
+    j.setZero();
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    Stamper st(*this, j, rhs);
+    stampAll(st, ctx);
+    // gmin keeps the Jacobian regular when devices are cut off.
+    if (gmin_ != 0.0) {
+        for (std::size_t i = 0; i < nodeUnknowns_; ++i) j(i, i) += gmin_;
+    }
 }
 
 void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
@@ -239,42 +180,44 @@ void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
     j.clear();
     std::fill(rhs.begin(), rhs.end(), 0.0);
     Stamper st(*this, j, rhs);
-    for (const auto& dev : circuit_->devices()) dev->stamp(st, ctx);
-    // gmin keeps the Jacobian regular when devices are cut off.
-    for (std::size_t i = 0; i < nodeUnknowns_; ++i) {
-        j.add(i, i, gmin_);
-    }
+    stampAll(st, ctx);
+    for (std::size_t i = 0; i < nodeUnknowns_; ++i) j.add(i, i, gmin_);
 }
 
 // ------------------------------------------------------------------ Newton
 
-NewtonStats solveNewton(MnaMap& map, la::Vector& x, double time, double dt,
-                        Integration method, bool transient, double srcScale,
+NewtonWorkspace::NewtonWorkspace(const MnaMap& map)
+    : dense(map.hasBranches() || map.unknowns() < 280),
+      jacobian(dense ? map.unknowns() : 0, dense ? map.unknowns() : 0),
+      sparse(dense ? 0 : map.unknowns()),
+      rhs(map.unknowns(), 0.0),
+      xNew(map.unknowns(), 0.0) {}
+
+NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
+                        double time, double dt, Integration method,
+                        bool transient, double srcScale,
                         const la::Vector* xPrev,
                         const std::vector<double>* statePrev,
                         const NewtonOptions& opt) {
     const std::size_t n = map.unknowns();
     SNA_REQUIRE(x.size() == n, "initial guess has wrong dimension");
+    SNA_REQUIRE(ws.rhs.size() == n, "Newton workspace built for another map");
     map.updateFixed(time, srcScale);
-    la::SparseMatrix j(n);
-    la::Vector rhs(n, 0.0);
-    // Branch rows have structurally zero diagonals, which the pivot-free
-    // sparse path cannot handle; and below a few hundred unknowns the dense
-    // LU's cache behavior beats the list-based sparse factorization.
-    const bool useDense = map.hasBranches() || n < 280;
 
     NewtonStats stats;
     for (int iter = 0; iter < opt.maxIterations; ++iter) {
         ++stats.iterations;
         EvalContext ctx(map, x, xPrev, time, dt, method, transient, srcScale,
                         statePrev, nullptr);
-        map.assemble(j, rhs, ctx);
-        la::Vector xNew;
-        if (useDense) {
-            xNew = la::solveDense(j.toDense(), rhs);
+        if (ws.dense) {
+            map.assemble(ws.jacobian, ws.rhs, ctx);
+            ws.lu.refactor(ws.jacobian);
+            ws.lu.solveInto(ws.rhs, ws.xNew);
         } else {
-            xNew = la::solveSparse(j, rhs);
+            map.assemble(ws.sparse, ws.rhs, ctx);
+            ws.xNew = la::solveSparse(ws.sparse, ws.rhs);
         }
+        const la::Vector& xNew = ws.xNew;
         double worst = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             worst = std::max(worst, std::abs(xNew[i] - x[i]));
@@ -283,7 +226,7 @@ NewtonStats solveNewton(MnaMap& map, la::Vector& x, double time, double dt,
             throw ConvergenceError("Newton produced a non-finite update");
         }
         if (worst <= opt.vtol) {
-            x = std::move(xNew);
+            x = xNew;
             stats.converged = true;
             return stats;
         }

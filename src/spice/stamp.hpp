@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "la/dense.hpp"
@@ -64,8 +66,14 @@ private:
 };
 
 /// Linearized-KCL stamp primitives over J x = rhs.
+///
+/// Writes straight into a dense Jacobian (the Newton engine's preallocated
+/// workspace) or into sparse triplets (large branch-free systems). Either
+/// way each entry receives the same `+=` sequence in stamp order, and zero
+/// contributions are skipped, so the two targets assemble identical values.
 class Stamper {
 public:
+    Stamper(const class MnaMap& map, la::DenseMatrix& j, la::Vector& rhs);
     Stamper(const class MnaMap& map, la::SparseMatrix& j, la::Vector& rhs);
 
     /// Two-terminal conductance g between a and b.
@@ -80,10 +88,10 @@ public:
 
     /// Norton stamp of a nonlinear current i(v...) flowing from `from` to
     /// `to` through the device: i0 is the current at the linearization
-    /// point, `partials` the (ctrl node, d i/d v_ctrl) pairs, and `vAt`
+    /// point, `partials` the (ctrl node, d i/d v_ctrl) pairs, and `ctx`
     /// supplies the linearization-point voltages (EvalContext::v).
     void norton(NodeId from, NodeId to, double i0,
-                const std::vector<std::pair<NodeId, double>>& partials,
+                std::initializer_list<std::pair<NodeId, double>> partials,
                 const EvalContext& ctx);
 
     /// Branch-equation access for floating voltage sources / VCVS.
@@ -100,8 +108,21 @@ public:
     void nodeBranch(NodeId n, int branchCol, double coeff);
 
 private:
+    /// J(r, c) += v, skipping zeros.
+    void add(int r, int c, double v) {
+        if (v == 0.0) return;
+        const auto row = static_cast<std::size_t>(r);
+        const auto col = static_cast<std::size_t>(c);
+        if (dense_ != nullptr) {
+            (*dense_)(row, col) += v;
+        } else {
+            sparse_->add(row, col, v);
+        }
+    }
+
     const MnaMap& map_;
-    la::SparseMatrix& j_;
+    la::DenseMatrix* dense_ = nullptr;
+    la::SparseMatrix* sparse_ = nullptr;
     la::Vector& rhs_;
 };
 

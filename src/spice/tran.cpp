@@ -59,24 +59,31 @@ TranResult simulateTransient(const Circuit& circuit,
     const double dtMin = options.dtMin;
 
     MnaMap map(circuit);
+    // One workspace for the whole run: every Newton iteration of the DC
+    // ladder and of every step reuses its Jacobian, LU and step vector.
+    NewtonWorkspace ws(map);
     TranResult result;
 
     // --- initial condition -------------------------------------------------
     map.updateFixed(0.0, 1.0);
-    la::Vector x(map.unknowns(), 0.0);
-    robustDcSolve(map, x, options.dc);
+    const std::size_t n = map.unknowns();
+    la::Vector x(n, 0.0);
+    robustDcSolve(map, ws, x, options.dc);
     map.setGmin(1e-12);
     map.updateFixed(0.0, 1.0);
     map.commitFixed();
 
     std::vector<double> statePrev(map.stateSlots(), 0.0);
     std::vector<double> stateNext(map.stateSlots(), 0.0);
+    // Devices with transient state, in device order.
+    std::vector<const Device*> stateful;
+    for (const auto& dev : circuit.devices()) {
+        if (dev->stateCount() > 0) stateful.push_back(dev.get());
+    }
     {
         EvalContext ctx(map, x, nullptr, 0.0, 0.0, Integration::BackwardEuler,
                         /*transient=*/false, 1.0, &statePrev, &stateNext);
-        for (const auto& dev : circuit.devices()) {
-            if (dev->stateCount() > 0) dev->updateState(ctx);
-        }
+        for (const Device* dev : stateful) dev->updateState(ctx);
         statePrev = stateNext;
     }
 
@@ -97,7 +104,9 @@ TranResult simulateTransient(const Circuit& circuit,
     double t = 0.0;
     double dt = dtInit;
     double dtPrevAccepted = 0.0;
-    la::Vector xOlder;           // solution one accepted point earlier
+    la::Vector xOlder(n, 0.0);   // solution one accepted point earlier
+    la::Vector xPred(n, 0.0);    // linear predictor (LTE reference)
+    la::Vector xNew(n, 0.0);     // Newton iterate of the current step
     bool haveHistory = false;    // xOlder valid (for the predictor)
     bool forceBe = true;         // BE on the first step and after breakpoints
 
@@ -124,23 +133,23 @@ TranResult simulateTransient(const Circuit& circuit,
             forceBe ? Integration::BackwardEuler : Integration::Trapezoidal;
 
         // Predictor as the Newton initial guess (and the LTE reference).
-        la::Vector xGuess = x;
-        la::Vector xPred = x;
         const bool canPredict = haveHistory && dtPrevAccepted > 0.0;
         if (canPredict) {
             const double a = dt / dtPrevAccepted;
-            for (std::size_t i = 0; i < x.size(); ++i) {
+            for (std::size_t i = 0; i < n; ++i) {
                 xPred[i] = x[i] + a * (x[i] - xOlder[i]);
             }
-            xGuess = xPred;
+            xNew = xPred;
+        } else {
+            xNew = x;
         }
 
-        la::Vector xNew = xGuess;
         bool converged = false;
         try {
             const NewtonStats ns =
-                solveNewton(map, xNew, t + dt, dt, method, /*transient=*/true,
-                            1.0, &x, &statePrev, options.newton);
+                solveNewton(map, ws, xNew, t + dt, dt, method,
+                            /*transient=*/true, 1.0, &x, &statePrev,
+                            options.newton);
             stats.newtonIterations += ns.iterations;
             converged = ns.converged;
         } catch (const ConvergenceError&) {
@@ -187,9 +196,7 @@ TranResult simulateTransient(const Circuit& circuit,
             EvalContext ctx(map, xNew, &x, t + dtPrevAccepted, dtPrevAccepted,
                             method, /*transient=*/true, 1.0, &statePrev,
                             &stateNext);
-            for (const auto& dev : circuit.devices()) {
-                if (dev->stateCount() > 0) dev->updateState(ctx);
-            }
+            for (const Device* dev : stateful) dev->updateState(ctx);
             statePrev = stateNext;
         }
         map.commitFixed();

@@ -1,11 +1,12 @@
 #include "util/log.hpp"
 
+#include <atomic>
 #include <iostream>
 
 namespace sna::log {
 
 namespace {
-Level g_level = Level::Warn;
+std::atomic<Level> g_level{Level::Warn};
 
 const char* tag(Level level) {
     switch (level) {
@@ -19,12 +20,19 @@ const char* tag(Level level) {
 }
 }  // namespace
 
-void setLevel(Level level) { g_level = level; }
+void setLevel(Level level) {
+    g_level.store(level, std::memory_order_relaxed);
+}
 
-Level level() { return g_level; }
+Level level() { return g_level.load(std::memory_order_relaxed); }
+
+bool enabled(Level level) {
+    return static_cast<int>(level) >=
+           static_cast<int>(g_level.load(std::memory_order_relaxed));
+}
 
 void emit(Level level, const std::string& message) {
-    if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+    if (!enabled(level)) return;
     std::cerr << "[sna:" << tag(level) << "] " << message << '\n';
 }
 

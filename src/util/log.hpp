@@ -2,9 +2,12 @@
 //
 // The library is quiet by default (Level::Warn); engines emit Info/Debug
 // traces that benches and examples can enable. Logging goes to stderr so that
-// bench table output on stdout stays machine-readable.
+// bench table output on stdout stays machine-readable. The threshold is
+// atomic (workers log while the main thread may change it), and a filtered
+// message costs one relaxed load: its stream is never built.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -16,26 +19,33 @@ enum class Level { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 void setLevel(Level level);
 Level level();
 
+/// Whether a message at `level` passes the current threshold.
+bool enabled(Level level);
+
 /// Emit one message at the given level (no newline needed).
 void emit(Level level, const std::string& message);
 
 namespace detail {
 class LineStream {
 public:
-    explicit LineStream(Level level) : level_(level) {}
+    explicit LineStream(Level level) : level_(level) {
+        if (enabled(level)) os_.emplace();
+    }
     LineStream(const LineStream&) = delete;
     LineStream& operator=(const LineStream&) = delete;
-    ~LineStream() { emit(level_, os_.str()); }
+    ~LineStream() {
+        if (os_) emit(level_, os_->str());
+    }
 
     template <typename T>
     LineStream& operator<<(const T& value) {
-        os_ << value;
+        if (os_) *os_ << value;
         return *this;
     }
 
 private:
     Level level_;
-    std::ostringstream os_;
+    std::optional<std::ostringstream> os_;  // empty when filtered
 };
 }  // namespace detail
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "core/alignment.hpp"
 #include "core/baselines.hpp"
@@ -12,6 +15,7 @@
 #include "interconnect/parallel_bus.hpp"
 #include "spice/tran.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 #include "waveform/sources.hpp"
 
 namespace {
@@ -349,6 +353,86 @@ TEST(DesignFlow, RejectsUnconnectedPins) {
     i.cellName = "NAND2_X1";
     i.pinToNet = {{"a", "n1"}};  // b and y missing
     EXPECT_THROW(design.addInstance(std::move(i)), ModelError);
+}
+
+// ------------------------------------------------------------- bit pins
+//
+// Exact fingerprints of fixed engine runs: the peak and its time as
+// hex-floats, the sample count, and an FNV-1a hash over the bit patterns of
+// every (t, v) sample. Any change to the Newton/transient arithmetic — stamp
+// order, LU pivoting, step control — moves at least one of them. Re-pin only
+// for a deliberate numerics change, and state the margin delta when doing so.
+
+struct BitPin {
+    std::string peak;
+    std::string peakTime;
+    std::size_t samples = 0;
+    std::uint64_t hash = 0;
+};
+
+std::uint64_t fnv1a(std::uint64_t h, double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+BitPin pinOf(const core::NoiseResult& r) {
+    BitPin p;
+    p.peak = str::formatDoubleHex(r.metrics.peak);
+    p.peakTime = str::formatDoubleHex(r.metrics.peakTime);
+    p.samples = r.waveform.samples().size();
+    p.hash = 0xcbf29ce484222325ull;
+    for (const auto& s : r.waveform.samples()) {
+        p.hash = fnv1a(fnv1a(p.hash, s.t), s.v);
+    }
+    return p;
+}
+
+void expectPinned(const core::NoiseResult& r, const BitPin& want) {
+    const BitPin got = pinOf(r);
+    EXPECT_EQ(got.peak, want.peak);
+    EXPECT_EQ(got.peakTime, want.peakTime);
+    EXPECT_EQ(got.samples, want.samples);
+    EXPECT_EQ(got.hash, want.hash) << std::hex << "0x" << got.hash;
+}
+
+TEST(BitPin, CoupledPiClusterAtFixedAlignments) {
+    const ClusterMacromodel model(paperCluster(0.7, 2));
+    expectPinned(model.analyzeAt({0.5e-9, 0.6e-9}, 0.45e-9),
+                 {"0x1.25d67e29f6f2bp-1", "0x1.8493164e0fe0ep-31", 397,
+                  0xfb43c9143e8f976bull});
+    expectPinned(model.analyzeAt({0.8e-9, 0.35e-9}, 0.7e-9),
+                 {"0x1.aac937f4edd99p-2", "0x1.f78b0c2a6012ap-31", 518,
+                  0xfaf642e51636ac65ull});
+}
+
+TEST(BitPin, PrimaClusterAtFixedAlignments) {
+    // Branch unknowns with zero diagonals: the pivoting dense path.
+    ClusterMacromodel::Options opt;
+    opt.usePrima = true;
+    const ClusterMacromodel model(paperCluster(0.7, 2), opt);
+    expectPinned(model.analyzeAt({0.5e-9, 0.6e-9}, 0.45e-9),
+                 {"0x1.2939be88252fap-1", "0x1.843acce1bd915p-31", 512,
+                  0xdb03d396d68c5a3dull});
+}
+
+TEST(BitPin, WindowExcludedAggressor) {
+    const ClusterMacromodel model(paperCluster(0.7, 2));
+    const double never = std::numeric_limits<double>::infinity();
+    expectPinned(model.analyzeAt({never, 0.55e-9}, 0.45e-9),
+                 {"0x1.3a737eee72d78p-2", "0x1.716d76b0da61ap-31", 388,
+                  0x33d7bbb4983d4e05ull});
+}
+
+TEST(BitPin, GoldenTransistorLevelCluster) {
+    // MOSFET Norton stamps over the full distributed RC.
+    expectPinned(core::simulateGolden(paperCluster(0.7, 1)),
+                 {"0x1.38ae448ffcf3ep-1", "0x1.3d0a426c0d827p-31", 554,
+                  0xe1f7d84778849065ull});
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 
 #include "la/dense.hpp"
 #include "la/interp.hpp"
@@ -64,6 +65,59 @@ TEST(Dense, DeterminantWithPivotSign) {
     a(1, 1) = 0;
     la::DenseLu lu(a);
     EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
+}
+
+// One DenseLu re-factored over a sequence must equal a fresh factorization
+// bit for bit after each step: one row swap (odd permutation), then a
+// singular matrix that throws mid-elimination after two swaps, then a
+// regular one needing none. Stale perm_/permSign_ from either would show
+// in the solve or the determinant.
+TEST(Dense, RefactorMatchesFreshFactorizationBitwise) {
+    auto square3 = [](std::initializer_list<double> rowMajor) {
+        DenseMatrix m(3, 3);
+        std::size_t i = 0;
+        for (double v : rowMajor) {
+            m(i / 3, i % 3) = v;
+            ++i;
+        }
+        return m;
+    };
+    const DenseMatrix swap = square3({1e-3, 2.0, -1.0,  //
+                                      4.0, 1.0, 0.5,    //
+                                      -2.0, 0.5, 7.0});
+    const DenseMatrix singular = square3({1.0, 2.0, 3.0,  //
+                                          2.0, 4.0, 6.0,  //
+                                          1.0, 1.0, 1.0});
+    const DenseMatrix regular = square3({5.0, 1.0, -0.3,  //
+                                         0.7, 6.0, 1.1,   //
+                                         -0.2, 0.9, 4.0});
+    const Vector b{1.0, -2.0, 0.25};
+
+    auto expectSame = [&](const la::DenseLu& reused, const DenseMatrix& a) {
+        const la::DenseLu fresh(a);
+        EXPECT_EQ(reused.determinant(), fresh.determinant());
+        Vector x{9.0};  // wrong size: solveInto must resize
+        reused.solveInto(b, x);
+        const Vector want = fresh.solve(b);
+        ASSERT_EQ(x.size(), want.size());
+        for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
+    };
+
+    la::DenseLu lu;
+    lu.refactor(swap);
+    expectSame(lu, swap);
+    EXPECT_NEAR(lu.determinant(), -61.99325, 1e-9);  // one swap: sign -1
+    EXPECT_THROW(lu.refactor(singular), ConvergenceError);
+    lu.refactor(regular);
+    expectSame(lu, regular);
+    lu.refactor(swap);
+    expectSame(lu, swap);
+}
+
+TEST(Dense, SolveIntoRejectsAliasedOutput) {
+    const la::DenseLu lu(DenseMatrix::identity(2));
+    Vector b{1.0, 2.0};
+    EXPECT_THROW(lu.solveInto(b, b), LogicError);
 }
 
 class DenseRandomSolve : public ::testing::TestWithParam<int> {};

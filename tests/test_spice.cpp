@@ -57,6 +57,39 @@ TEST(Dc, FloatingVSourceUsesBranchEquation) {
     EXPECT_NEAR(dc.voltage("b"), 4.0, 1e-9);
 }
 
+// ----------------------------------------------------------------- MNA map
+
+TEST(Mna, SlotLookupsRejectForeignAndSlotlessDevices) {
+    // Two structurally identical circuits: their devices share indices, so
+    // only the ownership check tells them apart.
+    Circuit a;
+    Circuit b;
+    for (Circuit* c : {&a, &b}) {
+        const auto n1 = c->node("n1");
+        const auto n2 = c->node("n2");
+        c->addVSource("vbase", n1, spice::kGround, SourceSpec::dc(1.0));
+        c->addVSource("vstack", n2, n1, SourceSpec::dc(2.0));
+        c->addResistor("r", n2, spice::kGround, 1e3);
+        c->addCapacitor("c", n2, spice::kGround, 1e-12);
+    }
+    const spice::MnaMap map(a);
+    EXPECT_EQ(map.stateBaseOf(*a.findDevice("c")), 0u);
+    EXPECT_EQ(map.branchBaseOf(*a.findDevice("vstack")),
+              static_cast<int>(map.nodeUnknowns()));
+
+    EXPECT_THROW(map.stateBaseOf(*b.findDevice("c")), LogicError);
+    EXPECT_THROW(map.branchBaseOf(*b.findDevice("vstack")), LogicError);
+    EXPECT_THROW(map.stateBaseOf(*a.findDevice("r")), LogicError);
+    EXPECT_THROW(map.branchBaseOf(*a.findDevice("c")), LogicError);
+
+    const spice::Capacitor loose("loose", 1, spice::kGround, 1e-12);
+    EXPECT_EQ(loose.index(), spice::Device::kUnregistered);
+    EXPECT_THROW(map.stateBaseOf(loose), LogicError);
+    // Added after the map was built: not part of the mapped circuit.
+    const auto& late = a.addCapacitor("late", 2, spice::kGround, 1e-12);
+    EXPECT_THROW(map.stateBaseOf(late), LogicError);
+}
+
 TEST(Dc, VcvsAmplifies) {
     Circuit c;
     const auto in = c.node("in");
@@ -277,6 +310,39 @@ TEST(Dc, KclHoldsAtEveryInternalNode) {
     EXPECT_GT(std::abs(iSupply), 1e-9);  // inverter mid-swing draws current
     // Input draws no DC current.
     EXPECT_NEAR(dc.sourceCurrent("vin"), 0.0, 1e-9);
+}
+
+TEST(Mna, DenseAndSparseAssemblyAgreeBitwise) {
+    // Both stamp targets must see the same += sequence per entry, zero
+    // contributions skipped, gmin last: identical values, not just close.
+    InverterFixture f;
+    f.c.addVSource("vin", f.in, spice::kGround, SourceSpec::dc(0.6));
+    const auto mid = f.c.node("mid");
+    f.c.addVSource("vfloat", mid, f.out, SourceSpec::dc(0.1));
+    f.c.addResistor("rl", mid, spice::kGround, 5e3);
+    f.c.addCapacitor("cl", f.out, spice::kGround, 2e-15);
+    spice::MnaMap map(f.c);
+    const std::size_t n = map.unknowns();
+    la::Vector x(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] = 0.3 + 0.17 * double(i);
+    const std::vector<double> state(map.stateSlots(), 1e-6);
+    const spice::EvalContext ctx(map, x, &x, 1e-9, 1e-12,
+                                 spice::Integration::Trapezoidal, true, 1.0,
+                                 &state, nullptr);
+
+    la::DenseMatrix dense(n, n, 7.0);  // stale contents must be cleared
+    la::Vector rhsDense(n, 3.0);
+    la::SparseMatrix sparse(n);
+    la::Vector rhsSparse(n, -1.0);
+    map.assemble(dense, rhsDense, ctx);
+    map.assemble(sparse, rhsSparse, ctx);
+    const la::DenseMatrix fromSparse = sparse.toDense();
+    for (std::size_t r = 0; r < n; ++r) {
+        EXPECT_EQ(rhsDense[r], rhsSparse[r]) << "row " << r;
+        for (std::size_t c = 0; c < n; ++c) {
+            EXPECT_EQ(dense(r, c), fromSparse(r, c)) << r << "," << c;
+        }
+    }
 }
 
 // -------------------------------------------------------------- transient

@@ -1,7 +1,11 @@
-// Unit tests for the util module: errors, strings, tables, units, rng.
+// Unit tests for the util module: errors, strings, tables, units, rng, log.
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <sstream>
+
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -154,6 +158,32 @@ TEST(Rng, RespectsBounds) {
         EXPECT_GE(k, 1);
         EXPECT_LE(k, 6);
     }
+}
+
+// ------------------------------------------------------------------- log
+
+TEST(Log, PrintsAtOrAboveThresholdOnly) {
+    std::ostringstream captured;
+    std::streambuf* const saved = std::cerr.rdbuf(captured.rdbuf());
+    const log::Level savedLevel = log::level();
+
+    log::setLevel(log::Level::Info);
+    EXPECT_FALSE(log::enabled(log::Level::Debug));
+    EXPECT_TRUE(log::enabled(log::Level::Info));
+    log::debug() << "hidden " << 1;
+    log::info() << "shown " << 42 << ' ' << 1.5;
+    log::warn() << "warned";
+    log::setLevel(log::Level::Debug);
+    log::debug() << "now " << "visible";
+    log::setLevel(log::Level::Off);
+    log::error() << "silenced";
+
+    log::setLevel(savedLevel);
+    std::cerr.rdbuf(saved);
+    EXPECT_EQ(captured.str(),
+              "[sna:info ] shown 42 1.5\n"
+              "[sna:warn ] warned\n"
+              "[sna:debug] now visible\n");
 }
 
 }  // namespace
