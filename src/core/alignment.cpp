@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/error.hpp"
@@ -46,19 +47,90 @@ InitialTimes peakAlignedInit(const ClusterMacromodel& model) {
     return init;
 }
 
-double objective(const ClusterMacromodel& model,
-                 const std::vector<double>& aggTimes, double glitchTime,
-                 NoiseResult* out) {
-    NoiseResult r = model.analyzeAt(aggTimes, glitchTime);
-    const double value = std::abs(r.metrics.peak);
-    if (out != nullptr) *out = std::move(r);
-    return value;
+std::vector<std::uint64_t> probeKey(const std::vector<double>& aggTimes,
+                                    double glitchTime) {
+    std::vector<std::uint64_t> key;
+    key.reserve(aggTimes.size() + 1);
+    const auto put = [&key](double t) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &t, sizeof bits);
+        key.push_back(bits);
+    };
+    for (const double t : aggTimes) put(t);
+    put(glitchTime);
+    return key;
 }
+
+/// When an offered probe replaces the incumbent.
+enum class Adopt {
+    always,     ///< the first probe of a search
+    ifNotWorse, ///< the spec's own alignment: wins ties
+    ifBetter,   ///< every other probe
+};
+
+/// A search's incumbent, fed one probe at a time through the memo.
+struct Incumbent {
+    const ClusterMacromodel& model;
+    ProbeMemo& memo;
+    AlignmentResult best;
+    double bestVal = 0.0;
+
+    bool wins(double val, Adopt rule) const {
+        return rule == Adopt::always ||
+               (rule == Adopt::ifNotWorse ? val >= bestVal : val > bestVal);
+    }
+
+    /// A memoized probe costs no transient unless it wins: a search's own
+    /// repeats never do (bestVal is the maximum of the values it has seen;
+    /// a tie under ifNotWorse can only re-adopt the incumbent itself), but a
+    /// probe first simulated by another search on the model can, and is
+    /// then re-run for its waveform.
+    void offer(const std::vector<double>& aggTimes, double glitchTime,
+               Adopt rule) {
+        if (rule != Adopt::always) {
+            if (const auto known = memo.find(aggTimes, glitchTime)) {
+                if (!wins(*known, rule) ||
+                    probeKey(aggTimes, glitchTime) ==
+                        probeKey(best.aggressorSwitchTimes,
+                                 best.glitchTime)) {
+                    return;
+                }
+            }
+        }
+        NoiseResult r = model.analyzeAt(aggTimes, glitchTime);
+        const double val = std::abs(r.metrics.peak);
+        ++best.evaluations;
+        memo.record(aggTimes, glitchTime, val);
+        if (wins(val, rule)) {
+            bestVal = val;
+            best.aggressorSwitchTimes = aggTimes;
+            best.glitchTime = glitchTime;
+            best.worst = std::move(r);
+        }
+    }
+};
 
 }  // namespace
 
+std::optional<double> ProbeMemo::find(const std::vector<double>& aggTimes,
+                                      double glitchTime) const {
+    const auto it = values_.find(probeKey(aggTimes, glitchTime));
+    if (it == values_.end()) return std::nullopt;
+    return it->second;
+}
+
+void ProbeMemo::record(const std::vector<double>& aggTimes, double glitchTime,
+                       double value) {
+    values_.emplace(probeKey(aggTimes, glitchTime), value);
+}
+
 AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
-                                   const AlignmentOptions& opt) {
+                                   const AlignmentOptions& opt,
+                                   ProbeMemo* memo) {
+    ProbeMemo own(model);
+    if (memo == nullptr) memo = &own;
+    SNA_REQUIRE(&memo->model() == &model,
+                "a probe memo is only valid on the model it was filled on");
     const ClusterSpec& spec = model.spec();
     const bool hasGlitch = spec.victim.glitchHeight > 0.0;
     const double tMax = 0.8 * spec.tstop;
@@ -107,12 +179,8 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
     }
     if (hasGlitch) times.glitch = clampTo(times.glitch, glitchAxis);
 
-    AlignmentResult best;
-    best.aggressorSwitchTimes = times.agg;
-    best.glitchTime = times.glitch;
-    double bestVal =
-        objective(model, times.agg, times.glitch, &best.worst);
-    best.evaluations = 1;
+    Incumbent search{model, *memo, {}, 0.0};
+    search.offer(times.agg, times.glitch, Adopt::always);
 
     // The spec's own alignment is a free candidate — never return worse
     // than what the caller would get without the search. Clamped into the
@@ -129,15 +197,7 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
         const double specGlitch =
             hasGlitch ? clampTo(spec.victim.glitchTime, glitchAxis)
                       : times.glitch;
-        NoiseResult r;
-        const double val = objective(model, specTimes, specGlitch, &r);
-        ++best.evaluations;
-        if (val >= bestVal) {
-            bestVal = val;
-            best.aggressorSwitchTimes = std::move(specTimes);
-            best.glitchTime = specGlitch;
-            best.worst = std::move(r);
-        }
+        search.offer(specTimes, specGlitch, Adopt::ifNotWorse);
     }
 
     // Coordinate refinement over the ACTIVE axes only: window-excluded
@@ -150,17 +210,17 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
             const bool isGlitch = hasGlitch && v == times.agg.size();
             const Axis& ax = isGlitch ? glitchAxis : aggAxis[v];
             if (!ax.active) continue;
+            const AlignmentResult& best = search.best;
             const double center = isGlitch
                                       ? best.glitchTime
                                       : best.aggressorSwitchTimes[v];
-            double lastT = -1.0;  // no probe yet (feasible times are >= 0)
+            // Points the clamp collapses onto a bound, and the centre
+            // point when it reproduces the incumbent, are memo hits.
             for (int k = 0; k < opt.coarsePoints; ++k) {
                 const double t = clampTo(
                     center - 0.5 * window +
                         window * k / std::max(1, opt.coarsePoints - 1),
                     ax);
-                if (t == lastT) continue;  // clamp collapsed the candidate
-                lastT = t;
                 auto aggTimes = best.aggressorSwitchTimes;
                 double glitchTime = best.glitchTime;
                 if (isGlitch) {
@@ -168,23 +228,15 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                 } else {
                     aggTimes[v] = t;
                 }
-                NoiseResult r;
-                const double val =
-                    objective(model, aggTimes, glitchTime, &r);
-                ++best.evaluations;
-                if (val > bestVal) {
-                    bestVal = val;
-                    best.aggressorSwitchTimes = aggTimes;
-                    best.glitchTime = glitchTime;
-                    best.worst = std::move(r);
-                }
+                search.offer(aggTimes, glitchTime, Adopt::ifBetter);
             }
         }
         window /= 3.0;
     }
-    log::debug() << "alignment search: " << best.evaluations
-                 << " evaluations, worst peak " << best.worst.metrics.peak;
-    return best;
+    log::debug() << "alignment search: " << search.best.evaluations
+                 << " evaluations, worst peak "
+                 << search.best.worst.metrics.peak;
+    return std::move(search.best);
 }
 
 AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
@@ -196,9 +248,12 @@ AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
     const std::size_t vars = init.agg.size() + (hasGlitch ? 1 : 0);
     SNA_REQUIRE(vars >= 1, "nothing to align");
 
+    // Same bounds as the search: before t = 0 the stimulus is truncated,
+    // and past 0.8 tstop a ramp or glitch no longer fits the simulation.
+    const Axis bounds{0.0, 0.8 * spec.tstop, true};
     std::vector<int> idx(vars, 0);
-    AlignmentResult best;
-    double bestVal = -1.0;
+    ProbeMemo memo(model);
+    Incumbent search{model, memo, {}, -1.0};
     bool done = false;
     while (!done) {
         std::vector<double> aggTimes = init.agg;
@@ -207,23 +262,16 @@ AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
             const double center =
                 (hasGlitch && v == init.agg.size()) ? init.glitch
                                                     : init.agg[v];
-            const double t = center - 0.5 * window +
-                             window * idx[v] / (pointsPerAxis - 1);
+            const double t = clampTo(center - 0.5 * window +
+                                         window * idx[v] / (pointsPerAxis - 1),
+                                     bounds);
             if (hasGlitch && v == init.agg.size()) {
-                glitchTime = std::max(t, 0.0);
+                glitchTime = t;
             } else {
-                aggTimes[v] = std::max(t, 0.0);
+                aggTimes[v] = t;
             }
         }
-        NoiseResult r;
-        const double val = objective(model, aggTimes, glitchTime, &r);
-        ++best.evaluations;
-        if (val > bestVal) {
-            bestVal = val;
-            best.aggressorSwitchTimes = aggTimes;
-            best.glitchTime = glitchTime;
-            best.worst = std::move(r);
-        }
+        search.offer(aggTimes, glitchTime, Adopt::ifBetter);
         // Advance the multi-index.
         done = true;
         for (std::size_t v = 0; v < vars; ++v) {
@@ -234,7 +282,7 @@ AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
             idx[v] = 0;
         }
     }
-    return best;
+    return std::move(search.best);
 }
 
 }  // namespace sna::core

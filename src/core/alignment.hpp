@@ -6,7 +6,17 @@
 // starting point plus a coordinate-refinement search on the macromodel
 // (cheap — each probe is a ~10-node transient), and a brute-force grid
 // reference for validation.
+//
+// Both searches simulate each distinct probe once. A coordinate sweep
+// re-offers its incumbent at the centre point and clamps edge points onto
+// bounds an earlier sweep already probed; those repeats are bit-identical
+// transients, so an exact-probe memo answers them instead.
 #pragma once
+
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <vector>
 
 #include "core/macromodel.hpp"
 #include "core/timing_windows.hpp"
@@ -43,7 +53,40 @@ struct AlignmentResult {
     std::vector<double> aggressorSwitchTimes;
     double glitchTime = 0.0;
     NoiseResult worst;
+    /// Transients this search simulated: one per distinct probe, plus one
+    /// per memo hit that had to be re-run to become the incumbent (only
+    /// possible when the memo was filled by another search).
     int evaluations = 0;
+};
+
+/// Exact-probe memo: |peak| of every probe simulated on one model, keyed on
+/// the bit patterns of the aggressor switch times and the glitch time (so
+/// -0.0 and +0.0 are different probes, and +inf marks a quiet aggressor).
+/// A repeated probe is answered from the memo; since the transient is
+/// deterministic this is exact. Values only — never waveforms — so a memo
+/// stays a few kB; a hit that would become the incumbent is re-simulated
+/// for its waveform.
+///
+/// Searches that share a memo must run on the same ClusterMacromodel
+/// (checked): the windowed design flow runs its unconstrained and its
+/// window-constrained search on one model and one memo. A memo is plain
+/// mutable state: use one per thread.
+class ProbeMemo {
+public:
+    explicit ProbeMemo(const ClusterMacromodel& model) : model_(&model) {}
+
+    const ClusterMacromodel& model() const { return *model_; }
+    /// Distinct probes recorded.
+    std::size_t size() const { return values_.size(); }
+
+    std::optional<double> find(const std::vector<double>& aggTimes,
+                               double glitchTime) const;
+    void record(const std::vector<double>& aggTimes, double glitchTime,
+                double value);
+
+private:
+    const ClusterMacromodel* model_;
+    std::map<std::vector<std::uint64_t>, double> values_;
 };
 
 /// Coordinate-descent worst-|peak| search starting from peak-aligned
@@ -52,11 +95,19 @@ struct AlignmentResult {
 /// would truncate the stimulus and score a misleading objective. The
 /// spec's own alignment is always evaluated and wins ties, so the search
 /// never returns worse than the caller's fixed alignment.
+///
+/// `memo`, when given, holds the probes of earlier searches on `model` and
+/// receives this search's; the returned alignment and waveform are
+/// bit-identical to a search without it, only `evaluations` drops. Without
+/// one the search keeps a private memo.
 AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
-                                   const AlignmentOptions& opt = {});
+                                   const AlignmentOptions& opt = {},
+                                   ProbeMemo* memo = nullptr);
 
-/// Exhaustive grid over the same window (validation / small cases only:
-/// cost is pointsPerAxis^(aggressors + 1) transients).
+/// Exhaustive grid over the same window, clamped to [0, 0.8 tstop] like the
+/// search (validation / small cases only: cost is up to
+/// pointsPerAxis^(aggressors + 1) transients, fewer where the clamp merges
+/// grid points).
 AlignmentResult bruteForceWorstAlignment(const ClusterMacromodel& model,
                                          double window, int pointsPerAxis);
 

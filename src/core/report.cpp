@@ -88,10 +88,15 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
 ClusterReport analyzeCluster(const ClusterSpec& spec,
                              const ReportOptions& opt) {
     const ClusterMacromodel model(spec, opt.macromodel);
+    return analyzeCluster(model, opt);
+}
 
+ClusterReport analyzeCluster(const ClusterMacromodel& model,
+                             const ReportOptions& opt, ProbeMemo* memo) {
+    const ClusterSpec& spec = model.spec();
     ClusterReport report;
     if (opt.searchAlignment) {
-        auto align = findWorstAlignment(model, opt.alignment);
+        auto align = findWorstAlignment(model, opt.alignment, memo);
         report.worst = std::move(align.worst);
         report.aggressorSwitchTimes = std::move(align.aggressorSwitchTimes);
         report.glitchTime = align.glitchTime;

@@ -61,6 +61,15 @@ struct ReportOptions {
 ClusterReport analyzeCluster(const ClusterSpec& spec,
                              const ReportOptions& opt = {});
 
+/// The same flow on an already built macromodel, so several runs can share
+/// one build (of opt.macromodel only the cache is used, for the NRC).
+/// `memo` goes to the alignment search: runs on one model may share their
+/// probes (see ProbeMemo). With the search off, the model's spec gives the
+/// alignment.
+ClusterReport analyzeCluster(const ClusterMacromodel& model,
+                             const ReportOptions& opt,
+                             ProbeMemo* memo = nullptr);
+
 /// NRC check only (reusable by the design flow): failing height of the
 /// receiver at the measured width. With a cache, the NRC characterization
 /// runs at most once per (receiver cell, level, width grid).

@@ -110,6 +110,12 @@ void recordRun(SurvivingSet* out, const ClusterReport& run) {
 /// alignment search only probes inside the feasible intervals, and in
 /// fixed-alignment mode (searchAlignment == false) the glitch onset is
 /// clamped into its feasible interval.
+///
+/// `unconstrained`, when given, also receives the worst-of-both-levels
+/// report of the same runs without any window (windows mode's comparison
+/// verdict). With the search on, each level's two searches run on one
+/// macromodel and share its probe memo: the window-constrained search then
+/// simulates only the probes the unconstrained one has not.
 ClusterReport runClusterBothLevels(
     const cell::CellLibrary& lib, const Instance& driver,
     const Instance& firstLoad,
@@ -117,7 +123,8 @@ ClusterReport runClusterBothLevels(
     const ic::RcNetwork& rc, double tstop, const ReportOptions& ropt,
     const IncomingGlitch* incoming, SurvivingSet* outSurviving,
     const std::vector<TimingWindow>* aggWindows = nullptr,
-    const TimingWindow* glitchWindow = nullptr) {
+    const TimingWindow* glitchWindow = nullptr,
+    ClusterReport* unconstrained = nullptr) {
     ClusterReport worst;
     bool first = true;
     for (const bool level : {false, true}) {
@@ -156,6 +163,29 @@ ClusterReport runClusterBothLevels(
             constrained = ropt;
             if (aggWindows != nullptr) {
                 constrained.alignment.aggressorWindows = *aggWindows;
+            }
+            if (incoming != nullptr && glitchWindow != nullptr) {
+                constrained.alignment.glitchWindow = *glitchWindow;
+            }
+            use = &constrained;
+        }
+        ClusterReport cluster;
+        std::optional<ClusterReport> unc;
+        if (ropt.searchAlignment) {
+            // The spec's times only seed the search's free candidate, which
+            // the search itself clamps into the windows (and holds quiet
+            // where a window is empty), so the unconstrained spec serves
+            // both searches and one build and one memo serve the pair.
+            const ClusterMacromodel model(spec, ropt.macromodel);
+            ProbeMemo memo(model);
+            if (unconstrained != nullptr) {
+                unc = analyzeCluster(model, ropt, &memo);
+            }
+            cluster = analyzeCluster(model, *use, &memo);
+        } else {
+            if (unconstrained != nullptr) unc = analyzeCluster(spec, ropt);
+            // The fixed alignment honours the windows through the spec.
+            if (aggWindows != nullptr) {
                 for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
                     if ((*aggWindows)[a].empty()) {
                         spec.aggressors[a].switchTime =
@@ -163,24 +193,23 @@ ClusterReport runClusterBothLevels(
                     }
                 }
             }
-            if (incoming != nullptr && glitchWindow != nullptr) {
-                constrained.alignment.glitchWindow = *glitchWindow;
-                if (glitchWindow->bounded()) {
-                    const double lo = std::max(
-                        0.0,
-                        glitchWindow->earliest - spec.victim.glitchWidth);
-                    const double hi = std::min(0.8 * spec.tstop,
-                                               glitchWindow->latest);
-                    if (lo <= hi) {
-                        spec.victim.glitchTime = std::min(
-                            std::max(spec.victim.glitchTime, lo), hi);
-                    }
+            if (incoming != nullptr && glitchWindow != nullptr &&
+                glitchWindow->bounded()) {
+                const double lo = std::max(
+                    0.0, glitchWindow->earliest - spec.victim.glitchWidth);
+                const double hi =
+                    std::min(0.8 * spec.tstop, glitchWindow->latest);
+                if (lo <= hi) {
+                    spec.victim.glitchTime =
+                        std::min(std::max(spec.victim.glitchTime, lo), hi);
                 }
             }
-            use = &constrained;
+            cluster = analyzeCluster(spec, *use);
         }
-        auto cluster = analyzeCluster(spec, *use);
         recordRun(outSurviving, cluster);
+        if (unc && (first || unc->margin < unconstrained->margin)) {
+            *unconstrained = std::move(*unc);
+        }
         if (first || cluster.margin < worst.margin) {
             worst = std::move(cluster);
         }
@@ -189,6 +218,17 @@ ClusterReport runClusterBothLevels(
     return worst;
 }
 
+/// Windows mode's inputs to analyzeVictim, and its second verdict.
+struct VictimWindows {
+    const std::vector<TimingWindow>* aggWindows = nullptr;  ///< per ranked
+    const std::vector<TimingWindow>* incomingWindows = nullptr;  ///< per in
+    /// Per incoming candidate: its carrier's window misses this net, so it
+    /// only enters the unconstrained verdict.
+    const std::vector<char>* dropped = nullptr;
+    /// Out: the worst margin over the same runs without any window.
+    double unconstrainedMargin = 0.0;
+};
+
 /// Full per-net analysis: the local-only verdict (exactly what the flat
 /// propagate=false sweep computes), plus — when upstream glitches reach the
 /// driver — one combined run per incoming candidate (the Pareto front is
@@ -196,6 +236,10 @@ ClusterReport runClusterBothLevels(
 /// `outSurviving`, when set, collects every run's output glitch: a
 /// non-governing candidate can still leave the wider (or taller) glitch on
 /// the net, and downstream stages must see it.
+///
+/// With `windows` the report is the window-constrained one (dropped
+/// candidates excluded), and the unconstrained margin over every candidate
+/// comes from the same runs (see runClusterBothLevels).
 NetNoiseReport analyzeVictim(
     const cell::CellLibrary& lib, const std::string& netName,
     const Instance& driver, const Instance& firstLoad,
@@ -203,24 +247,40 @@ NetNoiseReport analyzeVictim(
     const ic::RcNetwork& rc, double tstop, const ReportOptions& ropt,
     const std::vector<IncomingGlitch>& incoming = {},
     SurvivingSet* outSurviving = nullptr,
-    const std::vector<TimingWindow>* aggWindows = nullptr,
-    const std::vector<TimingWindow>* incomingWindows = nullptr) {
+    VictimWindows* windows = nullptr) {
     NetNoiseReport report;
     report.net = netName;
     for (const auto& [drvCell, agg] : rankedAggressors) {
         report.aggressorNets.push_back(agg);
     }
 
-    report.cluster = runClusterBothLevels(lib, driver, firstLoad,
-                                          rankedAggressors, rc, tstop, ropt,
-                                          nullptr, outSurviving, aggWindows);
+    const std::vector<TimingWindow>* aggWindows =
+        windows != nullptr ? windows->aggWindows : nullptr;
+    ClusterReport unc;
+    report.cluster = runClusterBothLevels(
+        lib, driver, firstLoad, rankedAggressors, rc, tstop, ropt, nullptr,
+        outSurviving, aggWindows, nullptr,
+        windows != nullptr ? &unc : nullptr);
     report.propagated.localPeak = std::abs(report.cluster.worst.metrics.peak);
     report.propagated.localNrcLimit = report.cluster.nrcLimit;
     report.propagated.localMargin = report.cluster.margin;
     report.propagated.localFails = report.cluster.fails;
+    if (windows != nullptr) windows->unconstrainedMargin = unc.margin;
+    // The unconstrained verdict: the worst margin over every run.
+    const auto mergeUnc = [&](const ClusterReport& run) {
+        if (run.margin < windows->unconstrainedMargin) {
+            windows->unconstrainedMargin = run.margin;
+        }
+    };
 
     for (std::size_t i = 0; i < incoming.size(); ++i) {
         const IncomingGlitch& in = incoming[i];
+        if (windows != nullptr && (*windows->dropped)[i] != 0) {
+            mergeUnc(runClusterBothLevels(lib, driver, firstLoad,
+                                           rankedAggressors, rc, tstop, ropt,
+                                           &in, nullptr));
+            continue;
+        }
         if (!report.propagated.present) {
             // Record the primary (tallest) injected candidate even when the
             // local-only run ends up governing: `present` reports that an
@@ -234,7 +294,9 @@ NetNoiseReport analyzeVictim(
         auto combined = runClusterBothLevels(
             lib, driver, firstLoad, rankedAggressors, rc, tstop, ropt, &in,
             outSurviving, aggWindows,
-            incomingWindows != nullptr ? &(*incomingWindows)[i] : nullptr);
+            windows != nullptr ? &(*windows->incomingWindows)[i] : nullptr,
+            windows != nullptr ? &unc : nullptr);
+        if (windows != nullptr) mergeUnc(unc);
         // The worst margin over {local, each combined candidate} governs: a
         // destructively-aligned injection must not mask a local failure.
         if (combined.margin < report.cluster.margin) {
@@ -391,9 +453,7 @@ std::vector<NetNoiseReport> analyzeWithIndex(
 
     const auto solveVictim =
         [&](const Work& w, const std::vector<IncomingGlitch>& incoming,
-            SurvivingSet* outSurviving,
-            const std::vector<TimingWindow>* aggWindows = nullptr,
-            const std::vector<TimingWindow>* incomingWindows = nullptr) {
+            SurvivingSet* outSurviving, VictimWindows* windows = nullptr) {
             std::vector<std::string> clusterNets{*w.net};
             for (const auto& [drvCell, agg] : w.ranked) {
                 clusterNets.push_back(agg);
@@ -401,8 +461,7 @@ std::vector<NetNoiseReport> analyzeWithIndex(
             const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
             NetNoiseReport r = analyzeVictim(
                 lib, *w.net, *w.driver, *w.firstLoad, w.ranked, rc,
-                opt.tstop, ropt, incoming, outSurviving, aggWindows,
-                incomingWindows);
+                opt.tstop, ropt, incoming, outSurviving, windows);
             r.otherDrivers = index.extraDriversOf(*w.net);
             return r;
         };
@@ -736,29 +795,25 @@ std::vector<NetNoiseReport> analyzeWithIndex(
                         reports[slot] = std::move(r);
                         return;
                     }
-                    // Windows mode: the unconstrained run first (the PR 2
-                    // pessimistic verdict, reported for comparison), then
-                    // the window-constrained run that governs the verdict
-                    // and feeds the surviving front downstream.
-                    NetNoiseReport unc = solveVictim(work[slot],
-                                                     incoming, nullptr);
-                    std::vector<IncomingGlitch> kept;
-                    std::vector<TimingWindow> keptWindows;
+                    // Windows mode: the window-constrained analysis that
+                    // governs the verdict and feeds the surviving front
+                    // downstream, plus — from the same runs — the
+                    // unconstrained margin reported for comparison.
                     std::vector<std::string> droppedFrom;
                     for (std::size_t i = 0; i < incoming.size(); ++i) {
                         if (dropped[i] != 0) {
                             droppedFrom.push_back(incoming[i].fromNet);
-                            continue;
                         }
-                        kept.push_back(incoming[i]);
-                        keptWindows.push_back(incomingWindows[i]);
                     }
-                    NetNoiseReport win = solveVictim(
-                        work[slot], kept, &produced,
-                        &aggWindows, &keptWindows);
+                    VictimWindows vw;
+                    vw.aggWindows = &aggWindows;
+                    vw.incomingWindows = &incomingWindows;
+                    vw.dropped = &dropped;
+                    NetNoiseReport win =
+                        solveVictim(work[slot], incoming, &produced, &vw);
                     win.windows.constrained = true;
                     win.windows.window = sens;
-                    win.windows.unconstrainedMargin = unc.cluster.margin;
+                    win.windows.unconstrainedMargin = vw.unconstrainedMargin;
                     win.windows.windowedMargin = win.cluster.margin;
                     // Exclusions are recorded from two places: empty
                     // window overlaps (decided here), and aggressors the

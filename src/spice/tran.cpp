@@ -11,14 +11,20 @@
 namespace sna::spice {
 
 bool TranResult::has(const std::string& node) const {
-    return waves_.find(node) != waves_.end();
+    return std::find(nodes_.begin(), nodes_.end(), node) != nodes_.end();
 }
 
-const wave::Waveform& TranResult::waveform(const std::string& node) const {
-    const auto it = waves_.find(node);
-    SNA_REQUIRE(it != waves_.end(), "no waveform recorded for node '" + node +
+wave::Waveform TranResult::waveform(const std::string& node) const {
+    const auto it = std::find(nodes_.begin(), nodes_.end(), node);
+    SNA_REQUIRE(it != nodes_.end(), "no waveform recorded for node '" + node +
                                         "'");
-    return it->second;
+    const std::size_t column = static_cast<std::size_t>(it - nodes_.begin());
+    const std::size_t stride = nodes_.size();
+    std::vector<wave::Sample> samples(times_.size());
+    for (std::size_t k = 0; k < times_.size(); ++k) {
+        samples[k] = {times_[k], volts_[k * stride + column]};
+    }
+    return wave::Waveform(std::move(samples));
 }
 
 namespace {
@@ -88,11 +94,12 @@ TranResult simulateTransient(const Circuit& circuit,
     }
 
     // --- recording ---------------------------------------------------------
+    // One row of non-ground node voltages per accepted time point.
     const std::size_t nodeCount = circuit.nodeCount();
-    std::vector<std::vector<wave::Sample>> record(nodeCount);
     auto recordAll = [&](double t) {
+        result.times_.push_back(t);
         for (NodeId id = 1; id < static_cast<NodeId>(nodeCount); ++id) {
-            record[id].push_back({t, map.voltage(id, x)});
+            result.volts_.push_back(map.voltage(id, x));
         }
     };
     recordAll(0.0);
@@ -219,9 +226,9 @@ TranResult simulateTransient(const Circuit& circuit,
 
     // --- package ------------------------------------------------------------
     result.stats_ = stats;
+    result.nodes_.reserve(nodeCount - 1);
     for (NodeId id = 1; id < static_cast<NodeId>(nodeCount); ++id) {
-        result.waves_.emplace(circuit.nodeName(id),
-                              wave::Waveform(std::move(record[id])));
+        result.nodes_.push_back(circuit.nodeName(id));
     }
     log::debug() << "transient: " << stats.accepted << " steps, "
                  << stats.rejected << " rejected, " << stats.newtonIterations

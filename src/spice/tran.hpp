@@ -8,7 +8,7 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "spice/dc.hpp"
 #include "waveform/waveform.hpp"
@@ -33,20 +33,28 @@ struct TranStats {
     long newtonIterations = 0;
 };
 
+/// Every node voltage at every accepted time point. The time points are
+/// stored once and the voltages in one contiguous buffer (one row of
+/// nodeCount - 1 values per time point, ground excluded); waveform(node)
+/// builds that node's Waveform on demand, so a caller that reads one node
+/// pays for one.
 class TranResult {
 public:
     bool has(const std::string& node) const;
-    const wave::Waveform& waveform(const std::string& node) const;
+    /// The node's voltage as a piecewise-linear waveform, built by value.
+    wave::Waveform waveform(const std::string& node) const;
     const TranStats& stats() const { return stats_; }
 
 private:
     friend TranResult simulateTransient(const Circuit&, const TranOptions&);
-    std::unordered_map<std::string, wave::Waveform> waves_;
+    std::vector<std::string> nodes_;  ///< non-ground node names, id order
+    std::vector<double> times_;
+    std::vector<double> volts_;       ///< times_.size() x nodes_.size()
     TranStats stats_;
 };
 
 /// Run a transient from a DC initial condition to options.tstop, recording
-/// every node voltage as a piecewise-linear waveform.
+/// every node voltage at every accepted time point.
 TranResult simulateTransient(const Circuit& circuit,
                              const TranOptions& options);
 

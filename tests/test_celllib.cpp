@@ -133,7 +133,8 @@ TEST(CellLibrary, StrongerInverterSwitchesFaster) {
         spice::TranOptions opt;
         opt.tstop = 3e-9;
         const auto res = spice::simulateTransient(ckt, opt);
-        for (const auto& s : res.waveform("out").samples()) {
+        const wave::Waveform outWave = res.waveform("out");
+        for (const auto& s : outWave.samples()) {
             if (s.v < 0.5 * t.vdd) return s.t;
         }
         return opt.tstop;

@@ -435,4 +435,83 @@ TEST(BitPin, GoldenTransistorLevelCluster) {
                   0xe1f7d84778849065ull});
 }
 
+// Search pins: the alignment a full findWorstAlignment returns (every time
+// and the peak as hex-floats, plus the worst waveform's FNV-1a hash) and
+// the number of transients it simulated. The values were pinned before the
+// exact-probe memo landed: skipping bit-identical repeats must not move
+// any of them. `offered` is the probe count of that memo-less search,
+// repeats included; `evaluations` is its number of distinct probes.
+
+struct SearchPin {
+    std::vector<std::string> aggTimes;
+    std::string glitchTime;
+    std::string peak;
+    std::uint64_t hash = 0;
+    int evaluations = 0;
+    int offered = 0;
+};
+
+core::AlignmentResult pinnedSearch(const ClusterMacromodel& model,
+                                   const core::AlignmentOptions& opt = {}) {
+    core::ProbeMemo memo(model);
+    auto r = core::findWorstAlignment(model, opt, &memo);
+    // One transient per distinct probe.
+    EXPECT_EQ(r.evaluations, static_cast<int>(memo.size()));
+    return r;
+}
+
+void expectSearchPinned(const core::AlignmentResult& r,
+                        const SearchPin& want) {
+    std::vector<std::string> times;
+    for (const double t : r.aggressorSwitchTimes) {
+        times.push_back(str::formatDoubleHex(t));
+    }
+    EXPECT_EQ(times, want.aggTimes);
+    EXPECT_EQ(str::formatDoubleHex(r.glitchTime), want.glitchTime);
+    EXPECT_EQ(str::formatDoubleHex(r.worst.metrics.peak), want.peak);
+    const BitPin got = pinOf(r.worst);
+    EXPECT_EQ(got.hash, want.hash) << std::hex << "0x" << got.hash;
+    EXPECT_EQ(r.evaluations, want.evaluations);
+    EXPECT_LT(r.evaluations, want.offered);
+}
+
+TEST(BitPin, SearchCoupledPiTwoAggressorsWithGlitch) {
+    const ClusterMacromodel model(paperCluster(0.7, 2));
+    expectSearchPinned(pinnedSearch(model),
+                       {{"0x1.b7cdfd9d7bdbbp-32", "0x1.b7cdfd9d7bdbbp-32"},
+                        "0x1.c817fd86df42ap-32",
+                        "0x1.99ae3250f2023p-1",
+                        0x179479571e457289ull,
+                        44,
+                        65});
+}
+
+TEST(BitPin, SearchWithBoundedEmptyAndGlitchWindows) {
+    const ClusterMacromodel model(paperCluster(0.7, 2));
+    core::AlignmentOptions opt;
+    opt.aggressorWindows = {{150e-12, 400e-12}, {900e-12, 500e-12}};
+    opt.glitchWindow = {700e-12, 1.1e-9};
+    const auto r = pinnedSearch(model, opt);
+    EXPECT_TRUE(std::isinf(r.aggressorSwitchTimes[1]));
+    expectSearchPinned(r, {{"0x1.97c8be779ed65p-32", "inf"},
+                           "0x1.eec7bd512b571p-32",
+                           "0x1.7e75b0e737ddp-2",
+                           0xc93e7741a344e429ull,
+                           16,
+                           26});
+}
+
+TEST(BitPin, SearchPrimaOneAggressor) {
+    ClusterMacromodel::Options opt;
+    opt.usePrima = true;
+    const ClusterMacromodel model(paperCluster(0.7, 1), opt);
+    expectSearchPinned(pinnedSearch(model),
+                       {{"0x1.b7cdfd9d7bdbbp-32"},
+                        "0x1.b7cdfd9d7bdbbp-32",
+                        "0x1.3ce9a347718d3p-1",
+                        0x4618a02cde307baaull,
+                        30,
+                        44});
+}
+
 }  // namespace

@@ -254,7 +254,8 @@ TEST(EngineRobustness, BreakpointsAreHitExactly) {
     opt.tstop = 2e-9;
     const auto res = spice::simulateTransient(c, opt);
     bool hit = false;
-    for (const auto& s : res.waveform("out").samples()) {
+    const wave::Waveform outWave = res.waveform("out");
+    for (const auto& s : outWave.samples()) {
         if (std::abs(s.t - tCorner) < 1e-15) hit = true;
     }
     EXPECT_TRUE(hit);

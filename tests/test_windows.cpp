@@ -3,13 +3,15 @@
 // hand-computed chain, empty-overlap aggressor exclusion and incoming-glitch
 // dropping, bit-identity of the no-windows wavefront at threads 1/4 and
 // under all-unbounded windows, deterministic multi-driver handling under
-// instance permutation, and the alignment-search clamping / tie-break /
-// dead-axis fixes.
+// instance permutation, the alignment-search clamping / tie-break /
+// dead-axis fixes, and the exact-probe memo (twin sharing, concurrency).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "charlib/char_cache.hpp"
 #include "charlib/characterize.hpp"
@@ -265,34 +267,41 @@ TEST(WindowedDesign, EmptyOverlapAggressorExcludedRecoversMargin) {
     core::Design design(lib);
     buildChain(design, aggs);
 
-    auto opt = fastPropagateOptions();
-    charlib::CharCache cache;
-    opt.cache = &cache;
+    // With the search on, the unconstrained and the windowed search share
+    // one macromodel and probe memo per run; the unconstrained margin must
+    // still equal the windows-less run's bit for bit.
+    for (const bool search : {false, true}) {
+        SCOPED_TRACE(search ? "alignment search" : "fixed alignment");
+        auto opt = fastPropagateOptions();
+        opt.report.searchAlignment = search;
+        charlib::CharCache cache;
+        opt.cache = &cache;
 
-    // Unconstrained baseline.
-    const auto base = core::analyzeDesign(design, spef, opt);
-    ASSERT_EQ(base.size(), 1u);
-    EXPECT_FALSE(base[0].windows.constrained);
+        // Unconstrained baseline.
+        const auto base = core::analyzeDesign(design, spef, opt);
+        ASSERT_EQ(base.size(), 1u);
+        EXPECT_FALSE(base[0].windows.constrained);
 
-    // Victim sensitive early; one aggressor can only switch late.
-    core::TimingWindows w;
-    w.set("s0", {0.0, 300e-12});
-    w.set("g0_0", {1.5e-9, 2.0e-9});
-    opt.windows = &w;
-    const auto rep = core::analyzeDesign(design, spef, opt);
-    ASSERT_EQ(rep.size(), 1u);
-    const auto& r = rep[0];
-    EXPECT_TRUE(r.windows.constrained);
-    EXPECT_EQ(r.windows.window, (core::TimingWindow{0.0, 300e-12}));
-    ASSERT_EQ(r.windows.excludedAggressors,
-              (std::vector<std::string>{"g0_0"}));
-    // The unconstrained margin reproduces the windows-less run bitwise, and
-    // silencing one of three aggressors strictly recovers margin.
-    EXPECT_EQ(r.windows.unconstrainedMargin, base[0].cluster.margin);
-    EXPECT_GT(r.windows.windowedMargin, r.windows.unconstrainedMargin);
-    // The governing verdict is the windowed one, and both margins are on
-    // the report.
-    EXPECT_EQ(r.cluster.margin, r.windows.windowedMargin);
+        // Victim sensitive early; one aggressor can only switch late.
+        core::TimingWindows w;
+        w.set("s0", {0.0, 300e-12});
+        w.set("g0_0", {1.5e-9, 2.0e-9});
+        opt.windows = &w;
+        const auto rep = core::analyzeDesign(design, spef, opt);
+        ASSERT_EQ(rep.size(), 1u);
+        const auto& r = rep[0];
+        EXPECT_TRUE(r.windows.constrained);
+        EXPECT_EQ(r.windows.window, (core::TimingWindow{0.0, 300e-12}));
+        ASSERT_EQ(r.windows.excludedAggressors,
+                  (std::vector<std::string>{"g0_0"}));
+        // The unconstrained margin reproduces the windows-less run bitwise, and
+        // silencing one of three aggressors strictly recovers margin.
+        EXPECT_EQ(r.windows.unconstrainedMargin, base[0].cluster.margin);
+        EXPECT_GT(r.windows.windowedMargin, r.windows.unconstrainedMargin);
+        // The governing verdict is the windowed one, and both margins are on
+        // the report.
+        EXPECT_EQ(r.cluster.margin, r.windows.windowedMargin);
+    }
 }
 
 TEST(WindowedDesign, DisjointIncomingGlitchDropped) {
@@ -304,41 +313,56 @@ TEST(WindowedDesign, DisjointIncomingGlitchDropped) {
     core::Design design(lib);
     buildChain(design, aggs);
 
-    auto opt = fastPropagateOptions();
-    charlib::CharCache cache;
-    opt.cache = &cache;
-    const auto base = core::analyzeDesign(design, spef, opt);
-    ASSERT_EQ(base.size(), 2u);
-    ASSERT_TRUE(base[1].propagated.present);
-    ASSERT_TRUE(base[1].cluster.fails);
-    ASSERT_FALSE(base[1].propagated.localFails);
+    for (const bool search : {false, true}) {
+        SCOPED_TRACE(search ? "alignment search" : "fixed alignment");
+        auto opt = fastPropagateOptions();
+        opt.report.searchAlignment = search;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        const auto base = core::analyzeDesign(design, spef, opt);
+        ASSERT_EQ(base.size(), 2u);
+        ASSERT_TRUE(base[1].propagated.present);
+        ASSERT_TRUE(base[1].cluster.fails);
+        ASSERT_FALSE(base[1].propagated.localFails);
 
-    // Stage 0 switches late, stage 1 is sensitive early: the surviving
-    // glitch cannot collide with stage 1 and must be dropped there.
-    core::TimingWindows w;
-    w.set("s0", {1.5e-9, 1.6e-9});
-    w.set("s1", {0.0, 300e-12});
-    opt.windows = &w;
-    const auto rep = core::analyzeDesign(design, spef, opt);
-    ASSERT_EQ(rep.size(), 2u);
-    const auto& s1 = rep[1];
-    ASSERT_EQ(s1.net, "s1");
-    EXPECT_TRUE(s1.windows.constrained);
-    EXPECT_EQ(s1.windows.droppedIncoming,
-              (std::vector<std::string>{"s0"}));
-    // With the glitch dropped the combined verdict falls back to the local
-    // one and the net passes — the pessimism the windows recovered.
-    EXPECT_FALSE(s1.propagated.present);
-    EXPECT_FALSE(s1.cluster.fails);
-    EXPECT_EQ(s1.cluster.margin, s1.propagated.localMargin);
-    EXPECT_GT(s1.windows.windowedMargin, s1.windows.unconstrainedMargin);
-    EXPECT_EQ(s1.windows.unconstrainedMargin, base[1].cluster.margin);
-
-    // Stage 0 itself keeps its aggressors (their unbounded windows overlap
-    // its late window): the windowed run changes nothing there.
-    EXPECT_EQ(rep[0].windows.windowedMargin,
-              rep[0].windows.unconstrainedMargin);
-    EXPECT_TRUE(rep[0].windows.excludedAggressors.empty());
+        // Stage 0 switches late, stage 1 is sensitive early: the surviving
+        // glitch cannot collide with stage 1 and must be dropped there.
+        core::TimingWindows w;
+        w.set("s0", {1.5e-9, 1.6e-9});
+        w.set("s1", {0.0, 300e-12});
+        opt.windows = &w;
+        const auto rep = core::analyzeDesign(design, spef, opt);
+        ASSERT_EQ(rep.size(), 2u);
+        const auto& s1 = rep[1];
+        ASSERT_EQ(s1.net, "s1");
+        EXPECT_TRUE(s1.windows.constrained);
+        EXPECT_EQ(s1.windows.droppedIncoming,
+                  (std::vector<std::string>{"s0"}));
+        // With the glitch dropped the combined verdict falls back to the local
+        // one and the net passes — the pessimism the windows recovered.
+        EXPECT_FALSE(s1.propagated.present);
+        EXPECT_FALSE(s1.cluster.fails);
+        EXPECT_EQ(s1.cluster.margin, s1.propagated.localMargin);
+        EXPECT_GT(s1.windows.windowedMargin, s1.windows.unconstrainedMargin);
+        EXPECT_TRUE(rep[0].windows.excludedAggressors.empty());
+        if (search) {
+            // Stage 0's aggressor windows bound the search, so both stages'
+            // verdicts differ from the windows-less run. Pinned from two
+            // independent searches per run, before they shared one model and
+            // probe memo; s1's unconstrained margin includes the dropped
+            // candidate's unconstrained-only run.
+            EXPECT_EQ(rep[0].windows.windowedMargin, 0x1.53dd61df23c2p-5);
+            EXPECT_EQ(rep[0].windows.unconstrainedMargin, 0x1.53dd61df23a3p-5);
+            EXPECT_EQ(s1.windows.windowedMargin, 0x1.72e64a4914cecp-2);
+            EXPECT_EQ(s1.windows.unconstrainedMargin, -0x1.1e1cd2d12e66cp-2);
+            continue;
+        }
+        EXPECT_EQ(s1.windows.unconstrainedMargin, base[1].cluster.margin);
+        // Stage 0 itself keeps its aggressors (their unbounded windows overlap
+        // its late window): the windowed run changes nothing there.
+        EXPECT_EQ(rep[0].windows.windowedMargin,
+                  rep[0].windows.unconstrainedMargin);
+    }
 }
 
 TEST(WindowedDesign, NoWindowsBitIdenticalAtThreads14) {
@@ -528,8 +552,9 @@ TEST(Alignment, SpecCandidateWinsTiesOnDegenerateGrid) {
     // candidate exactly (identical times, identical deterministic sim) and
     // must survive as the returned alignment. A zero-width refinement grid
     // then re-probes only the incumbent's time — every probe ties, none may
-    // displace it, and consecutive duplicates dedupe to one evaluation per
-    // axis per round.
+    // displace it. The spec candidate and every grid probe repeat the
+    // initial probe bit for bit, so the memo answers them all: exactly one
+    // transient is simulated.
     core::ClusterSpec spec = oneAggressorSpec();
     spec.aggressors[0].inputSlew = 1.5e-9;  // init would be negative
     spec.aggressors[0].switchTime = 0.0;    // == the clamped init time
@@ -539,7 +564,7 @@ TEST(Alignment, SpecCandidateWinsTiesOnDegenerateGrid) {
     opt.window = 0.0;
     const auto res = core::findWorstAlignment(model, opt);
     EXPECT_EQ(res.aggressorSwitchTimes[0], 0.0);
-    EXPECT_EQ(res.evaluations, 2 + opt.rounds * 1);
+    EXPECT_EQ(res.evaluations, 1);
 
     // The spec candidate also never loses outright: a spec alignment
     // strictly better than every probe is returned verbatim.
@@ -606,6 +631,109 @@ TEST(Alignment, WindowConstraintsBoundAndExcludeAxes) {
     EXPECT_TRUE(std::isinf(quiet.aggressorSwitchTimes[0]));
     EXPECT_LT(std::abs(quiet.worst.metrics.peak),
               0.25 * std::abs(free.worst.metrics.peak));
+}
+
+core::ClusterSpec twoAggressorGlitchSpec() {
+    core::ClusterSpec spec = oneAggressorSpec();
+    spec.aggressors.push_back({});
+    spec.aggressors[1].couplingScale = 0.7;
+    spec.victim.glitchHeight = 0.35;
+    spec.victim.glitchWidth = 200e-12;
+    return spec;
+}
+
+/// Same alignment, bit for bit: times, peak, and every waveform sample.
+void expectSameAlignment(const core::AlignmentResult& got,
+                         const core::AlignmentResult& want) {
+    ASSERT_EQ(got.aggressorSwitchTimes.size(),
+              want.aggressorSwitchTimes.size());
+    EXPECT_EQ(std::memcmp(got.aggressorSwitchTimes.data(),
+                          want.aggressorSwitchTimes.data(),
+                          want.aggressorSwitchTimes.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&got.glitchTime, &want.glitchTime, sizeof(double)),
+              0);
+    EXPECT_EQ(got.worst.metrics.peak, want.worst.metrics.peak);
+    const auto& a = got.worst.waveform.samples();
+    const auto& b = want.worst.waveform.samples();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(wave::Sample)),
+              0);
+}
+
+TEST(Alignment, TwinSearchesShareOneMemoBitIdentically) {
+    // The windowed flow's pair: an unconstrained search, then a
+    // window-constrained one on the same model and memo. The second must
+    // return exactly what it returns alone, simulating fewer probes.
+    const core::ClusterMacromodel model(twoAggressorGlitchSpec(),
+                                        fastModel());
+    core::AlignmentOptions windowed;
+    windowed.glitchWindow = {100e-12, 1.0e-9};
+    const auto alone = core::findWorstAlignment(model, windowed);
+
+    core::ProbeMemo memo(model);
+    const auto unc = core::findWorstAlignment(model, {}, &memo);
+    EXPECT_EQ(memo.size(), static_cast<std::size_t>(unc.evaluations));
+    const auto twin = core::findWorstAlignment(model, windowed, &memo);
+    expectSameAlignment(twin, alone);
+    EXPECT_LT(twin.evaluations, alone.evaluations);
+    // Alone, a search simulates each distinct probe exactly once.
+    core::ProbeMemo own(model);
+    const auto fresh = core::findWorstAlignment(model, windowed, &own);
+    EXPECT_EQ(fresh.evaluations, static_cast<int>(own.size()));
+
+    // A memo only answers for the model it was filled on.
+    const core::ClusterMacromodel other(twoAggressorGlitchSpec(),
+                                        fastModel());
+    EXPECT_THROW(core::findWorstAlignment(other, {}, &memo), LogicError);
+}
+
+TEST(Alignment, BruteForceClampsToSearchBounds) {
+    // A grid three simulation windows wide: every edge point lies outside
+    // [0, 0.8 tstop] and must clamp onto a bound, as in the search (past
+    // 0.8 tstop a ramp no longer fits the simulation).
+    const core::ClusterSpec spec = twoAggressorGlitchSpec();
+    const core::ClusterMacromodel model(spec, fastModel());
+    const double tMax = 0.8 * spec.tstop;
+    core::AlignmentResult r;
+    ASSERT_NO_THROW(
+        r = core::bruteForceWorstAlignment(model, 3.0 * spec.tstop, 5));
+    ASSERT_EQ(r.aggressorSwitchTimes.size(), 2u);
+    for (const double t : r.aggressorSwitchTimes) {
+        EXPECT_GE(t, 0.0);
+        EXPECT_LE(t, tMax);
+    }
+    EXPECT_GE(r.glitchTime, 0.0);
+    EXPECT_LE(r.glitchTime, tMax);
+    // Per axis the five points clamp to {0, centre, tMax}: 27 distinct
+    // probes of the 125 grid points, each simulated once.
+    EXPECT_EQ(r.evaluations, 27);
+}
+
+TEST(Alignment, ConcurrentSearchesOnOneModelMatchSerial) {
+    // Searches keep their memo per call: four threads on one const model
+    // share no mutable state and reproduce the serial result exactly.
+    const core::ClusterMacromodel model(twoAggressorGlitchSpec(),
+                                        fastModel());
+    core::AlignmentOptions windowed;
+    windowed.aggressorWindows = {{300e-12, 900e-12}, {}};
+    const auto serial = core::findWorstAlignment(model);
+    const auto serialWindowed = core::findWorstAlignment(model, windowed);
+
+    std::vector<core::AlignmentResult> results(4);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        threads.emplace_back([&, i] {
+            results[i] = core::findWorstAlignment(
+                model, i % 2 == 0 ? core::AlignmentOptions{} : windowed);
+        });
+    }
+    for (auto& t : threads) t.join();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto& want = i % 2 == 0 ? serial : serialWindowed;
+        expectSameAlignment(results[i], want);
+        EXPECT_EQ(results[i].evaluations, want.evaluations);
+    }
 }
 
 }  // namespace
