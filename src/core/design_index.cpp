@@ -22,6 +22,7 @@ DesignIndex::DesignIndex(const Design& design, const parser::SpefFile& spef,
 
     // One pass over the instances: pin roles come from the cell definition.
     for (const auto& inst : design.instances()) {
+        instanceByName_.emplace(inst.name, &inst);
         const cell::Cell& c = lib.cell(inst.cellName);
         const auto out = inst.pinToNet.find(c.outputName());
         if (out != inst.pinToNet.end()) {
@@ -317,6 +318,11 @@ void DesignIndex::buildGraph() const {
                     << levels_.brokenEdges.front().first << " -> "
                     << levels_.brokenEdges.front().second << ")";
     }
+}
+
+const Instance* DesignIndex::instanceNamed(const std::string& name) const {
+    const auto it = instanceByName_.find(name);
+    return it == instanceByName_.end() ? nullptr : it->second;
 }
 
 const Instance* DesignIndex::driverOf(const std::string& net) const {

@@ -95,6 +95,10 @@ public:
     const std::vector<std::string>& extraDriversOf(
         const std::string& net) const;
 
+    /// The instance named `name`, or nullptr. On duplicate names the first
+    /// in design order wins, the one Design::replaceCell rebinds.
+    const Instance* instanceNamed(const std::string& name) const;
+
     /// The design this index was built over.
     const Design& design() const { return *design_; }
 
@@ -156,6 +160,7 @@ private:
 
     const Design* design_ = nullptr;  ///< not owned; must outlive the index
     const TimingWindows* windows_ = nullptr;  ///< not owned; may be null
+    std::unordered_map<std::string, const Instance*> instanceByName_;
     std::unordered_map<std::string, const Instance*> driverByNet_;
     std::unordered_map<std::string, std::vector<std::string>>
         extraDriversByNet_;

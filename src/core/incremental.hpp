@@ -13,6 +13,22 @@
 // scheduler restricted to the dirty task ids, and splices the retained
 // NetNoiseReports for every clean net.
 //
+// Cost model of one incremental call. O(dirty cone):
+//   * seeding — delta instances by name through the index, re-read SPEF
+//     sections through patchParasitics;
+//   * windows — only the forward cone of the window sources (nets on a
+//     re-bound instance's pins, nets whose explicit window changed) is
+//     re-propagated, stopping where a window comes out bit-identical; a
+//     window never reads parasitics, so a re-extraction moves none;
+//   * victim selection — only dirty victims are re-ranked (the whole list
+//     is reselected only when a dirty net gains or loses victim status);
+//   * the solve — the scheduler runs the dirty task ids only, and the
+//     retained slots are rewritten in place for those ids alone.
+// O(design), by design: copying every clean report into the returned
+// vector (the API returns every report), the `unrecorded` safety scan
+// over the SPEF nets, the per-call worker pool, per-task byte masks, and
+// the explicit-window comparison (O(explicit windows)).
+//
 // Contract: analyzeDesignIncremental returns reports bit-identical to a
 // cold analyzeDesign over the same (mutated) design at any thread count.
 // Whenever the snapshot cannot guarantee that — no prior run, different
@@ -23,9 +39,11 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/design_index.hpp"
@@ -53,12 +71,29 @@ struct DesignDelta {
     bool connectivityChanged = false;
 };
 
+/// One victim cluster picked by phase 1 of a run: the net, its driver and
+/// first receiver, and its aggressors ranked strongest-coupled first as
+/// (driver cell, aggressor net). Names and Instance pointers only — never
+/// pointers into a SpefFile, which an ECO loop may replace between calls.
+struct VictimSelection {
+    std::string net;
+    const Instance* driver = nullptr;
+    const Instance* firstLoad = nullptr;
+    std::vector<std::pair<std::string, std::string>> ranked;
+};
+
 /// Retained state of one analyzeDesign run, the input and output of every
 /// incremental iteration. Populate it by running analyzeDesign with
 /// DesignNoiseOptions::snapshot pointing here; analyzeDesignIncremental
 /// both consumes and refreshes it, so an ECO loop keeps passing the same
-/// object. Owns the DesignIndex; the Design and SpefFile stay caller-owned
-/// and must outlive the snapshot.
+/// object. Owns the DesignIndex; the Design stays caller-owned and must
+/// outlive the snapshot (the SpefFile may be replaced between calls).
+///
+/// Per-net state is addressed like the run's own slots — victim reports by
+/// victim slot, surviving fronts, quiet reports and windows by task id —
+/// and a run writes its dirty slots in place (a full run is the case where
+/// every slot is dirty). A run that is cancelled or faulted may therefore
+/// leave slots half-written; it always clears `valid`.
 struct AnalysisSnapshot {
     bool valid = false;
     const Design* design = nullptr;  ///< identity check only, not owned
@@ -67,10 +102,21 @@ struct AnalysisSnapshot {
     /// invalidates the splice (clean nets would carry stale verdicts).
     std::string fingerprint;
     std::unique_ptr<DesignIndex> index;
-    std::unordered_map<std::string, NetNoiseReport> victimReports;
-    std::unordered_map<std::string, NetNoiseReport> quietReports;
-    std::unordered_map<std::string, SurvivingSet> surviving;
-    std::unordered_map<std::string, TimingWindow> netWindows;
+    /// Phase 1's victim list in SPEF order; a victim's slot is its
+    /// position. An incremental run re-ranks only its dirty victims and
+    /// reselects the whole list when a dirty net gains or loses victim
+    /// status.
+    std::vector<VictimSelection> victims;
+    std::unordered_map<std::string, int> slotOf;  ///< victim net -> slot
+    std::vector<NetNoiseReport> victimReports;     ///< by victim slot
+    /// Wavefront only, by task id (DesignIndex::taskGraph):
+    std::vector<SurvivingSet> surviving;
+    std::vector<std::optional<NetNoiseReport>> quietReports;
+    /// Windows mode only: the propagated window of every task id, and the
+    /// explicit window set it was propagated from (a copy, compared bit for
+    /// bit on the next call — the caller may edit its windows in place).
+    std::vector<TimingWindow> netWindows;
+    TimingWindows explicitWindows;
     /// Waiver-applied diagnostics of the captured run's lint pass; empty
     /// when DesignNoiseOptions::lint was off.
     std::vector<lint::Diagnostic> lint;
@@ -84,6 +130,9 @@ struct IncrementalStats {
     std::size_t coupledNeighbors = 0;  ///< added around the seeds
     std::size_t reusedVictimReports = 0;
     std::size_t solvedVictimReports = 0;
+    /// Nets whose switching window was recomputed (windows mode): the
+    /// window sources and whatever their moved windows reached downstream.
+    std::size_t windowNetsRepropagated = 0;
     /// True when the call could not splice (invalid snapshot, option or
     /// connectivity change) and ran the full pipeline instead.
     bool indexRebuilt = false;
@@ -105,10 +154,11 @@ std::unordered_set<std::string> expandDirtyCone(
 
 /// Re-analyze after `delta`, reusing everything `snapshot` retained: the
 /// index is patched (parasitics re-read from `spef` for the changed
-/// sections), timing windows are re-propagated and diffed, the dirty cone
-/// is re-solved on the task-graph scheduler restricted to its task ids, and
-/// every clean net's report is spliced from the snapshot. The snapshot is
-/// refreshed in place for the next iteration. Reports are bit-identical to
+/// sections), timing windows are re-propagated over the cone of the
+/// delta's window sources and diffed, the dirty cone is re-solved on the
+/// task-graph scheduler restricted to its task ids, and every clean net's
+/// report is spliced from the snapshot. The snapshot is refreshed in place
+/// for the next iteration. Reports are bit-identical to
 /// a cold analyzeDesign over the same state at any thread count; when the
 /// snapshot cannot be reused the call degrades to exactly that full run.
 std::vector<NetNoiseReport> analyzeDesignIncremental(

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <queue>
 
 namespace sna::core {
 
@@ -132,35 +135,85 @@ TimingWindow propagateWindowThroughDriver(const cell::Cell& cell,
     return fanin.shifted(dMin, dMax);
 }
 
-std::unordered_map<std::string, TimingWindow> propagateWindows(
-    const DesignIndex& index, charlib::CharCache* cache,
-    const TimingWindows* windows) {
-    std::unordered_map<std::string, TimingWindow> out;
+std::size_t propagateWindowCone(const DesignIndex& index,
+                                charlib::CharCache* cache,
+                                const TimingWindows* windows,
+                                const std::vector<int>& sources,
+                                std::vector<TimingWindow>& byId,
+                                std::vector<int>* moved) {
     const TimingWindows* explicitWindows =
         windows != nullptr ? windows : index.timingWindows();
-    for (const auto& levelNets : index.levels().levels) {
-        for (const std::string& net : levelNets) {
-            if (explicitWindows != nullptr) {
-                if (const TimingWindow* w = explicitWindows->find(net)) {
-                    out.emplace(net, *w);
-                    continue;
-                }
-            }
+    const NetTaskGraph& tg = index.taskGraph();
+    const std::size_t n = tg.nets.size();
+    byId.resize(n);
+    std::vector<char> queued(n, 0);
+    std::priority_queue<int, std::vector<int>, std::greater<int>> pending;
+    const auto enqueue = [&](int id) {
+        if (queued[static_cast<std::size_t>(id)]) return;
+        queued[static_cast<std::size_t>(id)] = 1;
+        pending.push(id);
+    };
+    for (const int id : sources) enqueue(id);
+
+    std::size_t recomputed = 0;
+    while (!pending.empty()) {
+        const int id = pending.top();
+        pending.pop();
+        ++recomputed;
+        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
+        TimingWindow window = TimingWindow::unbounded();
+        const TimingWindow* given =
+            explicitWindows != nullptr ? explicitWindows->find(net) : nullptr;
+        if (given != nullptr) {
+            window = *given;
+        } else {
             bool any = false;
-            TimingWindow hull;
             for (const FaninEdge& edge : index.faninOf(net)) {
-                const auto it = out.find(edge.fromNet);
-                const TimingWindow fanin = it != out.end()
-                                               ? it->second
-                                               : TimingWindow::unbounded();
+                const auto it = tg.idOf.find(edge.fromNet);
+                const TimingWindow fanin =
+                    it != tg.idOf.end() && it->second < id
+                        ? byId[static_cast<std::size_t>(it->second)]
+                        : TimingWindow::unbounded();
                 const TimingWindow shifted = propagateWindowThroughDriver(
                     index.design().library().cell(edge.inst->cellName),
                     edge.pin, fanin, cache);
-                hull = any ? hull.unite(shifted) : shifted;
+                window = any ? window.unite(shifted) : shifted;
                 any = true;
             }
-            out.emplace(net, any ? hull : TimingWindow::unbounded());
         }
+        TimingWindow& slot = byId[static_cast<std::size_t>(id)];
+        if (moved != nullptr && window != slot) moved->push_back(id);
+        if (window.sameBits(slot)) continue;  // readers see the same bits
+        slot = window;
+        // Only later ids read this window (an earlier reader sits across a
+        // cycle-broken edge and reads it as unbounded).
+        for (const std::string& to : index.fanoutOf(net)) {
+            const auto it = tg.idOf.find(to);
+            if (it != tg.idOf.end() && it->second > id) enqueue(it->second);
+        }
+    }
+    return recomputed;
+}
+
+std::vector<TimingWindow> propagateWindowsById(const DesignIndex& index,
+                                               charlib::CharCache* cache,
+                                               const TimingWindows* windows) {
+    std::vector<int> every(index.taskGraph().nets.size());
+    std::iota(every.begin(), every.end(), 0);
+    std::vector<TimingWindow> byId;
+    propagateWindowCone(index, cache, windows, every, byId);
+    return byId;
+}
+
+std::unordered_map<std::string, TimingWindow> propagateWindows(
+    const DesignIndex& index, charlib::CharCache* cache,
+    const TimingWindows* windows) {
+    const std::vector<TimingWindow> byId =
+        propagateWindowsById(index, cache, windows);
+    const NetTaskGraph& tg = index.taskGraph();
+    std::unordered_map<std::string, TimingWindow> out;
+    for (std::size_t id = 0; id < byId.size(); ++id) {
+        out.emplace(tg.nets[id], byId[id]);
     }
     return out;
 }

@@ -106,16 +106,42 @@ TimingWindow propagateWindowThroughDriver(const cell::Cell& cell,
                                           const TimingWindow& fanin,
                                           charlib::CharCache* cache);
 
-/// FRAME-style window propagation over the whole levelized design graph:
-/// nets with an explicit entry in the window set keep it; every other net
-/// takes the union (hull) of its fanin windows, each shifted through the
-/// stage via propagateWindowThroughDriver; nets with no fanin and no entry
-/// default to the unbounded window. Returns one window per net of the level
-/// graph. Deterministic: levels run in order and fanin edges are
-/// pre-sorted. `windows` overrides the explicit window set; nullptr (the
-/// pipeline default) reads `index.timingWindows()` — the override lets the
-/// lint hull check (SNA-L303) propagate a candidate window set without
-/// mutating the index.
+/// FRAME-style window propagation along the levelized design graph, one
+/// window per net addressed by task id (NetTaskGraph order: level, then
+/// name): nets with an explicit entry in the window set keep it; every
+/// other net takes the union (hull) of its fanin windows, each shifted
+/// through the stage via propagateWindowThroughDriver; nets with no fanin
+/// and no entry default to the unbounded window. A fanin later in task-id
+/// order — a cycle-broken edge — reads as unbounded.
+///
+/// This is the cone pass, the one propagation body: it recomputes the
+/// window of every id in `sources`, and of every net downstream of a
+/// window that moved, in ascending task-id order, leaving the rest of
+/// `byId` as retained. A net's window depends only on its earlier fanins'
+/// windows, its driver cell and its explicit entry, so the sources of an
+/// ECO are the nets on re-bound instances' pins and the nets whose
+/// explicit entry changed. `byId` is resized to the graph (new slots
+/// start unbounded). `moved`, when given, receives the ids whose window
+/// changed in value (operator!=), ascending. Returns the number of nets
+/// recomputed. `windows` overrides the explicit window set; nullptr reads
+/// `index.timingWindows()`.
+std::size_t propagateWindowCone(const DesignIndex& index,
+                                charlib::CharCache* cache,
+                                const TimingWindows* windows,
+                                const std::vector<int>& sources,
+                                std::vector<TimingWindow>& byId,
+                                std::vector<int>* moved = nullptr);
+
+/// The full pass: propagateWindowCone with every net a source and nothing
+/// retained. Deterministic: ids run in order and fanin edges are
+/// pre-sorted.
+std::vector<TimingWindow> propagateWindowsById(
+    const DesignIndex& index, charlib::CharCache* cache,
+    const TimingWindows* windows = nullptr);
+
+/// The full pass keyed by net name: one window per net of the level graph.
+/// The override lets the lint hull check (SNA-L303) propagate a candidate
+/// window set without mutating the index.
 std::unordered_map<std::string, TimingWindow> propagateWindows(
     const DesignIndex& index, charlib::CharCache* cache,
     const TimingWindows* windows = nullptr);

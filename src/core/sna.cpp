@@ -373,26 +373,154 @@ NetNoiseReport failureStub(const std::string& net,
 }
 
 /// Splice inputs for one incremental run (analyzeWithIndex `inc` param):
-/// the prior snapshot to retain clean results from, the dirty net set to
-/// re-solve, and the counters to fill. All borrowed, never null.
+/// the dirty net set to re-solve, the counters to fill, and whether the
+/// retained victim list is known stale (a retained victim left the SPEF).
+/// Borrowed, never null.
 struct IncrementalContext {
-    const AnalysisSnapshot* prior = nullptr;
     const std::unordered_set<std::string>* dirty = nullptr;
     IncrementalStats* stats = nullptr;
+    bool reselect = false;
 };
 
+/// Phase 1 for one SPEF net: the victim cluster it heads — coupling, a
+/// driver, a load, and at least one coupled SPEF net with a driver — with
+/// its aggressors ranked by summed coupling cap (ties on the net name, for
+/// determinism) and cut at `maxAggressors`; nullopt when it heads none.
+std::optional<VictimSelection> selectVictim(const DesignIndex& index,
+                                            const parser::SpefFile& spef,
+                                            const std::string& netName,
+                                            std::size_t maxAggressors) {
+    const auto& coupling = index.couplingOf(netName);
+    if (coupling.empty()) return std::nullopt;
+    const Instance* driver = index.driverOf(netName);
+    if (driver == nullptr) return std::nullopt;
+    const auto& loads = index.loadsOf(netName);
+    if (loads.empty()) return std::nullopt;
+
+    std::vector<std::pair<double, std::string>> ranked;
+    for (const auto& [agg, cc] : coupling) {
+        if (spef.nets().find(agg) == spef.nets().end()) continue;
+        if (index.driverOf(agg) == nullptr) continue;
+        ranked.push_back({cc, agg});
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+        return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    if (ranked.size() > maxAggressors) ranked.resize(maxAggressors);
+    if (ranked.empty()) return std::nullopt;
+
+    VictimSelection v;
+    v.net = netName;
+    v.driver = driver;
+    v.firstLoad = loads.front().first;
+    for (const auto& [cc, agg] : ranked) {
+        v.ranked.push_back({index.driverOf(agg)->cellName, agg});
+    }
+    return v;
+}
+
+/// Phase 1 over the whole SPEF: select every victim, in SPEF order.
+void selectVictims(AnalysisSnapshot& state, const DesignIndex& index,
+                   const parser::SpefFile& spef, std::size_t maxAggressors) {
+    state.victims.clear();
+    state.slotOf.clear();
+    for (const auto& [netName, spefNet] : spef.nets()) {
+        if (!index.couplingOf(netName).empty() &&
+            index.driverOf(netName) == nullptr) {
+            log::warn() << "SPEF net '" << netName
+                        << "' has coupling but no driver in the design";
+            continue;
+        }
+        std::optional<VictimSelection> v =
+            selectVictim(index, spef, netName, maxAggressors);
+        if (!v) continue;
+        state.slotOf.emplace(netName, static_cast<int>(state.victims.size()));
+        state.victims.push_back(std::move(*v));
+    }
+}
+
+/// Phase 1 of an incremental run: re-rank the dirty victims in place (a
+/// clean victim's coupling, aggressor drivers and SPEF membership are all
+/// unchanged, so its retained selection is current). When a dirty net
+/// gains or loses victim status — or `reselect` — the whole list is
+/// selected again and every retained report follows its net to the new
+/// slot. Returns the victim slots left without a retained report.
+std::vector<int> refreshVictims(AnalysisSnapshot& state,
+                                const DesignIndex& index,
+                                const parser::SpefFile& spef,
+                                std::size_t maxAggressors,
+                                const std::unordered_set<std::string>& dirty,
+                                bool reselect) {
+    for (const std::string& net : dirty) {
+        if (reselect) break;
+        std::optional<VictimSelection> v;
+        if (spef.nets().count(net) != 0) {
+            v = selectVictim(index, spef, net, maxAggressors);
+        }
+        const auto it = state.slotOf.find(net);
+        if ((it != state.slotOf.end()) != v.has_value()) {
+            reselect = true;
+        } else if (v) {
+            state.victims[static_cast<std::size_t>(it->second)] =
+                std::move(*v);
+        }
+    }
+    if (!reselect) return {};
+    const std::unordered_map<std::string, int> oldSlot =
+        std::move(state.slotOf);
+    std::vector<NetNoiseReport> oldReports = std::move(state.victimReports);
+    selectVictims(state, index, spef, maxAggressors);
+    state.victimReports.assign(state.victims.size(), NetNoiseReport{});
+    std::vector<int> unrecorded;
+    for (std::size_t i = 0; i < state.victims.size(); ++i) {
+        const auto it = oldSlot.find(state.victims[i].net);
+        if (it == oldSlot.end()) {
+            unrecorded.push_back(static_cast<int>(i));
+            continue;
+        }
+        state.victimReports[i] =
+            std::move(oldReports[static_cast<std::size_t>(it->second)]);
+    }
+    return unrecorded;
+}
+
+/// The returned report list: every finished victim slot in SPEF order,
+/// then the quiet nets' propagated-only reports in task-id order. Copied
+/// when `state` is a retained snapshot, moved out of a throwaway one.
+std::vector<NetNoiseReport> collectReports(AnalysisSnapshot& state,
+                                           const std::vector<char>& victimDone,
+                                           bool retain) {
+    std::vector<NetNoiseReport> out;
+    out.reserve(state.victimReports.size());
+    const auto take = [&out, retain](NetNoiseReport& r) {
+        if (retain) {
+            out.push_back(r);
+        } else {
+            out.push_back(std::move(r));
+        }
+    };
+    for (std::size_t i = 0; i < state.victimReports.size(); ++i) {
+        if (victimDone[i]) take(state.victimReports[i]);
+    }
+    for (auto& quiet : state.quietReports) {
+        if (quiet.has_value()) take(*quiet);
+    }
+    return out;
+}
+
 /// The engine shared by analyzeDesign (inc == nullptr: every net solves)
-/// and analyzeDesignIncremental (inc != nullptr: clean nets splice their
-/// retained slot values and only the dirty tasks are scheduled). When
-/// `capture` is non-null the per-net result maps are (re)filled from this
-/// run's slots; the caller owns the snapshot's identity fields and index.
-/// `windowsPre`, when given, is the already-propagated window map (the
-/// incremental caller computes it early to diff against the snapshot).
+/// and analyzeDesignIncremental (inc != nullptr: only the dirty tasks are
+/// scheduled). Every per-net value lives in `state`'s slots and the run
+/// writes its dirty slots in place: a full run selects the victims and
+/// resets every slot, an incremental run reads its clean slots as the
+/// prior run left them (and its windows as the caller re-propagated them).
+/// `retain` says whether `state` outlives the call (a snapshot) — then the
+/// returned reports are copies — or is a throwaway the reports move out of.
+/// The caller owns the snapshot's identity fields, index, and validity.
 std::vector<NetNoiseReport> analyzeWithIndex(
     const Design& design, const parser::SpefFile& spef,
     const DesignNoiseOptions& opt, const DesignIndex& index,
-    const std::unordered_map<std::string, TimingWindow>* windowsPre,
-    const IncrementalContext* inc, AnalysisSnapshot* capture,
+    AnalysisSnapshot& state, bool retain, const IncrementalContext* inc,
     RunOutcome* out) {
     const cell::CellLibrary& lib = design.library();
     charlib::CharCache runCache;
@@ -400,77 +528,41 @@ std::vector<NetNoiseReport> analyzeWithIndex(
 
     // ---- phase 1 (serial, index lookups only): select victims and rank
     // their aggressors by summed coupling cap.
-    struct Work {
-        const std::string* net;
-        const Instance* driver;
-        const Instance* firstLoad;
-        /// (driver cell, aggressor net), strongest-coupled first.
-        std::vector<std::pair<std::string, std::string>> ranked;
-    };
-    std::vector<Work> work;
-    for (const auto& [netName, spefNet] : spef.nets()) {
-        const auto& coupling = index.couplingOf(netName);
-        if (coupling.empty()) continue;
-        const Instance* driver = index.driverOf(netName);
-        if (driver == nullptr) {
-            log::warn() << "SPEF net '" << netName
-                        << "' has coupling but no driver in the design";
-            continue;
-        }
-        const auto& loads = index.loadsOf(netName);
-        if (loads.empty()) continue;
-
-        // Keep the strongest-coupled aggressors that are SPEF nets with
-        // drivers; ties break on the net name for determinism.
-        std::vector<std::pair<double, std::string>> ranked;
-        for (const auto& [agg, cc] : coupling) {
-            if (spef.nets().find(agg) == spef.nets().end()) continue;
-            if (index.driverOf(agg) == nullptr) continue;
-            ranked.push_back({cc, agg});
-        }
-        std::sort(ranked.begin(), ranked.end(), [](const auto& a,
-                                                   const auto& b) {
-            return a.first != b.first ? a.first > b.first
-                                      : a.second < b.second;
-        });
-        if (ranked.size() > opt.maxAggressors) {
-            ranked.resize(opt.maxAggressors);
-        }
-        if (ranked.empty()) continue;
-
-        Work w;
-        w.net = &netName;
-        w.driver = driver;
-        w.firstLoad = loads.front().first;
-        for (const auto& [cc, agg] : ranked) {
-            w.ranked.push_back({index.driverOf(agg)->cellName, agg});
-        }
-        work.push_back(std::move(w));
+    std::vector<int> unrecordedSlots;
+    if (inc == nullptr) {
+        selectVictims(state, index, spef, opt.maxAggressors);
+        state.victimReports.assign(state.victims.size(), NetNoiseReport{});
+    } else {
+        unrecordedSlots =
+            refreshVictims(state, index, spef, opt.maxAggressors,
+                           *inc->dirty, inc->reselect);
     }
+    const std::vector<VictimSelection>& work = state.victims;
+    std::vector<NetNoiseReport>& reports = state.victimReports;
 
     ReportOptions ropt = opt.report;
     if (ropt.macromodel.cache == nullptr) ropt.macromodel.cache = cache;
 
     const auto solveVictim =
-        [&](const Work& w, const std::vector<IncomingGlitch>& incoming,
+        [&](const VictimSelection& w,
+            const std::vector<IncomingGlitch>& incoming,
             SurvivingSet* outSurviving, VictimWindows* windows = nullptr) {
-            std::vector<std::string> clusterNets{*w.net};
+            std::vector<std::string> clusterNets{w.net};
             for (const auto& [drvCell, agg] : w.ranked) {
                 clusterNets.push_back(agg);
             }
             const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
             NetNoiseReport r = analyzeVictim(
-                lib, *w.net, *w.driver, *w.firstLoad, w.ranked, rc,
+                lib, w.net, *w.driver, *w.firstLoad, w.ranked, rc,
                 opt.tstop, ropt, incoming, outSurviving, windows);
-            r.otherDrivers = index.extraDriversOf(*w.net);
+            r.otherDrivers = index.extraDriversOf(w.net);
             return r;
         };
 
-    std::vector<NetNoiseReport> reports(work.size());
-    /// Victim slot i holds a final value (solved, stubbed, or spliced).
+    /// Victim slot i holds a final value (solved, stubbed, or retained).
     /// Only consulted on a cancelled run, where unfinished slots must be
-    /// dropped rather than returned default-constructed.
-    std::vector<char> victimDone(work.size(), 0);
+    /// dropped rather than returned stale or default-constructed.
+    std::vector<char> victimDone(work.size(), inc != nullptr ? 1 : 0);
 
     // Run-local cancellation: the caller's token (if any) chains under a
     // token that also carries the run's deadline, so both compose. With
@@ -497,25 +589,29 @@ std::vector<NetNoiseReport> analyzeWithIndex(
     if (!opt.propagate) {
         // ---- phase 2, flat (parallel): one independent cluster solve per
         // victim. Slot i holds net i's report, so ordering stays SPEF order
-        // at any thread count. Incremental runs splice clean victims from
-        // the snapshot and solve only the dirty slots.
-        std::vector<char> solveSlot(work.size(), 1);
-        if (inc != nullptr) {
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                const std::string& net = *work[i].net;
-                if (inc->dirty->count(net) != 0) continue;
-                const auto it = inc->prior->victimReports.find(net);
-                if (it == inc->prior->victimReports.end()) continue;
-                reports[i] = it->second;
-                solveSlot[i] = 0;
-                victimDone[i] = 1;
+        // at any thread count. Incremental runs keep every clean victim's
+        // retained slot and solve only the dirty ones.
+        std::vector<char> solveSlot(work.size(), inc != nullptr ? 0 : 1);
+        if (inc == nullptr) {
+            state.surviving.clear();
+            state.quietReports.clear();
+            state.netWindows.clear();
+        } else {
+            const auto markDirty = [&](int slot) {
+                solveSlot[static_cast<std::size_t>(slot)] = 1;
+                victimDone[static_cast<std::size_t>(slot)] = 0;
+            };
+            for (const std::string& net : *inc->dirty) {
+                const auto it = state.slotOf.find(net);
+                if (it != state.slotOf.end()) markDirty(it->second);
             }
+            for (const int slot : unrecordedSlots) markDirty(slot);
         }
         util::parallelFor(
             pool.get(), static_cast<int>(work.size()),
             [&](int i) {
                 if (!solveSlot[static_cast<std::size_t>(i)]) return;
-                const std::string& net = *work[i].net;
+                const std::string& net = work[i].net;
                 if (policy == NetFailurePolicy::failFast) {
                     SNA_FAULT_POINT("core.solve_net", net);
                     reports[i] = solveVictim(work[i], {}, nullptr);
@@ -549,10 +645,10 @@ std::vector<NetNoiseReport> analyzeWithIndex(
             }
             for (std::size_t i = 0; i < work.size(); ++i) {
                 if (!victimDone[i]) {
-                    out->unsolved.push_back(*work[i].net);
+                    out->unsolved.push_back(work[i].net);
                 } else if (reports[i].status ==
                            NetNoiseReport::Status::failed) {
-                    out->failed.push_back(*work[i].net);
+                    out->failed.push_back(work[i].net);
                 }
             }
         }
@@ -567,24 +663,7 @@ std::vector<NetNoiseReport> analyzeWithIndex(
             }
             inc->stats->dirtyTasks = inc->stats->solvedVictimReports;
         }
-        if (capture != nullptr && !runCancelled &&
-            (out == nullptr || out->failed.empty())) {
-            capture->victimReports.clear();
-            capture->quietReports.clear();
-            capture->surviving.clear();
-            capture->netWindows.clear();
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                capture->victimReports.emplace(*work[i].net, reports[i]);
-            }
-        }
-        if (runCancelled) {
-            std::vector<NetNoiseReport> kept;
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                if (victimDone[i]) kept.push_back(std::move(reports[i]));
-            }
-            return kept;
-        }
-        return reports;
+        return collectReports(state, victimDone, retain);
     }
 
     // ---- phase 2, wavefront: one task per net of the design graph, run
@@ -597,38 +676,38 @@ std::vector<NetNoiseReport> analyzeWithIndex(
     // clusters write their report slot (SPEF order is preserved because the
     // slots were allocated in phase 1); quiet pass-through nets carry noise
     // forward through the cached propagation tables.
-    std::unordered_map<std::string, int> slotOf;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-        slotOf.emplace(*work[i].net, static_cast<int>(i));
-    }
-
-    // ---- switching windows (FRAME-style temporal correlation) -----------
-    // Propagated once over the whole level graph before any cluster
-    // solves: a victim's aggressors can live on ANY level, so their
-    // windows must be known up front, not wavefront-ordered. Without
-    // windows this block is free and the wavefront below is untouched —
-    // bit-identical to the windows-less pipeline.
-    const bool useWindows = opt.windows != nullptr;
-    std::unordered_map<std::string, TimingWindow> netWindows;
-    if (useWindows) {
-        netWindows = windowsPre != nullptr ? *windowsPre
-                                           : propagateWindows(index, cache);
-    }
-    const auto windowAt = [&](const std::string& net) {
-        const auto it = netWindows.find(net);
-        return it != netWindows.end() ? it->second
-                                      : TimingWindow::unbounded();
-    };
-
     const NetTaskGraph& tg = index.taskGraph();
     const int numNets = static_cast<int>(tg.nets.size());
+    const std::unordered_map<std::string, int>& slotOf = state.slotOf;
     // Slot-addressed per-net outputs: task id -> the net's surviving front /
     // its propagated-only report. Written only by the net's own task, read
     // only by tasks downstream of it, so no completion order can race.
-    std::vector<SurvivingSet> surviving(
-        static_cast<std::size_t>(numNets));
-    std::vector<std::optional<NetNoiseReport>> quietReports(
-        static_cast<std::size_t>(numNets));
+    std::vector<SurvivingSet>& surviving = state.surviving;
+    std::vector<std::optional<NetNoiseReport>>& quietReports =
+        state.quietReports;
+
+    // ---- switching windows (FRAME-style temporal correlation) -----------
+    // Propagated over the whole level graph before any cluster solves: a
+    // victim's aggressors can live on ANY level, so their windows must be
+    // known up front, not wavefront-ordered. An incremental caller has
+    // already re-propagated the cone of its ECO into the retained slots.
+    // Without windows this block is free and the wavefront below is
+    // untouched — bit-identical to the windows-less pipeline.
+    const bool useWindows = opt.windows != nullptr;
+    if (inc == nullptr) {
+        surviving.assign(static_cast<std::size_t>(numNets), SurvivingSet{});
+        quietReports.assign(static_cast<std::size_t>(numNets), std::nullopt);
+        state.netWindows.clear();
+        if (useWindows) state.netWindows = propagateWindowsById(index, cache);
+    }
+    const std::vector<TimingWindow>& netWindows = state.netWindows;
+    const auto windowAt = [&](const std::string& net) {
+        const auto it = tg.idOf.find(net);
+        return it != tg.idOf.end()
+                   ? netWindows[static_cast<std::size_t>(it->second)]
+                   : TimingWindow::unbounded();
+    };
+
     // Per-task resilience state, slot-addressed like every other per-net
     // output: written only by the net's own task, read only by tasks
     // downstream over scheduled fanin edges (after their dependency count
@@ -636,51 +715,41 @@ std::vector<NetNoiseReport> analyzeWithIndex(
     enum class TaskState : char { ok, failed, quarantined, degraded };
     std::vector<TaskState> taskState(static_cast<std::size_t>(numNets),
                                      TaskState::ok);
-    // Task ran to a decision (solved, stubbed, quarantined, or spliced).
+    // Task ran to a decision (solved, stubbed, quarantined, or retained).
     // A zero after the run means cancellation skipped it.
-    std::vector<char> taskDone(static_cast<std::size_t>(numNets), 0);
+    std::vector<char> taskDone(static_cast<std::size_t>(numNets),
+                               inc != nullptr ? 1 : 0);
 
-    // Incremental splice: every clean net's slots — surviving front, quiet
-    // report, victim report — are pre-filled from the snapshot before any
-    // task runs, so a dirty task reads its clean fanins' slots exactly as a
-    // full run would after solving them.
-    std::vector<char> dirtyMask(static_cast<std::size_t>(numNets), 1);
+    // Incremental: every clean net's slots — surviving front, quiet report,
+    // victim report — still hold the prior run's values, so a dirty task
+    // reads its clean fanins' slots exactly as a full run would after
+    // solving them. Only the dirty slots are reset, and only they solve.
+    std::vector<char> dirtyMask(static_cast<std::size_t>(numNets),
+                                inc != nullptr ? 0 : 1);
     if (inc != nullptr) {
-        for (int id = 0; id < numNets; ++id) {
-            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-            if (inc->dirty->count(net) != 0) continue;
-            dirtyMask[static_cast<std::size_t>(id)] = 0;
-            taskDone[static_cast<std::size_t>(id)] = 1;
-            if (const auto it = inc->prior->surviving.find(net);
-                it != inc->prior->surviving.end()) {
-                surviving[static_cast<std::size_t>(id)] = it->second;
+        const auto markDirty = [&](const std::string& net) {
+            const auto it = tg.idOf.find(net);
+            if (it == tg.idOf.end()) return;
+            const auto id = static_cast<std::size_t>(it->second);
+            if (dirtyMask[id]) return;
+            dirtyMask[id] = 1;
+            taskDone[id] = 0;
+            surviving[id].clear();
+            quietReports[id].reset();
+            if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
+                victimDone[static_cast<std::size_t>(sit->second)] = 0;
+                ++inc->stats->solvedVictimReports;
             }
-            if (const auto it = inc->prior->quietReports.find(net);
-                it != inc->prior->quietReports.end()) {
-                quietReports[static_cast<std::size_t>(id)] = it->second;
-            }
+        };
+        for (const std::string& net : *inc->dirty) markDirty(net);
+        // The caller's cone marking re-solves any victim the snapshot never
+        // recorded; this loop is a no-op, but a wrong mask must degrade to
+        // extra work, never to an empty report slot.
+        for (const int i : unrecordedSlots) {
+            markDirty(work[static_cast<std::size_t>(i)].net);
         }
-        for (std::size_t i = 0; i < work.size(); ++i) {
-            const std::string& net = *work[i].net;
-            const auto idIt = tg.idOf.find(net);
-            if (idIt != tg.idOf.end() &&
-                dirtyMask[static_cast<std::size_t>(idIt->second)] == 0) {
-                const auto it = inc->prior->victimReports.find(net);
-                if (it != inc->prior->victimReports.end()) {
-                    reports[i] = it->second;
-                    victimDone[i] = 1;
-                    ++inc->stats->reusedVictimReports;
-                    continue;
-                }
-                // The caller's cone marking re-solves any victim the
-                // snapshot never recorded; this branch is unreachable, but
-                // a wrong mask must degrade to extra work, never to an
-                // empty report slot.
-                dirtyMask[static_cast<std::size_t>(idIt->second)] = 1;
-                taskDone[static_cast<std::size_t>(idIt->second)] = 0;
-            }
-            ++inc->stats->solvedVictimReports;
-        }
+        inc->stats->reusedVictimReports =
+            work.size() - inc->stats->solvedVictimReports;
     }
 
     const auto solveNet = [&](int id) {
@@ -1181,54 +1250,12 @@ std::vector<NetNoiseReport> analyzeWithIndex(
             }
         }
     }
-    const bool runClean = !runCancelled && failedCount == 0 &&
-                          quarantinedCount == 0 && degradedCount == 0;
-
-    if (capture != nullptr && runClean) {
-        // Refresh the retained per-net maps from this run's slots (on an
-        // incremental run the clean entries were pre-filled above, so the
-        // rebuilt maps are complete either way). Gated on a clean run: a
-        // cancelled run has unfilled slots and a faulted run has stub
-        // reports — neither may become splice input for a later
-        // incremental iteration.
-        capture->victimReports.clear();
-        capture->quietReports.clear();
-        capture->surviving.clear();
-        for (std::size_t i = 0; i < work.size(); ++i) {
-            capture->victimReports.emplace(*work[i].net, reports[i]);
-        }
-        for (int id = 0; id < numNets; ++id) {
-            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-            if (!surviving[static_cast<std::size_t>(id)].empty()) {
-                capture->surviving.emplace(
-                    net, surviving[static_cast<std::size_t>(id)]);
-            }
-            if (quietReports[static_cast<std::size_t>(id)].has_value()) {
-                capture->quietReports.emplace(
-                    net, *quietReports[static_cast<std::size_t>(id)]);
-            }
-        }
-        capture->netWindows = netWindows;
-    }
-
     // Propagated-only entries for quiet nets follow the SPEF-ordered victim
     // reports, in level-then-name (== task id) order (deterministic). On a
-    // cancelled run the unfinished victim slots are dropped first — every
-    // report returned is complete and bitwise-identical to the same net's
-    // report in an uncancelled run.
-    if (runCancelled) {
-        std::vector<NetNoiseReport> kept;
-        kept.reserve(reports.size());
-        for (std::size_t i = 0; i < work.size(); ++i) {
-            if (victimDone[i]) kept.push_back(std::move(reports[i]));
-        }
-        reports = std::move(kept);
-    }
-    for (int id = 0; id < numNets; ++id) {
-        auto& pr = quietReports[static_cast<std::size_t>(id)];
-        if (pr.has_value()) reports.push_back(std::move(*pr));
-    }
-    return reports;
+    // cancelled run the unfinished victim slots are dropped — every report
+    // returned is complete and bitwise-identical to the same net's report
+    // in an uncancelled run.
+    return collectReports(state, victimDone, retain);
 }
 
 /// The shared lint gate: run the checker, apply waivers, publish the report
@@ -1298,6 +1325,33 @@ void appendResilienceLint(lint::LintReport& lr,
     }
 }
 
+/// Calls `changed(net)` for every net whose explicit window differs bit for
+/// bit between `before` and `now` — added, removed, or moved — and returns
+/// whether any did. Both sets are name-ordered, so one merge walk.
+template <typename Changed>
+bool diffExplicitWindows(const TimingWindows& before, const TimingWindows& now,
+                         Changed&& changed) {
+    bool any = false;
+    auto b = before.all().begin();
+    auto n = now.all().begin();
+    while (b != before.all().end() || n != now.all().end()) {
+        bool differs = true;
+        if (n == now.all().end() ||
+            (b != before.all().end() && b->first < n->first)) {
+            changed((b++)->first);  // removed
+        } else if (b == before.all().end() || n->first < b->first) {
+            changed((n++)->first);  // added
+        } else {
+            differs = !b->second.sameBits(n->second);
+            if (differs) changed(b->first);
+            ++b;
+            ++n;
+        }
+        any = any || differs;
+    }
+    return any;
+}
+
 }  // namespace
 
 AnalysisOutcome analyzeDesignOutcome(const Design& design,
@@ -1316,20 +1370,23 @@ AnalysisOutcome analyzeDesignOutcome(const Design& design,
     }
     RunOutcome run;
     AnalysisOutcome outcome;
-    outcome.reports = analyzeWithIndex(design, spef, opt, *index, nullptr,
-                                       nullptr, opt.snapshot, &run);
-    if (opt.snapshot != nullptr) {
-        if (run.clean()) {
-            opt.snapshot->design = &design;
-            opt.snapshot->instanceCount = design.instances().size();
-            opt.snapshot->fingerprint = fingerprintOf(opt);
-            opt.snapshot->index = std::move(index);
-            opt.snapshot->valid = true;
-        } else {
-            // Partial or faulted run: nothing was captured (the per-net
-            // maps were left untouched) and the snapshot must not splice.
-            opt.snapshot->valid = false;
-        }
+    // The run writes its slots into the snapshot in place (a throwaway one
+    // without capture), so the snapshot stops being splice input until the
+    // run has completed cleanly.
+    AnalysisSnapshot scratch;
+    AnalysisSnapshot& state = opt.snapshot != nullptr ? *opt.snapshot : scratch;
+    state.valid = false;
+    outcome.reports = analyzeWithIndex(design, spef, opt, *index, state,
+                                       opt.snapshot != nullptr, nullptr, &run);
+    if (opt.snapshot != nullptr && run.clean()) {
+        opt.snapshot->design = &design;
+        opt.snapshot->instanceCount = design.instances().size();
+        opt.snapshot->fingerprint = fingerprintOf(opt);
+        opt.snapshot->index = std::move(index);
+        opt.snapshot->explicitWindows = opt.propagate && opt.windows != nullptr
+                                            ? *opt.windows
+                                            : TimingWindows{};
+        opt.snapshot->valid = true;
     }
     fillOutcome(outcome, run);
     if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {
@@ -1398,8 +1455,9 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
         if (snapshot.valid && snapshot.index != nullptr) {
             st.totalTasks = opt.propagate
                                 ? snapshot.index->taskGraph().nets.size()
-                                : snapshot.victimReports.size();
-            st.solvedVictimReports = snapshot.victimReports.size();
+                                : snapshot.victims.size();
+            st.solvedVictimReports = snapshot.victims.size();
+            st.windowNetsRepropagated = snapshot.netWindows.size();
         } else {
             st.totalTasks = outcome.reports.size() + outcome.unsolvedNets.size();
             st.solvedVictimReports = outcome.reports.size();
@@ -1410,21 +1468,38 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
 
     DesignIndex& index = *snapshot.index;
     index.setTimingWindows(opt.propagate ? opt.windows : nullptr);
+    // The index, the windows and the slots are refreshed in place from
+    // here on: until this call's run completes cleanly the snapshot is no
+    // splice input (an exception below leaves it invalid).
+    snapshot.valid = false;
 
     DesignNoiseOptions run = opt;
-    run.snapshot = nullptr;  // snapshot refresh is explicit below
+    run.snapshot = nullptr;  // the run refreshes `snapshot` explicitly
     charlib::CharCache iterationCache;
     if (run.cache == nullptr) run.cache = &iterationCache;
 
     // ---- seeds: what the delta touched directly -------------------------
+    // Window sources are the nets whose window inputs changed: the pins of
+    // a re-bound instance (its output net's driver cell) and the nets whose
+    // explicit window was added, removed, or changed.
+    const bool useWindows = run.propagate && run.windows != nullptr;
+    const NetTaskGraph* tg = useWindows ? &index.taskGraph() : nullptr;
+    std::vector<int> windowSources;
+    const auto addWindowSource = [&](const std::string& net) {
+        if (tg == nullptr) return;
+        const auto it = tg->idOf.find(net);
+        if (it != tg->idOf.end()) windowSources.push_back(it->second);
+    };
     std::unordered_set<std::string> seeds(delta.nets.begin(),
                                           delta.nets.end());
     for (const std::string& instName : delta.instances) {
         // A rebound instance changes its output net's driver model and its
         // input nets' receiver — every net on its pins re-solves.
-        for (const Instance& inst : design.instances()) {
-            if (inst.name != instName) continue;
-            for (const auto& [pin, net] : inst.pinToNet) seeds.insert(net);
+        const Instance* inst = index.instanceNamed(instName);
+        if (inst == nullptr) continue;
+        for (const auto& [pin, net] : inst->pinToNet) {
+            seeds.insert(net);
+            addWindowSource(net);
         }
     }
     // Re-read the changed SPEF sections in place; owners whose summed
@@ -1432,25 +1507,23 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     for (const std::string& net : index.patchParasitics(spef, delta.nets)) {
         seeds.insert(net);
     }
-    // Windows: re-propagate over the patched design (cheap — every
-    // characterization is a warm cache hit) and seed every net whose
-    // window moved: its own sensitivity interval changed, and so did the
-    // aggressor window its coupled victims see.
-    std::unordered_map<std::string, TimingWindow> newWindows;
-    const std::unordered_map<std::string, TimingWindow>* windowsPre =
-        nullptr;
-    if (run.propagate && run.windows != nullptr) {
-        newWindows = propagateWindows(index, run.cache);
-        for (const auto& [net, window] : newWindows) {
-            const auto it = snapshot.netWindows.find(net);
-            if (it == snapshot.netWindows.end() || it->second != window) {
-                seeds.insert(net);
-            }
+    // Windows never read parasitics (stage delays use the canonical
+    // propagation load), so only the forward cone of the window sources can
+    // move: re-propagate it into the retained windows and seed every net
+    // whose window moved — its own sensitivity interval changed, and so did
+    // the aggressor window its coupled victims see.
+    if (useWindows) {
+        if (diffExplicitWindows(snapshot.explicitWindows, *run.windows,
+                                addWindowSource)) {
+            snapshot.explicitWindows = *run.windows;
         }
-        for (const auto& [net, window] : snapshot.netWindows) {
-            if (newWindows.find(net) == newWindows.end()) seeds.insert(net);
+        std::vector<int> moved;
+        st.windowNetsRepropagated =
+            propagateWindowCone(index, run.cache, run.windows, windowSources,
+                                snapshot.netWindows, &moved);
+        for (const int id : moved) {
+            seeds.insert(tg->nets[static_cast<std::size_t>(id)]);
         }
-        windowsPre = &newWindows;
     }
 
     std::unordered_set<std::string> dirty =
@@ -1459,11 +1532,16 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     // Safety net: a victim candidate the snapshot never recorded must be
     // solved (with its cone), not spliced-as-absent. Unreachable without a
     // connectivity change, but a wrong dirty set must degrade to extra
-    // work, never to a missing report.
+    // work, never to a missing report. The same scan notices a retained
+    // victim whose SPEF section is gone: the victim list is then reselected.
     std::unordered_set<std::string> unrecorded;
+    std::size_t retainedVictims = 0;
     for (const auto& [netName, spefNet] : spef.nets()) {
+        if (snapshot.slotOf.count(netName) != 0) {
+            ++retainedVictims;
+            continue;
+        }
         if (dirty.count(netName) != 0) continue;
-        if (snapshot.victimReports.count(netName) != 0) continue;
         if (index.couplingOf(netName).empty()) continue;
         if (index.driverOf(netName) == nullptr) continue;
         if (index.loadsOf(netName).empty()) continue;
@@ -1477,16 +1555,17 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     st.seedNets = seeds.size();
 
     IncrementalContext ctx;
-    ctx.prior = &snapshot;
     ctx.dirty = &dirty;
     ctx.stats = &st;
+    ctx.reselect = retainedVictims != snapshot.victims.size();
     RunOutcome ro;
     AnalysisOutcome outcome;
-    outcome.reports = analyzeWithIndex(design, spef, run, index, windowsPre,
-                                       &ctx, &snapshot, &ro);
-    // The index was patched in place above; an incomplete or faulted run
-    // therefore poisons the snapshot — its retained reports no longer match
-    // the index state, so the next iteration must fall back to a full run.
+    outcome.reports = analyzeWithIndex(design, spef, run, index, snapshot,
+                                       true, &ctx, &ro);
+    // The index was patched and the slots rewritten in place; an
+    // incomplete or faulted run therefore poisons the snapshot — its
+    // retained reports no longer match the index state, so the next
+    // iteration must fall back to a full run.
     snapshot.valid = ro.clean();
     fillOutcome(outcome, ro);
     if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -64,6 +65,13 @@ struct TimingWindow {
         return earliest == o.earliest && latest == o.latest;
     }
     bool operator!=(const TimingWindow& o) const { return !(*this == o); }
+
+    /// Bit-for-bit equality (-0.0 differs from +0.0, a NaN equals itself):
+    /// identical bits propagate to identical bits downstream.
+    bool sameBits(const TimingWindow& o) const {
+        return std::memcmp(&earliest, &o.earliest, sizeof(double)) == 0 &&
+               std::memcmp(&latest, &o.latest, sizeof(double)) == 0;
+    }
 };
 
 /// The per-net window input of a design run (loaded from a windows file or

@@ -8,8 +8,11 @@
 // for the flat, propagated, and windowed pipelines.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,8 +21,10 @@
 #include "charlib/char_cache.hpp"
 #include "core/design_index.hpp"
 #include "core/incremental.hpp"
+#include "core/propagate.hpp"
 #include "core/sna.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -619,6 +624,475 @@ TEST(Incremental, OptionChangeInvalidatesTheSplice) {
     core::analyzeDesignIncremental(design, spef, delta, snapshot, opt,
                                    &stats2);
     EXPECT_FALSE(stats2.indexRebuilt);
+}
+
+// ------------------------------------------- explicit-window and cone edits
+
+// One SPEF section: driver pin, load pins, and coupling caps to other nets'
+// ":1" nodes (listed under this section only).
+struct SpefNetSpec {
+    std::string name;
+    std::string driver;               ///< "inst:pin"
+    std::vector<std::string> loads;   ///< "inst:pin"
+    std::vector<std::pair<std::string, double>> couple;  ///< (net, fF)
+};
+
+std::string spefText(const std::vector<SpefNetSpec>& nets) {
+    std::ostringstream os;
+    os << "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"eco\"\n";
+    os << "*T_UNIT 1 PS\n*C_UNIT 1 FF\n*R_UNIT 1 OHM\n\n";
+    for (const SpefNetSpec& n : nets) {
+        double total = 5.0 + 1.5 * static_cast<double>(n.loads.size());
+        for (const auto& [other, cc] : n.couple) total += cc;
+        os << "*D_NET " << n.name << " " << total << "\n*CONN\n";
+        os << "*I " << n.driver << " O\n";
+        for (const auto& l : n.loads) os << "*I " << l << " I\n";
+        int k = 1;
+        os << "*CAP\n" << k++ << " " << n.driver << " 2.0\n";
+        os << k++ << " " << n.name << ":1 3.0\n";
+        for (const auto& l : n.loads) os << k++ << " " << l << " 1.5\n";
+        for (const auto& [other, cc] : n.couple) {
+            os << k++ << " " << n.name << ":1 " << other << ":1 " << cc
+               << "\n";
+        }
+        k = 1;
+        os << "*RES\n" << k++ << " " << n.driver << " " << n.name
+           << ":1 60\n";
+        for (const auto& l : n.loads) {
+            os << k++ << " " << n.name << ":1 " << l << " 60\n";
+        }
+        os << "*END\n\n";
+    }
+    return os.str();
+}
+
+// `chains` parallel inverter chains of `stages` stage nets each: chain k is
+// c{k}in -> c{k}g0 -> c{k}s0 -> ... -> c{k}s{stages-1} -> c{k}g{stages} ->
+// c{k}out. Stage net i of chain k couples to stage i of chain k+1 (ring)
+// at cc[k * stages + i] fF, so every stage net is a victim whose aggressors
+// sit on the neighbouring chains, while windows only flow along a chain.
+struct MultiChain {
+    int chains = 3;
+    int stages = 3;
+
+    std::string net(int k, int i) const {
+        return "c" + std::to_string(k) + "s" + std::to_string(i);
+    }
+    std::string gate(int k, int i) const {
+        return "c" + std::to_string(k) + "g" + std::to_string(i);
+    }
+    std::string head(int k) const { return "c" + std::to_string(k) + "in"; }
+
+    void build(core::Design& d) const {
+        for (int k = 0; k < chains; ++k) {
+            for (int i = 0; i < stages; ++i) {
+                addInst(d, gate(k, i), "INV_X1",
+                        {{"a", i == 0 ? head(k) : net(k, i - 1)},
+                         {"y", net(k, i)}});
+            }
+            addInst(d, gate(k, stages), "INV_X2",
+                    {{"a", net(k, stages - 1)},
+                     {"y", "c" + std::to_string(k) + "out"}});
+        }
+    }
+
+    std::string spef(const std::vector<double>& cc) const {
+        std::vector<SpefNetSpec> nets;
+        for (int k = 0; k < chains; ++k) {
+            for (int i = 0; i < stages; ++i) {
+                SpefNetSpec n;
+                n.name = net(k, i);
+                n.driver = gate(k, i) + ":y";
+                n.loads = {gate(k, i + 1) + ":a"};
+                n.couple = {{net((k + 1) % chains, i),
+                             cc[static_cast<std::size_t>(k * stages + i)]}};
+                nets.push_back(std::move(n));
+            }
+        }
+        return spefText(nets);
+    }
+};
+
+core::TimingWindows windowsOf(
+    const std::map<std::string, core::TimingWindow>& entries) {
+    core::TimingWindows w;
+    for (const auto& [net, window] : entries) w.set(net, window);
+    return w;
+}
+
+// The snapshot's retained windows must be exactly what a from-scratch
+// propagation over the current state yields.
+void expectRetainedWindowsCurrent(const core::AnalysisSnapshot& snapshot,
+                                  const core::TimingWindows& windows,
+                                  const std::string& label) {
+    ASSERT_NE(snapshot.index, nullptr) << label;
+    charlib::CharCache cache;
+    const auto fresh =
+        core::propagateWindows(*snapshot.index, &cache, &windows);
+    const core::NetTaskGraph& tg = snapshot.index->taskGraph();
+    ASSERT_EQ(snapshot.netWindows.size(), fresh.size()) << label;
+    ASSERT_EQ(snapshot.netWindows.size(), tg.nets.size()) << label;
+    for (std::size_t id = 0; id < tg.nets.size(); ++id) {
+        const core::TimingWindow& w = fresh.at(tg.nets[id]);
+        EXPECT_TRUE(snapshot.netWindows[id].sameBits(w))
+            << label << " " << tg.nets[id];
+    }
+}
+
+// Capture a snapshot under `before`, then hand the incremental run an empty
+// delta with a DIFFERENT windows object `after`: the explicit-window edit
+// is the only change, and nothing but a window diff can find it.
+void checkWindowEdit(const std::map<std::string, core::TimingWindow>& before,
+                     const std::map<std::string, core::TimingWindow>& after,
+                     const std::string& label) {
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2, 1, 1, 0};
+    const auto spef =
+        parser::parseSpef(chainSpef(aggs, {30.0, 10.0, 8.0, 0.0}));
+    for (const int threads : {1, 4}) {
+        core::Design design(lib);
+        buildChain(design, aggs);
+        const core::TimingWindows w0 = windowsOf(before);
+        const core::TimingWindows w1 = windowsOf(after);
+        auto opt = cheapOptions();
+        opt.propagate = true;
+        opt.threads = threads;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        opt.windows = &w0;
+        core::AnalysisSnapshot snapshot;
+        opt.snapshot = &snapshot;
+        core::analyzeDesign(design, spef, opt);
+        ASSERT_TRUE(snapshot.valid) << label;
+        opt.snapshot = nullptr;
+
+        opt.windows = &w1;
+        core::IncrementalStats stats;
+        const auto fast = core::analyzeDesignIncremental(
+            design, spef, {}, snapshot, opt, &stats);
+        const std::string tag = label + " threads=" + std::to_string(threads);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        EXPECT_GT(stats.dirtyTasks, 0u) << tag;
+        expectSameReports(fast, core::analyzeDesign(design, spef, opt), tag);
+        expectRetainedWindowsCurrent(snapshot, w1, tag);
+    }
+}
+
+const std::map<std::string, core::TimingWindow> kChainWindows = {
+    {"g0_0_in", {0.0, 150e-12}},
+    {"g1_0_in", {50e-12, 400e-12}},
+    {"pin", {0.0, 100e-12}},
+};
+
+TEST(IncrementalWindows, MovedChainHeadWindowBitIdentical) {
+    auto after = kChainWindows;
+    after["pin"] = {40e-12, 180e-12};
+    checkWindowEdit(kChainWindows, after, "moved");
+}
+
+TEST(IncrementalWindows, RemovedWindowBitIdentical) {
+    auto after = kChainWindows;
+    after.erase("pin");
+    checkWindowEdit(kChainWindows, after, "removed");
+}
+
+TEST(IncrementalWindows, AddedWindowBitIdentical) {
+    auto after = kChainWindows;
+    after["g2_0_in"] = {120e-12, 300e-12};
+    checkWindowEdit(kChainWindows, after, "added");
+}
+
+TEST(IncrementalWindows, ResizeUpstreamOfCombinationalCycle) {
+    // pin -> c0 -> s0 -> c1 -> s1 -> NAND(s1, v) -> w -> INV -> v: the
+    // cycle w <-> v is broken on the edge into its smallest member (w -> v),
+    // so v reads w as unbounded. Every net but pin couples to a dedicated
+    // aggressor, so each is a victim. v starts with an explicit window, so
+    // w's window is bounded; dropping v's window afterwards must make v
+    // read w as unbounded again, not as w's retained window.
+    const cell::CellLibrary lib(tech::tech130());
+    const auto build = [](core::Design& d) {
+        addInst(d, "c0", "INV_X1", {{"a", "pin"}, {"y", "s0"}});
+        addInst(d, "c1", "INV_X1", {{"a", "s0"}, {"y", "s1"}});
+        addInst(d, "cy1", "NAND2_X1", {{"a", "s1"}, {"b", "v"}, {"y", "w"}});
+        addInst(d, "cy2", "INV_X1", {{"a", "w"}, {"y", "v"}});
+        addInst(d, "rw", "INV_X2", {{"a", "w"}, {"y", "w_out"}});
+        for (const std::string n : {"s0", "s1", "w", "v"}) {
+            addInst(d, "a_" + n, "INV_X4", {{"a", "g_" + n + "_in"},
+                                            {"y", "g_" + n}});
+            addInst(d, "r_" + n, "INV_X1", {{"a", "g_" + n},
+                                            {"y", "g_" + n + "_out"}});
+        }
+    };
+    std::vector<SpefNetSpec> nets = {
+        {"s0", "c0:y", {"c1:a"}, {{"g_s0", 20.0}}},
+        {"s1", "c1:y", {"cy1:a"}, {{"g_s1", 15.0}}},
+        {"w", "cy1:y", {"cy2:a", "rw:a"}, {{"g_w", 12.0}}},
+        {"v", "cy2:y", {"cy1:b"}, {{"g_v", 10.0}}},
+    };
+    for (const std::string n : {"s0", "s1", "w", "v"}) {
+        nets.push_back({"g_" + n, "a_" + n + ":y", {"r_" + n + ":a"}, {}});
+    }
+    const auto spef = parser::parseSpef(spefText(nets));
+    std::map<std::string, core::TimingWindow> entries = {
+        {"pin", {0.0, 100e-12}},
+        {"g_s1_in", {30e-12, 200e-12}},
+        {"g_w_in", {60e-12, 260e-12}},
+        {"v", {50e-12, 150e-12}},
+    };
+    const core::TimingWindows windows = windowsOf(entries);
+    entries.erase("v");
+    const core::TimingWindows withoutV = windowsOf(entries);
+
+    for (const int threads : {1, 4}) {
+        core::Design design(lib);
+        build(design);
+        auto opt = cheapOptions();
+        opt.propagate = true;
+        opt.threads = threads;
+        opt.windows = &windows;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        core::AnalysisSnapshot snapshot;
+        opt.snapshot = &snapshot;
+        core::analyzeDesign(design, spef, opt);
+        ASSERT_TRUE(snapshot.valid);
+        ASSERT_FALSE(snapshot.index->levels().brokenEdges.empty());
+        opt.snapshot = nullptr;
+
+        design.replaceCell("c1", "INV_X2");
+        core::DesignDelta delta;
+        delta.instances.push_back("c1");
+        core::IncrementalStats stats;
+        const auto fast = core::analyzeDesignIncremental(
+            design, spef, delta, snapshot, opt, &stats);
+        const std::string tag = "cycle threads=" + std::to_string(threads);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        expectSameReports(fast, core::analyzeDesign(design, spef, opt), tag);
+        expectRetainedWindowsCurrent(snapshot, windows, tag);
+        const core::NetTaskGraph& tg = snapshot.index->taskGraph();
+        ASSERT_TRUE(snapshot.netWindows[static_cast<std::size_t>(
+                                            tg.idOf.at("w"))]
+                        .bounded())
+            << tag;
+
+        opt.windows = &withoutV;
+        const auto dropped = core::analyzeDesignIncremental(
+            design, spef, {}, snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        expectSameReports(dropped, core::analyzeDesign(design, spef, opt),
+                          tag + " drop v");
+        expectRetainedWindowsCurrent(snapshot, withoutV, tag + " drop v");
+        EXPECT_FALSE(snapshot.netWindows[static_cast<std::size_t>(
+                                             tg.idOf.at("v"))]
+                         .bounded())
+            << tag;
+    }
+}
+
+// A re-extraction can make a net gain or lose victim status: the retained
+// victim list must then be selected again, with every retained report
+// following its net to the new slot.
+TEST(Incremental, VictimStatusFlipReselectsTheVictimList) {
+    const cell::CellLibrary lib(tech::tech130());
+    const auto spefQuiet =
+        parser::parseSpef(chainSpef({1, 1, 0}, {20.0, 10.0, 0.0}));
+    const auto spefCoupled =
+        parser::parseSpef(chainSpef({1, 1, 1}, {20.0, 10.0, 14.0}));
+    for (const bool propagate : {false, true}) {
+        core::Design design(lib);
+        buildChain(design, {1, 1, 1});  // a2_0 drives g2_0 either way
+        auto opt = cheapOptions();
+        opt.propagate = propagate;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        core::AnalysisSnapshot snapshot;
+        opt.snapshot = &snapshot;
+        core::analyzeDesign(design, spefQuiet, opt);
+        ASSERT_TRUE(snapshot.valid);
+        opt.snapshot = nullptr;
+        const std::size_t quietVictims = snapshot.victims.size();
+
+        core::DesignDelta delta;
+        delta.nets = {"s2", "g2_0"};
+        const std::string tag = propagate ? "wavefront" : "flat";
+        core::IncrementalStats stats;
+        const auto gained = core::analyzeDesignIncremental(
+            design, spefCoupled, delta, snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        expectSameReports(gained,
+                          core::analyzeDesign(design, spefCoupled, opt),
+                          tag + " gained");
+        EXPECT_EQ(snapshot.victims.size(), quietVictims + 1) << tag;  // s2
+
+        const auto lost = core::analyzeDesignIncremental(
+            design, spefQuiet, delta, snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        expectSameReports(lost, core::analyzeDesign(design, spefQuiet, opt),
+                          tag + " lost");
+        EXPECT_EQ(snapshot.victims.size(), quietVictims) << tag;
+        EXPECT_GT(stats.reusedVictimReports, 0u) << tag;
+    }
+}
+
+// The window cone counter pins the O(cone) property without timing
+// anything: an unchanged state re-propagates nothing, and a resize
+// re-propagates only nets of its own chain.
+TEST(IncrementalWindows, ConeCounterStaysOnTheResizedChain) {
+    const cell::CellLibrary lib(tech::tech130());
+    MultiChain mc;
+    mc.chains = 4;
+    const std::size_t chainLength = static_cast<std::size_t>(mc.stages) + 2;
+    core::Design design(lib);
+    mc.build(design);
+    const auto spef = parser::parseSpef(mc.spef(std::vector<double>(
+        static_cast<std::size_t>(mc.chains * mc.stages), 12.0)));
+    const core::TimingWindows windows = windowsOf({
+        {mc.head(0), {0.0, 100e-12}},
+        {mc.head(2), {40e-12, 220e-12}},
+    });
+    auto opt = cheapOptions();
+    opt.propagate = true;
+    opt.windows = &windows;
+    charlib::CharCache cache;
+    opt.cache = &cache;
+    core::AnalysisSnapshot snapshot;
+    opt.snapshot = &snapshot;
+    core::analyzeDesign(design, spef, opt);
+    ASSERT_TRUE(snapshot.valid);
+    opt.snapshot = nullptr;
+
+    core::IncrementalStats noop;
+    core::analyzeDesignIncremental(design, spef, {}, snapshot, opt, &noop);
+    EXPECT_FALSE(noop.indexRebuilt);
+    EXPECT_EQ(noop.windowNetsRepropagated, 0u);
+    EXPECT_EQ(noop.dirtyTasks, 0u);
+
+    // Head stage of a windowed chain: every window of that chain moves, so
+    // its own nets fill the whole budget and no other chain's net fits.
+    design.replaceCell(mc.gate(0, 0), "INV_X2");
+    core::DesignDelta head;
+    head.instances.push_back(mc.gate(0, 0));
+    core::IncrementalStats stats;
+    auto fast =
+        core::analyzeDesignIncremental(design, spef, head, snapshot, opt,
+                                       &stats);
+    EXPECT_FALSE(stats.indexRebuilt);
+    EXPECT_EQ(stats.windowNetsRepropagated, chainLength);
+    expectSameReports(fast, core::analyzeDesign(design, spef, opt), "head");
+
+    // Mid stage of an unwindowed chain: only the instance's own pins are
+    // re-propagated; their windows stay unbounded, so nothing spreads.
+    design.replaceCell(mc.gate(1, 1), "INV_X2");
+    core::DesignDelta mid;
+    mid.instances.push_back(mc.gate(1, 1));
+    fast = core::analyzeDesignIncremental(design, spef, mid, snapshot, opt,
+                                          &stats);
+    EXPECT_FALSE(stats.indexRebuilt);
+    EXPECT_LE(stats.windowNetsRepropagated, chainLength);
+    EXPECT_EQ(stats.windowNetsRepropagated, 2u);
+    expectSameReports(fast, core::analyzeDesign(design, spef, opt), "mid");
+    expectRetainedWindowsCurrent(snapshot, windows, "cone");
+}
+
+// ROADMAP item 4: a seeded random ECO sequence — driver resizes, coupling
+// re-extractions, explicit-window edits, and empty deltas — on a small
+// windowed multi-chain design. After every step the incremental run (at
+// threads 1 and 4, each on its own snapshot) must equal a cold full run
+// bit for bit, without ever falling back to a rebuild.
+TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
+    const cell::CellLibrary lib(tech::tech130());
+    const MultiChain mc;
+    core::Design design(lib);
+    mc.build(design);
+    std::vector<double> cc(
+        static_cast<std::size_t>(mc.chains * mc.stages), 0.0);
+    for (std::size_t i = 0; i < cc.size(); ++i) {
+        cc[i] = 8.0 + 3.0 * static_cast<double>(i % 4);
+    }
+    auto spef = parser::parseSpef(mc.spef(cc));
+    std::map<std::string, core::TimingWindow> entries = {
+        {mc.head(0), {0.0, 100e-12}},
+        {mc.head(2), {40e-12, 220e-12}},
+    };
+    auto windows = std::make_unique<core::TimingWindows>(windowsOf(entries));
+
+    auto opt = cheapOptions();
+    opt.maxAggressors = 2;
+    opt.propagate = true;
+    opt.windows = windows.get();
+    charlib::CharCache cache;
+    opt.cache = &cache;
+    core::AnalysisSnapshot snap1, snap4;
+    for (core::AnalysisSnapshot* s : {&snap1, &snap4}) {
+        opt.snapshot = s;
+        core::analyzeDesign(design, spef, opt);
+        ASSERT_TRUE(s->valid);
+    }
+    opt.snapshot = nullptr;
+
+    util::Rng rng(20051);
+    std::array<int, 4> kinds{};
+    for (int step = 0; step < 40; ++step) {
+        core::DesignDelta delta;
+        const int kind = rng.uniformInt(0, 3);
+        ++kinds[static_cast<std::size_t>(kind)];
+        const int k = rng.uniformInt(0, mc.chains - 1);
+        const int i = rng.uniformInt(0, mc.stages - 1);
+        std::string what;
+        if (kind == 0) {
+            const std::string g = mc.gate(k, i);
+            const core::Instance* inst = nullptr;
+            for (const auto& in : design.instances()) {
+                if (in.name == g) inst = &in;
+            }
+            ASSERT_NE(inst, nullptr);
+            design.replaceCell(
+                g, inst->cellName == "INV_X1" ? "INV_X2" : "INV_X1");
+            delta.instances.push_back(g);
+            what = "resize " + g;
+        } else if (kind == 1) {
+            const std::size_t slot =
+                static_cast<std::size_t>(k * mc.stages + i);
+            cc[slot] = cc[slot] > 10.0 ? cc[slot] * 0.7 : cc[slot] * 1.6;
+            spef = parser::parseSpef(mc.spef(cc));
+            delta.nets.push_back(mc.net(k, i));
+            what = "re-extract " + mc.net(k, i);
+        } else if (kind == 2) {
+            const std::string h = mc.head(k);
+            if (entries.count(h) != 0 && rng.chance(0.4)) {
+                entries.erase(h);
+                what = "drop window " + h;
+            } else {
+                const double lo = rng.uniform(0.0, 80e-12);
+                entries[h] = {lo, lo + rng.uniform(60e-12, 240e-12)};
+                what = "set window " + h;
+            }
+            windows = std::make_unique<core::TimingWindows>(
+                windowsOf(entries));
+            opt.windows = windows.get();
+        } else {
+            what = "empty";
+        }
+        const std::string tag =
+            "step " + std::to_string(step) + " (" + what + ")";
+
+        opt.threads = 1;
+        const auto full = core::analyzeDesign(design, spef, opt);
+        for (const auto& [threads, snap] :
+             {std::pair<int, core::AnalysisSnapshot*>{1, &snap1},
+              {4, &snap4}}) {
+            opt.threads = threads;
+            core::IncrementalStats stats;
+            const auto fast = core::analyzeDesignIncremental(
+                design, spef, delta, *snap, opt, &stats);
+            const std::string t = tag + " threads=" + std::to_string(threads);
+            EXPECT_FALSE(stats.indexRebuilt) << t;
+            expectSameReports(fast, full, t);
+        }
+        if (testing::Test::HasFailure()) break;
+    }
+    for (const int count : kinds) EXPECT_GT(count, 0);
+    expectRetainedWindowsCurrent(snap1, *windows, "final");
 }
 
 // ------------------------------------------------------ thread resolution

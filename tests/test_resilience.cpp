@@ -727,6 +727,39 @@ TEST(Quarantine, IncrementalFaultPoisonsTheSnapshot) {
     EXPECT_TRUE(snapshot.valid);
 }
 
+TEST(Quarantine, IncrementalFailFastThrowInvalidatesTheSnapshot) {
+    const InjectorGuard guard;
+    ChainFixture fx;
+    core::AnalysisSnapshot snapshot;
+    auto opt = fx.options(2);
+    opt.snapshot = &snapshot;
+    (void)core::analyzeDesign(fx.design, fx.spef, opt);
+    ASSERT_TRUE(snapshot.valid);
+
+    // The throw escapes after the index and the slots were refreshed in
+    // place: the snapshot must not stay splice input.
+    util::FaultInjector::instance().arm("core.solve_net@s2");
+    core::DesignDelta delta;
+    delta.nets = {"s2"};
+    EXPECT_THROW(core::analyzeDesignIncremental(fx.design, fx.spef, delta,
+                                                snapshot, fx.options(2)),
+                 util::FaultInjectedError);
+    util::FaultInjector::instance().disarm();
+    EXPECT_FALSE(snapshot.valid);
+
+    core::IncrementalStats stats;
+    const auto recovered = core::analyzeDesignIncremental(
+        fx.design, fx.spef, delta, snapshot, fx.options(2), &stats);
+    EXPECT_TRUE(stats.indexRebuilt);
+    EXPECT_TRUE(snapshot.valid);
+    const auto full = core::analyzeDesign(fx.design, fx.spef, fx.options(2));
+    ASSERT_EQ(recovered.size(), full.size());
+    for (std::size_t i = 0; i < full.size(); ++i) {
+        EXPECT_EQ(recovered[i].net, full[i].net);
+        EXPECT_EQ(recovered[i].cluster.margin, full[i].cluster.margin);
+    }
+}
+
 // ----------------------------------------------------- snacache v2 healing
 
 TEST(Crc32, MatchesTheStandardCheckValue) {
