@@ -74,6 +74,14 @@ struct TheveninSpec {
 /// transistor-level simulation into the same load (Dartu–Pileggi).
 TheveninModel characterizeThevenin(const TheveninSpec& spec);
 
+namespace detail {
+/// Time at which a unit saturated ramp of duration `tau` driving an RC
+/// load of time constant `rc` (both starting at t = 0) reaches `frac` of
+/// the swing, bisected on the analytic response. The Thevenin fit's inner
+/// search, exposed for its equivalence test.
+double rampRcCrossing(double frac, double tau, double rc);
+}  // namespace detail
+
 // ------------------------------------------------------------ propagation
 
 /// Pre-characterized noise-propagation tables: the classical way to get the

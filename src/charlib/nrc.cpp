@@ -1,22 +1,20 @@
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "charlib/characterize.hpp"
 #include "spice/tran.hpp"
 #include "util/error.hpp"
-#include "waveform/metrics.hpp"
 #include "waveform/sources.hpp"
 
 namespace sna::charlib {
 
 namespace {
 
-// Does a glitch of (height, width) at the receiver input propagate a
-// failure (output deviation beyond failFraction of the swing)?
-bool glitchFails(const NrcSpec& spec, double height, double width) {
+// Quiet input vector: sensitized on `input` with that pin at quietLevel.
+std::map<std::string, bool> sensitizedQuietVector(const NrcSpec& spec) {
     const cell::Cell& cellRef = *spec.cell;
-    const double vdd = cellRef.technology().vdd;
-
-    // Quiet input vector: sensitized on `input` with that pin at quietLevel.
     std::map<std::string, bool> quiet;
     bool found = false;
     for (const bool outLevel : {false, true}) {
@@ -33,6 +31,18 @@ bool glitchFails(const NrcSpec& spec, double height, double width) {
     }
     SNA_REQUIRE(found, "no sensitized quiet vector for NRC of '" +
                            cellRef.name() + "/" + spec.input + "'");
+    return quiet;
+}
+
+// Does a glitch of (height, width) at the receiver input, with the other
+// inputs held at `quiet`, propagate a failure (output deviation beyond
+// failFraction of the swing)? The verdict is fixed by the first sample that
+// deviates that far, so the transient stops there; a glitch that never does
+// runs to the end.
+bool glitchFails(const NrcSpec& spec, const std::map<std::string, bool>& quiet,
+                 double height, double width) {
+    const cell::Cell& cellRef = *spec.cell;
+    const double vdd = cellRef.technology().vdd;
     const bool outLevel = cellRef.evaluate(quiet);
     const double outBaseline = outLevel ? vdd : 0.0;
     const double inBaseline = spec.quietLevel ? vdd : 0.0;
@@ -65,9 +75,14 @@ bool glitchFails(const NrcSpec& spec, double height, double width) {
 
     spice::TranOptions opt;
     opt.tstop = tStop;
-    const auto res = spice::simulateTransient(ckt, opt);
-    const auto m = wave::measureGlitch(res.waveform("out"), outBaseline);
-    return std::abs(m.peak) >= spec.failFraction * vdd;
+    bool fails = false;
+    opt.stopWhen = [&](const spice::TranSample& s) {
+        fails = std::abs(s.voltage(outNode) - outBaseline) >=
+                spec.failFraction * vdd;
+        return fails;
+    };
+    spice::simulateTransient(ckt, opt);
+    return fails;
 }
 
 }  // namespace
@@ -76,6 +91,7 @@ la::Grid1d characterizeNrc(const NrcSpec& spec) {
     SNA_REQUIRE(spec.cell != nullptr, "NRC spec needs a cell");
     SNA_REQUIRE(spec.widths.size() >= 2, "NRC needs at least two widths");
     const double vdd = spec.cell->technology().vdd;
+    const auto quiet = sensitizedQuietVector(spec);
 
     std::vector<double> hFail;
     for (const double w : spec.widths) {
@@ -83,13 +99,13 @@ la::Grid1d characterizeNrc(const NrcSpec& spec) {
         // height for static CMOS receivers.
         double lo = 0.0;
         double hi = 1.4 * vdd;
-        if (!glitchFails(spec, hi, w)) {
+        if (!glitchFails(spec, quiet, hi, w)) {
             hFail.push_back(hi);  // nothing fails at this width
             continue;
         }
         for (int it = 0; it < 12; ++it) {
             const double mid = 0.5 * (lo + hi);
-            if (glitchFails(spec, mid, w)) {
+            if (glitchFails(spec, quiet, mid, w)) {
                 hi = mid;
             } else {
                 lo = mid;

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <iterator>
 #include <map>
 
 #include "charlib/characterize.hpp"
@@ -14,23 +15,24 @@ wave::Waveform TheveninModel::ramp(double t0, double tEnd) const {
     return wave::saturatedRamp(vStart, vEnd, t0, slew, tEnd);
 }
 
-namespace {
+namespace detail {
 
 // Analytic crossing time of the (ramp + R)ic load C response at `frac` of
 // the swing. Response (normalized swing 1, ramp duration tau, time constant
 // rc, ramp starts at 0):
 //   t <= tau : v(t) = (t - rc (1 - e^{-t/rc})) / tau
 //   t  > tau : v(t) = 1 - (rc/tau) (1 - e^{-tau/rc}) e^{-(t-tau)/rc}
-// Monotone increasing, so bisection is exact.
+// Monotone increasing, so bisection is exact. Each step's midpoint depends
+// only on (lo, hi), so the first step that leaves both unchanged would
+// repeat itself for every remaining step: the search stops there.
 double rampRcCrossing(double frac, double tau, double rc) {
     SNA_REQUIRE(frac > 0.0 && frac < 1.0, "crossing fraction out of range");
+    const double tail = (rc / tau) * (1.0 - std::exp(-tau / rc));
     auto value = [&](double t) {
         if (t <= tau) {
             return (t - rc * (1.0 - std::exp(-t / rc))) / tau;
         }
-        return 1.0 -
-               (rc / tau) * (1.0 - std::exp(-tau / rc)) *
-                   std::exp(-(t - tau) / rc);
+        return 1.0 - tail * std::exp(-(t - tau) / rc);
     };
     double lo = 0.0;
     double hi = tau + rc;
@@ -38,29 +40,50 @@ double rampRcCrossing(double frac, double tau, double rc) {
     for (int it = 0; it < 100; ++it) {
         const double mid = 0.5 * (lo + hi);
         if (value(mid) < frac) {
+            if (mid == lo) break;
             lo = mid;
         } else {
+            if (mid == hi) break;
             hi = mid;
         }
     }
     return 0.5 * (lo + hi);
 }
 
+}  // namespace detail
+
+namespace {
+
+// Output level at `frac` of the (vStart -> vEnd) swing.
+double crossingTarget(double vStart, double vEnd, double frac) {
+    return vStart + frac * (vEnd - vStart);
+}
+
+// Does the segment a -> b cross `target` in the transition's direction?
+bool crosses(double a, double b, double target, bool rising) {
+    return rising ? (a < target && b >= target) : (a > target && b <= target);
+}
+
+// The output levels the fit reads, as fractions of the swing: the launch
+// (2%) and the two fitted crossings (20%, 80%).
+constexpr double kLaunchFraction = 0.02;
+constexpr double kLowFraction = 0.2;
+constexpr double kHighFraction = 0.8;
+constexpr double kFitFractions[] = {kLaunchFraction, kLowFraction,
+                                    kHighFraction};
+
 // Output crossing time at `frac` of the swing, linearly interpolated on the
 // PWL waveform (sample-scanning alone is biased late on coarse steps).
 double measuredCrossing(const wave::Waveform& w, double vStart, double vEnd,
                         double frac, double tAfter) {
-    const double target = vStart + frac * (vEnd - vStart);
+    const double target = crossingTarget(vStart, vEnd, frac);
     const bool rising = vEnd > vStart;
     const auto& samples = w.samples();
     for (std::size_t i = 1; i < samples.size(); ++i) {
         if (samples[i].t < tAfter) continue;
         const auto& a = samples[i - 1];
         const auto& b = samples[i];
-        const bool crossed =
-            rising ? (a.v < target && b.v >= target)
-                   : (a.v > target && b.v <= target);
-        if (!crossed) continue;
+        if (!crosses(a.v, b.v, target, rising)) continue;
         const double f = (target - a.v) / (b.v - a.v);
         return a.t + f * (b.t - a.t);
     }
@@ -68,17 +91,13 @@ double measuredCrossing(const wave::Waveform& w, double vStart, double vEnd,
                      "Thevenin characterization");
 }
 
-}  // namespace
-
-namespace {
-
 // DC effective driving resistance toward the post-transition rail: clamp
 // the output at mid-swing with the inputs at their final values and read
 // R = (half swing) / |I|. This is the classic identifiable definition; a
 // crossing-time-only fit degenerates for slew-limited (strong) drivers.
 double effectiveResistance(const cell::Cell& cellRef,
                            const std::map<std::string, bool>& finalVector,
-                           double vdd, bool outputRising) {
+                           double vdd) {
     spice::Circuit ckt;
     const auto vddNode = ckt.node("vdd");
     ckt.addVSource("vsupply", vddNode, spice::kGround,
@@ -104,7 +123,6 @@ double effectiveResistance(const cell::Cell& cellRef,
         throw ModelError("driver delivers no current at mid-swing; cannot "
                          "extract an effective resistance");
     }
-    (void)outputRising;
     return (0.5 * vdd) / magnitude;
 }
 
@@ -147,15 +165,44 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
     ckt.addCapacitor("cload", outNode, spice::kGround, spec.loadCap);
     cellRef.instantiate(ckt, "dut", pins, vddNode);
 
+    const double vStart = spec.outputRising ? 0.0 : vdd;
+    const double vEnd = vdd - vStart;
+
+    // The fit reads only the first crossing of each kFitFractions level
+    // after tStart (measuredCrossing's rule), so the run stops at the sample
+    // that completes the last of them. If one never happens the run goes to
+    // tStop and measuredCrossing throws.
     spice::TranOptions opt;
     opt.tstop = tStop;
+    const bool rising = vEnd > vStart;
+    bool seen[std::size(kFitFractions)] = {};
+    std::size_t pending = std::size(kFitFractions);
+    bool havePrev = false;
+    double vPrev = 0.0;
+    opt.stopWhen = [&](const spice::TranSample& s) {
+        const double v = s.voltage(outNode);
+        if (havePrev && s.t >= tStart) {
+            for (std::size_t k = 0; k < std::size(kFitFractions); ++k) {
+                if (!seen[k] &&
+                    crosses(vPrev, v,
+                            crossingTarget(vStart, vEnd, kFitFractions[k]),
+                            rising)) {
+                    seen[k] = true;
+                    --pending;
+                }
+            }
+        }
+        havePrev = true;
+        vPrev = v;
+        return pending == 0;
+    };
     const auto res = spice::simulateTransient(ckt, opt);
     const auto& out = res.waveform("out");
 
-    const double vStart = spec.outputRising ? 0.0 : vdd;
-    const double vEnd = vdd - vStart;
-    const double t20 = measuredCrossing(out, vStart, vEnd, 0.2, tStart);
-    const double t80 = measuredCrossing(out, vStart, vEnd, 0.8, tStart);
+    const double t20 =
+        measuredCrossing(out, vStart, vEnd, kLowFraction, tStart);
+    const double t80 =
+        measuredCrossing(out, vStart, vEnd, kHighFraction, tStart);
     SNA_REQUIRE(t80 > t20, "inverted crossing order in Thevenin fit");
 
     // R_TH from the DC effective resistance (always identifiable), then fit
@@ -163,25 +210,29 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
     // golden transition. The model ramp starts where the golden output
     // leaves 2% of the swing (driver insertion delay).
     const auto finalVector = cellRef.holdingVector(!outStart, spec.input);
-    const double rth =
-        effectiveResistance(cellRef, finalVector, vdd, spec.outputRising);
+    const double rth = effectiveResistance(cellRef, finalVector, vdd);
     const double rc = rth * spec.loadCap;
 
-    const double tLaunch = measuredCrossing(out, vStart, vEnd, 0.02, tStart);
+    const double tLaunch =
+        measuredCrossing(out, vStart, vEnd, kLaunchFraction, tStart);
     const double m20 = t20 - tLaunch;
     const double m80 = t80 - tLaunch;
     auto error = [&](double tau) {
-        const double c20 = rampRcCrossing(0.2, tau, rc);
-        const double c80 = rampRcCrossing(0.8, tau, rc);
+        const double c20 = detail::rampRcCrossing(0.2, tau, rc);
+        const double c80 = detail::rampRcCrossing(0.8, tau, rc);
         const double e20 = (c20 - m20) / m80;
         const double e80 = (c80 - m80) / m80;
         return e20 * e20 + e80 * e80;
     };
     double bestTau = std::max(m80 - rc, 0.05 * m80);
     double bestErr = error(bestTau);
+    // Rounds 1-3 share one span, so a round that leaves bestTau (and with
+    // it bestErr) where it started hands the next round the identical grid:
+    // nothing after it can move, and the sweep stops.
     for (int it = 0; it < 4; ++it) {
         const double span = (it == 0) ? 20.0 : 1.5;
         const int n = 40;
+        const double roundTau = bestTau;
         const double tau0 = bestTau / span;
         for (int a = 0; a <= n; ++a) {
             const double tau =
@@ -192,6 +243,7 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
                 bestTau = tau;
             }
         }
+        if (it >= 1 && bestTau == roundTau) break;
     }
     log::debug() << "thevenin fit " << cellRef.name() << ": slew=" << bestTau
                  << " rth=" << rth << " err=" << bestErr;

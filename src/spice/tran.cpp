@@ -94,15 +94,20 @@ TranResult simulateTransient(const Circuit& circuit,
     }
 
     // --- recording ---------------------------------------------------------
-    // One row of non-ground node voltages per accepted time point.
+    // One row of non-ground node voltages per accepted time point. Returns
+    // true when the stop hook ends the run at this sample.
     const std::size_t nodeCount = circuit.nodeCount();
     auto recordAll = [&](double t) {
         result.times_.push_back(t);
         for (NodeId id = 1; id < static_cast<NodeId>(nodeCount); ++id) {
             result.volts_.push_back(map.voltage(id, x));
         }
+        return options.stopWhen &&
+               options.stopWhen(TranSample{
+                   t, result.volts_.data() + result.volts_.size() -
+                          (nodeCount - 1)});
     };
-    recordAll(0.0);
+    bool stopped = recordAll(0.0);
 
     // --- main loop ----------------------------------------------------------
     const std::vector<double> breakpoints = collectBreakpoints(circuit, tstop);
@@ -118,7 +123,7 @@ TranResult simulateTransient(const Circuit& circuit,
     bool forceBe = true;         // BE on the first step and after breakpoints
 
     TranStats stats;
-    while (t < tstop - 1e-18) {
+    while (!stopped && t < tstop - 1e-18) {
         // Cooperative cancellation: one thread-local read per accepted or
         // rejected step when no deadline is armed. Unwinds with
         // CancelledError so a deadline can interrupt a solve mid-transient
@@ -212,7 +217,7 @@ TranResult simulateTransient(const Circuit& circuit,
         haveHistory = true;
         t += dtPrevAccepted;
         ++stats.accepted;
-        recordAll(t);
+        stopped = recordAll(t);
 
         if (hitsBp) {
             // Slope discontinuity: restart integration gently.

@@ -5,8 +5,19 @@
 // control via a linear predictor, and the robust DC ladder for the initial
 // condition. This engine plays the role of ELDO™ in the paper's experiments:
 // the golden transistor-level reference every macromodel is judged against.
+//
+// Stop hook. TranOptions::stopWhen, when set, is called once per recorded
+// sample — the t = 0 operating point included — in time order and on the
+// calling thread, with that sample's time and node voltages. Returning true
+// ends the run right after that sample: the TranResult then holds exactly
+// the samples up to and including it (stats().accepted counts the steps
+// taken to reach it), and the hook is not called again. Every sample it
+// does see is bitwise the sample the full run records, so a caller whose
+// answer is fixed by a prefix of the waveform stops there and gets the same
+// answer. An empty hook costs one branch per sample and changes nothing.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,6 +25,16 @@
 #include "waveform/waveform.hpp"
 
 namespace sna::spice {
+
+/// One recorded time point as the stop hook sees it.
+struct TranSample {
+    double t = 0.0;
+    const double* volts = nullptr;  ///< one voltage per non-ground node
+
+    double voltage(NodeId node) const {
+        return node == kGround ? 0.0 : volts[node - 1];
+    }
+};
 
 struct TranOptions {
     double tstop = 0.0;      ///< required, seconds
@@ -25,6 +46,9 @@ struct TranOptions {
     std::size_t maxSteps = 2'000'000;
     NewtonOptions newton;
     DcOptions dc;
+    /// Optional: return true to end the run after this sample (see the
+    /// header comment for the contract).
+    std::function<bool(const TranSample&)> stopWhen;
 };
 
 struct TranStats {
@@ -53,8 +77,9 @@ private:
     TranStats stats_;
 };
 
-/// Run a transient from a DC initial condition to options.tstop, recording
-/// every node voltage at every accepted time point.
+/// Run a transient from a DC initial condition to options.tstop (or until
+/// options.stopWhen asks to stop), recording every node voltage at every
+/// accepted time point.
 TranResult simulateTransient(const Circuit& circuit,
                              const TranOptions& options);
 

@@ -4,11 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "celllib/library.hpp"
+#include "charlib/char_cache.hpp"
 #include "charlib/characterize.hpp"
 #include "spice/tran.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "waveform/metrics.hpp"
 #include "waveform/sources.hpp"
 
@@ -243,6 +252,213 @@ TEST(Nrc, CurveIsMonotoneNonIncreasing) {
     EXPECT_GT(hs.front(), hs.back() + 0.05);
     EXPECT_GT(hs.back(), 0.3);   // still above a third of the swing
     EXPECT_LT(hs.back(), 1.0);
+}
+
+// ---- bit pins ---------------------------------------------------------
+// Characterization results pinned bit for bit (hex-float literals). Every
+// search in the characterization stops as soon as its answer is decided;
+// these pins hold those stops to results identical to running each search
+// to its fixed iteration count.
+
+struct TheveninPin {
+    const char* cell;
+    bool outputRising;
+    double loadCap;
+    double vStart, vEnd, slew, rth, delay;
+};
+
+void expectTheveninPin(const TheveninPin& pin) {
+    charlib::TheveninSpec spec;
+    spec.cell = &lib130().cell(pin.cell);
+    spec.input = "a";
+    spec.outputRising = pin.outputRising;
+    spec.loadCap = pin.loadCap;
+    const auto m = charlib::characterizeThevenin(spec);
+    SCOPED_TRACE(std::string(pin.cell) +
+                 (pin.outputRising ? " rising" : " falling"));
+    EXPECT_EQ(m.vStart, pin.vStart);
+    EXPECT_EQ(m.vEnd, pin.vEnd);
+    EXPECT_EQ(m.slew, pin.slew);
+    EXPECT_EQ(m.rth, pin.rth);
+    EXPECT_EQ(m.delay, pin.delay);
+}
+
+TEST(TheveninBitPin, InverterFits) {
+    const TheveninPin pins[] = {
+        {"INV_X1", true, 30e-15, 0x0p+0, 0x1.3333333333333p+0,
+         0x1.195812fc8db98p-36, 0x1.02a3d79d36cc1p+11, 0x1.e6ca6383fd9b2p-36},
+        {"INV_X1", false, 30e-15, 0x1.3333333333333p+0, 0x0p+0,
+         0x1.0477ccd62497fp-36, 0x1.bc7b26c9078bep+10, 0x1.d78d5a3a2b55ep-36},
+        {"INV_X4", true, 120e-15, 0x0p+0, 0x1.3333333333333p+0,
+         0x1.11737ff3b273bp-36, 0x1.02a3d79d36cc1p+9, 0x1.e692bc099b0aep-36},
+    };
+    for (const auto& pin : pins) expectTheveninPin(pin);
+}
+
+TEST(TheveninBitPin, SweepLengths) {
+    // The tau sweep refines over up to four rounds and stops after the
+    // first refinement round that does not move the best tau. NAND2_X1
+    // falling stops after its second round; NOR2_X1 rising moves in every
+    // refinement round but the last, so it runs all four.
+    const TheveninPin pins[] = {
+        {"NAND2_X1", false, 30e-15, 0x1.3333333333333p+0, 0x0p+0,
+         0x1.a988c84b293bbp-36, 0x1.db68e6082612dp+10, 0x1.e651e8c84f01ep-36},
+        {"NOR2_X1", true, 30e-15, 0x0p+0, 0x1.3333333333333p+0,
+         0x1.e85c4a778a92ap-36, 0x1.14c92b853f4adp+11, 0x1.3cc99326be7afp-35},
+    };
+    for (const auto& pin : pins) expectTheveninPin(pin);
+}
+
+TEST(NrcBitPin, InverterFiveWidths) {
+    charlib::NrcSpec spec;
+    spec.cell = &lib130().cell("INV_X2");
+    spec.input = "a";
+    spec.quietLevel = false;
+    spec.widths = {50e-12, 100e-12, 200e-12, 400e-12, 800e-12};
+    const auto nrc = charlib::characterizeNrc(spec);
+    const std::vector<double> heights = {
+        0x1.30de147ae147ap+0, 0x1.f37c28f5c28f6p-1, 0x1.ac15c28f5c29p-1,
+        0x1.7fc6666666666p-1, 0x1.6443d70a3d70ap-1};
+    EXPECT_EQ(nrc.xs(), spec.widths);
+    EXPECT_EQ(nrc.ys(), heights);
+}
+
+// FNV-1a over the bit patterns of a double sequence.
+std::uint64_t fnv1a(std::uint64_t h, double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xffu;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(PropagationBitPin, InverterTableHash) {
+    // Control: the propagation table runs no search that stops early, so
+    // its hash must never move with the Thevenin or NRC stops.
+    charlib::PropagationSpec spec;
+    spec.cell = &lib130().cell("INV_X1");
+    spec.input = "a";
+    spec.outputLevel = false;
+    spec.heights = {0.3, 0.6, 0.9, 1.2};
+    spec.widths = {100e-12, 300e-12};
+    const auto table = charlib::characterizePropagation(spec);
+    std::uint64_t h = 1469598103934665603ull;
+    for (const la::Grid2d* g : {&table.peak, &table.area}) {
+        for (const double x : g->xs()) h = fnv1a(h, x);
+        for (const double y : g->ys()) h = fnv1a(h, y);
+        for (std::size_t i = 0; i < g->xs().size(); ++i) {
+            for (std::size_t j = 0; j < g->ys().size(); ++j) {
+                h = fnv1a(h, g->at(i, j));
+            }
+        }
+    }
+    h = fnv1a(h, table.outputBaseline);
+    EXPECT_EQ(h, 0xfe3bab3d3ce4e87bull);
+}
+
+// ---- early-exit equivalence ---------------------------------------------
+
+// The ramp/RC crossing search as it was before it stopped at its fixed
+// point: always 100 bisection steps, the tail coefficient recomputed per
+// evaluation. The reference detail::rampRcCrossing must match bit for bit.
+double rampRcCrossingFullBisection(double frac, double tau, double rc) {
+    auto value = [&](double t) {
+        if (t <= tau) {
+            return (t - rc * (1.0 - std::exp(-t / rc))) / tau;
+        }
+        return 1.0 -
+               (rc / tau) * (1.0 - std::exp(-tau / rc)) *
+                   std::exp(-(t - tau) / rc);
+    };
+    double lo = 0.0;
+    double hi = tau + rc;
+    while (value(hi) < frac) hi *= 2.0;
+    for (int it = 0; it < 100; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        if (value(mid) < frac) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    return 0.5 * (lo + hi);
+}
+
+TEST(RampRcCrossing, EarlyExitMatchesFullBisectionBitwise) {
+    util::Rng rng(0xc0ffee15ULL);
+    const double logLo = std::log(1e-13);
+    const double logHi = std::log(1e-9);
+    std::size_t mismatches = 0;
+    for (int draw = 0; draw < 100000; ++draw) {
+        const double tau = std::exp(rng.uniform(logLo, logHi));
+        const double rc = std::exp(rng.uniform(logLo, logHi));
+        for (const double frac : {0.2, 0.8}) {
+            const double fast = charlib::detail::rampRcCrossing(frac, tau, rc);
+            const double full = rampRcCrossingFullBisection(frac, tau, rc);
+            if (std::memcmp(&fast, &full, sizeof fast) != 0 &&
+                ++mismatches <= 5) {
+                ADD_FAILURE() << std::hexfloat << "frac=" << frac
+                              << " tau=" << tau << " rc=" << rc
+                              << ": " << fast << " vs " << full;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+// ---- concurrency --------------------------------------------------------
+
+TEST(CharCache, ConcurrentColdFitsMatchSerial) {
+    // Four workers cold-characterize distinct Thevenin and NRC specs
+    // through one cache. Each fit's early-stop state lives in its own call,
+    // so every result must equal the serial one bit for bit.
+    const char* cells[] = {"INV_X1", "INV_X4", "NAND2_X1", "NOR2_X1"};
+    std::vector<charlib::TheveninSpec> thevSpecs;
+    std::vector<charlib::NrcSpec> nrcSpecs;
+    for (std::size_t i = 0; i < std::size(cells); ++i) {
+        charlib::TheveninSpec t;
+        t.cell = &lib130().cell(cells[i]);
+        t.input = "a";
+        t.outputRising = (i % 2 == 0);
+        t.loadCap = 30e-15;
+        thevSpecs.push_back(t);
+        charlib::NrcSpec n;
+        n.cell = &lib130().cell(cells[i]);
+        n.input = "a";
+        n.quietLevel = (i % 2 == 1);
+        n.widths = {50e-12, 200e-12, 800e-12};
+        nrcSpecs.push_back(n);
+    }
+
+    charlib::CharCache cache;
+    std::vector<std::shared_ptr<const charlib::TheveninModel>> thev(
+        std::size(cells));
+    std::vector<std::shared_ptr<const la::Grid1d>> nrc(std::size(cells));
+    std::vector<std::thread> workers;
+    for (std::size_t i = 0; i < std::size(cells); ++i) {
+        workers.emplace_back([&, i] {
+            thev[i] = cache.thevenin(thevSpecs[i]);
+            nrc[i] = cache.nrc(nrcSpecs[i]);
+        });
+    }
+    for (auto& w : workers) w.join();
+    EXPECT_EQ(cache.stats().theveninRuns, std::size(cells));
+    EXPECT_EQ(cache.stats().nrcRuns, std::size(cells));
+
+    for (std::size_t i = 0; i < std::size(cells); ++i) {
+        SCOPED_TRACE(cells[i]);
+        const auto t = charlib::characterizeThevenin(thevSpecs[i]);
+        EXPECT_EQ(thev[i]->vStart, t.vStart);
+        EXPECT_EQ(thev[i]->vEnd, t.vEnd);
+        EXPECT_EQ(thev[i]->slew, t.slew);
+        EXPECT_EQ(thev[i]->rth, t.rth);
+        EXPECT_EQ(thev[i]->delay, t.delay);
+        const auto n = charlib::characterizeNrc(nrcSpecs[i]);
+        EXPECT_EQ(nrc[i]->xs(), n.xs());
+        EXPECT_EQ(nrc[i]->ys(), n.ys());
+    }
 }
 
 TEST(InputCap, ChargeMethodAgreesWithAnalytic) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
@@ -463,6 +465,142 @@ TEST(Tran, StatsAreReported) {
     EXPECT_TRUE(res.has("n"));
     EXPECT_FALSE(res.has("nope"));
     EXPECT_THROW(res.waveform("nope"), LogicError);
+}
+
+// ---------------------------------------------------------------- stop hook
+
+// A switching inverter: nonlinear, with breakpoint restarts and rejected
+// steps, so a truncated run exercises every branch of the step loop.
+void buildSwitchingInverter(InverterFixture& f) {
+    f.c.addVSource("vin", f.in, spice::kGround,
+                   SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 2e-10, 5e-11,
+                                                       2e-9)));
+    f.c.addCapacitor("cload", f.out, spice::kGround, 10e-15);
+}
+
+spice::TranOptions stopHookOptions() {
+    spice::TranOptions opt;
+    opt.tstop = 2e-9;
+    return opt;
+}
+
+// Every node's samples, in node-id order.
+std::vector<std::vector<wave::Sample>> allSamples(const Circuit& c,
+                                                  const spice::TranResult& r) {
+    std::vector<std::vector<wave::Sample>> out;
+    for (spice::NodeId id = 1; id < static_cast<spice::NodeId>(c.nodeCount());
+         ++id) {
+        out.push_back(r.waveform(c.nodeName(id)).samples());
+    }
+    return out;
+}
+
+bool sameBits(const std::vector<wave::Sample>& a,
+              const std::vector<wave::Sample>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+TEST(TranStopHook, NeverFiringHookChangesNothing) {
+    InverterFixture f;
+    buildSwitchingInverter(f);
+    const auto full = spice::simulateTransient(f.c, stopHookOptions());
+
+    auto opt = stopHookOptions();
+    std::vector<wave::Sample> seen;
+    opt.stopWhen = [&](const spice::TranSample& s) {
+        seen.push_back({s.t, s.voltage(f.out)});
+        EXPECT_EQ(s.voltage(spice::kGround), 0.0);
+        return false;
+    };
+    const auto hooked = spice::simulateTransient(f.c, opt);
+
+    const auto a = allSamples(f.c, full);
+    const auto b = allSamples(f.c, hooked);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_TRUE(sameBits(a[i], b[i])) << f.c.nodeName(
+            static_cast<spice::NodeId>(i + 1));
+    }
+    EXPECT_EQ(full.stats().accepted, hooked.stats().accepted);
+    EXPECT_EQ(full.stats().rejected, hooked.stats().rejected);
+    EXPECT_EQ(full.stats().newtonIterations, hooked.stats().newtonIterations);
+    EXPECT_GT(full.stats().rejected, 0u);
+    // The hook saw every recorded sample, t = 0 included, in order.
+    EXPECT_TRUE(sameBits(seen, full.waveform("out").samples()));
+}
+
+TEST(TranStopHook, StopAtSampleKKeepsTheFirstKPlusOneSamples) {
+    InverterFixture f;
+    buildSwitchingInverter(f);
+    const auto full = spice::simulateTransient(f.c, stopHookOptions());
+    const auto fullSamples = allSamples(f.c, full);
+    const std::size_t total = fullSamples.front().size();
+    ASSERT_GT(total, 40u);
+
+    for (const std::size_t k : {std::size_t{1}, std::size_t{17}, total / 2,
+                                total - 1}) {
+        auto opt = stopHookOptions();
+        std::size_t calls = 0;
+        opt.stopWhen = [&](const spice::TranSample&) { return calls++ == k; };
+        const auto cut = spice::simulateTransient(f.c, opt);
+        EXPECT_EQ(cut.stats().accepted, k);
+        EXPECT_EQ(calls, k + 1);  // never called again after returning true
+        const auto cutSamples = allSamples(f.c, cut);
+        for (std::size_t i = 0; i < fullSamples.size(); ++i) {
+            const std::vector<wave::Sample> prefix(
+                fullSamples[i].begin(),
+                fullSamples[i].begin() + static_cast<std::ptrdiff_t>(k + 1));
+            EXPECT_TRUE(sameBits(cutSamples[i], prefix)) << "k=" << k;
+        }
+    }
+}
+
+TEST(TranStopHook, StopAtTimeZeroKeepsTheOperatingPoint) {
+    InverterFixture f;
+    buildSwitchingInverter(f);
+    auto opt = stopHookOptions();
+    std::size_t calls = 0;
+    opt.stopWhen = [&](const spice::TranSample& s) {
+        ++calls;
+        EXPECT_EQ(s.t, 0.0);
+        return true;
+    };
+    const auto res = spice::simulateTransient(f.c, opt);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(res.stats().accepted, 0u);
+    EXPECT_EQ(res.stats().rejected, 0u);
+    const auto out = res.waveform("out").samples();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].t, 0.0);
+    EXPECT_NEAR(out[0].v, 1.2, 2e-2);  // input low: output at the rail
+}
+
+TEST(TranStopHook, HookIsNotCalledAfterItStops) {
+    // Stop on a voltage condition (the output's first fall below half
+    // swing) rather than a count: the run ends at that sample and the last
+    // recorded point is the one that satisfied it.
+    InverterFixture f;
+    buildSwitchingInverter(f);
+    auto opt = stopHookOptions();
+    std::size_t calls = 0;
+    std::size_t callsAfterStop = 0;
+    bool stopped = false;
+    opt.stopWhen = [&](const spice::TranSample& s) {
+        ++calls;
+        if (stopped) ++callsAfterStop;
+        stopped = s.voltage(f.out) < 0.6;
+        return stopped;
+    };
+    const auto res = spice::simulateTransient(f.c, opt);
+    EXPECT_TRUE(stopped);
+    EXPECT_EQ(callsAfterStop, 0u);
+    const auto out = res.waveform("out").samples();
+    EXPECT_EQ(out.size(), calls);
+    EXPECT_LT(out.back().v, 0.6);
+    for (std::size_t i = 0; i + 1 < out.size(); ++i) EXPECT_GE(out[i].v, 0.6);
+    EXPECT_LT(out.back().t, 2e-9);
 }
 
 TEST(Tran, RejectsNonPositiveStop) {
