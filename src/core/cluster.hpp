@@ -64,7 +64,10 @@ struct NoiseResult {
     wave::GlitchMetrics metrics;  ///< at the victim driving point
     wave::Waveform waveform;      ///< victim driving-point voltage
     double runtimeSec = 0.0;      ///< wall-clock of the engine run
-    std::size_t engineNodes = 0;  ///< MNA unknowns of the engine circuit
+    /// Nodes of the engine circuit, ground and source-fixed nodes included
+    /// (Circuit::nodeCount()): 10 for the paper's 2-aggressor macromodel,
+    /// whose MNA system has 6 unknowns.
+    std::size_t engineNodes = 0;
 };
 
 /// Full transistor-level + full-RC reference simulation.

@@ -11,8 +11,9 @@
 //  * receivers become their input capacitances.
 // analyzeAt() then solves the resulting small non-linear circuit with the
 // shared Newton/transient core — the "dedicated engine embedded into the
-// noise analysis tool". Because the macromodel has ~10 unknowns instead of
-// hundreds, this is where the paper's ~20x speed-up comes from.
+// noise analysis tool". Because the macromodel has a handful of unknowns
+// (6 for two aggressors; 10 nodes with ground and the fixed source nodes)
+// instead of hundreds, this is where the paper's ~20x speed-up comes from.
 #pragma once
 
 #include <memory>

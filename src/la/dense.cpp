@@ -88,7 +88,7 @@ void DenseLu::decompose(double pivotTol) {
                 pivot = r;
             }
         }
-        if (best < pivotTol) {
+        if (!(best >= pivotTol)) {  // NaN pivots fail too
             throw ConvergenceError(
                 "singular matrix in dense LU (pivot " + std::to_string(best) +
                 " at column " + std::to_string(k) + ")");

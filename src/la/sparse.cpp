@@ -132,7 +132,7 @@ SparseLu::SparseLu(const SparseMatrix& a, double pivotTol) : n_(a.size()) {
         auto& pivotRow = work[k];
         const auto pit = pivotRow.find(k);
         const double pivot = (pit == pivotRow.end()) ? 0.0 : pit->second;
-        if (std::abs(pivot) < pivotTol) {
+        if (!(std::abs(pivot) >= pivotTol)) {  // NaN pivots fail too
             throw ConvergenceError("sparse LU: zero diagonal pivot at step " +
                                    std::to_string(k));
         }

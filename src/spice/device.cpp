@@ -59,34 +59,17 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
     SNA_REQUIRE(farads > 0.0, "capacitance must be positive: " + this->name());
 }
 
-std::pair<double, double> Capacitor::companion(const EvalContext& ctx) const {
-    // Returns {geq, ieq}: i(a->b) = geq * vab_now - ieq.
+Companion Capacitor::companion(const EvalContext& ctx) const {
     const double vabPrev = ctx.vPrev(nodes()[0]) - ctx.vPrev(nodes()[1]);
-    if (ctx.method() == Integration::BackwardEuler) {
-        const double geq = farads_ / ctx.dt();
-        return {geq, geq * vabPrev};
-    }
-    const double geq = 2.0 * farads_ / ctx.dt();
-    const double iPrev = ctx.state(*this, 0);
-    return {geq, geq * vabPrev + iPrev};
+    const double iPrev = (ctx.method() == Integration::Trapezoidal)
+                             ? ctx.state(*this, 0)
+                             : 0.0;
+    return capacitorCompanion(farads_, ctx.dt(), ctx.method(), vabPrev, iPrev);
 }
 
 void Capacitor::stamp(Stamper& s, const EvalContext& ctx) const {
     if (!ctx.transient()) return;  // open in DC
-    const auto [geq, ieq] = companion(ctx);
-    s.conductance(nodes()[0], nodes()[1], geq);
-    s.current(nodes()[0], ieq);
-    s.current(nodes()[1], -ieq);
-}
-
-void Capacitor::updateState(const EvalContext& ctx) const {
-    if (!ctx.transient()) {
-        ctx.setState(*this, 0, 0.0);  // DC steady state: no current
-        return;
-    }
-    const auto [geq, ieq] = companion(ctx);
-    const double vab = ctx.v(nodes()[0]) - ctx.v(nodes()[1]);
-    ctx.setState(*this, 0, geq * vab - ieq);
+    s.companion(nodes()[0], nodes()[1], companion(ctx));
 }
 
 double Capacitor::currentInto(NodeId n, const EvalContext& ctx) const {

@@ -66,9 +66,13 @@ public:
     /// Number of branch-current unknowns this device adds to the MNA system.
     virtual std::size_t branchCount() const { return 0; }
 
+    /// Linearized stamp at ctx. The MNA assembler calls it for every device
+    /// except resistors and capacitors, which it stamps from its own plan.
     virtual void stamp(Stamper& s, const EvalContext& ctx) const = 0;
 
-    /// Called after a transient step is accepted; writes stateNext slots.
+    /// Called after a transient step is accepted (and once at the operating
+    /// point); writes stateNext slots. Capacitor state is written by the MNA
+    /// map from its plan.
     virtual void updateState(const EvalContext& /*ctx*/) const {}
 
     /// Instantaneous current flowing INTO terminal `n` from this device, at
@@ -84,7 +88,9 @@ private:
     std::size_t index_ = kUnregistered;
 };
 
-class Resistor : public Device {
+/// Final: the MNA plan stamps resistors and capacitors from their values,
+/// so a subclass could not change how they stamp.
+class Resistor final : public Device {
 public:
     Resistor(std::string name, NodeId a, NodeId b, double ohms);
     double resistance() const { return ohms_; }
@@ -95,18 +101,17 @@ private:
     double ohms_;
 };
 
-class Capacitor : public Device {
+class Capacitor final : public Device {
 public:
     Capacitor(std::string name, NodeId a, NodeId b, double farads);
     double capacitance() const { return farads_; }
     std::size_t stateCount() const override { return 1; }  // branch current
     void stamp(Stamper& s, const EvalContext& ctx) const override;
-    void updateState(const EvalContext& ctx) const override;
     double currentInto(NodeId n, const EvalContext& ctx) const override;
 
 private:
-    /// Companion conductance and equivalent current for the active method.
-    std::pair<double, double> companion(const EvalContext& ctx) const;
+    /// capacitorCompanion at ctx (a transient context).
+    Companion companion(const EvalContext& ctx) const;
     double farads_;
 };
 

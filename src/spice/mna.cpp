@@ -101,8 +101,8 @@ MnaMap::MnaMap(const Circuit& circuit) : circuit_(&circuit) {
     fixed_.assign(n, 0);
     fixedValue_.assign(n, 0.0);
     fixedPrev_.assign(n, 0.0);
-    fixedSource_.assign(n, nullptr);
-    fixedSign_.assign(n, 1.0);
+    std::vector<const VSource*> fixedSource(n, nullptr);
+    std::vector<double> fixedSign(n, 1.0);
 
     // Pass 1: ground-referenced ideal voltage sources pin their free node.
     for (const auto& dev : circuit.devices()) {
@@ -116,16 +116,20 @@ MnaMap::MnaMap(const Circuit& circuit) : circuit_(&circuit) {
             throw ModelError("node '" + circuit.nodeName(pinned) +
                              "' is driven by two voltage sources ('" +
                              vs->name() + "' and '" +
-                             fixedSource_[pinned]->name() + "')");
+                             fixedSource[pinned]->name() + "')");
         }
         fixed_[pinned] = 1;
-        fixedSource_[pinned] = vs;
-        fixedSign_[pinned] = posIsFree ? +1.0 : -1.0;
+        fixedSource[pinned] = vs;
+        fixedSign[pinned] = posIsFree ? +1.0 : -1.0;
     }
 
     // Pass 2: enumerate unknowns.
     for (NodeId id = 1; id < static_cast<NodeId>(n); ++id) {
-        if (!fixed_[id]) index_[id] = static_cast<int>(nodeUnknowns_++);
+        if (fixed_[id]) {
+            fixedNodes_.push_back({id, fixedSource[id], fixedSign[id]});
+        } else {
+            index_[id] = static_cast<int>(nodeUnknowns_++);
+        }
     }
     unknowns_ = nodeUnknowns_;
 
@@ -145,43 +149,144 @@ MnaMap::MnaMap(const Circuit& circuit) : circuit_(&circuit) {
         }
     }
 
+    // Pass 4: the stamp plan, in device order.
+    plan_.reserve(devCount);
+    for (std::size_t i = 0; i < devCount; ++i) {
+        const Device& dev = *circuit.devices()[i];
+        Entry e{Entry::Kind::Device, terminal(kGround), terminal(kGround), 0.0,
+                stateBase_[i], &dev};
+        if (const auto* r = dynamic_cast<const Resistor*>(&dev)) {
+            e.kind = Entry::Kind::Resistor;
+            e.value = 1.0 / r->resistance();
+        } else if (const auto* c = dynamic_cast<const Capacitor*>(&dev)) {
+            e.kind = Entry::Kind::Capacitor;
+            e.value = c->capacitance();
+            e.slot = stateBaseOf(*c);
+            ++capacitorCount_;
+        } else if (const auto* vs = dynamic_cast<const VSource*>(&dev);
+                   vs != nullptr && vs->grounded()) {
+            continue;  // a fixed node: nothing to stamp
+        }
+        if (e.kind != Entry::Kind::Device) {
+            e.a = terminal(dev.nodes()[0]);
+            e.b = terminal(dev.nodes()[1]);
+        }
+        plan_.push_back(e);
+    }
+
     updateFixed(0.0, 1.0);
     commitFixed();
 }
 
 void MnaMap::updateFixed(double time, double srcScale) {
-    for (NodeId id = 0; id < static_cast<NodeId>(fixed_.size()); ++id) {
-        if (!fixed_[id]) continue;
-        fixedValue_[id] =
-            fixedSign_[id] * fixedSource_[id]->spec().value(time) * srcScale;
+    for (const Fixed& f : fixedNodes_) {
+        fixedValue_[f.node] = f.sign * f.source->spec().value(time) * srcScale;
     }
 }
 
-void MnaMap::commitFixed() { fixedPrev_ = fixedValue_; }
+void MnaMap::commitFixed() {
+    for (const Fixed& f : fixedNodes_) fixedPrev_[f.node] = fixedValue_[f.node];
+}
 
-void MnaMap::stampAll(Stamper& st, const EvalContext& ctx) const {
-    for (const auto& dev : circuit_->devices()) dev->stamp(st, ctx);
+void MnaMap::companions(const EvalContext& ctx,
+                        std::vector<Companion>& out) const {
+    out.resize(capacitorCount_);
+    if (capacitorCount_ == 0) return;
+    SNA_REQUIRE(ctx.transient_, "capacitor companions need a transient context");
+    SNA_REQUIRE(ctx.xPrev_ != nullptr,
+                "no previous time point in this context");
+    const bool trap = ctx.method_ == Integration::Trapezoidal;
+    SNA_REQUIRE(!trap || ctx.statePrev_ != nullptr,
+                "no state storage in this context");
+    const la::Vector& xPrev = *ctx.xPrev_;
+    std::size_t k = 0;
+    for (const Entry& e : plan_) {
+        if (e.kind != Entry::Kind::Capacitor) continue;
+        const double vabPrev = voltageAt(e.a, xPrev, fixedPrev_) -
+                               voltageAt(e.b, xPrev, fixedPrev_);
+        const double iPrev = trap ? (*ctx.statePrev_)[e.slot] : 0.0;
+        out[k++] =
+            capacitorCompanion(e.value, ctx.dt_, ctx.method_, vabPrev, iPrev);
+    }
+}
+
+template <class Jacobian>
+void MnaMap::stampPlan(Jacobian& j, la::Vector& rhs, const EvalContext& ctx,
+                       const std::vector<Companion>& comp) const {
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    const bool transient = ctx.transient();
+    SNA_REQUIRE(!transient || comp.size() == capacitorCount_,
+                "capacitor companions computed for another map");
+    Stamper st(*this, j, rhs);
+    std::size_t k = 0;
+    for (const Entry& e : plan_) {
+        switch (e.kind) {
+            case Entry::Kind::Resistor:
+                stampConductance(j, rhs, e.a, e.b, e.value);
+                break;
+            case Entry::Kind::Capacitor:
+                if (transient) stampCompanion(j, rhs, e.a, e.b, comp[k++]);
+                break;  // open in DC
+            case Entry::Kind::Device:
+                e.device->stamp(st, ctx);
+                break;
+        }
+    }
+    // gmin keeps the Jacobian regular when devices are cut off.
+    for (std::size_t i = 0; i < nodeUnknowns_; ++i) {
+        detail::addEntry(j, static_cast<int>(i), static_cast<int>(i), gmin_);
+    }
+}
+
+void MnaMap::assemble(la::DenseMatrix& j, la::Vector& rhs,
+                      const EvalContext& ctx,
+                      const std::vector<Companion>& comp) const {
+    j.setZero();
+    stampPlan(j, rhs, ctx, comp);
+}
+
+void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
+                      const EvalContext& ctx,
+                      const std::vector<Companion>& comp) const {
+    j.clear();
+    stampPlan(j, rhs, ctx, comp);
 }
 
 void MnaMap::assemble(la::DenseMatrix& j, la::Vector& rhs,
                       const EvalContext& ctx) const {
-    j.setZero();
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-    Stamper st(*this, j, rhs);
-    stampAll(st, ctx);
-    // gmin keeps the Jacobian regular when devices are cut off.
-    if (gmin_ != 0.0) {
-        for (std::size_t i = 0; i < nodeUnknowns_; ++i) j(i, i) += gmin_;
-    }
+    std::vector<Companion> comp;
+    if (ctx.transient()) companions(ctx, comp);
+    assemble(j, rhs, ctx, comp);
 }
 
 void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
                       const EvalContext& ctx) const {
-    j.clear();
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-    Stamper st(*this, j, rhs);
-    stampAll(st, ctx);
-    for (std::size_t i = 0; i < nodeUnknowns_; ++i) j.add(i, i, gmin_);
+    std::vector<Companion> comp;
+    if (ctx.transient()) companions(ctx, comp);
+    assemble(j, rhs, ctx, comp);
+}
+
+void MnaMap::updateState(const EvalContext& ctx,
+                         const std::vector<Companion>& comp) const {
+    SNA_REQUIRE(ctx.stateNext_ != nullptr, "no writable state in this context");
+    const bool transient = ctx.transient_;
+    SNA_REQUIRE(!transient || comp.size() == capacitorCount_,
+                "capacitor companions computed for another map");
+    std::vector<double>& next = *ctx.stateNext_;
+    std::size_t k = 0;
+    for (const Entry& e : plan_) {
+        if (e.slot == kNone) continue;
+        if (e.kind == Entry::Kind::Device) {
+            e.device->updateState(ctx);
+        } else if (!transient) {
+            next[e.slot] = 0.0;  // DC steady state: no current
+        } else {
+            const Companion& c = comp[k++];
+            const double vab = voltageAt(e.a, ctx.x_, fixedValue_) -
+                               voltageAt(e.b, ctx.x_, fixedValue_);
+            next[e.slot] = c.geq * vab - c.ieq;
+        }
+    }
 }
 
 // ------------------------------------------------------------------ Newton
@@ -191,7 +296,8 @@ NewtonWorkspace::NewtonWorkspace(const MnaMap& map)
       jacobian(dense ? map.unknowns() : 0, dense ? map.unknowns() : 0),
       sparse(dense ? 0 : map.unknowns()),
       rhs(map.unknowns(), 0.0),
-      xNew(map.unknowns(), 0.0) {}
+      xNew(map.unknowns(), 0.0),
+      companions(map.capacitorCount()) {}
 
 NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
                         double time, double dt, Integration method,
@@ -203,24 +309,29 @@ NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
     SNA_REQUIRE(x.size() == n, "initial guess has wrong dimension");
     SNA_REQUIRE(ws.rhs.size() == n, "Newton workspace built for another map");
     map.updateFixed(time, srcScale);
+    // x is updated in place, so one context serves every iteration; the
+    // companions are fixed for the whole call.
+    const EvalContext ctx(map, x, xPrev, time, dt, method, transient, srcScale,
+                          statePrev, nullptr);
+    if (transient) map.companions(ctx, ws.companions);
 
     NewtonStats stats;
     for (int iter = 0; iter < opt.maxIterations; ++iter) {
         ++stats.iterations;
-        EvalContext ctx(map, x, xPrev, time, dt, method, transient, srcScale,
-                        statePrev, nullptr);
         if (ws.dense) {
-            map.assemble(ws.jacobian, ws.rhs, ctx);
+            map.assemble(ws.jacobian, ws.rhs, ctx, ws.companions);
             ws.lu.refactor(ws.jacobian);
             ws.lu.solveInto(ws.rhs, ws.xNew);
         } else {
-            map.assemble(ws.sparse, ws.rhs, ctx);
+            map.assemble(ws.sparse, ws.rhs, ctx, ws.companions);
             ws.xNew = la::solveSparse(ws.sparse, ws.rhs);
         }
         const la::Vector& xNew = ws.xNew;
         double worst = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            worst = std::max(worst, std::abs(xNew[i] - x[i]));
+            // A NaN update must stick: std::max would drop it.
+            const double d = std::abs(xNew[i] - x[i]);
+            if (d > worst || std::isnan(d)) worst = d;
         }
         if (!std::isfinite(worst)) {
             throw ConvergenceError("Newton produced a non-finite update");

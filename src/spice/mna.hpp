@@ -10,10 +10,35 @@
 // forces the dense solver (their rows have zero diagonals). Per-device state
 // and branch offsets are vectors indexed by Device::index().
 //
+// Stamp plan. The constructor walks circuit.devices() once and lowers them
+// to a flat plan in device order. Every Resistor and Capacitor becomes one
+// entry holding its two terminals, each already resolved to an unknown index
+// or to the ground/fixed node whose known value folds into the RHS, its
+// value (1/ohms or farads) and a capacitor's state slot (resolved through
+// stateBaseOf). Grounded voltage sources are dropped: they are the fixed
+// nodes and stamp nothing. Every other device keeps a virtual stamp() call
+// at its place. assemble() walks the plan for both targets (dense and
+// sparse), at DC and in transient. The plan is bitwise the device stamps:
+// each entry gives every J and rhs slot the same `+=` sequence as the
+// Stamper::dependence calls (a,a), (a,b), (b,b), (b,a) and Stamper::current
+// — the same order, the same zero skips (J entries skip a zero
+// contribution, the RHS folds do not), the same expressions
+// (`rhs[row] -= (-g) * v_fixed`) — and gmin is added last. Resistor and
+// Capacitor::stamp reach the same helpers through Stamper::conductance and
+// Stamper::companion.
+//
+// Capacitor companions. A capacitor's (geq, ieq) depends only on dt, the
+// integration method, the previous point and the previous state, which are
+// fixed for one solveNewton call: companions() computes them once per call
+// into the caller's NewtonWorkspace, every iteration of the call stamps
+// them, and the accepted step's state update (updateState) reuses them.
+//
 // solveNewton runs on a caller-owned NewtonWorkspace. On the dense path
-// (every macromodel and cell circuit) devices stamp straight into its
+// (every macromodel and cell circuit) the plan stamps straight into its
 // Jacobian, which is then re-factored into its DenseLu and solved into its
-// step vector: a Newton iteration allocates nothing.
+// step vector: a Newton iteration allocates nothing. An update that is not
+// finite (a NaN or infinite stamp, a singular or NaN pivot) is a
+// ConvergenceError, never a converged point.
 #pragma once
 
 #include <limits>
@@ -64,33 +89,103 @@ public:
     double gmin() const { return gmin_; }
     void setGmin(double g) { gmin_ = g; }
 
+    /// Number of capacitors: the size of companions()' output.
+    std::size_t capacitorCount() const { return capacitorCount_; }
+
+    /// The companion of every capacitor at a transient ctx, in plan order.
+    /// `out` is resized to capacitorCount().
+    void companions(const EvalContext& ctx, std::vector<Companion>& out) const;
+
     /// Stamp every device at the given context; adds gmin diagonals. `j`
     /// and `rhs` are zeroed first and must already have the system's size.
+    /// In a transient context the capacitors stamp `comp`, which
+    /// companions() filled at the same ctx; DC leaves it unread.
+    void assemble(la::DenseMatrix& j, la::Vector& rhs, const EvalContext& ctx,
+                  const std::vector<Companion>& comp) const;
+    void assemble(la::SparseMatrix& j, la::Vector& rhs, const EvalContext& ctx,
+                  const std::vector<Companion>& comp) const;
+    /// The same, computing the companions first (one-off assemblies).
     void assemble(la::DenseMatrix& j, la::Vector& rhs,
                   const EvalContext& ctx) const;
     void assemble(la::SparseMatrix& j, la::Vector& rhs,
                   const EvalContext& ctx) const;
 
+    /// Write every device's state at ctx (the accepted point, or the
+    /// operating point at DC) into ctx's stateNext. A capacitor's slot gets
+    /// its current a->b, geq * vab - ieq from `comp` (the companions of the
+    /// Newton call that produced ctx's point), or 0 at DC; every other
+    /// stateful device runs its updateState(). Every slot is rewritten.
+    void updateState(const EvalContext& ctx,
+                     const std::vector<Companion>& comp) const;
+
 private:
+    friend class Stamper;  // R/C device stamps share the plan's helpers
+
     static constexpr std::size_t kNone =
         std::numeric_limits<std::size_t>::max();
 
+    /// One end of a two-terminal stamp: its unknown index, or -1 and the
+    /// ground/fixed node whose known value folds into the RHS.
+    struct Terminal {
+        int index;
+        NodeId node;
+    };
+
+    /// One plan entry, in device order.
+    struct Entry {
+        enum class Kind : unsigned char { Resistor, Capacitor, Device };
+        Kind kind;
+        Terminal a;
+        Terminal b;
+        double value;          ///< 1/ohms, or farads
+        std::size_t slot;      ///< state slot (capacitor/device) or kNone
+        const Device* device;  ///< the device (Kind::Device: its stamp())
+    };
+
+    /// A source-fixed node and the grounded source that drives it.
+    struct Fixed {
+        NodeId node;
+        const VSource* source;
+        double sign;  ///< +1 pos driven with neg grounded, -1 swapped
+    };
+
     /// d's index after checking that d belongs to the mapped circuit.
     std::size_t slotOf(const Device& d) const;
-    void stampAll(Stamper& st, const EvalContext& ctx) const;
+
+    Terminal terminal(NodeId n) const { return {index_[n], n}; }
+    /// Terminal voltage at x; fixed terminals read `known` (fixedValue_ or
+    /// fixedPrev_, whose ground entry is always 0).
+    static double voltageAt(Terminal t, const la::Vector& x,
+                            const std::vector<double>& known) {
+        return t.index >= 0 ? x[static_cast<std::size_t>(t.index)]
+                            : known[static_cast<std::size_t>(t.node)];
+    }
+
+    /// The one conductance stamp: Stamper::conductance's += sequence.
+    template <class Jacobian>
+    void stampConductance(Jacobian& j, la::Vector& rhs, Terminal a,
+                          Terminal b, double g) const;
+    /// The one capacitor stamp: geq between a and b, ieq into a, out of b.
+    template <class Jacobian>
+    void stampCompanion(Jacobian& j, la::Vector& rhs, Terminal a, Terminal b,
+                        const Companion& c) const;
+    template <class Jacobian>
+    void stampPlan(Jacobian& j, la::Vector& rhs, const EvalContext& ctx,
+                   const std::vector<Companion>& comp) const;
 
     const Circuit* circuit_;
     std::vector<int> index_;        // NodeId -> unknown index or -1
     std::vector<char> fixed_;       // NodeId -> source-fixed?
-    std::vector<double> fixedValue_;
-    std::vector<double> fixedPrev_;
-    std::vector<const VSource*> fixedSource_;  // NodeId -> driving source
-    std::vector<double> fixedSign_;            // +1 pos grounded-neg, -1 swapped
+    std::vector<double> fixedValue_;  // NodeId -> value now (ground: 0)
+    std::vector<double> fixedPrev_;   // NodeId -> value at the last commit
+    std::vector<Fixed> fixedNodes_;   // source-fixed nodes, node order
+    std::vector<Entry> plan_;
     std::vector<std::size_t> stateBase_;  // Device::index() -> offset or kNone
     std::vector<int> branchBase_;         // Device::index() -> row or -1
     std::size_t nodeUnknowns_ = 0;
     std::size_t unknowns_ = 0;
     std::size_t stateSlots_ = 0;
+    std::size_t capacitorCount_ = 0;
     double gmin_ = 1e-12;
 };
 
@@ -120,6 +215,9 @@ struct NewtonWorkspace {
     la::DenseLu lu;
     la::Vector rhs;
     la::Vector xNew;
+    /// Capacitor companions of the last transient solveNewton call; the
+    /// accepted step's MnaMap::updateState reads them.
+    std::vector<Companion> companions;
 };
 
 /// Damped Newton on the MNA system at one (time, dt, method) configuration;
@@ -215,11 +313,56 @@ inline void Stamper::dependence(NodeId node, NodeId ctrl, double didv) {
     }
 }
 
+template <class Jacobian>
+inline void MnaMap::stampConductance(Jacobian& j, la::Vector& rhs, Terminal a,
+                                     Terminal b, double g) const {
+    // dependence(a, a, +g), (a, b, -g), (b, b, +g), (b, a, -g), in order.
+    if (a.index >= 0) {
+        detail::addEntry(j, a.index, a.index, +g);
+        if (b.index >= 0) {
+            detail::addEntry(j, a.index, b.index, -g);
+        } else {
+            rhs[static_cast<std::size_t>(a.index)] -=
+                (-g) * fixedValue_[static_cast<std::size_t>(b.node)];
+        }
+    }
+    if (b.index >= 0) {
+        detail::addEntry(j, b.index, b.index, +g);
+        if (a.index >= 0) {
+            detail::addEntry(j, b.index, a.index, -g);
+        } else {
+            rhs[static_cast<std::size_t>(b.index)] -=
+                (-g) * fixedValue_[static_cast<std::size_t>(a.node)];
+        }
+    }
+}
+
+template <class Jacobian>
+inline void MnaMap::stampCompanion(Jacobian& j, la::Vector& rhs, Terminal a,
+                                   Terminal b, const Companion& c) const {
+    stampConductance(j, rhs, a, b, c.geq);
+    if (a.index >= 0) rhs[static_cast<std::size_t>(a.index)] += c.ieq;
+    if (b.index >= 0) rhs[static_cast<std::size_t>(b.index)] += -c.ieq;
+}
+
 inline void Stamper::conductance(NodeId a, NodeId b, double g) {
-    dependence(a, a, +g);
-    dependence(a, b, -g);
-    dependence(b, b, +g);
-    dependence(b, a, -g);
+    if (dense_ != nullptr) {
+        map_.stampConductance(*dense_, rhs_, map_.terminal(a),
+                              map_.terminal(b), g);
+    } else {
+        map_.stampConductance(*sparse_, rhs_, map_.terminal(a),
+                              map_.terminal(b), g);
+    }
+}
+
+inline void Stamper::companion(NodeId a, NodeId b, const Companion& c) {
+    if (dense_ != nullptr) {
+        map_.stampCompanion(*dense_, rhs_, map_.terminal(a), map_.terminal(b),
+                            c);
+    } else {
+        map_.stampCompanion(*sparse_, rhs_, map_.terminal(a),
+                            map_.terminal(b), c);
+    }
 }
 
 inline void Stamper::current(NodeId n, double i) {

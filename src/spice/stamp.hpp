@@ -22,6 +22,43 @@ inline constexpr NodeId kGround = 0;
 
 enum class Integration { BackwardEuler, Trapezoidal };
 
+/// Capacitor companion model for one integration step: the current from
+/// terminal a to b is geq * v(a,b) - ieq. vabPrev is v(a,b) at the previous
+/// accepted point; iPrev, that point's current a->b, is read by the
+/// trapezoidal rule only. The one definition behind the MNA plan's
+/// capacitor stamps and state updates and Capacitor::currentInto.
+struct Companion {
+    double geq = 0.0;
+    double ieq = 0.0;
+};
+
+inline Companion capacitorCompanion(double farads, double dt,
+                                    Integration method, double vabPrev,
+                                    double iPrev) {
+    if (method == Integration::BackwardEuler) {
+        const double geq = farads / dt;
+        return {geq, geq * vabPrev};
+    }
+    const double geq = 2.0 * farads / dt;
+    return {geq, geq * vabPrev + iPrev};
+}
+
+namespace detail {
+
+/// J(r, c) += v, skipping zeros: the one accumulation rule of both stamp
+/// targets, so that they assemble identical values.
+inline void addEntry(la::DenseMatrix& j, int r, int c, double v) {
+    if (v == 0.0) return;
+    j(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
+}
+
+inline void addEntry(la::SparseMatrix& j, int r, int c, double v) {
+    if (v == 0.0) return;
+    j.add(static_cast<std::size_t>(r), static_cast<std::size_t>(c), v);
+}
+
+}  // namespace detail
+
 /// Per-evaluation context handed to Device::stamp and Device::updateState.
 class EvalContext {
 public:
@@ -53,6 +90,8 @@ public:
     int branchRow(const class Device& d, std::size_t branch = 0) const;
 
 private:
+    friend class MnaMap;  // reads the previous point and state directly
+
     const MnaMap& map_;
     const la::Vector& x_;
     const la::Vector* xPrev_;
@@ -78,6 +117,10 @@ public:
 
     /// Two-terminal conductance g between a and b.
     void conductance(NodeId a, NodeId b, double g);
+
+    /// Capacitor companion between a and b: conductance geq, and ieq
+    /// injected into a and drawn from b.
+    void companion(NodeId a, NodeId b, const Companion& c);
 
     /// Constant current `i` flowing INTO node n.
     void current(NodeId n, double i);
@@ -110,13 +153,10 @@ public:
 private:
     /// J(r, c) += v, skipping zeros.
     void add(int r, int c, double v) {
-        if (v == 0.0) return;
-        const auto row = static_cast<std::size_t>(r);
-        const auto col = static_cast<std::size_t>(c);
         if (dense_ != nullptr) {
-            (*dense_)(row, col) += v;
+            detail::addEntry(*dense_, r, c, v);
         } else {
-            sparse_->add(row, col, v);
+            detail::addEntry(*sparse_, r, c, v);
         }
     }
 

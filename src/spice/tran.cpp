@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/cancel.hpp"
@@ -79,18 +80,14 @@ TranResult simulateTransient(const Circuit& circuit,
     map.updateFixed(0.0, 1.0);
     map.commitFixed();
 
+    // updateState rewrites every slot, so a commit swaps the two buffers.
     std::vector<double> statePrev(map.stateSlots(), 0.0);
     std::vector<double> stateNext(map.stateSlots(), 0.0);
-    // Devices with transient state, in device order.
-    std::vector<const Device*> stateful;
-    for (const auto& dev : circuit.devices()) {
-        if (dev->stateCount() > 0) stateful.push_back(dev.get());
-    }
     {
         EvalContext ctx(map, x, nullptr, 0.0, 0.0, Integration::BackwardEuler,
                         /*transient=*/false, 1.0, &statePrev, &stateNext);
-        for (const Device* dev : stateful) dev->updateState(ctx);
-        statePrev = stateNext;
+        map.updateState(ctx, ws.companions);
+        std::swap(statePrev, stateNext);
     }
 
     // --- recording ---------------------------------------------------------
@@ -203,13 +200,14 @@ TranResult simulateTransient(const Circuit& circuit,
             dt = std::clamp(dt * 2.0, dtMin, dtMax);
         }
 
-        // Commit the step.
+        // Commit the step: ws.companions are still those of the Newton call
+        // that converged to xNew.
         {
             EvalContext ctx(map, xNew, &x, t + dtPrevAccepted, dtPrevAccepted,
                             method, /*transient=*/true, 1.0, &statePrev,
                             &stateNext);
-            for (const Device* dev : stateful) dev->updateState(ctx);
-            statePrev = stateNext;
+            map.updateState(ctx, ws.companions);
+            std::swap(statePrev, stateNext);
         }
         map.commitFixed();
         xOlder = x;

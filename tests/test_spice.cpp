@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "spice/circuit.hpp"
@@ -347,6 +349,172 @@ TEST(Mna, DenseAndSparseAssemblyAgreeBitwise) {
     }
 }
 
+// FNV-1a over the bit pattern of each double: a pin that moves with any
+// change of a single bit anywhere in what it covers.
+std::uint64_t fnv1a(std::uint64_t h, double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+std::uint64_t systemHash(const la::DenseMatrix& j, const la::Vector& rhs) {
+    std::uint64_t h = kFnvBasis;
+    for (std::size_t r = 0; r < j.rows(); ++r) {
+        for (std::size_t c = 0; c < j.cols(); ++c) h = fnv1a(h, j(r, c));
+    }
+    for (const double v : rhs) h = fnv1a(h, v);
+    return h;
+}
+
+// Every device kind and every terminal case (unknown, source-fixed of
+// either polarity, ground, two fixed ends) on top of the inverter.
+void addEveryDeviceKind(InverterFixture& f) {
+    Circuit& c = f.c;
+    const auto a = c.node("a");
+    const auto b = c.node("b");
+    const auto g = c.node("g");
+    const auto d = c.node("d");
+    const auto mid = c.node("mid");
+    const auto nin = c.node("nin");
+    c.addResistor("r1", f.in, a, 1e3);
+    c.addCapacitor("c1", a, spice::kGround, 5e-15);
+    c.addCapacitor("cc", a, f.out, 2e-15);
+    c.addVSource("vin", f.in, spice::kGround,
+                 SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 1e-10, 2e-10,
+                                                     1e-9)));
+    c.addISource("i1", spice::kGround, b, SourceSpec::dc(1e-4));
+    c.addResistor("r2", b, spice::kGround, 2e3);
+    c.addVccs("g1", g, spice::kGround, a, b, 1e-3);
+    c.addResistor("r3", g, f.vdd, 3e3);
+    c.addVcvs("e1", d, spice::kGround, a, g, 2.0);
+    c.addResistor("r4", d, f.out, 1e3);
+    c.addVSource("vfloat", mid, f.out, SourceSpec::dc(0.1));
+    c.addResistor("r5", mid, spice::kGround, 5e3);
+    c.addTableVccs("t1", f.out, f.in,
+                   la::Grid2d({0.0, 0.6, 1.2}, {0.0, 0.6, 1.2},
+                              {-2e-4, 1e-4, 3e-4, -1e-4, 2e-4, 4e-4, 0.0,
+                               3e-4, 6e-4}));
+    c.addCapacitor("c2", f.vdd, b, 3e-15);
+    c.addVSource("vneg", spice::kGround, nin, SourceSpec::dc(0.2));
+    c.addCapacitor("c3", nin, g, 1e-15);
+    c.addCapacitor("c4", f.in, f.vdd, 4e-15);  // both ends fixed
+    c.addResistor("r6", nin, f.in, 7e3);       // both ends fixed
+    c.addResistor("r7", a, f.in, 4e3);         // ramping fixed second end
+    c.addCapacitor("c5", b, f.in, 1.5e-15);    // likewise
+}
+
+TEST(Mna, AssemblyBitPin) {
+    // Every device kind stamped into both targets at DC and at a
+    // backward-Euler and a trapezoidal step whose previous point, previous
+    // state and fixed-node history all differ from the iterate. The hashes
+    // pin the exact bits of J and rhs.
+    InverterFixture f;  // vsupply, mp, mn (+ their parasitic capacitors)
+    addEveryDeviceKind(f);
+    const Circuit& c = f.c;
+    spice::MnaMap map(c);
+    const std::size_t n = map.unknowns();
+    ASSERT_TRUE(map.hasBranches());
+    la::Vector x(n);
+    la::Vector xPrev(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = 0.3 + 0.17 * double(i);
+        xPrev[i] = 0.25 + 0.11 * double(i);
+    }
+    std::vector<double> state(map.stateSlots());
+    for (std::size_t i = 0; i < state.size(); ++i) {
+        state[i] = 1e-6 * (double(i) - 2.5);
+    }
+    map.updateFixed(1.5e-10, 1.0);  // vin mid-ramp at the previous point
+    map.commitFixed();
+    map.updateFixed(2e-10, 1.0);
+
+    struct Case {
+        const char* name;
+        spice::EvalContext ctx;
+        std::uint64_t want;
+    };
+    const Case cases[] = {
+        {"dc",
+         spice::EvalContext(map, x, nullptr, 0.0, 0.0,
+                            spice::Integration::BackwardEuler, false, 1.0,
+                            nullptr, nullptr),
+         0xd24a696a4351a9f6ull},
+        {"be",
+         spice::EvalContext(map, x, &xPrev, 2e-10, 5e-11,
+                            spice::Integration::BackwardEuler, true, 1.0,
+                            &state, nullptr),
+         0x701c4a6a569078abull},
+        {"tr",
+         spice::EvalContext(map, x, &xPrev, 2e-10, 5e-11,
+                            spice::Integration::Trapezoidal, true, 1.0,
+                            &state, nullptr),
+         0x44d6016082211f84ull},
+    };
+    for (const Case& k : cases) {
+        la::DenseMatrix dense(n, n, 7.0);
+        la::Vector rhsDense(n, 3.0);
+        la::SparseMatrix sparse(n);
+        la::Vector rhsSparse(n, -1.0);
+        map.assemble(dense, rhsDense, k.ctx);
+        map.assemble(sparse, rhsSparse, k.ctx);
+        const std::uint64_t hDense = systemHash(dense, rhsDense);
+        const std::uint64_t hSparse = systemHash(sparse.toDense(), rhsSparse);
+        EXPECT_EQ(hDense, k.want) << k.name << std::hex << " 0x" << hDense;
+        EXPECT_EQ(hSparse, k.want) << k.name << std::hex << " 0x" << hSparse;
+    }
+}
+
+TEST(Mna, PlanMatchesTheDeviceStamps) {
+    // The plan stamps resistors and capacitors from its own entries; each
+    // device's own stamp() must assemble the same bits, at DC and at a
+    // trapezoidal step, dense and sparse.
+    InverterFixture f;
+    addEveryDeviceKind(f);
+    spice::MnaMap map(f.c);
+    const std::size_t n = map.unknowns();
+    la::Vector x(n);
+    la::Vector xPrev(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = 0.2 + 0.13 * double(i);
+        xPrev[i] = 0.35 - 0.05 * double(i);
+    }
+    const std::vector<double> state(map.stateSlots(), -3e-6);
+    map.commitFixed();
+    map.updateFixed(1.7e-10, 1.0);
+    for (const bool transient : {false, true}) {
+        const spice::EvalContext ctx(map, x, &xPrev, 1.7e-10, 2e-11,
+                                     spice::Integration::Trapezoidal,
+                                     transient, 1.0, &state, nullptr);
+        la::DenseMatrix planned(n, n);
+        la::Vector rhsPlanned(n);
+        map.assemble(planned, rhsPlanned, ctx);
+
+        la::DenseMatrix dense(n, n, 0.0);
+        la::Vector rhsDense(n, 0.0);
+        la::SparseMatrix sparse(n);
+        la::Vector rhsSparse(n, 0.0);
+        spice::Stamper toDense(map, dense, rhsDense);
+        spice::Stamper toSparse(map, sparse, rhsSparse);
+        for (const auto& dev : f.c.devices()) {
+            dev->stamp(toDense, ctx);
+            dev->stamp(toSparse, ctx);
+        }
+        for (std::size_t i = 0; i < map.nodeUnknowns(); ++i) {
+            dense(i, i) += map.gmin();
+            sparse.add(i, i, map.gmin());
+        }
+        const std::uint64_t want = systemHash(planned, rhsPlanned);
+        EXPECT_EQ(systemHash(dense, rhsDense), want) << transient;
+        EXPECT_EQ(systemHash(sparse.toDense(), rhsSparse), want) << transient;
+    }
+}
+
 // -------------------------------------------------------------- transient
 
 TEST(Tran, RcStepMatchesAnalytic) {
@@ -601,6 +769,98 @@ TEST(TranStopHook, HookIsNotCalledAfterItStops) {
     EXPECT_LT(out.back().v, 0.6);
     for (std::size_t i = 0; i + 1 < out.size(); ++i) EXPECT_GE(out[i].v, 0.6);
     EXPECT_LT(out.back().t, 2e-9);
+}
+
+TEST(Tran, SparsePathBitPin) {
+    // A branch-free RC ladder above the dense-path threshold (280
+    // unknowns), with a few coupling caps to a second ladder, under a PWL
+    // ramp: pins every sample of a run on the sparse Newton path.
+    Circuit c;
+    const auto in = c.node("in");
+    c.addVSource("vin", in, spice::kGround,
+                 SourceSpec::pwl(wave::saturatedRamp(0, 1.0, 2e-11, 5e-11,
+                                                     1e-9)));
+    const int sections = 150;
+    spice::NodeId prevA = in;
+    spice::NodeId prevB = spice::kGround;
+    for (int k = 0; k < sections; ++k) {
+        const auto na = c.node("a" + std::to_string(k));
+        const auto nb = c.node("b" + std::to_string(k));
+        c.addResistor("ra" + std::to_string(k), prevA, na, 20.0);
+        c.addCapacitor("ca" + std::to_string(k), na, spice::kGround, 2e-16);
+        c.addResistor("rb" + std::to_string(k), prevB, nb, 35.0);
+        c.addCapacitor("cb" + std::to_string(k), nb, spice::kGround, 1.5e-16);
+        if (k % 37 == 5) {
+            c.addCapacitor("cc" + std::to_string(k), na, nb, 4e-16);
+        }
+        prevA = na;
+        prevB = nb;
+    }
+    c.addResistor("rhold", prevB, spice::kGround, 1e3);
+    ASSERT_GE(spice::MnaMap(c).unknowns(), 280u);
+    ASSERT_FALSE(spice::NewtonWorkspace(spice::MnaMap(c)).dense);
+
+    spice::TranOptions opt;
+    opt.tstop = 3e-10;
+    const auto res = spice::simulateTransient(c, opt);
+    std::uint64_t h = kFnvBasis;
+    std::size_t samples = 0;
+    for (const auto& node : allSamples(c, res)) {
+        for (const auto& s : node) h = fnv1a(fnv1a(h, s.t), s.v);
+        samples += node.size();
+    }
+    EXPECT_EQ(samples, 80668u);
+    EXPECT_EQ(res.stats().newtonIterations, 540);
+    EXPECT_EQ(h, 0x4e360bfec2828762ull) << std::hex << "0x" << h;
+}
+
+TEST(Tran, EveryDeviceKindBitPin) {
+    // The step loop's state updates and fixed-node history on every device
+    // kind: a capacitor's state feeds the next trapezoidal companion, so a
+    // wrong update moves the waveform.
+    InverterFixture f;
+    addEveryDeviceKind(f);
+    spice::TranOptions opt;
+    opt.tstop = 1e-9;
+    const auto res = spice::simulateTransient(f.c, opt);
+    std::uint64_t h = kFnvBasis;
+    std::size_t samples = 0;
+    for (const auto& node : allSamples(f.c, res)) {
+        for (const auto& s : node) h = fnv1a(fnv1a(h, s.t), s.v);
+        samples += node.size();
+    }
+    EXPECT_EQ(samples, 2637u);
+    EXPECT_EQ(res.stats().newtonIterations, 1289);
+    EXPECT_EQ(h, 0x69acde1c9dbb1337ull) << std::hex << "0x" << h;
+}
+
+// A table load curve with one NaN entry: every bilinear patch touches it,
+// so the Newton system turns NaN at the first stamp. The run must fail as
+// a convergence error, never return NaN samples as converged.
+Circuit nanTableCircuit() {
+    std::vector<double> z(9);
+    for (std::size_t i = 0; i < z.size(); ++i) z[i] = 1e-4 * double(i) - 4e-4;
+    z[4] = std::numeric_limits<double>::quiet_NaN();
+    Circuit c;
+    const auto in = c.node("in");
+    const auto out = c.node("out");
+    const auto load = c.node("load");
+    c.addVSource("vin", in, spice::kGround,
+                 SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 1e-10, 5e-11,
+                                                     1e-9)));
+    c.addTableVccs("t1", out, in,
+                   la::Grid2d({0.0, 0.6, 1.2}, {0.0, 0.6, 1.2}, std::move(z)));
+    c.addResistor("rl", out, load, 1e3);
+    c.addCapacitor("cl", load, spice::kGround, 10e-15);
+    return c;
+}
+
+TEST(Newton, NanStampIsAConvergenceError) {
+    const Circuit c = nanTableCircuit();
+    EXPECT_THROW(spice::solveDc(c), ConvergenceError);
+    spice::TranOptions opt;
+    opt.tstop = 1e-9;
+    EXPECT_THROW(spice::simulateTransient(c, opt), ConvergenceError);
 }
 
 TEST(Tran, RejectsNonPositiveStop) {
