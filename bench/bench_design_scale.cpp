@@ -12,10 +12,11 @@
 //     task-graph wavefront and stage-to-stage glitch propagation, across
 //     the same thread sweep. All sweep margins are cross-checked bitwise
 //     against t=1, the max-thread run is cross-checked bitwise against the
-//     level-barrier mode and reports its scheduler counters (tasks, steals,
-//     ready-frontier high water, per-worker busy fractions), and the count
-//     of combined-only failures (nets the flat local-only sweep passes but
-//     the propagated verdict fails) is reported;
+//     serial (threads=1) schedule and reports its scheduler counters
+//     (tasks, steals, ready-frontier high water, per-worker busy
+//     fractions), and the count of combined-only failures (nets the flat
+//     local-only sweep passes but the propagated verdict fails) is
+//     reported;
 //   * windowed: the chained wavefront again with alternating disjoint
 //     switching windows (even nets early, odd nets late), measuring the
 //     pessimism the FRAME-style window constraints recover: excluded
@@ -257,9 +258,9 @@ struct Row {
     /// smoke check asserts exactly that.
     std::size_t quarantinedTasks = 0;
     bool cancelled = false;
-    /// Task-graph vs level-barrier wavefront at the max thread count; the
-    /// scheduler's determinism contract makes this exactly 0.
-    double barrierMarginDiff = 0.0;
+    /// Max-thread vs serial (threads=1) wavefront; the scheduler's
+    /// determinism contract makes this exactly 0.
+    double serialMarginDiff = 0.0;
     std::size_t propagationRuns = 0;
     std::size_t combinedOnlyFails = 0;  ///< fails only with propagation
     double maxMarginDrop = 0.0;  ///< worst local-minus-combined margin, V
@@ -458,11 +459,12 @@ int main(int argc, char** argv) {
 
         // Propagated wavefront across the same thread sweep (task-graph
         // scheduling); the max-thread run also reports its scheduler
-        // counters and is cross-checked bitwise against the level-barrier
-        // mode it replaced.
+        // counters and is cross-checked bitwise against the serial
+        // schedule.
         core::DesignNoiseOptions popt = opt;
         popt.propagate = true;
-        std::vector<core::NetNoiseReport> prop1, propMax;
+        std::vector<core::NetNoiseReport> prop1, propSerial, propMax;
+        bool haveSerial = false;
         for (std::size_t k = 0; k < threadsSweep.size(); ++k) {
             charlib::CharCache pcache;
             popt.cache = &pcache;
@@ -488,7 +490,11 @@ int main(int argc, char** argv) {
                 row.propMarginDiff = std::max(row.propMarginDiff,
                                               maxMarginDiff(prop1, rep));
             }
-            if (threadsSweep[k] == 1) row.prop1Sec = row.sweep[k].propSec;
+            if (threadsSweep[k] == 1) {
+                row.prop1Sec = row.sweep[k].propSec;
+                propSerial = rep;
+                haveSerial = true;
+            }
             if (threadsSweep[k] == 4) row.prop4Sec = row.sweep[k].propSec;
             if (last) {
                 propMax = rep;
@@ -505,17 +511,17 @@ int main(int argc, char** argv) {
         if (row.prop1Sec == 0.0) row.prop1Sec = row.sweep.front().propSec;
         if (row.prop4Sec == 0.0) row.prop4Sec = row.sweep.back().propSec;
 
-        // Barrier cross-check at the max thread count: the dependency-
-        // counted scheduler must be bit-identical to the level barrier.
-        {
-            charlib::CharCache bcache;
-            popt.cache = &bcache;
-            popt.threads = threadsSweep.back();
-            popt.wavefront = core::WavefrontMode::levelBarrier;
-            const auto barrier = core::analyzeDesign(chained, chainSpef, popt);
-            row.barrierMarginDiff = maxMarginDiff(propMax, barrier);
-            popt.wavefront = core::WavefrontMode::taskGraph;
+        // Serial cross-check at the max thread count: the parallel
+        // schedule must be bit-identical to the serial FIFO-Kahn one
+        // (threads=1). The sweep's own t1 run serves when it has one.
+        if (!haveSerial) {
+            charlib::CharCache scache;
+            core::DesignNoiseOptions sopt = popt;
+            sopt.cache = &scache;
+            sopt.threads = 1;
+            propSerial = core::analyzeDesign(chained, chainSpef, sopt);
         }
+        row.serialMarginDiff = maxMarginDiff(propMax, propSerial);
 
         // ---- timing-windows variant --------------------------------------
         // Disjoint switching slots in blocks of two (n0,n1 early; n2,n3
@@ -679,7 +685,7 @@ int main(int argc, char** argv) {
 
     util::Table ptable({"Nets", "Levels", "Lint (s)", "Lint E/W/I",
                         "Prop sweep t:s", "Max |dMargin| sweep (V)",
-                        "Barrier |dMargin| (V)", "Prop-table runs",
+                        "Serial |dMargin| (V)", "Prop-table runs",
                         "Max margin drop (V)", "Combined-only fails"});
     for (const auto& r : rows) {
         std::ostringstream sw;
@@ -693,7 +699,7 @@ int main(int argc, char** argv) {
                            std::to_string(r.lintWarnings) + "/" +
                            std::to_string(r.lintInfos),
                        sw.str(), util::Table::num(r.propMarginDiff, 12),
-                       util::Table::num(r.barrierMarginDiff, 12),
+                       util::Table::num(r.serialMarginDiff, 12),
                        std::to_string(r.propagationRuns),
                        util::Table::num(r.maxMarginDrop, 3),
                        std::to_string(r.combinedOnlyFails)});
@@ -804,7 +810,7 @@ int main(int argc, char** argv) {
             "\"lint_warnings\": %zu, \"lint_infos\": %zu, "
             "\"propagate_t1_sec\": %.4f, "
             "\"propagate_t4_sec\": %.4f, \"propagate_margin_diff\": %.3e, "
-            "\"barrier_margin_diff\": %.3e, "
+            "\"serial_margin_diff\": %.3e, "
             "\"scheduler_tasks\": %zu, \"scheduler_steals\": %zu, "
             "\"scheduler_max_ready_depth\": %zu, "
             "\"scheduler_busy_fraction\": [%s], "
@@ -828,7 +834,7 @@ int main(int argc, char** argv) {
             r.opt4Sec, speedupStr.c_str(), r.marginDiff, r.loadCurveRuns,
             r.nrcRuns, sweepJson.str().c_str(), r.levels, r.lintSec,
             r.lintErrors, r.lintWarnings, r.lintInfos, r.prop1Sec,
-            r.prop4Sec, r.propMarginDiff, r.barrierMarginDiff, r.schedTasks,
+            r.prop4Sec, r.propMarginDiff, r.serialMarginDiff, r.schedTasks,
             r.schedSteals, r.schedMaxReady, busyJson.str().c_str(),
             r.quarantinedTasks, r.cancelled ? "true" : "false",
             r.propagationRuns, r.maxMarginDrop, r.combinedOnlyFails,

@@ -53,7 +53,7 @@ struct FaninEdge {
 /// contiguous id range — and the fanin/fanout adjacency covers exactly the
 /// scheduled edges (cycle-broken edges excluded, duplicates collapsed).
 /// Task ids double as slots for per-net outputs, which is what makes the
-/// out-of-order task-graph wavefront bit-identical to the level barrier.
+/// out-of-order task-graph wavefront bit-identical at any thread count.
 struct NetTaskGraph {
     std::vector<std::string> nets;  ///< task id -> net name
     std::unordered_map<std::string, int> idOf;  ///< net name -> task id

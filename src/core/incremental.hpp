@@ -109,7 +109,7 @@ struct AnalysisSnapshot {
     std::vector<VictimSelection> victims;
     std::unordered_map<std::string, int> slotOf;  ///< victim net -> slot
     std::vector<NetNoiseReport> victimReports;     ///< by victim slot
-    /// Wavefront only, by task id (DesignIndex::taskGraph):
+    /// By task id (DesignIndex::taskGraph; the flat sweep's are empty):
     std::vector<SurvivingSet> surviving;
     std::vector<std::optional<NetNoiseReport>> quietReports;
     /// Windows mode only: the propagated window of every task id, and the
@@ -136,7 +136,7 @@ struct IncrementalStats {
     /// True when the call could not splice (invalid snapshot, option or
     /// connectivity change) and ran the full pipeline instead.
     bool indexRebuilt = false;
-    util::SchedulerStats scheduler;  ///< restricted run (wavefront only)
+    util::SchedulerStats scheduler;  ///< the restricted run's counters
 };
 
 /// The dirty cone of `seeds` on the index: seeds, plus every coupling

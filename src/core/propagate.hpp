@@ -67,8 +67,8 @@ std::vector<IncomingGlitch> selectIncoming(
 /// Accessor-based variant for slot-addressed storage: `survivingOf(fromNet)`
 /// returns the upstream net's surviving front, or nullptr when that net has
 /// none (or, in the task-graph wavefront, when the edge is not a scheduled
-/// dependency — a cycle-broken fanin must contribute nothing, exactly as it
-/// never could under the level barrier). Same selection semantics.
+/// dependency — a cycle-broken fanin sits at the same or a later level and
+/// must contribute nothing). Same selection semantics.
 std::vector<IncomingGlitch> selectIncoming(
     const DesignIndex& index, const std::string& net,
     const std::function<const SurvivingSet*(const std::string&)>&

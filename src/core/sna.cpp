@@ -312,11 +312,11 @@ NetNoiseReport analyzeVictim(
 
 /// Scalar analysis options that change per-net results, encoded bitwise. A
 /// snapshot whose fingerprint differs cannot splice: a clean net's retained
-/// report was computed under different knobs. Thread count, wavefront mode,
-/// and the lint mode are deliberately absent — they never change a value.
-/// So are cancel/deadline/onNetFailure: a snapshot is only ever captured
-/// from a complete, fault-free run, and such runs are bit-identical across
-/// all failure policies.
+/// report was computed under different knobs. Thread count and the lint
+/// mode are deliberately absent — they never change a value. So are
+/// cancel/deadline/onNetFailure: a snapshot is only ever captured from a
+/// complete, fault-free run, and such runs are bit-identical across all
+/// failure policies.
 std::string fingerprintOf(const DesignNoiseOptions& opt) {
     std::ostringstream os;
     const auto put = [&os](double v) {
@@ -341,23 +341,12 @@ std::string fingerprintOf(const DesignNoiseOptions& opt) {
     return os.str();
 }
 
-/// What one analyzeWithIndex run observed about its own completion, for
-/// the outcome-returning entry points. Always instantiated internally;
-/// `clean()` additionally gates snapshot capture (a partial or faulted run
-/// must never become splice input for a later incremental run).
-struct RunOutcome {
-    bool cancelled = false;
-    util::CancelToken::Reason reason = util::CancelToken::Reason::none;
-    std::vector<std::string> unsolved;
-    std::vector<std::string> failed;
-    std::vector<std::string> quarantined;
-    std::vector<std::string> degraded;
-
-    bool clean() const {
-        return !cancelled && failed.empty() && quarantined.empty() &&
-               degraded.empty();
-    }
-};
+/// Sorts `v` and drops duplicates: the deterministic order of every name
+/// list a report or an outcome carries.
+void sortUnique(std::vector<std::string>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+}
 
 /// The report a net gets when its solve never produced one: enough to keep
 /// the report list shape (one entry per victim, SPEF order) while making
@@ -508,6 +497,21 @@ std::vector<NetNoiseReport> collectReports(AnalysisSnapshot& state,
     return out;
 }
 
+/// The flat sweep's task graph: one task per victim slot in SPEF order and
+/// no edges (task id == victim slot), so every cluster solves on its own.
+/// Built from the victim list alone; the index's level graph stays lazy.
+NetTaskGraph flatTaskGraph(const AnalysisSnapshot& state) {
+    const std::size_t n = state.victims.size();
+    NetTaskGraph g;
+    g.nets.reserve(n);
+    for (const VictimSelection& v : state.victims) g.nets.push_back(v.net);
+    g.idOf = state.slotOf;
+    g.faninIds.assign(n, {});
+    g.graph.fanout.assign(n, {});
+    g.graph.faninCount.assign(n, 0);
+    return g;
+}
+
 /// The engine shared by analyzeDesign (inc == nullptr: every net solves)
 /// and analyzeDesignIncremental (inc != nullptr: only the dirty tasks are
 /// scheduled). Every per-net value lives in `state`'s slots and the run
@@ -517,11 +521,12 @@ std::vector<NetNoiseReport> collectReports(AnalysisSnapshot& state,
 /// `retain` says whether `state` outlives the call (a snapshot) — then the
 /// returned reports are copies — or is a throwaway the reports move out of.
 /// The caller owns the snapshot's identity fields, index, and validity.
-std::vector<NetNoiseReport> analyzeWithIndex(
-    const Design& design, const parser::SpefFile& spef,
-    const DesignNoiseOptions& opt, const DesignIndex& index,
-    AnalysisSnapshot& state, bool retain, const IncrementalContext* inc,
-    RunOutcome* out) {
+AnalysisOutcome analyzeWithIndex(const Design& design,
+                                 const parser::SpefFile& spef,
+                                 const DesignNoiseOptions& opt,
+                                 const DesignIndex& index,
+                                 AnalysisSnapshot& state, bool retain,
+                                 const IncrementalContext* inc) {
     const cell::CellLibrary& lib = design.library();
     charlib::CharCache runCache;
     charlib::CharCache* cache = opt.cache ? opt.cache : &runCache;
@@ -546,7 +551,7 @@ std::vector<NetNoiseReport> analyzeWithIndex(
     const auto solveVictim =
         [&](const VictimSelection& w,
             const std::vector<IncomingGlitch>& incoming,
-            SurvivingSet* outSurviving, VictimWindows* windows = nullptr) {
+            SurvivingSet* outSurviving, VictimWindows* windows) {
             std::vector<std::string> clusterNets{w.net};
             for (const auto& [drvCell, agg] : w.ranked) {
                 clusterNets.push_back(agg);
@@ -576,9 +581,6 @@ std::vector<NetNoiseReport> analyzeWithIndex(
     }
     const NetFailurePolicy policy = opt.onNetFailure;
 
-    // One pool per analyzeDesign call, shared by every sweep below: the old
-    // per-level parallelFor constructed and joined a fresh ThreadPool at
-    // every level, and that thread churn dominated the wavefront's runtime.
     // threads == 0 means "use the machine" (hardware_concurrency).
     const int threads = util::resolveThreadCount(opt.threads);
     std::unique_ptr<util::ThreadPool> pool;
@@ -586,97 +588,20 @@ std::vector<NetNoiseReport> analyzeWithIndex(
         pool = std::make_unique<util::ThreadPool>(threads);
     }
 
-    if (!opt.propagate) {
-        // ---- phase 2, flat (parallel): one independent cluster solve per
-        // victim. Slot i holds net i's report, so ordering stays SPEF order
-        // at any thread count. Incremental runs keep every clean victim's
-        // retained slot and solve only the dirty ones.
-        std::vector<char> solveSlot(work.size(), inc != nullptr ? 0 : 1);
-        if (inc == nullptr) {
-            state.surviving.clear();
-            state.quietReports.clear();
-            state.netWindows.clear();
-        } else {
-            const auto markDirty = [&](int slot) {
-                solveSlot[static_cast<std::size_t>(slot)] = 1;
-                victimDone[static_cast<std::size_t>(slot)] = 0;
-            };
-            for (const std::string& net : *inc->dirty) {
-                const auto it = state.slotOf.find(net);
-                if (it != state.slotOf.end()) markDirty(it->second);
-            }
-            for (const int slot : unrecordedSlots) markDirty(slot);
-        }
-        util::parallelFor(
-            pool.get(), static_cast<int>(work.size()),
-            [&](int i) {
-                if (!solveSlot[static_cast<std::size_t>(i)]) return;
-                const std::string& net = work[i].net;
-                if (policy == NetFailurePolicy::failFast) {
-                    SNA_FAULT_POINT("core.solve_net", net);
-                    reports[i] = solveVictim(work[i], {}, nullptr);
-                } else {
-                    // Independent victims: no cone to quarantine, so both
-                    // non-failFast policies reduce to "capture and go on".
-                    try {
-                        SNA_FAULT_POINT("core.solve_net", net);
-                        reports[i] = solveVictim(work[i], {}, nullptr);
-                    } catch (const util::CancelledError&) {
-                        throw;
-                    } catch (const std::exception& e) {
-                        reports[i] = failureStub(
-                            net, NetNoiseReport::Status::failed, e.what());
-                    }
-                }
-                victimDone[static_cast<std::size_t>(i)] = 1;
-            },
-            cancel);
-        bool runCancelled = false;
-        for (const char done : victimDone) {
-            if (!done) {
-                runCancelled = true;
-                break;
-            }
-        }
-        if (out != nullptr) {
-            out->cancelled = runCancelled;
-            if (runCancelled && cancel != nullptr) {
-                out->reason = cancel->reason();
-            }
-            for (std::size_t i = 0; i < work.size(); ++i) {
-                if (!victimDone[i]) {
-                    out->unsolved.push_back(work[i].net);
-                } else if (reports[i].status ==
-                           NetNoiseReport::Status::failed) {
-                    out->failed.push_back(work[i].net);
-                }
-            }
-        }
-        if (inc != nullptr) {
-            inc->stats->totalTasks = work.size();
-            for (const char solve : solveSlot) {
-                if (solve) {
-                    ++inc->stats->solvedVictimReports;
-                } else {
-                    ++inc->stats->reusedVictimReports;
-                }
-            }
-            inc->stats->dirtyTasks = inc->stats->solvedVictimReports;
-        }
-        return collectReports(state, victimDone, retain);
-    }
-
-    // ---- phase 2, wavefront: one task per net of the design graph, run
-    // either as a dependency-counted task graph (default — a net solves the
-    // moment its fanin nets finish) or level-by-level behind a barrier (the
-    // validation baseline). Either way every per-net output is
-    // slot-addressed — reports by victim slot, surviving fronts and quiet
-    // reports by task id — and a task reads nothing but its scheduled
-    // fanins' slots, so completion order cannot change a single bit. Victim
-    // clusters write their report slot (SPEF order is preserved because the
-    // slots were allocated in phase 1); quiet pass-through nets carry noise
-    // forward through the cached propagation tables.
-    const NetTaskGraph& tg = index.taskGraph();
+    // ---- phase 2: one task per net, run by the dependency-counted
+    // scheduler. The propagated wavefront's tasks are the nets of the
+    // design graph, and a net solves the moment its scheduled fanins
+    // finish; the flat sweep is the same graph with no edges and one task
+    // per victim. Every per-net output is slot-addressed — reports by
+    // victim slot, surviving fronts and quiet reports by task id — and a
+    // task reads nothing but its scheduled fanins' slots, so completion
+    // order cannot change a single bit. Victim clusters write their report
+    // slot (SPEF order is preserved because the slots were allocated in
+    // phase 1); quiet pass-through nets carry noise forward through the
+    // cached propagation tables.
+    NetTaskGraph flat;
+    if (!opt.propagate) flat = flatTaskGraph(state);
+    const NetTaskGraph& tg = opt.propagate ? index.taskGraph() : flat;
     const int numNets = static_cast<int>(tg.nets.size());
     const std::unordered_map<std::string, int>& slotOf = state.slotOf;
     // Slot-addressed per-net outputs: task id -> the net's surviving front /
@@ -691,12 +616,18 @@ std::vector<NetNoiseReport> analyzeWithIndex(
     // victim's aggressors can live on ANY level, so their windows must be
     // known up front, not wavefront-ordered. An incremental caller has
     // already re-propagated the cone of its ECO into the retained slots.
-    // Without windows this block is free and the wavefront below is
-    // untouched — bit-identical to the windows-less pipeline.
-    const bool useWindows = opt.windows != nullptr;
-    if (inc == nullptr) {
+    // Without windows (and in the flat sweep, which ignores them) this
+    // block is free and the run is bit-identical to the windows-less one.
+    const bool useWindows = opt.propagate && opt.windows != nullptr;
+    if (inc == nullptr || !opt.propagate) {
+        // Nothing reads the flat sweep's fronts (no task has a fanin) and
+        // it has no quiet nets, so its slots are simply reset — also on an
+        // incremental run, whose reselected victim list may change the
+        // task count.
         surviving.assign(static_cast<std::size_t>(numNets), SurvivingSet{});
         quietReports.assign(static_cast<std::size_t>(numNets), std::nullopt);
+    }
+    if (inc == nullptr) {
         state.netWindows.clear();
         if (useWindows) state.netWindows = propagateWindowsById(index, cache);
     }
@@ -752,13 +683,12 @@ std::vector<NetNoiseReport> analyzeWithIndex(
             work.size() - inc->stats->solvedVictimReports;
     }
 
-    const auto solveNet = [&](int id) {
-        const std::string& net = tg.nets[id];
-        // Surviving fronts are visible over scheduled fanin edges only. A
-        // cycle-broken fanin sits at the same or a later level, so under
-        // the barrier it was never committed when this net solved — the
-        // task graph must reproduce exactly that (and must not read a slot
-        // another in-flight task may be writing).
+    // The glitches reaching task `id`'s driver. Surviving fronts are
+    // visible over scheduled fanin edges only: a cycle-broken fanin sits at
+    // the same or a later level and may still be in flight, so its slot is
+    // never read. The flat sweep injects nothing.
+    const auto incomingOf = [&](int id) -> std::vector<IncomingGlitch> {
+        if (!opt.propagate) return {};
         const std::vector<int>& faninIds =
             tg.faninIds[static_cast<std::size_t>(id)];
         const auto survivingOf =
@@ -773,9 +703,13 @@ std::vector<NetNoiseReport> analyzeWithIndex(
                 surviving[static_cast<std::size_t>(it->second)];
             return s.empty() ? nullptr : &s;
         };
+        return selectIncoming(index, tg.nets[static_cast<std::size_t>(id)],
+                              survivingOf);
+    };
 
-        const std::vector<IncomingGlitch> incoming =
-            selectIncoming(index, net, survivingOf);
+    const auto solveNet = [&](int id) {
+        const std::string& net = tg.nets[id];
+        const std::vector<IncomingGlitch> incoming = incomingOf(id);
         int slot = -1;  ///< work index, or -1 for a pass-through net
         if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
             slot = sit->second;
@@ -841,74 +775,57 @@ std::vector<NetNoiseReport> analyzeWithIndex(
         // its front downstream even when it has no receiver to report on).
         const auto solveBody = [&] {
                 if (slot >= 0) {
-                    if (!useWindows) {
-                        // Every run's output (local and per-candidate
-                        // combined) joins the net's surviving front: a
-                        // non-governing candidate can still leave the
-                        // wider glitch.
-                        reports[slot] = solveVictim(
-                            work[slot], incoming, &produced);
-                        return;
-                    }
-                    if (!constraining) {
-                        // Every involved window is unbounded and nothing
-                        // was dropped: the constrained run would be the
-                        // unconstrained run. Solve once, report the margin
-                        // as both.
-                        NetNoiseReport r = solveVictim(
-                            work[slot], incoming, &produced);
-                        r.windows.constrained = true;
-                        r.windows.window = sens;
-                        r.windows.unconstrainedMargin = r.cluster.margin;
-                        r.windows.windowedMargin = r.cluster.margin;
-                        reports[slot] = std::move(r);
-                        return;
-                    }
-                    // Windows mode: the window-constrained analysis that
-                    // governs the verdict and feeds the surviving front
-                    // downstream, plus — from the same runs — the
-                    // unconstrained margin reported for comparison.
-                    std::vector<std::string> droppedFrom;
-                    for (std::size_t i = 0; i < incoming.size(); ++i) {
-                        if (dropped[i] != 0) {
-                            droppedFrom.push_back(incoming[i].fromNet);
-                        }
-                    }
+                    // Every run's output (local and per-candidate combined)
+                    // joins the net's surviving front: a non-governing
+                    // candidate can still leave the wider glitch. With a
+                    // constraining window the runs are window-constrained
+                    // (they govern the verdict and feed the front), and
+                    // the same runs yield the unconstrained margin; without
+                    // one the constrained run would be the unconstrained
+                    // run, so one solve reports the margin as both.
                     VictimWindows vw;
                     vw.aggWindows = &aggWindows;
                     vw.incomingWindows = &incomingWindows;
                     vw.dropped = &dropped;
-                    NetNoiseReport win =
-                        solveVictim(work[slot], incoming, &produced, &vw);
-                    win.windows.constrained = true;
-                    win.windows.window = sens;
-                    win.windows.unconstrainedMargin = vw.unconstrainedMargin;
-                    win.windows.windowedMargin = win.cluster.margin;
-                    // Exclusions are recorded from two places: empty
-                    // window overlaps (decided here), and aggressors the
-                    // governing run's search had to hold quiet because the
-                    // overlap left no feasible INPUT switch time once
-                    // mapped through that run's delay/slew (+inf times).
-                    std::vector<std::string> excluded = excludedAggressors;
-                    const auto& times = win.cluster.aggressorSwitchTimes;
-                    for (std::size_t a = 0;
-                         a < times.size() && a < work[slot].ranked.size();
-                         ++a) {
-                        if (std::isinf(times[a])) {
-                            excluded.push_back(work[slot].ranked[a].second);
-                        }
+                    NetNoiseReport r =
+                        solveVictim(work[slot], incoming, &produced,
+                                    constraining ? &vw : nullptr);
+                    if (useWindows) {
+                        r.windows.constrained = true;
+                        r.windows.window = sens;
+                        r.windows.unconstrainedMargin =
+                            constraining ? vw.unconstrainedMargin
+                                         : r.cluster.margin;
+                        r.windows.windowedMargin = r.cluster.margin;
                     }
-                    std::sort(excluded.begin(), excluded.end());
-                    excluded.erase(
-                        std::unique(excluded.begin(), excluded.end()),
-                        excluded.end());
-                    win.windows.excludedAggressors = std::move(excluded);
-                    std::sort(droppedFrom.begin(), droppedFrom.end());
-                    droppedFrom.erase(
-                        std::unique(droppedFrom.begin(), droppedFrom.end()),
-                        droppedFrom.end());
-                    win.windows.droppedIncoming = std::move(droppedFrom);
-                    reports[slot] = std::move(win);
+                    if (constraining) {
+                        // Exclusions are recorded from two places: empty
+                        // window overlaps (decided above), and aggressors
+                        // the governing run's search had to hold quiet
+                        // because the overlap left no feasible INPUT
+                        // switch time once mapped through that run's
+                        // delay/slew (+inf times).
+                        const auto& times = r.cluster.aggressorSwitchTimes;
+                        const auto& ranked = work[slot].ranked;
+                        for (std::size_t a = 0;
+                             a < times.size() && a < ranked.size(); ++a) {
+                            if (std::isinf(times[a])) {
+                                excludedAggressors.push_back(ranked[a].second);
+                            }
+                        }
+                        sortUnique(excludedAggressors);
+                        r.windows.excludedAggressors =
+                            std::move(excludedAggressors);
+                        std::vector<std::string> droppedFrom;
+                        for (std::size_t i = 0; i < incoming.size(); ++i) {
+                            if (dropped[i] != 0) {
+                                droppedFrom.push_back(incoming[i].fromNet);
+                            }
+                        }
+                        sortUnique(droppedFrom);
+                        r.windows.droppedIncoming = std::move(droppedFrom);
+                    }
+                    reports[slot] = std::move(r);
                     return;
                 }
                 const Instance* drv = index.driverOf(net);
@@ -1027,10 +944,7 @@ std::vector<NetNoiseReport> analyzeWithIndex(
                         pr.cluster.fails = false;
                     }
                     pr.windows.windowedMargin = pr.cluster.margin;
-                    std::sort(droppedFrom.begin(), droppedFrom.end());
-                    droppedFrom.erase(std::unique(droppedFrom.begin(),
-                                                  droppedFrom.end()),
-                                      droppedFrom.end());
+                    sortUnique(droppedFrom);
                     pr.windows.droppedIncoming = std::move(droppedFrom);
                 }
                 // No local (coupled) noise on a quiet net: the local-only
@@ -1043,11 +957,9 @@ std::vector<NetNoiseReport> analyzeWithIndex(
         };
         solveBody();
 
-        // Publish this net's surviving front into its slot (the per-level
-        // serial commit of the barrier wavefront, now owned by the task):
-        // the height filter runs here so downstream tasks — which may
-        // already be running in task-graph mode — only ever see the final
-        // value after their dependency count reaches zero.
+        // Publish this net's surviving front into its slot: the height
+        // filter runs here so downstream tasks only ever see the final
+        // value, after their dependency count reaches zero.
         SurvivingSet kept;
         for (const SurvivingGlitch& sg : produced) {
             if (sg.height >= opt.propagateMinHeight && sg.width > 0.0) {
@@ -1060,7 +972,8 @@ std::vector<NetNoiseReport> analyzeWithIndex(
     // The task the scheduler actually runs: solveNet wrapped in the
     // failure-quarantine policy. Under failFast the wrapper adds nothing
     // but the injection site — exceptions propagate through the scheduler
-    // exactly as before, bit-identical behavior included.
+    // untouched. A flat task has no fanins, so quarantineCone and
+    // degradeToPassthrough both reduce to "capture the failure and go on".
     const auto runTask = [&](int id) {
         const std::string& net = tg.nets[static_cast<std::size_t>(id)];
         int slot = -1;
@@ -1079,11 +992,9 @@ std::vector<NetNoiseReport> analyzeWithIndex(
         }
         // Cone state over the scheduled fanin edges. Each fanin's state was
         // committed before this task's dependency count reached zero.
-        const std::vector<int>& faninIds =
-            tg.faninIds[static_cast<std::size_t>(id)];
         bool upstreamFault = false;
         bool upstreamDegraded = false;
-        for (const int f : faninIds) {
+        for (const int f : tg.faninIds[static_cast<std::size_t>(id)]) {
             const TaskState s = taskState[static_cast<std::size_t>(f)];
             if (s == TaskState::failed || s == TaskState::quarantined) {
                 upstreamFault = true;
@@ -1131,20 +1042,7 @@ std::vector<NetNoiseReport> analyzeWithIndex(
             if (policy == NetFailurePolicy::degradeToPassthrough) {
                 // Bridge the failed stage conservatively: its incoming
                 // glitches transfer downstream unattenuated.
-                const auto survivingOf =
-                    [&](const std::string& from) -> const SurvivingSet* {
-                    const auto it = tg.idOf.find(from);
-                    if (it == tg.idOf.end() ||
-                        !std::binary_search(faninIds.begin(), faninIds.end(),
-                                            it->second)) {
-                        return nullptr;
-                    }
-                    const SurvivingSet& s =
-                        surviving[static_cast<std::size_t>(it->second)];
-                    return s.empty() ? nullptr : &s;
-                };
-                for (const IncomingGlitch& in :
-                     selectIncoming(index, net, survivingOf)) {
+                for (const IncomingGlitch& in : incomingOf(id)) {
                     SurvivingGlitch sg;
                     sg.height = in.height;
                     sg.width = in.width;
@@ -1159,103 +1057,73 @@ std::vector<NetNoiseReport> analyzeWithIndex(
         markDone();
     };
 
-    if (inc != nullptr) {
-        // Incremental: only the dirty tasks are scheduled. Edges from a
-        // clean fanin vanish (its slot is already filled); edges among
-        // dirty tasks keep their dependency order, so a dirty net still
-        // solves after every dirty upstream net.
-        const util::RestrictedTaskGraph sub =
-            util::restrictTaskGraph(tg.graph, dirtyMask);
-        util::SchedulerStats stats = util::runTaskGraph(
-            sub.graph,
-            [&](int s) {
-                runTask(sub.fullId[static_cast<std::size_t>(s)]);
-            },
-            pool.get(), cancel);
-        inc->stats->totalTasks = static_cast<std::size_t>(numNets);
-        inc->stats->dirtyTasks = sub.fullId.size();
-        inc->stats->scheduler = stats;
-        if (opt.schedulerStats != nullptr) {
-            *opt.schedulerStats = std::move(stats);
-        }
-    } else if (opt.wavefront == WavefrontMode::levelBarrier) {
-        // Validation baseline: levels run in order with a full join between
-        // them. Task ids are (level, name)-ordered, so each level is the
-        // contiguous id range [base, base + levelNets.size()).
-        int base = 0;
-        for (const auto& levelNets : index.levels().levels) {
-            if (cancel != nullptr && cancel->stopRequested()) break;
-            const int len = static_cast<int>(levelNets.size());
-            util::parallelFor(pool.get(), len,
-                              [&](int k) { runTask(base + k); }, cancel);
-            base += len;
-        }
-    } else {
-        // Dependency-counted task graph: the whole ready frontier runs at
-        // once; a net unlocks its fanouts the moment it publishes.
-        util::SchedulerStats stats =
-            util::runTaskGraph(tg.graph, runTask, pool.get(), cancel);
-        if (opt.schedulerStats != nullptr) {
-            *opt.schedulerStats = std::move(stats);
-        }
-    }
+    // A full run schedules every task: the whole ready frontier runs at
+    // once and a net unlocks its fanouts the moment it publishes. An
+    // incremental run schedules only the dirty tasks: edges from a clean
+    // fanin vanish (its slot is already filled); edges among dirty tasks
+    // keep their dependency order, so a dirty net still solves after every
+    // dirty upstream net.
+    util::RestrictedTaskGraph sub;
+    if (inc != nullptr) sub = util::restrictTaskGraph(tg.graph, dirtyMask);
+    util::SchedulerStats sched = util::runTaskGraph(
+        inc != nullptr ? sub.graph : tg.graph,
+        [&](int t) {
+            runTask(inc != nullptr ? sub.fullId[static_cast<std::size_t>(t)]
+                                   : t);
+        },
+        pool.get(), cancel);
 
     // ---- resilience accounting and partial-result assembly ---------------
+    AnalysisOutcome outcome;
     bool runCancelled = false;
     for (int id = 0; id < numNets; ++id) {
+        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
         if (!taskDone[static_cast<std::size_t>(id)]) {
             runCancelled = true;
-            break;
+            // Only victim clusters are reported as unsolved: the invariant
+            // callers rely on is reports + unsolvedNets == the victim set,
+            // and pass-through propagation tasks never produce a report in
+            // the first place.
+            if (slotOf.count(net) != 0) outcome.unsolvedNets.push_back(net);
+            continue;
         }
-    }
-    std::size_t failedCount = 0;
-    std::size_t quarantinedCount = 0;
-    std::size_t degradedCount = 0;
-    for (int id = 0; id < numNets; ++id) {
         switch (taskState[static_cast<std::size_t>(id)]) {
-            case TaskState::failed: ++failedCount; break;
-            case TaskState::quarantined: ++quarantinedCount; break;
-            case TaskState::degraded: ++degradedCount; break;
+            case TaskState::failed: outcome.failedNets.push_back(net); break;
+            case TaskState::quarantined:
+                outcome.quarantinedNets.push_back(net);
+                break;
+            case TaskState::degraded:
+                outcome.degradedNets.push_back(net);
+                break;
             case TaskState::ok: break;
         }
     }
-    const auto fillQuarantineStats = [&](util::SchedulerStats* s) {
-        if (s == nullptr) return;
-        s->failedTasks = failedCount;
-        s->quarantinedTasks = quarantinedCount;
-        s->degradedTasks = degradedCount;
-    };
-    fillQuarantineStats(opt.schedulerStats);
-    if (inc != nullptr) fillQuarantineStats(&inc->stats->scheduler);
-    if (out != nullptr) {
-        out->cancelled = runCancelled;
-        if (runCancelled && cancel != nullptr) out->reason = cancel->reason();
-        for (int id = 0; id < numNets; ++id) {
-            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-            if (!taskDone[static_cast<std::size_t>(id)]) {
-                // Only victim clusters are reported as unsolved: the
-                // invariant callers rely on is reports + unsolvedNets ==
-                // the victim set, and pass-through propagation tasks never
-                // produce a report in the first place.
-                if (slotOf.count(net) != 0) out->unsolved.push_back(net);
-                continue;
-            }
-            switch (taskState[static_cast<std::size_t>(id)]) {
-                case TaskState::failed: out->failed.push_back(net); break;
-                case TaskState::quarantined:
-                    out->quarantined.push_back(net);
-                    break;
-                case TaskState::degraded: out->degraded.push_back(net); break;
-                case TaskState::ok: break;
-            }
-        }
+    if (runCancelled) {
+        outcome.reason =
+            cancel != nullptr &&
+                    cancel->reason() == util::CancelToken::Reason::deadline
+                ? TerminationReason::deadlineExpired
+                : TerminationReason::cancelled;
     }
+    sched.failedTasks = outcome.failedNets.size();
+    sched.quarantinedTasks = outcome.quarantinedNets.size();
+    sched.degradedTasks = outcome.degradedNets.size();
+    sortUnique(outcome.failedNets);
+    sortUnique(outcome.quarantinedNets);
+    sortUnique(outcome.degradedNets);
+    if (inc != nullptr) {
+        inc->stats->totalTasks = static_cast<std::size_t>(numNets);
+        inc->stats->dirtyTasks = sub.fullId.size();
+        inc->stats->scheduler = sched;
+    }
+    if (opt.schedulerStats != nullptr) *opt.schedulerStats = std::move(sched);
     // Propagated-only entries for quiet nets follow the SPEF-ordered victim
     // reports, in level-then-name (== task id) order (deterministic). On a
     // cancelled run the unfinished victim slots are dropped — every report
     // returned is complete and bitwise-identical to the same net's report
     // in an uncancelled run.
-    return collectReports(state, victimDone, retain);
+    outcome.reports = collectReports(state, victimDone, retain);
+    return outcome;
 }
 
 /// The shared lint gate: run the checker, apply waivers, publish the report
@@ -1274,25 +1142,6 @@ void runLintGate(lint::LintReport& report, const DesignNoiseOptions& opt,
     if (opt.lint == lint::Mode::strict && report.hasErrors()) {
         throw lint::LintError(report);
     }
-}
-
-/// Translate a run's observed completion into the public outcome type.
-void fillOutcome(AnalysisOutcome& outcome, RunOutcome& run) {
-    if (run.cancelled) {
-        outcome.reason =
-            run.reason == util::CancelToken::Reason::deadline
-                ? TerminationReason::deadlineExpired
-                : TerminationReason::cancelled;
-    }
-    outcome.unsolvedNets = std::move(run.unsolved);
-    const auto sorted = [](std::vector<std::string>& v) {
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
-        return std::move(v);
-    };
-    outcome.failedNets = sorted(run.failed);
-    outcome.quarantinedNets = sorted(run.quarantined);
-    outcome.degradedNets = sorted(run.degraded);
 }
 
 /// Post-run lint findings for the report gate (SNA-L7xx, resilience):
@@ -1323,6 +1172,18 @@ void appendResilienceLint(lint::LintReport& lr,
         add("SNA-L703", lint::Severity::info, net,
             "net solved across a pass-through bridge; margins approximate");
     }
+}
+
+/// The throwing entry points' view of an outcome: its reports when every
+/// task ran, util::CancelledError otherwise.
+std::vector<NetNoiseReport> reportsOrThrow(AnalysisOutcome&& outcome) {
+    if (!outcome.complete()) {
+        throw util::CancelledError(
+            outcome.reason == TerminationReason::deadlineExpired
+                ? "analysis deadline expired"
+                : "analysis cancelled");
+    }
+    return std::move(outcome.reports);
 }
 
 /// Calls `changed(net)` for every net whose explicit window differs bit for
@@ -1368,17 +1229,15 @@ AnalysisOutcome analyzeDesignOutcome(const Design& design,
         runLintGate(lr, opt,
                     opt.snapshot != nullptr ? &opt.snapshot->lint : nullptr);
     }
-    RunOutcome run;
-    AnalysisOutcome outcome;
     // The run writes its slots into the snapshot in place (a throwaway one
     // without capture), so the snapshot stops being splice input until the
     // run has completed cleanly.
     AnalysisSnapshot scratch;
     AnalysisSnapshot& state = opt.snapshot != nullptr ? *opt.snapshot : scratch;
     state.valid = false;
-    outcome.reports = analyzeWithIndex(design, spef, opt, *index, state,
-                                       opt.snapshot != nullptr, nullptr, &run);
-    if (opt.snapshot != nullptr && run.clean()) {
+    AnalysisOutcome outcome = analyzeWithIndex(
+        design, spef, opt, *index, state, opt.snapshot != nullptr, nullptr);
+    if (opt.snapshot != nullptr && outcome.clean()) {
         opt.snapshot->design = &design;
         opt.snapshot->instanceCount = design.instances().size();
         opt.snapshot->fingerprint = fingerprintOf(opt);
@@ -1388,7 +1247,6 @@ AnalysisOutcome analyzeDesignOutcome(const Design& design,
                                             : TimingWindows{};
         opt.snapshot->valid = true;
     }
-    fillOutcome(outcome, run);
     if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {
         appendResilienceLint(*opt.lintOut, outcome);
     }
@@ -1398,14 +1256,7 @@ AnalysisOutcome analyzeDesignOutcome(const Design& design,
 std::vector<NetNoiseReport> analyzeDesign(const Design& design,
                                           const parser::SpefFile& spef,
                                           const DesignNoiseOptions& opt) {
-    AnalysisOutcome outcome = analyzeDesignOutcome(design, spef, opt);
-    if (!outcome.complete()) {
-        throw util::CancelledError(
-            outcome.reason == TerminationReason::deadlineExpired
-                ? "analysis deadline expired"
-                : "analysis cancelled");
-    }
-    return std::move(outcome.reports);
+    return reportsOrThrow(analyzeDesignOutcome(design, spef, opt));
 }
 
 AnalysisOutcome analyzeDesignIncrementalOutcome(
@@ -1529,11 +1380,13 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     std::unordered_set<std::string> dirty =
         expandDirtyCone(index, seeds, run.propagate, &st.coupledNeighbors);
 
-    // Safety net: a victim candidate the snapshot never recorded must be
-    // solved (with its cone), not spliced-as-absent. Unreachable without a
+    // Safety net: a victim the snapshot never recorded must be solved
+    // (with its cone), not spliced-as-absent. Unreachable without a
     // connectivity change, but a wrong dirty set must degrade to extra
-    // work, never to a missing report. The same scan notices a retained
-    // victim whose SPEF section is gone: the victim list is then reselected.
+    // work, never to a missing report. "Victim" is phase 1's own predicate:
+    // a net coupled only to undriven nets heads no cluster, and must not be
+    // seeded on every call. The same scan notices a retained victim whose
+    // SPEF section is gone: the victim list is then reselected.
     std::unordered_set<std::string> unrecorded;
     std::size_t retainedVictims = 0;
     for (const auto& [netName, spefNet] : spef.nets()) {
@@ -1541,11 +1394,10 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
             ++retainedVictims;
             continue;
         }
-        if (dirty.count(netName) != 0) continue;
-        if (index.couplingOf(netName).empty()) continue;
-        if (index.driverOf(netName) == nullptr) continue;
-        if (index.loadsOf(netName).empty()) continue;
-        unrecorded.insert(netName);
+        if (dirty.count(netName) == 0 &&
+            selectVictim(index, spef, netName, run.maxAggressors)) {
+            unrecorded.insert(netName);
+        }
     }
     if (!unrecorded.empty()) {
         seeds.insert(unrecorded.begin(), unrecorded.end());
@@ -1558,16 +1410,13 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     ctx.dirty = &dirty;
     ctx.stats = &st;
     ctx.reselect = retainedVictims != snapshot.victims.size();
-    RunOutcome ro;
-    AnalysisOutcome outcome;
-    outcome.reports = analyzeWithIndex(design, spef, run, index, snapshot,
-                                       true, &ctx, &ro);
+    AnalysisOutcome outcome =
+        analyzeWithIndex(design, spef, run, index, snapshot, true, &ctx);
     // The index was patched and the slots rewritten in place; an
     // incomplete or faulted run therefore poisons the snapshot — its
     // retained reports no longer match the index state, so the next
     // iteration must fall back to a full run.
-    snapshot.valid = ro.clean();
-    fillOutcome(outcome, ro);
+    snapshot.valid = outcome.clean();
     if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {
         appendResilienceLint(*opt.lintOut, outcome);
     }
@@ -1578,15 +1427,8 @@ std::vector<NetNoiseReport> analyzeDesignIncremental(
     const Design& design, const parser::SpefFile& spef,
     const DesignDelta& delta, AnalysisSnapshot& snapshot,
     const DesignNoiseOptions& opt, IncrementalStats* statsOut) {
-    AnalysisOutcome outcome = analyzeDesignIncrementalOutcome(
-        design, spef, delta, snapshot, opt, statsOut);
-    if (!outcome.complete()) {
-        throw util::CancelledError(
-            outcome.reason == TerminationReason::deadlineExpired
-                ? "analysis deadline expired"
-                : "analysis cancelled");
-    }
-    return std::move(outcome.reports);
+    return reportsOrThrow(analyzeDesignIncrementalOutcome(
+        design, spef, delta, snapshot, opt, statsOut));
 }
 
 std::vector<NetNoiseReport> analyzeDesignReference(

@@ -12,9 +12,9 @@
 //
 // Determinism contract: the scheduler guarantees only that a task runs
 // after all its fanins and exactly once. Callers that need bit-identical
-// results at any thread count (the noise wavefront does) must make each
-// task write slot-addressed outputs and read nothing but its fanins' slots;
-// then completion order cannot change any value.
+// results at any thread count (every design-level noise run does) must make
+// each task write slot-addressed outputs and read nothing but its fanins'
+// slots; then completion order cannot change any value.
 #pragma once
 
 #include <cstddef>

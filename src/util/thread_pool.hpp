@@ -1,11 +1,11 @@
 // Minimal fixed-size thread pool for coarse-grained engine parallelism.
 //
-// The design-level noise flow runs one independent cluster solve per victim
-// net; ThreadPool::parallelFor fans those solves out over a fixed set of
-// workers while keeping result ordering deterministic (work item i always
-// writes slot i). The pool is intentionally small and blocking — noise
-// clusters are milliseconds-to-seconds of work each, so queue overhead is
-// irrelevant; what matters is exception safety and a clean join.
+// The pool only hosts workers: util::runTaskGraph (util/task_scheduler.hpp)
+// enqueues one scheduling loop per worker and waits for the batch to drain,
+// and every design-level noise run goes through it. The pool is
+// intentionally small and blocking — noise clusters are
+// milliseconds-to-seconds of work each, so queue overhead is irrelevant;
+// what matters is a clean join.
 #pragma once
 
 #include <condition_variable>
@@ -16,8 +16,6 @@
 #include <vector>
 
 namespace sna::util {
-
-class CancelToken;
 
 class ThreadPool {
 public:
@@ -31,13 +29,10 @@ public:
 
     int size() const { return static_cast<int>(workers_.size()); }
 
-    /// Enqueue one job. Jobs must not throw; wrap work that can throw (see
-    /// parallelFor, which captures the first exception and rethrows it).
-    void run(std::function<void()> job);
-
     /// Enqueue a batch of jobs under one lock acquisition and a single
     /// notify_all: a fan-out of N tasks pays one queue round trip instead
-    /// of N lock+notify cycles. Same job contract as run().
+    /// of N lock+notify cycles. Jobs must not throw; wrap work that can
+    /// throw (runTaskGraph captures the first exception and rethrows it).
     void runBatch(std::vector<std::function<void()>> jobs);
 
     /// Block until every queued and running job has finished.
@@ -61,26 +56,5 @@ private:
 /// consumer of a thread-count option should resolve through here so "auto"
 /// means the same thing everywhere.
 int resolveThreadCount(int requested);
-
-/// Run fn(i) for every i in [0, n). With threads <= 1 the loop runs inline
-/// on the calling thread (no pool is created); otherwise min(threads, n)
-/// workers pull indices in order. The first exception thrown by any fn(i)
-/// is rethrown on the calling thread after all workers settle.
-void parallelFor(int threads, int n, const std::function<void(int)>& fn);
-
-/// parallelFor on a caller-owned pool: repeated sweeps reuse the same
-/// workers instead of constructing and joining a fresh ThreadPool per call.
-/// `pool == nullptr` (or a pool of size 1) runs the loop inline. The pool
-/// must be otherwise idle: completion is detected with ThreadPool::wait(),
-/// which waits for the whole queue to drain. Exception semantics match the
-/// thread-count overload (first error rethrown after all workers settle).
-///
-/// With a non-null `cancel`, each fn(i) runs inside a CancelScope and once
-/// the token stops no further indices are claimed; the sweep settles and
-/// returns normally (never throws CancelledError) so the caller can keep
-/// completed slots — check cancel->stopRequested() to learn whether every
-/// index ran. CancelledError thrown by fn(i) stops the sweep the same way.
-void parallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn,
-                 const CancelToken* cancel = nullptr);
 
 }  // namespace sna::util

@@ -110,7 +110,9 @@ std::string chainSpef(const std::vector<int>& aggsAt,
     return os.str();
 }
 
-void buildChain(core::Design& d, const std::vector<int>& aggsAt) {
+// `skip` names one instance to leave out (an undriven aggressor net).
+void buildChain(core::Design& d, const std::vector<int>& aggsAt,
+                const std::string& skip = "") {
     const int n = static_cast<int>(aggsAt.size());
     for (int i = 0; i < n; ++i) {
         const std::string si = "s" + std::to_string(i);
@@ -120,8 +122,10 @@ void buildChain(core::Design& d, const std::vector<int>& aggsAt) {
         for (int a = 0; a < aggsAt[i]; ++a) {
             const std::string g =
                 "g" + std::to_string(i) + "_" + std::to_string(a);
-            addInst(d, "a" + std::to_string(i) + "_" + std::to_string(a),
-                    "INV_X4", {{"a", g + "_in"}, {"y", g}});
+            const std::string drv =
+                "a" + std::to_string(i) + "_" + std::to_string(a);
+            if (drv == skip) continue;
+            addInst(d, drv, "INV_X4", {{"a", g + "_in"}, {"y", g}});
         }
     }
     addInst(d, "c" + std::to_string(n), "INV_X2",
@@ -624,6 +628,41 @@ TEST(Incremental, OptionChangeInvalidatesTheSplice) {
     core::analyzeDesignIncremental(design, spef, delta, snapshot, opt,
                                    &stats2);
     EXPECT_FALSE(stats2.indexRebuilt);
+}
+
+TEST(Incremental, EmptyDeltaOnNetCoupledOnlyToUndrivenNetsSolvesNothing) {
+    // Stage 1's only aggressor has no driver, so s1 heads no victim
+    // cluster — yet it has coupling, a driver and a load. The safety scan
+    // for victims the snapshot never recorded must use phase 1's own
+    // predicate, or every call re-solves s1 and its cone.
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2, 1, 1, 0};
+    const auto spef =
+        parser::parseSpef(chainSpef(aggs, {30.0, 10.0, 8.0, 0.0}));
+    for (const bool propagate : {false, true}) {
+        const std::string label = propagate ? "wavefront" : "flat";
+        core::Design design(lib);
+        buildChain(design, aggs, "a1_0");
+        auto opt = cheapOptions();
+        opt.propagate = propagate;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+
+        core::AnalysisSnapshot snapshot;
+        opt.snapshot = &snapshot;
+        const auto full = core::analyzeDesign(design, spef, opt);
+        ASSERT_TRUE(snapshot.valid) << label;
+        opt.snapshot = nullptr;
+
+        core::IncrementalStats stats;
+        const auto fast = core::analyzeDesignIncremental(
+            design, spef, {}, snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << label;
+        EXPECT_EQ(stats.seedNets, 0u) << label;
+        EXPECT_EQ(stats.dirtyTasks, 0u) << label;
+        EXPECT_EQ(stats.solvedVictimReports, 0u) << label;
+        expectSameReports(fast, full, label);
+    }
 }
 
 // ------------------------------------------- explicit-window and cone edits

@@ -326,44 +326,6 @@ TEST(SchedulerCancel, BodyThrownCancelledErrorCountsAsSkipped) {
     EXPECT_EQ(stats.skippedTasks, 7u);   // 3 unwound + 4..9 skipped
 }
 
-TEST(ParallelForCancel, InlinePathStopsAfterCancellingIndex) {
-    util::CancelToken token;
-    std::vector<int> ran;
-    util::parallelFor(
-        nullptr, 100,
-        [&](int i) {
-            ran.push_back(i);
-            if (i == 10) token.cancel();
-        },
-        &token);
-    ASSERT_EQ(ran.size(), 11u);  // 0..10; index 11 is never claimed
-    EXPECT_EQ(ran.back(), 10);
-}
-
-TEST(ParallelForCancel, PoolPathReturnsNormallyAndStops) {
-    util::ThreadPool pool(4);
-    util::CancelToken token;
-    std::atomic<int> ran{0};
-    util::parallelFor(
-        &pool, 10000,
-        [&](int i) {
-            ran.fetch_add(1);
-            if (i == 5) token.cancel();
-        },
-        &token);
-    EXPECT_LT(ran.load(), 10000);  // the tail was skipped
-}
-
-TEST(ParallelForCancel, WithoutTokenCancelledErrorStillPropagates) {
-    // Historical semantics: no token passed means CancelledError is an
-    // ordinary exception, not a silent stop.
-    EXPECT_THROW(util::parallelFor(nullptr, 4,
-                                   [](int) {
-                                       throw util::CancelledError("boom");
-                                   }),
-                 util::CancelledError);
-}
-
 // -------------------------------------------------------- fault injection
 
 TEST(FaultInjector, SkipFirstAndLimitAccounting) {
@@ -665,6 +627,63 @@ TEST(Quarantine, PassthroughDegradesDownstreamInsteadOfSuppressing) {
     EXPECT_EQ(degraded.at("s3")->status,
               core::NetNoiseReport::Status::degraded);
     EXPECT_GT(degraded.at("s3")->cluster.nrcLimit, 0.0);
+}
+
+TEST(Quarantine, FlatSweepCapturesOnlyTheFailingNet) {
+    // The flat sweep has no fanin edges, so both non-failFast policies
+    // reduce to "capture the failure and go on": no cone to quarantine,
+    // nothing degraded, every other victim bitwise equal to a clean run.
+    const InjectorGuard guard;
+    const cell::CellLibrary lib(tech::tech130());
+    const auto spef = parser::parseSpef(ringSpef(6));
+    core::Design design(lib);
+    buildRingDesign(design, 6);
+    charlib::CharCache cache;
+    auto clean = cheapOptions();
+    clean.cache = &cache;
+    const auto baseline = core::analyzeDesign(design, spef, clean);
+    ASSERT_EQ(baseline.size(), 6u);
+    const auto base = byNet(baseline);
+
+    for (const auto policy : {core::NetFailurePolicy::quarantineCone,
+                              core::NetFailurePolicy::degradeToPassthrough}) {
+        for (const int threads : {1, 4, 8}) {
+            const std::string label =
+                std::string(policy == core::NetFailurePolicy::quarantineCone
+                                ? "quarantine"
+                                : "passthrough") +
+                " threads=" + std::to_string(threads);
+            util::FaultInjector::instance().arm("core.solve_net@n2");
+            auto opt = clean;
+            opt.threads = threads;
+            opt.onNetFailure = policy;
+            const auto outcome =
+                core::analyzeDesignOutcome(design, spef, opt);
+            util::FaultInjector::instance().disarm();
+
+            ASSERT_TRUE(outcome.complete()) << label;
+            EXPECT_EQ(outcome.failedNets, std::vector<std::string>{"n2"})
+                << label;
+            EXPECT_TRUE(outcome.quarantinedNets.empty()) << label;
+            EXPECT_TRUE(outcome.degradedNets.empty()) << label;
+            ASSERT_EQ(outcome.reports.size(), baseline.size()) << label;
+            for (std::size_t i = 0; i < baseline.size(); ++i) {
+                const auto& r = outcome.reports[i];
+                EXPECT_EQ(r.net, baseline[i].net) << label;
+                if (r.net == "n2") {
+                    EXPECT_EQ(r.status, core::NetNoiseReport::Status::failed)
+                        << label;
+                    EXPECT_NE(r.error.find("injected fault"),
+                              std::string::npos)
+                        << label;
+                    continue;
+                }
+                EXPECT_EQ(r.status, core::NetNoiseReport::Status::ok)
+                    << label << " " << r.net;
+                expectBitwiseEqual(r, *base.at(r.net), label);
+            }
+        }
+    }
 }
 
 TEST(Quarantine, ResilienceLintRulesReportFailures) {

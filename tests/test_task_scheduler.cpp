@@ -1,9 +1,9 @@
 // Dependency-counted task scheduler: randomized-DAG stress (every task runs
 // exactly once, after all its fanins, at any thread count), thread-pool
-// batching/reuse, and the design-level guarantee the wavefront builds on
-// it: the scheduled run is bit-identical to the level-barrier run — and to
-// analyzeDesignReference with propagate=false — at threads 1, 4, and 8,
-// with and without propagation and timing windows.
+// batching, and the design-level guarantee every run builds on it: the
+// flat sweep (an edgeless graph) is bit-identical to analyzeDesignReference,
+// and the propagated and windowed wavefronts at threads 4 and 8 are
+// bit-identical to the serial FIFO-Kahn run at threads 1.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -148,6 +148,15 @@ TEST(TaskScheduler, FirstExceptionPropagatesAndRunDrains) {
         // Tasks before the throw ran; tasks after it were skipped but their
         // dependency counts still drained (no hang to get here).
         EXPECT_GE(ran.load(), 5);
+        // The pool survives the error and remains usable.
+        util::TaskGraph edgeless;
+        edgeless.fanout.resize(16);
+        edgeless.faninCount.assign(16, 0);
+        std::atomic<int> count{0};
+        util::runTaskGraph(
+            edgeless, [&](int) { count.fetch_add(1); },
+            threads > 1 ? &pool : nullptr);
+        EXPECT_EQ(count.load(), 16);
     }
 }
 
@@ -163,35 +172,6 @@ TEST(ThreadPool, RunBatchExecutesEveryJob) {
     pool.runBatch(std::move(jobs));
     pool.wait();
     EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForReusesACallerOwnedPool) {
-    util::ThreadPool pool(4);
-    for (int sweep = 0; sweep < 3; ++sweep) {
-        std::vector<int> out(257, -1);
-        util::parallelFor(&pool, static_cast<int>(out.size()),
-                          [&](int i) { out[i] = i * i; });
-        for (int i = 0; i < static_cast<int>(out.size()); ++i) {
-            ASSERT_EQ(out[i], i * i) << "sweep " << sweep;
-        }
-    }
-    // Null pool runs inline.
-    int calls = 0;
-    util::parallelFor(nullptr, 5, [&](int) { ++calls; });
-    EXPECT_EQ(calls, 5);
-}
-
-TEST(ThreadPool, ParallelForOnPoolRethrowsFirstError) {
-    util::ThreadPool pool(4);
-    EXPECT_THROW(util::parallelFor(&pool, 64,
-                                   [](int i) {
-                                       if (i == 13) throw ModelError("bad");
-                                   }),
-                 ModelError);
-    // The pool survives the error and remains usable.
-    std::atomic<int> count{0};
-    util::parallelFor(&pool, 16, [&](int) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 16);
 }
 
 // ------------------------------------------- design-level bit-identity
@@ -282,7 +262,7 @@ void expectSameReports(const std::vector<core::NetNoiseReport>& a,
     }
 }
 
-TEST(WavefrontScheduling, TaskGraphBitIdenticalToBarrierAndReference) {
+TEST(WavefrontScheduling, TaskGraphBitIdenticalToSerialAndReference) {
     const cell::CellLibrary lib(tech::tech130());
     const int nets = 12;
     const auto spef = parser::parseSpef(chainedSpef(nets));
@@ -305,39 +285,38 @@ TEST(WavefrontScheduling, TaskGraphBitIdenticalToBarrierAndReference) {
     charlib::CharCache cache;  // shared: identical keys, results unaffected
     opt.cache = &cache;
 
-    // Flat sweep: bit-identical to the brute-force reference at 1/4/8
-    // threads (threading now goes through the shared per-call pool).
+    // Flat sweep: the edgeless graph, one task per victim, bit-identical
+    // to the brute-force reference at 1/4/8 threads.
     opt.propagate = false;
     const auto ref = core::analyzeDesignReference(design, spef, opt);
     for (const int threads : {1, 4, 8}) {
         opt.threads = threads;
-        expectSameReports(core::analyzeDesign(design, spef, opt), ref,
-                          "flat t" + std::to_string(threads));
+        util::SchedulerStats stats;
+        opt.schedulerStats = &stats;
+        const std::string label = "flat t" + std::to_string(threads);
+        expectSameReports(core::analyzeDesign(design, spef, opt), ref, label);
+        opt.schedulerStats = nullptr;
+        EXPECT_EQ(stats.tasksExecuted, ref.size()) << label;
     }
 
-    // Propagated and windowed wavefronts: scheduled == barrier at every
-    // thread count, and == the barrier's serial (t=1) run across counts.
+    // Propagated and windowed wavefronts: the parallel schedules at 4 and 8
+    // workers == the serial FIFO-Kahn schedule at threads 1.
     opt.propagate = true;
     for (const core::TimingWindows* w :
          {static_cast<const core::TimingWindows*>(nullptr), &windows}) {
         opt.windows = w;
         const std::string variant = w == nullptr ? "prop" : "windowed";
         opt.threads = 1;
-        opt.wavefront = core::WavefrontMode::levelBarrier;
-        const auto barrier1 = core::analyzeDesign(design, spef, opt);
-        for (const int threads : {1, 4, 8}) {
+        const auto serial = core::analyzeDesign(design, spef, opt);
+        for (const int threads : {4, 8}) {
             opt.threads = threads;
-            opt.wavefront = core::WavefrontMode::levelBarrier;
-            const auto barrier = core::analyzeDesign(design, spef, opt);
-            opt.wavefront = core::WavefrontMode::taskGraph;
             util::SchedulerStats stats;
             opt.schedulerStats = &stats;
             const auto sched = core::analyzeDesign(design, spef, opt);
             opt.schedulerStats = nullptr;
             const std::string label =
                 variant + " t" + std::to_string(threads);
-            expectSameReports(sched, barrier, label + " sched-vs-barrier");
-            expectSameReports(sched, barrier1, label + " sched-vs-serial");
+            expectSameReports(sched, serial, label + " sched-vs-serial");
             // Every net of the level graph ran as a task.
             EXPECT_EQ(
                 stats.tasksExecuted,

@@ -415,6 +415,56 @@ TEST(WindowedDesign, NoWindowsBitIdenticalAtThreads14) {
     }
 }
 
+TEST(WindowedDesign, FlatSweepIgnoresWindows) {
+    // Windows constrain the propagated wavefront only: with propagate off
+    // the same windows — one of which would exclude an aggressor — must
+    // leave every report bitwise equal to the windows-less flat sweep.
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{3, 3};
+    const auto spef = parser::parseSpef(chainSpef(aggs, {35.0, 12.0}));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    core::TimingWindows w;
+    w.set("s0", {0.0, 300e-12});
+    w.set("g0_0", {1.5e-9, 2.0e-9});
+    w.set("s1", {0.0, 300e-12});
+
+    for (const int threads : {1, 4}) {
+        const std::string label = "threads=" + std::to_string(threads);
+        auto opt = fastPropagateOptions();
+        opt.propagate = false;
+        opt.threads = threads;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        const auto plain = core::analyzeDesign(design, spef, opt);
+        opt.windows = &w;
+        const auto windowed = core::analyzeDesign(design, spef, opt);
+        ASSERT_FALSE(plain.empty()) << label;
+        ASSERT_EQ(windowed.size(), plain.size()) << label;
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            const auto& a = windowed[i];
+            const auto& b = plain[i];
+            EXPECT_EQ(a.net, b.net) << label;
+            EXPECT_EQ(a.aggressorNets, b.aggressorNets) << label;
+            EXPECT_EQ(a.cluster.margin, b.cluster.margin) << label;
+            EXPECT_EQ(a.cluster.nrcLimit, b.cluster.nrcLimit) << label;
+            EXPECT_EQ(a.cluster.fails, b.cluster.fails) << label;
+            EXPECT_EQ(a.cluster.worst.metrics.peak,
+                      b.cluster.worst.metrics.peak)
+                << label;
+            EXPECT_EQ(a.cluster.worst.metrics.width,
+                      b.cluster.worst.metrics.width)
+                << label;
+            EXPECT_EQ(a.cluster.aggressorSwitchTimes,
+                      b.cluster.aggressorSwitchTimes)
+                << label;
+            EXPECT_FALSE(a.windows.constrained) << label;
+            EXPECT_TRUE(a.windows.excludedAggressors.empty()) << label;
+            EXPECT_TRUE(a.windows.droppedIncoming.empty()) << label;
+        }
+    }
+}
+
 // ----------------------------------------------------------- multi-driver
 
 // 4-net coupled ring (same as test_propagate's regression fixture).
