@@ -29,7 +29,9 @@
 //     (Design::replaceCell) and analyzeDesignIncremental re-solves the
 //     dirty cone against the retained snapshot, timed against the full
 //     warm-cache re-run; the incremental margins must match the full run
-//     bitwise (incremental_margin_diff, asserted 0).
+//     bitwise (incremental_margin_diff, asserted 0). eco_cutoff_tasks counts
+//     the scheduled closure tasks that kept their retained results because
+//     their upstream noise came out bit-identical.
 // Margins are cross-checked within 1e-9 between every flat path. Emits one
 // JSON object (for the bench trajectory) after the human-readable table.
 //
@@ -279,7 +281,8 @@ struct Row {
     std::size_t cacheDiskHits = 0;
     // Incremental ECO re-analysis against the retained snapshot.
     std::size_t ecoNets = 0;        ///< drivers resized in place
-    std::size_t ecoDirtyTasks = 0;  ///< cone the incremental run re-solved
+    std::size_t ecoDirtyTasks = 0;  ///< cone the incremental run scheduled
+    std::size_t ecoCutoffTasks = 0;  ///< of those, cut off without a solve
     std::size_t ecoTotalTasks = 0;
     double ecoIncrementalSec = 0.0;
     double ecoFullSec = 0.0;  ///< full warm-cache re-run of the same state
@@ -648,6 +651,7 @@ int main(int argc, char** argv) {
                 chained, chainSpef, delta, snapshot, eopt, &istats);
             row.ecoIncrementalSec = seconds(t0);
             row.ecoDirtyTasks = istats.dirtyTasks;
+            row.ecoCutoffTasks = istats.cutoffTasks;
             row.ecoTotalTasks = istats.totalTasks;
 
             t0 = std::chrono::steady_clock::now();
@@ -755,7 +759,8 @@ int main(int argc, char** argv) {
 
     util::Table ctable({"Nets", "Cache entries", "Cold (s)", "Warm (s)",
                         "Warm char runs", "Disk hits", "ECO nets",
-                        "Dirty/total tasks", "Incr (s)", "Full (s)",
+                        "Dirty/total tasks", "Cut off", "Incr (s)",
+                        "Full (s)",
                         "Incr speed-up"});
     for (const auto& r : rows) {
         ctable.addRow(
@@ -766,6 +771,7 @@ int main(int argc, char** argv) {
              std::to_string(r.cacheDiskHits), std::to_string(r.ecoNets),
              std::to_string(r.ecoDirtyTasks) + "/" +
                  std::to_string(r.ecoTotalTasks),
+             std::to_string(r.ecoCutoffTasks),
              util::Table::num(r.ecoIncrementalSec, 3),
              util::Table::num(r.ecoFullSec, 3),
              r.ecoIncrementalSec > 0.0
@@ -826,7 +832,7 @@ int main(int argc, char** argv) {
             "\"cache_warm_sec\": %.4f, \"cache_warm_char_runs\": %zu, "
             "\"cache_disk_hits\": %zu, "
             "\"eco_nets\": %zu, \"eco_dirty_tasks\": %zu, "
-            "\"eco_total_tasks\": %zu, \"eco_incremental_sec\": %.4f, "
+            "\"eco_cutoff_tasks\": %zu, \"eco_total_tasks\": %zu, \"eco_incremental_sec\": %.4f, "
             "\"eco_full_sec\": %.4f, \"incremental_margin_diff\": %.3e, "
             "\"frontend_parse_sec\": %.4f, \"frontend_roundtrip_ok\": %s, "
             "\"frontend_instances\": %zu}",
@@ -842,7 +848,8 @@ int main(int argc, char** argv) {
             r.windowDroppedIncoming, r.worstUnconstrainedMargin,
             r.worstWindowedMargin, r.maxMarginRecovery, r.cacheEntries,
             r.cacheColdSec, r.cacheWarmSec, r.cacheWarmCharRuns,
-            r.cacheDiskHits, r.ecoNets, r.ecoDirtyTasks, r.ecoTotalTasks,
+            r.cacheDiskHits, r.ecoNets, r.ecoDirtyTasks, r.ecoCutoffTasks,
+            r.ecoTotalTasks,
             r.ecoIncrementalSec, r.ecoFullSec, r.incrementalMarginDiff,
             r.frontendParseSec, r.frontendRoundtripOk ? "true" : "false",
             r.frontendInstances);

@@ -4,7 +4,7 @@ namespace sna::core {
 
 std::unordered_set<std::string> expandDirtyCone(
     const DesignIndex& index, const std::unordered_set<std::string>& seeds,
-    bool downstreamClosure, std::size_t* coupledNeighbors) {
+    std::size_t* coupledNeighbors) {
     std::unordered_set<std::string> dirty = seeds;
     // A seed's value changed (parasitics, driver cell, or window): every
     // cluster that couples to it reads that value — through its aggressor
@@ -17,32 +17,6 @@ std::unordered_set<std::string> expandDirtyCone(
         }
     }
     if (coupledNeighbors != nullptr) *coupledNeighbors = neighbors;
-    if (!downstreamClosure) return dirty;
-
-    // Propagated wavefront: a re-solved net's surviving glitch feeds every
-    // scheduled fanout, transitively. The closure runs on the task graph's
-    // edges (cycle-broken edges excluded) — exactly the edges over which a
-    // solve can observe an upstream front.
-    const NetTaskGraph& tg = index.taskGraph();
-    std::vector<char> mark(tg.nets.size(), 0);
-    std::vector<int> stack;
-    for (const auto& net : dirty) {
-        const auto it = tg.idOf.find(net);
-        if (it == tg.idOf.end()) continue;  // net not on any instance pin
-        if (mark[static_cast<std::size_t>(it->second)]) continue;
-        mark[static_cast<std::size_t>(it->second)] = 1;
-        stack.push_back(it->second);
-    }
-    while (!stack.empty()) {
-        const int t = stack.back();
-        stack.pop_back();
-        for (const int d : tg.graph.fanout[static_cast<std::size_t>(t)]) {
-            if (mark[static_cast<std::size_t>(d)]) continue;
-            mark[static_cast<std::size_t>(d)] = 1;
-            stack.push_back(d);
-            dirty.insert(tg.nets[static_cast<std::size_t>(d)]);
-        }
-    }
     return dirty;
 }
 

@@ -5,13 +5,16 @@
 // re-extracted, and everything else is exactly the run before. A full
 // analyzeDesign re-solves all N nets anyway. This module adds the delta
 // path: the caller describes what changed (DesignDelta), the engine marks
-// the affected cone on the retained level graph — the changed nets and
-// instances themselves, the coupling neighbors that see them as aggressors
-// or share re-extracted parasitics, and everything downstream of any
-// re-solved net (its surviving glitch and propagated window may move) —
-// patches the retained DesignIndex in place, re-runs the task-graph
-// scheduler restricted to the dirty task ids, and splices the retained
-// NetNoiseReports for every clean net.
+// the affected cone on the retained level graph — the must-solve nets (the
+// changed nets and instances themselves, and the coupling neighbors that
+// see them as aggressors or share re-extracted parasitics) and their
+// downstream closure — patches the retained DesignIndex in place, re-runs
+// the task-graph scheduler restricted to the dirty task ids, and splices
+// the retained NetNoiseReports for every clean net. A closure net reads
+// nothing of the delta but its fanins' surviving glitches and windows, so
+// it re-solves only when one of those came out different from the retained
+// run (early cutoff); otherwise it keeps its retained slots like a clean
+// net, and the re-solve stops where the noise converges.
 //
 // Cost model of one incremental call. O(dirty cone):
 //   * seeding — delta instances by name through the index, re-read SPEF
@@ -20,10 +23,12 @@
 //     re-bound instance's pins, nets whose explicit window changed) is
 //     re-propagated, stopping where a window comes out bit-identical; a
 //     window never reads parasitics, so a re-extraction moves none;
-//   * victim selection — only dirty victims are re-ranked (the whole list
-//     is reselected only when a dirty net gains or loses victim status);
+//   * victim selection — only must-solve victims are re-ranked (the whole
+//     list is reselected only when one gains or loses victim status);
 //   * the solve — the scheduler runs the dirty task ids only, and the
-//     retained slots are rewritten in place for those ids alone.
+//     retained slots are rewritten in place for those ids alone; a closure
+//     task whose dirty fanins all published their retained front and
+//     window bit for bit is cut off after one pass over its fanins.
 // O(design), by design: copying every clean report into the returned
 // vector (the API returns every report), the `unrecorded` safety scan
 // over the SPEF nets, the per-call worker pool, per-task byte masks, and
@@ -103,9 +108,8 @@ struct AnalysisSnapshot {
     std::string fingerprint;
     std::unique_ptr<DesignIndex> index;
     /// Phase 1's victim list in SPEF order; a victim's slot is its
-    /// position. An incremental run re-ranks only its dirty victims and
-    /// reselects the whole list when a dirty net gains or loses victim
-    /// status.
+    /// position. An incremental run re-ranks only its must-solve victims
+    /// and reselects the whole list when one gains or loses victim status.
     std::vector<VictimSelection> victims;
     std::unordered_map<std::string, int> slotOf;  ///< victim net -> slot
     std::vector<NetNoiseReport> victimReports;     ///< by victim slot
@@ -125,9 +129,17 @@ struct AnalysisSnapshot {
 /// Observability counters for one incremental call.
 struct IncrementalStats {
     std::size_t totalTasks = 0;  ///< graph nets (wavefront) or victims (flat)
-    std::size_t dirtyTasks = 0;  ///< re-solved this call
+    /// Scheduled this call: the must-solve nets and their downstream
+    /// closure. Equals scheduler.tasksExecuted on a completed run.
+    std::size_t dirtyTasks = 0;
+    /// Of dirtyTasks, the closure tasks cut off without a solve: every
+    /// dirty fanin finished ok with its retained front and window, so the
+    /// task kept its retained slots.
+    std::size_t cutoffTasks = 0;
     std::size_t seedNets = 0;    ///< delta nets/pins + window/coupling diffs
     std::size_t coupledNeighbors = 0;  ///< added around the seeds
+    /// Victim reports kept from the snapshot (clean or cut off) and victim
+    /// reports solved this call; together, the victim count.
     std::size_t reusedVictimReports = 0;
     std::size_t solvedVictimReports = 0;
     /// Nets whose switching window was recomputed (windows mode): the
@@ -139,18 +151,18 @@ struct IncrementalStats {
     util::SchedulerStats scheduler;  ///< the restricted run's counters
 };
 
-/// The dirty cone of `seeds` on the index: seeds, plus every coupling
+/// The must-solve set of `seeds` on the index: seeds, plus every coupling
 /// neighbor of a seed (a changed net re-ranks and re-loads the clusters it
-/// couples into; a changed driver cell changes its net's aggressor model),
-/// plus — when `downstreamClosure` (propagated wavefront) — everything
-/// reachable over the scheduled fanout edges (a re-solved net's surviving
-/// glitch and window feed its fanout). Coupling dirtiness does NOT spread
-/// transitively: a victim reads its aggressors' parasitics, drivers, and
-/// windows, never their reports, so only value-changed seeds contaminate
-/// their neighbors. Exposed for testing.
+/// couples into; a changed driver cell changes its net's aggressor model).
+/// Coupling dirtiness does NOT spread transitively: a victim reads its
+/// aggressors' parasitics, drivers, and windows, never their reports, so
+/// only value-changed seeds contaminate their neighbors. The propagated
+/// wavefront adds the downstream closure over the scheduled fanout edges
+/// at solve time, where each closure net re-solves only if a fanin's
+/// surviving glitch or window moved. Exposed for testing.
 std::unordered_set<std::string> expandDirtyCone(
     const DesignIndex& index, const std::unordered_set<std::string>& seeds,
-    bool downstreamClosure, std::size_t* coupledNeighbors = nullptr);
+    std::size_t* coupledNeighbors = nullptr);
 
 /// Re-analyze after `delta`, reusing everything `snapshot` retained: the
 /// index is patched (parasitics re-read from `spef` for the changed

@@ -29,6 +29,22 @@ double exactNrcProbe(charlib::NrcSpec nrc, double w) {
     return charlib::characterizeNrc(nrc)(w);
 }
 
+/// The NRC check and the glitch bookkeeping every report ends with, once
+/// its worst alignment is known.
+ClusterReport finishReport(const ClusterSpec& spec, const ReportOptions& opt,
+                           ClusterReport report) {
+    report.nrcLimit = nrcLimitFor(spec, report.worst.metrics,
+                                  opt.macromodel.cache, opt.nrc);
+    const double height = std::abs(report.worst.metrics.peak);
+    report.fails = height >= report.nrcLimit;
+    report.margin = report.nrcLimit - height;
+    report.glitchInHeight = spec.victim.glitchHeight;
+    report.glitchInWidth = spec.victim.glitchHeight > 0.0
+                               ? spec.victim.glitchWidth
+                               : 0.0;
+    return report;
+}
+
 }  // namespace
 
 double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
@@ -94,30 +110,30 @@ ClusterReport analyzeCluster(const ClusterSpec& spec,
 ClusterReport analyzeCluster(const ClusterMacromodel& model,
                              const ReportOptions& opt, ProbeMemo* memo) {
     const ClusterSpec& spec = model.spec();
-    ClusterReport report;
-    if (opt.searchAlignment) {
-        auto align = findWorstAlignment(model, opt.alignment, memo);
-        report.worst = std::move(align.worst);
-        report.aggressorSwitchTimes = std::move(align.aggressorSwitchTimes);
-        report.glitchTime = align.glitchTime;
-    } else {
-        report.worst = model.analyze();
+    if (!opt.searchAlignment) {
+        std::vector<double> times;
         for (const auto& agg : spec.aggressors) {
-            report.aggressorSwitchTimes.push_back(agg.switchTime);
+            times.push_back(agg.switchTime);
         }
-        report.glitchTime = spec.victim.glitchTime;
+        return analyzeClusterAt(model, opt, times, spec.victim.glitchTime);
     }
+    ClusterReport report;
+    auto align = findWorstAlignment(model, opt.alignment, memo);
+    report.worst = std::move(align.worst);
+    report.aggressorSwitchTimes = std::move(align.aggressorSwitchTimes);
+    report.glitchTime = align.glitchTime;
+    return finishReport(spec, opt, std::move(report));
+}
 
-    report.nrcLimit = nrcLimitFor(spec, report.worst.metrics,
-                                  opt.macromodel.cache, opt.nrc);
-    const double height = std::abs(report.worst.metrics.peak);
-    report.fails = height >= report.nrcLimit;
-    report.margin = report.nrcLimit - height;
-    report.glitchInHeight = spec.victim.glitchHeight;
-    report.glitchInWidth = spec.victim.glitchHeight > 0.0
-                               ? spec.victim.glitchWidth
-                               : 0.0;
-    return report;
+ClusterReport analyzeClusterAt(const ClusterMacromodel& model,
+                               const ReportOptions& opt,
+                               const std::vector<double>& aggressorSwitchTimes,
+                               double glitchTime) {
+    ClusterReport report;
+    report.worst = model.analyzeAt(aggressorSwitchTimes, glitchTime);
+    report.aggressorSwitchTimes = aggressorSwitchTimes;
+    report.glitchTime = glitchTime;
+    return finishReport(model.spec(), opt, std::move(report));
 }
 
 }  // namespace sna::core

@@ -70,6 +70,14 @@ ClusterReport analyzeCluster(const ClusterMacromodel& model,
                              const ReportOptions& opt,
                              ProbeMemo* memo = nullptr);
 
+/// The fixed-alignment flow (no search) on a built macromodel at explicit
+/// times instead of its spec's: one transient, then the NRC check. Lets one
+/// build serve several alignments of the same cluster.
+ClusterReport analyzeClusterAt(const ClusterMacromodel& model,
+                               const ReportOptions& opt,
+                               const std::vector<double>& aggressorSwitchTimes,
+                               double glitchTime);
+
 /// NRC check only (reusable by the design flow): failing height of the
 /// receiver at the measured width. With a cache, the NRC characterization
 /// runs at most once per (receiver cell, level, width grid).

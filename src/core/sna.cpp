@@ -99,6 +99,18 @@ void recordRun(SurvivingSet* out, const ClusterReport& run) {
     mergeSurviving(*out, sg);
 }
 
+/// Bit-for-bit equality of two surviving fronts, element by element.
+bool sameBits(const SurvivingSet& a, const SurvivingSet& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::memcmp(&a[i].height, &b[i].height, sizeof(double)) != 0 ||
+            std::memcmp(&a[i].width, &b[i].width, sizeof(double)) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
 /// Worst-of-both-holding-levels cluster run for one victim net, with an
 /// optional propagated glitch injected at the driver input. Both levels'
 /// output glitches join `outSurviving` — the non-governing level can leave
@@ -113,9 +125,13 @@ void recordRun(SurvivingSet* out, const ClusterReport& run) {
 ///
 /// `unconstrained`, when given, also receives the worst-of-both-levels
 /// report of the same runs without any window (windows mode's comparison
-/// verdict). With the search on, each level's two searches run on one
-/// macromodel and share its probe memo: the window-constrained search then
-/// simulates only the probes the unconstrained one has not.
+/// verdict). Each level builds one macromodel for both verdicts (the build
+/// reads neither switch times nor the glitch time). With the search on, the
+/// two searches share its probe memo: the window-constrained search then
+/// simulates only the probes the unconstrained one has not. With the search
+/// off, the windows can only quiet an aggressor or clamp the glitch onset;
+/// when they do neither, the windowed report is a copy of the unconstrained
+/// one, and otherwise one more transient runs at the constrained times.
 ClusterReport runClusterBothLevels(
     const cell::CellLibrary& lib, const Instance& driver,
     const Instance& firstLoad,
@@ -157,42 +173,47 @@ ClusterReport runClusterBothLevels(
             as.outputRising = !level;
             spec.aggressors.push_back(as);
         }
-        const ReportOptions* use = &ropt;
-        ReportOptions constrained;
-        if (aggWindows != nullptr || glitchWindow != nullptr) {
-            constrained = ropt;
-            if (aggWindows != nullptr) {
-                constrained.alignment.aggressorWindows = *aggWindows;
-            }
-            if (incoming != nullptr && glitchWindow != nullptr) {
-                constrained.alignment.glitchWindow = *glitchWindow;
-            }
-            use = &constrained;
-        }
         ClusterReport cluster;
         std::optional<ClusterReport> unc;
+        // The build reads neither switch times nor the glitch time, so one
+        // model serves both verdicts.
+        const ClusterMacromodel model(spec, ropt.macromodel);
         if (ropt.searchAlignment) {
             // The spec's times only seed the search's free candidate, which
             // the search itself clamps into the windows (and holds quiet
             // where a window is empty), so the unconstrained spec serves
-            // both searches and one build and one memo serve the pair.
-            const ClusterMacromodel model(spec, ropt.macromodel);
+            // both searches and one memo serves the pair.
+            const ReportOptions* use = &ropt;
+            ReportOptions constrained;
+            if (aggWindows != nullptr || glitchWindow != nullptr) {
+                constrained = ropt;
+                if (aggWindows != nullptr) {
+                    constrained.alignment.aggressorWindows = *aggWindows;
+                }
+                if (incoming != nullptr && glitchWindow != nullptr) {
+                    constrained.alignment.glitchWindow = *glitchWindow;
+                }
+                use = &constrained;
+            }
             ProbeMemo memo(model);
             if (unconstrained != nullptr) {
                 unc = analyzeCluster(model, ropt, &memo);
             }
             cluster = analyzeCluster(model, *use, &memo);
         } else {
-            if (unconstrained != nullptr) unc = analyzeCluster(spec, ropt);
-            // The fixed alignment honours the windows through the spec.
-            if (aggWindows != nullptr) {
-                for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
-                    if ((*aggWindows)[a].empty()) {
-                        spec.aggressors[a].switchTime =
-                            std::numeric_limits<double>::infinity();
-                    }
+            // The fixed alignment honours the windows by moving the spec's
+            // times: an empty-window aggressor is held quiet and the glitch
+            // onset is clamped into its feasible interval.
+            std::vector<double> times;
+            bool moved = false;
+            for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
+                times.push_back(spec.aggressors[a].switchTime);
+                if (aggWindows != nullptr && (*aggWindows)[a].empty()) {
+                    times.back() = std::numeric_limits<double>::infinity();
+                    moved = true;
                 }
             }
+            double glitchTime = spec.victim.glitchTime;
             if (incoming != nullptr && glitchWindow != nullptr &&
                 glitchWindow->bounded()) {
                 const double lo = std::max(
@@ -200,11 +221,21 @@ ClusterReport runClusterBothLevels(
                 const double hi =
                     std::min(0.8 * spec.tstop, glitchWindow->latest);
                 if (lo <= hi) {
-                    spec.victim.glitchTime =
-                        std::min(std::max(spec.victim.glitchTime, lo), hi);
+                    glitchTime = std::min(std::max(glitchTime, lo), hi);
+                    moved = moved ||
+                            std::memcmp(&glitchTime, &spec.victim.glitchTime,
+                                        sizeof(double)) != 0;
                 }
             }
-            cluster = analyzeCluster(spec, *use);
+            // Where the windows moved nothing, the windowed transient would
+            // repeat the unconstrained one bit for bit: one run serves both.
+            if (moved) {
+                if (unconstrained != nullptr) unc = analyzeCluster(model, ropt);
+                cluster = analyzeClusterAt(model, ropt, times, glitchTime);
+            } else {
+                cluster = analyzeCluster(model, ropt);
+                if (unconstrained != nullptr) unc = cluster;
+            }
         }
         recordRun(outSurviving, cluster);
         if (unc && (first || unc->margin < unconstrained->margin)) {
@@ -341,6 +372,18 @@ std::string fingerprintOf(const DesignNoiseOptions& opt) {
     return os.str();
 }
 
+/// The design flow derives every cluster's alignment windows from
+/// DesignNoiseOptions::windows. Per-cluster windows left in the report
+/// options would constrain the unconstrained verdict too, and the snapshot
+/// fingerprint does not carry them, so a design run refuses them.
+void requireNoClusterWindows(const DesignNoiseOptions& opt) {
+    SNA_REQUIRE(opt.report.alignment.aggressorWindows.empty() &&
+                    opt.report.alignment.glitchWindow.sameBits(
+                        TimingWindow::unbounded()),
+                "design runs take their windows from "
+                "DesignNoiseOptions::windows, not report.alignment");
+}
+
 /// Sorts `v` and drops duplicates: the deterministic order of every name
 /// list a report or an outcome carries.
 void sortUnique(std::vector<std::string>& v) {
@@ -362,11 +405,13 @@ NetNoiseReport failureStub(const std::string& net,
 }
 
 /// Splice inputs for one incremental run (analyzeWithIndex `inc` param):
-/// the dirty net set to re-solve, the counters to fill, and whether the
-/// retained victim list is known stale (a retained victim left the SPEF).
-/// Borrowed, never null.
+/// the nets whose own inputs changed (seeds and their coupling neighbors —
+/// the run adds their downstream closure itself), the task ids whose window
+/// moved, the counters to fill, and whether the retained victim list is
+/// known stale (a retained victim left the SPEF). Borrowed, never null.
 struct IncrementalContext {
-    const std::unordered_set<std::string>* dirty = nullptr;
+    const std::unordered_set<std::string>* mustSolve = nullptr;
+    const std::vector<int>* movedWindows = nullptr;
     IncrementalStats* stats = nullptr;
     bool reselect = false;
 };
@@ -428,19 +473,17 @@ void selectVictims(AnalysisSnapshot& state, const DesignIndex& index,
     }
 }
 
-/// Phase 1 of an incremental run: re-rank the dirty victims in place (a
-/// clean victim's coupling, aggressor drivers and SPEF membership are all
-/// unchanged, so its retained selection is current). When a dirty net
-/// gains or loses victim status — or `reselect` — the whole list is
+/// Phase 1 of an incremental run: re-rank the must-solve victims in place
+/// (any other victim's coupling, aggressor drivers and SPEF membership are
+/// all unchanged, so its retained selection is current). When a must-solve
+/// net gains or loses victim status — or `reselect` — the whole list is
 /// selected again and every retained report follows its net to the new
 /// slot. Returns the victim slots left without a retained report.
-std::vector<int> refreshVictims(AnalysisSnapshot& state,
-                                const DesignIndex& index,
-                                const parser::SpefFile& spef,
-                                std::size_t maxAggressors,
-                                const std::unordered_set<std::string>& dirty,
-                                bool reselect) {
-    for (const std::string& net : dirty) {
+std::vector<int> refreshVictims(
+    AnalysisSnapshot& state, const DesignIndex& index,
+    const parser::SpefFile& spef, std::size_t maxAggressors,
+    const std::unordered_set<std::string>& mustSolve, bool reselect) {
+    for (const std::string& net : mustSolve) {
         if (reselect) break;
         std::optional<VictimSelection> v;
         if (spef.nets().count(net) != 0) {
@@ -474,10 +517,11 @@ std::vector<int> refreshVictims(AnalysisSnapshot& state,
 }
 
 /// The returned report list: every finished victim slot in SPEF order,
-/// then the quiet nets' propagated-only reports in task-id order. Copied
-/// when `state` is a retained snapshot, moved out of a throwaway one.
+/// then the finished quiet nets' propagated-only reports in task-id order.
+/// Copied when `state` is a retained snapshot, moved out of a throwaway one.
 std::vector<NetNoiseReport> collectReports(AnalysisSnapshot& state,
                                            const std::vector<char>& victimDone,
+                                           const std::vector<char>& taskDone,
                                            bool retain) {
     std::vector<NetNoiseReport> out;
     out.reserve(state.victimReports.size());
@@ -491,8 +535,9 @@ std::vector<NetNoiseReport> collectReports(AnalysisSnapshot& state,
     for (std::size_t i = 0; i < state.victimReports.size(); ++i) {
         if (victimDone[i]) take(state.victimReports[i]);
     }
-    for (auto& quiet : state.quietReports) {
-        if (quiet.has_value()) take(*quiet);
+    for (std::size_t id = 0; id < state.quietReports.size(); ++id) {
+        auto& quiet = state.quietReports[id];
+        if (quiet.has_value() && taskDone[id]) take(*quiet);
     }
     return out;
 }
@@ -540,7 +585,7 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
     } else {
         unrecordedSlots =
             refreshVictims(state, index, spef, opt.maxAggressors,
-                           *inc->dirty, inc->reselect);
+                           *inc->mustSolve, inc->reselect);
     }
     const std::vector<VictimSelection>& work = state.victims;
     std::vector<NetNoiseReport>& reports = state.victimReports;
@@ -654,33 +699,63 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
     // Incremental: every clean net's slots — surviving front, quiet report,
     // victim report — still hold the prior run's values, so a dirty task
     // reads its clean fanins' slots exactly as a full run would after
-    // solving them. Only the dirty slots are reset, and only they solve.
+    // solving them. Only the dirty tasks are scheduled. A must-solve task's
+    // own inputs changed (a seed, a coupling neighbor, a victim without a
+    // retained report); the rest of the dirty cone is their downstream
+    // closure, and a closure task re-solves only when what one of its dirty
+    // fanins publishes moved (early cutoff) — otherwise it keeps its
+    // retained slots, exactly like a clean task. A full run marks every task
+    // must-solve.
+    enum : char { kClean, kMustSolve, kClosure, kCutoff };
     std::vector<char> dirtyMask(static_cast<std::size_t>(numNets),
-                                inc != nullptr ? 0 : 1);
+                                inc != nullptr ? kClean : kMustSolve);
+    // Incremental: per task, 1 when what its fanouts read of it — surviving
+    // front, window, failure state — may differ from the retained run.
+    // Moved windows are known before the run; a re-solved task sets the
+    // rest itself when it finishes, before any fanout reads it.
+    std::vector<char> changed;
     if (inc != nullptr) {
-        const auto markDirty = [&](const std::string& net) {
-            const auto it = tg.idOf.find(net);
-            if (it == tg.idOf.end()) return;
-            const auto id = static_cast<std::size_t>(it->second);
-            if (dirtyMask[id]) return;
-            dirtyMask[id] = 1;
-            taskDone[id] = 0;
-            surviving[id].clear();
-            quietReports[id].reset();
+        std::vector<int> stack;
+        const auto markDirty = [&](int id, char role) {
+            dirtyMask[static_cast<std::size_t>(id)] = role;
+            taskDone[static_cast<std::size_t>(id)] = 0;
+            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
             if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
                 victimDone[static_cast<std::size_t>(sit->second)] = 0;
-                ++inc->stats->solvedVictimReports;
             }
+            stack.push_back(id);
         };
-        for (const std::string& net : *inc->dirty) markDirty(net);
+        const auto markMustSolve = [&](const std::string& net) {
+            const auto it = tg.idOf.find(net);
+            if (it == tg.idOf.end()) return;
+            if (dirtyMask[static_cast<std::size_t>(it->second)] != kClean) {
+                return;
+            }
+            markDirty(it->second, kMustSolve);
+        };
+        for (const std::string& net : *inc->mustSolve) markMustSolve(net);
         // The caller's cone marking re-solves any victim the snapshot never
         // recorded; this loop is a no-op, but a wrong mask must degrade to
         // extra work, never to an empty report slot.
         for (const int i : unrecordedSlots) {
-            markDirty(work[static_cast<std::size_t>(i)].net);
+            markMustSolve(work[static_cast<std::size_t>(i)].net);
         }
-        inc->stats->reusedVictimReports =
-            work.size() - inc->stats->solvedVictimReports;
+        // The downstream closure, over the scheduled fanout edges (the flat
+        // sweep has none) — exactly the edges over which a solve can
+        // observe an upstream front.
+        while (!stack.empty()) {
+            const int t = stack.back();
+            stack.pop_back();
+            for (const int d : tg.graph.fanout[static_cast<std::size_t>(t)]) {
+                if (dirtyMask[static_cast<std::size_t>(d)] == kClean) {
+                    markDirty(d, kClosure);
+                }
+            }
+        }
+        changed.assign(static_cast<std::size_t>(numNets), 0);
+        for (const int id : *inc->movedWindows) {
+            changed[static_cast<std::size_t>(id)] = 1;
+        }
     }
 
     // The glitches reaching task `id`'s driver. Surviving fronts are
@@ -969,25 +1044,16 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
         surviving[static_cast<std::size_t>(id)] = std::move(kept);
     };
 
-    // The task the scheduler actually runs: solveNet wrapped in the
-    // failure-quarantine policy. Under failFast the wrapper adds nothing
-    // but the injection site — exceptions propagate through the scheduler
-    // untouched. A flat task has no fanins, so quarantineCone and
-    // degradeToPassthrough both reduce to "capture the failure and go on".
-    const auto runTask = [&](int id) {
+    // One solve under the failure-quarantine policy. Under failFast the
+    // wrapper adds nothing but the injection site — exceptions propagate
+    // through the scheduler untouched. A flat task has no fanins, so
+    // quarantineCone and degradeToPassthrough both reduce to "capture the
+    // failure and go on".
+    const auto solveTask = [&](int id, int slot) {
         const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-        int slot = -1;
-        if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
-            slot = sit->second;
-        }
-        const auto markDone = [&] {
-            if (slot >= 0) victimDone[static_cast<std::size_t>(slot)] = 1;
-            taskDone[static_cast<std::size_t>(id)] = 1;
-        };
         if (policy == NetFailurePolicy::failFast) {
             SNA_FAULT_POINT("core.solve_net", net);
             solveNet(id);
-            markDone();
             return;
         }
         // Cone state over the scheduled fanin edges. Each fanin's state was
@@ -1010,7 +1076,6 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
                 reports[static_cast<std::size_t>(slot)] = failureStub(
                     net, NetNoiseReport::Status::quarantined);
             }
-            markDone();
             return;
         }
         try {
@@ -1054,7 +1119,39 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
             }
             surviving[static_cast<std::size_t>(id)] = std::move(pass);
         }
-        markDone();
+    };
+
+    // The task the scheduler actually runs. A closure task none of whose
+    // dirty fanins changed what it publishes is cut off: its inputs are bit
+    // for bit the retained run's, so its retained slots are its answer. Any
+    // other task starts from empty slots, as in a full run, and the
+    // retained front it replaces tells whether its fanouts see a change.
+    const auto runTask = [&](int id) {
+        const auto uid = static_cast<std::size_t>(id);
+        int slot = -1;
+        if (const auto sit = slotOf.find(tg.nets[uid]); sit != slotOf.end()) {
+            slot = sit->second;
+        }
+        if (dirtyMask[uid] == kClosure) {
+            bool upstreamChanged = false;
+            for (const int f : tg.faninIds[uid]) {
+                upstreamChanged = upstreamChanged ||
+                                  changed[static_cast<std::size_t>(f)] != 0;
+            }
+            if (!upstreamChanged) dirtyMask[uid] = kCutoff;
+        }
+        if (dirtyMask[uid] != kCutoff) {
+            SurvivingSet retained = std::move(surviving[uid]);
+            surviving[uid].clear();
+            quietReports[uid].reset();
+            solveTask(id, slot);
+            if (inc != nullptr && (taskState[uid] != TaskState::ok ||
+                                   !sameBits(surviving[uid], retained))) {
+                changed[uid] = 1;
+            }
+        }
+        if (slot >= 0) victimDone[static_cast<std::size_t>(slot)] = 1;
+        taskDone[uid] = 1;
     };
 
     // A full run schedules every task: the whole ready frontier runs at
@@ -1112,9 +1209,18 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
     sortUnique(outcome.quarantinedNets);
     sortUnique(outcome.degradedNets);
     if (inc != nullptr) {
-        inc->stats->totalTasks = static_cast<std::size_t>(numNets);
-        inc->stats->dirtyTasks = sub.fullId.size();
-        inc->stats->scheduler = sched;
+        IncrementalStats& st = *inc->stats;
+        st.totalTasks = static_cast<std::size_t>(numNets);
+        st.dirtyTasks = sub.fullId.size();
+        for (const int id : sub.fullId) {
+            if (dirtyMask[static_cast<std::size_t>(id)] == kCutoff) {
+                ++st.cutoffTasks;
+            } else if (slotOf.count(tg.nets[static_cast<std::size_t>(id)])) {
+                ++st.solvedVictimReports;
+            }
+        }
+        st.reusedVictimReports = work.size() - st.solvedVictimReports;
+        st.scheduler = sched;
     }
     if (opt.schedulerStats != nullptr) *opt.schedulerStats = std::move(sched);
     // Propagated-only entries for quiet nets follow the SPEF-ordered victim
@@ -1122,7 +1228,7 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
     // cancelled run the unfinished victim slots are dropped — every report
     // returned is complete and bitwise-identical to the same net's report
     // in an uncancelled run.
-    outcome.reports = collectReports(state, victimDone, retain);
+    outcome.reports = collectReports(state, victimDone, taskDone, retain);
     return outcome;
 }
 
@@ -1218,6 +1324,7 @@ bool diffExplicitWindows(const TimingWindows& before, const TimingWindows& now,
 AnalysisOutcome analyzeDesignOutcome(const Design& design,
                                      const parser::SpefFile& spef,
                                      const DesignNoiseOptions& opt) {
+    requireNoClusterWindows(opt);
     auto index = std::make_unique<DesignIndex>(
         design, spef, opt.propagate ? opt.windows : nullptr);
     if (opt.lint != lint::Mode::off) {
@@ -1263,6 +1370,7 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     const Design& design, const parser::SpefFile& spef,
     const DesignDelta& delta, AnalysisSnapshot& snapshot,
     const DesignNoiseOptions& opt, IncrementalStats* statsOut) {
+    requireNoClusterWindows(opt);
     IncrementalStats localStats;
     IncrementalStats& st = statsOut != nullptr ? *statsOut : localStats;
     st = IncrementalStats{};
@@ -1363,12 +1471,12 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     // move: re-propagate it into the retained windows and seed every net
     // whose window moved — its own sensitivity interval changed, and so did
     // the aggressor window its coupled victims see.
+    std::vector<int> moved;
     if (useWindows) {
         if (diffExplicitWindows(snapshot.explicitWindows, *run.windows,
                                 addWindowSource)) {
             snapshot.explicitWindows = *run.windows;
         }
-        std::vector<int> moved;
         st.windowNetsRepropagated =
             propagateWindowCone(index, run.cache, run.windows, windowSources,
                                 snapshot.netWindows, &moved);
@@ -1377,12 +1485,13 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
         }
     }
 
-    std::unordered_set<std::string> dirty =
-        expandDirtyCone(index, seeds, run.propagate, &st.coupledNeighbors);
+    // The must-solve set; the run adds its downstream closure.
+    std::unordered_set<std::string> mustSolve =
+        expandDirtyCone(index, seeds, &st.coupledNeighbors);
 
     // Safety net: a victim the snapshot never recorded must be solved
     // (with its cone), not spliced-as-absent. Unreachable without a
-    // connectivity change, but a wrong dirty set must degrade to extra
+    // connectivity change, but a wrong must-solve set must degrade to extra
     // work, never to a missing report. "Victim" is phase 1's own predicate:
     // a net coupled only to undriven nets heads no cluster, and must not be
     // seeded on every call. The same scan notices a retained victim whose
@@ -1394,20 +1503,20 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
             ++retainedVictims;
             continue;
         }
-        if (dirty.count(netName) == 0 &&
+        if (mustSolve.count(netName) == 0 &&
             selectVictim(index, spef, netName, run.maxAggressors)) {
             unrecorded.insert(netName);
         }
     }
     if (!unrecorded.empty()) {
         seeds.insert(unrecorded.begin(), unrecorded.end());
-        dirty = expandDirtyCone(index, seeds, run.propagate,
-                                &st.coupledNeighbors);
+        mustSolve = expandDirtyCone(index, seeds, &st.coupledNeighbors);
     }
     st.seedNets = seeds.size();
 
     IncrementalContext ctx;
-    ctx.dirty = &dirty;
+    ctx.mustSolve = &mustSolve;
+    ctx.movedWindows = &moved;
     ctx.stats = &st;
     ctx.reselect = retainedVictims != snapshot.victims.size();
     AnalysisOutcome outcome =
@@ -1434,6 +1543,7 @@ std::vector<NetNoiseReport> analyzeDesignIncremental(
 std::vector<NetNoiseReport> analyzeDesignReference(
     const Design& design, const parser::SpefFile& spef,
     const DesignNoiseOptions& opt) {
+    requireNoClusterWindows(opt);
     std::vector<NetNoiseReport> reports;
     const cell::CellLibrary& lib = design.library();
 

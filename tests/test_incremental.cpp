@@ -24,6 +24,7 @@
 #include "core/propagate.hpp"
 #include "core/sna.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -180,6 +181,34 @@ void expectSameReports(const std::vector<core::NetNoiseReport>& a,
                   b[i].windows.excludedAggressors)
             << label << " " << a[i].net;
     }
+}
+
+// The slots an incremental run retains — surviving fronts and quiet
+// reports by task id — must be exactly what a fresh full run captures,
+// including where early cutoff kept them from the run before.
+void expectRetainedSlotsCurrent(const core::AnalysisSnapshot& kept,
+                                const core::AnalysisSnapshot& fresh,
+                                const std::string& label) {
+    ASSERT_EQ(kept.surviving.size(), fresh.surviving.size()) << label;
+    ASSERT_EQ(kept.quietReports.size(), fresh.quietReports.size()) << label;
+    std::vector<core::NetNoiseReport> keptQuiet, freshQuiet;
+    for (std::size_t id = 0; id < fresh.surviving.size(); ++id) {
+        const auto& a = kept.surviving[id];
+        const auto& b = fresh.surviving[id];
+        ASSERT_EQ(a.size(), b.size()) << label << " task " << id;
+        for (std::size_t g = 0; g < a.size(); ++g) {
+            EXPECT_EQ(a[g].height, b[g].height) << label << " task " << id;
+            EXPECT_EQ(a[g].width, b[g].width) << label << " task " << id;
+        }
+        ASSERT_EQ(kept.quietReports[id].has_value(),
+                  fresh.quietReports[id].has_value())
+            << label << " task " << id;
+        if (fresh.quietReports[id].has_value()) {
+            keptQuiet.push_back(*kept.quietReports[id]);
+            freshQuiet.push_back(*fresh.quietReports[id]);
+        }
+    }
+    expectSameReports(keptQuiet, freshQuiet, label + " quiet");
 }
 
 std::string tmpPath(const std::string& name) {
@@ -409,30 +438,45 @@ TEST(DirtyCone, SeedsNeighborsAndDownstreamClosure) {
     buildChain(design, aggs);
     core::DesignIndex index(design, spef);
 
-    // Flat mode: the seed and the clusters that read it as an aggressor.
+    // The must-solve set: the seed and the clusters that read it as an
+    // aggressor, nothing downstream.
     std::size_t neighbors = 0;
-    const auto flat =
-        core::expandDirtyCone(index, {"s0"}, false, &neighbors);
-    EXPECT_TRUE(flat.count("s0"));
-    EXPECT_TRUE(flat.count("g0_0"));  // coupled neighbor
-    EXPECT_FALSE(flat.count("s1"));   // downstream only
-    EXPECT_FALSE(flat.count("g1_0"));
+    const auto cone = core::expandDirtyCone(index, {"s0"}, &neighbors);
+    EXPECT_TRUE(cone.count("s0"));
+    EXPECT_TRUE(cone.count("g0_0"));  // coupled neighbor
+    EXPECT_FALSE(cone.count("s1"));   // downstream only
+    EXPECT_FALSE(cone.count("g1_0"));
     EXPECT_EQ(neighbors, 1u);
 
-    // Wavefront: everything downstream of a re-solved net re-solves too,
-    // but coupling dirtiness does not spread from the downstream adds.
-    const auto wave = core::expandDirtyCone(index, {"s0"}, true);
-    EXPECT_TRUE(wave.count("s0"));
-    EXPECT_TRUE(wave.count("g0_0"));
-    EXPECT_TRUE(wave.count("s1"));
-    EXPECT_TRUE(wave.count("s2"));
-    EXPECT_TRUE(wave.count("chain_out"));
-    EXPECT_FALSE(wave.count("g1_0"));  // aggressor of a downstream net
-    EXPECT_FALSE(wave.count("pin"));   // upstream of the seed
-
     // A seed the index has never heard of marks nothing extra.
-    const auto unknown = core::expandDirtyCone(index, {"no_such"}, true);
+    const auto unknown = core::expandDirtyCone(index, {"no_such"});
     EXPECT_EQ(unknown.size(), 1u);
+
+    // Wavefront: the run schedules everything downstream of the must-solve
+    // set too — s1, s2 and chain_out — but coupling dirtiness does not
+    // spread from the downstream adds (g1_0 stays clean), and nothing
+    // upstream (pin) is touched.
+    const auto spefEco =
+        parser::parseSpef(chainSpef(aggs, {14.0, 10.0, 0.0}));
+    auto opt = cheapOptions();
+    opt.propagate = true;
+    charlib::CharCache cache;
+    opt.cache = &cache;
+    core::AnalysisSnapshot snapshot;
+    opt.snapshot = &snapshot;
+    core::analyzeDesign(design, spef, opt);
+    ASSERT_TRUE(snapshot.valid);
+    opt.snapshot = nullptr;
+    core::DesignDelta delta;
+    delta.nets = {"s0"};
+    core::IncrementalStats stats;
+    const auto fast = core::analyzeDesignIncremental(design, spefEco, delta,
+                                                     snapshot, opt, &stats);
+    EXPECT_FALSE(stats.indexRebuilt);
+    EXPECT_EQ(stats.dirtyTasks, 5u);  // s0, g0_0 + s1, s2, chain_out
+    EXPECT_EQ(stats.scheduler.tasksExecuted, stats.dirtyTasks);
+    expectSameReports(fast, core::analyzeDesign(design, spefEco, opt),
+                      "cone");
 }
 
 // ----------------------------------------------------------- replaceCell
@@ -662,6 +706,192 @@ TEST(Incremental, EmptyDeltaOnNetCoupledOnlyToUndrivenNetsSolvesNothing) {
         EXPECT_EQ(stats.dirtyTasks, 0u) << label;
         EXPECT_EQ(stats.solvedVictimReports, 0u) << label;
         expectSameReports(fast, full, label);
+    }
+}
+
+// ------------------------------------------------------------ early cutoff
+
+// Six chain stages, only the first three coupled: the noise the ECO changes
+// dies out two stages past the last coupled one (its surviving glitch falls
+// under propagateMinHeight), so the rest of the downstream closure sees its
+// retained inputs again and must be cut off, not re-solved.
+const std::vector<int> kFadingAggs{2, 1, 1, 0, 0, 0};
+
+TEST(IncrementalCutoff, ConvergingConeIsCutOffBitIdentically) {
+    const cell::CellLibrary lib(tech::tech130());
+    const auto spef = parser::parseSpef(
+        chainSpef(kFadingAggs, {30.0, 10.0, 8.0, 0.0, 0.0, 0.0}));
+    const auto spefEco = parser::parseSpef(
+        chainSpef(kFadingAggs, {30.0, 6.0, 8.0, 0.0, 0.0, 0.0}));
+    for (const int threads : {1, 4, 8}) {
+        const std::string tag = "threads=" + std::to_string(threads);
+        core::Design design(lib);
+        buildChain(design, kFadingAggs);
+        auto opt = cheapOptions();
+        opt.propagate = true;
+        opt.threads = threads;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        core::AnalysisSnapshot snapshot;
+        opt.snapshot = &snapshot;
+        core::analyzeDesign(design, spef, opt);
+        ASSERT_TRUE(snapshot.valid) << tag;
+        opt.snapshot = nullptr;
+
+        // Re-extract stage 1 and resize stage 2's driver: both change the
+        // surviving glitch of every coupled stage downstream of them.
+        design.replaceCell("c2", "INV_X2");
+        core::DesignDelta delta;
+        delta.nets = {"s1"};
+        delta.instances = {"c2"};
+        core::IncrementalStats stats;
+        const auto fast = core::analyzeDesignIncremental(
+            design, spefEco, delta, snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+
+        core::AnalysisSnapshot fresh;
+        opt.snapshot = &fresh;
+        const auto full = core::analyzeDesign(design, spefEco, opt);
+        opt.snapshot = nullptr;
+        expectSameReports(fast, full, tag);
+        expectRetainedSlotsCurrent(snapshot, fresh, tag);
+
+        // s5 and chain_out follow the stage whose front came out empty, as
+        // it was: both keep their retained slots.
+        EXPECT_GE(stats.cutoffTasks, 2u) << tag;
+        EXPECT_LT(stats.cutoffTasks, stats.dirtyTasks) << tag;
+        EXPECT_EQ(stats.scheduler.tasksExecuted, stats.dirtyTasks) << tag;
+        EXPECT_EQ(stats.solvedVictimReports + stats.reusedVictimReports,
+                  snapshot.victims.size())
+            << tag;
+        // The victims s1 and s2 re-solve, s0 keeps its report.
+        EXPECT_EQ(stats.solvedVictimReports, 2u) << tag;
+    }
+}
+
+TEST(IncrementalCutoff, MovedFaninWindowReSolvesFanoutWithUnchangedFront) {
+    // pin's window moves s0's propagated window away from s1's explicit
+    // (fixed) one. s0's own verdict and surviving front cannot change — its
+    // aggressor overlaps stay non-empty and nothing reaches its driver — but
+    // s1 now drops s0's glitch as disjoint, so s1 must re-solve although
+    // its fanin published its retained front bit for bit.
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{3, 3};
+    const auto spef = parser::parseSpef(chainSpef(aggs, {35.0, 12.0}));
+    core::TimingWindows before;
+    before.set("pin", {0.0, 100e-12});
+    before.set("s1", {0.0, 300e-12});
+    core::TimingWindows after;
+    after.set("pin", {1.5e-9, 1.6e-9});
+    after.set("s1", {0.0, 300e-12});
+    for (const int threads : {1, 4}) {
+        const std::string tag = "threads=" + std::to_string(threads);
+        core::Design design(lib);
+        buildChain(design, aggs);
+        auto opt = cheapOptions();
+        opt.maxAggressors = 3;
+        opt.propagate = true;
+        opt.threads = threads;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        opt.windows = &before;
+        core::AnalysisSnapshot snapshot;
+        opt.snapshot = &snapshot;
+        const auto old = core::analyzeDesign(design, spef, opt);
+        ASSERT_TRUE(snapshot.valid) << tag;
+        ASSERT_EQ(old.size(), 2u) << tag;
+        ASSERT_TRUE(old[1].propagated.present) << tag;
+        const core::NetTaskGraph& tg = snapshot.index->taskGraph();
+        const auto s0 = static_cast<std::size_t>(tg.idOf.at("s0"));
+        const core::SurvivingSet s0Front = snapshot.surviving[s0];
+        ASSERT_FALSE(s0Front.empty()) << tag;
+        opt.snapshot = nullptr;
+
+        opt.windows = &after;
+        core::IncrementalStats stats;
+        const auto fast = core::analyzeDesignIncremental(design, spef, {},
+                                                         snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        const auto full = core::analyzeDesign(design, spef, opt);
+        expectSameReports(fast, full, tag);
+        ASSERT_EQ(full.size(), 2u) << tag;
+        // The premise: s0's front held, s1's verdict moved.
+        ASSERT_EQ(snapshot.surviving[s0].size(), s0Front.size()) << tag;
+        for (std::size_t g = 0; g < s0Front.size(); ++g) {
+            EXPECT_EQ(snapshot.surviving[s0][g].height, s0Front[g].height);
+            EXPECT_EQ(snapshot.surviving[s0][g].width, s0Front[g].width);
+        }
+        EXPECT_EQ(full[1].windows.droppedIncoming,
+                  (std::vector<std::string>{"s0"}))
+            << tag;
+        EXPECT_NE(full[1].cluster.margin, old[1].cluster.margin) << tag;
+    }
+}
+
+TEST(IncrementalCutoff, FailedFaninStillQuarantinesOrDegradesItsCone) {
+    // A must-solve stage fails under an injected fault: its closure must
+    // not be cut off (a failed or degraded fanin always counts as changed),
+    // so every downstream stage is stubbed or degraded exactly as in a
+    // full run under the same fault.
+    const cell::CellLibrary lib(tech::tech130());
+    const auto spef = parser::parseSpef(
+        chainSpef(kFadingAggs, {30.0, 10.0, 8.0, 0.0, 0.0, 0.0}));
+    const auto spefEco = parser::parseSpef(
+        chainSpef(kFadingAggs, {30.0, 6.0, 8.0, 0.0, 0.0, 0.0}));
+    struct Disarm {
+        ~Disarm() { util::FaultInjector::instance().disarm(); }
+    } disarm;
+    for (const auto policy : {core::NetFailurePolicy::quarantineCone,
+                              core::NetFailurePolicy::degradeToPassthrough}) {
+        for (const int threads : {1, 4}) {
+            const std::string tag =
+                std::string(policy == core::NetFailurePolicy::quarantineCone
+                                ? "quarantine"
+                                : "passthrough") +
+                " threads=" + std::to_string(threads);
+            core::Design design(lib);
+            buildChain(design, kFadingAggs);
+            auto opt = cheapOptions();
+            opt.propagate = true;
+            opt.threads = threads;
+            charlib::CharCache cache;
+            opt.cache = &cache;
+            core::AnalysisSnapshot snapshot;
+            opt.snapshot = &snapshot;
+            core::analyzeDesign(design, spef, opt);
+            ASSERT_TRUE(snapshot.valid) << tag;
+            opt.snapshot = nullptr;
+            opt.onNetFailure = policy;
+
+            core::DesignDelta delta;
+            delta.nets = {"s1"};
+            util::FaultInjector::instance().arm("core.solve_net@s1");
+            core::IncrementalStats stats;
+            const auto fast = core::analyzeDesignIncrementalOutcome(
+                design, spefEco, delta, snapshot, opt, &stats);
+            const auto full =
+                core::analyzeDesignOutcome(design, spefEco, opt);
+            util::FaultInjector::instance().disarm();
+
+            EXPECT_FALSE(stats.indexRebuilt) << tag;
+            EXPECT_EQ(stats.cutoffTasks, 0u) << tag;
+            EXPECT_FALSE(snapshot.valid) << tag;
+            EXPECT_EQ(fast.failedNets, std::vector<std::string>{"s1"}) << tag;
+            EXPECT_EQ(fast.failedNets, full.failedNets) << tag;
+            EXPECT_EQ(fast.quarantinedNets, full.quarantinedNets) << tag;
+            EXPECT_EQ(fast.degradedNets, full.degradedNets) << tag;
+            if (policy == core::NetFailurePolicy::quarantineCone) {
+                EXPECT_EQ(fast.quarantinedNets.size(), 5u) << tag;
+            } else {
+                EXPECT_EQ(fast.degradedNets.size(), 5u) << tag;
+            }
+            expectSameReports(fast.reports, full.reports, tag);
+            ASSERT_EQ(fast.reports.size(), full.reports.size()) << tag;
+            for (std::size_t i = 0; i < full.reports.size(); ++i) {
+                EXPECT_EQ(fast.reports[i].status, full.reports[i].status)
+                    << tag << " " << full.reports[i].net;
+            }
+        }
     }
 }
 
@@ -1037,7 +1267,9 @@ TEST(IncrementalWindows, ConeCounterStaysOnTheResizedChain) {
 // re-extractions, explicit-window edits, and empty deltas — on a small
 // windowed multi-chain design. After every step the incremental run (at
 // threads 1 and 4, each on its own snapshot) must equal a cold full run
-// bit for bit, without ever falling back to a rebuild.
+// bit for bit, without ever falling back to a rebuild, and its retained
+// slots must equal the full run's — early cutoff included, which the
+// sequence must exercise.
 TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
     const cell::CellLibrary lib(tech::tech130());
     const MultiChain mc;
@@ -1071,6 +1303,7 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
 
     util::Rng rng(20051);
     std::array<int, 4> kinds{};
+    std::size_t cutoffTasks = 0;
     for (int step = 0; step < 40; ++step) {
         core::DesignDelta delta;
         const int kind = rng.uniformInt(0, 3);
@@ -1116,7 +1349,10 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
             "step " + std::to_string(step) + " (" + what + ")";
 
         opt.threads = 1;
+        core::AnalysisSnapshot fresh;
+        opt.snapshot = &fresh;
         const auto full = core::analyzeDesign(design, spef, opt);
+        opt.snapshot = nullptr;
         for (const auto& [threads, snap] :
              {std::pair<int, core::AnalysisSnapshot*>{1, &snap1},
               {4, &snap4}}) {
@@ -1127,10 +1363,13 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
             const std::string t = tag + " threads=" + std::to_string(threads);
             EXPECT_FALSE(stats.indexRebuilt) << t;
             expectSameReports(fast, full, t);
+            expectRetainedSlotsCurrent(*snap, fresh, t);
+            cutoffTasks += stats.cutoffTasks;
         }
         if (testing::Test::HasFailure()) break;
     }
     for (const int count : kinds) EXPECT_GT(count, 0);
+    EXPECT_GT(cutoffTasks, 0u);
     expectRetainedWindowsCurrent(snap1, *windows, "final");
 }
 

@@ -17,6 +17,7 @@
 #include "charlib/characterize.hpp"
 #include "core/alignment.hpp"
 #include "core/design_index.hpp"
+#include "core/incremental.hpp"
 #include "core/propagate.hpp"
 #include "core/sna.hpp"
 #include "parser/windows_parser.hpp"
@@ -462,6 +463,138 @@ TEST(WindowedDesign, FlatSweepIgnoresWindows) {
             EXPECT_TRUE(a.windows.excludedAggressors.empty()) << label;
             EXPECT_TRUE(a.windows.droppedIncoming.empty()) << label;
         }
+    }
+}
+
+// Fixed-alignment windowed verdicts, pinned bit for bit at threads 1 and 4:
+// the windowed and unconstrained margins of every victim. The pins were
+// taken with one macromodel build and one transient per verdict, so they
+// hold the fixed-alignment path to exactly those numbers however it shares
+// work between the two verdicts.
+struct PinnedVerdict {
+    const char* net;
+    double windowed;
+    double unconstrained;
+};
+
+std::vector<core::NetNoiseReport> expectPinnedVerdicts(
+    const std::vector<int>& aggs, const std::vector<double>& cc,
+    const core::TimingWindows& w, const std::vector<PinnedVerdict>& pins) {
+    const cell::CellLibrary lib(tech::tech130());
+    const auto spef = parser::parseSpef(chainSpef(aggs, cc));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    std::vector<core::NetNoiseReport> first;
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        auto opt = fastPropagateOptions();
+        opt.threads = threads;
+        opt.windows = &w;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        const auto rep = core::analyzeDesign(design, spef, opt);
+        EXPECT_EQ(rep.size(), pins.size());
+        for (std::size_t i = 0; i < rep.size() && i < pins.size(); ++i) {
+            EXPECT_EQ(rep[i].net, pins[i].net);
+            EXPECT_TRUE(rep[i].windows.constrained) << rep[i].net;
+            EXPECT_EQ(rep[i].windows.windowedMargin, pins[i].windowed)
+                << rep[i].net;
+            EXPECT_EQ(rep[i].windows.unconstrainedMargin,
+                      pins[i].unconstrained)
+                << rep[i].net;
+            EXPECT_EQ(rep[i].cluster.margin, rep[i].windows.windowedMargin)
+                << rep[i].net;
+        }
+        if (first.empty()) first = rep;
+    }
+    return first;
+}
+
+TEST(WindowedDesign, FixedAlignmentBoundedWindowsMovingNothingPinned) {
+    // Every window is bounded and overlaps the victim's: no aggressor is
+    // quieted and no glitch is injected, so the windowed verdict is the
+    // unconstrained one.
+    core::TimingWindows w;
+    w.set("s0", {0.0, 1.2e-9});
+    w.set("g0_0", {100e-12, 900e-12});
+    w.set("g0_1", {200e-12, 2.0e-9});
+    const auto rep = expectPinnedVerdicts(
+        {2}, {30.0}, w,
+        {{"s0", 0x1.5bf0a12de744p-3, 0x1.5bf0a12de744p-3}});
+    ASSERT_EQ(rep.size(), 1u);
+    EXPECT_TRUE(rep[0].windows.excludedAggressors.empty());
+    EXPECT_EQ(rep[0].windows.windowedMargin,
+              rep[0].windows.unconstrainedMargin);
+}
+
+TEST(WindowedDesign, FixedAlignmentEmptyOverlapQuietsAggressorPinned) {
+    core::TimingWindows w;
+    w.set("s0", {0.0, 300e-12});
+    w.set("g0_0", {1.5e-9, 2.0e-9});
+    const auto rep = expectPinnedVerdicts(
+        {3}, {35.0}, w,
+        {{"s0", 0x1.24ec0a1aa7ac8p-2, -0x1.5bd9eea5176p-5}});
+    ASSERT_EQ(rep.size(), 1u);
+    EXPECT_EQ(rep[0].windows.excludedAggressors,
+              (std::vector<std::string>{"g0_0"}));
+    EXPECT_GT(rep[0].windows.windowedMargin,
+              rep[0].windows.unconstrainedMargin);
+}
+
+TEST(WindowedDesign, FixedAlignmentClampedGlitchOnsetPinned) {
+    // Both stages switch late: stage 0's surviving glitch reaches stage 1
+    // inside their common window, whose earliest feasible onset lies past
+    // the spec's default glitch time, so the windowed run clamps the onset
+    // to new bits while the unconstrained run keeps the default.
+    core::TimingWindows w;
+    w.set("s0", {1.0e-9, 1.3e-9});
+    w.set("s1", {1.0e-9, 1.3e-9});
+    const auto rep = expectPinnedVerdicts(
+        {3, 3}, {35.0, 12.0}, w,
+        {{"s0", 0x1.53dd61df23a3p-5, 0x1.53dd61df23a3p-5},
+         {"s1", 0x1.97aadeb0edf1p-3, -0x1.3038da11968e8p-4}});
+    ASSERT_EQ(rep.size(), 2u);
+    EXPECT_TRUE(rep[1].windows.droppedIncoming.empty());
+    EXPECT_TRUE(rep[1].propagated.present);
+    EXPECT_EQ(rep[0].windows.windowedMargin,
+              rep[0].windows.unconstrainedMargin);
+}
+
+TEST(WindowedDesign, CallerClusterWindowsRejected) {
+    // A design run derives every cluster's windows from opt.windows. Windows
+    // left in opt.report.alignment would reach the unconstrained verdict and
+    // escape the snapshot fingerprint, so every design entry refuses them.
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2};
+    const auto spef = parser::parseSpef(chainSpef(aggs, {30.0}));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    auto opt = fastPropagateOptions();
+    core::AnalysisSnapshot snapshot;
+    opt.snapshot = &snapshot;
+    core::analyzeDesign(design, spef, opt);
+    ASSERT_TRUE(snapshot.valid);
+    opt.snapshot = nullptr;
+
+    auto aggs1 = opt;
+    aggs1.report.alignment.aggressorWindows = {{0.0, 300e-12},
+                                               {0.0, 300e-12}};
+    auto glitch = opt;
+    glitch.report.alignment.glitchWindow = {100e-12, 900e-12};
+    for (const auto& bad : {aggs1, glitch}) {
+        EXPECT_THROW(core::analyzeDesign(design, spef, bad), LogicError);
+        EXPECT_THROW(core::analyzeDesignOutcome(design, spef, bad),
+                     LogicError);
+        EXPECT_THROW(core::analyzeDesignReference(design, spef, bad),
+                     LogicError);
+        EXPECT_THROW(
+            core::analyzeDesignIncremental(design, spef, {}, snapshot, bad),
+            LogicError);
+        EXPECT_THROW(core::analyzeDesignIncrementalOutcome(design, spef, {},
+                                                           snapshot, bad),
+                     LogicError);
+        // Refused before the snapshot is touched.
+        EXPECT_TRUE(snapshot.valid);
     }
 }
 
