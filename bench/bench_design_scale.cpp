@@ -31,7 +31,11 @@
 //     warm-cache re-run; the incremental margins must match the full run
 //     bitwise (incremental_margin_diff, asserted 0). eco_cutoff_tasks counts
 //     the scheduled closure tasks that kept their retained results because
-//     their upstream noise came out bit-identical.
+//     their upstream noise came out bit-identical. One more call on the same
+//     snapshot flags connectivityChanged, so it rebuilds and runs every task
+//     dirty: its margins must match the full run bitwise
+//     (eco_rebuild_margin_diff, asserted 0) and its scheduler must execute
+//     every task (eco_rebuild_sched_tasks == eco_total_tasks).
 // Margins are cross-checked within 1e-9 between every flat path. Emits one
 // JSON object (for the bench trajectory) after the human-readable table.
 //
@@ -287,6 +291,10 @@ struct Row {
     double ecoIncrementalSec = 0.0;
     double ecoFullSec = 0.0;  ///< full warm-cache re-run of the same state
     double incrementalMarginDiff = 0.0;  ///< vs the full re-run, must be 0
+    /// The connectivityChanged call on the same snapshot: vs the full
+    /// re-run (must be 0), and the tasks its scheduler executed.
+    double ecoRebuildMarginDiff = 0.0;
+    std::size_t ecoRebuildSchedTasks = 0;
 };
 
 }  // namespace
@@ -665,6 +673,23 @@ int main(int argc, char** argv) {
                              row.incrementalMarginDiff);
                 return 1;
             }
+
+            // The rebuild path: an update that cannot splice runs every
+            // task dirty and must land on the full run's bits.
+            core::DesignDelta rebuild;
+            rebuild.connectivityChanged = true;
+            core::IncrementalStats rstats;
+            const auto rebuilt = core::analyzeDesignIncremental(
+                chained, chainSpef, rebuild, snapshot, eopt, &rstats);
+            row.ecoRebuildMarginDiff = maxMarginDiff(rebuilt, full);
+            row.ecoRebuildSchedTasks = rstats.scheduler.tasksExecuted;
+            if (row.ecoRebuildMarginDiff != 0.0) {
+                std::fprintf(stderr,
+                             "rebuilding ECO run diverged from the full "
+                             "re-run (max |dMargin| %.3e V)\n",
+                             row.ecoRebuildMarginDiff);
+                return 1;
+            }
         }
 
         rows.push_back(row);
@@ -834,6 +859,8 @@ int main(int argc, char** argv) {
             "\"eco_nets\": %zu, \"eco_dirty_tasks\": %zu, "
             "\"eco_cutoff_tasks\": %zu, \"eco_total_tasks\": %zu, \"eco_incremental_sec\": %.4f, "
             "\"eco_full_sec\": %.4f, \"incremental_margin_diff\": %.3e, "
+            "\"eco_rebuild_margin_diff\": %.3e, "
+            "\"eco_rebuild_sched_tasks\": %zu, "
             "\"frontend_parse_sec\": %.4f, \"frontend_roundtrip_ok\": %s, "
             "\"frontend_instances\": %zu}",
             i == 0 ? "" : ", ", r.nets, r.reports, refStr.c_str(), r.opt1Sec,
@@ -851,6 +878,7 @@ int main(int argc, char** argv) {
             r.cacheDiskHits, r.ecoNets, r.ecoDirtyTasks, r.ecoCutoffTasks,
             r.ecoTotalTasks,
             r.ecoIncrementalSec, r.ecoFullSec, r.incrementalMarginDiff,
+            r.ecoRebuildMarginDiff, r.ecoRebuildSchedTasks,
             r.frontendParseSec, r.frontendRoundtripOk ? "true" : "false",
             r.frontendInstances);
     }

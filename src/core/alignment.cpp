@@ -124,6 +124,16 @@ void ProbeMemo::record(const std::vector<double>& aggTimes, double glitchTime,
     values_.emplace(probeKey(aggTimes, glitchTime), value);
 }
 
+double glitchHorizon(double tstop, double glitchBase) {
+    return std::max(tstop, 6.0 * glitchBase);
+}
+
+TimingWindow glitchOnsetInterval(const TimingWindow& w, double glitchBase,
+                                 double tstop) {
+    return {std::max(0.0, w.earliest - glitchBase),
+            std::min(0.8 * tstop, w.latest)};
+}
+
 AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                                    const AlignmentOptions& opt,
                                    ProbeMemo* memo) {
@@ -164,12 +174,13 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
     }
     Axis glitchAxis{0.0, tMax, hasGlitch};
     if (hasGlitch && opt.glitchWindow.bounded()) {
-        glitchAxis.lo = std::max(
-            0.0, opt.glitchWindow.earliest - spec.victim.glitchWidth);
-        glitchAxis.hi = std::min(tMax, opt.glitchWindow.latest);
-        SNA_REQUIRE(glitchAxis.lo <= glitchAxis.hi,
+        const TimingWindow onsets = glitchOnsetInterval(
+            opt.glitchWindow, spec.victim.glitchWidth, spec.tstop);
+        SNA_REQUIRE(!onsets.empty(),
                     "glitch window leaves no feasible onset; drop the "
                     "glitch candidate instead");
+        glitchAxis.lo = onsets.earliest;
+        glitchAxis.hi = onsets.latest;
     }
 
     InitialTimes times = peakAlignedInit(model);

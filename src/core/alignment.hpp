@@ -89,6 +89,23 @@ private:
     std::map<std::vector<std::uint64_t>, double> values_;
 };
 
+/// The simulation horizon of a cluster whose victim input carries an
+/// injected glitch with triangle base `glitchBase`. A broad, near-DC glitch
+/// can outlast `tstop`: the search probes onsets up to 0.8 * tstop, so the
+/// triangle only fits for any probe when the horizon is at least 5x its
+/// base. The horizon is extended rather than the glitch clamped (clamping
+/// would analyze a narrower, weaker glitch — optimistic).
+double glitchHorizon(double tstop, double glitchBase);
+
+/// The feasible onsets of an injected glitch with triangle base
+/// `glitchBase` whose occupancy [onset, onset + base] must meet window `w`,
+/// on a horizon `tstop`: [max(0, w.earliest - base), min(0.8 tstop,
+/// w.latest)]. TimingWindow::empty() when the window leaves no onset. The
+/// search, the fixed-alignment clamp and the design flow's decision to
+/// drop a glitch candidate all read this one interval.
+TimingWindow glitchOnsetInterval(const TimingWindow& w, double glitchBase,
+                                 double tstop);
+
 /// Coordinate-descent worst-|peak| search starting from peak-aligned
 /// initial times. All probed times are clamped to [0, 0.8 tstop] (and to
 /// the feasible window intervals when given): a candidate before t = 0

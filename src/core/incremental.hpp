@@ -16,6 +16,11 @@
 // run (early cutoff); otherwise it keeps its retained slots like a clean
 // net, and the re-solve stops where the noise converges.
 //
+// There is one run path. A full analyzeDesign is the update that rebuilds
+// the index, reselects every victim and marks every task must-solve; an
+// update on a reusable snapshot patches the index and marks its delta's
+// must-solve tasks. Both then run the same solve.
+//
 // Cost model of one incremental call. O(dirty cone):
 //   * seeding — delta instances by name through the index, re-read SPEF
 //     sections through patchParasitics;
@@ -31,15 +36,17 @@
 //     window bit for bit is cut off after one pass over its fanins.
 // O(design), by design: copying every clean report into the returned
 // vector (the API returns every report), the `unrecorded` safety scan
-// over the SPEF nets, the per-call worker pool, per-task byte masks, and
-// the explicit-window comparison (O(explicit windows)).
+// over the SPEF nets, the per-call worker pool, the per-task records and
+// the restricted task graph, and the explicit-window comparison
+// (O(explicit windows)). A call whose snapshot is not reusable runs this
+// path with every task dirty, so it costs what a full run costs.
 //
 // Contract: analyzeDesignIncremental returns reports bit-identical to a
 // cold analyzeDesign over the same (mutated) design at any thread count.
 // Whenever the snapshot cannot guarantee that — no prior run, different
-// Design object, changed analysis options, or a connectivity change — it
-// falls back to a full run (and captures a fresh snapshot), never to a
-// wrong answer.
+// Design object, changed analysis options, or a connectivity change — the
+// call rebuilds the index and runs this path with every task dirty
+// (capturing a fresh snapshot), never a wrong answer.
 #pragma once
 
 #include <cstddef>
@@ -126,27 +133,32 @@ struct AnalysisSnapshot {
     std::vector<lint::Diagnostic> lint;
 };
 
-/// Observability counters for one incremental call.
+/// Observability counters for one incremental call. A call that rebuilds
+/// counts like any other update with every task dirty.
 struct IncrementalStats {
     std::size_t totalTasks = 0;  ///< graph nets (wavefront) or victims (flat)
     /// Scheduled this call: the must-solve nets and their downstream
-    /// closure. Equals scheduler.tasksExecuted on a completed run.
+    /// closure, every task when the call rebuilt. Equals
+    /// scheduler.tasksExecuted on a completed run.
     std::size_t dirtyTasks = 0;
     /// Of dirtyTasks, the closure tasks cut off without a solve: every
     /// dirty fanin finished ok with its retained front and window, so the
     /// task kept its retained slots.
     std::size_t cutoffTasks = 0;
-    std::size_t seedNets = 0;    ///< delta nets/pins + window/coupling diffs
+    /// Delta nets/pins + window/coupling diffs; 0 when the call rebuilt.
+    std::size_t seedNets = 0;
     std::size_t coupledNeighbors = 0;  ///< added around the seeds
     /// Victim reports kept from the snapshot (clean or cut off) and victim
     /// reports solved this call; together, the victim count.
     std::size_t reusedVictimReports = 0;
     std::size_t solvedVictimReports = 0;
     /// Nets whose switching window was recomputed (windows mode): the
-    /// window sources and whatever their moved windows reached downstream.
+    /// window sources and whatever their moved windows reached downstream,
+    /// every net when the call rebuilt.
     std::size_t windowNetsRepropagated = 0;
     /// True when the call could not splice (invalid snapshot, option or
-    /// connectivity change) and ran the full pipeline instead.
+    /// connectivity change): it rebuilt the index, reselected every victim
+    /// and ran every task dirty.
     bool indexRebuilt = false;
     util::SchedulerStats scheduler;  ///< the restricted run's counters
 };
@@ -172,7 +184,8 @@ std::unordered_set<std::string> expandDirtyCone(
 /// report is spliced from the snapshot. The snapshot is refreshed in place
 /// for the next iteration. Reports are bit-identical to
 /// a cold analyzeDesign over the same state at any thread count; when the
-/// snapshot cannot be reused the call degrades to exactly that full run.
+/// snapshot cannot be reused the call rebuilds the index and runs every
+/// task dirty, which is exactly that full run.
 std::vector<NetNoiseReport> analyzeDesignIncremental(
     const Design& design, const parser::SpefFile& spef,
     const DesignDelta& delta, AnalysisSnapshot& snapshot,
@@ -183,8 +196,10 @@ std::vector<NetNoiseReport> analyzeDesignIncremental(
 /// cancelled/timed-out run returns the partial AnalysisOutcome instead of
 /// throwing. Because the retained index is patched in place before the
 /// solve, an incomplete or faulted run invalidates the snapshot
-/// (`snapshot.valid == false`) — the next iteration falls back to a full
-/// run rather than splicing reports that no longer match the index.
+/// (`snapshot.valid == false`) — the next iteration rebuilds rather than
+/// splicing reports that no longer match the index. On the rebuild path
+/// `lintOut` carries the delta's findings, then the design's, then the
+/// post-run resilience findings; `snapshot.lint` keeps the design's.
 AnalysisOutcome analyzeDesignIncrementalOutcome(
     const Design& design, const parser::SpefFile& spef,
     const DesignDelta& delta, AnalysisSnapshot& snapshot,

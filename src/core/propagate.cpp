@@ -195,22 +195,14 @@ std::size_t propagateWindowCone(const DesignIndex& index,
     return recomputed;
 }
 
-std::vector<TimingWindow> propagateWindowsById(const DesignIndex& index,
-                                               charlib::CharCache* cache,
-                                               const TimingWindows* windows) {
-    std::vector<int> every(index.taskGraph().nets.size());
-    std::iota(every.begin(), every.end(), 0);
-    std::vector<TimingWindow> byId;
-    propagateWindowCone(index, cache, windows, every, byId);
-    return byId;
-}
-
 std::unordered_map<std::string, TimingWindow> propagateWindows(
     const DesignIndex& index, charlib::CharCache* cache,
     const TimingWindows* windows) {
-    const std::vector<TimingWindow> byId =
-        propagateWindowsById(index, cache, windows);
     const NetTaskGraph& tg = index.taskGraph();
+    std::vector<int> every(tg.nets.size());
+    std::iota(every.begin(), every.end(), 0);
+    std::vector<TimingWindow> byId;
+    propagateWindowCone(index, cache, windows, every, byId);
     std::unordered_map<std::string, TimingWindow> out;
     for (std::size_t id = 0; id < byId.size(); ++id) {
         out.emplace(tg.nets[id], byId[id]);

@@ -132,14 +132,8 @@ std::size_t propagateWindowCone(const DesignIndex& index,
                                 std::vector<TimingWindow>& byId,
                                 std::vector<int>* moved = nullptr);
 
-/// The full pass: propagateWindowCone with every net a source and nothing
-/// retained. Deterministic: ids run in order and fanin edges are
-/// pre-sorted.
-std::vector<TimingWindow> propagateWindowsById(
-    const DesignIndex& index, charlib::CharCache* cache,
-    const TimingWindows* windows = nullptr);
-
-/// The full pass keyed by net name: one window per net of the level graph.
+/// The full pass keyed by net name: propagateWindowCone with every net a
+/// source and nothing retained, one window per net of the level graph.
 /// The override lets the lint hull check (SNA-L303) propagate a candidate
 /// window set without mutating the index.
 std::unordered_map<std::string, TimingWindow> propagateWindows(

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -158,12 +159,7 @@ ClusterReport runClusterBothLevels(
             spec.victim.glitchHeight = incoming->height;
             // Stored as 50% width; the triangle injection takes the base.
             spec.victim.glitchWidth = 2.0 * incoming->width;
-            // A broad, near-DC glitch can outlast the simulation window:
-            // the alignment search probes onsets up to 0.8 * tstop, so the
-            // triangle only fits for any probe when tstop >= 5x its base.
-            // Extend the window rather than clamp the glitch (clamping
-            // would analyze a narrower, weaker glitch — optimistic).
-            spec.tstop = std::max(spec.tstop, 6.0 * spec.victim.glitchWidth);
+            spec.tstop = glitchHorizon(spec.tstop, spec.victim.glitchWidth);
         }
         for (const auto& [drvCell, agg] : rankedAggressors) {
             AggressorSpec as;
@@ -216,12 +212,11 @@ ClusterReport runClusterBothLevels(
             double glitchTime = spec.victim.glitchTime;
             if (incoming != nullptr && glitchWindow != nullptr &&
                 glitchWindow->bounded()) {
-                const double lo = std::max(
-                    0.0, glitchWindow->earliest - spec.victim.glitchWidth);
-                const double hi =
-                    std::min(0.8 * spec.tstop, glitchWindow->latest);
-                if (lo <= hi) {
-                    glitchTime = std::min(std::max(glitchTime, lo), hi);
+                const TimingWindow onsets = glitchOnsetInterval(
+                    *glitchWindow, spec.victim.glitchWidth, spec.tstop);
+                if (!onsets.empty()) {
+                    glitchTime = std::min(
+                        std::max(glitchTime, onsets.earliest), onsets.latest);
                     moved = moved ||
                             std::memcmp(&glitchTime, &spec.victim.glitchTime,
                                         sizeof(double)) != 0;
@@ -249,15 +244,21 @@ ClusterReport runClusterBothLevels(
     return worst;
 }
 
-/// Windows mode's inputs to analyzeVictim, and its second verdict.
-struct VictimWindows {
-    const std::vector<TimingWindow>* aggWindows = nullptr;  ///< per ranked
-    const std::vector<TimingWindow>* incomingWindows = nullptr;  ///< per in
+/// Windows mode's view of one net's inputs (SolveRun::gateWindows): the
+/// net's own window, and which incoming glitches and aggressors can collide
+/// with it there.
+struct WindowGate {
+    TimingWindow sens;  ///< the net's own (sensitivity) window
     /// Per incoming candidate: its carrier's window misses this net, so it
     /// only enters the unconstrained verdict.
-    const std::vector<char>* dropped = nullptr;
-    /// Out: the worst margin over the same runs without any window.
-    double unconstrainedMargin = 0.0;
+    std::vector<char> dropped;
+    std::vector<TimingWindow> incomingWindows;  ///< per incoming candidate
+    std::vector<TimingWindow> aggWindows;       ///< per ranked aggressor
+    std::vector<std::string> excludedAggressors;  ///< empty overlaps
+    /// False when every window involved is unbounded and nothing was
+    /// dropped: the constrained run would equal the unconstrained one, so
+    /// a single solve serves both margins.
+    bool constraining = false;
 };
 
 /// Full per-net analysis: the local-only verdict (exactly what the flat
@@ -270,7 +271,8 @@ struct VictimWindows {
 ///
 /// With `windows` the report is the window-constrained one (dropped
 /// candidates excluded), and the unconstrained margin over every candidate
-/// comes from the same runs (see runClusterBothLevels).
+/// comes from the same runs (see runClusterBothLevels) into
+/// `report.windows.unconstrainedMargin`.
 NetNoiseReport analyzeVictim(
     const cell::CellLibrary& lib, const std::string& netName,
     const Instance& driver, const Instance& firstLoad,
@@ -278,7 +280,7 @@ NetNoiseReport analyzeVictim(
     const ic::RcNetwork& rc, double tstop, const ReportOptions& ropt,
     const std::vector<IncomingGlitch>& incoming = {},
     SurvivingSet* outSurviving = nullptr,
-    VictimWindows* windows = nullptr) {
+    const WindowGate* windows = nullptr) {
     NetNoiseReport report;
     report.net = netName;
     for (const auto& [drvCell, agg] : rankedAggressors) {
@@ -286,7 +288,7 @@ NetNoiseReport analyzeVictim(
     }
 
     const std::vector<TimingWindow>* aggWindows =
-        windows != nullptr ? windows->aggWindows : nullptr;
+        windows != nullptr ? &windows->aggWindows : nullptr;
     ClusterReport unc;
     report.cluster = runClusterBothLevels(
         lib, driver, firstLoad, rankedAggressors, rc, tstop, ropt, nullptr,
@@ -296,17 +298,16 @@ NetNoiseReport analyzeVictim(
     report.propagated.localNrcLimit = report.cluster.nrcLimit;
     report.propagated.localMargin = report.cluster.margin;
     report.propagated.localFails = report.cluster.fails;
-    if (windows != nullptr) windows->unconstrainedMargin = unc.margin;
     // The unconstrained verdict: the worst margin over every run.
+    double& uncMargin = report.windows.unconstrainedMargin;
+    if (windows != nullptr) uncMargin = unc.margin;
     const auto mergeUnc = [&](const ClusterReport& run) {
-        if (run.margin < windows->unconstrainedMargin) {
-            windows->unconstrainedMargin = run.margin;
-        }
+        if (run.margin < uncMargin) uncMargin = run.margin;
     };
 
     for (std::size_t i = 0; i < incoming.size(); ++i) {
         const IncomingGlitch& in = incoming[i];
-        if (windows != nullptr && (*windows->dropped)[i] != 0) {
+        if (windows != nullptr && windows->dropped[i] != 0) {
             mergeUnc(runClusterBothLevels(lib, driver, firstLoad,
                                            rankedAggressors, rc, tstop, ropt,
                                            &in, nullptr));
@@ -325,7 +326,7 @@ NetNoiseReport analyzeVictim(
         auto combined = runClusterBothLevels(
             lib, driver, firstLoad, rankedAggressors, rc, tstop, ropt, &in,
             outSurviving, aggWindows,
-            windows != nullptr ? &(*windows->incomingWindows)[i] : nullptr,
+            windows != nullptr ? &windows->incomingWindows[i] : nullptr,
             windows != nullptr ? &unc : nullptr);
         if (windows != nullptr) mergeUnc(unc);
         // The worst margin over {local, each combined candidate} governs: a
@@ -404,18 +405,6 @@ NetNoiseReport failureStub(const std::string& net,
     return r;
 }
 
-/// Splice inputs for one incremental run (analyzeWithIndex `inc` param):
-/// the nets whose own inputs changed (seeds and their coupling neighbors —
-/// the run adds their downstream closure itself), the task ids whose window
-/// moved, the counters to fill, and whether the retained victim list is
-/// known stale (a retained victim left the SPEF). Borrowed, never null.
-struct IncrementalContext {
-    const std::unordered_set<std::string>* mustSolve = nullptr;
-    const std::vector<int>* movedWindows = nullptr;
-    IncrementalStats* stats = nullptr;
-    bool reselect = false;
-};
-
 /// Phase 1 for one SPEF net: the victim cluster it heads — coupling, a
 /// driver, a load, and at least one coupled SPEF net with a driver — with
 /// its aggressors ranked by summed coupling cap (ties on the net name, for
@@ -453,32 +442,13 @@ std::optional<VictimSelection> selectVictim(const DesignIndex& index,
     return v;
 }
 
-/// Phase 1 over the whole SPEF: select every victim, in SPEF order.
-void selectVictims(AnalysisSnapshot& state, const DesignIndex& index,
-                   const parser::SpefFile& spef, std::size_t maxAggressors) {
-    state.victims.clear();
-    state.slotOf.clear();
-    for (const auto& [netName, spefNet] : spef.nets()) {
-        if (!index.couplingOf(netName).empty() &&
-            index.driverOf(netName) == nullptr) {
-            log::warn() << "SPEF net '" << netName
-                        << "' has coupling but no driver in the design";
-            continue;
-        }
-        std::optional<VictimSelection> v =
-            selectVictim(index, spef, netName, maxAggressors);
-        if (!v) continue;
-        state.slotOf.emplace(netName, static_cast<int>(state.victims.size()));
-        state.victims.push_back(std::move(*v));
-    }
-}
-
-/// Phase 1 of an incremental run: re-rank the must-solve victims in place
-/// (any other victim's coupling, aggressor drivers and SPEF membership are
-/// all unchanged, so its retained selection is current). When a must-solve
-/// net gains or loses victim status — or `reselect` — the whole list is
-/// selected again and every retained report follows its net to the new
-/// slot. Returns the victim slots left without a retained report.
+/// Phase 1: re-rank the must-solve victims in place (any other victim's
+/// coupling, aggressor drivers and SPEF membership are all unchanged, so
+/// its retained selection is current). When a must-solve net gains or
+/// loses victim status — or `reselect` — the whole list is selected again
+/// in SPEF order and every retained report follows its net to the new
+/// slot; a rebuild reselects on an emptied snapshot. Returns the victim
+/// slots left without a retained report.
 std::vector<int> refreshVictims(
     AnalysisSnapshot& state, const DesignIndex& index,
     const parser::SpefFile& spef, std::size_t maxAggressors,
@@ -501,7 +471,21 @@ std::vector<int> refreshVictims(
     const std::unordered_map<std::string, int> oldSlot =
         std::move(state.slotOf);
     std::vector<NetNoiseReport> oldReports = std::move(state.victimReports);
-    selectVictims(state, index, spef, maxAggressors);
+    state.victims.clear();
+    state.slotOf.clear();
+    for (const auto& [netName, spefNet] : spef.nets()) {
+        if (!index.couplingOf(netName).empty() &&
+            index.driverOf(netName) == nullptr) {
+            log::warn() << "SPEF net '" << netName
+                        << "' has coupling but no driver in the design";
+            continue;
+        }
+        std::optional<VictimSelection> v =
+            selectVictim(index, spef, netName, maxAggressors);
+        if (!v) continue;
+        state.slotOf.emplace(netName, static_cast<int>(state.victims.size()));
+        state.victims.push_back(std::move(*v));
+    }
     state.victimReports.assign(state.victims.size(), NetNoiseReport{});
     std::vector<int> unrecorded;
     for (std::size_t i = 0; i < state.victims.size(); ++i) {
@@ -514,32 +498,6 @@ std::vector<int> refreshVictims(
             std::move(oldReports[static_cast<std::size_t>(it->second)]);
     }
     return unrecorded;
-}
-
-/// The returned report list: every finished victim slot in SPEF order,
-/// then the finished quiet nets' propagated-only reports in task-id order.
-/// Copied when `state` is a retained snapshot, moved out of a throwaway one.
-std::vector<NetNoiseReport> collectReports(AnalysisSnapshot& state,
-                                           const std::vector<char>& victimDone,
-                                           const std::vector<char>& taskDone,
-                                           bool retain) {
-    std::vector<NetNoiseReport> out;
-    out.reserve(state.victimReports.size());
-    const auto take = [&out, retain](NetNoiseReport& r) {
-        if (retain) {
-            out.push_back(r);
-        } else {
-            out.push_back(std::move(r));
-        }
-    };
-    for (std::size_t i = 0; i < state.victimReports.size(); ++i) {
-        if (victimDone[i]) take(state.victimReports[i]);
-    }
-    for (std::size_t id = 0; id < state.quietReports.size(); ++id) {
-        auto& quiet = state.quietReports[id];
-        if (quiet.has_value() && taskDone[id]) take(*quiet);
-    }
-    return out;
 }
 
 /// The flat sweep's task graph: one task per victim slot in SPEF order and
@@ -557,212 +515,174 @@ NetTaskGraph flatTaskGraph(const AnalysisSnapshot& state) {
     return g;
 }
 
-/// The engine shared by analyzeDesign (inc == nullptr: every net solves)
-/// and analyzeDesignIncremental (inc != nullptr: only the dirty tasks are
-/// scheduled). Every per-net value lives in `state`'s slots and the run
-/// writes its dirty slots in place: a full run selects the victims and
-/// resets every slot, an incremental run reads its clean slots as the
-/// prior run left them (and its windows as the caller re-propagated them).
-/// `retain` says whether `state` outlives the call (a snapshot) — then the
-/// returned reports are copies — or is a throwaway the reports move out of.
-/// The caller owns the snapshot's identity fields, index, and validity.
-AnalysisOutcome analyzeWithIndex(const Design& design,
-                                 const parser::SpefFile& spef,
-                                 const DesignNoiseOptions& opt,
-                                 const DesignIndex& index,
-                                 AnalysisSnapshot& state, bool retain,
-                                 const IncrementalContext* inc) {
-    const cell::CellLibrary& lib = design.library();
-    charlib::CharCache runCache;
-    charlib::CharCache* cache = opt.cache ? opt.cache : &runCache;
-
-    // ---- phase 1 (serial, index lookups only): select victims and rank
-    // their aggressors by summed coupling cap.
+/// What a prepare step hands the solve: the tasks whose own inputs changed.
+/// A rebuild marks every task. An update names its must-solve nets (seeds
+/// and their coupling neighbours), the victim slots left without a
+/// retained report, and the task ids whose window moved. The solve adds
+/// the downstream closure itself.
+struct DirtyInputs {
+    bool everyTask = false;
+    std::unordered_set<std::string> mustSolve;
     std::vector<int> unrecordedSlots;
-    if (inc == nullptr) {
-        selectVictims(state, index, spef, opt.maxAggressors);
-        state.victimReports.assign(state.victims.size(), NetNoiseReport{});
-    } else {
-        unrecordedSlots =
-            refreshVictims(state, index, spef, opt.maxAggressors,
-                           *inc->mustSolve, inc->reselect);
-    }
-    const std::vector<VictimSelection>& work = state.victims;
-    std::vector<NetNoiseReport>& reports = state.victimReports;
+    std::vector<int> movedWindows;
+};
 
-    ReportOptions ropt = opt.report;
-    if (ropt.macromodel.cache == nullptr) ropt.macromodel.cache = cache;
+/// One task's state in one run. Set before the scheduler starts, then
+/// written only by the task itself and read by its fanouts once their
+/// dependency count reached zero, so no completion order can race.
+struct TaskRecord {
+    /// A must-solve task's own inputs changed; a closure task sits
+    /// downstream of one and is cut off when none of its dirty fanins
+    /// changed what it publishes. A clean task is not scheduled.
+    enum class Role : char { clean, mustSolve, closure, cutoff };
+    /// The failure policy's verdict on the task.
+    enum class State : char { ok, failed, quarantined, degraded };
+    Role role = Role::clean;
+    State state = State::ok;
+    /// Ran to a decision (solved, stubbed, quarantined, or cut off), or is
+    /// clean; still false after the run where cancellation skipped it.
+    bool done = true;
+    /// What its fanouts read of it — surviving front, window, failure
+    /// state — may differ from the retained run.
+    bool changed = false;
+};
 
-    const auto solveVictim =
-        [&](const VictimSelection& w,
-            const std::vector<IncomingGlitch>& incoming,
-            SurvivingSet* outSurviving, VictimWindows* windows) {
-            std::vector<std::string> clusterNets{w.net};
-            for (const auto& [drvCell, agg] : w.ranked) {
-                clusterNets.push_back(agg);
-            }
-            const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
-            NetNoiseReport r = analyzeVictim(
-                lib, w.net, *w.driver, *w.firstLoad, w.ranked, rc,
-                opt.tstop, ropt, incoming, outSurviving, windows);
-            r.otherDrivers = index.extraDriversOf(w.net);
-            return r;
-        };
+/// One incoming glitch carried through a pass-through net's driver.
+struct Transfer {
+    SurvivingGlitch sg;
+    const IncomingGlitch* from = nullptr;
+};
 
-    /// Victim slot i holds a final value (solved, stubbed, or retained).
-    /// Only consulted on a cancelled run, where unfinished slots must be
-    /// dropped rather than returned stale or default-constructed.
-    std::vector<char> victimDone(work.size(), inc != nullptr ? 1 : 0);
+/// A pass-through net's receiver check over a transfer set, and the
+/// candidate that governs it.
+struct NrcScan {
+    ClusterReport cluster;
+    const IncomingGlitch* governing = nullptr;
+};
 
-    // Run-local cancellation: the caller's token (if any) chains under a
-    // token that also carries the run's deadline, so both compose. With
-    // neither set `cancel` stays null and every solve path is exactly the
-    // historical zero-overhead one.
-    util::CancelToken runToken(opt.cancel);
+/// The solve shared by every run: one task per net, run by the
+/// dependency-counted scheduler on the slots of `state`. The propagated
+/// wavefront's tasks are the nets of the design graph, and a net solves the
+/// moment its scheduled fanins finish; the flat sweep is the same graph
+/// with no edges and one task per victim. Every per-net output is
+/// slot-addressed — reports by victim slot, surviving fronts and quiet
+/// reports by task id — and a task reads nothing but its scheduled fanins'
+/// slots, so completion order cannot change a single bit. Only the dirty
+/// tasks are scheduled; every clean task's slots still hold the prior
+/// run's values, so a dirty task reads its clean fanins exactly as it
+/// would after solving them.
+struct SolveRun {
+    const cell::CellLibrary& lib;
+    const parser::SpefFile& spef;
+    /// The run's options; `opt.cache` is never null (runAnalysis supplies a
+    /// run-local cache).
+    const DesignNoiseOptions& opt;
+    const DesignIndex& index;
+    AnalysisSnapshot& state;
+    ReportOptions ropt;
+    NetTaskGraph flat;  ///< the flat sweep's graph; empty when propagating
+    const NetTaskGraph& tg;
+    const bool useWindows;
+    std::vector<TaskRecord> tasks;
+    /// Run-local cancellation: the caller's token (if any) chains under a
+    /// token that also carries the run's deadline, so both compose. With
+    /// neither set `cancel` stays null and every solve path is exactly the
+    /// historical zero-overhead one.
+    util::CancelToken runToken;
     const util::CancelToken* cancel = nullptr;
-    if (opt.cancel != nullptr || opt.deadline > 0.0) {
-        runToken.setDeadlineAfter(opt.deadline);
-        cancel = &runToken;
-    }
-    const NetFailurePolicy policy = opt.onNetFailure;
 
-    // threads == 0 means "use the machine" (hardware_concurrency).
-    const int threads = util::resolveThreadCount(opt.threads);
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1) {
-        pool = std::make_unique<util::ThreadPool>(threads);
+    SolveRun(const Design& design, const parser::SpefFile& spefFile,
+             const DesignNoiseOptions& options, AnalysisSnapshot& snapshot)
+        : lib(design.library()),
+          spef(spefFile),
+          opt(options),
+          index(*snapshot.index),
+          state(snapshot),
+          ropt(options.report),
+          flat(options.propagate ? NetTaskGraph{} : flatTaskGraph(snapshot)),
+          tg(options.propagate ? index.taskGraph() : flat),
+          useWindows(options.propagate && options.windows != nullptr),
+          runToken(options.cancel) {
+        if (ropt.macromodel.cache == nullptr) ropt.macromodel.cache = opt.cache;
+        if (opt.cancel != nullptr || opt.deadline > 0.0) {
+            runToken.setDeadlineAfter(opt.deadline);
+            cancel = &runToken;
+        }
+        // Nothing reads the flat sweep's fronts (no task has a fanin) and it
+        // has no quiet nets, so its slots are simply reset: a reselected
+        // victim list may change its task count.
+        if (!opt.propagate) {
+            state.surviving.clear();
+            state.quietReports.clear();
+        }
+        state.surviving.resize(tg.nets.size());
+        state.quietReports.resize(tg.nets.size());
     }
 
-    // ---- phase 2: one task per net, run by the dependency-counted
-    // scheduler. The propagated wavefront's tasks are the nets of the
-    // design graph, and a net solves the moment its scheduled fanins
-    // finish; the flat sweep is the same graph with no edges and one task
-    // per victim. Every per-net output is slot-addressed — reports by
-    // victim slot, surviving fronts and quiet reports by task id — and a
-    // task reads nothing but its scheduled fanins' slots, so completion
-    // order cannot change a single bit. Victim clusters write their report
-    // slot (SPEF order is preserved because the slots were allocated in
-    // phase 1); quiet pass-through nets carry noise forward through the
-    // cached propagation tables.
-    NetTaskGraph flat;
-    if (!opt.propagate) flat = flatTaskGraph(state);
-    const NetTaskGraph& tg = opt.propagate ? index.taskGraph() : flat;
-    const int numNets = static_cast<int>(tg.nets.size());
-    const std::unordered_map<std::string, int>& slotOf = state.slotOf;
-    // Slot-addressed per-net outputs: task id -> the net's surviving front /
-    // its propagated-only report. Written only by the net's own task, read
-    // only by tasks downstream of it, so no completion order can race.
-    std::vector<SurvivingSet>& surviving = state.surviving;
-    std::vector<std::optional<NetNoiseReport>>& quietReports =
-        state.quietReports;
+    /// The victim slot of `net`, or -1 for a pass-through net.
+    int victimSlot(const std::string& net) const {
+        const auto it = state.slotOf.find(net);
+        return it != state.slotOf.end() ? it->second : -1;
+    }
 
-    // ---- switching windows (FRAME-style temporal correlation) -----------
-    // Propagated over the whole level graph before any cluster solves: a
-    // victim's aggressors can live on ANY level, so their windows must be
-    // known up front, not wavefront-ordered. An incremental caller has
-    // already re-propagated the cone of its ECO into the retained slots.
-    // Without windows (and in the flat sweep, which ignores them) this
-    // block is free and the run is bit-identical to the windows-less one.
-    const bool useWindows = opt.propagate && opt.windows != nullptr;
-    if (inc == nullptr || !opt.propagate) {
-        // Nothing reads the flat sweep's fronts (no task has a fanin) and
-        // it has no quiet nets, so its slots are simply reset — also on an
-        // incremental run, whose reselected victim list may change the
-        // task count.
-        surviving.assign(static_cast<std::size_t>(numNets), SurvivingSet{});
-        quietReports.assign(static_cast<std::size_t>(numNets), std::nullopt);
-    }
-    if (inc == nullptr) {
-        state.netWindows.clear();
-        if (useWindows) state.netWindows = propagateWindowsById(index, cache);
-    }
-    const std::vector<TimingWindow>& netWindows = state.netWindows;
-    const auto windowAt = [&](const std::string& net) {
+    TimingWindow windowAt(const std::string& net) const {
         const auto it = tg.idOf.find(net);
         return it != tg.idOf.end()
-                   ? netWindows[static_cast<std::size_t>(it->second)]
+                   ? state.netWindows[static_cast<std::size_t>(it->second)]
                    : TimingWindow::unbounded();
-    };
+    }
 
-    // Per-task resilience state, slot-addressed like every other per-net
-    // output: written only by the net's own task, read only by tasks
-    // downstream over scheduled fanin edges (after their dependency count
-    // reached zero), so the quarantine propagation is race-free.
-    enum class TaskState : char { ok, failed, quarantined, degraded };
-    std::vector<TaskState> taskState(static_cast<std::size_t>(numNets),
-                                     TaskState::ok);
-    // Task ran to a decision (solved, stubbed, quarantined, or retained).
-    // A zero after the run means cancellation skipped it.
-    std::vector<char> taskDone(static_cast<std::size_t>(numNets),
-                               inc != nullptr ? 1 : 0);
-
-    // Incremental: every clean net's slots — surviving front, quiet report,
-    // victim report — still hold the prior run's values, so a dirty task
-    // reads its clean fanins' slots exactly as a full run would after
-    // solving them. Only the dirty tasks are scheduled. A must-solve task's
-    // own inputs changed (a seed, a coupling neighbor, a victim without a
-    // retained report); the rest of the dirty cone is their downstream
-    // closure, and a closure task re-solves only when what one of its dirty
-    // fanins publishes moved (early cutoff) — otherwise it keeps its
-    // retained slots, exactly like a clean task. A full run marks every task
-    // must-solve.
-    enum : char { kClean, kMustSolve, kClosure, kCutoff };
-    std::vector<char> dirtyMask(static_cast<std::size_t>(numNets),
-                                inc != nullptr ? kClean : kMustSolve);
-    // Incremental: per task, 1 when what its fanouts read of it — surviving
-    // front, window, failure state — may differ from the retained run.
-    // Moved windows are known before the run; a re-solved task sets the
-    // rest itself when it finishes, before any fanout reads it.
-    std::vector<char> changed;
-    if (inc != nullptr) {
-        std::vector<int> stack;
-        const auto markDirty = [&](int id, char role) {
-            dirtyMask[static_cast<std::size_t>(id)] = role;
-            taskDone[static_cast<std::size_t>(id)] = 0;
-            const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-            if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
-                victimDone[static_cast<std::size_t>(sit->second)] = 0;
+    /// Marks the must-solve tasks, then their downstream closure over the
+    /// scheduled fanout edges (the flat sweep has none) — exactly the edges
+    /// over which a solve can observe an upstream front. A task whose
+    /// window moved counts as changed before the run starts.
+    void markDirty(const DirtyInputs& dirty) {
+        tasks.assign(tg.nets.size(), TaskRecord{});
+        if (dirty.everyTask) {
+            for (TaskRecord& t : tasks) {
+                t.role = TaskRecord::Role::mustSolve;
+                t.done = false;
             }
+            return;  // nothing is left to close over
+        }
+        std::vector<int> stack;
+        const auto mark = [&](int id, TaskRecord::Role role) {
+            TaskRecord& t = tasks[static_cast<std::size_t>(id)];
+            if (t.role != TaskRecord::Role::clean) return;
+            t.role = role;
+            t.done = false;
             stack.push_back(id);
         };
-        const auto markMustSolve = [&](const std::string& net) {
+        const auto markNet = [&](const std::string& net) {
             const auto it = tg.idOf.find(net);
-            if (it == tg.idOf.end()) return;
-            if (dirtyMask[static_cast<std::size_t>(it->second)] != kClean) {
-                return;
+            if (it != tg.idOf.end()) {
+                mark(it->second, TaskRecord::Role::mustSolve);
             }
-            markDirty(it->second, kMustSolve);
         };
-        for (const std::string& net : *inc->mustSolve) markMustSolve(net);
-        // The caller's cone marking re-solves any victim the snapshot never
+        for (const std::string& net : dirty.mustSolve) markNet(net);
+        // The update's cone marking re-solves any victim the snapshot never
         // recorded; this loop is a no-op, but a wrong mask must degrade to
         // extra work, never to an empty report slot.
-        for (const int i : unrecordedSlots) {
-            markMustSolve(work[static_cast<std::size_t>(i)].net);
+        for (const int i : dirty.unrecordedSlots) {
+            markNet(state.victims[static_cast<std::size_t>(i)].net);
         }
-        // The downstream closure, over the scheduled fanout edges (the flat
-        // sweep has none) — exactly the edges over which a solve can
-        // observe an upstream front.
         while (!stack.empty()) {
             const int t = stack.back();
             stack.pop_back();
             for (const int d : tg.graph.fanout[static_cast<std::size_t>(t)]) {
-                if (dirtyMask[static_cast<std::size_t>(d)] == kClean) {
-                    markDirty(d, kClosure);
-                }
+                mark(d, TaskRecord::Role::closure);
             }
         }
-        changed.assign(static_cast<std::size_t>(numNets), 0);
-        for (const int id : *inc->movedWindows) {
-            changed[static_cast<std::size_t>(id)] = 1;
+        for (const int id : dirty.movedWindows) {
+            tasks[static_cast<std::size_t>(id)].changed = true;
         }
     }
 
-    // The glitches reaching task `id`'s driver. Surviving fronts are
-    // visible over scheduled fanin edges only: a cycle-broken fanin sits at
-    // the same or a later level and may still be in flight, so its slot is
-    // never read. The flat sweep injects nothing.
-    const auto incomingOf = [&](int id) -> std::vector<IncomingGlitch> {
+    /// The glitches reaching task `id`'s driver. Surviving fronts are
+    /// visible over scheduled fanin edges only: a cycle-broken fanin sits
+    /// at the same or a later level and may still be in flight, so its slot
+    /// is never read. The flat sweep injects nothing.
+    std::vector<IncomingGlitch> incomingOf(int id) const {
         if (!opt.propagate) return {};
         const std::vector<int>& faninIds =
             tg.faninIds[static_cast<std::size_t>(id)];
@@ -775,321 +695,303 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
                 return nullptr;
             }
             const SurvivingSet& s =
-                surviving[static_cast<std::size_t>(it->second)];
+                state.surviving[static_cast<std::size_t>(it->second)];
             return s.empty() ? nullptr : &s;
         };
         return selectIncoming(index, tg.nets[static_cast<std::size_t>(id)],
                               survivingOf);
-    };
+    }
 
-    const auto solveNet = [&](int id) {
-        const std::string& net = tg.nets[id];
+    /// Windows mode (FRAME-style temporal correlation): which incoming
+    /// glitches and aggressors can collide with `net` inside its window.
+    WindowGate gateWindows(const std::string& net, int slot,
+                           const std::vector<IncomingGlitch>& incoming) const {
+        WindowGate gate;
+        gate.sens = windowAt(net);
+        for (const IncomingGlitch& in : incoming) {
+            // The incoming glitch can only collide with this net where its
+            // carrier's window overlaps the victim's sensitivity interval —
+            // and, for victim clusters, only if that overlap leaves a
+            // feasible onset inside the horizon the cluster runs to.
+            const TimingWindow ov = windowAt(in.fromNet).intersect(gate.sens);
+            bool drop = ov.empty();
+            if (!drop && slot >= 0 && ov.bounded()) {
+                const double base = 2.0 * in.width;
+                drop = glitchOnsetInterval(ov, base,
+                                           glitchHorizon(opt.tstop, base))
+                           .empty();
+            }
+            gate.dropped.push_back(drop ? 1 : 0);
+            gate.incomingWindows.push_back(ov);
+            if (drop || ov.bounded()) gate.constraining = true;
+        }
+        if (slot >= 0) {
+            const auto& ranked =
+                state.victims[static_cast<std::size_t>(slot)].ranked;
+            for (const auto& [drvCell, agg] : ranked) {
+                const TimingWindow ov = windowAt(agg).intersect(gate.sens);
+                gate.aggWindows.push_back(ov);
+                if (ov.bounded() || ov.empty()) gate.constraining = true;
+                if (ov.empty()) gate.excludedAggressors.push_back(agg);
+            }
+        }
+        return gate;
+    }
+
+    /// A victim cluster's solve into its report slot. Every run's output
+    /// (local and per-candidate combined) joins `produced`: a non-governing
+    /// candidate can still leave the wider glitch. With a constraining
+    /// window the runs are window-constrained (they govern the verdict and
+    /// feed the front), and the same runs yield the unconstrained margin;
+    /// without one the constrained run would be the unconstrained run, so
+    /// one solve reports the margin as both.
+    void solveVictim(int slot, const std::vector<IncomingGlitch>& incoming,
+                     WindowGate& gate, SurvivingSet& produced) {
+        const VictimSelection& w =
+            state.victims[static_cast<std::size_t>(slot)];
+        std::vector<std::string> clusterNets{w.net};
+        for (const auto& [drvCell, agg] : w.ranked) clusterNets.push_back(agg);
+        const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
+        NetNoiseReport r = analyzeVictim(
+            lib, w.net, *w.driver, *w.firstLoad, w.ranked, rc, opt.tstop, ropt,
+            incoming, &produced, gate.constraining ? &gate : nullptr);
+        r.otherDrivers = index.extraDriversOf(w.net);
+        if (useWindows) {
+            r.windows.constrained = true;
+            r.windows.window = gate.sens;
+            if (!gate.constraining) {
+                r.windows.unconstrainedMargin = r.cluster.margin;
+            }
+            r.windows.windowedMargin = r.cluster.margin;
+        }
+        if (gate.constraining) {
+            // Exclusions are recorded from two places: empty window overlaps
+            // (gateWindows), and aggressors the governing run's search had
+            // to hold quiet because the overlap left no feasible INPUT
+            // switch time once mapped through that run's delay/slew (+inf
+            // times).
+            const auto& times = r.cluster.aggressorSwitchTimes;
+            for (std::size_t a = 0; a < times.size() && a < w.ranked.size();
+                 ++a) {
+                if (std::isinf(times[a])) {
+                    gate.excludedAggressors.push_back(w.ranked[a].second);
+                }
+            }
+            sortUnique(gate.excludedAggressors);
+            r.windows.excludedAggressors = std::move(gate.excludedAggressors);
+            std::vector<std::string> droppedFrom;
+            for (std::size_t i = 0; i < incoming.size(); ++i) {
+                if (gate.dropped[i] != 0) {
+                    droppedFrom.push_back(incoming[i].fromNet);
+                }
+            }
+            sortUnique(droppedFrom);
+            r.windows.droppedIncoming = std::move(droppedFrom);
+        }
+        state.victimReports[static_cast<std::size_t>(slot)] = std::move(r);
+    }
+
+    /// The worst (minimum) NRC margin over a transfer set at `receiver`,
+    /// both holding levels each.
+    NrcScan scanNrc(const std::vector<Transfer>& ts,
+                    const std::string& receiver) const {
+        NrcScan s;
+        bool first = true;
+        for (const Transfer& t : ts) {
+            for (const bool level : {false, true}) {
+                ClusterSpec spec;
+                spec.technology = &lib.technology();
+                spec.victim.receiverCell = receiver;
+                spec.victim.outputLevel = level;
+                wave::GlitchMetrics m;
+                m.peak = t.sg.height;
+                m.width = t.sg.width;
+                const double limit = nrcLimitFor(spec, m, opt.cache, ropt.nrc);
+                const double margin = limit - t.sg.height;
+                if (first || margin < s.cluster.margin) {
+                    s.cluster.worst.metrics = m;
+                    s.cluster.nrcLimit = limit;
+                    s.cluster.margin = margin;
+                    s.cluster.fails = t.sg.height >= limit;
+                    s.governing = t.from;
+                }
+                first = false;
+            }
+        }
+        return s;
+    }
+
+    /// A quiet net that noise reaches: its driver carries every incoming
+    /// candidate through the cached propagation tables into `produced`, and
+    /// its receiver is checked against the NRC, so a propagated-only
+    /// failure on an uncoupled net is not silently missed.
+    void solvePassThrough(int id, const std::vector<IncomingGlitch>& incoming,
+                          const WindowGate& gate, SurvivingSet& produced) {
+        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
+        const Instance* drv = index.driverOf(net);
+        // Pass-through items always have fanin edges, and fanin edges are
+        // only built through a net's driver.
+        SNA_REQUIRE(drv != nullptr, "pass-through net without a driver");
+        // Every candidate's transfer survives unless dominated: incomparable
+        // outputs stay side by side in the front. Window-dropped candidates
+        // (their carrier's window misses this net's sensitivity interval)
+        // neither survive nor reach the receiver; they are kept aside only
+        // for the unconstrained comparison margin.
+        std::vector<Transfer> transfers;
+        std::vector<Transfer> allTransfers;  // windows mode only
+        std::vector<std::string> droppedFrom;
+        for (std::size_t i = 0; i < incoming.size(); ++i) {
+            const IncomingGlitch& in = incoming[i];
+            const bool drop = useWindows && gate.dropped[i] != 0;
+            // Every window-dropped candidate is recorded, whether or not its
+            // transfer would have cleared the height filter — same
+            // accounting as the victim solve.
+            if (drop) droppedFrom.push_back(in.fromNet);
+            Transfer t;
+            t.sg = propagateThroughDriver(lib.cell(drv->cellName), in.inputPin,
+                                          in, opt.cache);
+            t.from = &in;
+            if (t.sg.height < opt.propagateMinHeight || t.sg.width <= 0.0) {
+                continue;
+            }
+            if (useWindows) allTransfers.push_back(t);
+            if (drop) continue;
+            transfers.push_back(t);
+            mergeSurviving(produced, t.sg);
+        }
+        const auto& loads = index.loadsOf(net);
+        if (loads.empty()) return;
+        if (transfers.empty() && (!useWindows || allTransfers.empty())) return;
+        const std::string& receiver = loads.front().first->cellName;
+        NetNoiseReport pr;
+        pr.net = net;
+        if (!transfers.empty()) {
+            NrcScan s = scanNrc(transfers, receiver);
+            pr.cluster = std::move(s.cluster);
+            pr.propagated.present = true;
+            pr.propagated.fromNet = s.governing->fromNet;
+            pr.propagated.inputPin = s.governing->inputPin;
+            pr.propagated.height = s.governing->height;
+            pr.propagated.width = s.governing->width;
+        }
+        if (useWindows) {
+            // The unconstrained view over every transfer, dropped or not —
+            // what the windows-less wavefront would have checked here. With
+            // nothing dropped it is the scan already done.
+            NrcScan unc;
+            if (droppedFrom.empty()) {
+                unc.cluster = pr.cluster;
+            } else {
+                unc = scanNrc(allTransfers, receiver);
+            }
+            pr.windows.constrained = true;
+            pr.windows.window = gate.sens;
+            pr.windows.unconstrainedMargin = unc.cluster.margin;
+            if (transfers.empty()) {
+                // Every candidate was window-dropped: no noise reaches the
+                // receiver in-window, so the governing margin is the full
+                // NRC budget of the glitch the unconstrained view would
+                // have seen.
+                pr.cluster.nrcLimit = unc.cluster.nrcLimit;
+                pr.cluster.margin = unc.cluster.nrcLimit;
+                pr.cluster.fails = false;
+            }
+            pr.windows.windowedMargin = pr.cluster.margin;
+            sortUnique(droppedFrom);
+            pr.windows.droppedIncoming = std::move(droppedFrom);
+        }
+        // No local (coupled) noise on a quiet net: the local-only margin is
+        // the receiver's full NRC budget.
+        pr.propagated.localPeak = 0.0;
+        pr.propagated.localNrcLimit = pr.cluster.nrcLimit;
+        pr.propagated.localMargin = pr.cluster.nrcLimit;
+        pr.propagated.localFails = false;
+        state.quietReports[static_cast<std::size_t>(id)] = std::move(pr);
+    }
+
+    /// Task `id`'s solve: gate its windows, solve it as a victim cluster or
+    /// a pass-through net, and publish its surviving front. A quiet
+    /// non-victim net, or a leaf with neither downstream nets nor a
+    /// receiver to check, has nothing to do (a loaded net with no fanout
+    /// still needs the NRC check).
+    void solveNet(int id, int slot) {
+        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
         const std::vector<IncomingGlitch> incoming = incomingOf(id);
-        int slot = -1;  ///< work index, or -1 for a pass-through net
-        if (const auto sit = slotOf.find(net); sit != slotOf.end()) {
-            slot = sit->second;
-        } else if (incoming.empty() || (index.fanoutOf(net).empty() &&
-                                        index.loadsOf(net).empty())) {
-            // Quiet non-victim net, or a leaf with neither downstream
-            // nets nor a receiver to check: nothing to do. (A loaded
-            // net with no fanout still needs the NRC check below.)
+        if (slot < 0 && (incoming.empty() || (index.fanoutOf(net).empty() &&
+                                              index.loadsOf(net).empty()))) {
             return;
         }
-
-        // Windows mode only:
-        TimingWindow sens;  ///< the net's own (sensitivity) window
-        std::vector<char> dropped;  ///< per incoming: window-dropped
-        std::vector<TimingWindow> incomingWindows;  ///< per incoming
-        std::vector<TimingWindow> aggWindows;  ///< per ranked aggressor
-        std::vector<std::string> excludedAggressors;
-        /// False when every window involved is unbounded and nothing was
-        /// dropped: the constrained run would equal the unconstrained one,
-        /// so a single solve serves both margins.
-        bool constraining = false;
-        if (useWindows) {
-            sens = windowAt(net);
-            for (const IncomingGlitch& in : incoming) {
-                // The incoming glitch can only collide with this net
-                // where its carrier's window overlaps the victim's
-                // sensitivity interval — and, for victim clusters, only
-                // if that overlap leaves a feasible onset inside the
-                // simulation horizon (mirrors runClusterBothLevels).
-                const TimingWindow ov =
-                    windowAt(in.fromNet).intersect(sens);
-                bool drop = ov.empty();
-                if (!drop && slot >= 0 && ov.bounded()) {
-                    const double base = 2.0 * in.width;
-                    const double tstopRun =
-                        std::max(opt.tstop, 6.0 * base);
-                    const double lo = std::max(0.0, ov.earliest - base);
-                    const double hi =
-                        std::min(0.8 * tstopRun, ov.latest);
-                    drop = lo > hi;
-                }
-                dropped.push_back(drop ? 1 : 0);
-                incomingWindows.push_back(ov);
-                if (drop || ov.bounded()) constraining = true;
-            }
-            if (slot >= 0) {
-                for (const auto& [drvCell, agg] : work[slot].ranked) {
-                    const TimingWindow ov = windowAt(agg).intersect(sens);
-                    aggWindows.push_back(ov);
-                    if (ov.bounded() || ov.empty()) {
-                        constraining = true;
-                    }
-                    if (ov.empty()) {
-                        excludedAggressors.push_back(agg);
-                    }
-                }
-            }
-        }
-
+        WindowGate gate;
+        if (useWindows) gate = gateWindows(net, slot, incoming);
         SurvivingSet produced;
-        // The solve proper, wrapped so its early returns still fall
-        // through to the publish step below (a pass-through net can feed
-        // its front downstream even when it has no receiver to report on).
-        const auto solveBody = [&] {
-                if (slot >= 0) {
-                    // Every run's output (local and per-candidate combined)
-                    // joins the net's surviving front: a non-governing
-                    // candidate can still leave the wider glitch. With a
-                    // constraining window the runs are window-constrained
-                    // (they govern the verdict and feed the front), and
-                    // the same runs yield the unconstrained margin; without
-                    // one the constrained run would be the unconstrained
-                    // run, so one solve reports the margin as both.
-                    VictimWindows vw;
-                    vw.aggWindows = &aggWindows;
-                    vw.incomingWindows = &incomingWindows;
-                    vw.dropped = &dropped;
-                    NetNoiseReport r =
-                        solveVictim(work[slot], incoming, &produced,
-                                    constraining ? &vw : nullptr);
-                    if (useWindows) {
-                        r.windows.constrained = true;
-                        r.windows.window = sens;
-                        r.windows.unconstrainedMargin =
-                            constraining ? vw.unconstrainedMargin
-                                         : r.cluster.margin;
-                        r.windows.windowedMargin = r.cluster.margin;
-                    }
-                    if (constraining) {
-                        // Exclusions are recorded from two places: empty
-                        // window overlaps (decided above), and aggressors
-                        // the governing run's search had to hold quiet
-                        // because the overlap left no feasible INPUT
-                        // switch time once mapped through that run's
-                        // delay/slew (+inf times).
-                        const auto& times = r.cluster.aggressorSwitchTimes;
-                        const auto& ranked = work[slot].ranked;
-                        for (std::size_t a = 0;
-                             a < times.size() && a < ranked.size(); ++a) {
-                            if (std::isinf(times[a])) {
-                                excludedAggressors.push_back(ranked[a].second);
-                            }
-                        }
-                        sortUnique(excludedAggressors);
-                        r.windows.excludedAggressors =
-                            std::move(excludedAggressors);
-                        std::vector<std::string> droppedFrom;
-                        for (std::size_t i = 0; i < incoming.size(); ++i) {
-                            if (dropped[i] != 0) {
-                                droppedFrom.push_back(incoming[i].fromNet);
-                            }
-                        }
-                        sortUnique(droppedFrom);
-                        r.windows.droppedIncoming = std::move(droppedFrom);
-                    }
-                    reports[slot] = std::move(r);
-                    return;
-                }
-                const Instance* drv = index.driverOf(net);
-                // Pass-through items always have fanin edges, and fanin
-                // edges are only built through a net's driver.
-                SNA_REQUIRE(drv != nullptr,
-                            "pass-through net without a driver");
-                // Every candidate's transfer survives unless dominated:
-                // incomparable outputs stay side by side in the front.
-                // Window-dropped candidates (their carrier's window misses
-                // this net's sensitivity interval) neither survive nor
-                // reach the receiver; they are kept aside only for the
-                // unconstrained comparison margin.
-                struct Transfer {
-                    SurvivingGlitch sg;
-                    const IncomingGlitch* from = nullptr;
-                };
-                std::vector<Transfer> transfers;
-                std::vector<Transfer> allTransfers;  // windows mode only
-                std::vector<std::string> droppedFrom;
-                for (std::size_t i = 0; i < incoming.size(); ++i) {
-                    const IncomingGlitch& in = incoming[i];
-                    const bool drop = useWindows && dropped[i] != 0;
-                    // Every window-dropped candidate is recorded, whether
-                    // or not its transfer would have cleared the height
-                    // filter — same accounting as the victim branch.
-                    if (drop) droppedFrom.push_back(in.fromNet);
-                    Transfer t;
-                    t.sg = propagateThroughDriver(lib.cell(drv->cellName),
-                                                  in.inputPin, in, cache);
-                    t.from = &in;
-                    if (t.sg.height < opt.propagateMinHeight ||
-                        t.sg.width <= 0.0) {
-                        continue;
-                    }
-                    if (useWindows) allTransfers.push_back(t);
-                    if (drop) continue;
-                    transfers.push_back(t);
-                    mergeSurviving(produced, t.sg);
-                }
-                // A quiet pass-through net has no cluster, but its receiver
-                // still sees the propagated glitch: check it against the
-                // NRC and report, so a propagated-only failure on an
-                // uncoupled net is not silently missed. The worst (minimum)
-                // margin over a transfer set, both holding levels each:
-                const auto& loads = index.loadsOf(net);
-                struct Scan {
-                    ClusterReport cluster;
-                    const IncomingGlitch* governing = nullptr;
-                };
-                const auto nrcScan = [&](const std::vector<Transfer>& ts) {
-                    Scan s;
-                    bool first = true;
-                    for (const Transfer& t : ts) {
-                        for (const bool level : {false, true}) {
-                            ClusterSpec spec;
-                            spec.technology = &lib.technology();
-                            spec.victim.receiverCell =
-                                loads.front().first->cellName;
-                            spec.victim.outputLevel = level;
-                            wave::GlitchMetrics m;
-                            m.peak = t.sg.height;
-                            m.width = t.sg.width;
-                            const double limit =
-                                nrcLimitFor(spec, m, cache, ropt.nrc);
-                            const double margin = limit - t.sg.height;
-                            if (first || margin < s.cluster.margin) {
-                                s.cluster.worst.metrics = m;
-                                s.cluster.nrcLimit = limit;
-                                s.cluster.margin = margin;
-                                s.cluster.fails = t.sg.height >= limit;
-                                s.governing = t.from;
-                            }
-                            first = false;
-                        }
-                    }
-                    return s;
-                };
-                if (loads.empty()) return;
-                if (transfers.empty() &&
-                    (!useWindows || allTransfers.empty())) {
-                    return;
-                }
-                NetNoiseReport pr;
-                pr.net = net;
-                if (!transfers.empty()) {
-                    Scan s = nrcScan(transfers);
-                    pr.cluster = std::move(s.cluster);
-                    pr.propagated.present = true;
-                    pr.propagated.fromNet = s.governing->fromNet;
-                    pr.propagated.inputPin = s.governing->inputPin;
-                    pr.propagated.height = s.governing->height;
-                    pr.propagated.width = s.governing->width;
-                }
-                if (useWindows) {
-                    // The unconstrained view over every transfer, dropped
-                    // or not — what the windows-less wavefront would have
-                    // checked here. With nothing dropped it is the scan
-                    // already done.
-                    Scan unc;
-                    if (droppedFrom.empty()) {
-                        unc.cluster = pr.cluster;
-                    } else {
-                        unc = nrcScan(allTransfers);
-                    }
-                    pr.windows.constrained = true;
-                    pr.windows.window = sens;
-                    pr.windows.unconstrainedMargin = unc.cluster.margin;
-                    if (transfers.empty()) {
-                        // Every candidate was window-dropped: no noise
-                        // reaches the receiver in-window, so the governing
-                        // margin is the full NRC budget of the glitch the
-                        // unconstrained view would have seen.
-                        pr.cluster.nrcLimit = unc.cluster.nrcLimit;
-                        pr.cluster.margin = unc.cluster.nrcLimit;
-                        pr.cluster.fails = false;
-                    }
-                    pr.windows.windowedMargin = pr.cluster.margin;
-                    sortUnique(droppedFrom);
-                    pr.windows.droppedIncoming = std::move(droppedFrom);
-                }
-                // No local (coupled) noise on a quiet net: the local-only
-                // margin is the receiver's full NRC budget.
-                pr.propagated.localPeak = 0.0;
-                pr.propagated.localNrcLimit = pr.cluster.nrcLimit;
-                pr.propagated.localMargin = pr.cluster.nrcLimit;
-                pr.propagated.localFails = false;
-                quietReports[static_cast<std::size_t>(id)] = std::move(pr);
-        };
-        solveBody();
-
-        // Publish this net's surviving front into its slot: the height
-        // filter runs here so downstream tasks only ever see the final
-        // value, after their dependency count reaches zero.
+        if (slot >= 0) {
+            solveVictim(slot, incoming, gate, produced);
+        } else {
+            solvePassThrough(id, incoming, gate, produced);
+        }
+        // Publish the front into its slot: the height filter runs here so
+        // downstream tasks only ever see the final value, after their
+        // dependency count reaches zero.
         SurvivingSet kept;
         for (const SurvivingGlitch& sg : produced) {
             if (sg.height >= opt.propagateMinHeight && sg.width > 0.0) {
                 kept.push_back(sg);
             }
         }
-        surviving[static_cast<std::size_t>(id)] = std::move(kept);
-    };
+        state.surviving[static_cast<std::size_t>(id)] = std::move(kept);
+    }
 
-    // One solve under the failure-quarantine policy. Under failFast the
-    // wrapper adds nothing but the injection site — exceptions propagate
-    // through the scheduler untouched. A flat task has no fanins, so
-    // quarantineCone and degradeToPassthrough both reduce to "capture the
-    // failure and go on".
-    const auto solveTask = [&](int id, int slot) {
-        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
+    /// One solve under the failure-quarantine policy. Under failFast the
+    /// wrapper adds nothing but the injection site — exceptions propagate
+    /// through the scheduler untouched. A flat task has no fanins, so
+    /// quarantineCone and degradeToPassthrough both reduce to "capture the
+    /// failure and go on".
+    void solveTask(int id, int slot) {
+        const auto uid = static_cast<std::size_t>(id);
+        const std::string& net = tg.nets[uid];
+        const NetFailurePolicy policy = opt.onNetFailure;
         if (policy == NetFailurePolicy::failFast) {
             SNA_FAULT_POINT("core.solve_net", net);
-            solveNet(id);
+            solveNet(id, slot);
             return;
         }
         // Cone state over the scheduled fanin edges. Each fanin's state was
         // committed before this task's dependency count reached zero.
         bool upstreamFault = false;
         bool upstreamDegraded = false;
-        for (const int f : tg.faninIds[static_cast<std::size_t>(id)]) {
-            const TaskState s = taskState[static_cast<std::size_t>(f)];
-            if (s == TaskState::failed || s == TaskState::quarantined) {
+        for (const int f : tg.faninIds[uid]) {
+            const TaskRecord::State s =
+                tasks[static_cast<std::size_t>(f)].state;
+            if (s == TaskRecord::State::failed ||
+                s == TaskRecord::State::quarantined) {
                 upstreamFault = true;
-            } else if (s == TaskState::degraded) {
+            } else if (s == TaskRecord::State::degraded) {
                 upstreamDegraded = true;
             }
         }
+        TaskRecord::State& verdict = tasks[uid].state;
         if (policy == NetFailurePolicy::quarantineCone && upstreamFault) {
             // Suppressed, not solved: empty surviving front (nothing
             // propagates out of the cone), stub report for victims.
-            taskState[static_cast<std::size_t>(id)] = TaskState::quarantined;
+            verdict = TaskRecord::State::quarantined;
             if (slot >= 0) {
-                reports[static_cast<std::size_t>(slot)] = failureStub(
-                    net, NetNoiseReport::Status::quarantined);
+                state.victimReports[static_cast<std::size_t>(slot)] =
+                    failureStub(net, NetNoiseReport::Status::quarantined);
             }
             return;
         }
         try {
             SNA_FAULT_POINT("core.solve_net", net);
-            solveNet(id);
+            solveNet(id, slot);
             if (upstreamFault || upstreamDegraded) {
                 // degradeToPassthrough: solved across a bridged failure —
                 // margins are real numbers but built on approximate inputs.
-                taskState[static_cast<std::size_t>(id)] = TaskState::degraded;
+                verdict = TaskRecord::State::degraded;
                 if (slot >= 0) {
-                    reports[static_cast<std::size_t>(slot)].status =
-                        NetNoiseReport::Status::degraded;
+                    state.victimReports[static_cast<std::size_t>(slot)]
+                        .status = NetNoiseReport::Status::degraded;
                 }
-                auto& quiet = quietReports[static_cast<std::size_t>(id)];
+                auto& quiet = state.quietReports[uid];
                 if (quiet.has_value()) {
                     quiet->status = NetNoiseReport::Status::degraded;
                 }
@@ -1097,12 +999,12 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
         } catch (const util::CancelledError&) {
             throw;  // cancellation is never a per-net failure
         } catch (const std::exception& e) {
-            taskState[static_cast<std::size_t>(id)] = TaskState::failed;
+            verdict = TaskRecord::State::failed;
             if (slot >= 0) {
-                reports[static_cast<std::size_t>(slot)] = failureStub(
-                    net, NetNoiseReport::Status::failed, e.what());
+                state.victimReports[static_cast<std::size_t>(slot)] =
+                    failureStub(net, NetNoiseReport::Status::failed, e.what());
             }
-            quietReports[static_cast<std::size_t>(id)].reset();
+            state.quietReports[uid].reset();
             SurvivingSet pass;
             if (policy == NetFailurePolicy::degradeToPassthrough) {
                 // Bridge the failed stage conservatively: its incoming
@@ -1117,133 +1019,175 @@ AnalysisOutcome analyzeWithIndex(const Design& design,
                     }
                 }
             }
-            surviving[static_cast<std::size_t>(id)] = std::move(pass);
+            state.surviving[uid] = std::move(pass);
         }
-    };
+    }
 
-    // The task the scheduler actually runs. A closure task none of whose
-    // dirty fanins changed what it publishes is cut off: its inputs are bit
-    // for bit the retained run's, so its retained slots are its answer. Any
-    // other task starts from empty slots, as in a full run, and the
-    // retained front it replaces tells whether its fanouts see a change.
-    const auto runTask = [&](int id) {
+    /// The task the scheduler runs. A closure task none of whose dirty
+    /// fanins changed what it publishes is cut off: its inputs are bit for
+    /// bit the retained run's, so its retained slots are its answer. Any
+    /// other task starts from empty slots, and the retained front it
+    /// replaces tells whether its fanouts see a change.
+    void runTask(int id) {
         const auto uid = static_cast<std::size_t>(id);
-        int slot = -1;
-        if (const auto sit = slotOf.find(tg.nets[uid]); sit != slotOf.end()) {
-            slot = sit->second;
-        }
-        if (dirtyMask[uid] == kClosure) {
+        TaskRecord& task = tasks[uid];
+        if (task.role == TaskRecord::Role::closure) {
             bool upstreamChanged = false;
             for (const int f : tg.faninIds[uid]) {
                 upstreamChanged = upstreamChanged ||
-                                  changed[static_cast<std::size_t>(f)] != 0;
+                                  tasks[static_cast<std::size_t>(f)].changed;
             }
-            if (!upstreamChanged) dirtyMask[uid] = kCutoff;
+            if (!upstreamChanged) task.role = TaskRecord::Role::cutoff;
         }
-        if (dirtyMask[uid] != kCutoff) {
-            SurvivingSet retained = std::move(surviving[uid]);
-            surviving[uid].clear();
-            quietReports[uid].reset();
-            solveTask(id, slot);
-            if (inc != nullptr && (taskState[uid] != TaskState::ok ||
-                                   !sameBits(surviving[uid], retained))) {
-                changed[uid] = 1;
+        if (task.role != TaskRecord::Role::cutoff) {
+            SurvivingSet retained = std::move(state.surviving[uid]);
+            state.surviving[uid].clear();
+            state.quietReports[uid].reset();
+            solveTask(id, victimSlot(tg.nets[uid]));
+            if (task.state != TaskRecord::State::ok ||
+                !sameBits(state.surviving[uid], retained)) {
+                task.changed = true;
             }
         }
-        if (slot >= 0) victimDone[static_cast<std::size_t>(slot)] = 1;
-        taskDone[uid] = 1;
-    };
-
-    // A full run schedules every task: the whole ready frontier runs at
-    // once and a net unlocks its fanouts the moment it publishes. An
-    // incremental run schedules only the dirty tasks: edges from a clean
-    // fanin vanish (its slot is already filled); edges among dirty tasks
-    // keep their dependency order, so a dirty net still solves after every
-    // dirty upstream net.
-    util::RestrictedTaskGraph sub;
-    if (inc != nullptr) sub = util::restrictTaskGraph(tg.graph, dirtyMask);
-    util::SchedulerStats sched = util::runTaskGraph(
-        inc != nullptr ? sub.graph : tg.graph,
-        [&](int t) {
-            runTask(inc != nullptr ? sub.fullId[static_cast<std::size_t>(t)]
-                                   : t);
-        },
-        pool.get(), cancel);
-
-    // ---- resilience accounting and partial-result assembly ---------------
-    AnalysisOutcome outcome;
-    bool runCancelled = false;
-    for (int id = 0; id < numNets; ++id) {
-        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-        if (!taskDone[static_cast<std::size_t>(id)]) {
-            runCancelled = true;
-            // Only victim clusters are reported as unsolved: the invariant
-            // callers rely on is reports + unsolvedNets == the victim set,
-            // and pass-through propagation tasks never produce a report in
-            // the first place.
-            if (slotOf.count(net) != 0) outcome.unsolvedNets.push_back(net);
-            continue;
-        }
-        switch (taskState[static_cast<std::size_t>(id)]) {
-            case TaskState::failed: outcome.failedNets.push_back(net); break;
-            case TaskState::quarantined:
-                outcome.quarantinedNets.push_back(net);
-                break;
-            case TaskState::degraded:
-                outcome.degradedNets.push_back(net);
-                break;
-            case TaskState::ok: break;
-        }
+        task.done = true;
     }
-    if (runCancelled) {
-        outcome.reason =
-            cancel != nullptr &&
-                    cancel->reason() == util::CancelToken::Reason::deadline
-                ? TerminationReason::deadlineExpired
-                : TerminationReason::cancelled;
+
+    /// The returned report list: every finished victim slot in SPEF order,
+    /// then the finished quiet nets' propagated-only reports in task-id
+    /// order. A victim is finished when its task is; only a cancelled run
+    /// has unfinished ones. Copied when `state` is a retained snapshot,
+    /// moved out of a throwaway one.
+    std::vector<NetNoiseReport> collectReports(bool cancelled, bool retain) {
+        std::vector<NetNoiseReport> out;
+        out.reserve(state.victimReports.size());
+        const auto take = [&out, retain](NetNoiseReport& r) {
+            if (retain) {
+                out.push_back(r);
+            } else {
+                out.push_back(std::move(r));
+            }
+        };
+        for (std::size_t i = 0; i < state.victimReports.size(); ++i) {
+            const int id = cancelled ? tg.idOf.at(state.victims[i].net) : -1;
+            if (id >= 0 && !tasks[static_cast<std::size_t>(id)].done) continue;
+            take(state.victimReports[i]);
+        }
+        for (std::size_t id = 0; id < state.quietReports.size(); ++id) {
+            auto& quiet = state.quietReports[id];
+            if (quiet.has_value() && tasks[id].done) take(*quiet);
+        }
+        return out;
     }
-    sched.failedTasks = outcome.failedNets.size();
-    sched.quarantinedTasks = outcome.quarantinedNets.size();
-    sched.degradedTasks = outcome.degradedNets.size();
-    sortUnique(outcome.failedNets);
-    sortUnique(outcome.quarantinedNets);
-    sortUnique(outcome.degradedNets);
-    if (inc != nullptr) {
-        IncrementalStats& st = *inc->stats;
-        st.totalTasks = static_cast<std::size_t>(numNets);
+
+    /// Resilience accounting and partial-result assembly: per-task verdicts
+    /// into the outcome's net lists, the run's counters into `st` (and
+    /// `opt.schedulerStats`), and the reports. On a cancelled run the
+    /// unfinished victim slots are dropped — every report returned is
+    /// complete and bitwise-identical to the same net's report in an
+    /// uncancelled run.
+    AnalysisOutcome assembleOutcome(util::SchedulerStats sched,
+                                    const util::RestrictedTaskGraph& sub,
+                                    bool retain, IncrementalStats& st) {
+        AnalysisOutcome outcome;
+        bool cancelled = false;
+        for (std::size_t id = 0; id < tasks.size(); ++id) {
+            const std::string& net = tg.nets[id];
+            if (!tasks[id].done) {
+                cancelled = true;
+                // Only victim clusters are reported as unsolved: the
+                // invariant callers rely on is reports + unsolvedNets == the
+                // victim set, and pass-through propagation tasks never
+                // produce a report in the first place.
+                if (victimSlot(net) >= 0) outcome.unsolvedNets.push_back(net);
+                continue;
+            }
+            switch (tasks[id].state) {
+                case TaskRecord::State::failed:
+                    outcome.failedNets.push_back(net);
+                    break;
+                case TaskRecord::State::quarantined:
+                    outcome.quarantinedNets.push_back(net);
+                    break;
+                case TaskRecord::State::degraded:
+                    outcome.degradedNets.push_back(net);
+                    break;
+                case TaskRecord::State::ok: break;
+            }
+        }
+        if (cancelled) {
+            outcome.reason =
+                cancel != nullptr &&
+                        cancel->reason() == util::CancelToken::Reason::deadline
+                    ? TerminationReason::deadlineExpired
+                    : TerminationReason::cancelled;
+        }
+        sched.failedTasks = outcome.failedNets.size();
+        sched.quarantinedTasks = outcome.quarantinedNets.size();
+        sched.degradedTasks = outcome.degradedNets.size();
+        sortUnique(outcome.failedNets);
+        sortUnique(outcome.quarantinedNets);
+        sortUnique(outcome.degradedNets);
+        st.totalTasks = tasks.size();
         st.dirtyTasks = sub.fullId.size();
         for (const int id : sub.fullId) {
-            if (dirtyMask[static_cast<std::size_t>(id)] == kCutoff) {
+            const auto uid = static_cast<std::size_t>(id);
+            if (tasks[uid].role == TaskRecord::Role::cutoff) {
                 ++st.cutoffTasks;
-            } else if (slotOf.count(tg.nets[static_cast<std::size_t>(id)])) {
+            } else if (victimSlot(tg.nets[uid]) >= 0) {
                 ++st.solvedVictimReports;
             }
         }
-        st.reusedVictimReports = work.size() - st.solvedVictimReports;
+        st.reusedVictimReports = state.victims.size() - st.solvedVictimReports;
         st.scheduler = sched;
+        if (opt.schedulerStats != nullptr) {
+            *opt.schedulerStats = std::move(sched);
+        }
+        outcome.reports = collectReports(cancelled, retain);
+        return outcome;
     }
-    if (opt.schedulerStats != nullptr) *opt.schedulerStats = std::move(sched);
-    // Propagated-only entries for quiet nets follow the SPEF-ordered victim
-    // reports, in level-then-name (== task id) order (deterministic). On a
-    // cancelled run the unfinished victim slots are dropped — every report
-    // returned is complete and bitwise-identical to the same net's report
-    // in an uncancelled run.
-    outcome.reports = collectReports(state, victimDone, taskDone, retain);
-    return outcome;
-}
 
-/// The shared lint gate: run the checker, apply waivers, publish the report
-/// through `opt.lintOut` (and `snapshotLint` when given), and throw
-/// lint::LintError in strict mode on surviving errors. The checker only
-/// reads the index (and characterizes window-hull Thevenins through the
-/// shared cache — values the analysis would compute identically anyway), so
-/// warn mode cannot perturb a single analysis bit.
+    /// Marks the dirty tasks and runs them alone: edges from a clean fanin
+    /// vanish (its slot is already filled); edges among dirty tasks keep
+    /// their dependency order, so a dirty net still solves after every
+    /// dirty upstream net, and the whole ready frontier runs at once.
+    AnalysisOutcome run(const DirtyInputs& dirty, bool retain,
+                        IncrementalStats& st) {
+        markDirty(dirty);
+        std::vector<char> keep(tasks.size());
+        for (std::size_t id = 0; id < tasks.size(); ++id) {
+            keep[id] = tasks[id].role != TaskRecord::Role::clean ? 1 : 0;
+        }
+        const util::RestrictedTaskGraph sub =
+            util::restrictTaskGraph(tg.graph, keep);
+        // threads == 0 means "use the machine" (hardware_concurrency).
+        const int threads = util::resolveThreadCount(opt.threads);
+        std::unique_ptr<util::ThreadPool> pool;
+        if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
+        util::SchedulerStats sched = util::runTaskGraph(
+            sub.graph,
+            [&](int t) { runTask(sub.fullId[static_cast<std::size_t>(t)]); },
+            pool.get(), cancel);
+        return assembleOutcome(std::move(sched), sub, retain, st);
+    }
+};
+
+/// The shared lint gate: apply waivers to the checker's report, hand the
+/// waived diagnostics to `snapshotLint` when given, publish `prefix` (the
+/// delta's findings, already gated) followed by them through
+/// `opt.lintOut`, and throw lint::LintError in strict mode on surviving
+/// errors. The checker only reads the index (and characterizes window-hull
+/// Thevenins through the shared cache — values the analysis would compute
+/// identically anyway), so warn mode cannot perturb a single analysis bit.
 void runLintGate(lint::LintReport& report, const DesignNoiseOptions& opt,
-                 std::vector<lint::Diagnostic>* snapshotLint) {
+                 std::vector<lint::Diagnostic>* snapshotLint,
+                 const lint::LintReport& prefix = {}) {
     if (opt.lintWaivers != nullptr) {
         lint::applyWaivers(report, *opt.lintWaivers);
     }
     if (snapshotLint != nullptr) *snapshotLint = report.diagnostics;
+    report.diagnostics.insert(report.diagnostics.begin(),
+                              prefix.diagnostics.begin(),
+                              prefix.diagnostics.end());
     if (opt.lintOut != nullptr) *opt.lintOut = report;
     if (opt.lint == lint::Mode::strict && report.hasErrors()) {
         throw lint::LintError(report);
@@ -1319,112 +1263,61 @@ bool diffExplicitWindows(const TimingWindows& before, const TimingWindows& now,
     return any;
 }
 
-}  // namespace
-
-AnalysisOutcome analyzeDesignOutcome(const Design& design,
-                                     const parser::SpefFile& spef,
-                                     const DesignNoiseOptions& opt) {
-    requireNoClusterWindows(opt);
+/// The rebuild prepare step, for a full analysis and for an update whose
+/// snapshot cannot splice: a fresh index (linted, with the delta's findings
+/// in front), and on the emptied `state` every victim reselected and every
+/// window propagated. Every task is then must-solve.
+DirtyInputs prepareRebuild(const Design& design, const parser::SpefFile& spef,
+                           const DesignNoiseOptions& opt,
+                           AnalysisSnapshot& state, bool retain,
+                           const lint::LintReport& deltaLint,
+                           IncrementalStats& st) {
     auto index = std::make_unique<DesignIndex>(
         design, spef, opt.propagate ? opt.windows : nullptr);
+    std::vector<lint::Diagnostic> designLint;
     if (opt.lint != lint::Mode::off) {
         lint::LintOptions lo;
         lo.nrc = opt.report.nrc;
         lo.cache = opt.cache;
         lo.loadCurveGrid = opt.report.macromodel.loadCurveGrid;
         lint::LintReport lr = lint::lintDesign(*index, spef, lo);
-        runLintGate(lr, opt,
-                    opt.snapshot != nullptr ? &opt.snapshot->lint : nullptr);
+        runLintGate(lr, opt, &designLint, deltaLint);
     }
-    // The run writes its slots into the snapshot in place (a throwaway one
-    // without capture), so the snapshot stops being splice input until the
-    // run has completed cleanly.
-    AnalysisSnapshot scratch;
-    AnalysisSnapshot& state = opt.snapshot != nullptr ? *opt.snapshot : scratch;
-    state.valid = false;
-    AnalysisOutcome outcome = analyzeWithIndex(
-        design, spef, opt, *index, state, opt.snapshot != nullptr, nullptr);
-    if (opt.snapshot != nullptr && outcome.clean()) {
-        opt.snapshot->design = &design;
-        opt.snapshot->instanceCount = design.instances().size();
-        opt.snapshot->fingerprint = fingerprintOf(opt);
-        opt.snapshot->index = std::move(index);
-        opt.snapshot->explicitWindows = opt.propagate && opt.windows != nullptr
-                                            ? *opt.windows
-                                            : TimingWindows{};
-        opt.snapshot->valid = true;
+    // The run writes its slots into the snapshot in place, so the snapshot
+    // stops being splice input until the run has completed cleanly.
+    state = AnalysisSnapshot{};
+    state.index = std::move(index);
+    state.lint = std::move(designLint);
+    const bool useWindows = opt.propagate && opt.windows != nullptr;
+    if (retain) {
+        state.design = &design;
+        state.instanceCount = design.instances().size();
+        state.fingerprint = fingerprintOf(opt);
+        state.explicitWindows = useWindows ? *opt.windows : TimingWindows{};
     }
-    if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {
-        appendResilienceLint(*opt.lintOut, outcome);
+    refreshVictims(state, *state.index, spef, opt.maxAggressors, {}, true);
+    // Windows are propagated over the whole level graph before any cluster
+    // solves: a victim's aggressors can live on ANY level, so their windows
+    // must be known up front, not wavefront-ordered.
+    if (useWindows) {
+        std::vector<int> every(state.index->taskGraph().nets.size());
+        std::iota(every.begin(), every.end(), 0);
+        st.windowNetsRepropagated = propagateWindowCone(
+            *state.index, opt.cache, nullptr, every, state.netWindows);
     }
-    return outcome;
+    st.indexRebuilt = true;
+    DirtyInputs dirty;
+    dirty.everyTask = true;
+    return dirty;
 }
 
-std::vector<NetNoiseReport> analyzeDesign(const Design& design,
-                                          const parser::SpefFile& spef,
-                                          const DesignNoiseOptions& opt) {
-    return reportsOrThrow(analyzeDesignOutcome(design, spef, opt));
-}
-
-AnalysisOutcome analyzeDesignIncrementalOutcome(
-    const Design& design, const parser::SpefFile& spef,
-    const DesignDelta& delta, AnalysisSnapshot& snapshot,
-    const DesignNoiseOptions& opt, IncrementalStats* statsOut) {
-    requireNoClusterWindows(opt);
-    IncrementalStats localStats;
-    IncrementalStats& st = statsOut != nullptr ? *statsOut : localStats;
-    st = IncrementalStats{};
-
-    // Delta validity (SNA-L501/L502) gates the run before the snapshot is
-    // touched: a typo'd delta marks nothing dirty and would otherwise
-    // silently splice stale results for the net the user meant.
-    lint::LintReport deltaReport;
-    if (opt.lint != lint::Mode::off) {
-        deltaReport = lint::lintDelta(design, spef, delta);
-        runLintGate(deltaReport, opt, nullptr);
-    }
-
-    const std::string fp = fingerprintOf(opt);
-    const bool reusable =
-        snapshot.valid && snapshot.index != nullptr &&
-        snapshot.design == &design && snapshot.fingerprint == fp &&
-        snapshot.instanceCount == design.instances().size() &&
-        !delta.connectivityChanged;
-    if (!reusable) {
-        // No splice possible — first run, different design/options, or a
-        // connectivity change (which may have reallocated the instance
-        // storage the retained index points into). Run the full pipeline
-        // and capture a fresh snapshot so the NEXT iteration can go
-        // incremental.
-        st.indexRebuilt = true;
-        DesignNoiseOptions full = opt;
-        full.snapshot = &snapshot;
-        AnalysisOutcome outcome = analyzeDesignOutcome(design, spef, full);
-        if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {
-            // The full re-lint overwrote lintOut; the delta findings (all
-            // waived here, or strict would have thrown above) still belong
-            // in front of it.
-            opt.lintOut->diagnostics.insert(opt.lintOut->diagnostics.begin(),
-                                            deltaReport.diagnostics.begin(),
-                                            deltaReport.diagnostics.end());
-        }
-        // A partial or faulted full run captured no snapshot
-        // (snapshot.index may even be null); the task counters then only
-        // know what was actually produced.
-        if (snapshot.valid && snapshot.index != nullptr) {
-            st.totalTasks = opt.propagate
-                                ? snapshot.index->taskGraph().nets.size()
-                                : snapshot.victims.size();
-            st.solvedVictimReports = snapshot.victims.size();
-            st.windowNetsRepropagated = snapshot.netWindows.size();
-        } else {
-            st.totalTasks = outcome.reports.size() + outcome.unsolvedNets.size();
-            st.solvedVictimReports = outcome.reports.size();
-        }
-        st.dirtyTasks = st.totalTasks;
-        return outcome;
-    }
-
+/// The update prepare step on a reusable snapshot: the retained index is
+/// patched for `delta`, the windows of its cone re-propagated, and the
+/// must-solve set is the delta's seeds with their coupling neighbours.
+DirtyInputs preparePatch(const parser::SpefFile& spef,
+                         const DesignNoiseOptions& opt,
+                         const DesignDelta& delta, AnalysisSnapshot& snapshot,
+                         IncrementalStats& st) {
     DesignIndex& index = *snapshot.index;
     index.setTimingWindows(opt.propagate ? opt.windows : nullptr);
     // The index, the windows and the slots are refreshed in place from
@@ -1432,16 +1325,11 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     // splice input (an exception below leaves it invalid).
     snapshot.valid = false;
 
-    DesignNoiseOptions run = opt;
-    run.snapshot = nullptr;  // the run refreshes `snapshot` explicitly
-    charlib::CharCache iterationCache;
-    if (run.cache == nullptr) run.cache = &iterationCache;
-
     // ---- seeds: what the delta touched directly -------------------------
     // Window sources are the nets whose window inputs changed: the pins of
     // a re-bound instance (its output net's driver cell) and the nets whose
     // explicit window was added, removed, or changed.
-    const bool useWindows = run.propagate && run.windows != nullptr;
+    const bool useWindows = opt.propagate && opt.windows != nullptr;
     const NetTaskGraph* tg = useWindows ? &index.taskGraph() : nullptr;
     std::vector<int> windowSources;
     const auto addWindowSource = [&](const std::string& net) {
@@ -1471,23 +1359,20 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
     // move: re-propagate it into the retained windows and seed every net
     // whose window moved — its own sensitivity interval changed, and so did
     // the aggressor window its coupled victims see.
-    std::vector<int> moved;
+    DirtyInputs dirty;
     if (useWindows) {
-        if (diffExplicitWindows(snapshot.explicitWindows, *run.windows,
+        if (diffExplicitWindows(snapshot.explicitWindows, *opt.windows,
                                 addWindowSource)) {
-            snapshot.explicitWindows = *run.windows;
+            snapshot.explicitWindows = *opt.windows;
         }
         st.windowNetsRepropagated =
-            propagateWindowCone(index, run.cache, run.windows, windowSources,
-                                snapshot.netWindows, &moved);
-        for (const int id : moved) {
+            propagateWindowCone(index, opt.cache, opt.windows, windowSources,
+                                snapshot.netWindows, &dirty.movedWindows);
+        for (const int id : dirty.movedWindows) {
             seeds.insert(tg->nets[static_cast<std::size_t>(id)]);
         }
     }
-
-    // The must-solve set; the run adds its downstream closure.
-    std::unordered_set<std::string> mustSolve =
-        expandDirtyCone(index, seeds, &st.coupledNeighbors);
+    dirty.mustSolve = expandDirtyCone(index, seeds, &st.coupledNeighbors);
 
     // Safety net: a victim the snapshot never recorded must be solved
     // (with its cone), not spliced-as-absent. Unreachable without a
@@ -1503,33 +1388,91 @@ AnalysisOutcome analyzeDesignIncrementalOutcome(
             ++retainedVictims;
             continue;
         }
-        if (mustSolve.count(netName) == 0 &&
-            selectVictim(index, spef, netName, run.maxAggressors)) {
+        if (dirty.mustSolve.count(netName) == 0 &&
+            selectVictim(index, spef, netName, opt.maxAggressors)) {
             unrecorded.insert(netName);
         }
     }
     if (!unrecorded.empty()) {
         seeds.insert(unrecorded.begin(), unrecorded.end());
-        mustSolve = expandDirtyCone(index, seeds, &st.coupledNeighbors);
+        dirty.mustSolve = expandDirtyCone(index, seeds, &st.coupledNeighbors);
     }
     st.seedNets = seeds.size();
+    dirty.unrecordedSlots = refreshVictims(
+        snapshot, index, spef, opt.maxAggressors, dirty.mustSolve,
+        retainedVictims != snapshot.victims.size());
+    return dirty;
+}
 
-    IncrementalContext ctx;
-    ctx.mustSolve = &mustSolve;
-    ctx.movedWindows = &moved;
-    ctx.stats = &st;
-    ctx.reselect = retainedVictims != snapshot.victims.size();
-    AnalysisOutcome outcome =
-        analyzeWithIndex(design, spef, run, index, snapshot, true, &ctx);
-    // The index was patched and the slots rewritten in place; an
-    // incomplete or faulted run therefore poisons the snapshot — its
-    // retained reports no longer match the index state, so the next
-    // iteration must fall back to a full run.
-    snapshot.valid = outcome.clean();
+/// The one run path behind every entry point. A full analysis
+/// (`delta == nullptr`) and an update whose snapshot cannot splice — no
+/// prior run, a different Design object, changed options, or a
+/// connectivity change — rebuild; an update on a reusable snapshot
+/// patches. Both then run the same solve on the slots of `snapshot` (a
+/// throwaway one when null), which stays splice input only after a clean
+/// completion.
+AnalysisOutcome runAnalysis(const Design& design, const parser::SpefFile& spef,
+                            const DesignNoiseOptions& opt,
+                            const DesignDelta* delta,
+                            AnalysisSnapshot* snapshot, IncrementalStats& st) {
+    requireNoClusterWindows(opt);
+    st = IncrementalStats{};
+    // Delta validity (SNA-L501/L502) gates the run before the snapshot is
+    // touched: a typo'd delta marks nothing dirty and would otherwise
+    // silently splice stale results for the net the user meant.
+    lint::LintReport deltaLint;
+    if (delta != nullptr && opt.lint != lint::Mode::off) {
+        deltaLint = lint::lintDelta(design, spef, *delta);
+        runLintGate(deltaLint, opt, nullptr);
+    }
+    const bool reusable =
+        delta != nullptr && !delta->connectivityChanged &&
+        snapshot != nullptr && snapshot->valid && snapshot->index != nullptr &&
+        snapshot->design == &design &&
+        snapshot->instanceCount == design.instances().size() &&
+        snapshot->fingerprint == fingerprintOf(opt);
+
+    AnalysisSnapshot scratch;
+    AnalysisSnapshot& state = snapshot != nullptr ? *snapshot : scratch;
+    DesignNoiseOptions runOpt = opt;
+    runOpt.snapshot = nullptr;
+    charlib::CharCache runCache;
+    if (runOpt.cache == nullptr) runOpt.cache = &runCache;
+    const DirtyInputs dirty =
+        reusable ? preparePatch(spef, runOpt, *delta, state, st)
+                 : prepareRebuild(design, spef, runOpt, state,
+                                  snapshot != nullptr, deltaLint, st);
+    AnalysisOutcome outcome = SolveRun(design, spef, runOpt, state)
+                                  .run(dirty, snapshot != nullptr, st);
+    state.valid = snapshot != nullptr && outcome.clean();
     if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {
         appendResilienceLint(*opt.lintOut, outcome);
     }
     return outcome;
+}
+
+}  // namespace
+
+AnalysisOutcome analyzeDesignOutcome(const Design& design,
+                                     const parser::SpefFile& spef,
+                                     const DesignNoiseOptions& opt) {
+    IncrementalStats stats;
+    return runAnalysis(design, spef, opt, nullptr, opt.snapshot, stats);
+}
+
+std::vector<NetNoiseReport> analyzeDesign(const Design& design,
+                                          const parser::SpefFile& spef,
+                                          const DesignNoiseOptions& opt) {
+    return reportsOrThrow(analyzeDesignOutcome(design, spef, opt));
+}
+
+AnalysisOutcome analyzeDesignIncrementalOutcome(
+    const Design& design, const parser::SpefFile& spef,
+    const DesignDelta& delta, AnalysisSnapshot& snapshot,
+    const DesignNoiseOptions& opt, IncrementalStats* statsOut) {
+    IncrementalStats stats;
+    return runAnalysis(design, spef, opt, &delta, &snapshot,
+                       statsOut != nullptr ? *statsOut : stats);
 }
 
 std::vector<NetNoiseReport> analyzeDesignIncremental(

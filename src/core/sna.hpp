@@ -279,9 +279,13 @@ std::vector<NetNoiseReport> analyzeDesign(const Design& design,
 /// cancelled or timed-out run returns a structured partial AnalysisOutcome
 /// instead of throwing, and per-net failures are handled per
 /// `opt.onNetFailure`. analyzeDesign is a thin wrapper that throws
-/// util::CancelledError when the outcome is incomplete. The snapshot (when
-/// requested) is captured only on full, fault-free completion — a partial
-/// or quarantined run leaves `opt.snapshot->valid == false`.
+/// util::CancelledError when the outcome is incomplete.
+///
+/// A full analysis runs the incremental update's path (core/incremental.hpp)
+/// with a rebuilt index, every victim reselected and every task must-solve,
+/// on the slots of `opt.snapshot` (a throwaway snapshot when null). The
+/// snapshot is splice input only after full, fault-free completion — a
+/// partial or quarantined run leaves `opt.snapshot->valid == false`.
 AnalysisOutcome analyzeDesignOutcome(const Design& design,
                                      const parser::SpefFile& spef,
                                      const DesignNoiseOptions& opt = {});

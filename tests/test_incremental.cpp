@@ -3,9 +3,10 @@
 // every characterization run), version-mismatch / truncated-file /
 // wrong-technology fall-through to clean recomputation, concurrent load()
 // into a cache that workers are characterizing, overflow accounting under
-// tiny limits, dirty-cone expansion, and bit-identity of
+// tiny limits, dirty-cone expansion, bit-identity of
 // analyzeDesignIncremental with a cold full run at several thread counts
-// for the flat, propagated, and windowed pipelines.
+// for the flat, propagated, and windowed pipelines, the splice
+// fingerprint's field list, and the rebuild path's counters and lint order.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -23,9 +24,12 @@
 #include "core/incremental.hpp"
 #include "core/propagate.hpp"
 #include "core/sna.hpp"
+#include "lint/lint.hpp"
+#include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
+#include "util/task_scheduler.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -672,6 +676,234 @@ TEST(Incremental, OptionChangeInvalidatesTheSplice) {
     core::analyzeDesignIncremental(design, spef, delta, snapshot, opt,
                                    &stats2);
     EXPECT_FALSE(stats2.indexRebuilt);
+}
+
+// A call that cannot splice runs the update with every task dirty, so its
+// counters read like any other update's: every graph task is scheduled and
+// executed, a quarantined run included.
+TEST(Incremental, RebuildFallbackCountsLikeAnUpdate) {
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2, 1};
+    const auto spef = parser::parseSpef(chainSpef(aggs, {30.0, 10.0}));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    auto opt = cheapOptions();
+    opt.propagate = true;
+    charlib::CharCache cache;
+    opt.cache = &cache;
+    core::AnalysisSnapshot snapshot;
+    opt.snapshot = &snapshot;
+    core::analyzeDesign(design, spef, opt);
+    ASSERT_TRUE(snapshot.valid);
+    opt.snapshot = nullptr;
+    const std::size_t graphTasks = snapshot.index->taskGraph().nets.size();
+    ASSERT_EQ(graphTasks, 10u);
+    const std::size_t victims = snapshot.victims.size();
+
+    core::DesignDelta delta;
+    delta.connectivityChanged = true;
+    core::IncrementalStats stats;
+    (void)core::analyzeDesignIncremental(design, spef, delta, snapshot, opt,
+                                         &stats);
+    EXPECT_TRUE(stats.indexRebuilt);
+    EXPECT_EQ(stats.totalTasks, graphTasks);
+    EXPECT_EQ(stats.dirtyTasks, graphTasks);
+    EXPECT_EQ(stats.scheduler.tasksExecuted, stats.dirtyTasks);
+    EXPECT_EQ(stats.scheduler.workers, 1);
+    EXPECT_EQ(stats.solvedVictimReports, victims);
+    EXPECT_EQ(stats.reusedVictimReports, 0u);
+    EXPECT_EQ(stats.cutoffTasks, 0u);
+
+    struct Disarm {
+        ~Disarm() { util::FaultInjector::instance().disarm(); }
+    } disarm;
+    util::FaultInjector::instance().arm("core.solve_net@s0");
+    opt.onNetFailure = core::NetFailurePolicy::quarantineCone;
+    core::IncrementalStats quarantined;
+    const auto outcome = core::analyzeDesignIncrementalOutcome(
+        design, spef, delta, snapshot, opt, &quarantined);
+    util::FaultInjector::instance().disarm();
+    EXPECT_EQ(outcome.failedNets, std::vector<std::string>{"s0"});
+    EXPECT_FALSE(outcome.quarantinedNets.empty());
+    EXPECT_FALSE(snapshot.valid);
+    EXPECT_TRUE(quarantined.indexRebuilt);
+    EXPECT_EQ(quarantined.totalTasks, graphTasks);
+    EXPECT_EQ(quarantined.dirtyTasks, graphTasks);
+    EXPECT_EQ(quarantined.scheduler.tasksExecuted, graphTasks);
+    EXPECT_EQ(quarantined.scheduler.quarantinedTasks,
+              outcome.quarantinedNets.size());
+}
+
+// The splice fingerprint's contract: every option that can change a value
+// refuses the splice, and every execution-only option still splices and
+// returns the same bits. A new option belongs in one of the two tables.
+TEST(Incremental, FingerprintCoversEveryValueAffectingOption) {
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{1, 1};
+    const auto spef = parser::parseSpef(chainSpef(aggs, {20.0, 10.0}));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    auto base = cheapOptions();
+    base.propagate = true;
+    charlib::CharCache cache;
+    base.cache = &cache;
+    const auto reference = core::analyzeDesign(design, spef, base);
+
+    using Flip = std::pair<const char*, void (*)(core::DesignNoiseOptions&)>;
+    static const core::TimingWindows windows;
+    const std::vector<Flip> valueAffecting = {
+        {"tstop", [](core::DesignNoiseOptions& o) { o.tstop *= 1.5; }},
+        {"maxAggressors",
+         [](core::DesignNoiseOptions& o) { o.maxAggressors = 1; }},
+        {"propagate", [](core::DesignNoiseOptions& o) { o.propagate = false; }},
+        {"propagateMinHeight",
+         [](core::DesignNoiseOptions& o) { o.propagateMinHeight *= 2.0; }},
+        {"windows", [](core::DesignNoiseOptions& o) { o.windows = &windows; }},
+        {"searchAlignment",
+         [](core::DesignNoiseOptions& o) { o.report.searchAlignment = true; }},
+        {"usePrima",
+         [](core::DesignNoiseOptions& o) {
+             o.report.macromodel.usePrima = true;
+         }},
+        {"primaBlocks",
+         [](core::DesignNoiseOptions& o) {
+             o.report.macromodel.primaBlocks += 1;
+         }},
+        {"loadCurveGrid",
+         [](core::DesignNoiseOptions& o) {
+             o.report.macromodel.loadCurveGrid += 2;
+         }},
+        {"alignment.window",
+         [](core::DesignNoiseOptions& o) { o.report.alignment.window *= 2.0; }},
+        {"alignment.coarsePoints",
+         [](core::DesignNoiseOptions& o) {
+             o.report.alignment.coarsePoints += 2;
+         }},
+        {"alignment.rounds",
+         [](core::DesignNoiseOptions& o) { o.report.alignment.rounds += 1; }},
+        {"nrc.widthMin",
+         [](core::DesignNoiseOptions& o) { o.report.nrc.widthMin *= 1.5; }},
+        {"nrc.widthLimit",
+         [](core::DesignNoiseOptions& o) { o.report.nrc.widthLimit *= 0.9; }},
+        {"nrc.growth",
+         [](core::DesignNoiseOptions& o) { o.report.nrc.growth = 2.0; }},
+        {"nrc.interp",
+         [](core::DesignNoiseOptions& o) {
+             o.report.nrc.interp = core::NrcOptions::Interp::kLinearWidth;
+         }},
+    };
+    for (const auto& [name, flip] : valueAffecting) {
+        core::AnalysisSnapshot snapshot;
+        auto opt = base;
+        opt.snapshot = &snapshot;
+        core::analyzeDesign(design, spef, opt);
+        ASSERT_TRUE(snapshot.valid) << name;
+        opt.snapshot = nullptr;
+        flip(opt);
+        core::IncrementalStats stats;
+        (void)core::analyzeDesignIncremental(design, spef, {}, snapshot, opt,
+                                             &stats);
+        EXPECT_TRUE(stats.indexRebuilt) << name;
+    }
+
+    core::AnalysisSnapshot snapshot;
+    base.snapshot = &snapshot;
+    core::analyzeDesign(design, spef, base);
+    ASSERT_TRUE(snapshot.valid);
+    base.snapshot = nullptr;
+    static charlib::CharCache otherCache;
+    static util::SchedulerStats schedulerStats;
+    static const std::vector<parser::Waiver> waivers;
+    static lint::LintReport lintOut;
+    static const util::CancelToken cancel;
+    const std::vector<Flip> executionOnly = {
+        {"threads", [](core::DesignNoiseOptions& o) { o.threads = 4; }},
+        {"cache", [](core::DesignNoiseOptions& o) { o.cache = &otherCache; }},
+        {"schedulerStats",
+         [](core::DesignNoiseOptions& o) {
+             o.schedulerStats = &schedulerStats;
+         }},
+        {"lint",
+         [](core::DesignNoiseOptions& o) { o.lint = lint::Mode::warn; }},
+        {"lintWaivers",
+         [](core::DesignNoiseOptions& o) { o.lintWaivers = &waivers; }},
+        {"lintOut", [](core::DesignNoiseOptions& o) { o.lintOut = &lintOut; }},
+        {"cancel", [](core::DesignNoiseOptions& o) { o.cancel = &cancel; }},
+        {"deadline", [](core::DesignNoiseOptions& o) { o.deadline = 3600.0; }},
+        {"onNetFailure",
+         [](core::DesignNoiseOptions& o) {
+             o.onNetFailure = core::NetFailurePolicy::quarantineCone;
+         }},
+    };
+    // A re-extraction with unchanged values: the cone re-solves under the
+    // flipped option and must land on the same bits.
+    core::DesignDelta delta;
+    delta.nets = {"s0"};
+    for (const auto& [name, flip] : executionOnly) {
+        auto opt = base;
+        flip(opt);
+        core::IncrementalStats stats;
+        const auto fast = core::analyzeDesignIncremental(
+            design, spef, delta, snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << name;
+        EXPECT_GT(stats.dirtyTasks, 0u) << name;
+        expectSameReports(fast, reference, name);
+        ASSERT_TRUE(snapshot.valid) << name;
+    }
+}
+
+// On the rebuild path lintOut carries the delta's findings first, then the
+// design's, then the post-run resilience findings; the snapshot keeps the
+// design's alone.
+TEST(Incremental, RebuildLintOutOrdersDeltaDesignThenResilience) {
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2, 1};
+    const auto spef = parser::parseSpef(chainSpef(aggs, {30.0, 10.0}));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    auto opt = cheapOptions();
+    opt.propagate = true;
+    opt.lint = lint::Mode::warn;
+    lint::LintReport designOnly;
+    opt.lintOut = &designOnly;
+    (void)core::analyzeDesign(design, spef, opt);
+    ASSERT_FALSE(designOnly.diagnostics.empty());
+
+    struct Disarm {
+        ~Disarm() { util::FaultInjector::instance().disarm(); }
+    } disarm;
+    util::FaultInjector::instance().arm("core.solve_net@s0");
+    opt.onNetFailure = core::NetFailurePolicy::quarantineCone;
+    lint::LintReport out;
+    opt.lintOut = &out;
+    core::DesignDelta delta;
+    delta.nets = {"typo_net"};
+    delta.connectivityChanged = true;
+    core::AnalysisSnapshot snapshot;
+    core::IncrementalStats stats;
+    const auto outcome = core::analyzeDesignIncrementalOutcome(
+        design, spef, delta, snapshot, opt, &stats);
+    util::FaultInjector::instance().disarm();
+    EXPECT_TRUE(stats.indexRebuilt);
+    ASSERT_FALSE(outcome.failedNets.empty());
+
+    const auto rulesOf = [](const std::vector<lint::Diagnostic>& ds) {
+        std::vector<std::string> rules;
+        for (const auto& d : ds) rules.push_back(d.rule + " " + d.object);
+        return rules;
+    };
+    std::vector<std::string> expected{"SNA-L501 typo_net"};
+    for (const auto& r : rulesOf(designOnly.diagnostics)) {
+        expected.push_back(r);
+    }
+    for (const auto& net : outcome.failedNets) {
+        expected.push_back("SNA-L701 " + net);
+    }
+    for (const auto& net : outcome.quarantinedNets) {
+        expected.push_back("SNA-L702 " + net);
+    }
+    EXPECT_EQ(rulesOf(out.diagnostics), expected);
+    EXPECT_EQ(rulesOf(snapshot.lint), rulesOf(designOnly.diagnostics));
 }
 
 TEST(Incremental, EmptyDeltaOnNetCoupledOnlyToUndrivenNetsSolvesNothing) {
