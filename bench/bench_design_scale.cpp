@@ -235,6 +235,7 @@ struct Row {
     double marginDiff = 0.0;
     std::size_t reports = 0;
     std::size_t loadCurveRuns = 0;
+    std::size_t theveninRuns = 0;
     std::size_t nrcRuns = 0;
     // Propagation-enabled chained variant.
     double prop1Sec = 0.0;
@@ -398,6 +399,7 @@ int main(int argc, char** argv) {
                 opt1 = rep;
                 const auto stats = cache.stats();
                 row.loadCurveRuns = stats.loadCurveRuns;
+                row.theveninRuns = stats.theveninRuns;
                 row.nrcRuns = stats.nrcRuns;
                 row.reports = rep.size();
             } else {
@@ -698,7 +700,7 @@ int main(int argc, char** argv) {
 
     util::Table table({"Nets", "Reports", "Reference (s)", "Opt t=1 (s)",
                        "Opt t=4 (s)", "Speed-up", "Max |dMargin| (V)",
-                       "LC runs", "NRC runs"});
+                       "LC runs", "Thev runs", "NRC runs"});
     for (const auto& r : rows) {
         const double best = std::min(r.opt1Sec, r.opt4Sec);
         table.addRow(
@@ -707,7 +709,8 @@ int main(int argc, char** argv) {
              util::Table::num(r.opt1Sec, 2), util::Table::num(r.opt4Sec, 2),
              r.refSec < 0 ? "-" : util::Table::num(r.refSec / best, 1),
              util::Table::num(r.marginDiff, 12),
-             std::to_string(r.loadCurveRuns), std::to_string(r.nrcRuns)});
+             std::to_string(r.loadCurveRuns), std::to_string(r.theveninRuns),
+             std::to_string(r.nrcRuns)});
     }
     std::printf("Design-scale noise analysis throughput\n\n%s\n",
                 table.str().c_str());
@@ -835,7 +838,8 @@ int main(int argc, char** argv) {
             "%s{\"nets\": %d, \"reports\": %zu, \"reference_sec\": %s, "
             "\"optimized_t1_sec\": %.4f, \"optimized_t4_sec\": %.4f, "
             "\"speedup\": %s, \"max_margin_diff\": %.3e, "
-            "\"load_curve_runs\": %zu, \"nrc_runs\": %zu, "
+            "\"load_curve_runs\": %zu, \"thevenin_runs\": %zu, "
+            "\"nrc_runs\": %zu, "
             "\"threads_sweep\": [%s], "
             "\"levels\": %zu, \"lint_sec\": %.4f, \"lint_errors\": %zu, "
             "\"lint_warnings\": %zu, \"lint_infos\": %zu, "
@@ -865,7 +869,7 @@ int main(int argc, char** argv) {
             "\"frontend_instances\": %zu}",
             i == 0 ? "" : ", ", r.nets, r.reports, refStr.c_str(), r.opt1Sec,
             r.opt4Sec, speedupStr.c_str(), r.marginDiff, r.loadCurveRuns,
-            r.nrcRuns, sweepJson.str().c_str(), r.levels, r.lintSec,
+            r.theveninRuns, r.nrcRuns, sweepJson.str().c_str(), r.levels, r.lintSec,
             r.lintErrors, r.lintWarnings, r.lintInfos, r.prop1Sec,
             r.prop4Sec, r.propMarginDiff, r.serialMarginDiff, r.schedTasks,
             r.schedSteals, r.schedMaxReady, busyJson.str().c_str(),

@@ -75,11 +75,52 @@ struct TheveninSpec {
 TheveninModel characterizeThevenin(const TheveninSpec& spec);
 
 namespace detail {
-/// Time at which a unit saturated ramp of duration `tau` driving an RC
-/// load of time constant `rc` (both starting at t = 0) reaches `frac` of
-/// the swing, bisected on the analytic response. The Thevenin fit's inner
-/// search, exposed for its equivalence test.
+/// Resumable bisection for the time at which a unit saturated ramp of
+/// duration `tau` driving an RC load of time constant `rc` (both starting
+/// at t = 0) reaches `frac` of the swing, on the analytic response. The
+/// constructor computes the tail coefficient and doubles `hi` until the
+/// crossing is bracketed; each step() halves the bracket [lo(), hi()]. The
+/// search is done() at its fixed point (a midpoint equal to an end) or
+/// after kMaxSteps, and result() is 0.5*(lo + hi), which lies inside every
+/// bracket the search passed through.
+class RampRcBisection {
+public:
+    static constexpr int kMaxSteps = 100;
+
+    RampRcBisection(double frac, double tau, double rc);
+
+    void step();  ///< one bisection step; no-op once done()
+    bool done() const { return done_; }
+    double lo() const { return lo_; }
+    double hi() const { return hi_; }
+    int steps() const { return steps_; }  ///< response evaluations so far
+    double result() const { return 0.5 * (lo_ + hi_); }
+
+private:
+    double value(double t) const;
+
+    double frac_, tau_, rc_, tail_;
+    double lo_ = 0.0;
+    double hi_;
+    int steps_ = 0;
+    bool done_ = false;
+};
+
+/// RampRcBisection run to completion. Exposed for its equivalence test.
 double rampRcCrossing(double frac, double tau, double rc);
+
+struct RampTauFit {
+    double tau = 0.0;      ///< best ramp duration, s
+    double err = 0.0;      ///< its squared relative crossing error
+    long long steps = 0;   ///< bisection steps spent, both crossings
+};
+
+/// The Thevenin fit's ramp-duration sweep: the tau whose ramp into `rc`
+/// crosses 20%/80% closest to the measured m20/m80 (times after launch),
+/// over a log grid refined in up to four rounds. A grid point stops
+/// bisecting once its error provably cannot beat the incumbent, so the
+/// result is bitwise that of scoring every point in full.
+RampTauFit fitRampTau(double m20, double m80, double rc);
 }  // namespace detail
 
 // ------------------------------------------------------------ propagation

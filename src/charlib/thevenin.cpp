@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <map>
 
 #include "charlib/characterize.hpp"
@@ -17,37 +19,140 @@ wave::Waveform TheveninModel::ramp(double t0, double tEnd) const {
 
 namespace detail {
 
-// Analytic crossing time of the (ramp + R)ic load C response at `frac` of
-// the swing. Response (normalized swing 1, ramp duration tau, time constant
-// rc, ramp starts at 0):
+// Analytic response of the (ramp + R)ic load C, normalized swing 1, ramp
+// duration tau, time constant rc, ramp starting at 0:
 //   t <= tau : v(t) = (t - rc (1 - e^{-t/rc})) / tau
 //   t  > tau : v(t) = 1 - (rc/tau) (1 - e^{-tau/rc}) e^{-(t-tau)/rc}
-// Monotone increasing, so bisection is exact. Each step's midpoint depends
-// only on (lo, hi), so the first step that leaves both unchanged would
-// repeat itself for every remaining step: the search stops there.
-double rampRcCrossing(double frac, double tau, double rc) {
+// Monotone increasing, so bisection is exact.
+RampRcBisection::RampRcBisection(double frac, double tau, double rc)
+    : frac_(frac),
+      tau_(tau),
+      rc_(rc),
+      tail_((rc / tau) * (1.0 - std::exp(-tau / rc))),
+      hi_(tau + rc) {
     SNA_REQUIRE(frac > 0.0 && frac < 1.0, "crossing fraction out of range");
-    const double tail = (rc / tau) * (1.0 - std::exp(-tau / rc));
-    auto value = [&](double t) {
-        if (t <= tau) {
-            return (t - rc * (1.0 - std::exp(-t / rc))) / tau;
-        }
-        return 1.0 - tail * std::exp(-(t - tau) / rc);
-    };
-    double lo = 0.0;
-    double hi = tau + rc;
-    while (value(hi) < frac) hi *= 2.0;
-    for (int it = 0; it < 100; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        if (value(mid) < frac) {
-            if (mid == lo) break;
-            lo = mid;
-        } else {
-            if (mid == hi) break;
-            hi = mid;
-        }
+    while (value(hi_) < frac_) hi_ *= 2.0;
+}
+
+double RampRcBisection::value(double t) const {
+    if (t <= tau_) {
+        return (t - rc_ * (1.0 - std::exp(-t / rc_))) / tau_;
     }
-    return 0.5 * (lo + hi);
+    return 1.0 - tail_ * std::exp(-(t - tau_) / rc_);
+}
+
+// Each step's midpoint depends only on (lo, hi), so the first step that
+// leaves both unchanged would repeat itself for every remaining step: the
+// search is done there, or after kMaxSteps.
+void RampRcBisection::step() {
+    if (done_) return;
+    ++steps_;
+    const double mid = 0.5 * (lo_ + hi_);
+    if (value(mid) < frac_) {
+        if (mid == lo_) {
+            done_ = true;
+            return;
+        }
+        lo_ = mid;
+    } else {
+        if (mid == hi_) {
+            done_ = true;
+            return;
+        }
+        hi_ = mid;
+    }
+    if (steps_ == kMaxSteps) done_ = true;
+}
+
+double rampRcCrossing(double frac, double tau, double rc) {
+    RampRcBisection b(frac, tau, rc);
+    while (!b.done()) b.step();
+    return b.result();
+}
+
+namespace {
+
+// The fit's score of a candidate's model crossings (c20, c80) against the
+// measured ones, relative to m80. Both the score and the pruning bound in
+// fitRampTau go through this one function.
+double fitError(double c20, double c80, double m20, double m80) {
+    const double e20 = (c20 - m20) / m80;
+    const double e80 = (c80 - m80) / m80;
+    return e20 * e20 + e80 * e80;
+}
+
+// Bisection steps per crossing between two pruning checks.
+constexpr int kStepsPerCheck = 3;
+
+}  // namespace
+
+// Tau sweep with exact pruning. A grid point's two crossings bisect in
+// lockstep, kStepsPerCheck steps at a time; after each batch the point is
+// dropped once its error provably cannot beat the incumbent bestErr:
+//  * a bisection's final 0.5*(lo+hi) lies inside every earlier bracket
+//    [lo_k, hi_k];
+//  * every operation in fitError is an IEEE operation monotone in its
+//    operands (subtract, divide by m80 > 0, square -- monotone in |x| --,
+//    add), so over the bracket box fitError is smallest at the point
+//    nearest (m20, m80): lower = fitError(clamp(m20, lo20, hi20),
+//    clamp(m80, lo80, hi80));
+//  * the bound goes through the same fitError that scores the point, so any
+//    contraction the compiler applies hits both alike;
+//  * lower >= bestErr implies e >= bestErr, so `e < bestErr` is false and
+//    the full sweep would not have adopted the point either.
+// A NaN bound never prunes, and the first point, error(bestTau), is always
+// computed in full. Points that survive finish both bisections and are
+// scored exactly as a full sweep scores them, so the result is bitwise the
+// full sweep's.
+RampTauFit fitRampTau(double m20, double m80, double rc) {
+    RampTauFit fit;
+    // The point's error, or +inf once it is provably >= `bound`.
+    auto error = [&](double tau, double bound) {
+        RampRcBisection b20(0.2, tau, rc);
+        RampRcBisection b80(0.8, tau, rc);
+        double e = std::numeric_limits<double>::infinity();
+        for (;;) {
+            for (int k = 0; k < kStepsPerCheck; ++k) {
+                b20.step();
+                b80.step();
+            }
+            if (b20.done() && b80.done()) {
+                e = fitError(b20.result(), b80.result(), m20, m80);
+                break;
+            }
+            const double lower =
+                fitError(std::clamp(m20, b20.lo(), b20.hi()),
+                         std::clamp(m80, b80.lo(), b80.hi()), m20, m80);
+            if (lower >= bound) break;
+        }
+        fit.steps += b20.steps() + b80.steps();
+        return e;
+    };
+    double bestTau = std::max(m80 - rc, 0.05 * m80);
+    // A NaN bound: the first point is scored in full.
+    double bestErr = error(bestTau, std::numeric_limits<double>::quiet_NaN());
+    // Rounds 1-3 share one span, so a round that leaves bestTau (and with
+    // it bestErr) where it started hands the next round the identical grid:
+    // nothing after it can move, and the sweep stops.
+    for (int it = 0; it < 4; ++it) {
+        const double span = (it == 0) ? 20.0 : 1.5;
+        const int n = 40;
+        const double roundTau = bestTau;
+        const double tau0 = bestTau / span;
+        for (int a = 0; a <= n; ++a) {
+            const double tau =
+                tau0 * std::pow(span * span, a / static_cast<double>(n));
+            const double e = error(tau, bestErr);
+            if (e < bestErr) {
+                bestErr = e;
+                bestTau = tau;
+            }
+        }
+        if (it >= 1 && bestTau == roundTau) break;
+    }
+    fit.tau = bestTau;
+    fit.err = bestErr;
+    return fit;
 }
 
 }  // namespace detail
@@ -217,41 +322,14 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
         measuredCrossing(out, vStart, vEnd, kLaunchFraction, tStart);
     const double m20 = t20 - tLaunch;
     const double m80 = t80 - tLaunch;
-    auto error = [&](double tau) {
-        const double c20 = detail::rampRcCrossing(0.2, tau, rc);
-        const double c80 = detail::rampRcCrossing(0.8, tau, rc);
-        const double e20 = (c20 - m20) / m80;
-        const double e80 = (c80 - m80) / m80;
-        return e20 * e20 + e80 * e80;
-    };
-    double bestTau = std::max(m80 - rc, 0.05 * m80);
-    double bestErr = error(bestTau);
-    // Rounds 1-3 share one span, so a round that leaves bestTau (and with
-    // it bestErr) where it started hands the next round the identical grid:
-    // nothing after it can move, and the sweep stops.
-    for (int it = 0; it < 4; ++it) {
-        const double span = (it == 0) ? 20.0 : 1.5;
-        const int n = 40;
-        const double roundTau = bestTau;
-        const double tau0 = bestTau / span;
-        for (int a = 0; a <= n; ++a) {
-            const double tau =
-                tau0 * std::pow(span * span, a / static_cast<double>(n));
-            const double e = error(tau);
-            if (e < bestErr) {
-                bestErr = e;
-                bestTau = tau;
-            }
-        }
-        if (it >= 1 && bestTau == roundTau) break;
-    }
-    log::debug() << "thevenin fit " << cellRef.name() << ": slew=" << bestTau
-                 << " rth=" << rth << " err=" << bestErr;
+    const auto fit = detail::fitRampTau(m20, m80, rc);
+    log::debug() << "thevenin fit " << cellRef.name() << ": slew=" << fit.tau
+                 << " rth=" << rth << " err=" << fit.err;
 
     TheveninModel model;
     model.vStart = vStart;
     model.vEnd = vEnd;
-    model.slew = bestTau;
+    model.slew = fit.tau;
     model.rth = rth;
     model.delay = tLaunch - tStart;
     return model;

@@ -3,6 +3,7 @@
 // capacitance measurement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -358,6 +359,39 @@ TEST(PropagationBitPin, InverterTableHash) {
     EXPECT_EQ(h, 0xfe3bab3d3ce4e87bull);
 }
 
+TEST(TheveninBitPin, CellGridHash) {
+    // Every bundled cell, input and output direction over a slew x load
+    // grid: one hash over all fitted models, so a change anywhere in the
+    // fit (crossing search, tau sweep, DC resistance) moves it.
+    std::uint64_t h = 1469598103934665603ull;
+    std::size_t fits = 0;
+    for (const auto& name : lib130().names()) {
+        const auto& c = lib130().cell(name);
+        for (const auto& input : c.inputNames()) {
+            for (const bool rising : {true, false}) {
+                for (const double slew : {20e-12, 80e-12, 200e-12}) {
+                    for (const double load : {2e-15, 10e-15, 50e-15}) {
+                        charlib::TheveninSpec spec;
+                        spec.cell = &c;
+                        spec.input = input;
+                        spec.outputRising = rising;
+                        spec.inputSlew = slew;
+                        spec.loadCap = load;
+                        const auto m = charlib::characterizeThevenin(spec);
+                        for (const double v :
+                             {m.vStart, m.vEnd, m.slew, m.rth, m.delay}) {
+                            h = fnv1a(h, v);
+                        }
+                        ++fits;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(fits, 432u);
+    EXPECT_EQ(h, 0xe61d3cf6538cd1a6ull);
+}
+
 // ---- early-exit equivalence ---------------------------------------------
 
 // The ramp/RC crossing search as it was before it stopped at its fixed
@@ -406,6 +440,97 @@ TEST(RampRcCrossing, EarlyExitMatchesFullBisectionBitwise) {
         }
     }
     EXPECT_EQ(mismatches, 0u);
+}
+
+// Bisection steps one crossing search spends when run to completion.
+long long crossingSteps(double frac, double tau, double rc) {
+    charlib::detail::RampRcBisection b(frac, tau, rc);
+    while (!b.done()) b.step();
+    return b.steps();
+}
+
+// The Thevenin tau sweep as it was before pruning: every grid point's two
+// crossings bisected to the end and scored. detail::fitRampTau must return
+// the same tau and error bit for bit.
+charlib::detail::RampTauFit fitRampTauFullSweep(double m20, double m80,
+                                                double rc) {
+    charlib::detail::RampTauFit fit;
+    auto error = [&](double tau) {
+        const double c20 = charlib::detail::rampRcCrossing(0.2, tau, rc);
+        const double c80 = charlib::detail::rampRcCrossing(0.8, tau, rc);
+        fit.steps += crossingSteps(0.2, tau, rc) + crossingSteps(0.8, tau, rc);
+        const double e20 = (c20 - m20) / m80;
+        const double e80 = (c80 - m80) / m80;
+        return e20 * e20 + e80 * e80;
+    };
+    double bestTau = std::max(m80 - rc, 0.05 * m80);
+    double bestErr = error(bestTau);
+    for (int it = 0; it < 4; ++it) {
+        const double span = (it == 0) ? 20.0 : 1.5;
+        const int n = 40;
+        const double roundTau = bestTau;
+        const double tau0 = bestTau / span;
+        for (int a = 0; a <= n; ++a) {
+            const double tau =
+                tau0 * std::pow(span * span, a / static_cast<double>(n));
+            const double e = error(tau);
+            if (e < bestErr) {
+                bestErr = e;
+                bestTau = tau;
+            }
+        }
+        if (it >= 1 && bestTau == roundTau) break;
+    }
+    fit.tau = bestTau;
+    fit.err = bestErr;
+    return fit;
+}
+
+TEST(Thevenin, PrunedTauSweepMatchesFullSweepBitwise) {
+    // Seeded draws with m20/m80 in (0, 1) and rc/m80 log-uniform over
+    // [1e-3, 1e3], plus the edges: m20 -> 0, m20 -> m80, rc << m80 and
+    // rc >> m80.
+    util::Rng rng(0x7a05eed2ULL);
+    struct Case {
+        double m20, m80, rc;
+    };
+    std::vector<Case> cases;
+    for (int draw = 0; draw < 2000; ++draw) {
+        const double m80 = std::exp(rng.uniform(std::log(1e-12),
+                                                std::log(1e-9)));
+        const double ratio = rng.uniform(1e-6, 1.0 - 1e-6);
+        const double rc =
+            m80 * std::exp(rng.uniform(std::log(1e-3), std::log(1e3)));
+        cases.push_back({ratio * m80, m80, rc});
+    }
+    for (const double m80 : {3e-12, 80e-12, 700e-12}) {
+        for (const double ratio : {1e-12, 1e-6, 0.999999, 1.0 - 1e-15}) {
+            for (const double rcRatio : {1e-9, 1e-3, 1.0, 1e3, 1e9}) {
+                cases.push_back({ratio * m80, m80, rcRatio * m80});
+            }
+        }
+    }
+    std::size_t mismatches = 0;
+    long long prunedSteps = 0;
+    long long fullSteps = 0;
+    for (const auto& c : cases) {
+        const auto pruned = charlib::detail::fitRampTau(c.m20, c.m80, c.rc);
+        const auto full = fitRampTauFullSweep(c.m20, c.m80, c.rc);
+        prunedSteps += pruned.steps;
+        fullSteps += full.steps;
+        if ((std::memcmp(&pruned.tau, &full.tau, sizeof full.tau) != 0 ||
+             std::memcmp(&pruned.err, &full.err, sizeof full.err) != 0) &&
+            ++mismatches <= 5) {
+            ADD_FAILURE() << std::hexfloat << "m20=" << c.m20
+                          << " m80=" << c.m80 << " rc=" << c.rc << ": tau "
+                          << pruned.tau << " vs " << full.tau << ", err "
+                          << pruned.err << " vs " << full.err;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // The pruning must actually prune: under 40% of the full sweep's steps.
+    EXPECT_LT(prunedSteps * 10, fullSteps * 4)
+        << prunedSteps << " of " << fullSteps << " steps";
 }
 
 // ---- concurrency --------------------------------------------------------
