@@ -700,7 +700,7 @@ int main(int argc, char** argv) {
 
     util::Table table({"Nets", "Reports", "Reference (s)", "Opt t=1 (s)",
                        "Opt t=4 (s)", "Speed-up", "Max |dMargin| (V)",
-                       "LC runs", "Thev runs", "NRC runs"});
+                       "LC runs", "Thev runs", "NRC points"});
     for (const auto& r : rows) {
         const double best = std::min(r.opt1Sec, r.opt4Sec);
         table.addRow(

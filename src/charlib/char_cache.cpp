@@ -1,6 +1,7 @@
 #include "charlib/char_cache.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -98,15 +99,35 @@ std::string keyOf(const PropagationSpec& s) {
     return os.str();
 }
 
-std::string keyOf(const NrcSpec& s) {
+// R_TH depends on the arc alone (theveninResistance), not on the load or
+// the slew a TheveninSpec adds.
+std::string rthKeyOf(const TheveninSpec& s) {
+    std::ostringstream os;
+    putTech(os, *s.cell);
+    os << s.cell->name() << '/' << s.input << '/' << s.outputRising;
+    return os.str();
+}
+
+// The receiver part of an NRC point's key; each point appends its width
+// (appendWidth), so a lookup builds this once for all its widths.
+std::string nrcPrefixOf(const NrcSpec& s) {
     SNA_REQUIRE(s.cell != nullptr, "NRC spec needs a cell");
     std::ostringstream os;
     putTech(os, *s.cell);
     os << s.cell->name() << '/' << s.input << '/' << s.quietLevel;
     putDouble(os, s.loadCap);
     putDouble(os, s.failFraction);
-    for (const double w : s.widths) putDouble(os, w);
     return os.str();
+}
+
+// putDouble's encoding, appended to a string.
+void appendWidth(std::string& key, double w) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof(bits));
+    char buf[17];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), bits, 16).ptr;
+    key += '/';
+    key.append(buf, end);
 }
 
 // ---- "snacache v2" file format -------------------------------------------
@@ -128,13 +149,19 @@ std::string keyOf(const NrcSpec& s) {
 // with the bytes read is individually rejected; everything after it (whose
 // framing is intact) still loads. Legacy "snacache v1" records are the same
 // minus the CRC field and load without per-record verification.
+//
+// Kinds: loadcurve, thevenin, propagation, and nrcpoint: one NRC width's
+// failing height, keyed on the receiver spec plus that width. A record of
+// an unknown kind is skipped and counted, so older readers skip nrcpoint
+// records, and the whole-curve "nrc" records older writers saved are
+// misses here.
 
 constexpr const char* kCacheHeaderV2 = "snacache v2";
 constexpr const char* kCacheHeaderV1 = "snacache v1";
 
 constexpr const char* kKindLoadCurve = "loadcurve";
 constexpr const char* kKindThevenin = "thevenin";
-constexpr const char* kKindNrc = "nrc";
+constexpr const char* kKindNrcPoint = "nrcpoint";
 constexpr const char* kKindPropagation = "propagation";
 
 std::string escapeKey(const std::string& key) {
@@ -288,13 +315,35 @@ std::shared_ptr<const la::Grid2d> CharCache::loadCurve(
 
 std::shared_ptr<const TheveninModel> CharCache::thevenin(
     const TheveninSpec& spec) {
-    return getOrCompute(thevenins_, keyOf(spec),
-                        [&] { return characterizeThevenin(spec); });
+    return getOrCompute(thevenins_, keyOf(spec), [&] {
+        return characterizeThevenin(spec, [&] {
+            return *getOrCompute(rths_, rthKeyOf(spec), [&] {
+                return theveninResistance(*spec.cell, spec.input,
+                                          spec.outputRising);
+            });
+        });
+    });
 }
 
 std::shared_ptr<const la::Grid1d> CharCache::nrc(const NrcSpec& spec) {
-    return getOrCompute(nrcs_, keyOf(spec),
-                        [&] { return characterizeNrc(spec); });
+    SNA_REQUIRE(spec.widths.size() >= 2, "NRC needs at least two widths");
+    return std::make_shared<const la::Grid1d>(spec.widths,
+                                              nrcHeights(spec, spec.widths));
+}
+
+std::vector<double> CharCache::nrcHeights(const NrcSpec& spec,
+                                          const std::vector<double>& widths) {
+    const std::string prefix = nrcPrefixOf(spec);
+    std::vector<double> heights;
+    heights.reserve(widths.size());
+    std::string key;
+    for (const double w : widths) {
+        key = prefix;
+        appendWidth(key, w);
+        heights.push_back(*getOrCompute(
+            nrcPoints_, key, [&] { return nrcFailHeight(spec, w); }));
+    }
+    return heights;
 }
 
 std::shared_ptr<const PropagationTable> CharCache::propagation(
@@ -318,19 +367,20 @@ CharCache::Stats CharCache::stats() const {
     s.loadCurveHits = loadCurves_.hits;
     s.theveninRuns = thevenins_.runs;
     s.theveninHits = thevenins_.hits;
-    s.nrcRuns = nrcs_.runs;
-    s.nrcHits = nrcs_.hits;
+    s.nrcRuns = nrcPoints_.runs;
+    s.nrcHits = nrcPoints_.hits;
     s.propagationRuns = propagations_.runs;
     s.propagationHits = propagations_.hits;
     s.loadCurveDiskHits = loadCurves_.diskHits;
     s.theveninDiskHits = thevenins_.diskHits;
-    s.nrcDiskHits = nrcs_.diskHits;
+    s.nrcDiskHits = nrcPoints_.diskHits;
     s.propagationDiskHits = propagations_.diskHits;
     s.loadCurveOverflow = loadCurves_.overflow;
     s.theveninOverflow = thevenins_.overflow;
-    s.nrcOverflow = nrcs_.overflow;
+    s.nrcOverflow = nrcPoints_.overflow;
     s.propagationOverflow = propagations_.overflow;
     s.corruptRecords = corruptRecords_;
+    s.theveninRthRuns = rths_.runs;
     return s;
 }
 
@@ -339,7 +389,7 @@ CharCache::Limits CharCache::limits() const {
     Limits l;
     l.loadCurves = loadCurves_.maxEntries;
     l.thevenins = thevenins_.maxEntries;
-    l.nrcs = nrcs_.maxEntries;
+    l.nrcs = nrcPoints_.maxEntries;
     l.propagations = propagations_.maxEntries;
     return l;
 }
@@ -348,7 +398,7 @@ void CharCache::setLimits(const Limits& limits) {
     const std::lock_guard<std::mutex> lock(mu_);
     loadCurves_.maxEntries = limits.loadCurves;
     thevenins_.maxEntries = limits.thevenins;
-    nrcs_.maxEntries = limits.nrcs;
+    nrcPoints_.maxEntries = limits.nrcs;
     propagations_.maxEntries = limits.propagations;
 }
 
@@ -379,8 +429,8 @@ CharCache::PersistResult CharCache::save(const std::string& path) const {
                  [](const la::Grid2d& v) { return saveLoadCurve(v); });
         snapshot(thevenins_, kKindThevenin,
                  [](const TheveninModel& v) { return saveThevenin(v); });
-        snapshot(nrcs_, kKindNrc,
-                 [](const la::Grid1d& v) { return saveNrc(v); });
+        snapshot(nrcPoints_, kKindNrcPoint,
+                 [](double v) { return saveNrcPoint(v); });
         snapshot(propagations_, kKindPropagation,
                  [](const PropagationTable& v) { return savePropagation(v); });
     }
@@ -575,10 +625,10 @@ CharCache::PersistResult CharCache::load(const std::string& path) {
                     thevenins_, key,
                     std::make_shared<const TheveninModel>(
                         loadThevenin(payload)));
-            } else if (k == kKindNrc) {
+            } else if (k == kKindNrcPoint) {
                 inserted = insertFromDisk(
-                    nrcs_, key,
-                    std::make_shared<const la::Grid1d>(loadNrc(payload)));
+                    nrcPoints_, key,
+                    std::make_shared<const double>(loadNrcPoint(payload)));
             } else if (k == kKindPropagation) {
                 inserted = insertFromDisk(
                     propagations_, key,
@@ -636,7 +686,8 @@ void CharCache::clear() {
     };
     reset(loadCurves_);
     reset(thevenins_);
-    reset(nrcs_);
+    reset(nrcPoints_);
+    reset(rths_);
     reset(propagations_);
     corruptRecords_ = 0;
 }

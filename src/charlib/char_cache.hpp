@@ -5,15 +5,22 @@
 // clusters; a design-level sweep re-deriving the same NAND2 load curve for
 // every victim net throws that away. CharCache memoizes the four
 // characterizations the cluster flow consumes — load-curve tables (DC
-// sweeps), aggressor Thevenin equivalents, receiver NRCs, and propagation
-// tables — keyed on the exact spec (technology's full electrical identity,
-// cell name, pin, level, grid, bitwise numeric parameters), so a hit
-// returns the identical model the direct call would have produced.
+// sweeps), aggressor Thevenin equivalents, receiver NRC points, and
+// propagation tables — keyed on the exact spec (technology's full electrical
+// identity, cell name, pin, level, grid, bitwise numeric parameters), so a
+// hit returns the identical model the direct call would have produced.
+//
+// A cold run characterizes only what it reads. NRCs are memoized per point,
+// (receiver spec, width): a lookup bisects just the two grid widths that
+// bracket its glitch, and a whole curve is composed from its points. The
+// Thevenin fit's R_TH depends on the arc (cell, input, direction) alone, so
+// its DC solve runs once per arc and serves every load and slew.
 //
 // Thread-safe with single-flight semantics: when two workers request the
 // same uncharacterized key, one runs the sweep and the other blocks on the
-// shared future, so each (cell, level, grid) is characterized exactly once
-// per run no matter how many clusters need it.
+// shared future, so each key — a load curve, a Thevenin model, an NRC point,
+// a propagation table — is characterized exactly once per run no matter how
+// many clusters need it.
 //
 // Persistence ("snacache v2"): save() serializes every ready entry through
 // the charlib/model_io round-trip formats, each record carrying its payload
@@ -35,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "charlib/characterize.hpp"
 
@@ -52,8 +60,15 @@ public:
     /// Thevenin equivalent for the spec; characterizes on first use.
     std::shared_ptr<const TheveninModel> thevenin(const TheveninSpec& spec);
 
-    /// Noise rejection curve for the spec; characterizes on first use.
+    /// Noise rejection curve for the spec, composed from its points at
+    /// spec.widths; bisects each point on first use.
     std::shared_ptr<const la::Grid1d> nrc(const NrcSpec& spec);
+
+    /// The NRC's failing height at each of `widths` (spec.widths is
+    /// ignored), bitwise nrcFailHeight(spec, w); bisects each (spec, width)
+    /// point on first use.
+    std::vector<double> nrcHeights(const NrcSpec& spec,
+                                   const std::vector<double>& widths);
 
     /// Noise-propagation table for the spec; characterizes on first use.
     /// The wavefront pipeline keys these on a canonical load per cell, so
@@ -74,6 +89,7 @@ public:
         std::size_t loadCurveHits = 0;  ///< hits on entries computed this run
         std::size_t theveninRuns = 0;
         std::size_t theveninHits = 0;
+        /// NRC counters count points, one per (spec, width) bisection.
         std::size_t nrcRuns = 0;
         std::size_t nrcHits = 0;
         std::size_t propagationRuns = 0;
@@ -96,6 +112,10 @@ public:
         /// the bytes read (bit rot, torn write). Cumulative across load()
         /// calls; each load also reports its own count in PersistResult.
         std::size_t corruptRecords = 0;
+        /// R_TH DC solves: one per Thevenin arc (cell, input, direction),
+        /// shared by every load and slew of it. Part of the Thevenin runs'
+        /// work, so not in totalRuns(), and never persisted.
+        std::size_t theveninRthRuns = 0;
 
         std::size_t totalRuns() const {
             return loadCurveRuns + theveninRuns + nrcRuns + propagationRuns;
@@ -116,7 +136,7 @@ public:
     /// so a long-lived shared cache stays bounded on workloads whose keys
     /// never repeat. Thevenin and propagation keys embed the bitwise
     /// cluster load cap — unique per cluster on real extracted parasitics —
-    /// hence their tighter defaults.
+    /// hence their tighter defaults. `nrcs` bounds NRC points.
     struct Limits {
         std::size_t loadCurves = 65536;
         std::size_t thevenins = 4096;
@@ -137,12 +157,13 @@ public:
         std::string error;        ///< first problem hit ("" when ok)
     };
 
-    /// Serialize every ready entry (all four tables) to `path` in the
-    /// versioned "snacache v2" text format (per-record CRC32 over key +
-    /// payload). In-flight entries are skipped. Writes to a uniquely named
-    /// temporary sibling (pid + counter) and renames, so a concurrent
-    /// load() from another process never observes a half-written file and
-    /// concurrent save()s to the same path never share a tmp file: each
+    /// Serialize every ready entry (all four tables; NRCs as one
+    /// "nrcpoint" record per point) to `path` in the versioned "snacache
+    /// v2" text format (per-record CRC32 over key + payload). In-flight
+    /// entries are skipped. Writes to a uniquely named temporary sibling
+    /// (pid + counter) and renames, so a concurrent load() from another
+    /// process never observes a half-written file and concurrent save()s
+    /// to the same path never share a tmp file: each
     /// rename publishes one complete snapshot, and last-writer-wins is the
     /// only race. An advisory flock on `path + ".lock"` additionally
     /// serializes cooperating writers; failing to get it within the bounded
@@ -161,7 +182,8 @@ public:
     /// PersistResult::corrupt / Stats::corruptRecords and summarized in one
     /// util/log warning per file). Legacy "snacache v1" files (no CRCs)
     /// still load read-only. Keys from another technology or grid simply
-    /// never hit.
+    /// never hit, and whole-curve "nrc" records from older writers are
+    /// skipped: their points are recharacterized on first use.
     PersistResult load(const std::string& path);
 
     void clear();
@@ -197,7 +219,10 @@ private:
     std::size_t corruptRecords_ = 0;  ///< cumulative CRC rejects (see Stats)
     Table<la::Grid2d> loadCurves_;
     Table<TheveninModel> thevenins_{{}, 0, 0, 0, 0, 4096};
-    Table<la::Grid1d> nrcs_;
+    Table<double> nrcPoints_;
+    /// R_TH per Thevenin arc; not persisted (a saved Thevenin model
+    /// already carries its R_TH).
+    Table<double> rths_;
     /// Bounded like thevenins_: ClusterMacromodel keys embed the bitwise
     /// cluster load cap, which never repeats on real extracted parasitics.
     Table<PropagationTable> propagations_{{}, 0, 0, 0, 0, 4096};

@@ -14,6 +14,7 @@
 //  * measured input capacitance (charge method) for receiver loading.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,20 @@ struct TheveninSpec {
 /// Fit (slew, rth) so the model's 20%/80% output crossing times match the
 /// transistor-level simulation into the same load (Dartu–Pileggi).
 TheveninModel characterizeThevenin(const TheveninSpec& spec);
+
+/// The same fit with R_TH supplied by `rth`, which is called where the fit
+/// needs it: after the transient, so a cell that never switches still
+/// reports the transient's error first. A memo of theveninResistance() for
+/// the spec's arc gives the bitwise result of the one-argument form.
+TheveninModel characterizeThevenin(const TheveninSpec& spec,
+                                   const std::function<double()>& rth);
+
+/// The fit's R_TH: the DC effective resistance toward the post-transition
+/// rail, with the output clamped at mid-swing. It depends on the arc
+/// (cell, switching input, output direction) only, not on the load or the
+/// input slew.
+double theveninResistance(const cell::Cell& cell, const std::string& input,
+                          bool outputRising);
 
 namespace detail {
 /// Resumable bisection for the time at which a unit saturated ramp of
@@ -167,6 +182,11 @@ struct NrcSpec {
 /// propagates a failure through the receiver (bisected). Heights above the
 /// curve are failures. Monotonically non-increasing in width.
 la::Grid1d characterizeNrc(const NrcSpec& spec);
+
+/// One point of the NRC: the failing height at `width` (spec.widths is
+/// ignored). Each width bisects on its own, so this is bitwise the entry
+/// characterizeNrc reports for `width` in any grid that contains it.
+double nrcFailHeight(const NrcSpec& spec, double width);
 
 // -------------------------------------------------------------- input cap
 

@@ -221,38 +221,21 @@ PropagationTable loadPropagation(const std::string& text) {
 
 // -------------------------------------------------------------------- nrc
 
-std::string saveNrc(const la::Grid1d& curve, const std::string& comment) {
-    SNA_REQUIRE(!curve.empty(), "cannot save an empty NRC");
+std::string saveNrcPoint(double height, const std::string& comment) {
     std::ostringstream os;
-    os << header("nrc", comment);
-    emitVector(os, "widths", curve.xs());
-    emitVector(os, "heights", curve.ys());
+    os << header("nrcpoint", comment);
+    os << "height " << hexDouble(height) << '\n';
     return os.str();
 }
 
-la::Grid1d loadNrc(const std::string& text) {
+double loadNrcPoint(const std::string& text) {
     RecordReader r(text);
-    expectHeader(r, "nrc");
-    std::vector<double> xs, ys;
-    for (const char* key : {"widths", "heights"}) {
-        const auto tokens = r.next();
-        if (tokens.empty() || tokens[0] != key) {
-            throw ParseError(std::string("expected '") + key + "' record",
-                             r.line());
-        }
-        auto nums = r.numbers(tokens, 1);
-        if (key[0] == 'w') {
-            xs = std::move(nums);
-        } else {
-            ys = std::move(nums);
-        }
+    expectHeader(r, "nrcpoint");
+    const auto tokens = r.next();
+    if (tokens.size() != 2 || tokens[0] != "height") {
+        throw ParseError("expected 'height' record", r.line());
     }
-    try {
-        return la::Grid1d(std::move(xs), std::move(ys));
-    } catch (const Error& e) {
-        throw ParseError(std::string("inconsistent NRC: ") + e.what(),
-                         r.line());
-    }
+    return parseDouble(tokens[1], r.line());
 }
 
 // -------------------------------------------------------------------- csv

@@ -3,8 +3,8 @@
 // Characterization is the expensive, amortized step of the flow (the paper
 // runs it once per library); production use requires shipping the results.
 // This module defines a small line-oriented text format ("snamodel v1") for
-// load-curve tables, Thevenin models, propagation tables, and NRCs, with
-// exact round-trip (hex-float payloads) and versioned headers.
+// load-curve tables, Thevenin models, propagation tables, and NRC points,
+// with exact round-trip (hex-float payloads) and versioned headers.
 #pragma once
 
 #include <iosfwd>
@@ -29,9 +29,9 @@ std::string savePropagation(const PropagationTable& table,
                             const std::string& comment = "");
 PropagationTable loadPropagation(const std::string& text);
 
-// ---- NRC (la::Grid1d) ----
-std::string saveNrc(const la::Grid1d& curve, const std::string& comment = "");
-la::Grid1d loadNrc(const std::string& text);
+// ---- NRC point (one width's failing height; its width is in the cache key)
+std::string saveNrcPoint(double height, const std::string& comment = "");
+double loadNrcPoint(const std::string& text);
 
 /// Waveform as a two-column CSV ("time,value" with a header line), the
 /// exchange format for plotting scripts.

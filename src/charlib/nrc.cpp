@@ -2,6 +2,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "charlib/characterize.hpp"
 #include "spice/tran.hpp"
@@ -87,32 +88,32 @@ bool glitchFails(const NrcSpec& spec, const std::map<std::string, bool>& quiet,
 
 }  // namespace
 
+double nrcFailHeight(const NrcSpec& spec, double width) {
+    SNA_REQUIRE(spec.cell != nullptr, "NRC spec needs a cell");
+    const double vdd = spec.cell->technology().vdd;
+    const auto quiet = sensitizedQuietVector(spec);
+    // Bisect the failing height in [0, 1.4 vdd]; failure is monotone in
+    // height for static CMOS receivers.
+    double lo = 0.0;
+    double hi = 1.4 * vdd;
+    if (!glitchFails(spec, quiet, hi, width)) return hi;  // nothing fails
+    for (int it = 0; it < 12; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        if (glitchFails(spec, quiet, mid, width)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    return 0.5 * (lo + hi);
+}
+
 la::Grid1d characterizeNrc(const NrcSpec& spec) {
     SNA_REQUIRE(spec.cell != nullptr, "NRC spec needs a cell");
     SNA_REQUIRE(spec.widths.size() >= 2, "NRC needs at least two widths");
-    const double vdd = spec.cell->technology().vdd;
-    const auto quiet = sensitizedQuietVector(spec);
-
     std::vector<double> hFail;
-    for (const double w : spec.widths) {
-        // Bisect the failing height in [0, 1.4 vdd]; failure is monotone in
-        // height for static CMOS receivers.
-        double lo = 0.0;
-        double hi = 1.4 * vdd;
-        if (!glitchFails(spec, quiet, hi, w)) {
-            hFail.push_back(hi);  // nothing fails at this width
-            continue;
-        }
-        for (int it = 0; it < 12; ++it) {
-            const double mid = 0.5 * (lo + hi);
-            if (glitchFails(spec, quiet, mid, w)) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hFail.push_back(0.5 * (lo + hi));
-    }
+    hFail.reserve(spec.widths.size());
+    for (const double w : spec.widths) hFail.push_back(nrcFailHeight(spec, w));
     return la::Grid1d(spec.widths, std::move(hFail));
 }
 

@@ -196,13 +196,16 @@ double measuredCrossing(const wave::Waveform& w, double vStart, double vEnd,
                      "Thevenin characterization");
 }
 
+}  // namespace
+
 // DC effective driving resistance toward the post-transition rail: clamp
 // the output at mid-swing with the inputs at their final values and read
 // R = (half swing) / |I|. This is the classic identifiable definition; a
 // crossing-time-only fit degenerates for slew-limited (strong) drivers.
-double effectiveResistance(const cell::Cell& cellRef,
-                           const std::map<std::string, bool>& finalVector,
-                           double vdd) {
+double theveninResistance(const cell::Cell& cellRef, const std::string& input,
+                          bool outputRising) {
+    const double vdd = cellRef.technology().vdd;
+    const auto finalVector = cellRef.holdingVector(outputRising, input);
     spice::Circuit ckt;
     const auto vddNode = ckt.node("vdd");
     ckt.addVSource("vsupply", vddNode, spice::kGround,
@@ -231,9 +234,14 @@ double effectiveResistance(const cell::Cell& cellRef,
     return (0.5 * vdd) / magnitude;
 }
 
-}  // namespace
-
 TheveninModel characterizeThevenin(const TheveninSpec& spec) {
+    return characterizeThevenin(spec, [&] {
+        return theveninResistance(*spec.cell, spec.input, spec.outputRising);
+    });
+}
+
+TheveninModel characterizeThevenin(const TheveninSpec& spec,
+                                   const std::function<double()>& rthOf) {
     SNA_REQUIRE(spec.cell != nullptr, "thevenin spec needs a cell");
     SNA_REQUIRE(spec.loadCap > 0.0, "thevenin load must be positive");
     const cell::Cell& cellRef = *spec.cell;
@@ -314,8 +322,7 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec) {
     // the ramp duration tau so the model's 20%/80% crossings match the
     // golden transition. The model ramp starts where the golden output
     // leaves 2% of the swing (driver insertion delay).
-    const auto finalVector = cellRef.holdingVector(!outStart, spec.input);
-    const double rth = effectiveResistance(cellRef, finalVector, vdd);
+    const double rth = rthOf();
     const double rc = rth * spec.loadCap;
 
     const double tLaunch =

@@ -20,15 +20,6 @@ std::vector<double> NrcOptions::grid() const {
 
 namespace {
 
-/// Bisect the receiver at exactly width `w` (bracketed so the curve is
-/// exact at its own nodes). Uncached by design: keys would embed the
-/// bitwise width, so a shared cache would accumulate one near-unhittable
-/// entry per glitch.
-double exactNrcProbe(charlib::NrcSpec nrc, double w) {
-    nrc.widths = {0.5 * w, w, 2.0 * w};
-    return charlib::characterizeNrc(nrc)(w);
-}
-
 /// The NRC check and the glitch bookkeeping every report ends with, once
 /// its worst alignment is known.
 ClusterReport finishReport(const ClusterSpec& spec, const ReportOptions& opt,
@@ -55,15 +46,18 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
     nrc.input = nrc.cell->inputNames().front();
     // Quiet receiver input level = the victim's held level.
     nrc.quietLevel = spec.victim.outputLevel;
+    // Probing the exact width is uncached by design: keys would embed the
+    // bitwise width, so a shared cache would accumulate one near-unhittable
+    // entry per glitch.
     if (nrcOpt.interp == NrcOptions::Interp::kExact) {
         // Validation reference: probe the exact measured width.
-        return exactNrcProbe(nrc, std::max(m.width, nrcOpt.widthMin));
+        return charlib::nrcFailHeight(nrc, std::max(m.width, nrcOpt.widthMin));
     }
-    // Default: probe the canonical width grid once per (cell, quiet level)
-    // and evaluate the measured width by interpolation — the grid is what
-    // makes the curve cacheable across every cluster of a run. Half-octave
-    // spacing with log-width interpolation keeps the deviation from an
-    // exact-width probe within ~0.15% — the bisection's own resolution.
+    // Default: read the curve on the canonical width grid, which is what
+    // makes it cacheable across every cluster of a run, and evaluate the
+    // measured width by interpolation. Half-octave spacing with log-width
+    // interpolation keeps the deviation from an exact-width probe within
+    // ~0.15% — the bisection's own resolution.
     const std::vector<double> grid = nrcOpt.grid();
     SNA_REQUIRE(grid.size() >= 2, "NRC width grid needs >= 2 points");
     const double w = std::max(m.width, grid.front());
@@ -71,34 +65,27 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
         // Wider than the canonical grid (only reachable when tstop is raised
         // above its default): clamping would read the limit of a narrower
         // glitch, which is optimistic. Probe the actual width instead.
-        return exactNrcProbe(nrc, w);
+        return charlib::nrcFailHeight(nrc, w);
     }
-    const bool logInterp = nrcOpt.interp == NrcOptions::Interp::kLogWidth;
-    const auto eval = [w, logInterp](const la::Grid1d& curve) {
-        const auto& xs = curve.xs();
-        const auto& ys = curve.ys();
-        if (w <= xs.front()) return ys.front();
-        std::size_t i = 0;
-        while (i + 2 < xs.size() && xs[i + 1] <= w) ++i;
-        const double t =
-            logInterp ? (std::log(w) - std::log(xs[i])) /
-                            (std::log(xs[i + 1]) - std::log(xs[i]))
-                      : (w - xs[i]) / (xs[i + 1] - xs[i]);
-        return ys[i] + t * (ys[i + 1] - ys[i]);
-    };
-    if (cache != nullptr) {
-        // Cached: characterize the full canonical grid once per (cell,
-        // level); every cluster then interpolates from the shared curve.
-        nrc.widths = grid;
-        return eval(*cache->nrc(nrc));
-    }
-    // Uncached: each width bisects independently, so characterizing just the
-    // two widths bracketing w gives the bit-identical interpolated value at
-    // a fraction of the cost.
+    // Each width bisects independently, so the two grid points bracketing w
+    // are all the curve this lookup reads; a width on a node reads that
+    // node alone.
     std::size_t i = 0;
     while (i + 2 < grid.size() && grid[i + 1] <= w) ++i;
-    nrc.widths = {grid[i], grid[i + 1]};
-    return eval(charlib::characterizeNrc(nrc));
+    std::vector<double> widths = {grid[i]};
+    if (w != grid[i]) widths.push_back(grid[i + 1]);
+    std::vector<double> h;
+    if (cache != nullptr) {
+        h = cache->nrcHeights(nrc, widths);
+    } else {
+        for (const double x : widths) {
+            h.push_back(charlib::nrcFailHeight(nrc, x));
+        }
+    }
+    if (h.size() == 1) return h[0];
+    const double t = (std::log(w) - std::log(grid[i])) /
+                     (std::log(grid[i + 1]) - std::log(grid[i]));
+    return h[0] + t * (h[1] - h[0]);
 }
 
 ClusterReport analyzeCluster(const ClusterSpec& spec,

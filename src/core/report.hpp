@@ -24,10 +24,10 @@ struct ClusterReport {
 };
 
 /// The canonical NRC probe grid and its evaluation mode. The NRC is a
-/// property of the receiver cell, not of one glitch: probing a canonical
-/// width grid once per (cell, quiet level) makes the curve cacheable across
-/// every cluster of a run, and the measured width is then evaluated by
-/// interpolation on that grid.
+/// property of the receiver cell, not of one glitch: probing canonical
+/// widths per (cell, quiet level) makes the curve cacheable across every
+/// cluster of a run, and the measured width is then evaluated by
+/// interpolation between the two grid widths that bracket it.
 struct NrcOptions {
     /// First probed width, s.
     double widthMin = 20e-12;
@@ -36,12 +36,11 @@ struct NrcOptions {
     /// Ratio between consecutive probe widths (default: half-octave).
     double growth = 1.4142135623730951;  // sqrt(2)
     enum class Interp {
-        kLogWidth,     ///< linear in log(width) — default, matches the
-                       ///< half-octave grid's ~0.15% deviation bound
-        kLinearWidth,  ///< linear in width
-        kExact,        ///< bisect the exact measured width (uncached: keys
-                       ///< would embed the bitwise width) — the validation
-                       ///< reference the grid modes are measured against
+        kLogWidth,  ///< linear in log(width) — default, matches the
+                    ///< half-octave grid's ~0.15% deviation bound
+        kExact,     ///< bisect the exact measured width (uncached: keys
+                    ///< would embed the bitwise width) — the validation
+                    ///< reference the grid is measured against
     };
     Interp interp = Interp::kLogWidth;
 
@@ -79,8 +78,9 @@ ClusterReport analyzeClusterAt(const ClusterMacromodel& model,
                                double glitchTime);
 
 /// NRC check only (reusable by the design flow): failing height of the
-/// receiver at the measured width. With a cache, the NRC characterization
-/// runs at most once per (receiver cell, level, width grid).
+/// receiver at the measured width, interpolated between the two canonical
+/// grid widths that bracket it. With a cache, each (receiver cell, level,
+/// width) point is bisected at most once, and only when a lookup reads it.
 double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
                    charlib::CharCache* cache = nullptr,
                    const NrcOptions& nrcOpt = {});

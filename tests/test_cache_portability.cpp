@@ -3,13 +3,16 @@
 // (including the legacy printf-%a spellings older cache files carry),
 // model_io and snacache round-trips under a forced comma-decimal locale
 // (skipped when the container ships no such locale), a comma-decimal C++
-// stream locale (always runs — built from a custom numpunct facet), and a
-// two-writer save() stress on one path.
+// stream locale (always runs — built from a custom numpunct facet), a
+// two-writer save() stress on one path, NRC points saved while they are
+// being characterized, and the skip of legacy whole-curve NRC records.
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <filesystem>
 #include <limits>
 #include <locale>
@@ -22,6 +25,7 @@
 #include "charlib/model_io.hpp"
 #include "tech/tech.hpp"
 #include "waveform/waveform.hpp"
+#include "util/crc32.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -245,6 +249,74 @@ TEST(ConcurrentSave, TwoWritersOnePathNeverCorrupt) {
     }
     EXPECT_EQ(leftover, 0u);
     std::remove(path.c_str());
+}
+
+TEST(ConcurrentSave, NrcPointsSavedWhileCharacterizing) {
+    // One thread bisects NRC points while another saves: each save is a
+    // complete snapshot of the points ready so far, and the last one
+    // reloads every point bit for bit, with no characterization.
+    const cell::CellLibrary lib(tech::tech130());
+    const std::string path = tmpPath("sna_nrcpoints.snacache");
+    charlib::NrcSpec spec;
+    spec.cell = &lib.cell("INV_X1");
+    spec.input = "a";
+    const std::vector<double> widths = {100e-12, 141e-12, 200e-12};
+    charlib::CharCache cache;
+    std::vector<double> heights;
+    int failures = 0;
+    std::thread worker([&] { heights = cache.nrcHeights(spec, widths); });
+    std::thread writer([&] {
+        for (int i = 0; i < 10; ++i) {
+            if (!cache.save(path).ok) ++failures;
+        }
+    });
+    worker.join();
+    writer.join();
+    EXPECT_EQ(failures, 0);
+    ASSERT_TRUE(cache.save(path).ok);
+
+    charlib::CharCache fresh;
+    const auto loaded = fresh.load(path);
+    ASSERT_TRUE(loaded.ok) << loaded.error;
+    EXPECT_EQ(loaded.entries, widths.size());
+    const auto back = fresh.nrcHeights(spec, widths);
+    ASSERT_EQ(back.size(), heights.size());
+    EXPECT_EQ(std::memcmp(back.data(), heights.data(),
+                          heights.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(fresh.stats().nrcRuns, 0u);
+    EXPECT_EQ(fresh.stats().nrcDiskHits, widths.size());
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
+}
+
+TEST(NrcPointRecords, LegacyWholeCurveRecordIsSkipped) {
+    // Older writers saved whole NRC curves as "nrc" records. This reader
+    // skips them like any unknown kind: a miss, not an error.
+    const std::string path = tmpPath("sna_legacy_nrc.snacache");
+    const std::string key = "legacy-curve-key";
+    const std::string payload =
+        "snamodel v1 nrc\nwidths 0x1.b7cdfd9d7bdbbp-34 0x1.b7cdfd9d7bdbbp-33\n"
+        "heights 0x1.ccccccccccccdp-1 0x1.6666666666666p-1\n";
+    std::string crcInput = key + payload;
+    char crcHex[9];
+    std::snprintf(crcHex, sizeof(crcHex), "%08x", util::crc32(crcInput));
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << "snacache v2\n"
+           << "entry nrc " << payload.size() << ' ' << crcHex << ' ' << key
+           << '\n'
+           << payload << '\n'
+           << "end 1\n";
+    }
+    charlib::CharCache cache;
+    const auto loaded = cache.load(path);
+    EXPECT_TRUE(loaded.ok) << loaded.error;
+    EXPECT_EQ(loaded.entries, 0u);
+    EXPECT_EQ(loaded.skipped, 1u);
+    EXPECT_EQ(loaded.corrupt, 0u);
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "celllib/library.hpp"
 #include "charlib/char_cache.hpp"
 #include "charlib/characterize.hpp"
+#include "core/report.hpp"
 #include "spice/tran.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -324,6 +325,58 @@ TEST(NrcBitPin, InverterFiveWidths) {
     EXPECT_EQ(nrc.ys(), heights);
 }
 
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(NrcBitPin, CachePointsMatchCharacterizeNrc) {
+    // Every bundled cell's first input at both quiet levels on the canonical
+    // grid: the cache's per-width points, composed into a curve, are the
+    // entries of the whole-curve characterization bit for bit. A second
+    // cache filled one point at a time in reverse order gives the same
+    // curve and then characterizes nothing more.
+    const std::vector<double> grid = core::NrcOptions{}.grid();
+    ASSERT_EQ(grid.size(), 15u);
+    std::size_t curves = 0;
+    for (const auto& name : lib130().names()) {
+        const auto& c = lib130().cell(name);
+        for (const bool quiet : {false, true}) {
+            SCOPED_TRACE(name + (quiet ? " quiet high" : " quiet low"));
+            charlib::NrcSpec spec;
+            spec.cell = &c;
+            spec.input = c.inputNames().front();
+            spec.quietLevel = quiet;
+            spec.widths = grid;
+            la::Grid1d direct;
+            try {
+                direct = charlib::characterizeNrc(spec);
+            } catch (const Error&) {
+                // Not sensitizable at this level: the cache must agree.
+                charlib::CharCache cache;
+                EXPECT_THROW(cache.nrc(spec), Error);
+                continue;
+            }
+            charlib::CharCache cache;
+            const auto curve = cache.nrc(spec);
+            EXPECT_TRUE(sameBits(curve->xs(), direct.xs()));
+            EXPECT_TRUE(sameBits(curve->ys(), direct.ys()));
+            EXPECT_EQ(cache.stats().nrcRuns, grid.size());
+
+            charlib::CharCache pointwise;
+            for (std::size_t k = grid.size(); k-- > 0;) {
+                const auto h = pointwise.nrcHeights(spec, {grid[k]});
+                EXPECT_TRUE(sameBits(h, {direct.ys()[k]})) << "width " << k;
+            }
+            EXPECT_TRUE(sameBits(pointwise.nrc(spec)->ys(), direct.ys()));
+            EXPECT_EQ(pointwise.stats().nrcRuns, grid.size());
+            EXPECT_EQ(pointwise.stats().nrcHits, grid.size());
+            ++curves;
+        }
+    }
+    EXPECT_GT(curves, lib130().names().size());
+}
+
 // FNV-1a over the bit patterns of a double sequence.
 std::uint64_t fnv1a(std::uint64_t h, double d) {
     std::uint64_t bits = 0;
@@ -570,7 +623,9 @@ TEST(CharCache, ConcurrentColdFitsMatchSerial) {
     }
     for (auto& w : workers) w.join();
     EXPECT_EQ(cache.stats().theveninRuns, std::size(cells));
-    EXPECT_EQ(cache.stats().nrcRuns, std::size(cells));
+    EXPECT_EQ(cache.stats().theveninRthRuns, std::size(cells));
+    // NRC runs count points: three widths per cell.
+    EXPECT_EQ(cache.stats().nrcRuns, 3 * std::size(cells));
 
     for (std::size_t i = 0; i < std::size(cells); ++i) {
         SCOPED_TRACE(cells[i]);
@@ -584,6 +639,42 @@ TEST(CharCache, ConcurrentColdFitsMatchSerial) {
         EXPECT_EQ(nrc[i]->xs(), n.xs());
         EXPECT_EQ(nrc[i]->ys(), n.ys());
     }
+}
+
+TEST(CharCache, RthSolvedOncePerArc) {
+    // R_TH depends on (cell, input, direction) only: one DC solve serves
+    // every load and slew of an arc, and each fit equals the direct one.
+    charlib::CharCache cache;
+    std::size_t fits = 0;
+    for (const char* name : {"INV_X1", "NAND2_X1"}) {
+        for (const bool rising : {true, false}) {
+            for (const double load : {5e-15, 30e-15}) {
+                for (const double slew : {20e-12, 80e-12}) {
+                    charlib::TheveninSpec spec;
+                    spec.cell = &lib130().cell(name);
+                    spec.input = "a";
+                    spec.outputRising = rising;
+                    spec.loadCap = load;
+                    spec.inputSlew = slew;
+                    const auto cached = cache.thevenin(spec);
+                    const auto direct = charlib::characterizeThevenin(spec);
+                    SCOPED_TRACE(std::string(name) +
+                                 (rising ? " rise" : " fall"));
+                    EXPECT_EQ(std::memcmp(cached.get(), &direct, sizeof direct),
+                              0);
+                    EXPECT_EQ(cached->rth,
+                              charlib::theveninResistance(*spec.cell, "a",
+                                                          rising));
+                    ++fits;
+                }
+            }
+        }
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.theveninRuns, fits);
+    EXPECT_EQ(stats.theveninRthRuns, 4u);  // 2 cells x 2 directions
+    // R_TH is not part of the persisted tables or of totalRuns().
+    EXPECT_EQ(stats.totalRuns(), fits);
 }
 
 TEST(InputCap, ChargeMethodAgreesWithAnalytic) {

@@ -170,9 +170,12 @@ TEST(CharCacheDesign, OneCharacterizationPerCellAndLevel) {
     // levels: exactly 4 load-curve DC sweeps regardless of net count.
     EXPECT_EQ(stats.loadCurveRuns, 4u);
     EXPECT_GT(stats.loadCurveHits, 0u);
-    // Receivers are INV_X2 and INV_X1 at both quiet levels, probed on the
-    // canonical width grid: exactly 4 NRC characterizations.
-    EXPECT_EQ(stats.nrcRuns, 4u);
+    // Receivers are INV_X2 and INV_X1 at both quiet levels. A lookup reads
+    // the two canonical grid widths that bracket its glitch, so the run
+    // bisects each (cell, level, width) point it reads exactly once: probe
+    // every point of the 4 x 15 grid afterwards and count the ones already
+    // present (hits). They are the runs, and far fewer than the full grid.
+    const std::vector<double> grid = opt.report.nrc.grid();
     EXPECT_GT(stats.nrcHits, 0u);
     EXPECT_GT(stats.theveninRuns, 0u);
 
@@ -185,6 +188,23 @@ TEST(CharCacheDesign, OneCharacterizationPerCellAndLevel) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
         EXPECT_NEAR(again[i].cluster.margin, reports[i].cluster.margin, 0.0);
     }
+
+    std::size_t present = 0;
+    for (const char* cellName : {"INV_X1", "INV_X2"}) {
+        for (const bool level : {false, true}) {
+            charlib::NrcSpec spec;
+            spec.cell = &lib.cell(cellName);
+            spec.input = spec.cell->inputNames().front();
+            spec.quietLevel = level;
+            for (const double w : grid) {
+                const std::size_t hits = cache.stats().nrcHits;
+                cache.nrcHeights(spec, {w});
+                present += cache.stats().nrcHits - hits;
+            }
+        }
+    }
+    EXPECT_EQ(stats.nrcRuns, present);
+    EXPECT_EQ(stats.nrcRuns, 10u);
 }
 
 }  // namespace

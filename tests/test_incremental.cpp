@@ -789,7 +789,7 @@ TEST(Incremental, FingerprintCoversEveryValueAffectingOption) {
          [](core::DesignNoiseOptions& o) { o.report.nrc.growth = 2.0; }},
         {"nrc.interp",
          [](core::DesignNoiseOptions& o) {
-             o.report.nrc.interp = core::NrcOptions::Interp::kLinearWidth;
+             o.report.nrc.interp = core::NrcOptions::Interp::kExact;
          }},
     };
     for (const auto& [name, flip] : valueAffecting) {

@@ -67,9 +67,9 @@ TEST(ModelIo, PropagationAndNrcRoundTrip) {
     EXPECT_EQ(backP.peak.at(1, 1), 0.4);
     EXPECT_EQ(backP.area.at(0, 1), 2e-12);
 
-    const la::Grid1d nrc({1e-10, 2e-10, 4e-10}, {0.9, 0.7, 0.6});
-    const auto backN = charlib::loadNrc(charlib::saveNrc(nrc));
-    EXPECT_EQ(backN.ys()[2], 0.6);
+    EXPECT_EQ(charlib::loadNrcPoint(charlib::saveNrcPoint(0.6)), 0.6);
+    EXPECT_THROW(charlib::loadNrcPoint("snamodel v1 nrcpoint\nwidth 1\n"),
+                 ParseError);
 }
 
 class ModelIoRejects : public ::testing::TestWithParam<const char*> {};

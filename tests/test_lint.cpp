@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "celllib/library.hpp"
+#include "charlib/char_cache.hpp"
 #include "core/design_index.hpp"
 #include "core/incremental.hpp"
 #include "core/sna.hpp"
@@ -138,6 +139,36 @@ TEST(Lint, CleanRingIsSilentIncludingDeepStage) {
     opt.characterization = true;  // really characterize and check monotone
     const lint::LintReport r = lint::lintDesign(index, spef, opt);
     EXPECT_TRUE(r.diagnostics.empty()) << r.summary();
+}
+
+TEST(Lint, CharacterizationStageServesTheAnalysisNrcPoints) {
+    // The deep stage reads every receiver's NRC on the full canonical grid,
+    // one point per width; an analysis on the same cache then reads a
+    // subset of those points and bisects none.
+    const cell::CellLibrary lib(tech::tech130());
+    const auto spef = parser::parseSpef(ringSpef(4));
+    core::Design design(lib);
+    buildRingDesign(design, 4);
+    const core::DesignIndex index(design, spef);
+    charlib::CharCache cache;
+    lint::LintOptions lopt;
+    lopt.characterization = true;
+    lopt.cache = &cache;
+    lopt.loadCurveGrid = 9;
+    const lint::LintReport r = lint::lintDesign(index, spef, lopt);
+    EXPECT_TRUE(r.diagnostics.empty()) << r.summary();
+    // INV_X1 and INV_X2 receivers at both quiet levels, every grid width.
+    const std::size_t linted = cache.stats().nrcRuns;
+    EXPECT_EQ(linted, 4 * lopt.nrc.grid().size());
+
+    core::DesignNoiseOptions opt;
+    opt.maxAggressors = 2;
+    opt.report.searchAlignment = false;
+    opt.report.macromodel.loadCurveGrid = 9;
+    opt.cache = &cache;
+    (void)core::analyzeDesign(design, spef, opt);
+    EXPECT_EQ(cache.stats().nrcRuns, linted);
+    EXPECT_GT(cache.stats().nrcHits, 0u);
 }
 
 // ------------------------------------------------- connectivity (SNA-L1xx)

@@ -7,7 +7,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "charlib/char_cache.hpp"
 #include "core/design_index.hpp"
@@ -444,12 +446,6 @@ TEST(NrcGrid, CustomGridChangesProbesStaysNearExact) {
     // Octave spacing is coarser but must stay within a few percent.
     EXPECT_NEAR(limOctave, limExact, 0.04 * limExact);
 
-    // Linear-width interpolation on the default grid stays close too.
-    core::NrcOptions linear;
-    linear.interp = core::NrcOptions::Interp::kLinearWidth;
-    const double limLinear = core::nrcLimitFor(spec, m, nullptr, linear);
-    EXPECT_NEAR(limLinear, limExact, 0.02 * limExact);
-
     // The default knobs reproduce the pre-knob canonical grid bitwise.
     const auto grid = defaults.grid();
     std::vector<double> legacy;
@@ -457,6 +453,39 @@ TEST(NrcGrid, CustomGridChangesProbesStaysNearExact) {
         legacy.push_back(p);
     }
     EXPECT_EQ(grid, legacy);
+}
+
+TEST(NrcGrid, ExactProbeReadsOnlyItsWidth) {
+    // The exact-width probe used to bisect the bracketed curve
+    // {w/2, w, 2w} and read its middle node. A Grid1d at a node returns
+    // that node's height exactly, so bisecting w alone is bitwise equal.
+    core::NrcOptions exact;
+    exact.interp = core::NrcOptions::Interp::kExact;
+    const cell::CellLibrary& lib = cell::sharedLibrary(tech::tech130());
+    for (const char* cellName : {"INV_X2", "NAND2_X1"}) {
+        for (const bool level : {false, true}) {
+            for (const double w : {37e-12, 300e-12, 3.1e-9}) {
+                SCOPED_TRACE(std::string(cellName) + " level " +
+                             std::to_string(level) + " width " +
+                             std::to_string(w));
+                charlib::NrcSpec nrc;
+                nrc.cell = &lib.cell(cellName);
+                nrc.input = nrc.cell->inputNames().front();
+                nrc.quietLevel = level;
+                nrc.widths = {0.5 * w, w, 2.0 * w};
+                const double old = charlib::characterizeNrc(nrc)(w);
+
+                core::ClusterSpec spec;
+                spec.victim.receiverCell = cellName;
+                spec.victim.outputLevel = level;
+                wave::GlitchMetrics m;
+                m.width = w;
+                const double now = core::nrcLimitFor(spec, m, nullptr, exact);
+                EXPECT_EQ(std::memcmp(&old, &now, sizeof old), 0)
+                    << old << " vs " << now;
+            }
+        }
+    }
 }
 
 }  // namespace
