@@ -1,10 +1,7 @@
 #include "celllib/library.hpp"
 
-#include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -176,46 +173,20 @@ std::vector<std::string> CellLibrary::names() const {
 
 namespace {
 
-void putDouble(std::ostringstream& os, double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    os << '/' << std::hex << bits << std::dec;
-}
-
-void putMos(std::ostringstream& os, const spice::MosModel& m) {
-    putDouble(os, m.vt0);
-    putDouble(os, m.kp);
-    putDouble(os, m.lambda);
-    putDouble(os, m.gamma);
-    putDouble(os, m.phi);
-    putDouble(os, m.cox);
-    putDouble(os, m.cgso);
-    putDouble(os, m.cgdo);
-    putDouble(os, m.cj);
-    putDouble(os, m.cjsw);
-    putDouble(os, m.ldiff);
-}
-
 // Full electrical identity, bitwise: two technologies map to the same
 // shared library only when every parameter a cell or layer query could
 // read is identical. Address-based keying would hand stale models to a
 // corner sweep that rebuilds Technology values at a reused address.
-std::string techKey(const tech::Technology& t) {
-    std::ostringstream os;
-    os << t.name;
-    putDouble(os, t.vdd);
-    putDouble(os, t.lmin);
-    putDouble(os, t.wnUnit);
-    putDouble(os, t.wpUnit);
-    putMos(os, t.nmos);
-    putMos(os, t.pmos);
+std::string libraryKey(const tech::Technology& t) {
+    std::string key = tech::identityKey(t);
     for (const auto& l : t.layers) {
-        os << '/' << l.name;
-        putDouble(os, l.rPerUm);
-        putDouble(os, l.cgPerUm);
-        putDouble(os, l.ccPerUm);
+        key += '/';
+        key += l.name;
+        tech::appendBits(key, l.rPerUm);
+        tech::appendBits(key, l.cgPerUm);
+        tech::appendBits(key, l.ccPerUm);
     }
-    return os.str();
+    return key;
 }
 
 // The registry owns a copy of the Technology so the library (and its
@@ -231,8 +202,8 @@ struct SharedEntry {
 const CellLibrary& sharedLibrary(const tech::Technology& tech) {
     static std::mutex mu;
     static std::map<std::string, std::unique_ptr<SharedEntry>> libs;
+    std::string key = libraryKey(tech);
     const std::lock_guard<std::mutex> lock(mu);
-    auto key = techKey(tech);
     auto it = libs.find(key);
     if (it == libs.end()) {
         it = libs.emplace(std::move(key), std::make_unique<SharedEntry>(tech))

@@ -1,11 +1,9 @@
 #include "charlib/char_cache.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -26,108 +24,64 @@ namespace sna::charlib {
 
 namespace {
 
-// Bitwise double encoding: cache keys must distinguish every numerically
-// distinct spec (a hit must reproduce the direct call exactly), so no
+// Every key leads with "<technology identity>/<cell>/<pin>/<0|1>". Cells
+// from different technologies share names (every library has an INV_X1), so
+// the technology's full electrical identity comes first: a shared cache must
+// not hand tech-A models to a tech-B run. Doubles follow bitwise
+// (tech::appendBits): a hit must reproduce the direct call exactly, so no
 // rounding or formatting is involved.
-void putDouble(std::ostringstream& os, double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    os << '/' << std::hex << bits << std::dec;
-}
-
-// Cells from different technologies share names (every library has an
-// INV_X1), so keys lead with the technology's full electrical identity —
-// name alone is not enough (corner sweeps perturb transistor models while
-// keeping the name): a shared cache must not hand tech-A models to a
-// tech-B run.
-void putMosModel(std::ostringstream& os, const spice::MosModel& m) {
-    putDouble(os, m.vt0);
-    putDouble(os, m.kp);
-    putDouble(os, m.lambda);
-    putDouble(os, m.gamma);
-    putDouble(os, m.phi);
-    putDouble(os, m.cox);
-    putDouble(os, m.cgso);
-    putDouble(os, m.cgdo);
-    putDouble(os, m.cj);
-    putDouble(os, m.cjsw);
-    putDouble(os, m.ldiff);
-}
-
-void putTech(std::ostringstream& os, const cell::Cell& c) {
-    const tech::Technology& t = c.technology();
-    os << t.name;
-    putDouble(os, t.vdd);
-    putDouble(os, t.lmin);
-    putDouble(os, t.wnUnit);
-    putDouble(os, t.wpUnit);
-    putMosModel(os, t.nmos);
-    putMosModel(os, t.pmos);
-    os << '/';
+std::string arcKey(const cell::Cell& c, const std::string& pin, bool level) {
+    std::string key = tech::identityKey(c.technology());
+    key += '/';
+    key += c.name();
+    key += '/';
+    key += pin;
+    key += '/';
+    key += level ? '1' : '0';
+    return key;
 }
 
 std::string keyOf(const LoadCurveSpec& s) {
     SNA_REQUIRE(s.cell != nullptr, "load-curve spec needs a cell");
-    std::ostringstream os;
-    putTech(os, *s.cell);
-    os << s.cell->name() << '/' << s.input << '/' << s.outputLevel << '/'
-       << s.nVin << '/' << s.nVout;
-    putDouble(os, s.vMin);
-    putDouble(os, s.vMax);
-    return os.str();
+    std::string key = arcKey(*s.cell, s.input, s.outputLevel);
+    key += '/' + std::to_string(s.nVin) + '/' + std::to_string(s.nVout);
+    tech::appendBits(key, s.vMin);
+    tech::appendBits(key, s.vMax);
+    return key;
 }
 
 std::string keyOf(const TheveninSpec& s) {
     SNA_REQUIRE(s.cell != nullptr, "thevenin spec needs a cell");
-    std::ostringstream os;
-    putTech(os, *s.cell);
-    os << s.cell->name() << '/' << s.input << '/' << s.outputRising;
-    putDouble(os, s.loadCap);
-    putDouble(os, s.inputSlew);
-    return os.str();
+    std::string key = arcKey(*s.cell, s.input, s.outputRising);
+    tech::appendBits(key, s.loadCap);
+    tech::appendBits(key, s.inputSlew);
+    return key;
 }
 
 std::string keyOf(const PropagationSpec& s) {
     SNA_REQUIRE(s.cell != nullptr, "propagation spec needs a cell");
-    std::ostringstream os;
-    putTech(os, *s.cell);
-    os << s.cell->name() << '/' << s.input << '/' << s.outputLevel;
-    putDouble(os, s.loadCap);
-    for (const double h : s.heights) putDouble(os, h);
-    os << '/';
-    for (const double w : s.widths) putDouble(os, w);
-    return os.str();
+    std::string key = arcKey(*s.cell, s.input, s.outputLevel);
+    tech::appendBits(key, s.loadCap);
+    for (const double h : s.heights) tech::appendBits(key, h);
+    key += '/';
+    for (const double w : s.widths) tech::appendBits(key, w);
+    return key;
 }
 
 // R_TH depends on the arc alone (theveninResistance), not on the load or
 // the slew a TheveninSpec adds.
 std::string rthKeyOf(const TheveninSpec& s) {
-    std::ostringstream os;
-    putTech(os, *s.cell);
-    os << s.cell->name() << '/' << s.input << '/' << s.outputRising;
-    return os.str();
+    return arcKey(*s.cell, s.input, s.outputRising);
 }
 
-// The receiver part of an NRC point's key; each point appends its width
-// (appendWidth), so a lookup builds this once for all its widths.
+// The receiver part of an NRC point's key; each point appends its width, so
+// a lookup builds this once for all its widths.
 std::string nrcPrefixOf(const NrcSpec& s) {
     SNA_REQUIRE(s.cell != nullptr, "NRC spec needs a cell");
-    std::ostringstream os;
-    putTech(os, *s.cell);
-    os << s.cell->name() << '/' << s.input << '/' << s.quietLevel;
-    putDouble(os, s.loadCap);
-    putDouble(os, s.failFraction);
-    return os.str();
-}
-
-// putDouble's encoding, appended to a string.
-void appendWidth(std::string& key, double w) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &w, sizeof(bits));
-    char buf[17];
-    const auto end = std::to_chars(buf, buf + sizeof(buf), bits, 16).ptr;
-    key += '/';
-    key.append(buf, end);
+    std::string key = arcKey(*s.cell, s.input, s.quietLevel);
+    tech::appendBits(key, s.loadCap);
+    tech::appendBits(key, s.failFraction);
+    return key;
 }
 
 // ---- "snacache v2" file format -------------------------------------------
@@ -152,9 +106,10 @@ void appendWidth(std::string& key, double w) {
 //
 // Kinds: loadcurve, thevenin, propagation, and nrcpoint: one NRC width's
 // failing height, keyed on the receiver spec plus that width. A record of
-// an unknown kind is skipped and counted, so older readers skip nrcpoint
-// records, and the whole-curve "nrc" records older writers saved are
-// misses here.
+// an unknown kind (a newer writer's table, or the whole-curve "nrc" records
+// older writers saved) is counted as skipped and kept verbatim, and save()
+// writes it back: a reader that shares a file with a newer writer must not
+// delete the newer writer's records.
 
 constexpr const char* kCacheHeaderV2 = "snacache v2";
 constexpr const char* kCacheHeaderV1 = "snacache v1";
@@ -339,7 +294,7 @@ std::vector<double> CharCache::nrcHeights(const NrcSpec& spec,
     std::string key;
     for (const double w : widths) {
         key = prefix;
-        appendWidth(key, w);
+        tech::appendBits(key, w);
         heights.push_back(*getOrCompute(
             nrcPoints_, key, [&] { return nrcFailHeight(spec, w); }));
     }
@@ -407,7 +362,7 @@ CharCache::PersistResult CharCache::save(const std::string& path) const {
     // Snapshot ready entries under the lock (futures are cheap to copy),
     // serialize outside it so in-flight characterizations are not stalled.
     struct Record {
-        const char* kind;
+        std::string kind;
         std::string key;
         std::string payload;
     };
@@ -433,6 +388,9 @@ CharCache::PersistResult CharCache::save(const std::string& path) const {
                  [](double v) { return saveNrcPoint(v); });
         snapshot(propagations_, kKindPropagation,
                  [](const PropagationTable& v) { return savePropagation(v); });
+        for (const auto& [id, payload] : foreign_) {
+            records.push_back({id.first, id.second, payload});
+        }
     }
 
     // Render the whole snapshot up front: the torn-write fault below and
@@ -634,6 +592,9 @@ CharCache::PersistResult CharCache::load(const std::string& path) {
                     propagations_, key,
                     std::make_shared<const PropagationTable>(
                         loadPropagation(payload)));
+            } else {
+                const std::lock_guard<std::mutex> lock(mu_);
+                foreign_.emplace(std::make_pair(k, key), payload);
             }
         } catch (const std::exception&) {
             inserted = false;
@@ -689,6 +650,7 @@ void CharCache::clear() {
     reset(nrcPoints_);
     reset(rths_);
     reset(propagations_);
+    foreign_.clear();
     corruptRecords_ = 0;
 }
 

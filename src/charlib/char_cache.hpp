@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "charlib/characterize.hpp"
@@ -158,8 +159,9 @@ public:
     };
 
     /// Serialize every ready entry (all four tables; NRCs as one
-    /// "nrcpoint" record per point) to `path` in the versioned "snacache
-    /// v2" text format (per-record CRC32 over key + payload). In-flight
+    /// "nrcpoint" record per point), and every record of an unknown kind
+    /// load() kept, to `path` in the versioned "snacache v2" text format
+    /// (per-record CRC32 over key + payload). In-flight
     /// entries are skipped. Writes to a uniquely named temporary sibling
     /// (pid + counter) and renames, so a concurrent load() from another
     /// process never observes a half-written file and concurrent save()s
@@ -182,8 +184,10 @@ public:
     /// PersistResult::corrupt / Stats::corruptRecords and summarized in one
     /// util/log warning per file). Legacy "snacache v1" files (no CRCs)
     /// still load read-only. Keys from another technology or grid simply
-    /// never hit, and whole-curve "nrc" records from older writers are
-    /// skipped: their points are recharacterized on first use.
+    /// never hit. A record of a kind this reader does not know — a newer
+    /// writer's table, or an older writer's whole-curve "nrc" (its points
+    /// are recharacterized on first use) — counts as skipped and is kept
+    /// verbatim for save() to write back.
     PersistResult load(const std::string& path);
 
     void clear();
@@ -226,6 +230,8 @@ private:
     /// Bounded like thevenins_: ClusterMacromodel keys embed the bitwise
     /// cluster load cap, which never repeats on real extracted parasitics.
     Table<PropagationTable> propagations_{{}, 0, 0, 0, 0, 4096};
+    /// Payloads of the unknown-kind records load() kept, by (kind, key).
+    std::map<std::pair<std::string, std::string>, std::string> foreign_;
 };
 
 }  // namespace sna::charlib

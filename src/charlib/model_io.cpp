@@ -1,6 +1,5 @@
 #include "charlib/model_io.hpp"
 
-#include <locale>
 #include <sstream>
 #include <vector>
 
@@ -236,43 +235,6 @@ double loadNrcPoint(const std::string& text) {
         throw ParseError("expected 'height' record", r.line());
     }
     return parseDouble(tokens[1], r.line());
-}
-
-// -------------------------------------------------------------------- csv
-
-std::string toCsv(const wave::Waveform& w) {
-    SNA_REQUIRE(!w.empty(), "cannot export an empty waveform");
-    std::ostringstream os;
-    // The C++ global locale could also have a comma radix; pin the stream
-    // to the classic locale so the CSV is portable.
-    os.imbue(std::locale::classic());
-    os << "time,value\n";
-    os.precision(17);
-    for (const auto& s : w.samples()) os << s.t << ',' << s.v << '\n';
-    return os.str();
-}
-
-wave::Waveform fromCsv(const std::string& text) {
-    std::istringstream is(text);
-    std::string lineText;
-    int lineNo = 0;
-    std::vector<wave::Sample> samples;
-    while (std::getline(is, lineText)) {
-        ++lineNo;
-        const auto t = str::trim(lineText);
-        if (t.empty() || (lineNo == 1 && t.rfind("time", 0) == 0)) continue;
-        const auto cols = str::split(t, ",");
-        if (cols.size() != 2) {
-            throw ParseError("expected 'time,value'", lineNo);
-        }
-        samples.push_back(
-            {parseDouble(cols[0], lineNo), parseDouble(cols[1], lineNo)});
-    }
-    try {
-        return wave::Waveform(std::move(samples));
-    } catch (const Error& e) {
-        throw ParseError(std::string("bad waveform csv: ") + e.what(), lineNo);
-    }
 }
 
 }  // namespace sna::charlib

@@ -33,9 +33,4 @@ PropagationTable loadPropagation(const std::string& text);
 std::string saveNrcPoint(double height, const std::string& comment = "");
 double loadNrcPoint(const std::string& text);
 
-/// Waveform as a two-column CSV ("time,value" with a header line), the
-/// exchange format for plotting scripts.
-std::string toCsv(const wave::Waveform& w);
-wave::Waveform fromCsv(const std::string& text);
-
 }  // namespace sna::charlib

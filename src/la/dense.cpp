@@ -55,12 +55,6 @@ DenseMatrix DenseMatrix::transposed() const {
     return out;
 }
 
-double DenseMatrix::maxAbs() const {
-    double m = 0.0;
-    for (double v : data_) m = std::max(m, std::abs(v));
-    return m;
-}
-
 DenseLu::DenseLu(DenseMatrix a, double pivotTol) : lu_(std::move(a)) {
     decompose(pivotTol);
 }

@@ -44,9 +44,6 @@ public:
 
     DenseMatrix transposed() const;
 
-    /// Max-abs entry, used by tests as a matrix norm.
-    double maxAbs() const;
-
     const std::vector<double>& data() const { return data_; }
 
 private:

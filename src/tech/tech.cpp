@@ -1,5 +1,9 @@
 #include "tech/tech.hpp"
 
+#include <charconv>
+#include <cstdint>
+#include <cstring>
+
 #include "util/error.hpp"
 
 namespace sna::tech {
@@ -10,6 +14,36 @@ const WireLayer& Technology::layer(const std::string& layerName) const {
     }
     throw ModelError("technology '" + name + "' has no layer '" + layerName +
                      "'");
+}
+
+void appendBits(std::string& key, double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    char buf[16];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), bits, 16).ptr;
+    key += '/';
+    key.append(buf, end);
+}
+
+namespace {
+
+void appendMos(std::string& key, const spice::MosModel& m) {
+    for (const double v : {m.vt0, m.kp, m.lambda, m.gamma, m.phi, m.cox,
+                           m.cgso, m.cgdo, m.cj, m.cjsw, m.ldiff}) {
+        appendBits(key, v);
+    }
+}
+
+}  // namespace
+
+std::string identityKey(const Technology& t) {
+    std::string key = t.name;
+    for (const double v : {t.vdd, t.lmin, t.wnUnit, t.wpUnit}) {
+        appendBits(key, v);
+    }
+    appendMos(key, t.nmos);
+    appendMos(key, t.pmos);
+    return key;
 }
 
 namespace {

@@ -37,6 +37,18 @@ struct Technology {
     const WireLayer& layer(const std::string& layerName) const;
 };
 
+/// Appends '/' and the bit pattern of `v` in lowercase hex: the bitwise
+/// double encoding of every characterization-cache and shared-library key,
+/// so two values share a key only when they are the same double.
+void appendBits(std::string& key, double v);
+
+/// The technology's electrical identity as a key, bitwise: name, vdd, lmin,
+/// unit widths and every parameter of both MOS models (wire layers are not
+/// part of it). Two technologies with the same key characterize identically
+/// — corner sweeps perturb models while keeping the name, so the name alone
+/// is not enough.
+std::string identityKey(const Technology& t);
+
 /// The 0.13 µm node of the paper's main experiment (VDD = 1.2 V).
 const Technology& tech130();
 

@@ -52,10 +52,6 @@ bool iequals(std::string_view a, std::string_view b) {
     return true;
 }
 
-bool istartsWith(std::string_view s, std::string_view prefix) {
-    return s.size() >= prefix.size() && iequals(s.substr(0, prefix.size()), prefix);
-}
-
 std::optional<double> parseSpiceNumber(std::string_view s) {
     s = trim(s);
     if (s.empty()) return std::nullopt;

@@ -1,4 +1,4 @@
-// Small string utilities shared by the SPICE and SPEF front-ends.
+// Small string utilities shared by the text front-ends.
 #pragma once
 
 #include <optional>
@@ -20,9 +20,6 @@ std::string toLower(std::string_view s);
 
 /// Case-insensitive equality (ASCII).
 bool iequals(std::string_view a, std::string_view b);
-
-/// True if `s` starts with `prefix`, ignoring ASCII case.
-bool istartsWith(std::string_view s, std::string_view prefix);
 
 /// Parse a SPICE-style number with an optional engineering suffix:
 /// t, g, meg, k, m, u, n, p, f (case-insensitive; trailing unit letters such

@@ -1,7 +1,5 @@
 #include "waveform/sources.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace sna::wave {
@@ -28,46 +26,6 @@ Waveform triangleGlitch(double baseline, double height, double t0,
     s.push_back({t0 + 0.5 * width, baseline + height});
     s.push_back({t0 + width, baseline});
     s.push_back({tEnd, baseline});
-    return Waveform(std::move(s));
-}
-
-Waveform trapezoidGlitch(double baseline, double height, double t0,
-                         double edge, double plateau, double tEnd) {
-    SNA_REQUIRE(edge > 0.0 && plateau >= 0.0, "bad trapezoid parameters");
-    SNA_REQUIRE(tEnd > t0 + 2 * edge + plateau, "glitch must finish before tEnd");
-    std::vector<Sample> s;
-    if (t0 > 0.0) s.push_back({0.0, baseline});
-    s.push_back({t0, baseline});
-    s.push_back({t0 + edge, baseline + height});
-    if (plateau > 0.0) s.push_back({t0 + edge + plateau, baseline + height});
-    s.push_back({t0 + 2 * edge + plateau, baseline});
-    s.push_back({tEnd, baseline});
-    return Waveform(std::move(s));
-}
-
-Waveform exponentialGlitch(double baseline, double height, double t0,
-                           double tauRise, double tauFall, double tEnd,
-                           std::size_t n) {
-    SNA_REQUIRE(tauRise > 0.0 && tauFall > 0.0, "time constants must be positive");
-    SNA_REQUIRE(tEnd > t0 && n >= 8, "bad exponential glitch span");
-    // Double-exponential pulse normalized so its maximum equals `height`.
-    const double tPeak =
-        (tauRise * tauFall / (tauFall - tauRise + 1e-30)) *
-        std::log(tauFall / tauRise);
-    const double norm =
-        std::exp(-tPeak / tauFall) - std::exp(-tPeak / tauRise);
-    SNA_REQUIRE(std::abs(norm) > 1e-12, "degenerate exponential glitch");
-    std::vector<Sample> s;
-    if (t0 > 0.0) s.push_back({0.0, baseline});
-    for (std::size_t i = 0; i <= n; ++i) {
-        const double t =
-            t0 + (tEnd - t0) * static_cast<double>(i) / static_cast<double>(n);
-        const double x = t - t0;
-        const double pulse =
-            (std::exp(-x / tauFall) - std::exp(-x / tauRise)) / norm;
-        if (!s.empty() && t <= s.back().t) continue;
-        s.push_back({t, baseline + height * pulse});
-    }
     return Waveform(std::move(s));
 }
 

@@ -17,14 +17,4 @@ Waveform saturatedRamp(double v0, double v1, double t0, double transition,
 Waveform triangleGlitch(double baseline, double height, double t0,
                         double width, double tEnd);
 
-/// Trapezoidal glitch: ramp up over `edge`, hold for `plateau`, ramp down.
-Waveform trapezoidGlitch(double baseline, double height, double t0,
-                         double edge, double plateau, double tEnd);
-
-/// Single-pole decaying-exponential glitch sampled as PWL (n samples); models
-/// realistic crosstalk pulses with a fast rise and RC tail.
-Waveform exponentialGlitch(double baseline, double height, double t0,
-                           double tauRise, double tauFall, double tEnd,
-                           std::size_t n = 64);
-
 }  // namespace sna::wave

@@ -101,18 +101,4 @@ Waveform Waveform::window(double t0, double t1) const {
     return Waveform(std::move(out));
 }
 
-Waveform Waveform::resampled(std::size_t n) const {
-    SNA_REQUIRE(n >= 2, "resample needs at least two points");
-    const double t0 = startTime();
-    const double t1 = endTime();
-    std::vector<Sample> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double t = t0 + (t1 - t0) * static_cast<double>(i) /
-                                  static_cast<double>(n - 1);
-        out.push_back({t, value(t)});
-    }
-    return Waveform(std::move(out));
-}
-
 }  // namespace sna::wave

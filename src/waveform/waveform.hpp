@@ -60,9 +60,6 @@ public:
     /// Restriction to [t0, t1] with interpolated end samples.
     Waveform window(double t0, double t1) const;
 
-    /// Resampled on a uniform grid of n >= 2 points across the span.
-    Waveform resampled(std::size_t n) const;
-
 private:
     std::vector<Sample> samples_;
 };

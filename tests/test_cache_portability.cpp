@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <locale>
 #include <string>
@@ -24,7 +25,6 @@
 #include "charlib/char_cache.hpp"
 #include "charlib/model_io.hpp"
 #include "tech/tech.hpp"
-#include "waveform/waveform.hpp"
 #include "util/crc32.hpp"
 #include "util/strings.hpp"
 
@@ -197,17 +197,6 @@ TEST(LocalePortability, StreamsUnderCommaDecimalGlobalCppLocale) {
     } restore{saved};
 
     expectModelRoundTrip();
-
-    // The CSV exchange format stays dot-decimal too: a comma-decimal
-    // writer would produce a third column and break the round trip.
-    wave::Waveform w;
-    w.append(0.0, 0.0);
-    w.append(1.5e-12, 0.75);
-    const std::string csv = charlib::toCsv(w);
-    const wave::Waveform back = charlib::fromCsv(csv);
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_DOUBLE_EQ(back.samples()[1].t, 1.5e-12);
-    EXPECT_DOUBLE_EQ(back.samples()[1].v, 0.75);
 }
 
 // ----------------------------------------------------- concurrent persistence
@@ -317,6 +306,69 @@ TEST(NrcPointRecords, LegacyWholeCurveRecordIsSkipped) {
     EXPECT_EQ(loaded.corrupt, 0u);
     std::remove(path.c_str());
     std::remove((path + ".lock").c_str());
+}
+
+TEST(ForeignRecords, SaveWritesBackKindsThisReaderDoesNotKnow) {
+    // A binary sharing a cache file with a newer one must not delete the
+    // newer one's records: unknown kinds survive load -> save verbatim.
+    const auto record = [](const std::string& kind, const std::string& key,
+                           const std::string& payload) {
+        char crcHex[9];
+        std::snprintf(crcHex, sizeof(crcHex), "%08x",
+                      util::crc32(key + payload));
+        return "entry " + kind + ' ' + std::to_string(payload.size()) + ' ' +
+               crcHex + ' ' + key + '\n' + payload + '\n';
+    };
+    const std::string future =
+        record("futuretable", "future-key", "opaque\npayload 0x1p-3\n");
+    const std::string legacy = record(
+        "nrc", "legacy-curve-key",
+        "snamodel v1 nrc\nwidths 0x1.b7cdfd9d7bdbbp-34 0x1.b7cdfd9d7bdbbp-33\n"
+        "heights 0x1.ccccccccccccdp-1 0x1.6666666666666p-1\n");
+    const std::string real =
+        record("nrcpoint", "real-key", charlib::saveNrcPoint(0.5));
+    const std::string in = tmpPath("sna_foreign_in.snacache");
+    const std::string out = tmpPath("sna_foreign_out.snacache");
+    {
+        std::ofstream os(in, std::ios::binary);
+        os << "snacache v2\n" << future << real << legacy << "end 3\n";
+    }
+    charlib::CharCache cache;
+    const auto loaded = cache.load(in);
+    EXPECT_TRUE(loaded.ok) << loaded.error;
+    EXPECT_EQ(loaded.entries, 1u);
+    EXPECT_EQ(loaded.skipped, 2u);
+
+    const auto saved = cache.save(out);
+    ASSERT_TRUE(saved.ok) << saved.error;
+    EXPECT_EQ(saved.entries, 3u);
+    std::string text;
+    {
+        std::ifstream is(out, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    EXPECT_NE(text.find(future), std::string::npos) << text;
+    EXPECT_NE(text.find(legacy), std::string::npos) << text;
+    EXPECT_EQ(text.substr(text.size() - 6), "end 3\n");
+
+    charlib::CharCache reloaded;
+    const auto again = reloaded.load(out);
+    EXPECT_TRUE(again.ok) << again.error;
+    EXPECT_EQ(again.entries, 1u);
+    EXPECT_EQ(again.skipped, 2u);
+
+    // clear() forgets them with the rest of the cache.
+    cache.clear();
+    ASSERT_TRUE(cache.save(out).ok);
+    charlib::CharCache empty;
+    const auto none = empty.load(out);
+    EXPECT_TRUE(none.ok) << none.error;
+    EXPECT_EQ(none.entries + none.skipped, 0u);
+    for (const std::string& p : {in, out}) {
+        std::remove(p.c_str());
+        std::remove((p + ".lock").c_str());
+    }
 }
 
 }  // namespace

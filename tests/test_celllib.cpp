@@ -3,10 +3,12 @@
 // electrical sanity of drive strengths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "celllib/library.hpp"
-#include "celllib/spice_text.hpp"
 #include "spice/dc.hpp"
 #include "spice/tran.hpp"
 #include "util/error.hpp"
@@ -179,17 +181,50 @@ TEST(CellLibrary, Nand2OutputLowHasStackedPulldownResistance) {
     }
 }
 
-TEST(SpiceText, EmitsModelsAndSubckts) {
-    const CellLibrary lib(tech::tech130());
-    const std::string text = cell::libraryText(lib);
-    EXPECT_NE(text.find(".model nmos_cmos130 nmos"), std::string::npos);
-    EXPECT_NE(text.find(".model pmos_cmos130 pmos"), std::string::npos);
-    EXPECT_NE(text.find(".subckt NAND2_X1 a b y vdd gnd"), std::string::npos);
-    EXPECT_NE(text.find(".ends NAND2_X1"), std::string::npos);
-    // Every cell appears.
-    for (const auto& name : lib.names()) {
-        EXPECT_NE(text.find(".subckt " + name), std::string::npos) << name;
+// ------------------------------------------------------- shared registry
+
+TEST(SharedLibrary, KeyedOnElectricalIdentityNotAddress) {
+    const tech::Technology copy = tech::tech130();
+    ASSERT_NE(&copy, &tech::tech130());
+    const CellLibrary& base = cell::sharedLibrary(tech::tech130());
+    EXPECT_EQ(&cell::sharedLibrary(copy), &base);
+    EXPECT_EQ(&cell::sharedLibrary(copy).technology(), &base.technology());
+
+    tech::Technology mos = copy;
+    mos.pmos.cjsw = std::nextafter(mos.pmos.cjsw, 1.0);
+    const CellLibrary& mosLib = cell::sharedLibrary(mos);
+    EXPECT_NE(&mosLib, &base);
+    EXPECT_EQ(mosLib.technology().pmos.cjsw, mos.pmos.cjsw);
+
+    tech::Technology wire = copy;
+    wire.layers.back().ccPerUm *= 2.0;
+    const CellLibrary& wireLib = cell::sharedLibrary(wire);
+    EXPECT_NE(&wireLib, &base);
+    EXPECT_NE(&wireLib, &mosLib);
+    EXPECT_EQ(wireLib.technology().layers.back().ccPerUm,
+              wire.layers.back().ccPerUm);
+}
+
+TEST(SharedLibrary, ConcurrentFirstCallsShareOneLibrary) {
+    // A technology no other test registers, so the 8 threads race to
+    // create its entry, not just to look it up.
+    tech::Technology t = tech::tech90();
+    t.name = "shared_library_race";
+    constexpr int kThreads = 8;
+    std::vector<const CellLibrary*> got(kThreads, nullptr);
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            waiting.fetch_sub(1);
+            while (waiting.load() > 0) std::this_thread::yield();
+            got[i] = &cell::sharedLibrary(t);
+        });
     }
+    for (auto& th : threads) th.join();
+    for (const CellLibrary* lib : got) EXPECT_EQ(lib, got.front());
+    EXPECT_EQ(got.front()->technology().name, "shared_library_race");
+    EXPECT_NE(&got.front()->technology(), &t);  // the registry owns a copy
 }
 
 }  // namespace

@@ -86,14 +86,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "1 2 3\n",
                       "snamodel v1 loadcurve\nxaxis 0 zz\n"));
 
-TEST(ModelIo, WaveformCsvRoundTrip) {
-    const auto w = wave::triangleGlitch(0.0, 0.5, 1e-10, 2e-10, 1e-9);
-    const auto back = charlib::fromCsv(charlib::toCsv(w));
-    EXPECT_EQ(back.size(), w.size());
-    EXPECT_DOUBLE_EQ(back.value(2e-10), w.value(2e-10));
-    EXPECT_THROW(charlib::fromCsv("time,value\n1,2,3\n"), ParseError);
-}
-
 // ---------------------------------------------- polarity / direction sweep
 
 struct PolarityCase {

@@ -1,163 +1,13 @@
-// Tests for the SPICE and SPEF front-ends, including the cell-library
-// round-trip (emit -> parse -> simulate -> same truth table).
+// Tests for the SPEF front-end.
 #include <gtest/gtest.h>
 
-#include "celllib/library.hpp"
-#include "celllib/spice_text.hpp"
 #include "parser/spef_parser.hpp"
-#include "parser/spice_parser.hpp"
-#include "spice/dc.hpp"
+#include "spice/circuit.hpp"
 #include "util/error.hpp"
 
 namespace {
 
 using namespace sna;
-
-// ----------------------------------------------------------------- spice
-
-TEST(SpiceParser, ResistorDivider) {
-    const auto net = parser::parseSpice(R"(
-* comment line
-v1 vdd 0 dc 3.0
-r1 vdd mid 1k
-r2 mid 0 2k
-.end
-)");
-    const auto dc = spice::solveDc(net.circuit());
-    EXPECT_NEAR(dc.voltage("mid"), 2.0, 1e-6);
-}
-
-TEST(SpiceParser, ContinuationAndUnits) {
-    const auto net = parser::parseSpice(
-        "v1 a 0\n+ dc 1.0\nr1 a b 500ohm\nc1 b 0 10f\n");
-    EXPECT_NE(net.circuit().findDevice("r1"), nullptr);
-    const auto* c1 =
-        dynamic_cast<const spice::Capacitor*>(net.circuit().findDevice("c1"));
-    ASSERT_NE(c1, nullptr);
-    EXPECT_DOUBLE_EQ(c1->capacitance(), 10e-15);
-}
-
-TEST(SpiceParser, PwlSource) {
-    const auto net =
-        parser::parseSpice("v1 in 0 pwl(0 0 1n 0 1.1n 1.2 5n 1.2)\n");
-    const auto* v =
-        dynamic_cast<const spice::VSource*>(net.circuit().findDevice("v1"));
-    ASSERT_NE(v, nullptr);
-    EXPECT_DOUBLE_EQ(v->spec().value(0.5e-9), 0.0);
-    EXPECT_NEAR(v->spec().value(1.05e-9), 0.6, 1e-9);
-    EXPECT_DOUBLE_EQ(v->spec().value(4e-9), 1.2);
-}
-
-TEST(SpiceParser, ControlledSources) {
-    const auto net = parser::parseSpice(R"(
-v1 in 0 dc 0.5
-e1 eo 0 in 0 2.0
-g1 go 0 in 0 1m
-rg go 0 1k
-re eo 0 1k
-)");
-    const auto dc = spice::solveDc(net.circuit());
-    EXPECT_NEAR(dc.voltage("eo"), 1.0, 1e-6);
-    EXPECT_NEAR(dc.voltage("go"), -0.5, 1e-6);
-}
-
-TEST(SpiceParser, SubcktExpansion) {
-    const auto net = parser::parseSpice(R"(
-.subckt divider top mid bot
-r1 top mid 1k
-r2 mid bot 1k
-.ends
-v1 vdd 0 dc 2.0
-x1 vdd m1 0 divider
-x2 m1 m2 0 divider
-)");
-    const auto dc = spice::solveDc(net.circuit());
-    // x2 loads x1's midpoint: m1 sees 1k to vdd and 1k || 2k to ground.
-    EXPECT_NEAR(dc.voltage("m1"), 0.8, 1e-6);
-    EXPECT_NEAR(dc.voltage("m2"), 0.4, 1e-6);
-}
-
-TEST(SpiceParser, NestedSubcktsCreateScopedNodes) {
-    const auto net = parser::parseSpice(R"(
-.subckt leaf a b
-r1 a x 1k
-r2 x b 1k
-.ends
-.subckt stack p q
-x1 p m leaf
-x2 m q leaf
-.ends
-v1 t 0 dc 4.0
-xs t 0 stack
-)");
-    const auto dc = spice::solveDc(net.circuit());
-    // Internal midpoint of the stack is at half the supply.
-    EXPECT_NEAR(dc.voltage("xs.m"), 2.0, 1e-6);
-    // Leaf-internal node got a hierarchical name.
-    EXPECT_TRUE(net.circuit().findNode("xs.x1.x").has_value());
-}
-
-TEST(SpiceParser, MosfetWithModel) {
-    const auto net = parser::parseSpice(R"(
-.model mynmos nmos (level=1 vto=0.4 kp=200u lambda=0.05)
-vd d 0 dc 1.2
-vg g 0 dc 1.2
-m1 d g 0 0 mynmos w=1u l=0.13u
-)");
-    const auto dc = spice::solveDc(net.circuit());
-    // Saturation current of the square-law device.
-    const double beta = 200e-6 * (1.0 / 0.13);
-    const double expected = 0.5 * beta * (1.2 - 0.4) * (1.2 - 0.4) *
-                            (1 + 0.05 * 1.2);
-    // vd delivers the drain current into the drain node.
-    EXPECT_NEAR(dc.sourceCurrent("vd"), expected, expected * 0.01);
-}
-
-struct BadNetlist {
-    const char* text;
-    const char* why;
-};
-
-class SpiceParserRejects : public ::testing::TestWithParam<BadNetlist> {};
-
-TEST_P(SpiceParserRejects, ThrowsParseError) {
-    EXPECT_THROW(parser::parseSpice(GetParam().text), ParseError)
-        << GetParam().why;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, SpiceParserRejects,
-    ::testing::Values(
-        BadNetlist{"r1 a b\n", "missing value"},
-        BadNetlist{"r1 a b 1x2\n", "bad number"},
-        BadNetlist{"+ r1 a b 1k\n", "leading continuation"},
-        BadNetlist{"q1 a b c qmod\n", "unsupported element"},
-        BadNetlist{".subckt s a\nr1 a 0 1k\n", "missing .ends"},
-        BadNetlist{"x1 a b nosub\n", "unknown subckt"},
-        BadNetlist{"m1 d g s b nomodel w=1u l=1u\n", "unknown model"},
-        BadNetlist{".model m bjt (level=1)\n", "unsupported model type"},
-        BadNetlist{".model m nmos (level=2)\n", "unsupported level"},
-        BadNetlist{"v1 a 0 pwl(0 0 1n)\n", "odd pwl values"},
-        BadNetlist{".temp 27\n", "unsupported directive"},
-        BadNetlist{"e1 a 0 b 0\n", "VCVS missing gain"}));
-
-TEST(SpiceParser, CellLibraryRoundTrip) {
-    // Emit the whole library as SPICE text, parse it back, instantiate
-    // NAND2_X1 via an X card, and verify one truth-table row electrically.
-    const cell::CellLibrary lib(tech::tech130());
-    std::string deck = cell::libraryText(lib);
-    deck += R"(
-vdd vdd 0 dc 1.2
-va a 0 dc 1.2
-vb b 0 dc 0.0
-x1 a b y vdd 0 NAND2_X1
-)";
-    const auto net = parser::parseSpice(deck);
-    const auto dc = spice::solveDc(net.circuit());
-    EXPECT_NEAR(dc.voltage("y"), 1.2, 0.03);  // NAND(1,0) = 1
-}
-
-// ------------------------------------------------------------------ spef
 
 const char* kSpef = R"(
 *SPEF "IEEE 1481-1998"

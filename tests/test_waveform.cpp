@@ -133,7 +133,9 @@ class GlitchScaling : public ::testing::TestWithParam<double> {};
 
 TEST_P(GlitchScaling, MetricsScaleLinearly) {
     const double k = GetParam();
-    const Waveform g = wave::trapezoidGlitch(0.0, 0.3, 0.1, 0.2, 0.3, 2.0);
+    // A trapezoid: 0.2 edges around a 0.3 plateau.
+    const Waveform g(
+        {{0.0, 0.0}, {0.1, 0.0}, {0.3, 0.3}, {0.6, 0.3}, {0.8, 0.0}, {2.0, 0.0}});
     const auto m1 = wave::measureGlitch(g, 0.0);
     const auto mk = wave::measureGlitch(g.scaled(k), 0.0);
     EXPECT_NEAR(mk.peak, k * m1.peak, 1e-12);
@@ -165,18 +167,9 @@ TEST(Sources, SaturatedRampShape) {
     EXPECT_DOUBLE_EQ(r.value(1e-9), 1.2);
 }
 
-TEST(Sources, ExponentialGlitchPeaksAtHeight) {
-    const Waveform g =
-        wave::exponentialGlitch(0.0, 0.5, 0.0, 2e-11, 1e-10, 1e-9, 256);
-    const auto m = wave::measureGlitch(g, 0.0);
-    EXPECT_NEAR(m.peak, 0.5, 0.01);
-    EXPECT_GT(m.width, 0.0);
-}
-
 TEST(Sources, RejectBadParameters) {
     EXPECT_THROW(wave::saturatedRamp(0, 1, 0, -1, 1), LogicError);
     EXPECT_THROW(wave::triangleGlitch(0, 1, 0.5, 1.0, 1.0), LogicError);
-    EXPECT_THROW(wave::trapezoidGlitch(0, 1, 0, 0, 0, 1), LogicError);
 }
 
 // -------------------------------------------------------------- distance
