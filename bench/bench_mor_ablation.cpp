@@ -36,7 +36,7 @@ core::NoiseResult runFullRc(const core::ClusterSpec& spec,
         ckt.addVSource("v_in", vin, spice::kGround,
                        spice::SourceSpec::dc(model.inputHoldLevel()));
     }
-    ckt.addTableVccs("idc_victim", dp, vin, model.loadCurve());
+    ckt.addTableVccs("idc_victim", dp, vin, model.sharedLoadCurve());
     ckt.addCapacitor("cdrv0", dp, spice::kGround, model.driverCaps()[0]);
     for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
         const auto& m = model.aggressorModels()[a];

@@ -106,10 +106,11 @@ std::string nrcPrefixOf(const NrcSpec& s) {
 //
 // Kinds: loadcurve, thevenin, propagation, and nrcpoint: one NRC width's
 // failing height, keyed on the receiver spec plus that width. A record of
-// an unknown kind (a newer writer's table, or the whole-curve "nrc" records
-// older writers saved) is counted as skipped and kept verbatim, and save()
-// writes it back: a reader that shares a file with a newer writer must not
-// delete the newer writer's records.
+// an unknown kind (a newer writer's table) is counted as skipped and kept
+// verbatim, and save() writes it back: a reader that shares a file with a
+// newer writer must not delete the newer writer's records. The whole-curve
+// "nrc" records that older writers saved are retired: no reader uses them,
+// so load() counts them as skipped and save() drops them.
 
 constexpr const char* kCacheHeaderV2 = "snacache v2";
 constexpr const char* kCacheHeaderV1 = "snacache v1";
@@ -118,6 +119,7 @@ constexpr const char* kKindLoadCurve = "loadcurve";
 constexpr const char* kKindThevenin = "thevenin";
 constexpr const char* kKindNrcPoint = "nrcpoint";
 constexpr const char* kKindPropagation = "propagation";
+constexpr const char* kKindRetiredNrc = "nrc";
 
 std::string escapeKey(const std::string& key) {
     std::string out;
@@ -592,7 +594,7 @@ CharCache::PersistResult CharCache::load(const std::string& path) {
                     propagations_, key,
                     std::make_shared<const PropagationTable>(
                         loadPropagation(payload)));
-            } else {
+            } else if (k != kKindRetiredNrc) {
                 const std::lock_guard<std::mutex> lock(mu_);
                 foreign_.emplace(std::make_pair(k, key), payload);
             }

@@ -160,7 +160,7 @@ public:
 
     /// Serialize every ready entry (all four tables; NRCs as one
     /// "nrcpoint" record per point), and every record of an unknown kind
-    /// load() kept, to `path` in the versioned "snacache v2" text format
+    /// load() kept (never a retired whole-curve "nrc" record), to `path` in the versioned "snacache v2" text format
     /// (per-record CRC32 over key + payload). In-flight
     /// entries are skipped. Writes to a uniquely named temporary sibling
     /// (pid + counter) and renames, so a concurrent load() from another

@@ -152,7 +152,7 @@ NoiseResult analyzeIterativeThevenin(
             ckt.addVSource("v_in", vin, spice::kGround,
                            spice::SourceSpec::dc(model.inputHoldLevel()));
         }
-        ckt.addTableVccs("idc_victim", out, vin, model.loadCurve());
+        ckt.addTableVccs("idc_victim", out, vin, model.sharedLoadCurve());
         double load = net.totalGroundCapOf(0) + model.receiverCaps()[0];
         for (int o = 1; o < net.wireCount(); ++o) {
             load += net.couplingCapBetween(0, o);

@@ -143,7 +143,7 @@ NoiseResult ClusterMacromodel::analyzeAt(
         ckt.addVSource("v_in", vin, spice::kGround,
                        spice::SourceSpec::dc(vinHold_));
     }
-    ckt.addTableVccs("idc_victim", dp, vin, *loadCurve_);
+    ckt.addTableVccs("idc_victim", dp, vin, loadCurve_);
 
     std::vector<spice::NodeId> drvNodes{dp};
     ckt.addCapacitor("cdrv0", dp, spice::kGround, drvCaps_[0]);

@@ -61,6 +61,10 @@ public:
 
     // ---- introspection (Fig. 1 bench, baselines) ----
     const la::Grid2d& loadCurve() const { return *loadCurve_; }
+    /// The same table, shared (what a probe circuit's TableVccs holds).
+    const std::shared_ptr<const la::Grid2d>& sharedLoadCurve() const {
+        return loadCurve_;
+    }
     double inputHoldLevel() const { return vinHold_; }
     double outputHoldLevel() const { return voutHold_; }
     /// Victim linearization at the quiet point (baseline B1's model).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -64,46 +65,114 @@ void DenseLu::refactor(const DenseMatrix& a, double pivotTol) {
     decompose(pivotTol);
 }
 
-void DenseLu::decompose(double pivotTol) {
-    SNA_REQUIRE(lu_.rows() == lu_.cols(), "LU needs a square matrix");
-    const std::size_t n = lu_.rows();
-    perm_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-    permSign_ = 1;
+namespace detail {
+
+namespace {
+
+[[noreturn]] void throwSingular(double best, std::size_t column) {
+    throw ConvergenceError("singular matrix in dense LU (pivot " +
+                           std::to_string(best) + " at column " +
+                           std::to_string(column) + ")");
+}
+
+}  // namespace
+
+template <std::size_t N>
+void LuKernel<N>::decompose(double* a, std::size_t nDyn, std::size_t* perm,
+                            int& permSign, double pivotTol) {
+    const std::size_t n = N != 0 ? N : nDyn;
+    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    permSign = 1;
 
     for (std::size_t k = 0; k < n; ++k) {
         // Partial pivot: largest magnitude in column k at/below the diagonal.
         std::size_t pivot = k;
-        double best = std::abs(lu_(k, k));
+        double best = std::abs(a[k * n + k]);
         for (std::size_t r = k + 1; r < n; ++r) {
-            const double v = std::abs(lu_(r, k));
+            const double v = std::abs(a[r * n + k]);
             if (v > best) {
                 best = v;
                 pivot = r;
             }
         }
-        if (!(best >= pivotTol)) {  // NaN pivots fail too
-            throw ConvergenceError(
-                "singular matrix in dense LU (pivot " + std::to_string(best) +
-                " at column " + std::to_string(k) + ")");
-        }
+        if (!(best >= pivotTol)) throwSingular(best, k);  // NaN fails too
         if (pivot != k) {
             for (std::size_t c = 0; c < n; ++c) {
-                std::swap(lu_(k, c), lu_(pivot, c));
+                std::swap(a[k * n + c], a[pivot * n + c]);
             }
-            std::swap(perm_[k], perm_[pivot]);
-            permSign_ = -permSign_;
+            std::swap(perm[k], perm[pivot]);
+            permSign = -permSign;
         }
-        const double inv = 1.0 / lu_(k, k);
+        const double inv = 1.0 / a[k * n + k];
         for (std::size_t r = k + 1; r < n; ++r) {
-            const double factor = lu_(r, k) * inv;
+            const double factor = a[r * n + k] * inv;
             if (factor == 0.0) continue;
-            lu_(r, k) = factor;
+            a[r * n + k] = factor;
             for (std::size_t c = k + 1; c < n; ++c) {
-                lu_(r, c) -= factor * lu_(k, c);
+                a[r * n + c] -= factor * a[k * n + c];
             }
         }
     }
+}
+
+template <std::size_t N>
+void LuKernel<N>::solve(const double* lu, const std::size_t* perm,
+                        std::size_t nDyn, const double* b, double* x) {
+    const std::size_t n = N != 0 ? N : nDyn;
+    // Apply permutation.
+    for (std::size_t i = 0; i < n; ++i) x[i] = b[perm[i]];
+    // Forward substitution (unit lower).
+    for (std::size_t i = 0; i < n; ++i) {
+        double acc = x[i];
+        for (std::size_t j = 0; j < i; ++j) acc -= lu[i * n + j] * x[j];
+        x[i] = acc;
+    }
+    // Back substitution.
+    for (std::size_t ii = n; ii-- > 0;) {
+        double acc = x[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) acc -= lu[ii * n + j] * x[j];
+        x[ii] = acc / lu[ii * n + ii];
+    }
+}
+
+template struct LuKernel<0>;
+template struct LuKernel<2>;
+template struct LuKernel<3>;
+template struct LuKernel<4>;
+template struct LuKernel<5>;
+template struct LuKernel<6>;
+template struct LuKernel<7>;
+template struct LuKernel<8>;
+
+}  // namespace detail
+
+namespace {
+
+using DecomposeKernel = void (*)(double*, std::size_t, std::size_t*, int&,
+                                 double);
+using SolveKernel = void (*)(const double*, const std::size_t*, std::size_t,
+                             const double*, double*);
+
+// Indexed by size: the fixed-size kernel for 2..8, the generic one below.
+using detail::LuKernel;
+constexpr DecomposeKernel kDecompose[detail::kMaxFixedLu + 1] = {
+    LuKernel<0>::decompose, LuKernel<0>::decompose, LuKernel<2>::decompose,
+    LuKernel<3>::decompose, LuKernel<4>::decompose, LuKernel<5>::decompose,
+    LuKernel<6>::decompose, LuKernel<7>::decompose, LuKernel<8>::decompose};
+constexpr SolveKernel kSolve[detail::kMaxFixedLu + 1] = {
+    LuKernel<0>::solve, LuKernel<0>::solve, LuKernel<2>::solve,
+    LuKernel<3>::solve, LuKernel<4>::solve, LuKernel<5>::solve,
+    LuKernel<6>::solve, LuKernel<7>::solve, LuKernel<8>::solve};
+
+}  // namespace
+
+void DenseLu::decompose(double pivotTol) {
+    SNA_REQUIRE(lu_.rows() == lu_.cols(), "LU needs a square matrix");
+    const std::size_t n = lu_.rows();
+    perm_.resize(n);
+    const DecomposeKernel kernel =
+        n <= detail::kMaxFixedLu ? kDecompose[n] : LuKernel<0>::decompose;
+    kernel(lu_.raw(), n, perm_.data(), permSign_, pivotTol);
 }
 
 Vector DenseLu::solve(const Vector& b) const {
@@ -123,20 +192,9 @@ void DenseLu::solveInto(const Vector& b, Vector& x) const {
     SNA_REQUIRE(b.size() == n, "rhs size mismatch in LU solve");
     SNA_REQUIRE(&x != &b, "LU solve output aliases its right-hand side");
     x.resize(n);
-    // Apply permutation.
-    for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-    // Forward substitution (unit lower).
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = x[i];
-        for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
-        x[i] = acc;
-    }
-    // Back substitution.
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = x[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-        x[ii] = acc / lu_(ii, ii);
-    }
+    const SolveKernel kernel =
+        n <= detail::kMaxFixedLu ? kSolve[n] : LuKernel<0>::solve;
+    kernel(lu_.raw(), perm_.data(), n, b.data(), x.data());
 }
 
 double DenseLu::determinant() const {

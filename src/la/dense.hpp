@@ -6,6 +6,21 @@
 // keeps one DenseLu per solve and re-factors each Jacobian into its storage
 // (refactor + solveInto), so an iteration allocates nothing once the
 // shapes are set.
+//
+// Fixed-size kernels. The factorization and the solve are one kernel
+// template each (detail::LuKernel<N>::decompose / solve) over a row-major
+// array. N == 0 is the generic loop, whose size comes at run time; N = 2..8
+// fixes the size at compile time, so the loops unroll and index without a
+// run-time stride. Every instantiation runs the same source: the same
+// operations in the same order, the same pivot rule (first largest
+// magnitude), the same `factor == 0.0` skip and the same singular-pivot
+// error text. A fixed-size kernel therefore returns bitwise the factors,
+// permutation, sign and solution of the generic loop (pinned by
+// Dense.FixedSizeKernelsMatchGenericBitwise; the build disables
+// floating-point contraction so no instantiation fuses a multiply-add the
+// other does not). DenseLu dispatches sizes 2..8 to the fixed kernels and
+// every other size to the generic one. The macromodel's 6-unknown system is
+// the case this is for.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +60,9 @@ public:
     DenseMatrix transposed() const;
 
     const std::vector<double>& data() const { return data_; }
+    /// The rows() * cols() row-major entries, for the LU kernels.
+    double* raw() { return data_.data(); }
+    const double* raw() const { return data_.data(); }
 
 private:
     std::size_t rows_ = 0;
@@ -90,6 +108,27 @@ private:
     std::vector<std::size_t> perm_;
     int permSign_ = 1;
 };
+
+namespace detail {
+
+/// Largest size with a fixed-size kernel.
+inline constexpr std::size_t kMaxFixedLu = 8;
+
+/// The LU kernels for n x n row-major arrays: N == 0 takes n at run time,
+/// N > 0 requires n == N. Instantiated for N = 0 and 2..kMaxFixedLu.
+template <std::size_t N>
+struct LuKernel {
+    /// Factorizes `a` in place with partial pivoting; perm[0..n) and
+    /// permSign restart from the identity. Throws sna::ConvergenceError on
+    /// a pivot below pivotTol (or NaN).
+    static void decompose(double* a, std::size_t n, std::size_t* perm,
+                          int& permSign, double pivotTol);
+    /// Solves A x = b from decompose's output; x must not alias b.
+    static void solve(const double* lu, const std::size_t* perm,
+                      std::size_t n, const double* b, double* x);
+};
+
+}  // namespace detail
 
 /// Convenience one-shot solve.
 Vector solveDense(DenseMatrix a, const Vector& b);

@@ -80,7 +80,8 @@ Vcvs& Circuit::addVcvs(const std::string& name, NodeId pos, NodeId neg,
 }
 
 TableVccs& Circuit::addTableVccs(const std::string& name, NodeId out,
-                                 NodeId in, la::Grid2d table) {
+                                 NodeId in,
+                                 std::shared_ptr<const la::Grid2d> table) {
     return emplaceDevice<TableVccs>(name, out, in, std::move(table));
 }
 

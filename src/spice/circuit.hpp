@@ -41,7 +41,7 @@ public:
     Vcvs& addVcvs(const std::string& name, NodeId pos, NodeId neg, NodeId cpos,
                   NodeId cneg, double gain);
     TableVccs& addTableVccs(const std::string& name, NodeId out, NodeId in,
-                            la::Grid2d table);
+                            std::shared_ptr<const la::Grid2d> table);
 
     /// Adds the transistor plus its constant instance capacitances
     /// (Cgs/Cgd/Cgb/Cdb/Csb) unless withParasitics is false.

@@ -159,21 +159,19 @@ double Vcvs::currentInto(NodeId, const EvalContext&) const {
 
 // -------------------------------------------------------------- tablevccs
 
-TableVccs::TableVccs(std::string name, NodeId out, NodeId in, la::Grid2d table)
+TableVccs::TableVccs(std::string name, NodeId out, NodeId in,
+                     std::shared_ptr<const la::Grid2d> table)
     : Device(std::move(name), {out, in}), table_(std::move(table)) {
-    SNA_REQUIRE(!table_.empty(), "table VCCS needs a characterized table: " +
-                                     this->name());
+    SNA_REQUIRE(table_ != nullptr && !table_->empty(),
+                "table VCCS needs a characterized table: " + this->name());
 }
 
 void TableVccs::stamp(Stamper& s, const EvalContext& ctx) const {
-    const NodeId out = nodes()[0];
-    const NodeId in = nodes()[1];
-    const la::Grid2d::Value v = table_.eval(ctx.v(in), ctx.v(out));
-    s.norton(out, kGround, v.z, {{in, v.dzdx}, {out, v.dzdy}}, ctx);
+    s.tableVccs(nodes()[0], nodes()[1], *table_, ctx);
 }
 
 double TableVccs::currentInto(NodeId n, const EvalContext& ctx) const {
-    const double i = table_(ctx.v(nodes()[1]), ctx.v(nodes()[0]));
+    const double i = (*table_)(ctx.v(nodes()[1]), ctx.v(nodes()[0]));
     if (n == nodes()[0]) return -i;  // sunk from the output node
     return 0.0;
 }

@@ -178,16 +178,20 @@ private:
 /// Sinks i = table(v(in), v(out)) from `out` to ground, where `table` is the
 /// characterized load-curve I_DC = f(V_in, V_out) of the driver cell (Eq. (1)
 /// of the paper). Newton linearization uses the exact bilinear-patch
-/// partials.
-class TableVccs : public Device {
+/// partials. The table is shared, not copied: every probe circuit of one
+/// macromodel points at the same characterized grid. Final, like Resistor
+/// and Capacitor: the MNA plan stamps it from its table.
+class TableVccs final : public Device {
 public:
-    TableVccs(std::string name, NodeId out, NodeId in, la::Grid2d table);
-    const la::Grid2d& table() const { return table_; }
+    TableVccs(std::string name, NodeId out, NodeId in,
+              std::shared_ptr<const la::Grid2d> table);
+    const la::Grid2d& table() const { return *table_; }
     void stamp(Stamper& s, const EvalContext& ctx) const override;
     double currentInto(NodeId n, const EvalContext& ctx) const override;
 
 private:
-    la::Grid2d table_;  // axes: (v_in, v_out) -> current sunk at out
+    // axes: (v_in, v_out) -> current sunk at out
+    std::shared_ptr<const la::Grid2d> table_;
 };
 
 /// Level-1 MOSFET (DC current element; instance capacitances are added as

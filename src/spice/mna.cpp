@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -163,6 +165,8 @@ MnaMap::MnaMap(const Circuit& circuit) : circuit_(&circuit) {
             e.value = c->capacitance();
             e.slot = stateBaseOf(*c);
             ++capacitorCount_;
+        } else if (dynamic_cast<const TableVccs*>(&dev) != nullptr) {
+            e.kind = Entry::Kind::TableVccs;
         } else if (const auto* vs = dynamic_cast<const VSource*>(&dev);
                    vs != nullptr && vs->grounded()) {
             continue;  // a fixed node: nothing to stamp
@@ -227,6 +231,11 @@ void MnaMap::stampPlan(Jacobian& j, la::Vector& rhs, const EvalContext& ctx,
             case Entry::Kind::Capacitor:
                 if (transient) stampCompanion(j, rhs, e.a, e.b, comp[k++]);
                 break;  // open in DC
+            case Entry::Kind::TableVccs:
+                stampTable(j, rhs, e.a, e.b,
+                           static_cast<const TableVccs*>(e.device)->table(),
+                           ctx);
+                break;
             case Entry::Kind::Device:
                 e.device->stamp(st, ctx);
                 break;
@@ -294,10 +303,36 @@ void MnaMap::updateState(const EvalContext& ctx,
 NewtonWorkspace::NewtonWorkspace(const MnaMap& map)
     : dense(map.hasBranches() || map.unknowns() < 280),
       jacobian(dense ? map.unknowns() : 0, dense ? map.unknowns() : 0),
+      factored(jacobian.rows(), jacobian.cols()),
       sparse(dense ? 0 : map.unknowns()),
       rhs(map.unknowns(), 0.0),
       xNew(map.unknowns(), 0.0),
       companions(map.capacitorCount()) {}
+
+namespace {
+
+// Byte equality of two same-shape matrices: -0.0 differs from 0.0, and a
+// NaN equals only its own bits.
+bool sameBits(const la::DenseMatrix& a, const la::DenseMatrix& b) {
+    const std::size_t bytes = a.data().size() * sizeof(double);
+    return bytes == 0 ||
+           std::memcmp(reinterpret_cast<const unsigned char*>(a.raw()),
+                       reinterpret_cast<const unsigned char*>(b.raw()),
+                       bytes) == 0;
+}
+
+// Factors ws.jacobian into ws.lu unless it is bitwise the Jacobian ws.lu
+// already factors (see the header); returns whether it factored.
+bool factorIfChanged(NewtonWorkspace& ws) {
+    if (ws.luValid && sameBits(ws.jacobian, ws.factored)) return false;
+    ws.luValid = false;
+    ws.lu.refactor(ws.jacobian);
+    ws.luValid = true;
+    std::swap(ws.jacobian, ws.factored);
+    return true;
+}
+
+}  // namespace
 
 NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
                         double time, double dt, Integration method,
@@ -320,11 +355,12 @@ NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
         ++stats.iterations;
         if (ws.dense) {
             map.assemble(ws.jacobian, ws.rhs, ctx, ws.companions);
-            ws.lu.refactor(ws.jacobian);
+            if (factorIfChanged(ws)) ++stats.factorizations;
             ws.lu.solveInto(ws.rhs, ws.xNew);
         } else {
             map.assemble(ws.sparse, ws.rhs, ctx, ws.companions);
             ws.xNew = la::solveSparse(ws.sparse, ws.rhs);
+            ++stats.factorizations;
         }
         const la::Vector& xNew = ws.xNew;
         double worst = 0.0;

@@ -15,17 +15,22 @@
 // entry holding its two terminals, each already resolved to an unknown index
 // or to the ground/fixed node whose known value folds into the RHS, its
 // value (1/ohms or farads) and a capacitor's state slot (resolved through
-// stateBaseOf). Grounded voltage sources are dropped: they are the fixed
-// nodes and stamp nothing. Every other device keeps a virtual stamp() call
-// at its place. assemble() walks the plan for both targets (dense and
-// sparse), at DC and in transient. The plan is bitwise the device stamps:
-// each entry gives every J and rhs slot the same `+=` sequence as the
-// Stamper::dependence calls (a,a), (a,b), (b,b), (b,a) and Stamper::current
-// — the same order, the same zero skips (J entries skip a zero
+// stateBaseOf). Every TableVccs becomes one entry holding its resolved
+// output and input terminals; its stamp reads the table through the device.
+// Grounded voltage sources are dropped: they are the fixed nodes and stamp
+// nothing. Every other device keeps a virtual stamp() call at its place.
+// assemble() walks the plan for both targets (dense and sparse), at DC and
+// in transient. The plan is bitwise the device stamps: each entry gives
+// every J and rhs slot the same `+=` sequence as the Stamper calls it
+// replaces — for R and C, Stamper::dependence (a,a), (a,b), (b,b), (b,a)
+// and Stamper::current; for a TableVccs, the Stamper::norton of its patch
+// (dependence (out,in), (out,out), then current(out, -(z - linearized))
+// with linearized = 0.0 + dz/dvin*vin + dz/dvout*vout, in that order) —
+// the same order, the same zero skips (J entries skip a zero
 // contribution, the RHS folds do not), the same expressions
-// (`rhs[row] -= (-g) * v_fixed`) — and gmin is added last. Resistor and
-// Capacitor::stamp reach the same helpers through Stamper::conductance and
-// Stamper::companion.
+// (`rhs[row] -= (-g) * v_fixed`) — and gmin is added last. Resistor,
+// Capacitor and TableVccs::stamp reach the same helpers through
+// Stamper::conductance, Stamper::companion and Stamper::tableVccs.
 //
 // Capacitor companions. A capacitor's (geq, ieq) depends only on dt, the
 // integration method, the previous point and the previous state, which are
@@ -35,10 +40,28 @@
 //
 // solveNewton runs on a caller-owned NewtonWorkspace. On the dense path
 // (every macromodel and cell circuit) the plan stamps straight into its
-// Jacobian, which is then re-factored into its DenseLu and solved into its
-// step vector: a Newton iteration allocates nothing. An update that is not
-// finite (a NaN or infinite stamp, a singular or NaN pivot) is a
+// Jacobian, which is factored into its DenseLu (see below) and solved into
+// its step vector: a Newton iteration allocates nothing. An update that is
+// not finite (a NaN or infinite stamp, a singular or NaN pivot) is a
 // ConvergenceError, never a converged point.
+//
+// Factorization reuse. The workspace keeps the Jacobian its LU was last
+// factored from. An iteration whose assembled Jacobian is bitwise equal to
+// it (std::memcmp over every entry) solves with that LU instead of
+// factoring again; any other Jacobian is factored and becomes the kept one
+// (the two buffers swap, nothing is copied). This is exact, not an
+// approximation: the LU is a deterministic function of the Jacobian's bits,
+// so an equal Jacobian has that very LU, and the step solved from it is
+// bitwise the step a fresh factorization would give. A factorization that
+// threw is never reused. Hits are common in the macromodel: within one
+// solveNewton call the time, dt, fixed-node values and companions are
+// constant, every linear stamp is too, and the table VCCS's partials are
+// constant on a bilinear patch, so the Jacobian repeats whenever the
+// victim output stays in one patch between iterations (or between steps of
+// equal dt). A MOSFET's partials move with the iterate, so a cell circuit
+// reuses only where its Jacobian entries happen not to (a source-driven
+// gate in saturation or cutoff, a settled iterate). NewtonStats and
+// TranStats::factorizations count the factorizations actually run.
 #pragma once
 
 #include <limits>
@@ -133,10 +156,15 @@ private:
 
     /// One plan entry, in device order.
     struct Entry {
-        enum class Kind : unsigned char { Resistor, Capacitor, Device };
+        enum class Kind : unsigned char {
+            Resistor,
+            Capacitor,
+            TableVccs,
+            Device
+        };
         Kind kind;
-        Terminal a;
-        Terminal b;
+        Terminal a;            ///< TableVccs: the output
+        Terminal b;            ///< TableVccs: the input
         double value;          ///< 1/ohms, or farads
         std::size_t slot;      ///< state slot (capacitor/device) or kNone
         const Device* device;  ///< the device (Kind::Device: its stamp())
@@ -169,6 +197,10 @@ private:
     template <class Jacobian>
     void stampCompanion(Jacobian& j, la::Vector& rhs, Terminal a, Terminal b,
                         const Companion& c) const;
+    /// The one table VCCS stamp: Stamper::norton of its patch at ctx.
+    template <class Jacobian>
+    void stampTable(Jacobian& j, la::Vector& rhs, Terminal out, Terminal in,
+                    const la::Grid2d& table, const EvalContext& ctx) const;
     template <class Jacobian>
     void stampPlan(Jacobian& j, la::Vector& rhs, const EvalContext& ctx,
                    const std::vector<Companion>& comp) const;
@@ -199,6 +231,7 @@ struct NewtonOptions {
 struct NewtonStats {
     bool converged = false;
     int iterations = 0;
+    int factorizations = 0;  ///< LU factorizations run (<= iterations)
 };
 
 /// Storage reused by every solveNewton call on one map: the Jacobian (dense
@@ -210,7 +243,9 @@ struct NewtonWorkspace {
     /// Dense when there are branch rows (zero diagonals need pivoting) or
     /// fewer than 280 unknowns (dense LU beats the list-based sparse one).
     bool dense;
-    la::DenseMatrix jacobian;  ///< dense path
+    la::DenseMatrix jacobian;  ///< dense path: this iteration's Jacobian
+    la::DenseMatrix factored;  ///< dense path: the Jacobian `lu` factors
+    bool luValid = false;      ///< `lu` holds the factorization of `factored`
     la::SparseMatrix sparse;   ///< sparse path
     la::DenseLu lu;
     la::Vector rhs;
@@ -343,6 +378,41 @@ inline void MnaMap::stampCompanion(Jacobian& j, la::Vector& rhs, Terminal a,
     stampConductance(j, rhs, a, b, c.geq);
     if (a.index >= 0) rhs[static_cast<std::size_t>(a.index)] += c.ieq;
     if (b.index >= 0) rhs[static_cast<std::size_t>(b.index)] += -c.ieq;
+}
+
+template <class Jacobian>
+inline void MnaMap::stampTable(Jacobian& j, la::Vector& rhs, Terminal out,
+                               Terminal in, const la::Grid2d& table,
+                               const EvalContext& ctx) const {
+    // norton(out, ground, z, {{in, dz/dvin}, {out, dz/dvout}}): every stamp
+    // lands in out's row, so a fixed output stamps nothing.
+    if (out.index < 0) return;
+    const double vin = voltageAt(in, ctx.x_, fixedValue_);
+    const double vout = voltageAt(out, ctx.x_, fixedValue_);
+    const la::Grid2d::Value v = table.eval(vin, vout);
+    const std::size_t row = static_cast<std::size_t>(out.index);
+    if (in.index >= 0) {
+        detail::addEntry(j, out.index, in.index, v.dzdx);
+    } else {
+        rhs[row] -= v.dzdx * fixedValue_[static_cast<std::size_t>(in.node)];
+    }
+    detail::addEntry(j, out.index, out.index, v.dzdy);
+    double linearizedAtPoint = 0.0;
+    linearizedAtPoint += v.dzdx * vin;
+    linearizedAtPoint += v.dzdy * vout;
+    const double constPart = v.z - linearizedAtPoint;
+    rhs[row] += -constPart;
+}
+
+inline void Stamper::tableVccs(NodeId out, NodeId in, const la::Grid2d& table,
+                               const EvalContext& ctx) {
+    if (dense_ != nullptr) {
+        map_.stampTable(*dense_, rhs_, map_.terminal(out), map_.terminal(in),
+                        table, ctx);
+    } else {
+        map_.stampTable(*sparse_, rhs_, map_.terminal(out), map_.terminal(in),
+                        table, ctx);
+    }
 }
 
 inline void Stamper::conductance(NodeId a, NodeId b, double g) {

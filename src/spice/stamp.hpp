@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "la/dense.hpp"
+#include "la/interp.hpp"
 #include "la/sparse.hpp"
 
 namespace sna::spice {
@@ -136,6 +137,11 @@ public:
     void norton(NodeId from, NodeId to, double i0,
                 std::initializer_list<std::pair<NodeId, double>> partials,
                 const EvalContext& ctx);
+
+    /// Table VCCS sinking table(v(in), v(out)) from `out` to ground: the
+    /// Norton stamp of its bilinear patch at ctx's point.
+    void tableVccs(NodeId out, NodeId in, const la::Grid2d& table,
+                   const EvalContext& ctx);
 
     /// Branch-equation access for floating voltage sources / VCVS.
     void branchVoltage(int branch, NodeId pos, NodeId neg, double value);

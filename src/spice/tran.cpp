@@ -160,6 +160,7 @@ TranResult simulateTransient(const Circuit& circuit,
                             /*transient=*/true, 1.0, &x, &statePrev,
                             options.newton);
             stats.newtonIterations += ns.iterations;
+            stats.factorizations += ns.factorizations;
             converged = ns.converged;
         } catch (const ConvergenceError&) {
             converged = false;
@@ -235,7 +236,8 @@ TranResult simulateTransient(const Circuit& circuit,
     }
     log::debug() << "transient: " << stats.accepted << " steps, "
                  << stats.rejected << " rejected, " << stats.newtonIterations
-                 << " newton iterations";
+                 << " newton iterations, " << stats.factorizations
+                 << " factorizations";
     return result;
 }
 

@@ -55,6 +55,10 @@ struct TranStats {
     std::size_t accepted = 0;
     std::size_t rejected = 0;
     long newtonIterations = 0;
+    /// Jacobian factorizations of those iterations; fewer than
+    /// newtonIterations when the Newton loop reused a factorization (see
+    /// spice/mna.hpp).
+    long factorizations = 0;
 };
 
 /// Every node voltage at every accepted time point. The time points are

@@ -54,18 +54,6 @@ Waveform Waveform::shifted(double dt) const {
     return Waveform(std::move(out));
 }
 
-Waveform Waveform::scaled(double k) const {
-    std::vector<Sample> out = samples_;
-    for (auto& s : out) s.v *= k;
-    return Waveform(std::move(out));
-}
-
-Waveform Waveform::offset(double dv) const {
-    std::vector<Sample> out = samples_;
-    for (auto& s : out) s.v += dv;
-    return Waveform(std::move(out));
-}
-
 namespace {
 Waveform combine(const Waveform& a, const Waveform& b, double sign) {
     SNA_REQUIRE(!a.empty() && !b.empty(), "combining empty waveforms");
@@ -88,17 +76,6 @@ Waveform Waveform::plus(const Waveform& other) const {
 
 Waveform Waveform::minus(const Waveform& other) const {
     return combine(*this, other, -1.0);
-}
-
-Waveform Waveform::window(double t0, double t1) const {
-    SNA_REQUIRE(t1 > t0, "window needs a positive span");
-    std::vector<Sample> out;
-    out.push_back({t0, value(t0)});
-    for (const auto& s : samples_) {
-        if (s.t > t0 && s.t < t1) out.push_back(s);
-    }
-    out.push_back({t1, value(t1)});
-    return Waveform(std::move(out));
 }
 
 }  // namespace sna::wave

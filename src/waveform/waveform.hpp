@@ -45,20 +45,11 @@ public:
     /// Time shift by dt (positive = later).
     Waveform shifted(double dt) const;
 
-    /// Value scale by k.
-    Waveform scaled(double k) const;
-
-    /// Value offset by dv.
-    Waveform offset(double dv) const;
-
     /// Pointwise sum on the union of breakpoints, clamped extension.
     Waveform plus(const Waveform& other) const;
 
     /// Pointwise difference (this - other).
     Waveform minus(const Waveform& other) const;
-
-    /// Restriction to [t0, t1] with interpolated end samples.
-    Waveform window(double t0, double t1) const;
 
 private:
     std::vector<Sample> samples_;

@@ -308,25 +308,71 @@ TEST(NrcPointRecords, LegacyWholeCurveRecordIsSkipped) {
     std::remove((path + ".lock").c_str());
 }
 
-TEST(ForeignRecords, SaveWritesBackKindsThisReaderDoesNotKnow) {
-    // A binary sharing a cache file with a newer one must not delete the
-    // newer one's records: unknown kinds survive load -> save verbatim.
-    const auto record = [](const std::string& kind, const std::string& key,
-                           const std::string& payload) {
-        char crcHex[9];
-        std::snprintf(crcHex, sizeof(crcHex), "%08x",
-                      util::crc32(key + payload));
-        return "entry " + kind + ' ' + std::to_string(payload.size()) + ' ' +
-               crcHex + ' ' + key + '\n' + payload + '\n';
-    };
-    const std::string future =
-        record("futuretable", "future-key", "opaque\npayload 0x1p-3\n");
-    const std::string legacy = record(
+// One CRC'd "snacache v2" record line plus its payload.
+std::string cacheRecord(const std::string& kind, const std::string& key,
+                        const std::string& payload) {
+    char crcHex[9];
+    std::snprintf(crcHex, sizeof(crcHex), "%08x", util::crc32(key + payload));
+    return "entry " + kind + ' ' + std::to_string(payload.size()) + ' ' +
+           crcHex + ' ' + key + '\n' + payload + '\n';
+}
+
+TEST(NrcPointRecords, LegacyWholeCurveRecordIsDroppedOnSave) {
+    // The whole-curve "nrc" kind is retired: load -> save -> load leaves no
+    // "nrc" record behind, while the file stays a valid, complete cache.
+    const std::string legacy = cacheRecord(
         "nrc", "legacy-curve-key",
         "snamodel v1 nrc\nwidths 0x1.b7cdfd9d7bdbbp-34 0x1.b7cdfd9d7bdbbp-33\n"
         "heights 0x1.ccccccccccccdp-1 0x1.6666666666666p-1\n");
     const std::string real =
-        record("nrcpoint", "real-key", charlib::saveNrcPoint(0.5));
+        cacheRecord("nrcpoint", "real-key", charlib::saveNrcPoint(0.5));
+    const std::string in = tmpPath("sna_retired_nrc_in.snacache");
+    const std::string out = tmpPath("sna_retired_nrc_out.snacache");
+    {
+        std::ofstream os(in, std::ios::binary);
+        os << "snacache v2\n" << legacy << real << "end 2\n";
+    }
+    charlib::CharCache cache;
+    const auto loaded = cache.load(in);
+    EXPECT_TRUE(loaded.ok) << loaded.error;
+    EXPECT_EQ(loaded.entries, 1u);
+    EXPECT_EQ(loaded.skipped, 1u);
+
+    const auto saved = cache.save(out);
+    ASSERT_TRUE(saved.ok) << saved.error;
+    EXPECT_EQ(saved.entries, 1u);
+    std::string text;
+    {
+        std::ifstream is(out, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    EXPECT_EQ(text.find("entry nrc "), std::string::npos) << text;
+    EXPECT_NE(text.find(real), std::string::npos) << text;
+
+    charlib::CharCache reloaded;
+    const auto again = reloaded.load(out);
+    EXPECT_TRUE(again.ok) << again.error;
+    EXPECT_EQ(again.entries, 1u);
+    EXPECT_EQ(again.skipped, 0u);
+    for (const std::string& p : {in, out}) {
+        std::remove(p.c_str());
+        std::remove((p + ".lock").c_str());
+    }
+}
+
+TEST(ForeignRecords, SaveWritesBackKindsThisReaderDoesNotKnow) {
+    // A binary sharing a cache file with a newer one must not delete the
+    // newer one's records: unknown kinds survive load -> save verbatim.
+    // The retired whole-curve "nrc" kind is the exception: it is dropped.
+    const std::string future =
+        cacheRecord("futuretable", "future-key", "opaque\npayload 0x1p-3\n");
+    const std::string legacy = cacheRecord(
+        "nrc", "legacy-curve-key",
+        "snamodel v1 nrc\nwidths 0x1.b7cdfd9d7bdbbp-34 0x1.b7cdfd9d7bdbbp-33\n"
+        "heights 0x1.ccccccccccccdp-1 0x1.6666666666666p-1\n");
+    const std::string real =
+        cacheRecord("nrcpoint", "real-key", charlib::saveNrcPoint(0.5));
     const std::string in = tmpPath("sna_foreign_in.snacache");
     const std::string out = tmpPath("sna_foreign_out.snacache");
     {
@@ -341,7 +387,7 @@ TEST(ForeignRecords, SaveWritesBackKindsThisReaderDoesNotKnow) {
 
     const auto saved = cache.save(out);
     ASSERT_TRUE(saved.ok) << saved.error;
-    EXPECT_EQ(saved.entries, 3u);
+    EXPECT_EQ(saved.entries, 2u);
     std::string text;
     {
         std::ifstream is(out, std::ios::binary);
@@ -349,14 +395,14 @@ TEST(ForeignRecords, SaveWritesBackKindsThisReaderDoesNotKnow) {
                     std::istreambuf_iterator<char>());
     }
     EXPECT_NE(text.find(future), std::string::npos) << text;
-    EXPECT_NE(text.find(legacy), std::string::npos) << text;
-    EXPECT_EQ(text.substr(text.size() - 6), "end 3\n");
+    EXPECT_EQ(text.find(legacy), std::string::npos) << text;
+    EXPECT_EQ(text.substr(text.size() - 6), "end 2\n");
 
     charlib::CharCache reloaded;
     const auto again = reloaded.load(out);
     EXPECT_TRUE(again.ok) << again.error;
     EXPECT_EQ(again.entries, 1u);
-    EXPECT_EQ(again.skipped, 2u);
+    EXPECT_EQ(again.skipped, 1u);
 
     // clear() forgets them with the rest of the cache.
     cache.clear();

@@ -70,8 +70,11 @@ TEST(Macromodel, QuietClusterStaysQuiet) {
     ClusterSpec spec = paperCluster(0.0);
     const ClusterMacromodel model(spec);
     const auto r = model.analyzeAt({2.4e-9}, 0.0);
-    const auto quietPart = r.waveform.window(0.0, 2.3e-9);
-    EXPECT_LT(std::abs(wave::measureGlitch(quietPart, 0.0).peak), 0.01);
+    double quietPeak = 0.0;
+    for (const wave::Sample& s : r.waveform.samples()) {
+        if (s.t <= 2.3e-9) quietPeak = std::max(quietPeak, std::abs(s.v));
+    }
+    EXPECT_LT(quietPeak, 0.01);
     // ... and the late aggressor still injects once it fires.
     EXPECT_GT(std::abs(r.metrics.peak), 0.1);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "celllib/library.hpp"
 #include "charlib/characterize.hpp"
@@ -58,7 +59,8 @@ TEST_P(TableVsTransistors, OutputGlitchMatches) {
     lc.cell = &nand2;
     lc.input = "a";
     lc.outputLevel = false;
-    const auto table = charlib::characterizeLoadCurve(lc);
+    const auto table = std::make_shared<const la::Grid2d>(
+        charlib::characterizeLoadCurve(lc));
     spice::Circuit model;
     {
         const auto a = model.node("a");

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "la/dense.hpp"
 #include "la/interp.hpp"
@@ -112,6 +116,136 @@ TEST(Dense, RefactorMatchesFreshFactorizationBitwise) {
     expectSame(lu, regular);
     lu.refactor(swap);
     expectSame(lu, swap);
+}
+
+// The fixed-size kernel for n (2..8), or the generic one: what DenseLu
+// dispatches to.
+struct LuKernels {
+    void (*decompose)(double*, std::size_t, std::size_t*, int&, double);
+    void (*solve)(const double*, const std::size_t*, std::size_t,
+                  const double*, double*);
+};
+
+template <std::size_t N>
+LuKernels kernelsOf() {
+    return {la::detail::LuKernel<N>::decompose, la::detail::LuKernel<N>::solve};
+}
+
+LuKernels fixedKernels(std::size_t n) {
+    switch (n) {
+        case 2: return kernelsOf<2>();
+        case 3: return kernelsOf<3>();
+        case 4: return kernelsOf<4>();
+        case 5: return kernelsOf<5>();
+        case 6: return kernelsOf<6>();
+        case 7: return kernelsOf<7>();
+        case 8: return kernelsOf<8>();
+        default: return kernelsOf<0>();
+    }
+}
+
+// One factorization's outputs: factors, permutation, sign, solution and
+// determinant, or the exception text.
+struct LuOutcome {
+    std::vector<double> lu;
+    std::vector<std::size_t> perm;
+    int sign = 0;
+    Vector x;
+    double det = 0.0;
+    std::string error;
+};
+
+LuOutcome runKernels(const LuKernels& k, const DenseMatrix& a,
+                     const Vector& b) {
+    const std::size_t n = a.rows();
+    LuOutcome out;
+    out.lu = a.data();
+    out.perm.assign(n, 99);
+    try {
+        k.decompose(out.lu.data(), n, out.perm.data(), out.sign, 1e-14);
+    } catch (const ConvergenceError& e) {
+        out.error = e.what();
+        return out;
+    }
+    out.x.assign(n, 0.0);
+    k.solve(out.lu.data(), out.perm.data(), n, b.data(), out.x.data());
+    out.det = out.sign;  // DenseLu::determinant's product order
+    for (std::size_t i = 0; i < n; ++i) out.det *= out.lu[i * n + i];
+    return out;
+}
+
+bool sameBits(const void* a, const void* b, std::size_t bytes) {
+    return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
+
+TEST(Dense, FixedSizeKernelsMatchGenericBitwise) {
+    // Seeded random systems of every size 1..12 in four shapes: dense
+    // (row swaps), a column that is already zero below its diagonal (the
+    // factor == 0 skip), a rank-deficient matrix (the singular-pivot
+    // error), and a NaN entry. The fixed-size kernel DenseLu dispatches to
+    // must reproduce the generic loop bit for bit, and so must DenseLu.
+    util::Rng rng(20260);
+    for (std::size_t n = 1; n <= 12; ++n) {
+        for (int shape = 0; shape < 4; ++shape) {
+            for (int trial = 0; trial < 6; ++trial) {
+                DenseMatrix a(n, n);
+                for (std::size_t r = 0; r < n; ++r) {
+                    for (std::size_t c = 0; c < n; ++c) {
+                        a(r, c) = rng.uniform(-1.0, 1.0);
+                    }
+                }
+                const std::size_t col = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<int>(n) - 1));
+                if (shape == 1) {
+                    for (std::size_t r = col + 1; r < n; ++r) a(r, col) = 0.0;
+                } else if (shape == 2) {
+                    // Row n-1 repeats row `col` (or the lone entry is 0).
+                    for (std::size_t c = 0; c < n; ++c) {
+                        a(n - 1, c) =
+                            n == 1 ? 0.0 : a(col == n - 1 ? 0 : col, c);
+                    }
+                } else if (shape == 3) {
+                    a(col, n - 1 - col) =
+                        std::numeric_limits<double>::quiet_NaN();
+                }
+                Vector b(n);
+                for (double& v : b) v = rng.uniform(-2.0, 2.0);
+
+                const LuOutcome generic = runKernels(kernelsOf<0>(), a, b);
+                const LuOutcome fixed = runKernels(fixedKernels(n), a, b);
+                SCOPED_TRACE("n=" + std::to_string(n) + " shape=" +
+                             std::to_string(shape));
+                EXPECT_EQ(fixed.error, generic.error);
+                if (shape == 2) {
+                    EXPECT_NE(generic.error, "");
+                }
+                if (!generic.error.empty()) {
+                    try {
+                        la::DenseLu dispatched(a);
+                        ADD_FAILURE() << "DenseLu accepted a matrix the "
+                                         "generic kernel rejects";
+                    } catch (const ConvergenceError& e) {
+                        EXPECT_EQ(std::string(e.what()), generic.error);
+                    }
+                    continue;
+                }
+                EXPECT_TRUE(sameBits(fixed.lu.data(), generic.lu.data(),
+                                     n * n * sizeof(double)));
+                EXPECT_EQ(fixed.perm, generic.perm);
+                EXPECT_EQ(fixed.sign, generic.sign);
+                EXPECT_TRUE(sameBits(fixed.x.data(), generic.x.data(),
+                                     n * sizeof(double)));
+                EXPECT_TRUE(sameBits(&fixed.det, &generic.det, sizeof(double)));
+
+                const la::DenseLu dispatched(a);
+                const double det = dispatched.determinant();
+                const Vector x = dispatched.solve(b);
+                EXPECT_TRUE(sameBits(&det, &generic.det, sizeof(double)));
+                EXPECT_TRUE(
+                    sameBits(x.data(), generic.x.data(), n * sizeof(double)));
+            }
+        }
+    }
 }
 
 TEST(Dense, SolveIntoRejectsAliasedOutput) {

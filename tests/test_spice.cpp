@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "spice/circuit.hpp"
@@ -141,7 +142,8 @@ TEST(Dc, TableVccsPullsNodeToTableRoot) {
     const auto out = c.node("out");
     const auto in = c.node("in");
     c.addVSource("vin", in, spice::kGround, SourceSpec::dc(0.3));
-    c.addTableVccs("t1", out, in, la::Grid2d(vin, vout, z));
+    c.addTableVccs("t1", out, in,
+                   std::make_shared<const la::Grid2d>(vin, vout, z));
     const auto dc = spice::solveDc(c);
     EXPECT_NEAR(dc.voltage("out"), 0.5, 1e-6);
 }
@@ -372,6 +374,14 @@ std::uint64_t systemHash(const la::DenseMatrix& j, const la::Vector& rhs) {
     return h;
 }
 
+// A 3x3 load-curve table over 0..1.2 V on both axes.
+std::shared_ptr<const la::Grid2d> smallLoadCurve() {
+    return std::make_shared<const la::Grid2d>(
+        std::vector<double>{0.0, 0.6, 1.2}, std::vector<double>{0.0, 0.6, 1.2},
+        std::vector<double>{-2e-4, 1e-4, 3e-4, -1e-4, 2e-4, 4e-4, 0.0, 3e-4,
+                            6e-4});
+}
+
 // Every device kind and every terminal case (unknown, source-fixed of
 // either polarity, ground, two fixed ends) on top of the inverter.
 void addEveryDeviceKind(InverterFixture& f) {
@@ -396,10 +406,7 @@ void addEveryDeviceKind(InverterFixture& f) {
     c.addResistor("r4", d, f.out, 1e3);
     c.addVSource("vfloat", mid, f.out, SourceSpec::dc(0.1));
     c.addResistor("r5", mid, spice::kGround, 5e3);
-    c.addTableVccs("t1", f.out, f.in,
-                   la::Grid2d({0.0, 0.6, 1.2}, {0.0, 0.6, 1.2},
-                              {-2e-4, 1e-4, 3e-4, -1e-4, 2e-4, 4e-4, 0.0,
-                               3e-4, 6e-4}));
+    c.addTableVccs("t1", f.out, f.in, smallLoadCurve());
     c.addCapacitor("c2", f.vdd, b, 3e-15);
     c.addVSource("vneg", spice::kGround, nin, SourceSpec::dc(0.2));
     c.addCapacitor("c3", nin, g, 1e-15);
@@ -849,7 +856,9 @@ Circuit nanTableCircuit() {
                  SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 1e-10, 5e-11,
                                                      1e-9)));
     c.addTableVccs("t1", out, in,
-                   la::Grid2d({0.0, 0.6, 1.2}, {0.0, 0.6, 1.2}, std::move(z)));
+                   std::make_shared<const la::Grid2d>(
+                       std::vector<double>{0.0, 0.6, 1.2},
+                       std::vector<double>{0.0, 0.6, 1.2}, std::move(z)));
     c.addResistor("rl", out, load, 1e3);
     c.addCapacitor("cl", load, spice::kGround, 10e-15);
     return c;
@@ -861,6 +870,44 @@ TEST(Newton, NanStampIsAConvergenceError) {
     spice::TranOptions opt;
     opt.tstop = 1e-9;
     EXPECT_THROW(spice::simulateTransient(c, opt), ConvergenceError);
+}
+
+TEST(Newton, ReusesFactorizationOnlyOnBitwiseEqualJacobian) {
+    // A table VCCS is linear on each bilinear patch and the RC around it is
+    // linear, so while the output stays in one patch the Jacobian repeats
+    // bit for bit and its LU is reused.
+    Circuit table;
+    {
+        const auto in = table.node("in");
+        const auto out = table.node("out");
+        const auto load = table.node("load");
+        table.addVSource("vin", in, spice::kGround,
+                         SourceSpec::pwl(wave::saturatedRamp(
+                             0, 1.2, 1e-10, 5e-11, 1e-9)));
+        table.addTableVccs("t1", out, in, smallLoadCurve());
+        table.addCapacitor("cout", out, spice::kGround, 2e-15);
+        table.addResistor("rl", out, load, 1e3);
+        table.addCapacitor("cl", load, spice::kGround, 10e-15);
+    }
+    spice::TranOptions opt;
+    opt.tstop = 1e-9;
+    const spice::TranStats reused = spice::simulateTransient(table, opt).stats();
+    EXPECT_GT(reused.factorizations, 0);
+    EXPECT_LT(reused.factorizations, reused.newtonIterations);
+
+    // A MOSFET's partials move with every iterate once its gate is an
+    // unknown (driven through a resistor), and an input ramping for the
+    // whole run never lets the iterate settle: every iteration factors.
+    InverterFixture f;
+    const auto src = f.c.node("src");
+    f.c.addVSource("vin", src, spice::kGround,
+                   SourceSpec::pwl(wave::saturatedRamp(0, 1.2, 0.0, 1e-9,
+                                                       2e-9)));
+    f.c.addResistor("rg", src, f.in, 2e3);
+    f.c.addCapacitor("cload", f.out, spice::kGround, 10e-15);
+    const spice::TranStats inverter = spice::simulateTransient(f.c, opt).stats();
+    EXPECT_GT(inverter.newtonIterations, 0);
+    EXPECT_EQ(inverter.factorizations, inverter.newtonIterations);
 }
 
 TEST(Tran, RejectsNonPositiveStop) {

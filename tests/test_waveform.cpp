@@ -34,8 +34,6 @@ TEST(Waveform, RejectsNonMonotonicTimes) {
 TEST(Waveform, ShiftScaleOffset) {
     const Waveform w({{0, 1}, {1, 3}});
     EXPECT_DOUBLE_EQ(w.shifted(2.0).value(2.5), 2.0);
-    EXPECT_DOUBLE_EQ(w.scaled(-2.0).value(1.0), -6.0);
-    EXPECT_DOUBLE_EQ(w.offset(10.0).value(0.0), 11.0);
 }
 
 TEST(Waveform, PlusIsExactOnUnionBreakpoints) {
@@ -46,14 +44,6 @@ TEST(Waveform, PlusIsExactOnUnionBreakpoints) {
     EXPECT_DOUBLE_EQ(s.value(1.0), 11.0);
     EXPECT_DOUBLE_EQ(s.value(2.0), 12.0);
     EXPECT_DOUBLE_EQ(s.value(3.0), 12.0);
-}
-
-TEST(Waveform, WindowRestrictsSpan) {
-    const Waveform w({{0, 0}, {10, 10}});
-    const Waveform win = w.window(2.0, 4.0);
-    EXPECT_DOUBLE_EQ(win.startTime(), 2.0);
-    EXPECT_DOUBLE_EQ(win.endTime(), 4.0);
-    EXPECT_DOUBLE_EQ(win.value(3.0), 3.0);
 }
 
 class WaveformAlgebra : public ::testing::TestWithParam<int> {};
@@ -72,10 +62,9 @@ TEST_P(WaveformAlgebra, PlusMinusRoundTrip) {
     const Waveform a = randomWave();
     const Waveform b = randomWave();
     const Waveform round = a.plus(b).minus(b);
-    // Round-trip must reproduce `a` on the common span (linearity).
-    EXPECT_LE(wave::maxDifference(round.window(a.startTime(), a.endTime()),
-                                  a),
-              1e-12);
+    // Round-trip must reproduce `a` (linearity). Both clamp outside their
+    // spans, so they agree past a's ends too.
+    EXPECT_LE(wave::maxDifference(round, a), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WaveformAlgebra, ::testing::Range(0, 8));
@@ -136,8 +125,14 @@ TEST_P(GlitchScaling, MetricsScaleLinearly) {
     // A trapezoid: 0.2 edges around a 0.3 plateau.
     const Waveform g(
         {{0.0, 0.0}, {0.1, 0.0}, {0.3, 0.3}, {0.6, 0.3}, {0.8, 0.0}, {2.0, 0.0}});
+    const Waveform gk({{0.0, 0.0},
+                       {0.1, 0.0},
+                       {0.3, 0.3 * k},
+                       {0.6, 0.3 * k},
+                       {0.8, 0.0},
+                       {2.0, 0.0}});
     const auto m1 = wave::measureGlitch(g, 0.0);
-    const auto mk = wave::measureGlitch(g.scaled(k), 0.0);
+    const auto mk = wave::measureGlitch(gk, 0.0);
     EXPECT_NEAR(mk.peak, k * m1.peak, 1e-12);
     EXPECT_NEAR(mk.area, k * m1.area, 1e-12);
     EXPECT_NEAR(mk.width, m1.width, 1e-12);  // width is scale-invariant
