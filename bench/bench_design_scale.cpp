@@ -587,6 +587,15 @@ int main(int argc, char** argv) {
         // zero characterization work — disk hits replace every run.
         const std::string cachePath =
             "bench_design_scale_" + std::to_string(n) + ".snacache.tmp";
+        // Removes the cache file and the ".lock" file that save() and
+        // load() create next to it, on every way out of this iteration.
+        struct RemoveCacheFiles {
+            const std::string& path;
+            ~RemoveCacheFiles() {
+                std::remove(path.c_str());
+                std::remove((path + ".lock").c_str());
+            }
+        } removeCacheFiles{cachePath};
         core::DesignNoiseOptions copt = popt;
         copt.threads = threadsSweep.back();
         std::vector<core::NetNoiseReport> cacheCold;
@@ -628,7 +637,6 @@ int main(int argc, char** argv) {
                 return 1;
             }
         }
-        std::remove(cachePath.c_str());
 
         // ---- incremental ECO re-analysis -----------------------------------
         // Retain a snapshot of the cold full run, resize `eco` drivers near

@@ -76,8 +76,8 @@ public:
 
     /// Analytic output pin capacitance (junction + gate-overlap caps of
     /// every transistor terminal on the pin); the driver's own loading of
-    /// its net, needed by the macromodel because the table-VCCS itself is
-    /// purely resistive.
+    /// its net, needed by the macromodel because its TableVccs is purely
+    /// resistive.
     double outputCapacitance(const std::string& pin) const;
 
 private:

@@ -59,7 +59,7 @@ la::Grid2d characterizeLoadCurve(const LoadCurveSpec& spec) {
         for (int j = 0; j < spec.nVout; ++j) {
             vout->setSpec(spice::SourceSpec::dc(voutAxis[j]));
             const auto dc =
-                spice::solveDc(ckt, {}, warm.empty() ? nullptr : &warm);
+                spice::solveDc(ckt, warm.empty() ? nullptr : &warm);
             warm = dc.raw();
             // Current the clamp must deliver INTO the output = current the
             // cell sinks there; this is the table entry I_DC(vin, vout).

@@ -2,8 +2,8 @@
 // macromodel (Figure 1) and its dedicated analysis engine.
 //
 // Construction runs the pre-characterization step once per cluster:
-//  * the victim driver becomes a table-driven VCCS I_DC = f(V_in, V_out)
-//    (Eq. (1)), characterized by DC sweeps;
+//  * the victim driver becomes a TableVccs, the load curve
+//    I_DC = f(V_in, V_out) of Eq. (1), characterized by DC sweeps;
 //  * each aggressor driver becomes a Thevenin equivalent (saturated ramp
 //    V_TH behind R_TH, Dartu-Pileggi style);
 //  * the coupled interconnect is reduced at the driving points by moment
@@ -76,7 +76,7 @@ public:
     const mor::CoupledPiModel& reducedPi() const;
     /// Receiver input caps per wire (victim first).
     const std::vector<double>& receiverCaps() const { return rxCaps_; }
-    /// Driver output caps per wire (victim first); the table-VCCS and the
+    /// Driver output caps per wire (victim first); the TableVccs and the
     /// Thevenin sources are resistive, so these load the driving points.
     const std::vector<double>& driverCaps() const { return drvCaps_; }
 

@@ -64,21 +64,6 @@ VSource& Circuit::addVSource(const std::string& name, NodeId pos, NodeId neg,
     return emplaceDevice<VSource>(name, pos, neg, std::move(spec));
 }
 
-ISource& Circuit::addISource(const std::string& name, NodeId pos, NodeId neg,
-                             SourceSpec spec) {
-    return emplaceDevice<ISource>(name, pos, neg, std::move(spec));
-}
-
-Vccs& Circuit::addVccs(const std::string& name, NodeId pos, NodeId neg,
-                       NodeId cpos, NodeId cneg, double gm) {
-    return emplaceDevice<Vccs>(name, pos, neg, cpos, cneg, gm);
-}
-
-Vcvs& Circuit::addVcvs(const std::string& name, NodeId pos, NodeId neg,
-                       NodeId cpos, NodeId cneg, double gain) {
-    return emplaceDevice<Vcvs>(name, pos, neg, cpos, cneg, gain);
-}
-
 TableVccs& Circuit::addTableVccs(const std::string& name, NodeId out,
                                  NodeId in,
                                  std::shared_ptr<const la::Grid2d> table) {

@@ -34,12 +34,6 @@ public:
                             double farads);
     VSource& addVSource(const std::string& name, NodeId pos, NodeId neg,
                         SourceSpec spec);
-    ISource& addISource(const std::string& name, NodeId pos, NodeId neg,
-                        SourceSpec spec);
-    Vccs& addVccs(const std::string& name, NodeId pos, NodeId neg, NodeId cpos,
-                  NodeId cneg, double gm);
-    Vcvs& addVcvs(const std::string& name, NodeId pos, NodeId neg, NodeId cpos,
-                  NodeId cneg, double gain);
     TableVccs& addTableVccs(const std::string& name, NodeId out, NodeId in,
                             std::shared_ptr<const la::Grid2d> table);
 

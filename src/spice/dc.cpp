@@ -45,51 +45,44 @@ double DcSolution::sourceCurrent(const std::string& vsourceName) const {
     return delivered;
 }
 
-void robustDcSolve(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
-                   const DcOptions& options) {
+void robustDcSolve(MnaMap& map, NewtonWorkspace& ws, la::Vector& x) {
     auto tryNewton = [&](double gmin, double srcScale) {
         map.setGmin(gmin);
         return solveNewton(map, ws, x, /*time=*/0.0, /*dt=*/0.0,
                            Integration::BackwardEuler, /*transient=*/false,
-                           srcScale, nullptr, nullptr, options.newton)
+                           srcScale, nullptr, nullptr)
             .converged;
     };
 
     const double gminFinal = 1e-12;
     if (tryNewton(gminFinal, 1.0)) return;
 
-    if (options.gminStepping) {
-        log::debug() << "DC: plain Newton failed, trying gmin stepping";
-        std::fill(x.begin(), x.end(), 0.0);
-        bool ok = true;
+    log::debug() << "DC: plain Newton failed, trying gmin stepping";
+    std::fill(x.begin(), x.end(), 0.0);
+    auto gminStepping = [&] {
         for (double gmin = 1e-3; gmin >= gminFinal / 2; gmin *= 0.1) {
-            if (!tryNewton(std::max(gmin, gminFinal), 1.0)) {
-                ok = false;
-                break;
-            }
+            if (!tryNewton(std::max(gmin, gminFinal), 1.0)) return false;
         }
-        if (ok) return;
-    }
+        return true;
+    };
+    if (gminStepping()) return;
 
-    if (options.sourceStepping) {
-        log::debug() << "DC: gmin stepping failed, trying source stepping";
-        std::fill(x.begin(), x.end(), 0.0);
-        bool ok = true;
+    log::debug() << "DC: gmin stepping failed, trying source stepping";
+    std::fill(x.begin(), x.end(), 0.0);
+    auto sourceStepping = [&] {
         for (int step = 1; step <= 20; ++step) {
-            const double scale = static_cast<double>(step) / 20.0;
-            if (!tryNewton(gminFinal, scale)) {
-                ok = false;
-                break;
+            if (!tryNewton(gminFinal, static_cast<double>(step) / 20.0)) {
+                return false;
             }
         }
-        if (ok) return;
-    }
+        return true;
+    };
+    if (sourceStepping()) return;
 
     throw ConvergenceError("DC operating point did not converge");
 }
 
-DcSolution solveDc(const Circuit& circuit, const DcOptions& options,
-                   const la::Vector* warmStart) {
+DcSolution solveDc(const Circuit& circuit, const la::Vector* warmStart) {
     MnaMap map(circuit);
     la::Vector x(map.unknowns(), 0.0);
     if (warmStart != nullptr) {
@@ -98,7 +91,7 @@ DcSolution solveDc(const Circuit& circuit, const DcOptions& options,
         x = *warmStart;
     }
     NewtonWorkspace ws(map);
-    robustDcSolve(map, ws, x, options);
+    robustDcSolve(map, ws, x);
     return DcSolution(circuit, std::move(map), std::move(x));
 }
 

@@ -1,7 +1,9 @@
 // DC operating-point analysis.
 //
 // Robust Newton with the classic fallback ladder: plain Newton from the
-// given (or zero) initial guess, then gmin stepping, then source stepping.
+// given (or zero) initial guess, then gmin stepping (1e-3 S down to the
+// final 1e-12 S by decades), then source stepping (20 equal steps to full
+// scale).
 // The paper's pre-characterization step (load curves I_DC = f(V_in, V_out),
 // Eq. (1)) is a dense sweep of these solves, so warm starting across sweep
 // points is part of the interface.
@@ -12,12 +14,6 @@
 #include "spice/mna.hpp"
 
 namespace sna::spice {
-
-struct DcOptions {
-    NewtonOptions newton;
-    bool gminStepping = true;
-    bool sourceStepping = true;
-};
 
 /// An operating point: node voltages plus KCL-derived source currents.
 class DcSolution {
@@ -42,13 +38,12 @@ private:
 
 /// Solve the operating point; `warmStart` (if given) must have the
 /// dimension of the circuit's MNA unknown vector.
-DcSolution solveDc(const Circuit& circuit, const DcOptions& options = {},
+DcSolution solveDc(const Circuit& circuit,
                    const la::Vector* warmStart = nullptr);
 
 /// The fallback ladder on an existing map/state, solving in `ws` (built for
 /// `map`); used by solveDc and by the transient initial condition. Throws
 /// ConvergenceError if everything fails.
-void robustDcSolve(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
-                   const DcOptions& options);
+void robustDcSolve(MnaMap& map, NewtonWorkspace& ws, la::Vector& x);
 
 }  // namespace sna::spice

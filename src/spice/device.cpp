@@ -101,69 +101,13 @@ double VSource::currentInto(NodeId, const EvalContext&) const {
     return 0.0;  // determined by the surrounding circuit
 }
 
-// ---------------------------------------------------------------- isource
-
-ISource::ISource(std::string name, NodeId pos, NodeId neg, SourceSpec spec)
-    : Device(std::move(name), {pos, neg}), spec_(std::move(spec)) {}
-
-void ISource::stamp(Stamper& s, const EvalContext& ctx) const {
-    const double i = spec_.value(ctx.time()) * ctx.srcScale();
-    s.current(nodes()[0], -i);
-    s.current(nodes()[1], +i);
-}
-
-double ISource::currentInto(NodeId n, const EvalContext& ctx) const {
-    const double i = spec_.value(ctx.time()) * ctx.srcScale();
-    if (n == nodes()[0]) return -i;
-    if (n == nodes()[1]) return +i;
-    return 0.0;
-}
-
-// ------------------------------------------------------------------- vccs
-
-Vccs::Vccs(std::string name, NodeId pos, NodeId neg, NodeId cpos, NodeId cneg,
-           double gm)
-    : Device(std::move(name), {pos, neg, cpos, cneg}), gm_(gm) {}
-
-void Vccs::stamp(Stamper& s, const EvalContext& ctx) const {
-    const NodeId cp = nodes()[2];
-    const NodeId cn = nodes()[3];
-    const double i0 = gm_ * (ctx.v(cp) - ctx.v(cn));
-    s.norton(nodes()[0], nodes()[1], i0, {{cp, gm_}, {cn, -gm_}}, ctx);
-}
-
-double Vccs::currentInto(NodeId n, const EvalContext& ctx) const {
-    const double i = gm_ * (ctx.v(nodes()[2]) - ctx.v(nodes()[3]));
-    if (n == nodes()[0]) return -i;
-    if (n == nodes()[1]) return +i;
-    return 0.0;
-}
-
-// ------------------------------------------------------------------- vcvs
-
-Vcvs::Vcvs(std::string name, NodeId pos, NodeId neg, NodeId cpos, NodeId cneg,
-           double gain)
-    : Device(std::move(name), {pos, neg, cpos, cneg}), gain_(gain) {}
-
-void Vcvs::stamp(Stamper& s, const EvalContext& ctx) const {
-    const int row = ctx.branchRow(*this);
-    s.branchVoltage(row, nodes()[0], nodes()[1], 0.0);
-    s.branchControl(row, nodes()[2], -gain_);
-    s.branchControl(row, nodes()[3], +gain_);
-    s.branchCurrentInto(row, nodes()[0], nodes()[1]);
-}
-
-double Vcvs::currentInto(NodeId, const EvalContext&) const {
-    return 0.0;  // determined by the surrounding circuit
-}
-
 // -------------------------------------------------------------- tablevccs
 
 TableVccs::TableVccs(std::string name, NodeId out, NodeId in,
                      std::shared_ptr<const la::Grid2d> table)
     : Device(std::move(name), {out, in}), table_(std::move(table)) {
     SNA_REQUIRE(table_ != nullptr && !table_->empty(),
-                "table VCCS needs a characterized table: " + this->name());
+                "TableVccs needs a characterized table: " + this->name());
 }
 
 void TableVccs::stamp(Stamper& s, const EvalContext& ctx) const {

@@ -134,46 +134,8 @@ private:
     SourceSpec spec_;
 };
 
-/// Independent current source; positive current flows pos -> neg through
-/// the source (i.e. the source extracts from pos and injects into neg).
-class ISource : public Device {
-public:
-    ISource(std::string name, NodeId pos, NodeId neg, SourceSpec spec);
-    const SourceSpec& spec() const { return spec_; }
-    void setSpec(SourceSpec spec) { spec_ = std::move(spec); }
-    void stamp(Stamper& s, const EvalContext& ctx) const override;
-    double currentInto(NodeId n, const EvalContext& ctx) const override;
-
-private:
-    SourceSpec spec_;
-};
-
-/// Linear VCCS: i(pos->neg) = gm * (v(cpos) - v(cneg)).
-class Vccs : public Device {
-public:
-    Vccs(std::string name, NodeId pos, NodeId neg, NodeId cpos, NodeId cneg,
-         double gm);
-    void stamp(Stamper& s, const EvalContext& ctx) const override;
-    double currentInto(NodeId n, const EvalContext& ctx) const override;
-
-private:
-    double gm_;
-};
-
-/// VCVS: v(pos) - v(neg) = gain * (v(cpos) - v(cneg)); one branch unknown.
-class Vcvs : public Device {
-public:
-    Vcvs(std::string name, NodeId pos, NodeId neg, NodeId cpos, NodeId cneg,
-         double gain);
-    std::size_t branchCount() const override { return 1; }
-    void stamp(Stamper& s, const EvalContext& ctx) const override;
-    double currentInto(NodeId n, const EvalContext& ctx) const override;
-
-private:
-    double gain_;
-};
-
-/// Table-driven VCCS — the paper's victim-driver macromodel element.
+/// Table-driven voltage-controlled current source — the paper's
+/// victim-driver macromodel element.
 ///
 /// Sinks i = table(v(in), v(out)) from `out` to ground, where `table` is the
 /// characterized load-curve I_DC = f(V_in, V_out) of the driver cell (Eq. (1)

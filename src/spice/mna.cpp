@@ -30,10 +30,7 @@ EvalContext::EvalContext(const MnaMap& map, const la::Vector& x,
 // ----------------------------------------------------------------- Stamper
 
 Stamper::Stamper(const MnaMap& map, la::DenseMatrix& j, la::Vector& rhs)
-    : map_(map), dense_(&j), rhs_(rhs) {}
-
-Stamper::Stamper(const MnaMap& map, la::SparseMatrix& j, la::Vector& rhs)
-    : map_(map), sparse_(&j), rhs_(rhs) {}
+    : map_(map), j_(j), rhs_(rhs) {}
 
 void Stamper::norton(NodeId from, NodeId to, double i0,
                      std::initializer_list<std::pair<NodeId, double>> partials,
@@ -214,9 +211,10 @@ void MnaMap::companions(const EvalContext& ctx,
     }
 }
 
-template <class Jacobian>
-void MnaMap::stampPlan(Jacobian& j, la::Vector& rhs, const EvalContext& ctx,
-                       const std::vector<Companion>& comp) const {
+void MnaMap::assemble(la::DenseMatrix& j, la::Vector& rhs,
+                      const EvalContext& ctx,
+                      const std::vector<Companion>& comp) const {
+    j.setZero();
     std::fill(rhs.begin(), rhs.end(), 0.0);
     const bool transient = ctx.transient();
     SNA_REQUIRE(!transient || comp.size() == capacitorCount_,
@@ -248,27 +246,6 @@ void MnaMap::stampPlan(Jacobian& j, la::Vector& rhs, const EvalContext& ctx,
 }
 
 void MnaMap::assemble(la::DenseMatrix& j, la::Vector& rhs,
-                      const EvalContext& ctx,
-                      const std::vector<Companion>& comp) const {
-    j.setZero();
-    stampPlan(j, rhs, ctx, comp);
-}
-
-void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
-                      const EvalContext& ctx,
-                      const std::vector<Companion>& comp) const {
-    j.clear();
-    stampPlan(j, rhs, ctx, comp);
-}
-
-void MnaMap::assemble(la::DenseMatrix& j, la::Vector& rhs,
-                      const EvalContext& ctx) const {
-    std::vector<Companion> comp;
-    if (ctx.transient()) companions(ctx, comp);
-    assemble(j, rhs, ctx, comp);
-}
-
-void MnaMap::assemble(la::SparseMatrix& j, la::Vector& rhs,
                       const EvalContext& ctx) const {
     std::vector<Companion> comp;
     if (ctx.transient()) companions(ctx, comp);
@@ -301,15 +278,18 @@ void MnaMap::updateState(const EvalContext& ctx,
 // ------------------------------------------------------------------ Newton
 
 NewtonWorkspace::NewtonWorkspace(const MnaMap& map)
-    : dense(map.hasBranches() || map.unknowns() < 280),
-      jacobian(dense ? map.unknowns() : 0, dense ? map.unknowns() : 0),
-      factored(jacobian.rows(), jacobian.cols()),
-      sparse(dense ? 0 : map.unknowns()),
+    : jacobian(map.unknowns(), map.unknowns()),
+      factored(map.unknowns(), map.unknowns()),
       rhs(map.unknowns(), 0.0),
       xNew(map.unknowns(), 0.0),
       companions(map.capacitorCount()) {}
 
 namespace {
+
+// Newton controls (see the header).
+constexpr int kMaxIterations = 200;
+constexpr double kVtol = 1e-6;     // convergence: max update component, V
+constexpr double kMaxStep = 0.5;   // damping: max update component per step, V
 
 // Byte equality of two same-shape matrices: -0.0 differs from 0.0, and a
 // NaN equals only its own bits.
@@ -338,8 +318,7 @@ NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
                         double time, double dt, Integration method,
                         bool transient, double srcScale,
                         const la::Vector* xPrev,
-                        const std::vector<double>* statePrev,
-                        const NewtonOptions& opt) {
+                        const std::vector<double>* statePrev) {
     const std::size_t n = map.unknowns();
     SNA_REQUIRE(x.size() == n, "initial guess has wrong dimension");
     SNA_REQUIRE(ws.rhs.size() == n, "Newton workspace built for another map");
@@ -351,17 +330,11 @@ NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
     if (transient) map.companions(ctx, ws.companions);
 
     NewtonStats stats;
-    for (int iter = 0; iter < opt.maxIterations; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
         ++stats.iterations;
-        if (ws.dense) {
-            map.assemble(ws.jacobian, ws.rhs, ctx, ws.companions);
-            if (factorIfChanged(ws)) ++stats.factorizations;
-            ws.lu.solveInto(ws.rhs, ws.xNew);
-        } else {
-            map.assemble(ws.sparse, ws.rhs, ctx, ws.companions);
-            ws.xNew = la::solveSparse(ws.sparse, ws.rhs);
-            ++stats.factorizations;
-        }
+        map.assemble(ws.jacobian, ws.rhs, ctx, ws.companions);
+        if (factorIfChanged(ws)) ++stats.factorizations;
+        ws.lu.solveInto(ws.rhs, ws.xNew);
         const la::Vector& xNew = ws.xNew;
         double worst = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -372,13 +345,13 @@ NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
         if (!std::isfinite(worst)) {
             throw ConvergenceError("Newton produced a non-finite update");
         }
-        if (worst <= opt.vtol) {
+        if (worst <= kVtol) {
             x = xNew;
             stats.converged = true;
             return stats;
         }
         // Damped update: cap the largest component change.
-        const double scale = (worst > opt.maxStep) ? opt.maxStep / worst : 1.0;
+        const double scale = (worst > kMaxStep) ? kMaxStep / worst : 1.0;
         for (std::size_t i = 0; i < n; ++i) {
             x[i] += scale * (xNew[i] - x[i]);
         }

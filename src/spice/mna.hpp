@@ -6,9 +6,9 @@
 // nodes are eliminated from the system: their time-dependent values are
 // refreshed per evaluation and stamps touching them fold into the RHS. The
 // remaining unknowns get a gmin to ground so the Jacobian stays regular in
-// cutoff. Floating voltage sources / VCVS add branch-current unknowns, which
-// forces the dense solver (their rows have zero diagonals). Per-device state
-// and branch offsets are vectors indexed by Device::index().
+// cutoff. Floating voltage sources and the reduced multiport add
+// branch-current unknowns, whose zero diagonals the pivoting LU handles.
+// Per-device state and branch offsets are vectors indexed by Device::index().
 //
 // Stamp plan. The constructor walks circuit.devices() once and lowers them
 // to a flat plan in device order. Every Resistor and Capacitor becomes one
@@ -19,11 +19,11 @@
 // output and input terminals; its stamp reads the table through the device.
 // Grounded voltage sources are dropped: they are the fixed nodes and stamp
 // nothing. Every other device keeps a virtual stamp() call at its place.
-// assemble() walks the plan for both targets (dense and sparse), at DC and
-// in transient. The plan is bitwise the device stamps: each entry gives
-// every J and rhs slot the same `+=` sequence as the Stamper calls it
-// replaces — for R and C, Stamper::dependence (a,a), (a,b), (b,b), (b,a)
-// and Stamper::current; for a TableVccs, the Stamper::norton of its patch
+// assemble() walks the plan, at DC and in transient. The plan is bitwise
+// the device stamps: each entry gives every J and rhs slot the same `+=`
+// sequence as the Stamper calls it replaces — for R and C,
+// Stamper::dependence (a,a), (a,b), (b,b), (b,a) and Stamper::current;
+// for a TableVccs, the Stamper::norton of its patch
 // (dependence (out,in), (out,out), then current(out, -(z - linearized))
 // with linearized = 0.0 + dz/dvin*vin + dz/dvout*vout, in that order) —
 // the same order, the same zero skips (J entries skip a zero
@@ -38,12 +38,15 @@
 // into the caller's NewtonWorkspace, every iteration of the call stamps
 // them, and the accepted step's state update (updateState) reuses them.
 //
-// solveNewton runs on a caller-owned NewtonWorkspace. On the dense path
-// (every macromodel and cell circuit) the plan stamps straight into its
-// Jacobian, which is factored into its DenseLu (see below) and solved into
-// its step vector: a Newton iteration allocates nothing. An update that is
-// not finite (a NaN or infinite stamp, a singular or NaN pivot) is a
-// ConvergenceError, never a converged point.
+// solveNewton runs on a caller-owned NewtonWorkspace: the plan stamps
+// straight into its Jacobian, which is factored into its DenseLu (see
+// below) and solved into its step vector, so a Newton iteration allocates
+// nothing. An iteration moves every unknown by at most 0.5 V (the largest
+// component of the update is scaled down to that), a call converges once
+// the largest component of the full update is at most 1e-6 V, and it gives
+// up after 200 iterations. An update that is not finite (a NaN or infinite
+// stamp, a singular or NaN pivot) is a ConvergenceError, never a converged
+// point.
 //
 // Factorization reuse. The workspace keeps the Jacobian its LU was last
 // factored from. An iteration whose assembled Jacobian is bitwise equal to
@@ -55,7 +58,7 @@
 // bitwise the step a fresh factorization would give. A factorization that
 // threw is never reused. Hits are common in the macromodel: within one
 // solveNewton call the time, dt, fixed-node values and companions are
-// constant, every linear stamp is too, and the table VCCS's partials are
+// constant, every linear stamp is too, and a TableVccs's partials are
 // constant on a bilinear patch, so the Jacobian repeats whenever the
 // victim output stays in one patch between iterations (or between steps of
 // equal dt). A MOSFET's partials move with the iterate, so a cell circuit
@@ -67,7 +70,7 @@
 #include <limits>
 #include <vector>
 
-#include "la/sparse.hpp"
+#include "la/dense.hpp"
 #include "spice/circuit.hpp"
 #include "spice/stamp.hpp"
 #include "util/error.hpp"
@@ -83,7 +86,6 @@ public:
     /// Unknown count (node unknowns + branch currents).
     std::size_t unknowns() const { return unknowns_; }
     std::size_t nodeUnknowns() const { return nodeUnknowns_; }
-    bool hasBranches() const { return unknowns_ > nodeUnknowns_; }
 
     /// Index of a node in the solution vector, or -1 (ground/fixed).
     int indexOf(NodeId n) const { return index_[n]; }
@@ -125,12 +127,8 @@ public:
     /// companions() filled at the same ctx; DC leaves it unread.
     void assemble(la::DenseMatrix& j, la::Vector& rhs, const EvalContext& ctx,
                   const std::vector<Companion>& comp) const;
-    void assemble(la::SparseMatrix& j, la::Vector& rhs, const EvalContext& ctx,
-                  const std::vector<Companion>& comp) const;
     /// The same, computing the companions first (one-off assemblies).
     void assemble(la::DenseMatrix& j, la::Vector& rhs,
-                  const EvalContext& ctx) const;
-    void assemble(la::SparseMatrix& j, la::Vector& rhs,
                   const EvalContext& ctx) const;
 
     /// Write every device's state at ctx (the accepted point, or the
@@ -190,20 +188,15 @@ private:
     }
 
     /// The one conductance stamp: Stamper::conductance's += sequence.
-    template <class Jacobian>
-    void stampConductance(Jacobian& j, la::Vector& rhs, Terminal a,
+    void stampConductance(la::DenseMatrix& j, la::Vector& rhs, Terminal a,
                           Terminal b, double g) const;
     /// The one capacitor stamp: geq between a and b, ieq into a, out of b.
-    template <class Jacobian>
-    void stampCompanion(Jacobian& j, la::Vector& rhs, Terminal a, Terminal b,
-                        const Companion& c) const;
-    /// The one table VCCS stamp: Stamper::norton of its patch at ctx.
-    template <class Jacobian>
-    void stampTable(Jacobian& j, la::Vector& rhs, Terminal out, Terminal in,
-                    const la::Grid2d& table, const EvalContext& ctx) const;
-    template <class Jacobian>
-    void stampPlan(Jacobian& j, la::Vector& rhs, const EvalContext& ctx,
-                   const std::vector<Companion>& comp) const;
+    void stampCompanion(la::DenseMatrix& j, la::Vector& rhs, Terminal a,
+                        Terminal b, const Companion& c) const;
+    /// The one TableVccs stamp: Stamper::norton of its patch at ctx.
+    void stampTable(la::DenseMatrix& j, la::Vector& rhs, Terminal out,
+                    Terminal in, const la::Grid2d& table,
+                    const EvalContext& ctx) const;
 
     const Circuit* circuit_;
     std::vector<int> index_;        // NodeId -> unknown index or -1
@@ -221,32 +214,21 @@ private:
     double gmin_ = 1e-12;
 };
 
-/// Newton options shared by DC and transient.
-struct NewtonOptions {
-    int maxIterations = 200;
-    double vtol = 1e-6;      ///< convergence: max voltage update, V
-    double maxStep = 0.5;    ///< damping: max update component per iteration, V
-};
-
 struct NewtonStats {
     bool converged = false;
     int iterations = 0;
     int factorizations = 0;  ///< LU factorizations run (<= iterations)
 };
 
-/// Storage reused by every solveNewton call on one map: the Jacobian (dense
-/// or sparse, by the size rule), its LU, the RHS and the Newton step.
-/// Owned by one analysis on its stack; not shared between threads.
+/// Storage reused by every solveNewton call on one map: the Jacobian, its
+/// LU, the RHS and the Newton step. Owned by one analysis on its stack; not
+/// shared between threads.
 struct NewtonWorkspace {
     explicit NewtonWorkspace(const MnaMap& map);
 
-    /// Dense when there are branch rows (zero diagonals need pivoting) or
-    /// fewer than 280 unknowns (dense LU beats the list-based sparse one).
-    bool dense;
-    la::DenseMatrix jacobian;  ///< dense path: this iteration's Jacobian
-    la::DenseMatrix factored;  ///< dense path: the Jacobian `lu` factors
+    la::DenseMatrix jacobian;  ///< this iteration's Jacobian
+    la::DenseMatrix factored;  ///< the Jacobian `lu` factors
     bool luValid = false;      ///< `lu` holds the factorization of `factored`
-    la::SparseMatrix sparse;   ///< sparse path
     la::DenseLu lu;
     la::Vector rhs;
     la::Vector xNew;
@@ -263,8 +245,7 @@ NewtonStats solveNewton(MnaMap& map, NewtonWorkspace& ws, la::Vector& x,
                         double time, double dt, Integration method,
                         bool transient, double srcScale,
                         const la::Vector* xPrev,
-                        const std::vector<double>* statePrev,
-                        const NewtonOptions& opt);
+                        const std::vector<double>* statePrev);
 
 // ---------------------------------------------------------------------------
 // Per-stamp accessors, inline so that device code (every Device::stamp and
@@ -348,9 +329,8 @@ inline void Stamper::dependence(NodeId node, NodeId ctrl, double didv) {
     }
 }
 
-template <class Jacobian>
-inline void MnaMap::stampConductance(Jacobian& j, la::Vector& rhs, Terminal a,
-                                     Terminal b, double g) const {
+inline void MnaMap::stampConductance(la::DenseMatrix& j, la::Vector& rhs,
+                                     Terminal a, Terminal b, double g) const {
     // dependence(a, a, +g), (a, b, -g), (b, b, +g), (b, a, -g), in order.
     if (a.index >= 0) {
         detail::addEntry(j, a.index, a.index, +g);
@@ -372,17 +352,17 @@ inline void MnaMap::stampConductance(Jacobian& j, la::Vector& rhs, Terminal a,
     }
 }
 
-template <class Jacobian>
-inline void MnaMap::stampCompanion(Jacobian& j, la::Vector& rhs, Terminal a,
-                                   Terminal b, const Companion& c) const {
+inline void MnaMap::stampCompanion(la::DenseMatrix& j, la::Vector& rhs,
+                                   Terminal a, Terminal b,
+                                   const Companion& c) const {
     stampConductance(j, rhs, a, b, c.geq);
     if (a.index >= 0) rhs[static_cast<std::size_t>(a.index)] += c.ieq;
     if (b.index >= 0) rhs[static_cast<std::size_t>(b.index)] += -c.ieq;
 }
 
-template <class Jacobian>
-inline void MnaMap::stampTable(Jacobian& j, la::Vector& rhs, Terminal out,
-                               Terminal in, const la::Grid2d& table,
+inline void MnaMap::stampTable(la::DenseMatrix& j, la::Vector& rhs,
+                               Terminal out, Terminal in,
+                               const la::Grid2d& table,
                                const EvalContext& ctx) const {
     // norton(out, ground, z, {{in, dz/dvin}, {out, dz/dvout}}): every stamp
     // lands in out's row, so a fixed output stamps nothing.
@@ -406,33 +386,16 @@ inline void MnaMap::stampTable(Jacobian& j, la::Vector& rhs, Terminal out,
 
 inline void Stamper::tableVccs(NodeId out, NodeId in, const la::Grid2d& table,
                                const EvalContext& ctx) {
-    if (dense_ != nullptr) {
-        map_.stampTable(*dense_, rhs_, map_.terminal(out), map_.terminal(in),
-                        table, ctx);
-    } else {
-        map_.stampTable(*sparse_, rhs_, map_.terminal(out), map_.terminal(in),
-                        table, ctx);
-    }
+    map_.stampTable(j_, rhs_, map_.terminal(out), map_.terminal(in), table,
+                    ctx);
 }
 
 inline void Stamper::conductance(NodeId a, NodeId b, double g) {
-    if (dense_ != nullptr) {
-        map_.stampConductance(*dense_, rhs_, map_.terminal(a),
-                              map_.terminal(b), g);
-    } else {
-        map_.stampConductance(*sparse_, rhs_, map_.terminal(a),
-                              map_.terminal(b), g);
-    }
+    map_.stampConductance(j_, rhs_, map_.terminal(a), map_.terminal(b), g);
 }
 
 inline void Stamper::companion(NodeId a, NodeId b, const Companion& c) {
-    if (dense_ != nullptr) {
-        map_.stampCompanion(*dense_, rhs_, map_.terminal(a), map_.terminal(b),
-                            c);
-    } else {
-        map_.stampCompanion(*sparse_, rhs_, map_.terminal(a),
-                            map_.terminal(b), c);
-    }
+    map_.stampCompanion(j_, rhs_, map_.terminal(a), map_.terminal(b), c);
 }
 
 inline void Stamper::current(NodeId n, double i) {

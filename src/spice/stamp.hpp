@@ -14,7 +14,6 @@
 
 #include "la/dense.hpp"
 #include "la/interp.hpp"
-#include "la/sparse.hpp"
 
 namespace sna::spice {
 
@@ -46,16 +45,11 @@ inline Companion capacitorCompanion(double farads, double dt,
 
 namespace detail {
 
-/// J(r, c) += v, skipping zeros: the one accumulation rule of both stamp
-/// targets, so that they assemble identical values.
+/// J(r, c) += v, skipping zeros: the one accumulation rule of the device
+/// stamps and the MNA plan, so that they assemble identical values.
 inline void addEntry(la::DenseMatrix& j, int r, int c, double v) {
     if (v == 0.0) return;
     j(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
-}
-
-inline void addEntry(la::SparseMatrix& j, int r, int c, double v) {
-    if (v == 0.0) return;
-    j.add(static_cast<std::size_t>(r), static_cast<std::size_t>(c), v);
 }
 
 }  // namespace detail
@@ -107,14 +101,12 @@ private:
 
 /// Linearized-KCL stamp primitives over J x = rhs.
 ///
-/// Writes straight into a dense Jacobian (the Newton engine's preallocated
-/// workspace) or into sparse triplets (large branch-free systems). Either
-/// way each entry receives the same `+=` sequence in stamp order, and zero
-/// contributions are skipped, so the two targets assemble identical values.
+/// Writes straight into the dense Jacobian of the Newton engine's
+/// preallocated workspace: each entry receives its `+=` sequence in stamp
+/// order, and zero contributions are skipped.
 class Stamper {
 public:
     Stamper(const class MnaMap& map, la::DenseMatrix& j, la::Vector& rhs);
-    Stamper(const class MnaMap& map, la::SparseMatrix& j, la::Vector& rhs);
 
     /// Two-terminal conductance g between a and b.
     void conductance(NodeId a, NodeId b, double g);
@@ -138,12 +130,13 @@ public:
                 std::initializer_list<std::pair<NodeId, double>> partials,
                 const EvalContext& ctx);
 
-    /// Table VCCS sinking table(v(in), v(out)) from `out` to ground: the
+    /// TableVccs sinking table(v(in), v(out)) from `out` to ground: the
     /// Norton stamp of its bilinear patch at ctx's point.
     void tableVccs(NodeId out, NodeId in, const la::Grid2d& table,
                    const EvalContext& ctx);
 
-    /// Branch-equation access for floating voltage sources / VCVS.
+    /// Branch-equation access for floating voltage sources and the reduced
+    /// multiport's port equations.
     void branchVoltage(int branch, NodeId pos, NodeId neg, double value);
     void branchControl(int branch, NodeId ctrl, double coeff);
     void branchCurrentInto(int branch, NodeId pos, NodeId neg);
@@ -158,17 +151,10 @@ public:
 
 private:
     /// J(r, c) += v, skipping zeros.
-    void add(int r, int c, double v) {
-        if (dense_ != nullptr) {
-            detail::addEntry(*dense_, r, c, v);
-        } else {
-            detail::addEntry(*sparse_, r, c, v);
-        }
-    }
+    void add(int r, int c, double v) { detail::addEntry(j_, r, c, v); }
 
     const MnaMap& map_;
-    la::DenseMatrix* dense_ = nullptr;
-    la::SparseMatrix* sparse_ = nullptr;
+    la::DenseMatrix& j_;
     la::Vector& rhs_;
 };
 

@@ -30,17 +30,13 @@ wave::Waveform TranResult::waveform(const std::string& node) const {
 
 namespace {
 
-// Breakpoints: every PWL corner of every independent source in (0, tstop).
+// Breakpoints: every PWL corner of every voltage source in (0, tstop).
 std::vector<double> collectBreakpoints(const Circuit& circuit, double tstop) {
     std::vector<double> bps;
     for (const auto& dev : circuit.devices()) {
-        std::vector<double> devBps;
-        if (const auto* vs = dynamic_cast<const VSource*>(dev.get())) {
-            devBps = vs->spec().breakpoints();
-        } else if (const auto* is = dynamic_cast<const ISource*>(dev.get())) {
-            devBps = is->spec().breakpoints();
-        }
-        for (double t : devBps) {
+        const auto* vs = dynamic_cast<const VSource*>(dev.get());
+        if (vs == nullptr) continue;
+        for (double t : vs->spec().breakpoints()) {
             if (t > 1e-21 && t < tstop) bps.push_back(t);
         }
     }
@@ -75,7 +71,7 @@ TranResult simulateTransient(const Circuit& circuit,
     map.updateFixed(0.0, 1.0);
     const std::size_t n = map.unknowns();
     la::Vector x(n, 0.0);
-    robustDcSolve(map, ws, x, options.dc);
+    robustDcSolve(map, ws, x);
     map.setGmin(1e-12);
     map.updateFixed(0.0, 1.0);
     map.commitFixed();
@@ -157,8 +153,7 @@ TranResult simulateTransient(const Circuit& circuit,
         try {
             const NewtonStats ns =
                 solveNewton(map, ws, xNew, t + dt, dt, method,
-                            /*transient=*/true, 1.0, &x, &statePrev,
-                            options.newton);
+                            /*transient=*/true, 1.0, &x, &statePrev);
             stats.newtonIterations += ns.iterations;
             stats.factorizations += ns.factorizations;
             converged = ns.converged;

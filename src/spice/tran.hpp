@@ -44,8 +44,6 @@ struct TranOptions {
     double reltol = 2e-3;    ///< LTE relative tolerance
     double abstol = 2e-5;    ///< LTE absolute floor, volts
     std::size_t maxSteps = 2'000'000;
-    NewtonOptions newton;
-    DcOptions dc;
     /// Optional: return true to end the run after this sample (see the
     /// header comment for the contract).
     std::function<bool(const TranSample&)> stopWhen;

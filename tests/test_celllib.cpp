@@ -169,7 +169,7 @@ TEST(CellLibrary, Nand2OutputLowHasStackedPulldownResistance) {
     for (double v = 0.0; v <= 0.4; v += 0.1) {
         vy.setSpec(SourceSpec::dc(v));
         const auto dc =
-            spice::solveDc(ckt, {}, warm.empty() ? nullptr : &warm);
+            spice::solveDc(ckt, warm.empty() ? nullptr : &warm);
         warm = dc.raw();
         // vy must deliver increasing current into y as it is pulled up:
         // that current is sunk by the NMOS stack.

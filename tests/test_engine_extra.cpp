@@ -113,43 +113,6 @@ TEST(TranDevices, FloatingVSourceInTransient) {
     EXPECT_NEAR(res.waveform("b").value(1.5e-9), 1.5, 1e-6);
 }
 
-TEST(TranDevices, VcvsTracksInTransient) {
-    spice::Circuit c;
-    const auto in = c.node("in");
-    const auto out = c.node("out");
-    c.addVSource("vin", in, spice::kGround,
-                 SourceSpec::pwl(wave::triangleGlitch(0, 0.5, 0.2e-9,
-                                                      0.4e-9, 2e-9)));
-    c.addVcvs("e1", out, spice::kGround, in, spice::kGround, -3.0);
-    c.addResistor("rl", out, spice::kGround, 1e3);
-    spice::TranOptions opt;
-    opt.tstop = 2e-9;
-    const auto res = spice::simulateTransient(c, opt);
-    EXPECT_NEAR(res.waveform("out").value(0.4e-9),
-                -3.0 * res.waveform("in").value(0.4e-9), 1e-6);
-}
-
-TEST(TranDevices, CurrentSourceChargesCapacitorLinearly) {
-    // The source steps on after t=0 so the DC operating point (I = 0,
-    // v = 0) is well posed; a DC current into a pure capacitor has none.
-    spice::Circuit c;
-    const auto n = c.node("n");
-    const double tOn = 1e-8;
-    c.addISource("i1", spice::kGround, n,
-                 SourceSpec::pwl(wave::Waveform(
-                     {{0.0, 0.0}, {tOn, 0.0}, {tOn * 1.0001, 1e-6},
-                      {1e-6, 1e-6}})));
-    c.addCapacitor("c1", n, spice::kGround, 1e-12);
-    spice::TranOptions opt;
-    opt.tstop = 1e-7;
-    const auto res = spice::simulateTransient(c, opt);
-    // v = I (t - tOn) / C after the step.
-    for (double t = 3e-8; t < 1e-7; t += 2e-8) {
-        const double expected = 1e6 * (t - tOn);
-        EXPECT_NEAR(res.waveform("n").value(t), expected, expected * 6e-3);
-    }
-}
-
 // ----------------------------------------------------- charlib extra paths
 
 TEST(TheveninExtra, FallingAndRisingAreBothPhysical) {

@@ -1,4 +1,4 @@
-// Unit and property tests for dense/sparse linear algebra and interpolation.
+// Unit and property tests for dense linear algebra and interpolation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 
 #include "la/dense.hpp"
 #include "la/interp.hpp"
-#include "la/sparse.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -18,7 +17,6 @@ namespace {
 
 using namespace sna;
 using la::DenseMatrix;
-using la::SparseMatrix;
 using la::Vector;
 
 // ----------------------------------------------------------------- dense
@@ -289,106 +287,6 @@ TEST(Dense, MultiplyAndTranspose) {
     EXPECT_DOUBLE_EQ(aat(0, 0), 14.0);
     EXPECT_DOUBLE_EQ(aat(0, 1), 32.0);
     EXPECT_DOUBLE_EQ(aat(1, 1), 77.0);
-}
-
-// ---------------------------------------------------------------- sparse
-
-TEST(Sparse, DuplicateStampsAccumulate) {
-    SparseMatrix m(2);
-    m.add(0, 0, 1.0);
-    m.add(0, 0, 2.0);
-    m.add(1, 1, 1.0);
-    EXPECT_DOUBLE_EQ(m.toDense()(0, 0), 3.0);
-    const auto rows = m.consolidatedRows();
-    ASSERT_EQ(rows[0].size(), 1u);
-    EXPECT_DOUBLE_EQ(rows[0][0].value, 3.0);
-}
-
-TEST(Sparse, SolveMatchesDenseOnLadder) {
-    // RC-ladder-like tridiagonal conductance matrix.
-    const int n = 50;
-    SparseMatrix m(n);
-    Vector b(n, 0.0);
-    for (int i = 0; i < n; ++i) {
-        m.add(i, i, 2.0 + 0.01 * i);
-        if (i > 0) {
-            m.add(i, i - 1, -1.0);
-            m.add(i - 1, i, -1.0);
-        }
-    }
-    b[0] = 1.0;
-    const Vector xs = la::SparseLu(m).solve(b);
-    const Vector xd = la::solveDense(m.toDense(), b);
-    for (int i = 0; i < n; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-10);
-}
-
-class SparseVsDense : public ::testing::TestWithParam<int> {};
-
-TEST_P(SparseVsDense, RandomSparseSystemsAgree) {
-    const int n = GetParam();
-    util::Rng rng(7 + n);
-    SparseMatrix m(n);
-    // Random sparse symmetric-pattern system with dominant diagonal; this is
-    // the regime MNA matrices live in.
-    for (int i = 0; i < n; ++i) m.add(i, i, 4.0 + rng.uniform(0, 1));
-    const int extras = 3 * n;
-    for (int k = 0; k < extras; ++k) {
-        const int r = rng.uniformInt(0, n - 1);
-        const int c = rng.uniformInt(0, n - 1);
-        if (r == c) continue;
-        const double v = rng.uniform(-0.5, 0.5);
-        m.add(r, c, v);
-        m.add(c, r, v);
-    }
-    Vector b(n);
-    for (int i = 0; i < n; ++i) b[i] = rng.uniform(-1, 1);
-    const Vector xs = la::SparseLu(m).solve(b);
-    const Vector xd = la::solveDense(m.toDense(), b);
-    for (int i = 0; i < n; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-8) << "i=" << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SparseVsDense,
-                         ::testing::Values(2, 5, 10, 20, 40, 80, 160));
-
-TEST(Sparse, MultiplyAgreesWithDense) {
-    util::Rng rng(99);
-    const int n = 30;
-    SparseMatrix m(n);
-    for (int k = 0; k < 5 * n; ++k) {
-        m.add(rng.uniformInt(0, n - 1), rng.uniformInt(0, n - 1),
-              rng.uniform(-1, 1));
-    }
-    Vector x(n);
-    for (int i = 0; i < n; ++i) x[i] = rng.uniform(-1, 1);
-    const Vector ys = m.multiply(x);
-    const Vector yd = m.toDense().multiply(x);
-    for (int i = 0; i < n; ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
-}
-
-TEST(Sparse, ZeroPivotFallsBackInSolveSparse) {
-    // Structurally singular diagonal (a branch-equation-like row).
-    SparseMatrix m(2);
-    m.add(0, 1, 1.0);
-    m.add(1, 0, 1.0);
-    EXPECT_THROW(la::SparseLu lu(m), ConvergenceError);
-    const Vector x = la::solveSparse(m, {2.0, 5.0});
-    EXPECT_NEAR(x[0], 5.0, 1e-12);
-    EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(Sparse, FactorNnzReportedForBandedSystem) {
-    const int n = 20;
-    SparseMatrix m(n);
-    for (int i = 0; i < n; ++i) {
-        m.add(i, i, 2.0);
-        if (i > 0) {
-            m.add(i, i - 1, -1.0);
-            m.add(i - 1, i, -1.0);
-        }
-    }
-    la::SparseLu lu(m);
-    // A tridiagonal factor has at most ~3n entries; assert no fill blow-up.
-    EXPECT_LE(lu.factorNnz(), static_cast<std::size_t>(4 * n));
 }
 
 // ---------------------------------------------------------------- interp
