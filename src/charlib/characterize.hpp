@@ -15,6 +15,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,28 @@
 #include "waveform/waveform.hpp"
 
 namespace sna::charlib {
+
+// ------------------------------------------------------------------ bench
+
+namespace detail {
+/// How a characterization bench terminates the cell output.
+enum class BenchOutput {
+    Clamp,  ///< grounded DC source `v_out` (DC sweeps read its current)
+    Load,   ///< grounded capacitor `cload` (transients read the node)
+};
+
+/// The bench every cell characterization runs on: the `vdd` node and its
+/// `vsupply` source; per input, in inputNames() order, a node named after
+/// the pin and a grounded `v_<pin>` source at its level in `vector` (the
+/// pin `input` follows `drive` instead when one is given); the node `out`
+/// terminated as `output` says, `value` being the clamp voltage or the
+/// load capacitance; then the cell as `dut`. Returns `out`.
+spice::NodeId buildCellBench(spice::Circuit& ckt, const cell::Cell& cell,
+                             const std::map<std::string, bool>& vector,
+                             BenchOutput output, double value,
+                             const std::string& input = {},
+                             std::optional<wave::Waveform> drive = {});
+}  // namespace detail
 
 // ------------------------------------------------------------- load curve
 

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "charlib/characterize.hpp"
 #include "spice/dc.hpp"
@@ -6,6 +10,37 @@
 #include "util/log.hpp"
 
 namespace sna::charlib {
+
+spice::NodeId detail::buildCellBench(spice::Circuit& ckt,
+                                     const cell::Cell& cell,
+                                     const std::map<std::string, bool>& vector,
+                                     BenchOutput output, double value,
+                                     const std::string& input,
+                                     std::optional<wave::Waveform> drive) {
+    const double vdd = cell.technology().vdd;
+    const auto vddNode = ckt.node("vdd");
+    ckt.addVSource("vsupply", vddNode, spice::kGround,
+                   spice::SourceSpec::dc(vdd));
+    std::map<std::string, spice::NodeId> pins;
+    for (const auto& in : cell.inputNames()) {
+        const auto n = ckt.node(in);
+        pins[in] = n;
+        ckt.addVSource("v_" + in, n, spice::kGround,
+                       (drive && in == input)
+                           ? spice::SourceSpec::pwl(std::move(*drive))
+                           : spice::SourceSpec::dc(vector.at(in) ? vdd : 0.0));
+    }
+    const auto outNode = ckt.node("out");
+    pins[cell.outputName()] = outNode;
+    if (output == BenchOutput::Clamp) {
+        ckt.addVSource("v_out", outNode, spice::kGround,
+                       spice::SourceSpec::dc(value));
+    } else {
+        ckt.addCapacitor("cload", outNode, spice::kGround, value);
+    }
+    cell.instantiate(ckt, "dut", pins, vddNode);
+    return outNode;
+}
 
 la::Grid2d characterizeLoadCurve(const LoadCurveSpec& spec) {
     SNA_REQUIRE(spec.cell != nullptr, "load-curve spec needs a cell");
@@ -22,22 +57,9 @@ la::Grid2d characterizeLoadCurve(const LoadCurveSpec& spec) {
     // Bench: side inputs held at the sensitized vector, swept sources on
     // the sensitive input and the output.
     spice::Circuit ckt;
-    const auto vddNode = ckt.node("vdd");
-    ckt.addVSource("vsupply", vddNode, spice::kGround,
-                   spice::SourceSpec::dc(vdd));
-    const auto holding = cellRef.holdingVector(spec.outputLevel, spec.input);
-    std::map<std::string, spice::NodeId> pins;
-    for (const auto& in : cellRef.inputNames()) {
-        const auto n = ckt.node(in);
-        pins[in] = n;
-        const double level = holding.at(in) ? vdd : 0.0;
-        ckt.addVSource("v_" + in, n, spice::kGround,
-                       spice::SourceSpec::dc(level));
-    }
-    const auto outNode = ckt.node("out");
-    pins[cellRef.outputName()] = outNode;
-    ckt.addVSource("v_out", outNode, spice::kGround, spice::SourceSpec::dc(0));
-    cellRef.instantiate(ckt, "dut", pins, vddNode);
+    detail::buildCellBench(ckt, cellRef,
+                           cellRef.holdingVector(spec.outputLevel, spec.input),
+                           detail::BenchOutput::Clamp, 0.0);
 
     auto* vin = dynamic_cast<spice::VSource*>(
         ckt.findDevice("v_" + spec.input));

@@ -48,31 +48,14 @@ bool glitchFails(const NrcSpec& spec, const std::map<std::string, bool>& quiet,
     const double outBaseline = outLevel ? vdd : 0.0;
     const double inBaseline = spec.quietLevel ? vdd : 0.0;
     const double dir = spec.quietLevel ? -1.0 : +1.0;
-
-    spice::Circuit ckt;
-    const auto vddNode = ckt.node("vdd");
-    ckt.addVSource("vsupply", vddNode, spice::kGround,
-                   spice::SourceSpec::dc(vdd));
     const double t0 = 50e-12;
     const double tStop = t0 + width + std::max(1.5e-9, 5 * width);
-    std::map<std::string, spice::NodeId> pins;
-    for (const auto& in : cellRef.inputNames()) {
-        const auto n = ckt.node(in);
-        pins[in] = n;
-        const double level = quiet.at(in) ? vdd : 0.0;
-        if (in == spec.input) {
-            ckt.addVSource("v_" + in, n, spice::kGround,
-                           spice::SourceSpec::pwl(wave::triangleGlitch(
-                               inBaseline, dir * height, t0, width, tStop)));
-        } else {
-            ckt.addVSource("v_" + in, n, spice::kGround,
-                           spice::SourceSpec::dc(level));
-        }
-    }
-    const auto outNode = ckt.node("out");
-    pins[cellRef.outputName()] = outNode;
-    ckt.addCapacitor("cload", outNode, spice::kGround, spec.loadCap);
-    cellRef.instantiate(ckt, "dut", pins, vddNode);
+
+    spice::Circuit ckt;
+    const auto outNode = detail::buildCellBench(
+        ckt, cellRef, quiet, detail::BenchOutput::Load, spec.loadCap,
+        spec.input,
+        wave::triangleGlitch(inBaseline, dir * height, t0, width, tStop));
 
     spice::TranOptions opt;
     opt.tstop = tStop;

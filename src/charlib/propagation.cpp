@@ -32,31 +32,13 @@ PropagationTable characterizePropagation(const PropagationSpec& spec) {
     zArea.reserve(zPeak.capacity());
     for (const double h : spec.heights) {
         for (const double w : spec.widths) {
-            spice::Circuit ckt;
-            const auto vddNode = ckt.node("vdd");
-            ckt.addVSource("vsupply", vddNode, spice::kGround,
-                           spice::SourceSpec::dc(vdd));
             const double t0 = 50e-12;
             const double tStop = t0 + w + std::max(2e-9, 6 * w);
-            std::map<std::string, spice::NodeId> pins;
-            for (const auto& in : cellRef.inputNames()) {
-                const auto n = ckt.node(in);
-                pins[in] = n;
-                const double level = holding.at(in) ? vdd : 0.0;
-                if (in == spec.input) {
-                    ckt.addVSource(
-                        "v_" + in, n, spice::kGround,
-                        spice::SourceSpec::pwl(wave::triangleGlitch(
-                            level, dir * h, t0, w, tStop)));
-                } else {
-                    ckt.addVSource("v_" + in, n, spice::kGround,
-                                   spice::SourceSpec::dc(level));
-                }
-            }
-            const auto outNode = ckt.node("out");
-            pins[cellRef.outputName()] = outNode;
-            ckt.addCapacitor("cload", outNode, spice::kGround, spec.loadCap);
-            cellRef.instantiate(ckt, "dut", pins, vddNode);
+            spice::Circuit ckt;
+            detail::buildCellBench(
+                ckt, cellRef, holding, detail::BenchOutput::Load,
+                spec.loadCap, spec.input,
+                wave::triangleGlitch(inBaseline, dir * h, t0, w, tStop));
 
             spice::TranOptions opt;
             opt.tstop = tStop;

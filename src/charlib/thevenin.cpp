@@ -2,7 +2,6 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <map>
 
 #include "charlib/characterize.hpp"
 #include "spice/dc.hpp"
@@ -205,23 +204,10 @@ double measuredCrossing(const wave::Waveform& w, double vStart, double vEnd,
 double theveninResistance(const cell::Cell& cellRef, const std::string& input,
                           bool outputRising) {
     const double vdd = cellRef.technology().vdd;
-    const auto finalVector = cellRef.holdingVector(outputRising, input);
     spice::Circuit ckt;
-    const auto vddNode = ckt.node("vdd");
-    ckt.addVSource("vsupply", vddNode, spice::kGround,
-                   spice::SourceSpec::dc(vdd));
-    std::map<std::string, spice::NodeId> pins;
-    for (const auto& in : cellRef.inputNames()) {
-        const auto n = ckt.node(in);
-        pins[in] = n;
-        ckt.addVSource("v_" + in, n, spice::kGround,
-                       spice::SourceSpec::dc(finalVector.at(in) ? vdd : 0.0));
-    }
-    const auto outNode = ckt.node("out");
-    pins[cellRef.outputName()] = outNode;
-    ckt.addVSource("v_out", outNode, spice::kGround,
-                   spice::SourceSpec::dc(0.5 * vdd));
-    cellRef.instantiate(ckt, "dut", pins, vddNode);
+    detail::buildCellBench(ckt, cellRef,
+                           cellRef.holdingVector(outputRising, input),
+                           detail::BenchOutput::Clamp, 0.5 * vdd);
     const auto dc = spice::solveDc(ckt);
     const double current = dc.sourceCurrent("v_out");
     // Rising output: the cell sources current into the clamp (negative
@@ -252,31 +238,14 @@ TheveninModel characterizeThevenin(const TheveninSpec& spec,
     const bool outStart = !spec.outputRising;
     const auto holding = cellRef.holdingVector(outStart, spec.input);
 
-    spice::Circuit ckt;
-    const auto vddNode = ckt.node("vdd");
-    ckt.addVSource("vsupply", vddNode, spice::kGround,
-                   spice::SourceSpec::dc(vdd));
     const double tStart = 50e-12;
     const double tStop = 4e-9;
-    std::map<std::string, spice::NodeId> pins;
-    for (const auto& in : cellRef.inputNames()) {
-        const auto n = ckt.node(in);
-        pins[in] = n;
-        const double v0 = holding.at(in) ? vdd : 0.0;
-        if (in == spec.input) {
-            const double v1 = vdd - v0;
-            ckt.addVSource("v_" + in, n, spice::kGround,
-                           spice::SourceSpec::pwl(wave::saturatedRamp(
-                               v0, v1, tStart, spec.inputSlew, tStop)));
-        } else {
-            ckt.addVSource("v_" + in, n, spice::kGround,
-                           spice::SourceSpec::dc(v0));
-        }
-    }
-    const auto outNode = ckt.node("out");
-    pins[cellRef.outputName()] = outNode;
-    ckt.addCapacitor("cload", outNode, spice::kGround, spec.loadCap);
-    cellRef.instantiate(ckt, "dut", pins, vddNode);
+    const double v0 = holding.at(spec.input) ? vdd : 0.0;
+    spice::Circuit ckt;
+    const auto outNode = detail::buildCellBench(
+        ckt, cellRef, holding, detail::BenchOutput::Load, spec.loadCap,
+        spec.input,
+        wave::saturatedRamp(v0, vdd - v0, tStart, spec.inputSlew, tStop));
 
     const double vStart = spec.outputRising ? 0.0 : vdd;
     const double vEnd = vdd - vStart;

@@ -3,68 +3,12 @@
 #include <chrono>
 #include <cmath>
 
-#include "mor/linear_network.hpp"
 #include "spice/tran.hpp"
-#include "util/error.hpp"
-#include "util/log.hpp"
 #include "waveform/sources.hpp"
 
 namespace sna::core {
 
 namespace {
-
-// Shared: reduced interconnect + Thevenin aggressors + receiver caps.
-// Returns the victim driving-point node; the caller adds the victim model.
-spice::NodeId buildLinearCluster(const ClusterMacromodel& model,
-                                 spice::Circuit& ckt,
-                                 const std::vector<double>& aggTimes) {
-    const ClusterSpec& spec = model.spec();
-    SNA_REQUIRE(aggTimes.size() == spec.aggressors.size(),
-                "need one switch time per aggressor");
-    const auto dp = ckt.node("dp_vic");
-    std::vector<spice::NodeId> drvNodes{dp};
-    ckt.addCapacitor("cdrv0", dp, spice::kGround, model.driverCaps()[0]);
-    for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
-        const auto& m = model.aggressorModels()[a];
-        const std::string inst = "agg" + std::to_string(a);
-        const auto src = ckt.node(inst + "_th");
-        const auto adp = ckt.node(inst + "_dp");
-        ckt.addVSource("v_" + inst, src, spice::kGround,
-                       spice::SourceSpec::pwl(
-                           m.ramp(aggTimes[a] + m.delay, spec.tstop)));
-        ckt.addResistor("r_" + inst, src, adp, m.rth);
-        ckt.addCapacitor("cdrv" + std::to_string(a + 1), adp, spice::kGround,
-                         model.driverCaps()[a + 1]);
-        drvNodes.push_back(adp);
-    }
-    const ic::RcNetwork& net = model.interconnect();
-    if (model.options().usePrima) {
-        const mor::LinearNetwork lin(net);
-        std::vector<int> ports;
-        std::vector<spice::NodeId> portNodes = drvNodes;
-        for (int w = 0; w < net.wireCount(); ++w) {
-            ports.push_back(net.driverNode(w));
-        }
-        for (int w = 0; w < net.wireCount(); ++w) {
-            ports.push_back(net.receiverNode(w));
-            portNodes.push_back(ckt.node("rcv" + std::to_string(w)));
-        }
-        mor::attachReduced(ckt, "rednet", lin, ports, portNodes,
-                           model.options().primaBlocks);
-        for (int w = 0; w < net.wireCount(); ++w) {
-            ckt.addCapacitor("crx" + std::to_string(w),
-                             portNodes[drvNodes.size() + w], spice::kGround,
-                             model.receiverCaps()[w]);
-        }
-    } else {
-        const auto farNodes = model.reducedPi().buildInto(ckt, "pi:", drvNodes);
-        for (int w = 0; w < net.wireCount(); ++w) {
-            ckt.addCapacitor("crx" + std::to_string(w), farNodes[w],
-                             spice::kGround, model.receiverCaps()[w]);
-        }
-    }
-    return dp;
-}
 
 // Victim holding model for B1: R_hold toward the holding rail.
 void addHoldingResistor(const ClusterMacromodel& model, spice::Circuit& ckt,
@@ -90,7 +34,8 @@ NoiseResult analyzeLinearSuperposition(
 
     // ---- injected component: linearized victim, switching aggressors ----
     spice::Circuit ckt;
-    const auto dp = buildLinearCluster(model, ckt, aggressorSwitchTimes);
+    const auto dp = ckt.node("dp_vic");
+    model.buildCluster(ckt, dp, aggressorSwitchTimes);
     addHoldingResistor(model, ckt, dp);
     spice::TranOptions opt;
     opt.tstop = spec.tstop;
@@ -143,16 +88,7 @@ NoiseResult analyzeIterativeThevenin(
     wave::Waveform v0;
     {
         spice::Circuit ckt;
-        const auto vin = ckt.node("vin");
-        const auto out = ckt.node("out");
-        if (const auto glitch = victimInputGlitch(spec, glitchTime)) {
-            ckt.addVSource("v_in", vin, spice::kGround,
-                           spice::SourceSpec::pwl(*glitch));
-        } else {
-            ckt.addVSource("v_in", vin, spice::kGround,
-                           spice::SourceSpec::dc(model.inputHoldLevel()));
-        }
-        ckt.addTableVccs("idc_victim", out, vin, model.sharedLoadCurve());
+        const auto out = model.buildVictimDriver(ckt, "out", glitchTime);
         double load = net.totalGroundCapOf(0) + model.receiverCaps()[0];
         for (int o = 1; o < net.wireCount(); ++o) {
             load += net.couplingCapBetween(0, o);
@@ -169,7 +105,8 @@ NoiseResult analyzeIterativeThevenin(
     NoiseResult result;
     for (int it = 0; it < maxIterations; ++it) {
         spice::Circuit ckt;
-        const auto dp = buildLinearCluster(model, ckt, aggressorSwitchTimes);
+        const auto dp = ckt.node("dp_vic");
+        model.buildCluster(ckt, dp, aggressorSwitchTimes);
         const auto vsrc = ckt.node("v0");
         ckt.addVSource("v_victim", vsrc, spice::kGround,
                        spice::SourceSpec::pwl(v0));

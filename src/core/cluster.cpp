@@ -2,6 +2,9 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "spice/tran.hpp"
 #include "util/error.hpp"
@@ -58,30 +61,35 @@ NoiseResult simulateGolden(const ClusterSpec& spec) {
                    spice::SourceSpec::dc(vdd));
     const auto ids = net.buildInto(ckt, "rc:");
 
-    // ---- victim driver --------------------------------------------------
-    const cell::Cell& vicDriver = lib.cell(spec.victim.driverCell);
-    const auto vicHold = vicDriver.holdingVector(spec.victim.outputLevel,
-                                                 spec.victim.glitchInput);
-    {
+    // ---- drivers -----------------------------------------------------------
+    // Per input, the node `<inst>_in_<pin>` and a grounded source
+    // `v_<inst>_<pin>` at its level in `vector` (`input` follows `drive`
+    // when there is one); then the cell as `<inst>_drv` driving `out`.
+    auto addDriver = [&](const cell::Cell& drv, const std::string& inst,
+                         const std::map<std::string, bool>& vector,
+                         const std::string& input,
+                         std::optional<wave::Waveform> drive,
+                         spice::NodeId out) {
         std::map<std::string, spice::NodeId> pins;
-        for (const auto& in : vicDriver.inputNames()) {
-            const auto n = ckt.node("vic_in_" + in);
+        for (const auto& in : drv.inputNames()) {
+            const auto n = ckt.node(inst + "_in_" + in);
             pins[in] = n;
-            const double level = vicHold.at(in) ? vdd : 0.0;
-            if (in == spec.victim.glitchInput &&
-                spec.victim.glitchHeight > 0.0) {
-                ckt.addVSource(
-                    "v_vic_" + in, n, spice::kGround,
-                    spice::SourceSpec::pwl(
-                        *victimInputGlitch(spec, spec.victim.glitchTime)));
-            } else {
-                ckt.addVSource("v_vic_" + in, n, spice::kGround,
-                               spice::SourceSpec::dc(level));
-            }
+            ckt.addVSource("v_" + inst + "_" + in, n, spice::kGround,
+                           (drive && in == input)
+                               ? spice::SourceSpec::pwl(std::move(*drive))
+                               : spice::SourceSpec::dc(vector.at(in) ? vdd
+                                                                     : 0.0));
         }
-        pins[vicDriver.outputName()] = ids[net.driverNode(0)];
-        vicDriver.instantiate(ckt, "vic_drv", pins, vddNode);
-    }
+        pins[drv.outputName()] = out;
+        drv.instantiate(ckt, inst + "_drv", pins, vddNode);
+    };
+    const cell::Cell& vicDriver = lib.cell(spec.victim.driverCell);
+    addDriver(vicDriver, "vic",
+              vicDriver.holdingVector(spec.victim.outputLevel,
+                                      spec.victim.glitchInput),
+              spec.victim.glitchInput,
+              victimInputGlitch(spec, spec.victim.glitchTime),
+              ids[net.driverNode(0)]);
 
     // ---- victim receiver (transistor-level load at the far end) ---------
     auto addReceiver = [&](const std::string& cellName,
@@ -114,24 +122,12 @@ NoiseResult simulateGolden(const ClusterSpec& spec) {
         // Input vector before the transition: output at the pre-transition
         // level, sensitized on inPin.
         const auto hold = drv.holdingVector(!agg.outputRising, inPin);
-        std::map<std::string, spice::NodeId> pins;
+        const double v0 = hold.at(inPin) ? vdd : 0.0;
         const std::string inst = "agg" + std::to_string(a);
-        for (const auto& in : drv.inputNames()) {
-            const auto n = ckt.node(inst + "_in_" + in);
-            pins[in] = n;
-            const double v0 = hold.at(in) ? vdd : 0.0;
-            if (in == inPin) {
-                ckt.addVSource("v_" + inst + "_" + in, n, spice::kGround,
-                               spice::SourceSpec::pwl(wave::saturatedRamp(
-                                   v0, vdd - v0, agg.switchTime, agg.inputSlew,
-                                   spec.tstop)));
-            } else {
-                ckt.addVSource("v_" + inst + "_" + in, n, spice::kGround,
-                               spice::SourceSpec::dc(v0));
-            }
-        }
-        pins[drv.outputName()] = ids[net.driverNode(static_cast<int>(a) + 1)];
-        drv.instantiate(ckt, inst + "_drv", pins, vddNode);
+        addDriver(drv, inst, hold, inPin,
+                  wave::saturatedRamp(v0, vdd - v0, agg.switchTime,
+                                      agg.inputSlew, spec.tstop),
+                  ids[net.driverNode(static_cast<int>(a) + 1)]);
         addReceiver(agg.receiverCell, inst + "_rx",
                     ids[net.receiverNode(static_cast<int>(a) + 1)]);
     }

@@ -126,16 +126,11 @@ NoiseResult ClusterMacromodel::analyze() const {
     return analyzeAt(aggTimes, spec_.victim.glitchTime);
 }
 
-NoiseResult ClusterMacromodel::analyzeAt(
-    const std::vector<double>& aggressorSwitchTimes, double glitchTime) const {
-    SNA_REQUIRE(aggressorSwitchTimes.size() == spec_.aggressors.size(),
-                "need one switch time per aggressor");
-    const auto start = std::chrono::steady_clock::now();
-
-    // ---- assemble the Fig. 1 circuit -------------------------------------
-    spice::Circuit ckt;
+spice::NodeId ClusterMacromodel::buildVictimDriver(spice::Circuit& ckt,
+                                                  const std::string& out,
+                                                  double glitchTime) const {
     const auto vin = ckt.node("vin");
-    const auto dp = ckt.node("dp_vic");
+    const auto outNode = ckt.node(out);
     if (const auto glitch = victimInputGlitch(spec_, glitchTime)) {
         ckt.addVSource("v_in", vin, spice::kGround,
                        spice::SourceSpec::pwl(*glitch));
@@ -143,8 +138,15 @@ NoiseResult ClusterMacromodel::analyzeAt(
         ckt.addVSource("v_in", vin, spice::kGround,
                        spice::SourceSpec::dc(vinHold_));
     }
-    ckt.addTableVccs("idc_victim", dp, vin, loadCurve_);
+    ckt.addTableVccs("idc_victim", outNode, vin, loadCurve_);
+    return outNode;
+}
 
+void ClusterMacromodel::buildCluster(
+    spice::Circuit& ckt, spice::NodeId dp,
+    const std::vector<double>& aggressorSwitchTimes) const {
+    SNA_REQUIRE(aggressorSwitchTimes.size() == spec_.aggressors.size(),
+                "need one switch time per aggressor");
     std::vector<spice::NodeId> drvNodes{dp};
     ckt.addCapacitor("cdrv0", dp, spice::kGround, drvCaps_[0]);
     for (std::size_t a = 0; a < spec_.aggressors.size(); ++a) {
@@ -189,6 +191,16 @@ NoiseResult ClusterMacromodel::analyzeAt(
                              spice::kGround, rxCaps_[w]);
         }
     }
+}
+
+NoiseResult ClusterMacromodel::analyzeAt(
+    const std::vector<double>& aggressorSwitchTimes, double glitchTime) const {
+    const auto start = std::chrono::steady_clock::now();
+
+    // ---- assemble the Fig. 1 circuit -------------------------------------
+    spice::Circuit ckt;
+    const auto dp = buildVictimDriver(ckt, "dp_vic", glitchTime);
+    buildCluster(ckt, dp, aggressorSwitchTimes);
 
     // ---- run the dedicated small engine -----------------------------------
     spice::TranOptions opt;

@@ -26,6 +26,7 @@
 #include "core/cluster.hpp"
 #include "mor/coupled_pi.hpp"
 #include "mor/prima.hpp"
+#include "spice/circuit.hpp"
 
 namespace sna::core {
 
@@ -83,6 +84,21 @@ public:
     /// Noise-propagation table of the victim driver (baseline B1); lazily
     /// characterized on first use.
     const charlib::PropagationTable& propagationTable() const;
+
+    // ---- the Fig. 1 circuit, shared with the baselines ----
+    /// The victim driver: the node `vin`, the node `out`, the source `v_in`
+    /// (the input glitch arriving at `glitchTime`, or the input hold level
+    /// when the spec has no glitch) and the load-curve VCCS `idc_victim`
+    /// into `out`, controlled by `vin`. Returns the `out` node.
+    spice::NodeId buildVictimDriver(spice::Circuit& ckt,
+                                    const std::string& out,
+                                    double glitchTime) const;
+    /// The rest of the cluster, hung off the victim driving point `dp`: the
+    /// driver caps, each aggressor's Thevenin branch (a switch time of +inf
+    /// holds it at its pre-transition rail), the reduced interconnect
+    /// (coupled-Pi, or the stored PRIMA multiport) and the receiver caps.
+    void buildCluster(spice::Circuit& ckt, spice::NodeId dp,
+                      const std::vector<double>& aggressorSwitchTimes) const;
 
     /// Human-readable dump of the assembled macromodel (the Figure 1
     /// artefact): every element with its characterized values.

@@ -11,12 +11,6 @@ namespace sna::la {
 DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-DenseMatrix DenseMatrix::identity(std::size_t n) {
-    DenseMatrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-    return m;
-}
-
 void DenseMatrix::setZero() {
     std::fill(data_.begin(), data_.end(), 0.0);
 }
@@ -44,14 +38,6 @@ DenseMatrix DenseMatrix::multiply(const DenseMatrix& other) const {
                 out(r, c) += a * other(k, c);
             }
         }
-    }
-    return out;
-}
-
-DenseMatrix DenseMatrix::transposed() const {
-    DenseMatrix out(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
     }
     return out;
 }
@@ -211,12 +197,6 @@ double norm2(const Vector& v) {
     double acc = 0.0;
     for (double x : v) acc += x * x;
     return std::sqrt(acc);
-}
-
-double normInf(const Vector& v) {
-    double m = 0.0;
-    for (double x : v) m = std::max(m, std::abs(x));
-    return m;
 }
 
 }  // namespace sna::la

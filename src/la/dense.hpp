@@ -36,8 +36,6 @@ public:
     DenseMatrix() = default;
     DenseMatrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-    static DenseMatrix identity(std::size_t n);
-
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
@@ -56,8 +54,6 @@ public:
 
     /// C = A B.
     DenseMatrix multiply(const DenseMatrix& other) const;
-
-    DenseMatrix transposed() const;
 
     const std::vector<double>& data() const { return data_; }
     /// The rows() * cols() row-major entries, for the LU kernels.
@@ -133,8 +129,7 @@ struct LuKernel {
 /// Convenience one-shot solve.
 Vector solveDense(DenseMatrix a, const Vector& b);
 
-/// Euclidean norm and helpers used by the Newton loops.
+/// Euclidean norm.
 double norm2(const Vector& v);
-double normInf(const Vector& v);
 
 }  // namespace sna::la

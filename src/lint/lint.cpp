@@ -377,10 +377,10 @@ LintReport lintDesign(const core::DesignIndex& index,
                       const parser::SpefFile& spef, const LintOptions& opt) {
     LintReport r;
     const DesignSets s = scanInstances(index.design());
-    if (opt.connectivity) lintConnectivity(index, spef, s, r);
-    if (opt.graph) lintGraph(index, s, r);
-    if (opt.windowRules) lintWindows(index, spef, s, opt, r);
-    if (opt.library) lintLibrary(index, s, opt, r);
+    lintConnectivity(index, spef, s, r);
+    lintGraph(index, s, r);
+    lintWindows(index, spef, s, opt, r);
+    lintLibrary(index, s, opt, r);
     if (opt.characterization) lintCharacterization(index, spef, opt, r);
     return r;
 }

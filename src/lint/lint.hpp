@@ -32,11 +32,10 @@
 // a Design exists, so it cannot be a lintDesign stage — and feeds the same
 // LintReport / waiver machinery.
 //
-// The stages run in the order above and each can be switched off; the
-// characterization stage (the only one that simulates — load-curve sweeps
-// and NRC bisections, shared with the analysis through the CharCache) is
-// off by default. Diagnostics come back in deterministic order at any
-// thread count.
+// The stages run in the order above. The characterization stage (the only
+// one that simulates — load-curve sweeps and NRC bisections, shared with
+// the analysis through the CharCache) is off by default. Diagnostics come
+// back in deterministic order at any thread count.
 //
 // Pipeline wiring: core::DesignNoiseOptions::lint (off / warn / strict)
 // runs this checker inside analyzeDesign right after the index is built;
@@ -74,11 +73,6 @@ struct LintOptions {
     /// to ClusterMacromodel::Options::loadCurveGrid so the cache keys match
     /// the analysis and the curves are shared, not recomputed.
     int loadCurveGrid = 33;
-    /// Stage switches.
-    bool connectivity = true;
-    bool graph = true;
-    bool windowRules = true;
-    bool library = true;
     /// Deep library stage (SNA-L402): actually characterizes every victim
     /// driver's load curve and every receiver's NRC and checks the
     /// monotonicity each model guarantees. Simulation-priced; off by
@@ -86,8 +80,9 @@ struct LintOptions {
     bool characterization = false;
 };
 
-/// Run every enabled stage over the indexed design. Deterministic; never
-/// mutates the index beyond forcing its (lazily-built) level graph.
+/// Run every stage (the characterization stage only when enabled) over the
+/// indexed design. Deterministic; never mutates the index beyond forcing
+/// its (lazily-built) level graph.
 LintReport lintDesign(const core::DesignIndex& index,
                       const parser::SpefFile& spef,
                       const LintOptions& opt = {});

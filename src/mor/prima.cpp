@@ -194,15 +194,4 @@ double ReducedMultiport::currentInto(spice::NodeId n,
     return 0.0;
 }
 
-ReducedMultiport& attachReduced(spice::Circuit& c, const std::string& name,
-                                const LinearNetwork& net,
-                                const std::vector<int>& ports,
-                                const std::vector<spice::NodeId>& portNodes,
-                                int blocks, double s0) {
-    PrimaModel model = primaReduce(net, ports, blocks, s0);
-    // Circuit has no generic emplace for external device types; ownership
-    // still lives in the circuit via the add API below.
-    return c.addDevice<ReducedMultiport>(name, portNodes, std::move(model));
-}
-
 }  // namespace sna::mor

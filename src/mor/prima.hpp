@@ -56,12 +56,4 @@ private:
     PrimaModel model_;
 };
 
-/// Convenience: reduce and attach in one step. portNodes[i] is the circuit
-/// node for network node ports[i].
-ReducedMultiport& attachReduced(spice::Circuit& c, const std::string& name,
-                                const LinearNetwork& net,
-                                const std::vector<int>& ports,
-                                const std::vector<spice::NodeId>& portNodes,
-                                int blocks, double s0 = 1e10);
-
 }  // namespace sna::mor

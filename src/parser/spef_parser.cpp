@@ -57,24 +57,6 @@ void SpefFile::indexCoupling() {
     }
 }
 
-void SpefFile::buildInto(spice::Circuit& c) const {
-    for (const auto& [name, net] : nets_) {
-        int idx = 0;
-        for (const auto& r : net.ress) {
-            c.addResistor("spef:" + name + ":r" + std::to_string(++idx),
-                          c.node(r.node1), c.node(r.node2), r.ohms);
-        }
-        idx = 0;
-        for (const auto& cap : net.caps) {
-            const auto n1 = c.node(cap.node1);
-            const auto n2 = cap.node2.empty() ? spice::kGround
-                                              : c.node(cap.node2);
-            c.addCapacitor("spef:" + name + ":c" + std::to_string(++idx), n1,
-                           n2, cap.farads);
-        }
-    }
-}
-
 namespace {
 
 double unitScale(const std::vector<std::string_view>& tokens, int line) {

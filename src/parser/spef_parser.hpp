@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "spice/circuit.hpp"
-
 namespace sna::parser {
 
 enum class SpefConnKind { Port, InternalPin };
@@ -60,10 +58,6 @@ public:
     /// Throws ModelError when `name` itself is not a SPEF net.
     const std::vector<std::string>& aggressorsOf(
         const std::string& name) const;
-
-    /// Lower every net's RC into a circuit; SPEF nodes become circuit nodes
-    /// of the same (lower-cased) name.
-    void buildInto(spice::Circuit& c) const;
 
 private:
     friend SpefFile parseSpef(const std::string& text);

@@ -412,6 +412,25 @@ TEST(PropagationBitPin, InverterTableHash) {
     EXPECT_EQ(h, 0xfe3bab3d3ce4e87bull);
 }
 
+TEST(LoadCurveBitPin, NandBothOutputLevels) {
+    // The macromodel's table at its default 33x33 grid, output held low
+    // and high: one hash over both axes and every entry.
+    std::uint64_t h = 1469598103934665603ull;
+    for (const bool level : {false, true}) {
+        auto spec = nandSpec(33);
+        spec.outputLevel = level;
+        const auto g = charlib::characterizeLoadCurve(spec);
+        for (const double x : g.xs()) h = fnv1a(h, x);
+        for (const double y : g.ys()) h = fnv1a(h, y);
+        for (std::size_t i = 0; i < g.xs().size(); ++i) {
+            for (std::size_t j = 0; j < g.ys().size(); ++j) {
+                h = fnv1a(h, g.at(i, j));
+            }
+        }
+    }
+    EXPECT_EQ(h, 0xeb7208efc6eddbd3ull) << std::hex << "0x" << h;
+}
+
 TEST(TheveninBitPin, CellGridHash) {
     // Every bundled cell, input and output direction over a slew x load
     // grid: one hash over all fitted models, so a change anywhere in the

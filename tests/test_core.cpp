@@ -234,6 +234,29 @@ TEST(Baselines, SuperpositionIsExactInLinearClusters) {
     EXPECT_GT(wave::measureGlitch(both, 0.0).peak, 0.1);
 }
 
+TEST(Baselines, WindowExcludedAggressorHeldQuiet) {
+    // A windowed search reports an aggressor that cannot switch as +inf
+    // (findWorstAlignment's contract); both baselines take its times, so
+    // they must hold that aggressor at its pre-transition rail as the
+    // macromodel does, not try to ramp it.
+    const ClusterMacromodel model(paperCluster(0.7, 2));
+    const double never = std::numeric_limits<double>::infinity();
+    const auto macro = model.analyzeAt({never, 0.55e-9}, 0.45e-9);
+    const auto b1 = core::analyzeLinearSuperposition(model, {never, 0.55e-9});
+    const auto b2 =
+        core::analyzeIterativeThevenin(model, {never, 0.55e-9}, 0.45e-9);
+    for (const auto* r : {&b1, &b2}) {
+        ASSERT_TRUE(std::isfinite(r->metrics.peak));
+        EXPECT_GT(r->metrics.peak, 0.1);
+        // Still the paper's ordering: the linear models underestimate.
+        EXPECT_LT(r->metrics.peak, macro.metrics.peak);
+    }
+    // One silent aggressor injects less than two switching ones.
+    EXPECT_LT(b1.metrics.peak,
+              core::analyzeLinearSuperposition(model, {0.55e-9, 0.55e-9})
+                  .metrics.peak);
+}
+
 TEST(Macromodel, PrimaModeMatchesPiMode) {
     const ClusterSpec spec = paperCluster();
     const ClusterMacromodel pi(spec);
@@ -429,6 +452,42 @@ TEST(BitPin, WindowExcludedAggressor) {
     expectPinned(model.analyzeAt({never, 0.55e-9}, 0.45e-9),
                  {"0x1.3a737eee72d78p-2", "0x1.716d76b0da61ap-31", 388,
                   0x33d7bbb4983d4e05ull});
+}
+
+TEST(BitPin, LinearSuperpositionAtFixedAlignments) {
+    const ClusterMacromodel one(paperCluster(0.7, 1));
+    expectPinned(core::analyzeLinearSuperposition(one, {0.5e-9}),
+                 {"0x1.5ff3dac9b59efp-2", "0x1.5684b8c06448p-31", 290,
+                  0x7685f255e228e970ull});
+    const ClusterMacromodel two(paperCluster(0.7, 2));
+    expectPinned(core::analyzeLinearSuperposition(two, {0.5e-9, 0.6e-9}),
+                 {"0x1.cbc038c90e504p-2", "0x1.864cda3a52748p-31", 373,
+                  0xcd0c7c261bda9e99ull});
+    ClusterMacromodel::Options opt;
+    opt.usePrima = true;
+    const ClusterMacromodel prima(paperCluster(0.7, 2), opt);
+    expectPinned(core::analyzeLinearSuperposition(prima, {0.5e-9, 0.6e-9}),
+                 {"0x1.cffeb0a04525fp-2", "0x1.855c9b641f95bp-31", 476,
+                  0xd0f04070c4cad6d0ull});
+}
+
+TEST(BitPin, IterativeTheveninAtFixedAlignments) {
+    const ClusterMacromodel one(paperCluster(0.7, 1));
+    expectPinned(core::analyzeIterativeThevenin(one, {0.5e-9}, 0.45e-9),
+                 {"0x1.621086d8c51a4p-2", "0x1.5ef0a94149daap-31", 931,
+                  0xb48ef559133c79f5ull});
+    const ClusterMacromodel two(paperCluster(0.7, 2));
+    expectPinned(
+        core::analyzeIterativeThevenin(two, {0.5e-9, 0.6e-9}, 0.45e-9),
+        {"0x1.fc0ee811ec9ccp-2", "0x1.8cc7f26bbf514p-31", 973,
+         0x282aa3ebf2c9ea7cull});
+    ClusterMacromodel::Options opt;
+    opt.usePrima = true;
+    const ClusterMacromodel prima(paperCluster(0.7, 2), opt);
+    expectPinned(
+        core::analyzeIterativeThevenin(prima, {0.5e-9, 0.6e-9}, 0.45e-9),
+        {"0x1.0066aede81ebfp-1", "0x1.8bbff1ab7eb72p-31", 1026,
+         0x9b92d4c8a1061d9full});
 }
 
 TEST(BitPin, GoldenTransistorLevelCluster) {

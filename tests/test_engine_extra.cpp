@@ -165,7 +165,9 @@ TEST(ReducedMultiportDc, MatchesFullNetworkOperatingPoint) {
     const auto p1 = c.node("p1");
     c.addVSource("v0", p0, spice::kGround, SourceSpec::dc(0.7));
     c.addVSource("v1", p1, spice::kGround, SourceSpec::dc(0.2));
-    mor::attachReduced(c, "red", lin, ports, {p0, p1}, 3);
+    c.addDevice<mor::ReducedMultiport>(
+        "red", std::vector<spice::NodeId>{p0, p1},
+        mor::primaReduce(lin, ports, 3));
     const auto dc = spice::solveDc(c);
     // Pure RC network: no DC current flows, ports sit at their sources.
     EXPECT_NEAR(dc.voltage("p0"), 0.7, 1e-9);

@@ -22,7 +22,8 @@ using la::Vector;
 // ----------------------------------------------------------------- dense
 
 TEST(Dense, IdentitySolve) {
-    const auto id = DenseMatrix::identity(4);
+    DenseMatrix id(4, 4);
+    for (std::size_t i = 0; i < 4; ++i) id(i, i) = 1.0;
     const Vector b{1, 2, 3, 4};
     const Vector x = la::solveDense(id, b);
     for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(x[i], b[i]);
@@ -247,7 +248,10 @@ TEST(Dense, FixedSizeKernelsMatchGenericBitwise) {
 }
 
 TEST(Dense, SolveIntoRejectsAliasedOutput) {
-    const la::DenseLu lu(DenseMatrix::identity(2));
+    DenseMatrix id(2, 2);
+    id(0, 0) = 1.0;
+    id(1, 1) = 1.0;
+    const la::DenseLu lu(id);
     Vector b{1.0, 2.0};
     EXPECT_THROW(lu.solveInto(b, b), LogicError);
 }
@@ -280,9 +284,13 @@ TEST(Dense, MultiplyAndTranspose) {
     a(1, 0) = 4;
     a(1, 1) = 5;
     a(1, 2) = 6;
-    const DenseMatrix at = a.transposed();
-    EXPECT_EQ(at.rows(), 3u);
-    EXPECT_DOUBLE_EQ(at(2, 1), 6.0);
+    DenseMatrix at(3, 2);
+    at(0, 0) = 1;
+    at(1, 0) = 2;
+    at(2, 0) = 3;
+    at(0, 1) = 4;
+    at(1, 1) = 5;
+    at(2, 1) = 6;
     const DenseMatrix aat = a.multiply(at);
     EXPECT_DOUBLE_EQ(aat(0, 0), 14.0);
     EXPECT_DOUBLE_EQ(aat(0, 1), 32.0);
@@ -355,7 +363,6 @@ TEST(Grid2d, RejectsBadConstruction) {
 
 TEST(Norms, Basics) {
     EXPECT_DOUBLE_EQ(la::norm2({3, 4}), 5.0);
-    EXPECT_DOUBLE_EQ(la::normInf({-7, 3}), 7.0);
     EXPECT_DOUBLE_EQ(la::norm2({}), 0.0);
 }
 

@@ -167,7 +167,9 @@ wave::Waveform clusterResponse(const RcNetwork& net, bool reduced,
     } else if (usePrima) {
         const mor::LinearNetwork lin(net);
         const std::vector<int> ports{net.driverNode(0), net.driverNode(1)};
-        mor::attachReduced(c, "prima", lin, ports, {vicDp, aggDp}, blocks);
+        c.addDevice<mor::ReducedMultiport>(
+            "prima", std::vector<spice::NodeId>{vicDp, aggDp},
+            mor::primaReduce(lin, ports, blocks));
     } else {
         const auto model = mor::reduceCluster(net);
         model.buildInto(c, "pi:", {vicDp, aggDp});

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "parser/spef_parser.hpp"
-#include "spice/circuit.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -68,23 +67,6 @@ TEST(SpefParser, AggressorDiscoveryThroughCouplingCaps) {
     const auto& back = spef.aggressorsOf("aggr");
     ASSERT_EQ(back.size(), 1u);
     EXPECT_EQ(back[0], "victim");
-}
-
-TEST(SpefParser, BuildIntoCircuitPreservesTotals) {
-    const auto spef = parser::parseSpef(kSpef);
-    spice::Circuit c;
-    spef.buildInto(c);
-    double rTotal = 0.0, cTotal = 0.0;
-    for (const auto& dev : c.devices()) {
-        if (const auto* r = dynamic_cast<const spice::Resistor*>(dev.get())) {
-            rTotal += r->resistance();
-        } else if (const auto* cap =
-                       dynamic_cast<const spice::Capacitor*>(dev.get())) {
-            cTotal += cap->capacitance();
-        }
-    }
-    EXPECT_DOUBLE_EQ(rTotal, 62.5 + 62.5 + 125.0);
-    EXPECT_DOUBLE_EQ(cTotal, (15.0 + 10.0 + 20.0 + 30.0) * 1e-15);
 }
 
 TEST(SpefParser, UnitScalingPf) {
