@@ -29,7 +29,8 @@ core::NoiseResult runFullRc(const core::ClusterSpec& spec,
     const auto ids = model.interconnect().buildInto(ckt, "rc:");
     const ic::RcNetwork& net = model.interconnect();
     const auto dp = ids[net.driverNode(0)];
-    if (const auto glitch = core::victimInputGlitch(spec, glitchTime)) {
+    if (const auto glitch = core::victimInputGlitch(
+            spec, model.inputHoldLevel(), glitchTime)) {
         ckt.addVSource("v_in", vin, spice::kGround,
                        spice::SourceSpec::pwl(*glitch));
     } else {

@@ -9,9 +9,10 @@ namespace sna::cell {
 
 Cell::Cell(std::string name, const tech::Technology& tech,
            std::vector<Pin> pins, std::vector<TransistorSpec> fets,
-           LogicFn logic)
+           LogicFn logic, std::shared_ptr<const std::string> techKey)
     : name_(std::move(name)),
       tech_(&tech),
+      techKey_(std::move(techKey)),
       pins_(std::move(pins)),
       fets_(std::move(fets)),
       logic_(std::move(logic)) {
@@ -22,6 +23,10 @@ Cell::Cell(std::string name, const tech::Technology& tech,
         if (p.dir == PinDir::Output) ++outputs;
     }
     SNA_REQUIRE(outputs == 1, "cell '" + name_ + "' must have one output");
+}
+
+std::string Cell::technologyKey() const {
+    return techKey_ != nullptr ? *techKey_ : tech::identityKey(*tech_);
 }
 
 std::vector<std::string> Cell::inputNames() const {

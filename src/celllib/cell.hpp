@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,12 +39,19 @@ class Cell {
 public:
     using LogicFn = std::function<bool(const std::vector<bool>&)>;
 
+    /// `techKey`, when given, must be tech::identityKey(tech) of a
+    /// technology nothing mutates for the cell's lifetime (sharedLibrary's
+    /// private copies); without it technologyKey() rebuilds the key.
     Cell(std::string name, const tech::Technology& tech,
          std::vector<Pin> pins, std::vector<TransistorSpec> fets,
-         LogicFn logic);
+         LogicFn logic, std::shared_ptr<const std::string> techKey = nullptr);
 
     const std::string& name() const { return name_; }
     const tech::Technology& technology() const { return *tech_; }
+    /// tech::identityKey(technology()): the stored key when the cell came
+    /// with one, else serialized from the technology now, so a
+    /// caller-owned technology mutated in place gets its new key.
+    std::string technologyKey() const;
     const std::vector<Pin>& pins() const { return pins_; }
     const std::vector<TransistorSpec>& transistors() const { return fets_; }
 
@@ -83,6 +91,7 @@ public:
 private:
     std::string name_;
     const tech::Technology* tech_;
+    std::shared_ptr<const std::string> techKey_;  ///< null: not stored
     std::vector<Pin> pins_;
     std::vector<TransistorSpec> fets_;
     LogicFn logic_;

@@ -32,7 +32,7 @@ void CellLibrary::define(const std::string& name, std::vector<Pin> pins,
                          std::vector<TransistorSpec> fets,
                          Cell::LogicFn logic) {
     cells_.emplace(name, Cell(name, *tech_, std::move(pins), std::move(fets),
-                              std::move(logic)));
+                              std::move(logic), techKey_));
 }
 
 void CellLibrary::addCell(const std::string& name, std::vector<Pin> pins,
@@ -44,7 +44,12 @@ void CellLibrary::addCell(const std::string& name, std::vector<Pin> pins,
     define(name, std::move(pins), std::move(fets), std::move(logic));
 }
 
-CellLibrary::CellLibrary(const tech::Technology& tech) : tech_(&tech) {
+CellLibrary::CellLibrary(const tech::Technology& tech)
+    : CellLibrary(tech, nullptr) {}
+
+CellLibrary::CellLibrary(const tech::Technology& tech,
+                         std::shared_ptr<const std::string> techKey)
+    : tech_(&tech), techKey_(std::move(techKey)) {
     const double l = tech.lmin;
     const double wn = tech.wnUnit;
     const double wp = tech.wpUnit;
@@ -189,24 +194,29 @@ std::string libraryKey(const tech::Technology& t) {
     return key;
 }
 
+}  // namespace
+
 // The registry owns a copy of the Technology so the library (and its
 // technology()) stay valid even after the caller's object is destroyed.
-struct SharedEntry {
-    explicit SharedEntry(const tech::Technology& t) : tech(t), lib(tech) {}
-    tech::Technology tech;
+// The copy is const, so its identity key is built once, here.
+struct detail::SharedEntry {
+    explicit SharedEntry(const tech::Technology& t)
+        : tech(t),
+          lib(tech, std::make_shared<const std::string>(
+                        tech::identityKey(tech))) {}
+    const tech::Technology tech;
     CellLibrary lib;
 };
 
-}  // namespace
-
 const CellLibrary& sharedLibrary(const tech::Technology& tech) {
     static std::mutex mu;
-    static std::map<std::string, std::unique_ptr<SharedEntry>> libs;
+    static std::map<std::string, std::unique_ptr<detail::SharedEntry>> libs;
     std::string key = libraryKey(tech);
     const std::lock_guard<std::mutex> lock(mu);
     auto it = libs.find(key);
     if (it == libs.end()) {
-        it = libs.emplace(std::move(key), std::make_unique<SharedEntry>(tech))
+        it = libs.emplace(std::move(key),
+                          std::make_unique<detail::SharedEntry>(tech))
                  .first;
     }
     return it->second->lib;

@@ -8,12 +8,17 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "celllib/cell.hpp"
 
 namespace sna::cell {
+
+namespace detail {
+struct SharedEntry;  // sharedLibrary's registry entry
+}  // namespace detail
 
 class CellLibrary {
 public:
@@ -32,10 +37,19 @@ public:
                  std::vector<TransistorSpec> fets, Cell::LogicFn logic);
 
 private:
+    friend struct detail::SharedEntry;
+
+    /// A registry library: `techKey` is tech::identityKey(tech) of the
+    /// registry's private copy, which nothing mutates, so every cell
+    /// carries the key instead of serializing it per cache lookup.
+    CellLibrary(const tech::Technology& tech,
+                std::shared_ptr<const std::string> techKey);
+
     void define(const std::string& name, std::vector<Pin> pins,
                 std::vector<TransistorSpec> fets, Cell::LogicFn logic);
 
     const tech::Technology* tech_;
+    std::shared_ptr<const std::string> techKey_;  ///< null: not stored
     std::map<std::string, Cell> cells_;
 };
 
@@ -47,7 +61,9 @@ private:
 /// Keyed on the technology's full electrical identity (bitwise parameters,
 /// not the object's address) and backed by an owned copy, so short-lived or
 /// mutated Technology objects — e.g. a corner sweep rebuilding one at the
-/// same stack address — each get their own correct library.
+/// same stack address — each get their own correct library. The copy is
+/// never mutated, so its identity key is built once per entry and every
+/// cell carries it (Cell::technologyKey).
 const CellLibrary& sharedLibrary(const tech::Technology& tech);
 
 }  // namespace sna::cell

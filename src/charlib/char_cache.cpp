@@ -29,9 +29,10 @@ namespace {
 // the technology's full electrical identity comes first: a shared cache must
 // not hand tech-A models to a tech-B run. Doubles follow bitwise
 // (tech::appendBits): a hit must reproduce the direct call exactly, so no
-// rounding or formatting is involved.
+// rounding or formatting is involved. A shared library's cell carries its
+// technology's key ready-made (Cell::technologyKey).
 std::string arcKey(const cell::Cell& c, const std::string& pin, bool level) {
-    std::string key = tech::identityKey(c.technology());
+    std::string key = c.technologyKey();
     key += '/';
     key += c.name();
     key += '/';

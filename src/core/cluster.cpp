@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <string>
@@ -35,18 +36,14 @@ double victimBaseline(const ClusterSpec& spec) {
 }
 
 std::optional<wave::Waveform> victimInputGlitch(const ClusterSpec& spec,
+                                                double inputHoldLevel,
                                                 double glitchTime) {
     if (spec.victim.glitchHeight <= 0.0) return std::nullopt;
-    const cell::CellLibrary& lib = cell::sharedLibrary(*spec.technology);
-    const cell::Cell& driver = lib.cell(spec.victim.driverCell);
-    const auto holding =
-        driver.holdingVector(spec.victim.outputLevel, spec.victim.glitchInput);
-    const double vdd = spec.technology->vdd;
-    const double baseline = holding.at(spec.victim.glitchInput) ? vdd : 0.0;
-    const double dir = (baseline < 0.5 * vdd) ? +1.0 : -1.0;
-    return wave::triangleGlitch(baseline, dir * spec.victim.glitchHeight,
-                                glitchTime, spec.victim.glitchWidth,
-                                spec.tstop);
+    const double dir = (inputHoldLevel < 0.5 * spec.technology->vdd) ? +1.0
+                                                                      : -1.0;
+    return wave::triangleGlitch(inputHoldLevel,
+                                dir * spec.victim.glitchHeight, glitchTime,
+                                spec.victim.glitchWidth, spec.tstop);
 }
 
 NoiseResult simulateGolden(const ClusterSpec& spec) {
@@ -84,11 +81,12 @@ NoiseResult simulateGolden(const ClusterSpec& spec) {
         drv.instantiate(ckt, inst + "_drv", pins, vddNode);
     };
     const cell::Cell& vicDriver = lib.cell(spec.victim.driverCell);
-    addDriver(vicDriver, "vic",
-              vicDriver.holdingVector(spec.victim.outputLevel,
-                                      spec.victim.glitchInput),
-              spec.victim.glitchInput,
-              victimInputGlitch(spec, spec.victim.glitchTime),
+    const auto vicHold = vicDriver.holdingVector(spec.victim.outputLevel,
+                                                 spec.victim.glitchInput);
+    addDriver(vicDriver, "vic", vicHold, spec.victim.glitchInput,
+              victimInputGlitch(spec,
+                                vicHold.at(spec.victim.glitchInput) ? vdd : 0.0,
+                                spec.victim.glitchTime),
               ids[net.driverNode(0)]);
 
     // ---- victim receiver (transistor-level load at the far end) ---------
@@ -124,9 +122,15 @@ NoiseResult simulateGolden(const ClusterSpec& spec) {
         const auto hold = drv.holdingVector(!agg.outputRising, inPin);
         const double v0 = hold.at(inPin) ? vdd : 0.0;
         const std::string inst = "agg" + std::to_string(a);
-        addDriver(drv, inst, hold, inPin,
-                  wave::saturatedRamp(v0, vdd - v0, agg.switchTime,
-                                      agg.inputSlew, spec.tstop),
+        // A switch time of +inf (a window-excluded aggressor) holds the
+        // input at its pre-transition level, as the macromodel does: the
+        // quiet driver still loads the victim.
+        std::optional<wave::Waveform> drive;
+        if (!std::isinf(agg.switchTime)) {
+            drive = wave::saturatedRamp(v0, vdd - v0, agg.switchTime,
+                                        agg.inputSlew, spec.tstop);
+        }
+        addDriver(drv, inst, hold, inPin, std::move(drive),
                   ids[net.driverNode(static_cast<int>(a) + 1)]);
         addReceiver(agg.receiverCell, inst + "_rx",
                     ids[net.receiverNode(static_cast<int>(a) + 1)]);

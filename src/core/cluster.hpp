@@ -76,9 +76,11 @@ NoiseResult simulateGolden(const ClusterSpec& spec);
 /// The quiet victim level implied by the spec (0 or vdd).
 double victimBaseline(const ClusterSpec& spec);
 
-/// The victim-driver input glitch waveform implied by the spec (empty
-/// optional if glitchHeight == 0).
+/// The victim-driver input glitch waveform implied by the spec, a triangle
+/// from `inputHoldLevel` (the glitch input's quiet level, 0 or vdd) toward
+/// the opposite rail; an empty optional if glitchHeight == 0.
 std::optional<wave::Waveform> victimInputGlitch(const ClusterSpec& spec,
+                                                double inputHoldLevel,
                                                 double glitchTime);
 
 }  // namespace sna::core

@@ -34,12 +34,16 @@
 //     retained slots are rewritten in place for those ids alone; a closure
 //     task whose dirty fanins all published their retained front and
 //     window bit for bit is cut off after one pass over its fanins.
-// O(design), by design: copying every clean report into the returned
-// vector (the API returns every report), the `unrecorded` safety scan
-// over the SPEF nets, the per-call worker pool, the per-task records and
-// the restricted task graph, and the explicit-window comparison
-// (O(explicit windows)). A call whose snapshot is not reusable runs this
-// path with every task dirty, so it costs what a full run costs.
+//   * the returned vector — every report is returned, but a report's
+//     waveform shares the retained samples (wave::Waveform), so a clean
+//     report costs its scalars and names, not ~300 samples;
+//   * the workers — the snapshot keeps its pool (AnalysisSnapshot::pool),
+//     so only a call that changes the thread count spawns threads.
+// O(design), by design: the `unrecorded` safety scan over the SPEF nets,
+// the per-task records of markDirty and the restricted task graph of
+// restrictTaskGraph, and the explicit-window comparison (O(explicit
+// windows)). A call whose snapshot is not reusable runs this path with
+// every task dirty, so it costs what a full run costs.
 //
 // Contract: analyzeDesignIncremental returns reports bit-identical to a
 // cold analyzeDesign over the same (mutated) design at any thread count.
@@ -62,6 +66,7 @@
 #include "core/propagate.hpp"
 #include "core/sna.hpp"
 #include "core/timing_windows.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sna::core {
 
@@ -131,6 +136,12 @@ struct AnalysisSnapshot {
     /// Waiver-applied diagnostics of the captured run's lint pass; empty
     /// when DesignNoiseOptions::lint was off.
     std::vector<lint::Diagnostic> lint;
+    /// The worker pool of the last multi-threaded call, kept for the next:
+    /// a call whose resolved thread count matches runs on it, any other
+    /// count replaces it (a serial call releases it). It holds no analysis
+    /// state, so a rebuild, a cancelled or a faulted call keeps it. Shared,
+    /// so a caller may hold on to it past a replacement.
+    std::shared_ptr<util::ThreadPool> pool;
 };
 
 /// Observability counters for one incremental call. A call that rebuilds

@@ -13,8 +13,11 @@
 namespace sna::core {
 
 ClusterMacromodel::ClusterMacromodel(const ClusterSpec& spec, Options opt)
-    : spec_(spec), opt_(opt), net_(clusterNet(spec)) {
-    const cell::CellLibrary& lib = cell::sharedLibrary(*spec_.technology);
+    : spec_(spec),
+      opt_(opt),
+      lib_(&cell::sharedLibrary(*spec_.technology)),
+      net_(clusterNet(spec)) {
+    const cell::CellLibrary& lib = *lib_;
     const double vdd = spec_.technology->vdd;
 
     // --- victim driver: the load-curve table (Eq. (1)) -------------------
@@ -97,9 +100,8 @@ const mor::CoupledPiModel& ClusterMacromodel::reducedPi() const {
 
 const charlib::PropagationTable& ClusterMacromodel::propagationTable() const {
     if (propagation_ == nullptr) {
-        const cell::CellLibrary& lib = cell::sharedLibrary(*spec_.technology);
         charlib::PropagationSpec ps;
-        ps.cell = &lib.cell(spec_.victim.driverCell);
+        ps.cell = &lib_->cell(spec_.victim.driverCell);
         ps.input = spec_.victim.glitchInput;
         ps.outputLevel = spec_.victim.outputLevel;
         double coupling = 0.0;
@@ -131,7 +133,7 @@ spice::NodeId ClusterMacromodel::buildVictimDriver(spice::Circuit& ckt,
                                                   double glitchTime) const {
     const auto vin = ckt.node("vin");
     const auto outNode = ckt.node(out);
-    if (const auto glitch = victimInputGlitch(spec_, glitchTime)) {
+    if (const auto glitch = victimInputGlitch(spec_, vinHold_, glitchTime)) {
         ckt.addVSource("v_in", vin, spice::kGround,
                        spice::SourceSpec::pwl(*glitch));
     } else {

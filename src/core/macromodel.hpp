@@ -107,6 +107,8 @@ public:
 private:
     ClusterSpec spec_;
     Options opt_;
+    /// sharedLibrary(*spec_.technology), resolved once for every probe.
+    const cell::CellLibrary* lib_;
     ic::RcNetwork net_;
     /// Shared with the cache on a hit (immutable); owned otherwise.
     std::shared_ptr<const la::Grid2d> loadCurve_;

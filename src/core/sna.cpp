@@ -1055,11 +1055,14 @@ struct SolveRun {
     /// The returned report list: every finished victim slot in SPEF order,
     /// then the finished quiet nets' propagated-only reports in task-id
     /// order. A victim is finished when its task is; only a cancelled run
-    /// has unfinished ones. Copied when `state` is a retained snapshot,
-    /// moved out of a throwaway one.
+    /// has unfinished ones. Copied when `state` is a retained snapshot (a
+    /// copy shares its waveform's samples), moved out of a throwaway one.
     std::vector<NetNoiseReport> collectReports(bool cancelled, bool retain) {
         std::vector<NetNoiseReport> out;
-        out.reserve(state.victimReports.size());
+        out.reserve(state.victimReports.size() +
+                    static_cast<std::size_t>(std::count_if(
+                        state.quietReports.begin(), state.quietReports.end(),
+                        [](const auto& q) { return q.has_value(); })));
         const auto take = [&out, retain](NetNoiseReport& r) {
             if (retain) {
                 out.push_back(r);
@@ -1159,10 +1162,17 @@ struct SolveRun {
         }
         const util::RestrictedTaskGraph sub =
             util::restrictTaskGraph(tg.graph, keep);
-        // threads == 0 means "use the machine" (hardware_concurrency).
+        // threads == 0 means "use the machine" (hardware_concurrency). A
+        // retained snapshot keeps its pool for the next call; a throwaway
+        // one's pool ends with the call.
         const int threads = util::resolveThreadCount(opt.threads);
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
+        std::shared_ptr<util::ThreadPool>& pool = state.pool;
+        if (threads <= 1) {
+            pool.reset();
+        } else if (pool == nullptr || pool->size() != threads) {
+            pool.reset();  // release the old workers before spawning new ones
+            pool = std::make_shared<util::ThreadPool>(threads);
+        }
         util::SchedulerStats sched = util::runTaskGraph(
             sub.graph,
             [&](int t) { runTask(sub.fullId[static_cast<std::size_t>(t)]); },
@@ -1285,7 +1295,9 @@ DirtyInputs prepareRebuild(const Design& design, const parser::SpefFile& spef,
     }
     // The run writes its slots into the snapshot in place, so the snapshot
     // stops being splice input until the run has completed cleanly.
+    std::shared_ptr<util::ThreadPool> pool = std::move(state.pool);
     state = AnalysisSnapshot{};
+    state.pool = std::move(pool);
     state.index = std::move(index);
     state.lint = std::move(designLint);
     const bool useWindows = opt.propagate && opt.windows != nullptr;

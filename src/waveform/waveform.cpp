@@ -2,16 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace sna::wave {
 
-Waveform::Waveform(std::vector<Sample> samples) : samples_(std::move(samples)) {
-    for (std::size_t i = 1; i < samples_.size(); ++i) {
-        SNA_REQUIRE(samples_[i].t > samples_[i - 1].t,
+namespace {
+
+// The buffer every empty waveform points at. A static, so an empty
+// waveform owns nothing: the aliasing pointer below has no control block,
+// and copying it touches no reference count.
+const std::vector<Sample> kNoSamples;
+
+std::shared_ptr<const std::vector<Sample>> noSamples() {
+    return {std::shared_ptr<const std::vector<Sample>>(), &kNoSamples};
+}
+
+}  // namespace
+
+Waveform::Waveform() : samples_(noSamples()) {}
+
+Waveform::Waveform(std::vector<Sample> samples) {
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+        SNA_REQUIRE(samples[i].t > samples[i - 1].t,
                     "waveform times must be strictly increasing");
     }
+    samples_ = samples.empty() ? noSamples()
+                               : std::make_shared<const std::vector<Sample>>(
+                                     std::move(samples));
+}
+
+Waveform::Waveform(Waveform&& other) noexcept
+    : samples_(std::move(other.samples_)) {
+    other.samples_ = noSamples();
+}
+
+Waveform& Waveform::operator=(Waveform&& other) noexcept {
+    samples_ = std::move(other.samples_);
+    other.samples_ = noSamples();
+    return *this;
 }
 
 Waveform Waveform::constant(double value, double t0, double t1) {
@@ -20,38 +50,27 @@ Waveform Waveform::constant(double value, double t0, double t1) {
 }
 
 double Waveform::startTime() const {
-    SNA_REQUIRE(!samples_.empty(), "empty waveform has no start time");
-    return samples_.front().t;
+    SNA_REQUIRE(!empty(), "empty waveform has no start time");
+    return samples_->front().t;
 }
 
 double Waveform::endTime() const {
-    SNA_REQUIRE(!samples_.empty(), "empty waveform has no end time");
-    return samples_.back().t;
+    SNA_REQUIRE(!empty(), "empty waveform has no end time");
+    return samples_->back().t;
 }
 
 double Waveform::value(double t) const {
-    SNA_REQUIRE(!samples_.empty(), "cannot evaluate an empty waveform");
-    if (t <= samples_.front().t) return samples_.front().v;
-    if (t >= samples_.back().t) return samples_.back().v;
+    const std::vector<Sample>& s = *samples_;
+    SNA_REQUIRE(!s.empty(), "cannot evaluate an empty waveform");
+    if (t <= s.front().t) return s.front().v;
+    if (t >= s.back().t) return s.back().v;
     const auto it = std::lower_bound(
-        samples_.begin(), samples_.end(), t,
-        [](const Sample& s, double time) { return s.t < time; });
+        s.begin(), s.end(), t,
+        [](const Sample& x, double time) { return x.t < time; });
     const Sample& hi = *it;
     const Sample& lo = *(it - 1);
     const double f = (t - lo.t) / (hi.t - lo.t);
     return lo.v + f * (hi.v - lo.v);
-}
-
-void Waveform::append(double t, double v) {
-    SNA_REQUIRE(samples_.empty() || t > samples_.back().t,
-                "appended time must advance");
-    samples_.push_back({t, v});
-}
-
-Waveform Waveform::shifted(double dt) const {
-    std::vector<Sample> out = samples_;
-    for (auto& s : out) s.t += dt;
-    return Waveform(std::move(out));
 }
 
 namespace {

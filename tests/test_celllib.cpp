@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -203,6 +204,25 @@ TEST(SharedLibrary, KeyedOnElectricalIdentityNotAddress) {
     EXPECT_NE(&wireLib, &mosLib);
     EXPECT_EQ(wireLib.technology().layers.back().ccPerUm,
               wire.layers.back().ccPerUm);
+}
+
+TEST(SharedLibrary, CellsCarryTheTechnologyKeyBuiltOnce) {
+    const CellLibrary& lib = cell::sharedLibrary(tech::tech90());
+    const std::string want = tech::identityKey(tech::tech90());
+    for (const std::string& name : lib.names()) {
+        EXPECT_EQ(lib.cell(name).technologyKey(), want) << name;
+    }
+}
+
+TEST(CellLibrary, CallerOwnedTechnologyKeyFollowsInPlaceMutation) {
+    tech::Technology t = tech::tech130();
+    const CellLibrary lib(t);
+    const cell::Cell& inv = lib.cell("INV_X1");
+    const std::string before = inv.technologyKey();
+    EXPECT_EQ(before, tech::identityKey(tech::tech130()));
+    t.nmos.vt0 = std::nextafter(t.nmos.vt0, 1.0);
+    EXPECT_NE(inv.technologyKey(), before);
+    EXPECT_EQ(inv.technologyKey(), tech::identityKey(t));
 }
 
 TEST(SharedLibrary, ConcurrentFirstCallsShareOneLibrary) {

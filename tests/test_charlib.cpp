@@ -696,6 +696,33 @@ TEST(CharCache, RthSolvedOncePerArc) {
     EXPECT_EQ(stats.totalRuns(), fits);
 }
 
+TEST(CharCache, CallerOwnedTechnologyMutatedInPlaceMisses) {
+    // The cell keeps pointing at the caller's technology, so an in-place
+    // corner change must reach the key: the next lookup recharacterizes.
+    tech::Technology t = tech::tech130();
+    const CellLibrary lib(t);
+    charlib::LoadCurveSpec spec;
+    spec.cell = &lib.cell("INV_X1");
+    spec.input = "a";
+    spec.outputLevel = false;
+    spec.nVin = 5;
+    spec.nVout = 5;
+    charlib::CharCache cache;
+    const auto nominal = cache.loadCurve(spec);
+    EXPECT_EQ(cache.loadCurve(spec), nominal);
+    t.nmos.vt0 += 0.02;
+    const auto slow = cache.loadCurve(spec);
+    EXPECT_NE(slow, nominal);
+    EXPECT_EQ(cache.stats().loadCurveRuns, 2u);
+    EXPECT_EQ(cache.stats().loadCurveHits, 1u);
+    const auto direct = charlib::characterizeLoadCurve(spec);
+    for (std::size_t ix = 0; ix < direct.xs().size(); ++ix) {
+        for (std::size_t iy = 0; iy < direct.ys().size(); ++iy) {
+            EXPECT_EQ(slow->at(ix, iy), direct.at(ix, iy));
+        }
+    }
+}
+
 TEST(InputCap, ChargeMethodAgreesWithAnalytic) {
     for (const char* name : {"INV_X1", "NAND2_X1", "NOR2_X1"}) {
         const auto& c = lib130().cell(name);

@@ -257,6 +257,32 @@ TEST(Baselines, WindowExcludedAggressorHeldQuiet) {
                   .metrics.peak);
 }
 
+TEST(Golden, WindowExcludedAggressorHeldQuiet) {
+    // The golden takes a windowed search's times too: a +inf aggressor
+    // holds its input at the pre-transition level (the macromodel's rule)
+    // instead of throwing on a ramp that never finishes.
+    ClusterSpec spec = paperCluster(0.7, 2);
+    spec.victim.glitchTime = 0.45e-9;
+    spec.aggressors[0].switchTime = std::numeric_limits<double>::infinity();
+    spec.aggressors[1].switchTime = 0.55e-9;
+    const auto golden = core::simulateGolden(spec);
+    ASSERT_TRUE(std::isfinite(golden.metrics.peak));
+
+    const ClusterMacromodel model(spec);
+    const auto macro = model.analyzeAt(
+        {spec.aggressors[0].switchTime, spec.aggressors[1].switchTime},
+        spec.victim.glitchTime);
+    EXPECT_LT(std::abs(macro.metrics.peak - golden.metrics.peak),
+              0.11 * std::abs(golden.metrics.peak))
+        << "macromodel " << macro.metrics.peak << " vs golden "
+        << golden.metrics.peak;
+
+    // One silent aggressor injects less than two switching ones.
+    ClusterSpec both = spec;
+    both.aggressors[0].switchTime = 0.55e-9;
+    EXPECT_LT(golden.metrics.peak, core::simulateGolden(both).metrics.peak);
+}
+
 TEST(Macromodel, PrimaModeMatchesPiMode) {
     const ClusterSpec spec = paperCluster();
     const ClusterMacromodel pi(spec);

@@ -1607,6 +1607,118 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
 
 // ------------------------------------------------------ thread resolution
 
+// ------------------------------------------- state kept between calls
+
+TEST(Incremental, ReturnedReportsShareTheSnapshotsWaveforms) {
+    // A report handed back copies the retained one's waveform pointer, not
+    // its samples.
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2, 1, 1, 0};
+    const auto spef =
+        parser::parseSpef(chainSpef(aggs, {30.0, 10.0, 8.0, 0.0}));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    auto opt = cheapOptions();
+    opt.propagate = true;
+    core::AnalysisSnapshot snapshot;
+    opt.snapshot = &snapshot;
+    core::analyzeDesign(design, spef, opt);
+    opt.snapshot = nullptr;
+
+    const auto reports = core::analyzeDesignIncremental(
+        design, spef, core::DesignDelta{}, snapshot, opt);
+    std::vector<const core::NetNoiseReport*> kept;
+    for (const auto& r : snapshot.victimReports) kept.push_back(&r);
+    for (const auto& q : snapshot.quietReports) {
+        if (q.has_value()) kept.push_back(&*q);
+    }
+    ASSERT_EQ(reports.size(), kept.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const wave::Waveform& w = reports[i].cluster.worst.waveform;
+        EXPECT_EQ(reports[i].net, kept[i]->net);
+        // A quiet net's propagated-only report may carry no waveform.
+        if (i < snapshot.victimReports.size()) {
+            EXPECT_FALSE(w.empty()) << reports[i].net;
+        }
+        EXPECT_EQ(w.samples().data(),
+                  kept[i]->cluster.worst.waveform.samples().data())
+            << reports[i].net;
+    }
+}
+
+TEST(Incremental, SnapshotKeepsOneWorkerPoolAcrossCalls) {
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2, 1, 1, 0};
+    const auto spef =
+        parser::parseSpef(chainSpef(aggs, {30.0, 10.0, 8.0, 0.0}));
+    core::Design design(lib);
+    buildChain(design, aggs);
+    auto opt = cheapOptions();
+    opt.propagate = true;
+    opt.threads = 4;
+    core::AnalysisSnapshot snapshot;
+    opt.snapshot = &snapshot;
+    core::analyzeDesign(design, spef, opt);
+    opt.snapshot = nullptr;
+    const std::shared_ptr<util::ThreadPool> first = snapshot.pool;
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->size(), 4);
+
+    // Resizing c3 and back: two calls on one pool. Holding `first` keeps
+    // its address from being reused by a replacement.
+    core::DesignDelta delta;
+    delta.instances = {"c3"};
+    for (const char* cellName : {"INV_X2", "INV_X1"}) {
+        design.replaceCell("c3", cellName);
+        core::IncrementalStats stats;
+        core::analyzeDesignIncremental(design, spef, delta, snapshot, opt,
+                                       &stats);
+        EXPECT_FALSE(stats.indexRebuilt);
+        EXPECT_GT(stats.scheduler.tasksExecuted, 0u);
+        EXPECT_EQ(snapshot.pool, first);
+    }
+
+    // Another thread count builds another pool; a serial call releases it.
+    opt.threads = 2;
+    core::analyzeDesignIncremental(design, spef, core::DesignDelta{},
+                                   snapshot, opt);
+    ASSERT_NE(snapshot.pool, nullptr);
+    EXPECT_NE(snapshot.pool, first);
+    EXPECT_EQ(snapshot.pool->size(), 2);
+    opt.threads = 1;
+    core::analyzeDesignIncremental(design, spef, core::DesignDelta{},
+                                   snapshot, opt);
+    EXPECT_EQ(snapshot.pool, nullptr);
+
+    // A cancelled call drains its workers and keeps the pool: the next
+    // call (a rebuild, the snapshot is no longer splice input) runs on it
+    // and matches a cold run bit for bit.
+    opt.threads = 4;
+    core::analyzeDesignIncremental(design, spef, core::DesignDelta{},
+                                   snapshot, opt);
+    const std::shared_ptr<util::ThreadPool> kept = snapshot.pool;
+    ASSERT_NE(kept, nullptr);
+    util::CancelToken token;
+    token.cancel();
+    auto cancelled = opt;
+    cancelled.cancel = &token;
+    design.replaceCell("c3", "INV_X2");
+    const auto outcome = core::analyzeDesignIncrementalOutcome(
+        design, spef, delta, snapshot, cancelled);
+    EXPECT_EQ(outcome.reason, core::TerminationReason::cancelled);
+    EXPECT_FALSE(snapshot.valid);
+    EXPECT_EQ(snapshot.pool, kept);
+
+    core::IncrementalStats stats;
+    const auto next = core::analyzeDesignIncremental(design, spef, delta,
+                                                     snapshot, opt, &stats);
+    EXPECT_TRUE(stats.indexRebuilt);
+    EXPECT_EQ(stats.scheduler.workers, 4);
+    EXPECT_EQ(snapshot.pool, kept);
+    expectSameReports(next, core::analyzeDesign(design, spef, opt),
+                      "after a cancelled call");
+}
+
 TEST(Threads, ZeroResolvesToHardwareConcurrency) {
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
     const int expected = hw > 0 ? hw : 1;

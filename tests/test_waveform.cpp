@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -27,13 +29,34 @@ TEST(Waveform, EvaluatesWithClamping) {
 TEST(Waveform, RejectsNonMonotonicTimes) {
     EXPECT_THROW(Waveform({{0, 0}, {0, 1}}), LogicError);
     EXPECT_THROW(Waveform({{1, 0}, {0, 1}}), LogicError);
-    Waveform w({{0, 0}});
-    EXPECT_THROW(w.append(0.0, 1.0), LogicError);
+    EXPECT_THROW(Waveform({{0, 0}, {1, 1}, {1, 2}}), LogicError);
 }
 
-TEST(Waveform, ShiftScaleOffset) {
+TEST(Waveform, ShiftedBreakpointsShiftTheValues) {
     const Waveform w({{0, 1}, {1, 3}});
-    EXPECT_DOUBLE_EQ(w.shifted(2.0).value(2.5), 2.0);
+    const Waveform later({{2, 1}, {3, 3}});
+    for (const double t : {-1.0, 0.0, 0.25, 0.5, 1.0, 4.0}) {
+        EXPECT_DOUBLE_EQ(later.value(t + 2.0), w.value(t));
+    }
+}
+
+TEST(Waveform, CopiesShareOneSampleBuffer) {
+    const Waveform w({{0, 1}, {1, 3}, {2, 0}});
+    const Waveform copy = w;
+    EXPECT_EQ(copy.samples().data(), w.samples().data());
+    Waveform assigned;
+    assigned = copy;
+    EXPECT_EQ(assigned.samples().data(), w.samples().data());
+
+    // A move hands the buffer over and leaves the source empty.
+    Waveform moved = std::move(assigned);
+    EXPECT_EQ(moved.samples().data(), w.samples().data());
+    EXPECT_TRUE(assigned.empty());
+    EXPECT_EQ(assigned.size(), 0u);
+
+    EXPECT_TRUE(Waveform().empty());
+    EXPECT_TRUE(Waveform(std::vector<wave::Sample>{}).empty());
+    EXPECT_THROW(Waveform().value(0.0), LogicError);
 }
 
 TEST(Waveform, PlusIsExactOnUnionBreakpoints) {
@@ -142,9 +165,12 @@ INSTANTIATE_TEST_SUITE_P(Factors, GlitchScaling,
                          ::testing::Values(0.5, 1.0, 2.0, 3.5));
 
 TEST(Metrics, ShiftInvariance) {
-    const Waveform g = wave::triangleGlitch(0.0, 0.4, 0.2, 0.3, 2.0);
+    // The same triangle glitch, the second 5 time units later.
+    const Waveform g({{0.0, 0.0}, {0.2, 0.0}, {0.35, 0.4}, {0.5, 0.0}, {2.0, 0.0}});
+    const Waveform later(
+        {{5.0, 0.0}, {5.2, 0.0}, {5.35, 0.4}, {5.5, 0.0}, {7.0, 0.0}});
     const auto m1 = wave::measureGlitch(g, 0.0);
-    const auto m2 = wave::measureGlitch(g.shifted(5.0), 0.0);
+    const auto m2 = wave::measureGlitch(later, 0.0);
     EXPECT_NEAR(m1.peak, m2.peak, 1e-12);
     EXPECT_NEAR(m1.area, m2.area, 1e-12);
     EXPECT_NEAR(m1.width, m2.width, 1e-12);
