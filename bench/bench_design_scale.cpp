@@ -30,10 +30,13 @@
 //     dirty cone against the retained snapshot, timed against the full
 //     warm-cache re-run; the incremental margins must match the full run
 //     bitwise (incremental_margin_diff, asserted 0). eco_cutoff_tasks counts
-//     the scheduled closure tasks that kept their retained results because
-//     their upstream noise came out bit-identical. One more call on the same
-//     snapshot flags connectivityChanged, so it rebuilds and runs every task
-//     dirty: its margins must match the full run bitwise
+//     the scheduled tasks that kept their retained results because their
+//     inputs key came out bit-identical: closure tasks whose upstream noise
+//     converged, and must-solve tasks such as the coupling neighbour of a
+//     resized driver's input net, whose cluster never reads that net's
+//     receivers (the CI smoke check asserts at least one). One more call
+//     on the same snapshot flags connectivityChanged, so it rebuilds and
+//     runs every task dirty: its margins must match the full run bitwise
 //     (eco_rebuild_margin_diff, asserted 0) and its scheduler must execute
 //     every task (eco_rebuild_sched_tasks == eco_total_tasks).
 // Margins are cross-checked within 1e-9 between every flat path. Emits one

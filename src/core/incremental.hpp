@@ -10,11 +10,22 @@
 // see them as aggressors or share re-extracted parasitics) and their
 // downstream closure — patches the retained DesignIndex in place, re-runs
 // the task-graph scheduler restricted to the dirty task ids, and splices
-// the retained NetNoiseReports for every clean net. A closure net reads
-// nothing of the delta but its fanins' surviving glitches and windows, so
-// it re-solves only when one of those came out different from the retained
-// run (early cutoff); otherwise it keeps its retained slots like a clean
-// net, and the re-solve stops where the noise converges.
+// the retained NetNoiseReports for every clean net.
+//
+// One cutoff rule serves every dirty task. A task's solve is a pure
+// function of its inputs (given the fingerprinted options): a victim reads
+// its driver and first-load cells, its ranked aggressors' driver cells, the
+// cluster RC, its incoming glitches, its window gate and the net's other
+// drivers; a pass-through net its driver and first-load cells, its incoming
+// glitches and its gate. The task builds those inputs once and serializes
+// them bitwise into a key retained per task id. When the key equals the
+// retained one and every scheduled fanin finished ok in this run, the task
+// keeps its retained front and reports without a solve. So the re-solve
+// stops where the noise converges, and a must-solve coupling neighbour
+// whose cluster reads nothing the delta changed (an aggressor reads its
+// net's driver, SPEF section and window, never its receivers) is not
+// solved either. The check runs after the `core.solve_net` fault point and
+// the failure policy's upstream checks.
 //
 // There is one run path. A full analyzeDesign is the update that rebuilds
 // the index, reselects every victim and marks every task must-solve; an
@@ -31,9 +42,10 @@
 //   * victim selection — only must-solve victims are re-ranked (the whole
 //     list is reselected only when one gains or loses victim status);
 //   * the solve — the scheduler runs the dirty task ids only, and the
-//     retained slots are rewritten in place for those ids alone; a closure
-//     task whose dirty fanins all published their retained front and
-//     window bit for bit is cut off after one pass over its fanins.
+//     retained slots are rewritten in place for those ids alone; each
+//     dirty task builds its inputs and key (a victim's includes its
+//     cluster RC, which a solve builds anyway), and a task whose key
+//     matches costs that and one comparison instead of a solve;
 //   * the returned vector — every report is returned, but a report's
 //     waveform shares the retained samples (wave::Waveform), so a clean
 //     report costs its scalars and names, not ~300 samples;
@@ -43,7 +55,9 @@
 // the per-task records of markDirty and the restricted task graph of
 // restrictTaskGraph, and the explicit-window comparison (O(explicit
 // windows)). A call whose snapshot is not reusable runs this path with
-// every task dirty, so it costs what a full run costs.
+// every task dirty, so it costs what a full run costs, plus one key per
+// task; a run without a snapshot builds no key. The retained keys cost
+// a few hundred bytes per task.
 //
 // Contract: analyzeDesignIncremental returns reports bit-identical to a
 // cold analyzeDesign over the same (mutated) design at any thread count.
@@ -133,6 +147,10 @@ struct AnalysisSnapshot {
     /// bit on the next call — the caller may edit its windows in place).
     std::vector<TimingWindow> netWindows;
     TimingWindows explicitWindows;
+    /// By task id: the inputs key the task's slots were solved from (see
+    /// the header comment), empty where none is known. A victim reselect
+    /// drops every key.
+    std::vector<std::string> taskKeys;
     /// Waiver-applied diagnostics of the captured run's lint pass; empty
     /// when DesignNoiseOptions::lint was off.
     std::vector<lint::Diagnostic> lint;
@@ -152,9 +170,10 @@ struct IncrementalStats {
     /// closure, every task when the call rebuilt. Equals
     /// scheduler.tasksExecuted on a completed run.
     std::size_t dirtyTasks = 0;
-    /// Of dirtyTasks, the closure tasks cut off without a solve: every
-    /// dirty fanin finished ok with its retained front and window, so the
-    /// task kept its retained slots.
+    /// Of dirtyTasks, the tasks that kept their retained slots without a
+    /// solve: their inputs key equalled the retained one and every
+    /// scheduled fanin finished ok. Must-solve tasks count here as well as
+    /// closure tasks; 0 when the call rebuilt.
     std::size_t cutoffTasks = 0;
     /// Delta nets/pins + window/coupling diffs; 0 when the call rebuilt.
     std::size_t seedNets = 0;
@@ -181,8 +200,8 @@ struct IncrementalStats {
 /// aggressors' parasitics, drivers, and windows, never their reports, so
 /// only value-changed seeds contaminate their neighbors. The propagated
 /// wavefront adds the downstream closure over the scheduled fanout edges
-/// at solve time, where each closure net re-solves only if a fanin's
-/// surviving glitch or window moved. Exposed for testing.
+/// at solve time, where each dirty net re-solves only if its inputs key
+/// moved. Exposed for testing.
 std::unordered_set<std::string> expandDirtyCone(
     const DesignIndex& index, const std::unordered_set<std::string>& seeds,
     std::size_t* coupledNeighbors = nullptr);

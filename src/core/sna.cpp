@@ -100,18 +100,6 @@ void recordRun(SurvivingSet* out, const ClusterReport& run) {
     mergeSurviving(*out, sg);
 }
 
-/// Bit-for-bit equality of two surviving fronts, element by element.
-bool sameBits(const SurvivingSet& a, const SurvivingSet& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::memcmp(&a[i].height, &b[i].height, sizeof(double)) != 0 ||
-            std::memcmp(&a[i].width, &b[i].width, sizeof(double)) != 0) {
-            return false;
-        }
-    }
-    return true;
-}
-
 /// Worst-of-both-holding-levels cluster run for one victim net, with an
 /// optional propagated glitch injected at the driver input. Both levels'
 /// output glitches join `outSurviving` — the non-governing level can leave
@@ -468,6 +456,9 @@ std::vector<int> refreshVictims(
         }
     }
     if (!reselect) return {};
+    // A flat task id is its victim slot, so a key could outlive its net's
+    // move to another slot; no key survives a reselect.
+    state.taskKeys.clear();
     const std::unordered_map<std::string, int> oldSlot =
         std::move(state.slotOf);
     std::vector<NetNoiseReport> oldReports = std::move(state.victimReports);
@@ -515,37 +506,127 @@ NetTaskGraph flatTaskGraph(const AnalysisSnapshot& state) {
     return g;
 }
 
-/// What a prepare step hands the solve: the tasks whose own inputs changed.
-/// A rebuild marks every task. An update names its must-solve nets (seeds
-/// and their coupling neighbours), the victim slots left without a
-/// retained report, and the task ids whose window moved. The solve adds
-/// the downstream closure itself.
+/// What a prepare step hands the solve: the tasks whose own inputs may have
+/// changed. A rebuild marks every task. An update names its must-solve nets
+/// (seeds and their coupling neighbours) and the victim slots left without
+/// a retained report. The solve adds the downstream closure itself.
 struct DirtyInputs {
     bool everyTask = false;
     std::unordered_set<std::string> mustSolve;
     std::vector<int> unrecordedSlots;
-    std::vector<int> movedWindows;
 };
 
 /// One task's state in one run. Set before the scheduler starts, then
 /// written only by the task itself and read by its fanouts once their
 /// dependency count reached zero, so no completion order can race.
 struct TaskRecord {
-    /// A must-solve task's own inputs changed; a closure task sits
-    /// downstream of one and is cut off when none of its dirty fanins
-    /// changed what it publishes. A clean task is not scheduled.
-    enum class Role : char { clean, mustSolve, closure, cutoff };
+    /// A dirty task is scheduled: it is must-solve, or downstream of one.
+    /// It becomes reused when its inputs' key matched the retained one and
+    /// it kept its retained slots. A clean task is not scheduled.
+    enum class Role : char { clean, dirty, reused };
     /// The failure policy's verdict on the task.
     enum class State : char { ok, failed, quarantined, degraded };
     Role role = Role::clean;
     State state = State::ok;
-    /// Ran to a decision (solved, stubbed, quarantined, or cut off), or is
+    /// Ran to a decision (solved, reused, stubbed or quarantined), or is
     /// clean; still false after the run where cancellation skipped it.
     bool done = true;
-    /// What its fanouts read of it — surviving front, window, failure
-    /// state — may differ from the retained run.
-    bool changed = false;
 };
+
+/// Everything one task's solve reads besides the run's options (which the
+/// snapshot fingerprint pins): the solve is a pure function of it. A
+/// victim reads its selection's cells and ranked aggressors, the cluster
+/// RC, its incoming glitches, its window gate and the net's other
+/// drivers; a pass-through net reads its driver and first-load cells, its
+/// incoming glitches and its gate.
+struct TaskInputs {
+    const Instance* driver = nullptr;     ///< null: an undriven net
+    const Instance* firstLoad = nullptr;  ///< null: a net without a load
+    /// Victims only (null/empty for a pass-through net).
+    const std::vector<std::pair<std::string, std::string>>* ranked = nullptr;
+    ic::RcNetwork rc;
+    const std::vector<std::string>* otherDrivers = nullptr;
+    std::vector<IncomingGlitch> incoming;
+    WindowGate gate;  ///< default (nothing gated) without windows
+};
+
+/// `in` serialized field by field into a key: a double as its bit pattern,
+/// an index as 4 bytes, a name or a list behind its length, so equal keys
+/// mean bitwise-equal inputs and no padding byte enters. Nothing specific
+/// to one run (a slot, a pointer) is written. The RC's node names are left
+/// out — a node is its index to every solve — but its wire names, the
+/// cluster's net names, are not. A gate's excluded aggressors and its
+/// `constraining` flag follow from its windows and the ranked names, so
+/// they are left out too.
+std::string taskKey(const TaskInputs& in) {
+    std::string key;
+    const auto raw = [&key](auto v) {
+        char b[sizeof v];
+        std::memcpy(b, &v, sizeof v);
+        key.append(b, sizeof v);
+    };
+    const auto count = [&raw](std::size_t n) {
+        raw(static_cast<std::uint32_t>(n));
+    };
+    const auto text = [&](const std::string& s) {
+        count(s.size());
+        key += s;
+    };
+    const auto cell = [&](const Instance* inst) {
+        raw(static_cast<char>(inst != nullptr));
+        if (inst != nullptr) text(inst->cellName);
+    };
+    const auto window = [&raw](const TimingWindow& w) {
+        raw(w.earliest);
+        raw(w.latest);
+    };
+    cell(in.driver);
+    cell(in.firstLoad);
+    raw(static_cast<char>(in.ranked != nullptr));
+    if (in.ranked != nullptr) {
+        count(in.ranked->size());
+        for (const auto& [drvCell, agg] : *in.ranked) {
+            text(drvCell);
+            text(agg);
+        }
+        count(static_cast<std::size_t>(in.rc.nodeCount()));
+        count(in.rc.resistors().size());
+        for (const ic::RcNetwork::Res& r : in.rc.resistors()) {
+            raw(static_cast<std::int32_t>(r.a));
+            raw(static_cast<std::int32_t>(r.b));
+            raw(r.ohms);
+        }
+        count(in.rc.caps().size());
+        for (const ic::RcNetwork::Cap& c : in.rc.caps()) {
+            raw(static_cast<std::int32_t>(c.a));
+            raw(static_cast<std::int32_t>(c.b));
+            raw(c.farads);
+        }
+        count(static_cast<std::size_t>(in.rc.wireCount()));
+        for (int w = 0; w < in.rc.wireCount(); ++w) {
+            text(in.rc.wireName(w));
+            raw(static_cast<std::int32_t>(in.rc.driverNode(w)));
+            raw(static_cast<std::int32_t>(in.rc.receiverNode(w)));
+        }
+        count(in.otherDrivers->size());
+        for (const std::string& d : *in.otherDrivers) text(d);
+    }
+    count(in.incoming.size());
+    for (const IncomingGlitch& g : in.incoming) {
+        raw(g.height);
+        raw(g.width);
+        text(g.fromNet);
+        text(g.inputPin);
+    }
+    window(in.gate.sens);
+    count(in.gate.dropped.size());
+    for (const char d : in.gate.dropped) raw(d);
+    count(in.gate.incomingWindows.size());
+    for (const TimingWindow& w : in.gate.incomingWindows) window(w);
+    count(in.gate.aggWindows.size());
+    for (const TimingWindow& w : in.gate.aggWindows) window(w);
+    return key;
+}
 
 /// One incoming glitch carried through a pass-through net's driver.
 struct Transfer {
@@ -583,6 +664,11 @@ struct SolveRun {
     NetTaskGraph flat;  ///< the flat sweep's graph; empty when propagating
     const NetTaskGraph& tg;
     const bool useWindows;
+    /// `state` is a retained snapshot: its reports are copied out, each
+    /// solved task's inputs key is kept with its slots, and a dirty task
+    /// whose key matches keeps them. A run on a throwaway snapshot builds
+    /// no key and moves its reports out.
+    const bool retain;
     std::vector<TaskRecord> tasks;
     /// Run-local cancellation: the caller's token (if any) chains under a
     /// token that also carries the run's deadline, so both compose. With
@@ -592,7 +678,8 @@ struct SolveRun {
     const util::CancelToken* cancel = nullptr;
 
     SolveRun(const Design& design, const parser::SpefFile& spefFile,
-             const DesignNoiseOptions& options, AnalysisSnapshot& snapshot)
+             const DesignNoiseOptions& options, AnalysisSnapshot& snapshot,
+             bool retainSlots)
         : lib(design.library()),
           spef(spefFile),
           opt(options),
@@ -602,6 +689,7 @@ struct SolveRun {
           flat(options.propagate ? NetTaskGraph{} : flatTaskGraph(snapshot)),
           tg(options.propagate ? index.taskGraph() : flat),
           useWindows(options.propagate && options.windows != nullptr),
+          retain(retainSlots),
           runToken(options.cancel) {
         if (ropt.macromodel.cache == nullptr) ropt.macromodel.cache = opt.cache;
         if (opt.cancel != nullptr || opt.deadline > 0.0) {
@@ -617,6 +705,7 @@ struct SolveRun {
         }
         state.surviving.resize(tg.nets.size());
         state.quietReports.resize(tg.nets.size());
+        if (retain) state.taskKeys.resize(tg.nets.size());
     }
 
     /// The victim slot of `net`, or -1 for a pass-through net.
@@ -632,32 +721,29 @@ struct SolveRun {
                    : TimingWindow::unbounded();
     }
 
-    /// Marks the must-solve tasks, then their downstream closure over the
-    /// scheduled fanout edges (the flat sweep has none) — exactly the edges
-    /// over which a solve can observe an upstream front. A task whose
-    /// window moved counts as changed before the run starts.
+    /// Marks the must-solve tasks dirty, then their downstream closure over
+    /// the scheduled fanout edges (the flat sweep has none) — exactly the
+    /// edges over which a solve can observe an upstream front.
     void markDirty(const DirtyInputs& dirty) {
         tasks.assign(tg.nets.size(), TaskRecord{});
         if (dirty.everyTask) {
             for (TaskRecord& t : tasks) {
-                t.role = TaskRecord::Role::mustSolve;
+                t.role = TaskRecord::Role::dirty;
                 t.done = false;
             }
             return;  // nothing is left to close over
         }
         std::vector<int> stack;
-        const auto mark = [&](int id, TaskRecord::Role role) {
+        const auto mark = [&](int id) {
             TaskRecord& t = tasks[static_cast<std::size_t>(id)];
             if (t.role != TaskRecord::Role::clean) return;
-            t.role = role;
+            t.role = TaskRecord::Role::dirty;
             t.done = false;
             stack.push_back(id);
         };
         const auto markNet = [&](const std::string& net) {
             const auto it = tg.idOf.find(net);
-            if (it != tg.idOf.end()) {
-                mark(it->second, TaskRecord::Role::mustSolve);
-            }
+            if (it != tg.idOf.end()) mark(it->second);
         };
         for (const std::string& net : dirty.mustSolve) markNet(net);
         // The update's cone marking re-solves any victim the snapshot never
@@ -670,11 +756,8 @@ struct SolveRun {
             const int t = stack.back();
             stack.pop_back();
             for (const int d : tg.graph.fanout[static_cast<std::size_t>(t)]) {
-                mark(d, TaskRecord::Role::closure);
+                mark(d);
             }
-        }
-        for (const int id : dirty.movedWindows) {
-            tasks[static_cast<std::size_t>(id)].changed = true;
         }
     }
 
@@ -738,6 +821,32 @@ struct SolveRun {
         return gate;
     }
 
+    /// Everything task `id`'s solve reads, built once (see TaskInputs).
+    TaskInputs inputsOf(int id, int slot) const {
+        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
+        TaskInputs in;
+        in.incoming = incomingOf(id);
+        if (slot >= 0) {
+            const VictimSelection& w =
+                state.victims[static_cast<std::size_t>(slot)];
+            in.driver = w.driver;
+            in.firstLoad = w.firstLoad;
+            in.ranked = &w.ranked;
+            std::vector<std::string> clusterNets{w.net};
+            for (const auto& [drvCell, agg] : w.ranked) {
+                clusterNets.push_back(agg);
+            }
+            in.rc = ic::rcFromSpef(spef, clusterNets);
+            in.otherDrivers = &index.extraDriversOf(w.net);
+        } else {
+            in.driver = index.driverOf(net);
+            const auto& loads = index.loadsOf(net);
+            if (!loads.empty()) in.firstLoad = loads.front().first;
+        }
+        if (useWindows) in.gate = gateWindows(net, slot, in.incoming);
+        return in;
+    }
+
     /// A victim cluster's solve into its report slot. Every run's output
     /// (local and per-candidate combined) joins `produced`: a non-governing
     /// candidate can still leave the wider glitch. With a constraining
@@ -745,17 +854,16 @@ struct SolveRun {
     /// feed the front), and the same runs yield the unconstrained margin;
     /// without one the constrained run would be the unconstrained run, so
     /// one solve reports the margin as both.
-    void solveVictim(int slot, const std::vector<IncomingGlitch>& incoming,
-                     WindowGate& gate, SurvivingSet& produced) {
+    void solveVictim(int slot, TaskInputs& in, SurvivingSet& produced) {
         const VictimSelection& w =
             state.victims[static_cast<std::size_t>(slot)];
-        std::vector<std::string> clusterNets{w.net};
-        for (const auto& [drvCell, agg] : w.ranked) clusterNets.push_back(agg);
-        const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
+        const std::vector<IncomingGlitch>& incoming = in.incoming;
+        WindowGate& gate = in.gate;
         NetNoiseReport r = analyzeVictim(
-            lib, w.net, *w.driver, *w.firstLoad, w.ranked, rc, opt.tstop, ropt,
-            incoming, &produced, gate.constraining ? &gate : nullptr);
-        r.otherDrivers = index.extraDriversOf(w.net);
+            lib, w.net, *in.driver, *in.firstLoad, *in.ranked, in.rc,
+            opt.tstop, ropt, incoming, &produced,
+            gate.constraining ? &gate : nullptr);
+        r.otherDrivers = *in.otherDrivers;
         if (useWindows) {
             r.windows.constrained = true;
             r.windows.window = gate.sens;
@@ -771,10 +879,11 @@ struct SolveRun {
             // switch time once mapped through that run's delay/slew (+inf
             // times).
             const auto& times = r.cluster.aggressorSwitchTimes;
-            for (std::size_t a = 0; a < times.size() && a < w.ranked.size();
+            const auto& ranked = *in.ranked;
+            for (std::size_t a = 0; a < times.size() && a < ranked.size();
                  ++a) {
                 if (std::isinf(times[a])) {
-                    gate.excludedAggressors.push_back(w.ranked[a].second);
+                    gate.excludedAggressors.push_back(ranked[a].second);
                 }
             }
             sortUnique(gate.excludedAggressors);
@@ -825,10 +934,12 @@ struct SolveRun {
     /// candidate through the cached propagation tables into `produced`, and
     /// its receiver is checked against the NRC, so a propagated-only
     /// failure on an uncoupled net is not silently missed.
-    void solvePassThrough(int id, const std::vector<IncomingGlitch>& incoming,
-                          const WindowGate& gate, SurvivingSet& produced) {
+    void solvePassThrough(int id, const TaskInputs& inputs,
+                          SurvivingSet& produced) {
         const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-        const Instance* drv = index.driverOf(net);
+        const std::vector<IncomingGlitch>& incoming = inputs.incoming;
+        const WindowGate& gate = inputs.gate;
+        const Instance* drv = inputs.driver;
         // Pass-through items always have fanin edges, and fanin edges are
         // only built through a net's driver.
         SNA_REQUIRE(drv != nullptr, "pass-through net without a driver");
@@ -859,10 +970,9 @@ struct SolveRun {
             transfers.push_back(t);
             mergeSurviving(produced, t.sg);
         }
-        const auto& loads = index.loadsOf(net);
-        if (loads.empty()) return;
+        if (inputs.firstLoad == nullptr) return;
         if (transfers.empty() && (!useWindows || allTransfers.empty())) return;
-        const std::string& receiver = loads.front().first->cellName;
+        const std::string& receiver = inputs.firstLoad->cellName;
         NetNoiseReport pr;
         pr.net = net;
         if (!transfers.empty()) {
@@ -909,25 +1019,32 @@ struct SolveRun {
         state.quietReports[static_cast<std::size_t>(id)] = std::move(pr);
     }
 
-    /// Task `id`'s solve: gate its windows, solve it as a victim cluster or
-    /// a pass-through net, and publish its surviving front. A quiet
-    /// non-victim net, or a leaf with neither downstream nets nor a
-    /// receiver to check, has nothing to do (a loaded net with no fanout
-    /// still needs the NRC check).
-    void solveNet(int id, int slot) {
-        const std::string& net = tg.nets[static_cast<std::size_t>(id)];
-        const std::vector<IncomingGlitch> incoming = incomingOf(id);
-        if (slot < 0 && (incoming.empty() || (index.fanoutOf(net).empty() &&
-                                              index.loadsOf(net).empty()))) {
-            return;
+    /// Task `id`'s solve from its inputs, built once. When the run retains
+    /// its slots, every scheduled fanin finished ok (`faninsOk`) and the
+    /// inputs serialize to the key retained with the task's slots, those
+    /// slots are the answer: nothing is solved and false is returned.
+    /// Otherwise the task solves as a victim cluster or a pass-through net
+    /// into cleared slots, publishes its surviving front and retains its
+    /// new key. A quiet non-victim net, or a leaf with neither downstream
+    /// nets nor a receiver to check, has nothing to do (a loaded net with
+    /// no fanout still needs the NRC check).
+    bool solveNet(int id, int slot, bool faninsOk) {
+        const auto uid = static_cast<std::size_t>(id);
+        TaskInputs in = inputsOf(id, slot);
+        std::string key;
+        if (retain) {
+            key = taskKey(in);
+            if (faninsOk && key == state.taskKeys[uid]) return false;
         }
-        WindowGate gate;
-        if (useWindows) gate = gateWindows(net, slot, incoming);
+        state.surviving[uid].clear();
+        state.quietReports[uid].reset();
         SurvivingSet produced;
         if (slot >= 0) {
-            solveVictim(slot, incoming, gate, produced);
-        } else {
-            solvePassThrough(id, incoming, gate, produced);
+            solveVictim(slot, in, produced);
+        } else if (!in.incoming.empty() &&
+                   (in.firstLoad != nullptr ||
+                    !index.fanoutOf(tg.nets[uid]).empty())) {
+            solvePassThrough(id, in, produced);
         }
         // Publish the front into its slot: the height filter runs here so
         // downstream tasks only ever see the final value, after their
@@ -938,21 +1055,32 @@ struct SolveRun {
                 kept.push_back(sg);
             }
         }
-        state.surviving[static_cast<std::size_t>(id)] = std::move(kept);
+        state.surviving[uid] = std::move(kept);
+        // Copied, not moved: the copy allocates the key's size, while the
+        // appended-to string may hold up to twice that.
+        if (retain) state.taskKeys[uid] = key;
+        return true;
     }
 
-    /// One solve under the failure-quarantine policy. Under failFast the
-    /// wrapper adds nothing but the injection site — exceptions propagate
-    /// through the scheduler untouched. A flat task has no fanins, so
-    /// quarantineCone and degradeToPassthrough both reduce to "capture the
-    /// failure and go on".
-    void solveTask(int id, int slot) {
+    /// The task the scheduler runs: one solve under the failure-quarantine
+    /// policy. The fault point and the policy's upstream checks come before
+    /// the key check, so a retained key never hides an injected fault or a
+    /// failed cone. Under failFast the wrapper adds nothing but the
+    /// injection site — exceptions propagate through the scheduler
+    /// untouched. A flat task has no fanins, so quarantineCone and
+    /// degradeToPassthrough both reduce to "capture the failure and go on".
+    /// A task that fails or is quarantined leaves slots that no key
+    /// describes; such a run never leaves the snapshot splice input.
+    void runTask(int id) {
         const auto uid = static_cast<std::size_t>(id);
         const std::string& net = tg.nets[uid];
+        const int slot = victimSlot(net);
+        TaskRecord& task = tasks[uid];
         const NetFailurePolicy policy = opt.onNetFailure;
         if (policy == NetFailurePolicy::failFast) {
             SNA_FAULT_POINT("core.solve_net", net);
-            solveNet(id, slot);
+            if (!solveNet(id, slot, true)) task.role = TaskRecord::Role::reused;
+            task.done = true;
             return;
         }
         // Cone state over the scheduled fanin edges. Each fanin's state was
@@ -969,24 +1097,28 @@ struct SolveRun {
                 upstreamDegraded = true;
             }
         }
-        TaskRecord::State& verdict = tasks[uid].state;
         if (policy == NetFailurePolicy::quarantineCone && upstreamFault) {
             // Suppressed, not solved: empty surviving front (nothing
             // propagates out of the cone), stub report for victims.
-            verdict = TaskRecord::State::quarantined;
+            task.state = TaskRecord::State::quarantined;
+            state.surviving[uid].clear();
+            state.quietReports[uid].reset();
             if (slot >= 0) {
                 state.victimReports[static_cast<std::size_t>(slot)] =
                     failureStub(net, NetNoiseReport::Status::quarantined);
             }
+            task.done = true;
             return;
         }
         try {
             SNA_FAULT_POINT("core.solve_net", net);
-            solveNet(id, slot);
-            if (upstreamFault || upstreamDegraded) {
+            const bool faninsOk = !upstreamFault && !upstreamDegraded;
+            if (!solveNet(id, slot, faninsOk)) {
+                task.role = TaskRecord::Role::reused;
+            } else if (!faninsOk) {
                 // degradeToPassthrough: solved across a bridged failure —
                 // margins are real numbers but built on approximate inputs.
-                verdict = TaskRecord::State::degraded;
+                task.state = TaskRecord::State::degraded;
                 if (slot >= 0) {
                     state.victimReports[static_cast<std::size_t>(slot)]
                         .status = NetNoiseReport::Status::degraded;
@@ -999,7 +1131,7 @@ struct SolveRun {
         } catch (const util::CancelledError&) {
             throw;  // cancellation is never a per-net failure
         } catch (const std::exception& e) {
-            verdict = TaskRecord::State::failed;
+            task.state = TaskRecord::State::failed;
             if (slot >= 0) {
                 state.victimReports[static_cast<std::size_t>(slot)] =
                     failureStub(net, NetNoiseReport::Status::failed, e.what());
@@ -1021,34 +1153,6 @@ struct SolveRun {
             }
             state.surviving[uid] = std::move(pass);
         }
-    }
-
-    /// The task the scheduler runs. A closure task none of whose dirty
-    /// fanins changed what it publishes is cut off: its inputs are bit for
-    /// bit the retained run's, so its retained slots are its answer. Any
-    /// other task starts from empty slots, and the retained front it
-    /// replaces tells whether its fanouts see a change.
-    void runTask(int id) {
-        const auto uid = static_cast<std::size_t>(id);
-        TaskRecord& task = tasks[uid];
-        if (task.role == TaskRecord::Role::closure) {
-            bool upstreamChanged = false;
-            for (const int f : tg.faninIds[uid]) {
-                upstreamChanged = upstreamChanged ||
-                                  tasks[static_cast<std::size_t>(f)].changed;
-            }
-            if (!upstreamChanged) task.role = TaskRecord::Role::cutoff;
-        }
-        if (task.role != TaskRecord::Role::cutoff) {
-            SurvivingSet retained = std::move(state.surviving[uid]);
-            state.surviving[uid].clear();
-            state.quietReports[uid].reset();
-            solveTask(id, victimSlot(tg.nets[uid]));
-            if (task.state != TaskRecord::State::ok ||
-                !sameBits(state.surviving[uid], retained)) {
-                task.changed = true;
-            }
-        }
         task.done = true;
     }
 
@@ -1057,13 +1161,13 @@ struct SolveRun {
     /// order. A victim is finished when its task is; only a cancelled run
     /// has unfinished ones. Copied when `state` is a retained snapshot (a
     /// copy shares its waveform's samples), moved out of a throwaway one.
-    std::vector<NetNoiseReport> collectReports(bool cancelled, bool retain) {
+    std::vector<NetNoiseReport> collectReports(bool cancelled) {
         std::vector<NetNoiseReport> out;
         out.reserve(state.victimReports.size() +
                     static_cast<std::size_t>(std::count_if(
                         state.quietReports.begin(), state.quietReports.end(),
                         [](const auto& q) { return q.has_value(); })));
-        const auto take = [&out, retain](NetNoiseReport& r) {
+        const auto take = [this, &out](NetNoiseReport& r) {
             if (retain) {
                 out.push_back(r);
             } else {
@@ -1090,7 +1194,7 @@ struct SolveRun {
     /// uncancelled run.
     AnalysisOutcome assembleOutcome(util::SchedulerStats sched,
                                     const util::RestrictedTaskGraph& sub,
-                                    bool retain, IncrementalStats& st) {
+                                    IncrementalStats& st) {
         AnalysisOutcome outcome;
         bool cancelled = false;
         for (std::size_t id = 0; id < tasks.size(); ++id) {
@@ -1134,7 +1238,7 @@ struct SolveRun {
         st.dirtyTasks = sub.fullId.size();
         for (const int id : sub.fullId) {
             const auto uid = static_cast<std::size_t>(id);
-            if (tasks[uid].role == TaskRecord::Role::cutoff) {
+            if (tasks[uid].role == TaskRecord::Role::reused) {
                 ++st.cutoffTasks;
             } else if (victimSlot(tg.nets[uid]) >= 0) {
                 ++st.solvedVictimReports;
@@ -1145,7 +1249,7 @@ struct SolveRun {
         if (opt.schedulerStats != nullptr) {
             *opt.schedulerStats = std::move(sched);
         }
-        outcome.reports = collectReports(cancelled, retain);
+        outcome.reports = collectReports(cancelled);
         return outcome;
     }
 
@@ -1153,8 +1257,7 @@ struct SolveRun {
     /// vanish (its slot is already filled); edges among dirty tasks keep
     /// their dependency order, so a dirty net still solves after every
     /// dirty upstream net, and the whole ready frontier runs at once.
-    AnalysisOutcome run(const DirtyInputs& dirty, bool retain,
-                        IncrementalStats& st) {
+    AnalysisOutcome run(const DirtyInputs& dirty, IncrementalStats& st) {
         markDirty(dirty);
         std::vector<char> keep(tasks.size());
         for (std::size_t id = 0; id < tasks.size(); ++id) {
@@ -1177,7 +1280,7 @@ struct SolveRun {
             sub.graph,
             [&](int t) { runTask(sub.fullId[static_cast<std::size_t>(t)]); },
             pool.get(), cancel);
-        return assembleOutcome(std::move(sched), sub, retain, st);
+        return assembleOutcome(std::move(sched), sub, st);
     }
 };
 
@@ -1377,10 +1480,11 @@ DirtyInputs preparePatch(const parser::SpefFile& spef,
                                 addWindowSource)) {
             snapshot.explicitWindows = *opt.windows;
         }
+        std::vector<int> moved;
         st.windowNetsRepropagated =
             propagateWindowCone(index, opt.cache, opt.windows, windowSources,
-                                snapshot.netWindows, &dirty.movedWindows);
-        for (const int id : dirty.movedWindows) {
+                                snapshot.netWindows, &moved);
+        for (const int id : moved) {
             seeds.insert(tg->nets[static_cast<std::size_t>(id)]);
         }
     }
@@ -1454,8 +1558,9 @@ AnalysisOutcome runAnalysis(const Design& design, const parser::SpefFile& spef,
         reusable ? preparePatch(spef, runOpt, *delta, state, st)
                  : prepareRebuild(design, spef, runOpt, state,
                                   snapshot != nullptr, deltaLint, st);
-    AnalysisOutcome outcome = SolveRun(design, spef, runOpt, state)
-                                  .run(dirty, snapshot != nullptr, st);
+    AnalysisOutcome outcome =
+        SolveRun(design, spef, runOpt, state, snapshot != nullptr)
+            .run(dirty, st);
     state.valid = snapshot != nullptr && outcome.clean();
     if (opt.lint != lint::Mode::off && opt.lintOut != nullptr) {
         appendResilienceLint(*opt.lintOut, outcome);

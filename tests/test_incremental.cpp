@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/task_scheduler.hpp"
 #include "util/thread_pool.hpp"
@@ -1062,9 +1064,9 @@ TEST(IncrementalCutoff, MovedFaninWindowReSolvesFanoutWithUnchangedFront) {
 
 TEST(IncrementalCutoff, FailedFaninStillQuarantinesOrDegradesItsCone) {
     // A must-solve stage fails under an injected fault: its closure must
-    // not be cut off (a failed or degraded fanin always counts as changed),
-    // so every downstream stage is stubbed or degraded exactly as in a
-    // full run under the same fault.
+    // not keep its retained slots (a failed or degraded fanin never lets a
+    // task reuse), so every downstream stage is stubbed or degraded exactly
+    // as in a full run under the same fault.
     const cell::CellLibrary lib(tech::tech130());
     const auto spef = parser::parseSpef(
         chainSpef(kFadingAggs, {30.0, 10.0, 8.0, 0.0, 0.0, 0.0}));
@@ -1106,7 +1108,10 @@ TEST(IncrementalCutoff, FailedFaninStillQuarantinesOrDegradesItsCone) {
             util::FaultInjector::instance().disarm();
 
             EXPECT_FALSE(stats.indexRebuilt) << tag;
-            EXPECT_EQ(stats.cutoffTasks, 0u) << tag;
+            // Only g1_0 keeps its retained slots: s1's coupling neighbour,
+            // unloaded, so it has nothing to solve and its key holds.
+            // Nothing in the failed cone is reused.
+            EXPECT_EQ(stats.cutoffTasks, 1u) << tag;
             EXPECT_FALSE(snapshot.valid) << tag;
             EXPECT_EQ(fast.failedNets, std::vector<std::string>{"s1"}) << tag;
             EXPECT_EQ(fast.failedNets, full.failedNets) << tag;
@@ -1603,6 +1608,159 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
     for (const int count : kinds) EXPECT_GT(count, 0);
     EXPECT_GT(cutoffTasks, 0u);
     expectRetainedWindowsCurrent(snap1, *windows, "final");
+}
+
+// The cutoff key's contract, in the style of the fingerprint test: each row
+// is an ECO that changes one input a task's solve reads, so the task that
+// reads it must re-solve, and every report and retained slot must equal a
+// full run's bit for bit. A victim re-solved by the call holds a new
+// waveform buffer; a victim that kept its retained report still shares
+// the one captured before the call. A row's `kept` victims are must-solve
+// tasks whose inputs the ECO leaves bitwise unchanged: they re-solve zero
+// times.
+TEST(Incremental, TaskKeyCoversEveryInputTheSolveReads) {
+    const cell::CellLibrary lib(tech::tech130());
+    const MultiChain mc;
+    std::vector<double> cc(static_cast<std::size_t>(mc.chains * mc.stages));
+    for (std::size_t i = 0; i < cc.size(); ++i) {
+        cc[i] = 8.0 + 3.0 * static_cast<double>(i % 4);
+    }
+    const std::map<std::string, core::TimingWindow> windows = {
+        {mc.head(0), {0.0, 100e-12}},
+        {mc.head(2), {40e-12, 220e-12}},
+    };
+    // c1s1 is driven by c1g1x too, which loses to c1g1 on its name (the
+    // index warns about it on every build).
+    const log::Level savedLevel = log::level();
+    log::setLevel(log::Level::Error);
+    struct Restore {
+        log::Level level;
+        ~Restore() { log::setLevel(level); }
+    } restore{savedLevel};
+    const auto build = [&mc](core::Design& d) {
+        mc.build(d);
+        addInst(d, "c1g1x", "INV_X1",
+                {{"a", mc.net(1, 0)}, {"y", mc.net(1, 1)}});
+    };
+
+    struct Eco {
+        core::Design& design;
+        std::string spef;
+        std::map<std::string, core::TimingWindow> windows;
+        core::DesignDelta delta;
+    };
+    struct Row {
+        const char* input;
+        std::function<void(Eco&)> apply;
+        std::vector<std::string> resolved;
+        std::vector<std::string> kept;
+    };
+    const auto resize = [](std::string inst, std::string cell) {
+        return [inst, cell](Eco& e) {
+            e.design.replaceCell(inst, cell);
+            e.delta.instances.push_back(inst);
+        };
+    };
+    const std::vector<Row> rows = {
+        {"driver cell", resize("c1g0", "INV_X2"), {"c1s0"}, {}},
+        // c1g3 is c1s2's only receiver: c1s2's coupling neighbours are
+        // must-solve, but an aggressor's cluster never reads its receivers.
+        {"first-load cell", resize("c1g3", "INV_X1"), {"c1s2"},
+         {"c0s2", "c2s2"}},
+        {"aggressor driver cell", resize("c1g1", "INV_X2"),
+         {"c0s1", "c2s1"}, {}},
+        {"R in a cluster net's section",
+         [](Eco& e) {
+             const std::string from = "*RES\n1 c1g1:y c1s1:1 60\n";
+             const std::size_t at = e.spef.find(from);
+             ASSERT_NE(at, std::string::npos);
+             e.spef.replace(at, from.size(), "*RES\n1 c1g1:y c1s1:1 75\n");
+             e.delta.nets.push_back("c1s1");
+         },
+         {"c1s1", "c0s1", "c2s1"}, {}},
+        // Chain 0 now switches after chain 2 has settled: chain 2's victims
+        // exclude it as an aggressor.
+        {"explicit window bound",
+         [&mc](Eco& e) { e.windows[mc.head(0)] = {1.5e-9, 1.6e-9}; },
+         {"c0s0", "c2s0"}, {}},
+        // c1s0's coupling moves its surviving glitch: c1s1 reads nothing
+        // else of the ECO.
+        {"upstream glitch",
+         [&mc, cc](Eco& e) {
+             std::vector<double> moved = cc;
+             moved[3] *= 0.6;
+             e.spef = mc.spef(moved);
+             e.delta.nets.push_back(mc.net(1, 0));
+         },
+         {"c1s1"}, {}},
+        // The solve reads the losing driver's name, not its cell.
+        {"extra driver", resize("c1g1x", "INV_X2"), {},
+         {"c1s0", "c1s1", "c0s1", "c2s1"}},
+    };
+
+    for (const Row& row : rows) {
+        for (const int threads : {1, 4}) {
+            const std::string tag = std::string(row.input) +
+                                    " threads=" + std::to_string(threads);
+            core::Design design(lib);
+            build(design);
+            Eco eco{design, mc.spef(cc), windows, {}};
+            const auto spef0 = parser::parseSpef(eco.spef);
+            const core::TimingWindows w0 = windowsOf(windows);
+            auto opt = cheapOptions();
+            opt.propagate = true;
+            opt.threads = threads;
+            opt.windows = &w0;
+            charlib::CharCache cache;
+            opt.cache = &cache;
+            core::AnalysisSnapshot snapshot;
+            opt.snapshot = &snapshot;
+            core::analyzeDesign(design, spef0, opt);
+            ASSERT_TRUE(snapshot.valid) << tag;
+            opt.snapshot = nullptr;
+            // Holding the retained reports keeps their sample buffers alive,
+            // so a re-solve cannot land on the same address.
+            const std::vector<core::NetNoiseReport> before =
+                snapshot.victimReports;
+            const auto bufferOf = [](const core::NetNoiseReport& r) {
+                return r.cluster.worst.waveform.samples().data();
+            };
+            const auto beforeBuffer = [&](const std::string& net) {
+                return bufferOf(before[static_cast<std::size_t>(
+                    snapshot.slotOf.at(net))]);
+            };
+
+            row.apply(eco);
+            const auto spef1 = parser::parseSpef(eco.spef);
+            const core::TimingWindows w1 = windowsOf(eco.windows);
+            opt.windows = &w1;
+            core::IncrementalStats stats;
+            const auto fast = core::analyzeDesignIncremental(
+                design, spef1, eco.delta, snapshot, opt, &stats);
+            core::AnalysisSnapshot fresh;
+            opt.snapshot = &fresh;
+            const auto full = core::analyzeDesign(design, spef1, opt);
+            EXPECT_FALSE(stats.indexRebuilt) << tag;
+            expectSameReports(fast, full, tag);
+            expectRetainedSlotsCurrent(snapshot, fresh, tag);
+            for (std::size_t i = 0; i < fast.size(); ++i) {
+                EXPECT_EQ(fast[i].otherDrivers, full[i].otherDrivers) << tag;
+            }
+            const auto afterBuffer = [&](const std::string& net) {
+                return bufferOf(snapshot.victimReports[static_cast<std::size_t>(
+                    snapshot.slotOf.at(net))]);
+            };
+            for (const std::string& net : row.resolved) {
+                EXPECT_NE(afterBuffer(net), beforeBuffer(net))
+                    << tag << ": " << net << " kept its retained report";
+            }
+            for (const std::string& net : row.kept) {
+                EXPECT_EQ(afterBuffer(net), beforeBuffer(net))
+                    << tag << ": " << net << " re-solved";
+            }
+            EXPECT_GE(stats.cutoffTasks, row.kept.size()) << tag;
+        }
+    }
 }
 
 // ------------------------------------------------------ thread resolution
