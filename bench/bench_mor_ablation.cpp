@@ -10,66 +10,6 @@
 
 #include <chrono>
 
-#include "mor/linear_network.hpp"
-#include "spice/tran.hpp"
-
-namespace {
-
-using namespace bench;
-
-// Macromodel run where the interconnect is the FULL RC network (reduction
-// ablated away): table-VCCS victim + Thevenin aggressors + full ladder.
-core::NoiseResult runFullRc(const core::ClusterSpec& spec,
-                            const core::ClusterMacromodel& model,
-                            const std::vector<double>& aggTimes,
-                            double glitchTime) {
-    const auto start = std::chrono::steady_clock::now();
-    spice::Circuit ckt;
-    const auto vin = ckt.node("vin");
-    const auto ids = model.interconnect().buildInto(ckt, "rc:");
-    const ic::RcNetwork& net = model.interconnect();
-    const auto dp = ids[net.driverNode(0)];
-    if (const auto glitch = core::victimInputGlitch(
-            spec, model.inputHoldLevel(), glitchTime)) {
-        ckt.addVSource("v_in", vin, spice::kGround,
-                       spice::SourceSpec::pwl(*glitch));
-    } else {
-        ckt.addVSource("v_in", vin, spice::kGround,
-                       spice::SourceSpec::dc(model.inputHoldLevel()));
-    }
-    ckt.addTableVccs("idc_victim", dp, vin, model.sharedLoadCurve());
-    ckt.addCapacitor("cdrv0", dp, spice::kGround, model.driverCaps()[0]);
-    for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
-        const auto& m = model.aggressorModels()[a];
-        const std::string inst = "agg" + std::to_string(a);
-        const auto src = ckt.node(inst + "_th");
-        ckt.addVSource("v_" + inst, src, spice::kGround,
-                       spice::SourceSpec::pwl(
-                           m.ramp(aggTimes[a] + m.delay, spec.tstop)));
-        const auto adp = ids[net.driverNode(static_cast<int>(a) + 1)];
-        ckt.addResistor("r_" + inst, src, adp, m.rth);
-        ckt.addCapacitor("cdrv" + std::to_string(a + 1), adp, spice::kGround,
-                         model.driverCaps()[a + 1]);
-    }
-    for (int w = 0; w < net.wireCount(); ++w) {
-        ckt.addCapacitor("crx" + std::to_string(w), ids[net.receiverNode(w)],
-                         spice::kGround, model.receiverCaps()[w]);
-    }
-    spice::TranOptions opt;
-    opt.tstop = spec.tstop;
-    const auto res = spice::simulateTransient(ckt, opt);
-    core::NoiseResult out;
-    out.waveform = res.waveform("rc:" + net.nodeName(net.driverNode(0)));
-    out.metrics = wave::measureGlitch(out.waveform, model.outputHoldLevel());
-    out.engineNodes = ckt.nodeCount();
-    out.runtimeSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    return out;
-}
-
-}  // namespace
-
 int main() {
     using namespace bench;
     auto spec = paperCluster(/*aggressors=*/2);
@@ -78,7 +18,15 @@ int main() {
     const double glitchTime = 0.4e-9;
 
     const core::ClusterMacromodel pi(spec);
-    const auto full = runFullRc(spec, pi, aggTimes, glitchTime);
+    // The reference: the macromodel's drivers and receiver caps around the
+    // FULL RC network (reduction ablated away).
+    const auto start = std::chrono::steady_clock::now();
+    spice::Circuit ckt;
+    const auto dp = pi.buildVictimDriver(ckt, "dp_vic", glitchTime);
+    const auto drvNodes = pi.buildDrivers(ckt, dp, aggTimes);
+    pi.buildReceivers(ckt, pi.interconnect().buildInto(ckt, "rc:", drvNodes));
+    const auto full = core::simulateCluster(ckt, spec.tstop, "dp_vic",
+                                            pi.outputHoldLevel(), start);
 
     util::Table t({"Interconnect model", "Engine nodes", "Run (ms)",
                    "Peak err% vs full RC", "Area err%", "Waveform rms (mV)"});

@@ -81,10 +81,6 @@ struct TheveninModel {
     double rth = 0.0;     ///< driving resistance, ohm
     double delay = 0.0;   ///< driver insertion delay: input start -> ramp
                           ///< launch, s
-
-    /// The V_TH waveform starting its ramp at t0 (add `delay` to the input
-    /// switching time for absolute alignment).
-    wave::Waveform ramp(double t0, double tEnd) const;
 };
 
 struct TheveninSpec {

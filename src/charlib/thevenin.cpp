@@ -12,10 +12,6 @@
 
 namespace sna::charlib {
 
-wave::Waveform TheveninModel::ramp(double t0, double tEnd) const {
-    return wave::saturatedRamp(vStart, vEnd, t0, slew, tEnd);
-}
-
 namespace detail {
 
 // Analytic response of the (ramp + R)ic load C, normalized swing 1, ramp

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "spice/tran.hpp"
 #include "waveform/sources.hpp"
 
 namespace sna::core {
@@ -37,14 +36,10 @@ NoiseResult analyzeLinearSuperposition(
     const auto dp = ckt.node("dp_vic");
     model.buildCluster(ckt, dp, aggressorSwitchTimes);
     addHoldingResistor(model, ckt, dp);
-    spice::TranOptions opt;
-    opt.tstop = spec.tstop;
-    const auto res = spice::simulateTransient(ckt, opt);
-    const wave::Waveform injected = res.waveform("dp_vic");
-    const auto mInj = wave::measureGlitch(injected, model.outputHoldLevel());
+    NoiseResult out = simulateCluster(ckt, spec.tstop, "dp_vic",
+                                      model.outputHoldLevel(), start);
 
     // ---- propagated component from the pre-characterized tables ----------
-    wave::Waveform total = injected;
     if (spec.victim.glitchHeight > 0.0) {
         const auto& table = model.propagationTable();
         const double h = spec.victim.glitchHeight;
@@ -56,20 +51,17 @@ NoiseResult analyzeLinearSuperposition(
             // the injected peak (worst-case superposition).
             const double width = 2.0 * std::abs(area / peak);
             const double tPeak =
-                (std::abs(mInj.peak) > 1e-6)
-                    ? mInj.peakTime
+                (std::abs(out.metrics.peak) > 1e-6)
+                    ? out.metrics.peakTime
                     : spec.victim.glitchTime + 0.5 * spec.victim.glitchWidth;
             const double t0 = std::max(tPeak - 0.5 * width, 0.0);
             const wave::Waveform tri = wave::triangleGlitch(
                 0.0, peak, t0 + 1e-15, width, spec.tstop);
-            total = total.plus(tri);
+            out.waveform = out.waveform.plus(tri);
+            out.metrics =
+                wave::measureGlitch(out.waveform, model.outputHoldLevel());
         }
     }
-
-    NoiseResult out;
-    out.waveform = total;
-    out.metrics = wave::measureGlitch(total, model.outputHoldLevel());
-    out.engineNodes = ckt.nodeCount();
     out.runtimeSec = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -83,6 +75,7 @@ NoiseResult analyzeIterativeThevenin(
     const auto start = std::chrono::steady_clock::now();
     const ClusterSpec& spec = model.spec();
     const ic::RcNetwork& net = model.interconnect();
+    const double vHold = model.outputHoldLevel();
 
     // ---- V0(t): the victim driver's own glitch response, no crosstalk ----
     wave::Waveform v0;
@@ -94,13 +87,10 @@ NoiseResult analyzeIterativeThevenin(
             load += net.couplingCapBetween(0, o);
         }
         ckt.addCapacitor("cload", out, spice::kGround, load);
-        spice::TranOptions opt;
-        opt.tstop = spec.tstop;
-        v0 = spice::simulateTransient(ckt, opt).waveform("out");
+        v0 = simulateCluster(ckt, spec.tstop, "out", vHold, start).waveform;
     }
 
     // ---- iterate the victim Thevenin resistance --------------------------
-    const double vHold = model.outputHoldLevel();
     double rv = model.victimHoldingResistance();
     NoiseResult result;
     for (int it = 0; it < maxIterations; ++it) {
@@ -111,12 +101,7 @@ NoiseResult analyzeIterativeThevenin(
         ckt.addVSource("v_victim", vsrc, spice::kGround,
                        spice::SourceSpec::pwl(v0));
         ckt.addResistor("r_victim", vsrc, dp, rv);
-        spice::TranOptions opt;
-        opt.tstop = spec.tstop;
-        const auto res = spice::simulateTransient(ckt, opt);
-        result.waveform = res.waveform("dp_vic");
-        result.metrics = wave::measureGlitch(result.waveform, vHold);
-        result.engineNodes = ckt.nodeCount();
+        result = simulateCluster(ckt, spec.tstop, "dp_vic", vHold, start);
 
         // Refit: secant resistance of the load curve between the holding
         // point and the current noise peak (input at its quiet level — the

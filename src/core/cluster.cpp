@@ -1,11 +1,8 @@
 #include "core/cluster.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <string>
-#include <utility>
 
 #include "spice/tran.hpp"
 #include "util/error.hpp"
@@ -35,15 +32,39 @@ double victimBaseline(const ClusterSpec& spec) {
     return spec.victim.outputLevel ? spec.technology->vdd : 0.0;
 }
 
-std::optional<wave::Waveform> victimInputGlitch(const ClusterSpec& spec,
-                                                double inputHoldLevel,
-                                                double glitchTime) {
-    if (spec.victim.glitchHeight <= 0.0) return std::nullopt;
+spice::SourceSpec victimInputSource(const ClusterSpec& spec,
+                                    double inputHoldLevel, double glitchTime) {
+    if (spec.victim.glitchHeight <= 0.0) {
+        return spice::SourceSpec::dc(inputHoldLevel);
+    }
     const double dir = (inputHoldLevel < 0.5 * spec.technology->vdd) ? +1.0
                                                                       : -1.0;
-    return wave::triangleGlitch(inputHoldLevel,
-                                dir * spec.victim.glitchHeight, glitchTime,
-                                spec.victim.glitchWidth, spec.tstop);
+    return spice::SourceSpec::pwl(wave::triangleGlitch(
+        inputHoldLevel, dir * spec.victim.glitchHeight, glitchTime,
+        spec.victim.glitchWidth, spec.tstop));
+}
+
+spice::SourceSpec switchingSource(double switchTime, double from, double to,
+                                  double slew, double tstop) {
+    if (std::isinf(switchTime)) return spice::SourceSpec::dc(from);
+    return spice::SourceSpec::pwl(
+        wave::saturatedRamp(from, to, switchTime, slew, tstop));
+}
+
+NoiseResult simulateCluster(const spice::Circuit& ckt, double tstop,
+                            const std::string& probe, double baseline,
+                            std::chrono::steady_clock::time_point start) {
+    spice::TranOptions opt;
+    opt.tstop = tstop;
+    const auto res = spice::simulateTransient(ckt, opt);
+    NoiseResult out;
+    out.waveform = res.waveform(probe);
+    out.metrics = wave::measureGlitch(out.waveform, baseline);
+    out.engineNodes = ckt.nodeCount();
+    out.runtimeSec = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    return out;
 }
 
 NoiseResult simulateGolden(const ClusterSpec& spec) {
@@ -58,98 +79,67 @@ NoiseResult simulateGolden(const ClusterSpec& spec) {
                    spice::SourceSpec::dc(vdd));
     const auto ids = net.buildInto(ckt, "rc:");
 
-    // ---- drivers -----------------------------------------------------------
-    // Per input, the node `<inst>_in_<pin>` and a grounded source
-    // `v_<inst>_<pin>` at its level in `vector` (`input` follows `drive`
-    // when there is one); then the cell as `<inst>_drv` driving `out`.
-    auto addDriver = [&](const cell::Cell& drv, const std::string& inst,
-                         const std::map<std::string, bool>& vector,
-                         const std::string& input,
-                         std::optional<wave::Waveform> drive,
-                         spice::NodeId out) {
+    // ---- the transistor-level parts, per wire a driver then a receiver ----
+    // Driver `<inst>_drv` on the wire's driving point, its output held at
+    // `level` and sensitized on `input`: per input a node `<inst>_in_<pin>`
+    // with a grounded source `v_<inst>_<pin>`, `drive(v0)` on `input` (v0
+    // its quiet level) and the holding level on the others.
+    auto addDriver = [&](int wire, const std::string& cellName,
+                         const std::string& inst, bool level,
+                         const std::string& input, const auto& drive) {
+        const cell::Cell& drv = lib.cell(cellName);
+        const auto vector = drv.holdingVector(level, input);
         std::map<std::string, spice::NodeId> pins;
         for (const auto& in : drv.inputNames()) {
-            const auto n = ckt.node(inst + "_in_" + in);
-            pins[in] = n;
-            ckt.addVSource("v_" + inst + "_" + in, n, spice::kGround,
-                           (drive && in == input)
-                               ? spice::SourceSpec::pwl(std::move(*drive))
-                               : spice::SourceSpec::dc(vector.at(in) ? vdd
-                                                                     : 0.0));
+            const double v0 = vector.at(in) ? vdd : 0.0;
+            pins[in] = ckt.node(inst + "_in_" + in);
+            ckt.addVSource("v_" + inst + "_" + in, pins[in], spice::kGround,
+                           in == input ? drive(v0) : spice::SourceSpec::dc(v0));
         }
-        pins[drv.outputName()] = out;
+        pins[drv.outputName()] = ids[net.driverNode(wire)];
         drv.instantiate(ckt, inst + "_drv", pins, vddNode);
     };
-    const cell::Cell& vicDriver = lib.cell(spec.victim.driverCell);
-    const auto vicHold = vicDriver.holdingVector(spec.victim.outputLevel,
-                                                 spec.victim.glitchInput);
-    addDriver(vicDriver, "vic", vicHold, spec.victim.glitchInput,
-              victimInputGlitch(spec,
-                                vicHold.at(spec.victim.glitchInput) ? vdd : 0.0,
-                                spec.victim.glitchTime),
-              ids[net.driverNode(0)]);
-
-    // ---- victim receiver (transistor-level load at the far end) ---------
-    auto addReceiver = [&](const std::string& cellName,
-                           const std::string& inst, spice::NodeId inputNode) {
+    // Receiver: receiverPin() on the wire's far end, the other inputs tied
+    // low, the output `<inst>_out` loaded by 5 fF.
+    auto addReceiver = [&](int wire, const std::string& cellName,
+                           const std::string& inst) {
         const cell::Cell& rx = lib.cell(cellName);
-        const std::string pinName = rx.inputNames().front();
-        std::map<std::string, spice::NodeId> pins;
+        const std::string pin = receiverPin(rx);
+        std::map<std::string, spice::NodeId> pins{
+            {pin, ids[net.receiverNode(wire)]}};
         for (const auto& in : rx.inputNames()) {
-            if (in == pinName) {
-                pins[in] = inputNode;
-            } else {
-                const auto n = ckt.node(inst + "_in_" + in);
-                pins[in] = n;
-                ckt.addVSource("v_" + inst + "_" + in, n, spice::kGround,
-                               spice::SourceSpec::dc(0.0));
-            }
+            if (in == pin) continue;
+            pins[in] = ckt.node(inst + "_in_" + in);
+            ckt.addVSource("v_" + inst + "_" + in, pins[in], spice::kGround,
+                           spice::SourceSpec::dc(0.0));
         }
         const auto outNode = ckt.node(inst + "_out");
         pins[rx.outputName()] = outNode;
         ckt.addCapacitor("c_" + inst, outNode, spice::kGround, 5e-15);
         rx.instantiate(ckt, inst, pins, vddNode);
     };
-    addReceiver(spec.victim.receiverCell, "vic_rx", ids[net.receiverNode(0)]);
 
-    // ---- aggressors -------------------------------------------------------
+    addDriver(0, spec.victim.driverCell, "vic", spec.victim.outputLevel,
+              spec.victim.glitchInput, [&](double v0) {
+                  return victimInputSource(spec, v0, spec.victim.glitchTime);
+              });
+    addReceiver(0, spec.victim.receiverCell, "vic_rx");
     for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
         const auto& agg = spec.aggressors[a];
-        const cell::Cell& drv = lib.cell(agg.driverCell);
-        const std::string inPin = drv.inputNames().front();
-        // Input vector before the transition: output at the pre-transition
-        // level, sensitized on inPin.
-        const auto hold = drv.holdingVector(!agg.outputRising, inPin);
-        const double v0 = hold.at(inPin) ? vdd : 0.0;
         const std::string inst = "agg" + std::to_string(a);
-        // A switch time of +inf (a window-excluded aggressor) holds the
-        // input at its pre-transition level, as the macromodel does: the
-        // quiet driver still loads the victim.
-        std::optional<wave::Waveform> drive;
-        if (!std::isinf(agg.switchTime)) {
-            drive = wave::saturatedRamp(v0, vdd - v0, agg.switchTime,
-                                        agg.inputSlew, spec.tstop);
-        }
-        addDriver(drv, inst, hold, inPin, std::move(drive),
-                  ids[net.driverNode(static_cast<int>(a) + 1)]);
-        addReceiver(agg.receiverCell, inst + "_rx",
-                    ids[net.receiverNode(static_cast<int>(a) + 1)]);
+        // Held before the transition, output at its pre-transition level.
+        addDriver(static_cast<int>(a) + 1, agg.driverCell, inst,
+                  !agg.outputRising, aggressorInput(lib.cell(agg.driverCell)),
+                  [&](double v0) {
+                      return switchingSource(agg.switchTime, v0, vdd - v0,
+                                             agg.inputSlew, spec.tstop);
+                  });
+        addReceiver(static_cast<int>(a) + 1, agg.receiverCell, inst + "_rx");
     }
 
-    // ---- run ---------------------------------------------------------------
-    spice::TranOptions opt;
-    opt.tstop = spec.tstop;
-    const auto res = spice::simulateTransient(ckt, opt);
-    const std::string dpName = "rc:" + net.nodeName(net.driverNode(0));
-
-    NoiseResult out;
-    out.waveform = res.waveform(dpName);
-    out.metrics = wave::measureGlitch(out.waveform, victimBaseline(spec));
-    out.engineNodes = ckt.nodeCount();
-    out.runtimeSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    return out;
+    return simulateCluster(ckt, spec.tstop,
+                           "rc:" + net.nodeName(net.driverNode(0)),
+                           victimBaseline(spec), start);
 }
 
 }  // namespace sna::core

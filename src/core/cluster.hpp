@@ -1,19 +1,25 @@
-// Noise-cluster specification and the golden (ELDO-role) analysis.
+// Noise-cluster specification, the parts every run of the Fig. 1 cluster
+// is built from, and the golden (ELDO-role) analysis.
 //
 // A cluster is a victim net with its driver (holding a logic level, with an
 // optional noise glitch arriving at one input — the propagated noise), its
 // receiver, and capacitively coupled aggressor nets whose drivers switch.
-// simulateGolden() builds the full transistor-level circuit over the full
-// distributed RC and runs the adaptive transient engine: this is the
-// reference every model in the paper is judged against.
+// Every run builds it from three parts, one builder per kind: drivers (the
+// macromodel's or transistor cells; both source an aggressor input through
+// switchingSource()), interconnect (coupled-Pi, the stored PRIMA or the
+// full ic::RcNetwork, each returning every wire's far node) and receivers
+// (input caps or transistor cells), and ends in simulateCluster(). The
+// golden, simulateGolden(), is supply -> full RC -> per wire (transistor
+// driver, transistor receiver): the reference every model is judged by.
 #pragma once
 
-#include <optional>
+#include <chrono>
 #include <string>
 #include <vector>
 
 #include "celllib/library.hpp"
 #include "interconnect/parallel_bus.hpp"
+#include "spice/circuit.hpp"
 #include "waveform/metrics.hpp"
 
 namespace sna::core {
@@ -73,14 +79,35 @@ struct NoiseResult {
 /// Full transistor-level + full-RC reference simulation.
 NoiseResult simulateGolden(const ClusterSpec& spec);
 
+/// The tail of every cluster run: the transient to `tstop`, the glitch at
+/// node `probe` against `baseline`, the engine size, the time since `start`.
+NoiseResult simulateCluster(const spice::Circuit& ckt, double tstop,
+                            const std::string& probe, double baseline,
+                            std::chrono::steady_clock::time_point start);
+
 /// The quiet victim level implied by the spec (0 or vdd).
 double victimBaseline(const ClusterSpec& spec);
 
-/// The victim-driver input glitch waveform implied by the spec, a triangle
+/// The victim-driver input source implied by the spec: a triangle glitch
 /// from `inputHoldLevel` (the glitch input's quiet level, 0 or vdd) toward
-/// the opposite rail; an empty optional if glitchHeight == 0.
-std::optional<wave::Waveform> victimInputGlitch(const ClusterSpec& spec,
-                                                double inputHoldLevel,
-                                                double glitchTime);
+/// the opposite rail arriving at `glitchTime`, or that level held if
+/// glitchHeight == 0.
+spice::SourceSpec victimInputSource(const ClusterSpec& spec,
+                                    double inputHoldLevel, double glitchTime);
+
+/// The switch rule: +inf (a window-excluded aggressor, which still loads
+/// the victim) holds the input at `from`, its pre-transition rail; any
+/// other switch time ramps it to `to` over `slew`.
+spice::SourceSpec switchingSource(double switchTime, double from, double to,
+                                  double slew, double tstop);
+
+/// The receiver input a wire's far end drives.
+inline std::string receiverPin(const cell::Cell& rx) {
+    return rx.inputNames().front();
+}
+/// The aggressor driver input that switches.
+inline std::string aggressorInput(const cell::Cell& drv) {
+    return drv.inputNames().front();
+}
 
 }  // namespace sna::core

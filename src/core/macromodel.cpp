@@ -1,23 +1,17 @@
 #include "core/macromodel.hpp"
 
-#include <chrono>
-#include <cmath>
 #include <sstream>
 
 #include "mor/linear_network.hpp"
-#include "spice/tran.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
-#include "waveform/sources.hpp"
 
 namespace sna::core {
 
 ClusterMacromodel::ClusterMacromodel(const ClusterSpec& spec, Options opt)
     : spec_(spec),
       opt_(opt),
-      lib_(&cell::sharedLibrary(*spec_.technology)),
       net_(clusterNet(spec)) {
-    const cell::CellLibrary& lib = *lib_;
+    const cell::CellLibrary& lib = cell::sharedLibrary(*spec_.technology);
     const double vdd = spec_.technology->vdd;
 
     // --- victim driver: the load-curve table (Eq. (1)) -------------------
@@ -36,30 +30,21 @@ ClusterMacromodel::ClusterMacromodel(const ClusterSpec& spec, Options opt)
     vinHold_ = hold.at(spec_.victim.glitchInput) ? vdd : 0.0;
     voutHold_ = victimBaseline(spec_);
 
-    // --- receivers: input capacitances ------------------------------------
-    rxCaps_.push_back(lib.cell(spec_.victim.receiverCell)
-                          .inputCapacitance(
-                              lib.cell(spec_.victim.receiverCell)
-                                  .inputNames()
-                                  .front()));
-    for (const auto& agg : spec_.aggressors) {
-        const cell::Cell& rx = lib.cell(agg.receiverCell);
-        rxCaps_.push_back(rx.inputCapacitance(rx.inputNames().front()));
-    }
-
-    // --- driver output capacitances ----------------------------------------
+    // --- receiver input caps, driver output caps, aggressor Thevenin ------
+    auto rxCap = [&](const std::string& cellName) {
+        const cell::Cell& rx = lib.cell(cellName);
+        return rx.inputCapacitance(receiverPin(rx));
+    };
+    rxCaps_.push_back(rxCap(spec_.victim.receiverCell));
     drvCaps_.push_back(vic.outputCapacitance(vic.outputName()));
-    for (const auto& agg : spec_.aggressors) {
-        const cell::Cell& drv = lib.cell(agg.driverCell);
-        drvCaps_.push_back(drv.outputCapacitance(drv.outputName()));
-    }
-
-    // --- aggressor drivers: Thevenin equivalents --------------------------
     for (std::size_t a = 0; a < spec_.aggressors.size(); ++a) {
         const auto& agg = spec_.aggressors[a];
+        const cell::Cell& drv = lib.cell(agg.driverCell);
+        rxCaps_.push_back(rxCap(agg.receiverCell));
+        drvCaps_.push_back(drv.outputCapacitance(drv.outputName()));
         charlib::TheveninSpec ts;
-        ts.cell = &lib.cell(agg.driverCell);
-        ts.input = ts.cell->inputNames().front();
+        ts.cell = &drv;
+        ts.input = aggressorInput(drv);
         ts.outputRising = agg.outputRising;
         ts.inputSlew = agg.inputSlew;
         const int wire = static_cast<int>(a) + 1;
@@ -75,14 +60,14 @@ ClusterMacromodel::ClusterMacromodel(const ClusterSpec& spec, Options opt)
 
     // --- interconnect reduction -------------------------------------------
     if (opt_.usePrima) {
-        const mor::LinearNetwork lin(net_);
-        for (int w = 0; w < net_.wireCount(); ++w) {
-            primaPorts_.push_back(net_.driverNode(w));
+        const int n = net_.wireCount();
+        std::vector<int> ports(2 * n);
+        for (int w = 0; w < n; ++w) {
+            ports[w] = net_.driverNode(w);
+            ports[n + w] = net_.receiverNode(w);
         }
-        for (int w = 0; w < net_.wireCount(); ++w) {
-            primaPorts_.push_back(net_.receiverNode(w));
-        }
-        prima_ = mor::primaReduce(lin, primaPorts_, opt_.primaBlocks);
+        prima_ = mor::primaReduce(mor::LinearNetwork(net_), ports,
+                                  opt_.primaBlocks);
     } else {
         pi_ = mor::reduceCluster(net_);
     }
@@ -101,7 +86,8 @@ const mor::CoupledPiModel& ClusterMacromodel::reducedPi() const {
 const charlib::PropagationTable& ClusterMacromodel::propagationTable() const {
     if (propagation_ == nullptr) {
         charlib::PropagationSpec ps;
-        ps.cell = &lib_->cell(spec_.victim.driverCell);
+        const cell::CellLibrary& lib = cell::sharedLibrary(*spec_.technology);
+        ps.cell = &lib.cell(spec_.victim.driverCell);
         ps.input = spec_.victim.glitchInput;
         ps.outputLevel = spec_.victim.outputLevel;
         double coupling = 0.0;
@@ -133,90 +119,69 @@ spice::NodeId ClusterMacromodel::buildVictimDriver(spice::Circuit& ckt,
                                                   double glitchTime) const {
     const auto vin = ckt.node("vin");
     const auto outNode = ckt.node(out);
-    if (const auto glitch = victimInputGlitch(spec_, vinHold_, glitchTime)) {
-        ckt.addVSource("v_in", vin, spice::kGround,
-                       spice::SourceSpec::pwl(*glitch));
-    } else {
-        ckt.addVSource("v_in", vin, spice::kGround,
-                       spice::SourceSpec::dc(vinHold_));
-    }
+    ckt.addVSource("v_in", vin, spice::kGround,
+                   victimInputSource(spec_, vinHold_, glitchTime));
     ckt.addTableVccs("idc_victim", outNode, vin, loadCurve_);
     return outNode;
 }
 
-void ClusterMacromodel::buildCluster(
+std::vector<spice::NodeId> ClusterMacromodel::buildDrivers(
     spice::Circuit& ckt, spice::NodeId dp,
     const std::vector<double>& aggressorSwitchTimes) const {
     SNA_REQUIRE(aggressorSwitchTimes.size() == spec_.aggressors.size(),
                 "need one switch time per aggressor");
     std::vector<spice::NodeId> drvNodes{dp};
     ckt.addCapacitor("cdrv0", dp, spice::kGround, drvCaps_[0]);
-    for (std::size_t a = 0; a < spec_.aggressors.size(); ++a) {
+    for (std::size_t a = 0; a < aggressors_.size(); ++a) {
         const auto& model = aggressors_[a];
         const std::string inst = "agg" + std::to_string(a);
         const auto src = ckt.node(inst + "_th");
         const auto adp = ckt.node(inst + "_dp");
-        if (std::isinf(aggressorSwitchTimes[a])) {
-            // Window-excluded aggressor: held quiet at its pre-transition
-            // rail. Its Thevenin resistance and coupling caps stay in the
-            // circuit — a silent neighbour still loads the victim.
-            ckt.addVSource("v_" + inst, src, spice::kGround,
-                           spice::SourceSpec::dc(model.vStart));
-        } else {
-            ckt.addVSource(
-                "v_" + inst, src, spice::kGround,
-                spice::SourceSpec::pwl(model.ramp(
-                    aggressorSwitchTimes[a] + model.delay, spec_.tstop)));
-        }
+        ckt.addVSource("v_" + inst, src, spice::kGround,
+                       switchingSource(aggressorSwitchTimes[a] + model.delay,
+                                       model.vStart, model.vEnd, model.slew,
+                                       spec_.tstop));
         ckt.addResistor("r_" + inst, src, adp, model.rth);
         ckt.addCapacitor("cdrv" + std::to_string(a + 1), adp, spice::kGround,
                          drvCaps_[a + 1]);
         drvNodes.push_back(adp);
     }
+    return drvNodes;
+}
 
-    if (opt_.usePrima) {
-        std::vector<spice::NodeId> portNodes = drvNodes;
-        std::vector<spice::NodeId> rcvNodes;
-        for (int w = 0; w < net_.wireCount(); ++w) {
-            rcvNodes.push_back(ckt.node("rcv" + std::to_string(w)));
-        }
-        portNodes.insert(portNodes.end(), rcvNodes.begin(), rcvNodes.end());
-        ckt.addDevice<mor::ReducedMultiport>("rednet", portNodes, *prima_);
-        for (int w = 0; w < net_.wireCount(); ++w) {
-            ckt.addCapacitor("crx" + std::to_string(w), rcvNodes[w],
-                             spice::kGround, rxCaps_[w]);
-        }
-    } else {
-        const auto farNodes = pi_->buildInto(ckt, "pi:", drvNodes);
-        for (int w = 0; w < net_.wireCount(); ++w) {
-            ckt.addCapacitor("crx" + std::to_string(w), farNodes[w],
-                             spice::kGround, rxCaps_[w]);
-        }
+std::vector<spice::NodeId> ClusterMacromodel::buildReducedNet(
+    spice::Circuit& ckt, const std::vector<spice::NodeId>& drvNodes) const {
+    if (!opt_.usePrima) return pi_->buildInto(ckt, "pi:", drvNodes);
+    std::vector<spice::NodeId> ports = drvNodes;  // then the receiver nodes
+    for (int w = 0; w < net_.wireCount(); ++w) {
+        ports.push_back(ckt.node("rcv" + std::to_string(w)));
     }
+    ckt.addDevice<mor::ReducedMultiport>("rednet", ports, *prima_);
+    return {ports.begin() + net_.wireCount(), ports.end()};
+}
+
+void ClusterMacromodel::buildReceivers(
+    spice::Circuit& ckt, const std::vector<spice::NodeId>& farNodes) const {
+    for (std::size_t w = 0; w < rxCaps_.size(); ++w) {
+        ckt.addCapacitor("crx" + std::to_string(w), farNodes[w],
+                         spice::kGround, rxCaps_[w]);
+    }
+}
+
+void ClusterMacromodel::buildCluster(
+    spice::Circuit& ckt, spice::NodeId dp,
+    const std::vector<double>& aggressorSwitchTimes) const {
+    buildReceivers(
+        ckt, buildReducedNet(ckt, buildDrivers(ckt, dp, aggressorSwitchTimes)));
 }
 
 NoiseResult ClusterMacromodel::analyzeAt(
     const std::vector<double>& aggressorSwitchTimes, double glitchTime) const {
     const auto start = std::chrono::steady_clock::now();
-
-    // ---- assemble the Fig. 1 circuit -------------------------------------
     spice::Circuit ckt;
-    const auto dp = buildVictimDriver(ckt, "dp_vic", glitchTime);
-    buildCluster(ckt, dp, aggressorSwitchTimes);
-
-    // ---- run the dedicated small engine -----------------------------------
-    spice::TranOptions opt;
-    opt.tstop = spec_.tstop;
-    const auto res = spice::simulateTransient(ckt, opt);
-
-    NoiseResult out;
-    out.waveform = res.waveform("dp_vic");
-    out.metrics = wave::measureGlitch(out.waveform, voutHold_);
-    out.engineNodes = ckt.nodeCount();
-    out.runtimeSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    return out;
+    buildCluster(ckt, buildVictimDriver(ckt, "dp_vic", glitchTime),
+                 aggressorSwitchTimes);
+    return simulateCluster(ckt, spec_.tstop, "dp_vic", voutHold_, start);
 }
 
 std::string ClusterMacromodel::describe() const {

@@ -9,11 +9,16 @@
 //  * the coupled interconnect is reduced at the driving points by moment
 //    matching (coupled-Pi by default, PRIMA optionally);
 //  * receivers become their input capacitances.
-// analyzeAt() then solves the resulting small non-linear circuit with the
-// shared Newton/transient core — the "dedicated engine embedded into the
-// noise analysis tool". Because the macromodel has a handful of unknowns
-// (6 for two aggressors; 10 nodes with ground and the fixed source nodes)
-// instead of hundreds, this is where the paper's ~20x speed-up comes from.
+// These are the model's parts of the Fig. 1 cluster (core/cluster.hpp).
+// buildCluster() is model drivers -> reduced net -> caps; the baselines
+// hang their linear victim on it, and the MOR ablation composes the same
+// drivers and caps around the full RC. analyzeAt() adds the victim driver
+// and solves the resulting small non-linear circuit with the shared
+// Newton/transient core
+// — the "dedicated engine embedded into the noise analysis tool". Because
+// the macromodel has a handful of unknowns (6 for two aggressors; 10 nodes
+// with ground and the fixed source nodes) instead of hundreds, this is
+// where the paper's ~20x speed-up comes from.
 #pragma once
 
 #include <memory>
@@ -62,10 +67,6 @@ public:
 
     // ---- introspection (Fig. 1 bench, baselines) ----
     const la::Grid2d& loadCurve() const { return *loadCurve_; }
-    /// The same table, shared (what a probe circuit's TableVccs holds).
-    const std::shared_ptr<const la::Grid2d>& sharedLoadCurve() const {
-        return loadCurve_;
-    }
     double inputHoldLevel() const { return vinHold_; }
     double outputHoldLevel() const { return voutHold_; }
     /// Victim linearization at the quiet point (baseline B1's model).
@@ -77,26 +78,29 @@ public:
     const mor::CoupledPiModel& reducedPi() const;
     /// Receiver input caps per wire (victim first).
     const std::vector<double>& receiverCaps() const { return rxCaps_; }
-    /// Driver output caps per wire (victim first); the TableVccs and the
-    /// Thevenin sources are resistive, so these load the driving points.
-    const std::vector<double>& driverCaps() const { return drvCaps_; }
 
     /// Noise-propagation table of the victim driver (baseline B1); lazily
     /// characterized on first use.
     const charlib::PropagationTable& propagationTable() const;
 
-    // ---- the Fig. 1 circuit, shared with the baselines ----
+    // ---- the model's parts of the Fig. 1 cluster ----
     /// The victim driver: the node `vin`, the node `out`, the source `v_in`
-    /// (the input glitch arriving at `glitchTime`, or the input hold level
-    /// when the spec has no glitch) and the load-curve VCCS `idc_victim`
-    /// into `out`, controlled by `vin`. Returns the `out` node.
+    /// (victimInputSource at `glitchTime`) and the load-curve VCCS
+    /// `idc_victim` into `out`, controlled by `vin`. Returns the `out` node.
     spice::NodeId buildVictimDriver(spice::Circuit& ckt,
                                     const std::string& out,
                                     double glitchTime) const;
-    /// The rest of the cluster, hung off the victim driving point `dp`: the
-    /// driver caps, each aggressor's Thevenin branch (a switch time of +inf
-    /// holds it at its pre-transition rail), the reduced interconnect
-    /// (coupled-Pi, or the stored PRIMA multiport) and the receiver caps.
+    /// The other model drivers: the victim driver cap at `dp`, then per
+    /// aggressor the Thevenin source (switchingSource) behind R_TH and the
+    /// driver cap at `agg<a>_dp`. Returns each wire's driving point.
+    std::vector<spice::NodeId> buildDrivers(
+        spice::Circuit& ckt, spice::NodeId dp,
+        const std::vector<double>& aggressorSwitchTimes) const;
+    /// The receiver input caps at each wire's far node.
+    void buildReceivers(spice::Circuit& ckt,
+                        const std::vector<spice::NodeId>& farNodes) const;
+    /// Model drivers -> reduced interconnect (coupled-Pi, or the stored
+    /// PRIMA multiport) -> receiver caps, hung off the victim driving point.
     void buildCluster(spice::Circuit& ckt, spice::NodeId dp,
                       const std::vector<double>& aggressorSwitchTimes) const;
 
@@ -105,10 +109,13 @@ public:
     std::string describe() const;
 
 private:
+    /// The reduced interconnect at the driving points; returns the far
+    /// node of each wire.
+    std::vector<spice::NodeId> buildReducedNet(
+        spice::Circuit& ckt, const std::vector<spice::NodeId>& drvNodes) const;
+
     ClusterSpec spec_;
     Options opt_;
-    /// sharedLibrary(*spec_.technology), resolved once for every probe.
-    const cell::CellLibrary* lib_;
     ic::RcNetwork net_;
     /// Shared with the cache on a hit (immutable); owned otherwise.
     std::shared_ptr<const la::Grid2d> loadCurve_;
@@ -117,7 +124,6 @@ private:
     std::vector<charlib::TheveninModel> aggressors_;
     std::optional<mor::CoupledPiModel> pi_;
     std::optional<mor::PrimaModel> prima_;
-    std::vector<int> primaPorts_;  // network node per port (drv then rcv)
     std::vector<double> rxCaps_;
     std::vector<double> drvCaps_;
     /// Shared with the cache on a hit (immutable); owned otherwise.

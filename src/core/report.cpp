@@ -43,7 +43,7 @@ double nrcLimitFor(const ClusterSpec& spec, const wave::GlitchMetrics& m,
     const cell::CellLibrary& lib = cell::sharedLibrary(*spec.technology);
     charlib::NrcSpec nrc;
     nrc.cell = &lib.cell(spec.victim.receiverCell);
-    nrc.input = nrc.cell->inputNames().front();
+    nrc.input = receiverPin(*nrc.cell);
     // Quiet receiver input level = the victim's held level.
     nrc.quietLevel = spec.victim.outputLevel;
     // Probing the exact width is uncached by design: keys would embed the

@@ -133,8 +133,34 @@ double RcNetwork::couplingCapBetween(int wireA, int wireB) const {
 std::vector<spice::NodeId> RcNetwork::buildInto(spice::Circuit& c,
                                                 const std::string& prefix)
     const {
-    std::vector<spice::NodeId> ids(nodeCount());
-    for (int i = 0; i < nodeCount(); ++i) ids[i] = c.node(prefix + names_[i]);
+    return lower(c, prefix, {});
+}
+
+std::vector<spice::NodeId> RcNetwork::buildInto(
+    spice::Circuit& c, const std::string& prefix,
+    const std::vector<spice::NodeId>& portNodes) const {
+    SNA_REQUIRE(portNodes.size() == wires_.size(),
+                "need one driving-point node per wire");
+    const auto ids = lower(c, prefix, portNodes);
+    std::vector<spice::NodeId> far(wires_.size());
+    for (std::size_t w = 0; w < far.size(); ++w) {
+        far[w] = ids[wires_[w].receiver];
+    }
+    return far;
+}
+
+// Nodes not given as driving points (every node when `ports` is empty) are
+// created in node order.
+std::vector<spice::NodeId> RcNetwork::lower(
+    spice::Circuit& c, const std::string& prefix,
+    const std::vector<spice::NodeId>& ports) const {
+    std::vector<spice::NodeId> ids(nodeCount(), -1);
+    for (std::size_t w = 0; w < ports.size(); ++w) {
+        ids[wires_[w].driver] = ports[w];
+    }
+    for (int i = 0; i < nodeCount(); ++i) {
+        if (ids[i] < 0) ids[i] = c.node(prefix + names_[i]);
+    }
     int k = 0;
     for (const auto& r : res_) {
         c.addResistor(prefix + "r" + std::to_string(++k), ids[r.a], ids[r.b],

@@ -63,8 +63,17 @@ public:
     /// "<prefix><nodeName>". Returns circuit node ids indexed like nodes.
     std::vector<spice::NodeId> buildInto(spice::Circuit& c,
                                          const std::string& prefix) const;
+    /// The same with wire w's driving point at the existing circuit node
+    /// `portNodes[w]`, as mor::CoupledPiModel::buildInto; returns each
+    /// wire's receiver-end node.
+    std::vector<spice::NodeId> buildInto(
+        spice::Circuit& c, const std::string& prefix,
+        const std::vector<spice::NodeId>& portNodes) const;
 
 private:
+    std::vector<spice::NodeId> lower(
+        spice::Circuit& c, const std::string& prefix,
+        const std::vector<spice::NodeId>& ports) const;
     void computeOwnership() const;
 
     std::vector<std::string> names_;

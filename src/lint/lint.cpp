@@ -354,7 +354,7 @@ void lintCharacterization(const core::DesignIndex& index,
         for (const bool quiet : {false, true}) {
             charlib::NrcSpec ns;
             ns.cell = &c;
-            ns.input = c.inputNames().front();
+            ns.input = core::receiverPin(c);
             ns.quietLevel = quiet;
             ns.widths = grid;
             std::optional<Diagnostic> d;

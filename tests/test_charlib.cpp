@@ -162,8 +162,9 @@ TEST(Thevenin, FitReproducesCrossingTimes) {
         const auto src = thev.node("src");
         const auto out = thev.node("out");
         thev.addVSource("vth", src, spice::kGround,
-                        spice::SourceSpec::pwl(
-                            model.ramp(50e-12 + model.delay, 4e-9)));
+                        spice::SourceSpec::pwl(wave::saturatedRamp(
+                            model.vStart, model.vEnd, 50e-12 + model.delay,
+                            model.slew, 4e-9)));
         thev.addResistor("rth", src, out, model.rth);
         thev.addCapacitor("cl", out, spice::kGround, 30e-15);
     }

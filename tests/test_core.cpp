@@ -3,6 +3,7 @@
 // the design-level flow.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -283,6 +284,27 @@ TEST(Golden, WindowExcludedAggressorHeldQuiet) {
     EXPECT_LT(golden.metrics.peak, core::simulateGolden(both).metrics.peak);
 }
 
+TEST(Macromodel, FullRcPartsHoldWindowExcludedAggressorQuiet) {
+    // The MOR ablation's reference: the model drivers and receiver caps
+    // around the full RC. A +inf aggressor goes through the same switch
+    // rule as in buildCluster, so it is held at its rail, not ramped.
+    const ClusterMacromodel model(paperCluster(0.7, 2));
+    auto fullRc = [&](const std::vector<double>& times) {
+        const auto start = std::chrono::steady_clock::now();
+        spice::Circuit ckt;
+        const auto dp = model.buildVictimDriver(ckt, "dp_vic", 0.45e-9);
+        const auto drv = model.buildDrivers(ckt, dp, times);
+        model.buildReceivers(ckt,
+                             model.interconnect().buildInto(ckt, "rc:", drv));
+        return core::simulateCluster(ckt, model.spec().tstop, "dp_vic",
+                                     model.outputHoldLevel(), start);
+    };
+    const double never = std::numeric_limits<double>::infinity();
+    const auto quiet = fullRc({never, 0.55e-9});
+    ASSERT_TRUE(std::isfinite(quiet.metrics.peak));
+    EXPECT_LT(quiet.metrics.peak, fullRc({0.55e-9, 0.55e-9}).metrics.peak);
+}
+
 TEST(Macromodel, PrimaModeMatchesPiMode) {
     const ClusterSpec spec = paperCluster();
     const ClusterMacromodel pi(spec);
@@ -521,6 +543,37 @@ TEST(BitPin, GoldenTransistorLevelCluster) {
     expectPinned(core::simulateGolden(paperCluster(0.7, 1)),
                  {"0x1.38ae448ffcf3ep-1", "0x1.3d0a426c0d827p-31", 554,
                   0xe1f7d84778849065ull});
+}
+
+TEST(BitPin, GoldenWindowExcludedAggressor) {
+    // The spec of Golden.WindowExcludedAggressorHeldQuiet: aggressor 0's
+    // input held at its pre-transition rail.
+    ClusterSpec spec = paperCluster(0.7, 2);
+    spec.victim.glitchTime = 0.45e-9;
+    spec.aggressors[0].switchTime = std::numeric_limits<double>::infinity();
+    spec.aggressors[1].switchTime = 0.55e-9;
+    expectPinned(core::simulateGolden(spec),
+                 {"0x1.3661a0923d13ep-2", "0x1.72e33df941809p-31", 574,
+                  0x3e52f326d4621209ull});
+}
+
+TEST(BitPin, GoldenMultiInputReceiversAndAggressor) {
+    // NAND2 receivers tie their other input off; a NOR2 aggressor driver
+    // holds its second input at the sensitizing level.
+    ClusterSpec spec = paperCluster(0.7, 1);
+    spec.victim.receiverCell = "NAND2_X1";
+    spec.aggressors[0].driverCell = "NOR2_X1";
+    spec.aggressors[0].receiverCell = "NAND2_X1";
+    spec.aggressors[0].switchTime = 0.5e-9;
+    ic::ParallelBusSpec bus;
+    bus.layer = &spec.technology->layer("M4");
+    bus.lengthUm = 400.0;
+    bus.segments = 8;
+    const ic::RcNetwork net = ic::buildParallelBus(bus);
+    spec.customNet = &net;
+    expectPinned(core::simulateGolden(spec),
+                 {"0x1.2f03505fa5439p-2", "0x1.59c39b725ea8bp-31", 462,
+                  0x43ba6d359dfc1705ull});
 }
 
 // Search pins: the alignment a full findWorstAlignment returns (every time
