@@ -489,8 +489,10 @@ int main(int argc, char** argv) {
             const bool last = k + 1 == threadsSweep.size();
             popt.schedulerStats = last ? &sched : nullptr;
             t0 = std::chrono::steady_clock::now();
-            const auto rep = core::analyzeDesign(chained, chainSpef, popt);
+            const core::AnalysisOutcome outcome =
+                core::analyzeDesignOutcome(chained, chainSpef, popt);
             row.sweep[k].propSec = seconds(t0);
+            const std::vector<core::NetNoiseReport>& rep = outcome.reports;
             if (k == 0) {
                 prop1 = rep;
                 row.propagationRuns = pcache.stats().propagationRuns;
@@ -518,8 +520,8 @@ int main(int argc, char** argv) {
                 row.schedSteals = sched.steals;
                 row.schedMaxReady = sched.maxReadyDepth;
                 row.schedBusy = sched.busyFraction;
-                row.quarantinedTasks =
-                    sched.quarantinedTasks + sched.degradedTasks;
+                row.quarantinedTasks = outcome.quarantinedNets.size() +
+                                       outcome.degradedNets.size();
                 row.cancelled = sched.cancelled;
             }
         }

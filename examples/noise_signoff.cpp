@@ -59,6 +59,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/design_index.hpp"
 #include "core/frontend.hpp"
 #include "core/sna.hpp"
 #include "interconnect/parallel_bus.hpp"
@@ -111,6 +112,14 @@ bool readFile(const std::string& path, std::string& out) {
     return true;
 }
 
+// The design's drivers and loads per net from one pass over its instances:
+// the same driver (smallest instance name on a multiply-driven net) and
+// load order as Design::driverOf/loadsOf, which scan every instance per
+// query. No parasitics are read.
+sna::core::DesignIndex connectivityOf(const sna::core::Design& design) {
+    return sna::core::DesignIndex(design, sna::parser::SpefFile{});
+}
+
 // Placeholder extractor for front-end runs without a SPEF: every wire net
 // with a driver and loads becomes an RC pi (the demo's geometry), and
 // consecutive wire declarations couple at their middle nodes — enough
@@ -119,13 +128,14 @@ bool readFile(const std::string& path, std::string& out) {
 std::string synthesizeSpef(const sna::parser::VerilogModule& module,
                            const sna::core::Design& design) {
     using sna::core::Instance;
+    const sna::core::DesignIndex conn = connectivityOf(design);
     std::ostringstream os;
     os << "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"" << module.name << "\"\n";
     os << "*T_UNIT 1 PS\n*C_UNIT 1 FF\n*R_UNIT 1 OHM\n\n";
     std::string prev;
     for (const auto& net : module.wires) {
-        const Instance* driver = design.driverOf(net);
-        const auto loads = design.loadsOf(net);
+        const Instance* driver = conn.driverOf(net);
+        const auto& loads = conn.loadsOf(net);
         if (driver == nullptr || loads.empty()) continue;
         const std::string drvPin = driver->name + ":y";
         const double coupling = prev.empty() ? 0.0 : 20.0;
@@ -498,6 +508,7 @@ int main(int argc, char** argv) {
         lintFailed = lintReport.hasErrors();
     }
 
+    const core::DesignIndex conn = connectivityOf(design);
     util::Table table({"Victim net", "Driver", "Incoming from",
                        "In height (V)", "Worst peak (V)", "NRC limit (V)",
                        "Local margin (V)", "Combined margin (V)", "Verdict"});
@@ -524,7 +535,7 @@ int main(int argc, char** argv) {
                               : "pass";
                 break;
         }
-        table.addRow({r.net, design.driverOf(r.net)->cellName,
+        table.addRow({r.net, conn.driverOf(r.net)->cellName,
                       p.present ? p.fromNet : "-",
                       p.present ? util::Table::num(p.height, 3) : "-",
                       util::Table::num(m.peak, 3),

@@ -61,6 +61,16 @@ std::vector<std::uint64_t> probeKey(const std::vector<double>& aggTimes,
     return key;
 }
 
+/// The per-aggressor windows of `windows`, or null when it leaves every
+/// aggressor free.
+const std::vector<TimingWindow>* aggressorWindows(
+    const ClusterSpec& spec, const AlignmentWindows* windows) {
+    if (windows == nullptr || windows->aggressors.empty()) return nullptr;
+    SNA_REQUIRE(windows->aggressors.size() == spec.aggressors.size(),
+                "need one aggressor window per aggressor (or none)");
+    return &windows->aggressors;
+}
+
 /// When an offered probe replaces the incumbent.
 enum class Adopt {
     always,     ///< the first probe of a search
@@ -134,9 +144,34 @@ TimingWindow glitchOnsetInterval(const TimingWindow& w, double glitchBase,
             std::min(0.8 * tstop, w.latest)};
 }
 
+AlignmentTimes fixedAlignment(const ClusterSpec& spec,
+                              const AlignmentWindows* windows) {
+    const std::vector<TimingWindow>* aggWindows =
+        aggressorWindows(spec, windows);
+    AlignmentTimes at;
+    at.aggressorSwitchTimes.reserve(spec.aggressors.size());
+    for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
+        at.aggressorSwitchTimes.push_back(
+            aggWindows != nullptr && (*aggWindows)[a].empty()
+                ? kQuiet
+                : spec.aggressors[a].switchTime);
+    }
+    at.glitchTime = spec.victim.glitchTime;
+    if (windows != nullptr && windows->glitch.bounded()) {
+        const TimingWindow onsets = glitchOnsetInterval(
+            windows->glitch, spec.victim.glitchWidth, spec.tstop);
+        if (!onsets.empty()) {
+            at.glitchTime =
+                clampTo(at.glitchTime, {onsets.earliest, onsets.latest});
+        }
+    }
+    return at;
+}
+
 AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                                    const AlignmentOptions& opt,
-                                   ProbeMemo* memo) {
+                                   ProbeMemo* memo,
+                                   const AlignmentWindows* windows) {
     ProbeMemo own(model);
     if (memo == nullptr) memo = &own;
     SNA_REQUIRE(&memo->model() == &model,
@@ -153,14 +188,13 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
     // onset interval is [w.earliest - glitchWidth, w.latest]. Everything is
     // additionally clamped to [0, 0.8 tstop]: before t = 0 the stimulus is
     // truncated and the objective misleading.
+    const std::vector<TimingWindow>* aggWindows =
+        aggressorWindows(spec, windows);
     std::vector<Axis> aggAxis(spec.aggressors.size());
-    SNA_REQUIRE(opt.aggressorWindows.empty() ||
-                    opt.aggressorWindows.size() == spec.aggressors.size(),
-                "need one aggressor window per aggressor (or none)");
     for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
         Axis ax{0.0, tMax, true};
-        if (!opt.aggressorWindows.empty()) {
-            const TimingWindow& w = opt.aggressorWindows[a];
+        if (aggWindows != nullptr) {
+            const TimingWindow& w = (*aggWindows)[a];
             const auto& m = model.aggressorModels()[a];
             if (w.empty()) {
                 ax.active = false;
@@ -173,9 +207,9 @@ AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
         aggAxis[a] = ax;
     }
     Axis glitchAxis{0.0, tMax, hasGlitch};
-    if (hasGlitch && opt.glitchWindow.bounded()) {
+    if (hasGlitch && windows != nullptr && windows->glitch.bounded()) {
         const TimingWindow onsets = glitchOnsetInterval(
-            opt.glitchWindow, spec.victim.glitchWidth, spec.tstop);
+            windows->glitch, spec.victim.glitchWidth, spec.tstop);
         SNA_REQUIRE(!onsets.empty(),
                     "glitch window leaves no feasible onset; drop the "
                     "glitch candidate instead");

@@ -11,6 +11,12 @@
 // re-offers its incumbent at the centre point and clamps edge points onto
 // bounds an earlier sweep already probed; those repeats are bit-identical
 // transients, so an exact-probe memo answers them instead.
+//
+// Timing windows (FRAME-style temporal correlation) only restrict which
+// alignments are feasible. They are an argument, `const AlignmentWindows*`
+// (null: unconstrained), read in one place for both ways of choosing an
+// alignment: the search below, and the caller's fixed alignment
+// (fixedAlignment).
 #pragma once
 
 #include <cstdint>
@@ -27,24 +33,30 @@ struct AlignmentOptions {
     double window = 0.8e-9;   ///< search window around the initial times, s
     int coarsePoints = 7;     ///< grid points per variable per round
     int rounds = 3;           ///< shrink-and-refine rounds
+};
 
-    /// Timing-window constraints (FRAME-style temporal correlation), all in
-    /// absolute simulation time. When `aggressorWindows` is non-empty it
-    /// must hold one window per spec aggressor: the allowed interval of
-    /// that aggressor's OUTPUT transition (already intersected with the
-    /// victim's sensitivity interval by the caller). The search maps it to
-    /// input switch times through the aggressor's characterized delay and
-    /// slew; an empty window — or one whose feasible input interval is
-    /// empty — excludes the aggressor: it is held quiet (switch time +inf,
-    /// reported as such in aggressorSwitchTimes) and its search axis is
-    /// skipped. The unbounded defaults reproduce the unconstrained search.
-    std::vector<TimingWindow> aggressorWindows;
+/// Timing-window constraints on one cluster's alignment, all in absolute
+/// simulation time. The unbounded defaults constrain nothing.
+struct AlignmentWindows {
+    /// Empty, or one window per spec aggressor: the allowed interval of that
+    /// aggressor's OUTPUT transition (already intersected with the victim's
+    /// sensitivity interval by the caller). An empty window excludes the
+    /// aggressor: it is held quiet (switch time +inf, reported as such in
+    /// the alignment's aggressor switch times).
+    std::vector<TimingWindow> aggressors;
 
     /// Allowed occupancy window of the injected victim-input glitch (its
     /// triangle spans [glitchTime, glitchTime + glitchWidth]). Callers must
     /// drop the glitch candidate entirely instead of passing a window with
     /// no feasible onset.
-    TimingWindow glitchWindow;
+    TimingWindow glitch;
+};
+
+/// One alignment of a cluster's stimuli: each aggressor's input switch time
+/// (+inf: held quiet) and the injected glitch's onset.
+struct AlignmentTimes {
+    std::vector<double> aggressorSwitchTimes;
+    double glitchTime = 0.0;
 };
 
 struct AlignmentResult {
@@ -106,20 +118,42 @@ double glitchHorizon(double tstop, double glitchBase);
 TimingWindow glitchOnsetInterval(const TimingWindow& w, double glitchBase,
                                  double tstop);
 
+/// The caller's fixed alignment (no search) under `windows`: the spec's own
+/// times, with every aggressor whose window is empty held quiet (+inf), and
+/// the glitch onset clamped into glitchOnsetInterval when the glitch window
+/// is bounded and that interval is not empty. Null `windows` gives the
+/// spec's times unchanged.
+///
+/// It is coarser than the search's spec candidate: a bounded aggressor
+/// window leaves that aggressor's time alone (the search clamps it into the
+/// window's feasible input interval), and an aggressor whose feasible input
+/// interval is empty keeps switching (the search holds it quiet).
+AlignmentTimes fixedAlignment(const ClusterSpec& spec,
+                              const AlignmentWindows* windows = nullptr);
+
 /// Coordinate-descent worst-|peak| search starting from peak-aligned
-/// initial times. All probed times are clamped to [0, 0.8 tstop] (and to
-/// the feasible window intervals when given): a candidate before t = 0
-/// would truncate the stimulus and score a misleading objective. The
-/// spec's own alignment is always evaluated and wins ties, so the search
-/// never returns worse than the caller's fixed alignment.
+/// initial times. All probed times are clamped to [0, 0.8 tstop]: a
+/// candidate before t = 0 would truncate the stimulus and score a
+/// misleading objective. The spec's own alignment is always evaluated and
+/// wins ties, so the search never returns worse than the caller's fixed
+/// alignment.
 ///
 /// `memo`, when given, holds the probes of earlier searches on `model` and
 /// receives this search's; the returned alignment and waveform are
 /// bit-identical to a search without it, only `evaluations` drops. Without
 /// one the search keeps a private memo.
+///
+/// `windows`, when given, narrows every search variable to its feasible
+/// interval. An aggressor window constrains the OUTPUT transition, so the
+/// search maps it to input switch times through the aggressor's
+/// characterized delay and slew; an empty window, or one whose feasible
+/// input interval is empty, excludes the aggressor (held quiet, its axis
+/// skipped). A bounded glitch window narrows the onset to
+/// glitchOnsetInterval; it is ignored when the spec injects no glitch.
 AlignmentResult findWorstAlignment(const ClusterMacromodel& model,
                                    const AlignmentOptions& opt = {},
-                                   ProbeMemo* memo = nullptr);
+                                   ProbeMemo* memo = nullptr,
+                                   const AlignmentWindows* windows = nullptr);
 
 /// Exhaustive grid over the same window, clamped to [0, 0.8 tstop] like the
 /// search (validation / small cases only: cost is up to

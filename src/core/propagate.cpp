@@ -55,17 +55,6 @@ void mergeSurviving(SurvivingSet& set, const SurvivingGlitch& g) {
 
 std::vector<IncomingGlitch> selectIncoming(
     const DesignIndex& index, const std::string& net,
-    const std::unordered_map<std::string, SurvivingSet>& surviving) {
-    return selectIncoming(
-        index, net,
-        [&surviving](const std::string& from) -> const SurvivingSet* {
-            const auto it = surviving.find(from);
-            return it == surviving.end() ? nullptr : &it->second;
-        });
-}
-
-std::vector<IncomingGlitch> selectIncoming(
-    const DesignIndex& index, const std::string& net,
     const std::function<const SurvivingSet*(const std::string&)>&
         survivingOf) {
     // Gather every (edge, glitch) candidate, then keep the Pareto front.

@@ -59,16 +59,11 @@ struct IncomingGlitch {
 /// descending (so width ascending — a Pareto-front property) with
 /// deterministic tie-breaks, capped at kMaxSurviving keeping the extremes.
 /// Empty when no upstream noise reaches the driver; the caller analyzes
-/// each candidate and keeps the worse verdict.
-std::vector<IncomingGlitch> selectIncoming(
-    const DesignIndex& index, const std::string& net,
-    const std::unordered_map<std::string, SurvivingSet>& surviving);
-
-/// Accessor-based variant for slot-addressed storage: `survivingOf(fromNet)`
+/// each candidate and keeps the worse verdict. `survivingOf(fromNet)`
 /// returns the upstream net's surviving front, or nullptr when that net has
 /// none (or, in the task-graph wavefront, when the edge is not a scheduled
 /// dependency — a cycle-broken fanin sits at the same or a later level and
-/// must contribute nothing). Same selection semantics.
+/// must contribute nothing).
 std::vector<IncomingGlitch> selectIncoming(
     const DesignIndex& index, const std::string& net,
     const std::function<const SurvivingSet*(const std::string&)>&

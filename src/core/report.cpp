@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -34,6 +35,19 @@ ClusterReport finishReport(const ClusterSpec& spec, const ReportOptions& opt,
                                ? spec.victim.glitchWidth
                                : 0.0;
     return report;
+}
+
+/// Whether `at` is the spec's own alignment, bit for bit.
+bool isSpecAlignment(const AlignmentTimes& at, const ClusterSpec& spec) {
+    const auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof(double)) == 0;
+    };
+    for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
+        if (!same(at.aggressorSwitchTimes[a], spec.aggressors[a].switchTime)) {
+            return false;
+        }
+    }
+    return same(at.glitchTime, spec.victim.glitchTime);
 }
 
 }  // namespace
@@ -95,32 +109,43 @@ ClusterReport analyzeCluster(const ClusterSpec& spec,
 }
 
 ClusterReport analyzeCluster(const ClusterMacromodel& model,
-                             const ReportOptions& opt, ProbeMemo* memo) {
+                             const ReportOptions& opt,
+                             const AlignmentWindows* windows,
+                             ClusterReport* unconstrained) {
     const ClusterSpec& spec = model.spec();
-    if (!opt.searchAlignment) {
-        std::vector<double> times;
-        for (const auto& agg : spec.aggressors) {
-            times.push_back(agg.switchTime);
+    ProbeMemo memo(model);
+    // The verdict under `w`: the worst alignment the search finds inside
+    // the windows, or the fixed alignment they leave.
+    const auto verdict = [&](const AlignmentWindows* w) {
+        ClusterReport report;
+        if (opt.searchAlignment) {
+            AlignmentResult align =
+                findWorstAlignment(model, opt.alignment, &memo, w);
+            report.worst = std::move(align.worst);
+            report.aggressorSwitchTimes =
+                std::move(align.aggressorSwitchTimes);
+            report.glitchTime = align.glitchTime;
+        } else {
+            AlignmentTimes at = fixedAlignment(spec, w);
+            report.worst =
+                model.analyzeAt(at.aggressorSwitchTimes, at.glitchTime);
+            report.aggressorSwitchTimes = std::move(at.aggressorSwitchTimes);
+            report.glitchTime = at.glitchTime;
         }
-        return analyzeClusterAt(model, opt, times, spec.victim.glitchTime);
+        return finishReport(spec, opt, std::move(report));
+    };
+    // Where the windows constrain nothing, or move no bit of the fixed
+    // alignment, the windowed run would repeat the unconstrained one bit
+    // for bit: one run serves both.
+    if (windows == nullptr ||
+        (!opt.searchAlignment &&
+         isSpecAlignment(fixedAlignment(spec, windows), spec))) {
+        ClusterReport report = verdict(windows);
+        if (unconstrained != nullptr) *unconstrained = report;
+        return report;
     }
-    ClusterReport report;
-    auto align = findWorstAlignment(model, opt.alignment, memo);
-    report.worst = std::move(align.worst);
-    report.aggressorSwitchTimes = std::move(align.aggressorSwitchTimes);
-    report.glitchTime = align.glitchTime;
-    return finishReport(spec, opt, std::move(report));
-}
-
-ClusterReport analyzeClusterAt(const ClusterMacromodel& model,
-                               const ReportOptions& opt,
-                               const std::vector<double>& aggressorSwitchTimes,
-                               double glitchTime) {
-    ClusterReport report;
-    report.worst = model.analyzeAt(aggressorSwitchTimes, glitchTime);
-    report.aggressorSwitchTimes = aggressorSwitchTimes;
-    report.glitchTime = glitchTime;
-    return finishReport(model.spec(), opt, std::move(report));
+    if (unconstrained != nullptr) *unconstrained = verdict(nullptr);
+    return verdict(windows);
 }
 
 }  // namespace sna::core

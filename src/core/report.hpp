@@ -60,22 +60,22 @@ struct ReportOptions {
 ClusterReport analyzeCluster(const ClusterSpec& spec,
                              const ReportOptions& opt = {});
 
-/// The same flow on an already built macromodel, so several runs can share
-/// one build (of opt.macromodel only the cache is used, for the NRC).
-/// `memo` goes to the alignment search: runs on one model may share their
-/// probes (see ProbeMemo). With the search off, the model's spec gives the
-/// alignment.
+/// One model, two verdicts: the same flow on an already built macromodel
+/// (of opt.macromodel only the cache is used, for the NRC), returning the
+/// window-constrained report and, when `unconstrained` is given, writing
+/// the report of the same cluster without any window there. Null `windows`
+/// constrains nothing, and the one report is both verdicts.
+///
+/// With the search on, both verdicts are searches (findWorstAlignment)
+/// that share one ProbeMemo, the unconstrained one first: the constrained
+/// search then simulates only the probes the other has not. With it off,
+/// the windowed verdict takes fixedAlignment's times: one transient when
+/// the windows moved no time bit, and one more for the unconstrained
+/// verdict otherwise.
 ClusterReport analyzeCluster(const ClusterMacromodel& model,
                              const ReportOptions& opt,
-                             ProbeMemo* memo = nullptr);
-
-/// The fixed-alignment flow (no search) on a built macromodel at explicit
-/// times instead of its spec's: one transient, then the NRC check. Lets one
-/// build serve several alignments of the same cluster.
-ClusterReport analyzeClusterAt(const ClusterMacromodel& model,
-                               const ReportOptions& opt,
-                               const std::vector<double>& aggressorSwitchTimes,
-                               double glitchTime);
+                             const AlignmentWindows* windows = nullptr,
+                             ClusterReport* unconstrained = nullptr);
 
 /// NRC check only (reusable by the design flow): failing height of the
 /// receiver at the measured width, interpolated between the two canonical

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -100,138 +99,6 @@ void recordRun(SurvivingSet* out, const ClusterReport& run) {
     mergeSurviving(*out, sg);
 }
 
-/// Worst-of-both-holding-levels cluster run for one victim net, with an
-/// optional propagated glitch injected at the driver input. Both levels'
-/// output glitches join `outSurviving` — the non-governing level can leave
-/// the wider (incomparable) glitch on the net.
-///
-/// `aggWindows` / `glitchWindow`, when given, apply the timing-window
-/// constraints: an aggressor with an empty window is held quiet (switch
-/// time +inf — it still loads the victim but never switches), the
-/// alignment search only probes inside the feasible intervals, and in
-/// fixed-alignment mode (searchAlignment == false) the glitch onset is
-/// clamped into its feasible interval.
-///
-/// `unconstrained`, when given, also receives the worst-of-both-levels
-/// report of the same runs without any window (windows mode's comparison
-/// verdict). Each level builds one macromodel for both verdicts (the build
-/// reads neither switch times nor the glitch time). With the search on, the
-/// two searches share its probe memo: the window-constrained search then
-/// simulates only the probes the unconstrained one has not. With the search
-/// off, the windows can only quiet an aggressor or clamp the glitch onset;
-/// when they do neither, the windowed report is a copy of the unconstrained
-/// one, and otherwise one more transient runs at the constrained times.
-ClusterReport runClusterBothLevels(
-    const cell::CellLibrary& lib, const Instance& driver,
-    const Instance& firstLoad,
-    const std::vector<std::pair<std::string, std::string>>& rankedAggressors,
-    const ic::RcNetwork& rc, double tstop, const ReportOptions& ropt,
-    const IncomingGlitch* incoming, SurvivingSet* outSurviving,
-    const std::vector<TimingWindow>* aggWindows = nullptr,
-    const TimingWindow* glitchWindow = nullptr,
-    ClusterReport* unconstrained = nullptr) {
-    ClusterReport worst;
-    bool first = true;
-    for (const bool level : {false, true}) {
-        ClusterSpec spec;
-        spec.technology = &lib.technology();
-        spec.customNet = &rc;
-        spec.tstop = tstop;
-        spec.victim.driverCell = driver.cellName;
-        spec.victim.outputLevel = level;
-        spec.victim.glitchInput =
-            lib.cell(driver.cellName).inputNames().front();
-        spec.victim.receiverCell = firstLoad.cellName;
-        if (incoming != nullptr) {
-            spec.victim.glitchInput = incoming->inputPin;
-            spec.victim.glitchHeight = incoming->height;
-            // Stored as 50% width; the triangle injection takes the base.
-            spec.victim.glitchWidth = 2.0 * incoming->width;
-            spec.tstop = glitchHorizon(spec.tstop, spec.victim.glitchWidth);
-        }
-        for (const auto& [drvCell, agg] : rankedAggressors) {
-            AggressorSpec as;
-            as.driverCell = drvCell;
-            // The damaging direction: aggressors switch away from the
-            // victim's held level.
-            as.outputRising = !level;
-            spec.aggressors.push_back(as);
-        }
-        ClusterReport cluster;
-        std::optional<ClusterReport> unc;
-        // The build reads neither switch times nor the glitch time, so one
-        // model serves both verdicts.
-        const ClusterMacromodel model(spec, ropt.macromodel);
-        if (ropt.searchAlignment) {
-            // The spec's times only seed the search's free candidate, which
-            // the search itself clamps into the windows (and holds quiet
-            // where a window is empty), so the unconstrained spec serves
-            // both searches and one memo serves the pair.
-            const ReportOptions* use = &ropt;
-            ReportOptions constrained;
-            if (aggWindows != nullptr || glitchWindow != nullptr) {
-                constrained = ropt;
-                if (aggWindows != nullptr) {
-                    constrained.alignment.aggressorWindows = *aggWindows;
-                }
-                if (incoming != nullptr && glitchWindow != nullptr) {
-                    constrained.alignment.glitchWindow = *glitchWindow;
-                }
-                use = &constrained;
-            }
-            ProbeMemo memo(model);
-            if (unconstrained != nullptr) {
-                unc = analyzeCluster(model, ropt, &memo);
-            }
-            cluster = analyzeCluster(model, *use, &memo);
-        } else {
-            // The fixed alignment honours the windows by moving the spec's
-            // times: an empty-window aggressor is held quiet and the glitch
-            // onset is clamped into its feasible interval.
-            std::vector<double> times;
-            bool moved = false;
-            for (std::size_t a = 0; a < spec.aggressors.size(); ++a) {
-                times.push_back(spec.aggressors[a].switchTime);
-                if (aggWindows != nullptr && (*aggWindows)[a].empty()) {
-                    times.back() = std::numeric_limits<double>::infinity();
-                    moved = true;
-                }
-            }
-            double glitchTime = spec.victim.glitchTime;
-            if (incoming != nullptr && glitchWindow != nullptr &&
-                glitchWindow->bounded()) {
-                const TimingWindow onsets = glitchOnsetInterval(
-                    *glitchWindow, spec.victim.glitchWidth, spec.tstop);
-                if (!onsets.empty()) {
-                    glitchTime = std::min(
-                        std::max(glitchTime, onsets.earliest), onsets.latest);
-                    moved = moved ||
-                            std::memcmp(&glitchTime, &spec.victim.glitchTime,
-                                        sizeof(double)) != 0;
-                }
-            }
-            // Where the windows moved nothing, the windowed transient would
-            // repeat the unconstrained one bit for bit: one run serves both.
-            if (moved) {
-                if (unconstrained != nullptr) unc = analyzeCluster(model, ropt);
-                cluster = analyzeClusterAt(model, ropt, times, glitchTime);
-            } else {
-                cluster = analyzeCluster(model, ropt);
-                if (unconstrained != nullptr) unc = cluster;
-            }
-        }
-        recordRun(outSurviving, cluster);
-        if (unc && (first || unc->margin < unconstrained->margin)) {
-            *unconstrained = std::move(*unc);
-        }
-        if (first || cluster.margin < worst.margin) {
-            worst = std::move(cluster);
-        }
-        first = false;
-    }
-    return worst;
-}
-
 /// Windows mode's view of one net's inputs (SolveRun::gateWindows): the
 /// net's own window, and which incoming glitches and aggressors can collide
 /// with it there.
@@ -248,87 +115,6 @@ struct WindowGate {
     /// a single solve serves both margins.
     bool constraining = false;
 };
-
-/// Full per-net analysis: the local-only verdict (exactly what the flat
-/// propagate=false sweep computes), plus — when upstream glitches reach the
-/// driver — one combined run per incoming candidate (the Pareto front is
-/// incomparable until solved); the worst margin governs the report.
-/// `outSurviving`, when set, collects every run's output glitch: a
-/// non-governing candidate can still leave the wider (or taller) glitch on
-/// the net, and downstream stages must see it.
-///
-/// With `windows` the report is the window-constrained one (dropped
-/// candidates excluded), and the unconstrained margin over every candidate
-/// comes from the same runs (see runClusterBothLevels) into
-/// `report.windows.unconstrainedMargin`.
-NetNoiseReport analyzeVictim(
-    const cell::CellLibrary& lib, const std::string& netName,
-    const Instance& driver, const Instance& firstLoad,
-    const std::vector<std::pair<std::string, std::string>>& rankedAggressors,
-    const ic::RcNetwork& rc, double tstop, const ReportOptions& ropt,
-    const std::vector<IncomingGlitch>& incoming = {},
-    SurvivingSet* outSurviving = nullptr,
-    const WindowGate* windows = nullptr) {
-    NetNoiseReport report;
-    report.net = netName;
-    for (const auto& [drvCell, agg] : rankedAggressors) {
-        report.aggressorNets.push_back(agg);
-    }
-
-    const std::vector<TimingWindow>* aggWindows =
-        windows != nullptr ? &windows->aggWindows : nullptr;
-    ClusterReport unc;
-    report.cluster = runClusterBothLevels(
-        lib, driver, firstLoad, rankedAggressors, rc, tstop, ropt, nullptr,
-        outSurviving, aggWindows, nullptr,
-        windows != nullptr ? &unc : nullptr);
-    report.propagated.localPeak = std::abs(report.cluster.worst.metrics.peak);
-    report.propagated.localNrcLimit = report.cluster.nrcLimit;
-    report.propagated.localMargin = report.cluster.margin;
-    report.propagated.localFails = report.cluster.fails;
-    // The unconstrained verdict: the worst margin over every run.
-    double& uncMargin = report.windows.unconstrainedMargin;
-    if (windows != nullptr) uncMargin = unc.margin;
-    const auto mergeUnc = [&](const ClusterReport& run) {
-        if (run.margin < uncMargin) uncMargin = run.margin;
-    };
-
-    for (std::size_t i = 0; i < incoming.size(); ++i) {
-        const IncomingGlitch& in = incoming[i];
-        if (windows != nullptr && windows->dropped[i] != 0) {
-            mergeUnc(runClusterBothLevels(lib, driver, firstLoad,
-                                           rankedAggressors, rc, tstop, ropt,
-                                           &in, nullptr));
-            continue;
-        }
-        if (!report.propagated.present) {
-            // Record the primary (tallest) injected candidate even when the
-            // local-only run ends up governing: `present` reports that an
-            // upstream glitch reached this driver, not which run won.
-            report.propagated.present = true;
-            report.propagated.fromNet = in.fromNet;
-            report.propagated.inputPin = in.inputPin;
-            report.propagated.height = in.height;
-            report.propagated.width = in.width;
-        }
-        auto combined = runClusterBothLevels(
-            lib, driver, firstLoad, rankedAggressors, rc, tstop, ropt, &in,
-            outSurviving, aggWindows,
-            windows != nullptr ? &windows->incomingWindows[i] : nullptr,
-            windows != nullptr ? &unc : nullptr);
-        if (windows != nullptr) mergeUnc(unc);
-        // The worst margin over {local, each combined candidate} governs: a
-        // destructively-aligned injection must not mask a local failure.
-        if (combined.margin < report.cluster.margin) {
-            report.cluster = std::move(combined);
-            report.propagated.fromNet = in.fromNet;
-            report.propagated.inputPin = in.inputPin;
-            report.propagated.height = in.height;
-            report.propagated.width = in.width;
-        }
-    }
-    return report;
-}
 
 /// Scalar analysis options that change per-net results, encoded bitwise. A
 /// snapshot whose fingerprint differs cannot splice: a clean net's retained
@@ -359,18 +145,6 @@ std::string fingerprintOf(const DesignNoiseOptions& opt) {
     put(opt.report.nrc.growth);
     os << static_cast<int>(opt.report.nrc.interp);
     return os.str();
-}
-
-/// The design flow derives every cluster's alignment windows from
-/// DesignNoiseOptions::windows. Per-cluster windows left in the report
-/// options would constrain the unconstrained verdict too, and the snapshot
-/// fingerprint does not carry them, so a design run refuses them.
-void requireNoClusterWindows(const DesignNoiseOptions& opt) {
-    SNA_REQUIRE(opt.report.alignment.aggressorWindows.empty() &&
-                    opt.report.alignment.glitchWindow.sameBits(
-                        TimingWindow::unbounded()),
-                "design runs take their windows from "
-                "DesignNoiseOptions::windows, not report.alignment");
 }
 
 /// Sorts `v` and drops duplicates: the deterministic order of every name
@@ -628,6 +402,150 @@ std::string taskKey(const TaskInputs& in) {
     return key;
 }
 
+/// One victim's solve, for every run and for analyzeDesignReference: the
+/// local-only verdict (exactly what the flat sweep computes), then one
+/// combined run per incoming candidate (the Pareto front is incomparable
+/// until solved), each at both holding levels on one macromodel per level.
+/// The worst margin over {local, each combined candidate} governs: a
+/// destructively aligned injection must not mask a local failure. Every
+/// run's output glitch joins `produced` when given: a non-governing
+/// candidate or level can still leave the wider (or taller) glitch on the
+/// net, and downstream stages must see it.
+///
+/// `windowed` marks a run with timing windows. With a constraining gate the
+/// runs are window-constrained (they govern the verdict and feed the
+/// front), the same models give the unconstrained margin over every
+/// candidate, and a window-dropped candidate enters only that margin.
+/// Without one the constrained run would be the unconstrained run, so one
+/// solve reports the margin as both.
+NetNoiseReport solveVictim(const cell::CellLibrary& lib,
+                           const std::string& net, TaskInputs& in,
+                           double tstop, const ReportOptions& ropt,
+                           bool windowed, SurvivingSet* produced) {
+    const std::vector<IncomingGlitch>& incoming = in.incoming;
+    WindowGate& gate = in.gate;
+    NetNoiseReport r;
+    r.net = net;
+    for (const auto& [drvCell, agg] : *in.ranked) {
+        r.aggressorNets.push_back(agg);
+    }
+    // Every candidate shares the aggressor windows; only the glitch window
+    // is the candidate's own.
+    AlignmentWindows windows;
+    if (gate.constraining) windows.aggressors = gate.aggWindows;
+    double& uncMargin = r.windows.unconstrainedMargin;
+    // Candidate 0 is the local-only run; candidate i + 1 injects incoming[i].
+    for (std::size_t c = 0; c <= incoming.size(); ++c) {
+        const IncomingGlitch* glitch = c > 0 ? &incoming[c - 1] : nullptr;
+        const bool dropped = glitch != nullptr && gate.constraining &&
+                             gate.dropped[c - 1] != 0;
+        const bool gated = gate.constraining && !dropped;
+        if (gated) {
+            windows.glitch = glitch != nullptr ? gate.incomingWindows[c - 1]
+                                               : TimingWindow::unbounded();
+        }
+        ClusterReport worst;
+        double worstUnc = 0.0;
+        bool first = true;
+        for (const bool level : {false, true}) {
+            ClusterSpec spec;
+            spec.technology = &lib.technology();
+            spec.customNet = &in.rc;
+            spec.tstop = tstop;
+            spec.victim.driverCell = in.driver->cellName;
+            spec.victim.outputLevel = level;
+            spec.victim.glitchInput =
+                lib.cell(in.driver->cellName).inputNames().front();
+            spec.victim.receiverCell = in.firstLoad->cellName;
+            if (glitch != nullptr) {
+                spec.victim.glitchInput = glitch->inputPin;
+                spec.victim.glitchHeight = glitch->height;
+                // Stored as 50% width; the triangle injection takes the base.
+                spec.victim.glitchWidth = 2.0 * glitch->width;
+                spec.tstop = glitchHorizon(spec.tstop, spec.victim.glitchWidth);
+            }
+            for (const auto& [drvCell, agg] : *in.ranked) {
+                AggressorSpec as;
+                as.driverCell = drvCell;
+                // The damaging direction: aggressors switch away from the
+                // victim's held level.
+                as.outputRising = !level;
+                spec.aggressors.push_back(as);
+            }
+            const ClusterMacromodel model(spec, ropt.macromodel);
+            ClusterReport unc;
+            ClusterReport run =
+                analyzeCluster(model, ropt, gated ? &windows : nullptr,
+                               gated ? &unc : nullptr);
+            // A dropped candidate cannot reach the net inside its window:
+            // it leaves no glitch there.
+            if (!dropped) recordRun(produced, run);
+            if (gated && (first || unc.margin < worstUnc)) {
+                worstUnc = unc.margin;
+            }
+            if (first || run.margin < worst.margin) worst = std::move(run);
+            first = false;
+        }
+        if (dropped) {
+            uncMargin = std::min(uncMargin, worst.margin);
+            continue;
+        }
+        if (glitch == nullptr) {
+            r.cluster = std::move(worst);
+            r.propagated.localPeak = std::abs(r.cluster.worst.metrics.peak);
+            r.propagated.localNrcLimit = r.cluster.nrcLimit;
+            r.propagated.localMargin = r.cluster.margin;
+            r.propagated.localFails = r.cluster.fails;
+            if (gated) uncMargin = worstUnc;
+            continue;
+        }
+        // Record the primary (tallest) injected candidate even when the
+        // local-only run ends up governing: `present` reports that an
+        // upstream glitch reached this driver, not which run won.
+        const bool governs = worst.margin < r.cluster.margin;
+        if (!r.propagated.present || governs) {
+            r.propagated.present = true;
+            r.propagated.fromNet = glitch->fromNet;
+            r.propagated.inputPin = glitch->inputPin;
+            r.propagated.height = glitch->height;
+            r.propagated.width = glitch->width;
+        }
+        if (gated) uncMargin = std::min(uncMargin, worstUnc);
+        if (governs) r.cluster = std::move(worst);
+    }
+    r.otherDrivers = *in.otherDrivers;
+    if (windowed) {
+        r.windows.constrained = true;
+        r.windows.window = gate.sens;
+        r.windows.windowedMargin = r.cluster.margin;
+        if (!gate.constraining) uncMargin = r.cluster.margin;
+    }
+    if (gate.constraining) {
+        // Exclusions are recorded from two places: empty window overlaps
+        // (gateWindows), and aggressors the governing run's search had to
+        // hold quiet because the overlap left no feasible INPUT switch time
+        // once mapped through that run's delay/slew (+inf times).
+        const auto& times = r.cluster.aggressorSwitchTimes;
+        const auto& ranked = *in.ranked;
+        for (std::size_t a = 0; a < times.size() && a < ranked.size(); ++a) {
+            if (std::isinf(times[a])) {
+                gate.excludedAggressors.push_back(ranked[a].second);
+            }
+        }
+        sortUnique(gate.excludedAggressors);
+        r.windows.excludedAggressors = std::move(gate.excludedAggressors);
+        std::vector<std::string> droppedFrom;
+        for (std::size_t i = 0; i < incoming.size(); ++i) {
+            if (gate.dropped[i] != 0) {
+                droppedFrom.push_back(incoming[i].fromNet);
+            }
+        }
+        sortUnique(droppedFrom);
+        r.windows.droppedIncoming = std::move(droppedFrom);
+    }
+    return r;
+}
+
 /// One incoming glitch carried through a pass-through net's driver.
 struct Transfer {
     SurvivingGlitch sg;
@@ -847,59 +765,6 @@ struct SolveRun {
         return in;
     }
 
-    /// A victim cluster's solve into its report slot. Every run's output
-    /// (local and per-candidate combined) joins `produced`: a non-governing
-    /// candidate can still leave the wider glitch. With a constraining
-    /// window the runs are window-constrained (they govern the verdict and
-    /// feed the front), and the same runs yield the unconstrained margin;
-    /// without one the constrained run would be the unconstrained run, so
-    /// one solve reports the margin as both.
-    void solveVictim(int slot, TaskInputs& in, SurvivingSet& produced) {
-        const VictimSelection& w =
-            state.victims[static_cast<std::size_t>(slot)];
-        const std::vector<IncomingGlitch>& incoming = in.incoming;
-        WindowGate& gate = in.gate;
-        NetNoiseReport r = analyzeVictim(
-            lib, w.net, *in.driver, *in.firstLoad, *in.ranked, in.rc,
-            opt.tstop, ropt, incoming, &produced,
-            gate.constraining ? &gate : nullptr);
-        r.otherDrivers = *in.otherDrivers;
-        if (useWindows) {
-            r.windows.constrained = true;
-            r.windows.window = gate.sens;
-            if (!gate.constraining) {
-                r.windows.unconstrainedMargin = r.cluster.margin;
-            }
-            r.windows.windowedMargin = r.cluster.margin;
-        }
-        if (gate.constraining) {
-            // Exclusions are recorded from two places: empty window overlaps
-            // (gateWindows), and aggressors the governing run's search had
-            // to hold quiet because the overlap left no feasible INPUT
-            // switch time once mapped through that run's delay/slew (+inf
-            // times).
-            const auto& times = r.cluster.aggressorSwitchTimes;
-            const auto& ranked = *in.ranked;
-            for (std::size_t a = 0; a < times.size() && a < ranked.size();
-                 ++a) {
-                if (std::isinf(times[a])) {
-                    gate.excludedAggressors.push_back(ranked[a].second);
-                }
-            }
-            sortUnique(gate.excludedAggressors);
-            r.windows.excludedAggressors = std::move(gate.excludedAggressors);
-            std::vector<std::string> droppedFrom;
-            for (std::size_t i = 0; i < incoming.size(); ++i) {
-                if (gate.dropped[i] != 0) {
-                    droppedFrom.push_back(incoming[i].fromNet);
-                }
-            }
-            sortUnique(droppedFrom);
-            r.windows.droppedIncoming = std::move(droppedFrom);
-        }
-        state.victimReports[static_cast<std::size_t>(slot)] = std::move(r);
-    }
-
     /// The worst (minimum) NRC margin over a transfer set at `receiver`,
     /// both holding levels each.
     NrcScan scanNrc(const std::vector<Transfer>& ts,
@@ -1040,7 +905,8 @@ struct SolveRun {
         state.quietReports[uid].reset();
         SurvivingSet produced;
         if (slot >= 0) {
-            solveVictim(slot, in, produced);
+            state.victimReports[static_cast<std::size_t>(slot)] = solveVictim(
+                lib, tg.nets[uid], in, opt.tstop, ropt, useWindows, &produced);
         } else if (!in.incoming.empty() &&
                    (in.firstLoad != nullptr ||
                     !index.fanoutOf(tg.nets[uid]).empty())) {
@@ -1065,24 +931,19 @@ struct SolveRun {
     /// The task the scheduler runs: one solve under the failure-quarantine
     /// policy. The fault point and the policy's upstream checks come before
     /// the key check, so a retained key never hides an injected fault or a
-    /// failed cone. Under failFast the wrapper adds nothing but the
-    /// injection site — exceptions propagate through the scheduler
-    /// untouched. A flat task has no fanins, so quarantineCone and
-    /// degradeToPassthrough both reduce to "capture the failure and go on".
-    /// A task that fails or is quarantined leaves slots that no key
-    /// describes; such a run never leaves the snapshot splice input.
+    /// failed cone. Under failFast no fanin is ever failed, quarantined or
+    /// degraded, and a throwing solve is rethrown before any state is
+    /// written, so exceptions propagate through the scheduler untouched. A
+    /// flat task has no fanins, so quarantineCone and degradeToPassthrough
+    /// both reduce to "capture the failure and go on". A task that fails or
+    /// is quarantined leaves slots that no key describes; such a run never
+    /// leaves the snapshot splice input.
     void runTask(int id) {
         const auto uid = static_cast<std::size_t>(id);
         const std::string& net = tg.nets[uid];
         const int slot = victimSlot(net);
         TaskRecord& task = tasks[uid];
         const NetFailurePolicy policy = opt.onNetFailure;
-        if (policy == NetFailurePolicy::failFast) {
-            SNA_FAULT_POINT("core.solve_net", net);
-            if (!solveNet(id, slot, true)) task.role = TaskRecord::Role::reused;
-            task.done = true;
-            return;
-        }
         // Cone state over the scheduled fanin edges. Each fanin's state was
         // committed before this task's dependency count reached zero.
         bool upstreamFault = false;
@@ -1131,6 +992,7 @@ struct SolveRun {
         } catch (const util::CancelledError&) {
             throw;  // cancellation is never a per-net failure
         } catch (const std::exception& e) {
+            if (policy == NetFailurePolicy::failFast) throw;
             task.state = TaskRecord::State::failed;
             if (slot >= 0) {
                 state.victimReports[static_cast<std::size_t>(slot)] =
@@ -1228,9 +1090,6 @@ struct SolveRun {
                     ? TerminationReason::deadlineExpired
                     : TerminationReason::cancelled;
         }
-        sched.failedTasks = outcome.failedNets.size();
-        sched.quarantinedTasks = outcome.quarantinedNets.size();
-        sched.degradedTasks = outcome.degradedNets.size();
         sortUnique(outcome.failedNets);
         sortUnique(outcome.quarantinedNets);
         sortUnique(outcome.degradedNets);
@@ -1531,7 +1390,6 @@ AnalysisOutcome runAnalysis(const Design& design, const parser::SpefFile& spef,
                             const DesignNoiseOptions& opt,
                             const DesignDelta* delta,
                             AnalysisSnapshot* snapshot, IncrementalStats& st) {
-    requireNoClusterWindows(opt);
     st = IncrementalStats{};
     // Delta validity (SNA-L501/L502) gates the run before the snapshot is
     // touched: a typo'd delta marks nothing dirty and would otherwise
@@ -1603,9 +1461,10 @@ std::vector<NetNoiseReport> analyzeDesignIncremental(
 std::vector<NetNoiseReport> analyzeDesignReference(
     const Design& design, const parser::SpefFile& spef,
     const DesignNoiseOptions& opt) {
-    requireNoClusterWindows(opt);
     std::vector<NetNoiseReport> reports;
     const cell::CellLibrary& lib = design.library();
+    ReportOptions ropt = opt.report;
+    ropt.macromodel.cache = nullptr;
 
     for (const auto& [netName, spefNet] : spef.nets()) {
         auto aggressors = spef.aggressorsOf(netName);
@@ -1654,31 +1513,32 @@ std::vector<NetNoiseReport> analyzeDesignReference(
 
         std::vector<std::string> clusterNets{netName};
         for (const auto& [cc, agg] : ranked) clusterNets.push_back(agg);
-        const ic::RcNetwork rc = ic::rcFromSpef(spef, clusterNets);
-
         std::vector<std::pair<std::string, std::string>> rankedAggressors;
         for (const auto& [cc, agg] : ranked) {
             rankedAggressors.push_back({design.driverOf(agg)->cellName, agg});
         }
-        // Uncached, serial cluster analysis: every cluster re-characterizes.
-        ReportOptions ropt = opt.report;
-        ropt.macromodel.cache = nullptr;
-        reports.push_back(analyzeVictim(lib, netName, *driver,
-                                        *loads.front().first,
-                                        rankedAggressors, rc, opt.tstop,
-                                        ropt));
         // Surface the non-winning drivers of a multiply-driven net, same
         // as the indexed path.
+        std::vector<std::string> otherDrivers;
         for (const auto& inst : design.instances()) {
             const cell::Cell& c = lib.cell(inst.cellName);
             const auto out = inst.pinToNet.find(c.outputName());
             if (out != inst.pinToNet.end() && out->second == netName &&
                 &inst != driver) {
-                reports.back().otherDrivers.push_back(inst.name);
+                otherDrivers.push_back(inst.name);
             }
         }
-        std::sort(reports.back().otherDrivers.begin(),
-                  reports.back().otherDrivers.end());
+        std::sort(otherDrivers.begin(), otherDrivers.end());
+
+        TaskInputs in;
+        in.driver = driver;
+        in.firstLoad = loads.front().first;
+        in.ranked = &rankedAggressors;
+        in.rc = ic::rcFromSpef(spef, clusterNets);
+        in.otherDrivers = &otherDrivers;
+        // Uncached, serial cluster analysis: every cluster re-characterizes.
+        reports.push_back(
+            solveVictim(lib, netName, in, opt.tstop, ropt, false, nullptr));
     }
     return reports;
 }

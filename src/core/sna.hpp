@@ -152,8 +152,7 @@ enum class NetFailurePolicy {
 struct DesignNoiseOptions {
     double tstop = 2.5e-9;
     std::size_t maxAggressors = 3;  ///< strongest-coupled first
-    /// Per-cluster options. Its alignment windows must stay at their
-    /// unbounded defaults: a design run derives them from `windows`.
+    /// Per-cluster options (macromodel, alignment search, NRC grid).
     ReportOptions report;
     /// Worker threads for the victim-net loop; 1 (or negative) runs
     /// serially, 0 resolves to std::thread::hardware_concurrency() (see

@@ -60,13 +60,6 @@ struct SchedulerStats {
     /// run skippedTasks == 0 and tasksExecuted keeps its historical
     /// meaning (== graph.size(), even down the exception drain path).
     std::size_t skippedTasks = 0;
-    /// Failure-quarantine accounting, filled by the analysis layer (the
-    /// scheduler itself never quarantines): tasks whose body threw and was
-    /// captured per-net, tasks suppressed because an upstream net failed,
-    /// and tasks degraded to pass-through instead of being suppressed.
-    std::size_t failedTasks = 0;
-    std::size_t quarantinedTasks = 0;
-    std::size_t degradedTasks = 0;
 };
 
 /// Execute run(i) for every task of `graph`, each after all its fanins.

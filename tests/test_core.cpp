@@ -592,10 +592,11 @@ struct SearchPin {
     int offered = 0;
 };
 
-core::AlignmentResult pinnedSearch(const ClusterMacromodel& model,
-                                   const core::AlignmentOptions& opt = {}) {
+core::AlignmentResult pinnedSearch(
+    const ClusterMacromodel& model,
+    const core::AlignmentWindows* windows = nullptr) {
     core::ProbeMemo memo(model);
-    auto r = core::findWorstAlignment(model, opt, &memo);
+    auto r = core::findWorstAlignment(model, {}, &memo, windows);
     // One transient per distinct probe.
     EXPECT_EQ(r.evaluations, static_cast<int>(memo.size()));
     return r;
@@ -629,10 +630,10 @@ TEST(BitPin, SearchCoupledPiTwoAggressorsWithGlitch) {
 
 TEST(BitPin, SearchWithBoundedEmptyAndGlitchWindows) {
     const ClusterMacromodel model(paperCluster(0.7, 2));
-    core::AlignmentOptions opt;
-    opt.aggressorWindows = {{150e-12, 400e-12}, {900e-12, 500e-12}};
-    opt.glitchWindow = {700e-12, 1.1e-9};
-    const auto r = pinnedSearch(model, opt);
+    core::AlignmentWindows w;
+    w.aggressors = {{150e-12, 400e-12}, {900e-12, 500e-12}};
+    w.glitch = {700e-12, 1.1e-9};
+    const auto r = pinnedSearch(model, &w);
     EXPECT_TRUE(std::isinf(r.aggressorSwitchTimes[1]));
     expectSearchPinned(r, {{"0x1.97c8be779ed65p-32", "inf"},
                            "0x1.eec7bd512b571p-32",

@@ -732,8 +732,6 @@ TEST(Incremental, RebuildFallbackCountsLikeAnUpdate) {
     EXPECT_EQ(quarantined.totalTasks, graphTasks);
     EXPECT_EQ(quarantined.dirtyTasks, graphTasks);
     EXPECT_EQ(quarantined.scheduler.tasksExecuted, graphTasks);
-    EXPECT_EQ(quarantined.scheduler.quarantinedTasks,
-              outcome.quarantinedNets.size());
 }
 
 // The splice fingerprint's contract: every option that can change a value

@@ -128,7 +128,12 @@ TEST(Levelize, SelectIncomingKeepsTheParetoFront) {
     surviving["na"] = {{0.9, 50e-12}};   // tallest
     surviving["nb"] = {{0.3, 900e-12}};  // widest
     surviving["nc"] = {{0.5, 130e-12}};  // between — dominated by neither
-    auto picks = core::selectIncoming(index, "out", surviving);
+    const auto survivingOf =
+        [&surviving](const std::string& from) -> const core::SurvivingSet* {
+        const auto it = surviving.find(from);
+        return it == surviving.end() ? nullptr : &it->second;
+    };
+    auto picks = core::selectIncoming(index, "out", survivingOf);
     ASSERT_EQ(picks.size(), 3u);
     // Height-descending (width ascending on a Pareto front).
     EXPECT_EQ(picks[0].fromNet, "na");
@@ -141,13 +146,13 @@ TEST(Levelize, SelectIncomingKeepsTheParetoFront) {
     // A glitch shorter AND narrower than another is dominated and dropped.
     surviving["nb"] = {{0.2, 40e-12}};
     surviving["nc"] = {{0.5, 30e-12}};
-    picks = core::selectIncoming(index, "out", surviving);
+    picks = core::selectIncoming(index, "out", survivingOf);
     ASSERT_EQ(picks.size(), 1u);
     EXPECT_EQ(picks[0].fromNet, "na");
 
     // No upstream noise: empty.
     surviving.clear();
-    EXPECT_TRUE(core::selectIncoming(index, "out", surviving).empty());
+    EXPECT_TRUE(core::selectIncoming(index, "out", survivingOf).empty());
 }
 
 TEST(Levelize, MergeSurvivingKeepsNonDominatedFront) {

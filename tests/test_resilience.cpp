@@ -544,8 +544,6 @@ TEST(Quarantine, ConeSuppressedAndUntouchedNetsBitIdenticalAcrossThreads) {
         util::FaultInjector::instance().arm("core.solve_net@s2");
         auto opt = fx.options(threads);
         opt.onNetFailure = core::NetFailurePolicy::quarantineCone;
-        util::SchedulerStats sched;
-        opt.schedulerStats = &sched;
         const auto outcome =
             core::analyzeDesignOutcome(fx.design, fx.spef, opt);
         util::FaultInjector::instance().disarm();
@@ -565,8 +563,6 @@ TEST(Quarantine, ConeSuppressedAndUntouchedNetsBitIdenticalAcrossThreads) {
         std::sort(coneAll.begin(), coneAll.end());
         EXPECT_EQ(outcome.quarantinedNets, coneAll) << "threads=" << threads;
         EXPECT_TRUE(outcome.degradedNets.empty());
-        EXPECT_EQ(sched.failedTasks, 1u);
-        EXPECT_EQ(sched.quarantinedTasks, coneAll.size());
 
         std::size_t okCount = 0;
         for (const auto& r : outcome.reports) {

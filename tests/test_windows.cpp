@@ -479,7 +479,8 @@ struct PinnedVerdict {
 
 std::vector<core::NetNoiseReport> expectPinnedVerdicts(
     const std::vector<int>& aggs, const std::vector<double>& cc,
-    const core::TimingWindows& w, const std::vector<PinnedVerdict>& pins) {
+    const core::TimingWindows& w, const std::vector<PinnedVerdict>& pins,
+    bool searchAlignment = false) {
     const cell::CellLibrary lib(tech::tech130());
     const auto spef = parser::parseSpef(chainSpef(aggs, cc));
     core::Design design(lib);
@@ -490,6 +491,7 @@ std::vector<core::NetNoiseReport> expectPinnedVerdicts(
         auto opt = fastPropagateOptions();
         opt.threads = threads;
         opt.windows = &w;
+        opt.report.searchAlignment = searchAlignment;
         charlib::CharCache cache;
         opt.cache = &cache;
         const auto rep = core::analyzeDesign(design, spef, opt);
@@ -560,42 +562,31 @@ TEST(WindowedDesign, FixedAlignmentClampedGlitchOnsetPinned) {
               rep[0].windows.unconstrainedMargin);
 }
 
-TEST(WindowedDesign, CallerClusterWindowsRejected) {
-    // A design run derives every cluster's windows from opt.windows. Windows
-    // left in opt.report.alignment would reach the unconstrained verdict and
-    // escape the snapshot fingerprint, so every design entry refuses them.
-    const cell::CellLibrary lib(tech::tech130());
-    const std::vector<int> aggs{2};
-    const auto spef = parser::parseSpef(chainSpef(aggs, {30.0}));
-    core::Design design(lib);
-    buildChain(design, aggs);
-    auto opt = fastPropagateOptions();
-    core::AnalysisSnapshot snapshot;
-    opt.snapshot = &snapshot;
-    core::analyzeDesign(design, spef, opt);
-    ASSERT_TRUE(snapshot.valid);
-    opt.snapshot = nullptr;
+// The same pins with the alignment search on: the windowed verdict is the
+// window-constrained search, the unconstrained one the free search, both on
+// one macromodel per level.
+TEST(WindowedDesign, SearchEmptyOverlapAndIncomingGlitchPinned) {
+    core::TimingWindows quiet;
+    quiet.set("s0", {0.0, 300e-12});
+    quiet.set("g0_0", {1.5e-9, 2.0e-9});
+    const auto q = expectPinnedVerdicts(
+        {3}, {35.0}, quiet,
+        {{"s0", 0x1.24ec0a1aa7a28p-2, -0x1.5bd9eea5176p-5}}, true);
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_EQ(q[0].windows.excludedAggressors,
+              (std::vector<std::string>{"g0_0"}));
 
-    auto aggs1 = opt;
-    aggs1.report.alignment.aggressorWindows = {{0.0, 300e-12},
-                                               {0.0, 300e-12}};
-    auto glitch = opt;
-    glitch.report.alignment.glitchWindow = {100e-12, 900e-12};
-    for (const auto& bad : {aggs1, glitch}) {
-        EXPECT_THROW(core::analyzeDesign(design, spef, bad), LogicError);
-        EXPECT_THROW(core::analyzeDesignOutcome(design, spef, bad),
-                     LogicError);
-        EXPECT_THROW(core::analyzeDesignReference(design, spef, bad),
-                     LogicError);
-        EXPECT_THROW(
-            core::analyzeDesignIncremental(design, spef, {}, snapshot, bad),
-            LogicError);
-        EXPECT_THROW(core::analyzeDesignIncrementalOutcome(design, spef, {},
-                                                           snapshot, bad),
-                     LogicError);
-        // Refused before the snapshot is touched.
-        EXPECT_TRUE(snapshot.valid);
-    }
+    core::TimingWindows late;
+    late.set("s0", {1.0e-9, 1.3e-9});
+    late.set("s1", {1.0e-9, 1.3e-9});
+    const auto g = expectPinnedVerdicts(
+        {3, 3}, {35.0, 12.0}, late,
+        {{"s0", 0x1.53dd61df23dbp-5, 0x1.53dd61df23a3p-5},
+         {"s1", -0x1.2041148279356p-2, -0x1.1e1cd2d12e642p-2}},
+        true);
+    ASSERT_EQ(g.size(), 2u);
+    EXPECT_TRUE(g[1].windows.droppedIncoming.empty());
+    EXPECT_TRUE(g[1].propagated.present);
 }
 
 // ----------------------------------------------------------- multi-driver
@@ -796,9 +787,9 @@ TEST(Alignment, WindowConstraintsBoundAndExcludeAxes) {
 
     // Constrained: the OUTPUT transition [t + delay, t + delay + slew] must
     // overlap the window, bounding the input switch time.
-    core::AlignmentOptions opt;
-    opt.aggressorWindows = {{500e-12, 900e-12}};
-    const auto res = core::findWorstAlignment(model, opt);
+    core::AlignmentWindows w;
+    w.aggressors = {{500e-12, 900e-12}};
+    const auto res = core::findWorstAlignment(model, {}, nullptr, &w);
     const double t = res.aggressorSwitchTimes[0];
     EXPECT_GE(t + m.delay + m.slew, 500e-12);
     EXPECT_LE(t + m.delay, 900e-12);
@@ -808,9 +799,9 @@ TEST(Alignment, WindowConstraintsBoundAndExcludeAxes) {
               std::abs(free.worst.metrics.peak));
 
     // Excluded: an empty window holds the aggressor quiet entirely.
-    core::AlignmentOptions excl;
-    excl.aggressorWindows = {{900e-12, 500e-12}};
-    const auto quiet = core::findWorstAlignment(model, excl);
+    core::AlignmentWindows excl;
+    excl.aggressors = {{900e-12, 500e-12}};
+    const auto quiet = core::findWorstAlignment(model, {}, nullptr, &excl);
     EXPECT_TRUE(std::isinf(quiet.aggressorSwitchTimes[0]));
     EXPECT_LT(std::abs(quiet.worst.metrics.peak),
               0.25 * std::abs(free.worst.metrics.peak));
@@ -850,19 +841,19 @@ TEST(Alignment, TwinSearchesShareOneMemoBitIdentically) {
     // return exactly what it returns alone, simulating fewer probes.
     const core::ClusterMacromodel model(twoAggressorGlitchSpec(),
                                         fastModel());
-    core::AlignmentOptions windowed;
-    windowed.glitchWindow = {100e-12, 1.0e-9};
-    const auto alone = core::findWorstAlignment(model, windowed);
+    core::AlignmentWindows windowed;
+    windowed.glitch = {100e-12, 1.0e-9};
+    const auto alone = core::findWorstAlignment(model, {}, nullptr, &windowed);
 
     core::ProbeMemo memo(model);
     const auto unc = core::findWorstAlignment(model, {}, &memo);
     EXPECT_EQ(memo.size(), static_cast<std::size_t>(unc.evaluations));
-    const auto twin = core::findWorstAlignment(model, windowed, &memo);
+    const auto twin = core::findWorstAlignment(model, {}, &memo, &windowed);
     expectSameAlignment(twin, alone);
     EXPECT_LT(twin.evaluations, alone.evaluations);
     // Alone, a search simulates each distinct probe exactly once.
     core::ProbeMemo own(model);
-    const auto fresh = core::findWorstAlignment(model, windowed, &own);
+    const auto fresh = core::findWorstAlignment(model, {}, &own, &windowed);
     EXPECT_EQ(fresh.evaluations, static_cast<int>(own.size()));
 
     // A memo only answers for the model it was filled on.
@@ -898,17 +889,18 @@ TEST(Alignment, ConcurrentSearchesOnOneModelMatchSerial) {
     // share no mutable state and reproduce the serial result exactly.
     const core::ClusterMacromodel model(twoAggressorGlitchSpec(),
                                         fastModel());
-    core::AlignmentOptions windowed;
-    windowed.aggressorWindows = {{300e-12, 900e-12}, {}};
+    core::AlignmentWindows windowed;
+    windowed.aggressors = {{300e-12, 900e-12}, {}};
     const auto serial = core::findWorstAlignment(model);
-    const auto serialWindowed = core::findWorstAlignment(model, windowed);
+    const auto serialWindowed =
+        core::findWorstAlignment(model, {}, nullptr, &windowed);
 
     std::vector<core::AlignmentResult> results(4);
     std::vector<std::thread> threads;
     for (std::size_t i = 0; i < results.size(); ++i) {
         threads.emplace_back([&, i] {
             results[i] = core::findWorstAlignment(
-                model, i % 2 == 0 ? core::AlignmentOptions{} : windowed);
+                model, {}, nullptr, i % 2 == 0 ? nullptr : &windowed);
         });
     }
     for (auto& t : threads) t.join();
