@@ -34,11 +34,17 @@
 //     inputs key came out bit-identical: closure tasks whose upstream noise
 //     converged, and must-solve tasks such as the coupling neighbour of a
 //     resized driver's input net, whose cluster never reads that net's
-//     receivers (the CI smoke check asserts at least one). One more call
-//     on the same snapshot flags connectivityChanged, so it rebuilds and
-//     runs every task dirty: its margins must match the full run bitwise
-//     (eco_rebuild_margin_diff, asserted 0) and its scheduler must execute
-//     every task (eco_rebuild_sched_tasks == eco_total_tasks).
+//     receivers (the CI smoke check asserts at least one). The resize is
+//     then reverted and re-applied, each through analyzeDesignIncremental:
+//     both calls restore the solves the call before them replaced, so the
+//     revert solves no victim (eco_revert_solved_victims, asserted 0;
+//     eco_revert_restored_tasks counts its restored tasks, eco_revert_sec
+//     times it). The revert must match the cold run and the re-apply the
+//     full re-run bitwise (eco_revert_margin_diff, asserted 0). One more
+//     call on the same snapshot flags connectivityChanged, so it rebuilds
+//     and runs every task dirty: its margins must match the full run
+//     bitwise (eco_rebuild_margin_diff, asserted 0) and its scheduler must
+//     execute every task (eco_rebuild_sched_tasks == eco_total_tasks).
 // Margins are cross-checked within 1e-9 between every flat path. Emits one
 // JSON object (for the bench trajectory) after the human-readable table.
 //
@@ -295,6 +301,13 @@ struct Row {
     double ecoIncrementalSec = 0.0;
     double ecoFullSec = 0.0;  ///< full warm-cache re-run of the same state
     double incrementalMarginDiff = 0.0;  ///< vs the full re-run, must be 0
+    /// Reverting the resize: its wall time, the tasks it restored, the
+    /// victims it solved (must be 0), and the worst of revert vs the cold
+    /// run and re-apply vs the full re-run (must be 0).
+    double ecoRevertSec = 0.0;
+    std::size_t ecoRevertRestoredTasks = 0;
+    std::size_t ecoRevertSolvedVictims = 0;
+    double ecoRevertMarginDiff = 0.0;
     /// The connectivityChanged call on the same snapshot: vs the full
     /// re-run (must be 0), and the tasks its scheduler executed.
     double ecoRebuildMarginDiff = 0.0;
@@ -654,15 +667,18 @@ int main(int argc, char** argv) {
             eopt.cache = &ecache;
             core::AnalysisSnapshot snapshot;
             eopt.snapshot = &snapshot;
-            core::analyzeDesign(chained, chainSpef, eopt);
+            const auto cold = core::analyzeDesign(chained, chainSpef, eopt);
             eopt.snapshot = nullptr;
 
             const int depth = (n + chains - 1) / chains;
             core::DesignDelta delta;
+            std::vector<std::string> cellBefore;  // by delta.instances
             for (int j = 0; j < eco; ++j) {
                 const int idx = (n - 1) - j * depth;
                 if (idx < 0) break;
                 const std::string name = "g" + std::to_string(idx);
+                cellBefore.push_back(
+                    snapshot.index->instanceNamed(name)->cellName);
                 chained.replaceCell(name, "INV_X2");
                 delta.instances.push_back(name);
             }
@@ -686,6 +702,35 @@ int main(int argc, char** argv) {
                              "incremental ECO run diverged from the full "
                              "re-run (max |dMargin| %.3e V)\n",
                              row.incrementalMarginDiff);
+                return 1;
+            }
+
+            // Revert the resize, then re-apply it: each call finds the
+            // inputs of the solves the call before it replaced.
+            const auto rebind = [&](const std::vector<std::string>& cells) {
+                for (std::size_t j = 0; j < cells.size(); ++j) {
+                    chained.replaceCell(delta.instances[j], cells[j]);
+                }
+            };
+            rebind(cellBefore);
+            core::IncrementalStats vstats;
+            t0 = std::chrono::steady_clock::now();
+            const auto reverted = core::analyzeDesignIncremental(
+                chained, chainSpef, delta, snapshot, eopt, &vstats);
+            row.ecoRevertSec = seconds(t0);
+            row.ecoRevertRestoredTasks = vstats.restoredTasks;
+            row.ecoRevertSolvedVictims = vstats.solvedVictimReports;
+            rebind(std::vector<std::string>(cellBefore.size(), "INV_X2"));
+            const auto reapplied = core::analyzeDesignIncremental(
+                chained, chainSpef, delta, snapshot, eopt);
+            row.ecoRevertMarginDiff =
+                std::max(maxMarginDiff(reverted, cold),
+                         maxMarginDiff(reapplied, full));
+            if (row.ecoRevertMarginDiff != 0.0) {
+                std::fprintf(stderr,
+                             "reverted or re-applied ECO run diverged "
+                             "(max |dMargin| %.3e V)\n",
+                             row.ecoRevertMarginDiff);
                 return 1;
             }
 
@@ -802,7 +847,7 @@ int main(int argc, char** argv) {
                         "Warm char runs", "Disk hits", "ECO nets",
                         "Dirty/total tasks", "Cut off", "Incr (s)",
                         "Full (s)",
-                        "Incr speed-up"});
+                        "Incr speed-up", "Revert (s)", "Restored"});
     for (const auto& r : rows) {
         ctable.addRow(
             {std::to_string(r.nets), std::to_string(r.cacheEntries),
@@ -817,7 +862,9 @@ int main(int argc, char** argv) {
              util::Table::num(r.ecoFullSec, 3),
              r.ecoIncrementalSec > 0.0
                  ? util::Table::num(r.ecoFullSec / r.ecoIncrementalSec, 1)
-                 : "-"});
+                 : "-",
+             util::Table::num(r.ecoRevertSec, 3),
+             std::to_string(r.ecoRevertRestoredTasks)});
     }
     std::printf(
         "Persistent cache warm start + incremental ECO re-analysis\n\n%s\n",
@@ -876,6 +923,9 @@ int main(int argc, char** argv) {
             "\"eco_nets\": %zu, \"eco_dirty_tasks\": %zu, "
             "\"eco_cutoff_tasks\": %zu, \"eco_total_tasks\": %zu, \"eco_incremental_sec\": %.4f, "
             "\"eco_full_sec\": %.4f, \"incremental_margin_diff\": %.3e, "
+            "\"eco_revert_sec\": %.4f, \"eco_revert_restored_tasks\": %zu, "
+            "\"eco_revert_solved_victims\": %zu, "
+            "\"eco_revert_margin_diff\": %.3e, "
             "\"eco_rebuild_margin_diff\": %.3e, "
             "\"eco_rebuild_sched_tasks\": %zu, "
             "\"frontend_parse_sec\": %.4f, \"frontend_roundtrip_ok\": %s, "
@@ -895,6 +945,8 @@ int main(int argc, char** argv) {
             r.cacheDiskHits, r.ecoNets, r.ecoDirtyTasks, r.ecoCutoffTasks,
             r.ecoTotalTasks,
             r.ecoIncrementalSec, r.ecoFullSec, r.incrementalMarginDiff,
+            r.ecoRevertSec, r.ecoRevertRestoredTasks,
+            r.ecoRevertSolvedVictims, r.ecoRevertMarginDiff,
             r.ecoRebuildMarginDiff, r.ecoRebuildSchedTasks,
             r.frontendParseSec, r.frontendRoundtripOk ? "true" : "false",
             r.frontendInstances);

@@ -18,14 +18,25 @@
 // cluster RC, its incoming glitches, its window gate and the net's other
 // drivers; a pass-through net its driver and first-load cells, its incoming
 // glitches and its gate. The task builds those inputs once and serializes
-// them bitwise into a key retained per task id. When the key equals the
-// retained one and every scheduled fanin finished ok in this run, the task
-// keeps its retained front and reports without a solve. So the re-solve
-// stops where the noise converges, and a must-solve coupling neighbour
-// whose cluster reads nothing the delta changed (an aggressor reads its
-// net's driver, SPEF section and window, never its receivers) is not
-// solved either. The check runs after the `core.solve_net` fault point and
-// the failure policy's upstream checks.
+// them bitwise into a key. Each task id keeps two solves: the retained one
+// its slots hold, with its key, and the previous one those slots replaced
+// (AnalysisSnapshot::TaskMemo). When every scheduled fanin finished ok in
+// this run, the key picks one of three ways:
+//   * keep — it equals the retained key: the task keeps its retained front
+//     and reports without a solve. So the re-solve stops where the noise
+//     converges, and a must-solve coupling neighbour whose cluster reads
+//     nothing the delta changed (an aggressor reads its net's driver, SPEF
+//     section and window, never its receivers) is not solved either;
+//   * restore — it equals the previous key: the previous front and report
+//     are swapped back into the slots, without a solve. An ECO that undoes
+//     the one before it (a resize tried and reverted, a cap toggled back)
+//     re-solves nothing;
+//   * solve — any other key moves the retained slots and key into the
+//     previous entry, then solves.
+// Entries move, never copy, so a restored report shares the samples of the
+// report first returned for it. One previous entry per task is what a
+// toggle needs; an A->B->C->A sequence re-solves. The check runs after the
+// `core.solve_net` fault point and the failure policy's upstream checks.
 //
 // There is one run path. A full analyzeDesign is the update that rebuilds
 // the index, reselects every victim and marks every task must-solve; an
@@ -44,8 +55,9 @@
 //   * the solve — the scheduler runs the dirty task ids only, and the
 //     retained slots are rewritten in place for those ids alone; each
 //     dirty task builds its inputs and key (a victim's includes its
-//     cluster RC, which a solve builds anyway), and a task whose key
-//     matches costs that and one comparison instead of a solve;
+//     cluster RC, which a solve builds anyway), and a task kept or
+//     restored costs that and at most two comparisons (a restore, a swap
+//     of its slots) instead of a solve;
 //   * the returned vector — every report is returned, but a report's
 //     waveform shares the retained samples (wave::Waveform), so a clean
 //     report costs its scalars and names, not ~300 samples;
@@ -57,7 +69,9 @@
 // windows)). A call whose snapshot is not reusable runs this path with
 // every task dirty, so it costs what a full run costs, plus one key per
 // task; a run without a snapshot builds no key. The retained keys cost
-// a few hundred bytes per task.
+// a few hundred bytes per task, and each task that ever re-solved keyed
+// slots keeps one superseded solve beside them: a key, a report (~300
+// waveform samples for a victim) and a surviving front.
 //
 // Contract: analyzeDesignIncremental returns reports bit-identical to a
 // cold analyzeDesign over the same (mutated) design at any thread count.
@@ -147,10 +161,23 @@ struct AnalysisSnapshot {
     /// bit on the next call — the caller may edit its windows in place).
     std::vector<TimingWindow> netWindows;
     TimingWindows explicitWindows;
-    /// By task id: the inputs key the task's slots were solved from (see
-    /// the header comment), empty where none is known. A victim reselect
-    /// drops every key.
-    std::vector<std::string> taskKeys;
+    /// One task's solve memo (see the header comment): the inputs key its
+    /// retained slots were solved from, empty where none is known, and the
+    /// solve those slots replaced, null until a solve replaces keyed slots.
+    struct TaskMemo {
+        /// The superseded solve, moved out of the task's slots.
+        struct Previous {
+            std::string key;
+            /// The victim report of a victim task; the quiet report of a
+            /// pass-through net (empty when its solve produced none).
+            std::optional<NetNoiseReport> report;
+            SurvivingSet surviving;
+        };
+        std::string key;
+        std::unique_ptr<Previous> previous;
+    };
+    /// By task id. A victim reselect and a rebuild drop every memo.
+    std::vector<TaskMemo> taskMemos;
     /// Waiver-applied diagnostics of the captured run's lint pass; empty
     /// when DesignNoiseOptions::lint was off.
     std::vector<lint::Diagnostic> lint;
@@ -175,11 +202,16 @@ struct IncrementalStats {
     /// scheduled fanin finished ok. Must-solve tasks count here as well as
     /// closure tasks; 0 when the call rebuilt.
     std::size_t cutoffTasks = 0;
+    /// Of dirtyTasks, the tasks whose slots came back from their previous
+    /// solve: their inputs key equalled the key of the solve their retained
+    /// slots had replaced, and every scheduled fanin finished ok. Counted
+    /// apart from cutoffTasks; 0 when the call rebuilt.
+    std::size_t restoredTasks = 0;
     /// Delta nets/pins + window/coupling diffs; 0 when the call rebuilt.
     std::size_t seedNets = 0;
     std::size_t coupledNeighbors = 0;  ///< added around the seeds
-    /// Victim reports kept from the snapshot (clean or cut off) and victim
-    /// reports solved this call; together, the victim count.
+    /// Victim reports kept from the snapshot (clean, cut off or restored)
+    /// and victim reports solved this call; together, the victim count.
     std::size_t reusedVictimReports = 0;
     std::size_t solvedVictimReports = 0;
     /// Nets whose switching window was recomputed (windows mode): the

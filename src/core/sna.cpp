@@ -230,9 +230,9 @@ std::vector<int> refreshVictims(
         }
     }
     if (!reselect) return {};
-    // A flat task id is its victim slot, so a key could outlive its net's
-    // move to another slot; no key survives a reselect.
-    state.taskKeys.clear();
+    // A flat task id is its victim slot, so a memo could outlive its net's
+    // move to another slot; no memo survives a reselect.
+    state.taskMemos.clear();
     const std::unordered_map<std::string, int> oldSlot =
         std::move(state.slotOf);
     std::vector<NetNoiseReport> oldReports = std::move(state.victimReports);
@@ -296,8 +296,10 @@ struct DirtyInputs {
 struct TaskRecord {
     /// A dirty task is scheduled: it is must-solve, or downstream of one.
     /// It becomes reused when its inputs' key matched the retained one and
-    /// it kept its retained slots. A clean task is not scheduled.
-    enum class Role : char { clean, dirty, reused };
+    /// it kept its retained slots, restored when the key matched its
+    /// previous solve's and that solve came back. A clean task is not
+    /// scheduled.
+    enum class Role : char { clean, dirty, reused, restored };
     /// The failure policy's verdict on the task.
     enum class State : char { ok, failed, quarantined, degraded };
     Role role = Role::clean;
@@ -584,8 +586,8 @@ struct SolveRun {
     const bool useWindows;
     /// `state` is a retained snapshot: its reports are copied out, each
     /// solved task's inputs key is kept with its slots, and a dirty task
-    /// whose key matches keeps them. A run on a throwaway snapshot builds
-    /// no key and moves its reports out.
+    /// whose key matches keeps them or restores its previous solve. A run
+    /// on a throwaway snapshot builds no key and moves its reports out.
     const bool retain;
     std::vector<TaskRecord> tasks;
     /// Run-local cancellation: the caller's token (if any) chains under a
@@ -623,7 +625,7 @@ struct SolveRun {
         }
         state.surviving.resize(tg.nets.size());
         state.quietReports.resize(tg.nets.size());
-        if (retain) state.taskKeys.resize(tg.nets.size());
+        if (retain) state.taskMemos.resize(tg.nets.size());
     }
 
     /// The victim slot of `net`, or -1 for a pass-through net.
@@ -885,21 +887,49 @@ struct SolveRun {
     }
 
     /// Task `id`'s solve from its inputs, built once. When the run retains
-    /// its slots, every scheduled fanin finished ok (`faninsOk`) and the
-    /// inputs serialize to the key retained with the task's slots, those
-    /// slots are the answer: nothing is solved and false is returned.
-    /// Otherwise the task solves as a victim cluster or a pass-through net
-    /// into cleared slots, publishes its surviving front and retains its
-    /// new key. A quiet non-victim net, or a leaf with neither downstream
+    /// its slots and every scheduled fanin finished ok (`faninsOk`), the
+    /// inputs key picks the answer (see core/incremental.hpp): the key the
+    /// retained slots were solved from keeps them (reused); the key of the
+    /// solve they replaced swaps that solve back in (restored). Otherwise
+    /// the retained slots and key move into the task's previous solve, and
+    /// the task solves as a victim cluster or a pass-through net into
+    /// cleared slots, publishes its surviving front and retains its new key
+    /// (dirty). A quiet non-victim net, or a leaf with neither downstream
     /// nets nor a receiver to check, has nothing to do (a loaded net with
     /// no fanout still needs the NRC check).
-    bool solveNet(int id, int slot, bool faninsOk) {
+    TaskRecord::Role solveNet(int id, int slot, bool faninsOk) {
         const auto uid = static_cast<std::size_t>(id);
         TaskInputs in = inputsOf(id, slot);
         std::string key;
         if (retain) {
             key = taskKey(in);
-            if (faninsOk && key == state.taskKeys[uid]) return false;
+            AnalysisSnapshot::TaskMemo& memo = state.taskMemos[uid];
+            if (faninsOk && key == memo.key) return TaskRecord::Role::reused;
+            // Slots that no key describes (a capture run's, a reselect's)
+            // are nothing to restore, so they get no previous entry.
+            if (!memo.key.empty()) {
+                auto& prev = memo.previous;
+                if (prev == nullptr) {
+                    prev = std::make_unique<
+                        AnalysisSnapshot::TaskMemo::Previous>();
+                }
+                // Swapped, never copied: the retained solve becomes the
+                // previous one, and the previous one comes back or is
+                // overwritten below.
+                std::swap(memo.key, prev->key);
+                std::swap(state.surviving[uid], prev->surviving);
+                if (slot < 0) {
+                    state.quietReports[uid].swap(prev->report);
+                } else {
+                    if (!prev->report) prev->report.emplace();  // a new entry
+                    std::swap(
+                        state.victimReports[static_cast<std::size_t>(slot)],
+                        *prev->report);
+                }
+                if (faninsOk && key == memo.key) {
+                    return TaskRecord::Role::restored;
+                }
+            }
         }
         state.surviving[uid].clear();
         state.quietReports[uid].reset();
@@ -922,22 +952,22 @@ struct SolveRun {
             }
         }
         state.surviving[uid] = std::move(kept);
-        // Copied, not moved: the copy allocates the key's size, while the
-        // appended-to string may hold up to twice that.
-        if (retain) state.taskKeys[uid] = key;
-        return true;
+        // Copied, not moved: the appended-to string may hold up to twice
+        // the key's size.
+        if (retain) state.taskMemos[uid].key = key;
+        return TaskRecord::Role::dirty;
     }
 
     /// The task the scheduler runs: one solve under the failure-quarantine
     /// policy. The fault point and the policy's upstream checks come before
-    /// the key check, so a retained key never hides an injected fault or a
-    /// failed cone. Under failFast no fanin is ever failed, quarantined or
-    /// degraded, and a throwing solve is rethrown before any state is
-    /// written, so exceptions propagate through the scheduler untouched. A
-    /// flat task has no fanins, so quarantineCone and degradeToPassthrough
-    /// both reduce to "capture the failure and go on". A task that fails or
-    /// is quarantined leaves slots that no key describes; such a run never
-    /// leaves the snapshot splice input.
+    /// the key check, so neither a retained nor a previous key ever hides
+    /// an injected fault or a failed cone. Under failFast no fanin is ever
+    /// failed, quarantined or degraded, and a throwing solve is rethrown
+    /// before any state is written, so exceptions propagate through the
+    /// scheduler untouched. A flat task has no fanins, so quarantineCone
+    /// and degradeToPassthrough both reduce to "capture the failure and go
+    /// on". A task that fails or is quarantined leaves slots that no key
+    /// describes; such a run never leaves the snapshot splice input.
     void runTask(int id) {
         const auto uid = static_cast<std::size_t>(id);
         const std::string& net = tg.nets[uid];
@@ -974,9 +1004,8 @@ struct SolveRun {
         try {
             SNA_FAULT_POINT("core.solve_net", net);
             const bool faninsOk = !upstreamFault && !upstreamDegraded;
-            if (!solveNet(id, slot, faninsOk)) {
-                task.role = TaskRecord::Role::reused;
-            } else if (!faninsOk) {
+            task.role = solveNet(id, slot, faninsOk);
+            if (!faninsOk) {
                 // degradeToPassthrough: solved across a bridged failure —
                 // margins are real numbers but built on approximate inputs.
                 task.state = TaskRecord::State::degraded;
@@ -1099,6 +1128,8 @@ struct SolveRun {
             const auto uid = static_cast<std::size_t>(id);
             if (tasks[uid].role == TaskRecord::Role::reused) {
                 ++st.cutoffTasks;
+            } else if (tasks[uid].role == TaskRecord::Role::restored) {
+                ++st.restoredTasks;
             } else if (victimSlot(tg.nets[uid]) >= 0) {
                 ++st.solvedVictimReports;
             }

@@ -5,8 +5,9 @@
 // into a cache that workers are characterizing, overflow accounting under
 // tiny limits, dirty-cone expansion, bit-identity of
 // analyzeDesignIncremental with a cold full run at several thread counts
-// for the flat, propagated, and windowed pipelines, the splice
-// fingerprint's field list, and the rebuild path's counters and lint order.
+// for the flat, propagated, and windowed pipelines, the cutoff key and the
+// previous solve an undone ECO restores, the splice fingerprint's field
+// list, and the rebuild path's counters and lint order.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -1130,6 +1131,250 @@ TEST(IncrementalCutoff, FailedFaninStillQuarantinesOrDegradesItsCone) {
     }
 }
 
+// -------------------------------------------------------- restored solves
+
+// One state of the fading chain: the cell bound to c2 and the coupling of
+// s1. A step between two states changes the keys of s1 (its first load
+// and its RC) and s2 (its driver); nothing else reads either edit.
+struct ChainState {
+    const char* c2;
+    double s1cc;
+};
+const ChainState kStateA{"INV_X1", 10.0};
+const ChainState kStateB{"INV_X2", 6.0};
+const ChainState kStateC{"INV_X4", 14.0};
+
+// A snapshot of the fading chain captured at kStateA, stepped between
+// ChainStates by analyzeDesignIncremental.
+struct RevertChain {
+    core::Design design;
+    parser::SpefFile spef;
+    charlib::CharCache cache;
+    core::DesignNoiseOptions opt;
+    core::AnalysisSnapshot snapshot;
+    std::vector<core::NetNoiseReport> coldA;  ///< the capture run's reports
+
+    RevertChain(const cell::CellLibrary& lib, int threads)
+        : design(lib), spef(spefOf(kStateA)), opt(cheapOptions()) {
+        buildChain(design, kFadingAggs);
+        opt.propagate = true;
+        opt.threads = threads;
+        opt.cache = &cache;
+        opt.snapshot = &snapshot;
+        coldA = core::analyzeDesign(design, spef, opt);
+        opt.snapshot = nullptr;
+    }
+
+    static parser::SpefFile spefOf(const ChainState& s) {
+        return parser::parseSpef(
+            chainSpef(kFadingAggs, {30.0, s.s1cc, 8.0, 0.0, 0.0, 0.0}));
+    }
+
+    core::AnalysisOutcome step(const ChainState& s,
+                               core::IncrementalStats& stats) {
+        design.replaceCell("c2", s.c2);
+        spef = spefOf(s);
+        core::DesignDelta delta;
+        delta.nets = {"s1"};
+        delta.instances = {"c2"};
+        return core::analyzeDesignIncrementalOutcome(design, spef, delta,
+                                                     snapshot, opt, &stats);
+    }
+
+    // The reports and the retained slots against a cold run of the
+    // current state.
+    void expectCold(const std::vector<core::NetNoiseReport>& reports,
+                    const std::string& tag) {
+        core::AnalysisSnapshot fresh;
+        core::DesignNoiseOptions o = opt;
+        o.snapshot = &fresh;
+        expectSameReports(reports, core::analyzeDesign(design, spef, o), tag);
+        expectRetainedSlotsCurrent(snapshot, fresh, tag);
+    }
+};
+
+// A->B->A: the revert swaps back the solves B replaced. Nothing solves, the
+// reports and slots are A's bit for bit, and each restored report still
+// holds the samples the capture run returned. Re-applying B restores too.
+TEST(IncrementalRestore, RevertRestoresThePreviousSolves) {
+    const cell::CellLibrary lib(tech::tech130());
+    for (const int threads : {1, 4, 8}) {
+        const std::string tag = "threads=" + std::to_string(threads);
+        RevertChain rc(lib, threads);
+        core::IncrementalStats stats;
+        const auto b = rc.step(kStateB, stats);
+        ASSERT_TRUE(b.clean()) << tag;
+        EXPECT_EQ(stats.solvedVictimReports, 2u) << tag;
+        EXPECT_EQ(stats.restoredTasks, 0u) << tag;
+
+        const auto a = rc.step(kStateA, stats);
+        ASSERT_TRUE(a.clean()) << tag;
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        EXPECT_EQ(stats.solvedVictimReports, 0u) << tag;
+        EXPECT_EQ(stats.reusedVictimReports, rc.snapshot.victims.size())
+            << tag;
+        EXPECT_GE(stats.restoredTasks, 2u) << tag;  // s1 and s2 at least
+        EXPECT_EQ(stats.scheduler.tasksExecuted, stats.dirtyTasks) << tag;
+        expectSameReports(a.reports, rc.coldA, tag + " vs capture");
+        rc.expectCold(a.reports, tag + " revert");
+        ASSERT_EQ(a.reports.size(), rc.coldA.size()) << tag;
+        for (std::size_t i = 0; i < a.reports.size(); ++i) {
+            EXPECT_EQ(a.reports[i].cluster.worst.waveform.samples().data(),
+                      rc.coldA[i].cluster.worst.waveform.samples().data())
+                << tag << " " << a.reports[i].net;
+        }
+
+        const auto again = rc.step(kStateB, stats);
+        EXPECT_EQ(stats.solvedVictimReports, 0u) << tag;
+        EXPECT_GE(stats.restoredTasks, 2u) << tag;
+        expectSameReports(again.reports, b.reports, tag + " re-apply");
+        rc.expectCold(again.reports, tag + " re-apply");
+    }
+}
+
+// A->B->C->A: one previous entry holds B when A comes back, so A solves.
+TEST(IncrementalRestore, ThirdStateBackToTheFirstSolves) {
+    const cell::CellLibrary lib(tech::tech130());
+    for (const int threads : {1, 4, 8}) {
+        const std::string tag = "threads=" + std::to_string(threads);
+        RevertChain rc(lib, threads);
+        core::IncrementalStats stats;
+        rc.step(kStateB, stats);
+        rc.step(kStateC, stats);
+        EXPECT_EQ(stats.solvedVictimReports, 2u) << tag;
+        const auto a = rc.step(kStateA, stats);
+        ASSERT_TRUE(a.clean()) << tag;
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        EXPECT_EQ(stats.solvedVictimReports, 2u) << tag;
+        EXPECT_EQ(stats.restoredTasks, 0u) << tag;
+        expectSameReports(a.reports, rc.coldA, tag + " vs capture");
+        rc.expectCold(a.reports, tag);
+    }
+}
+
+// Every event that drops the retained keys drops the previous solves with
+// them: after it, reverting B solves again and still lands on a cold run's
+// bits.
+TEST(IncrementalRestore, DroppedKeysLeaveNothingToRestore) {
+    const cell::CellLibrary lib(tech::tech130());
+    struct Disarm {
+        ~Disarm() { util::FaultInjector::instance().disarm(); }
+    } disarm;
+    // Each event runs at state B on a snapshot that holds A as the
+    // previous solve of s1 and s2.
+    struct Event {
+        const char* name;
+        std::function<void(RevertChain&)> apply;
+    };
+    const std::vector<Event> events = {
+        {"connectivity change",
+         [](RevertChain& rc) {
+             core::DesignDelta delta;
+             delta.connectivityChanged = true;
+             core::IncrementalStats st;
+             core::analyzeDesignIncremental(rc.design, rc.spef, delta,
+                                            rc.snapshot, rc.opt, &st);
+             EXPECT_TRUE(st.indexRebuilt);
+         }},
+        {"option change",
+         [](RevertChain& rc) {
+             rc.opt.propagateMinHeight *= 1.5;
+             core::IncrementalStats st;
+             core::analyzeDesignIncremental(rc.design, rc.spef, {},
+                                            rc.snapshot, rc.opt, &st);
+             EXPECT_TRUE(st.indexRebuilt);
+         }},
+        // The revert itself, under an injected fault on s1: the quarantined
+        // run poisons the snapshot, and re-applying B rebuilds it.
+        {"quarantined run",
+         [](RevertChain& rc) {
+             rc.opt.onNetFailure = core::NetFailurePolicy::quarantineCone;
+             util::FaultInjector::instance().arm("core.solve_net@s1");
+             core::IncrementalStats st;
+             const auto o = rc.step(kStateA, st);
+             util::FaultInjector::instance().disarm();
+             EXPECT_EQ(o.failedNets, std::vector<std::string>{"s1"});
+             EXPECT_FALSE(o.quarantinedNets.empty());
+             EXPECT_FALSE(rc.snapshot.valid);
+             rc.step(kStateB, st);
+             EXPECT_TRUE(st.indexRebuilt);
+         }},
+    };
+    for (const Event& event : events) {
+        for (const int threads : {1, 4, 8}) {
+            const std::string tag = std::string(event.name) +
+                                    " threads=" + std::to_string(threads);
+            RevertChain rc(lib, threads);
+            core::IncrementalStats stats;
+            rc.step(kStateB, stats);
+            event.apply(rc);
+            ASSERT_TRUE(rc.snapshot.valid) << tag;
+            const auto a = rc.step(kStateA, stats);
+            ASSERT_TRUE(a.clean()) << tag;
+            EXPECT_FALSE(stats.indexRebuilt) << tag;
+            EXPECT_EQ(stats.restoredTasks, 0u) << tag;
+            EXPECT_EQ(stats.solvedVictimReports, 2u) << tag;
+            rc.expectCold(a.reports, tag);
+        }
+    }
+}
+
+// A victim reselect drops every memo: s3 gains victim status at state B,
+// and the revert of c2 and s1 that follows (s3 staying coupled) solves.
+TEST(IncrementalRestore, VictimReselectLeavesNothingToRestore) {
+    const cell::CellLibrary lib(tech::tech130());
+    const std::vector<int> aggs{2, 1, 1, 1};
+    const auto spefOf = [&aggs](double s1cc, double s3cc) {
+        std::vector<int> a = aggs;
+        if (s3cc == 0.0) a[3] = 0;
+        return parser::parseSpef(chainSpef(a, {30.0, s1cc, 8.0, s3cc}));
+    };
+    for (const int threads : {1, 4, 8}) {
+        const std::string tag = "threads=" + std::to_string(threads);
+        core::Design design(lib);
+        buildChain(design, aggs);  // a3_0 drives g3_0 either way
+        auto opt = cheapOptions();
+        opt.propagate = true;
+        opt.threads = threads;
+        charlib::CharCache cache;
+        opt.cache = &cache;
+        core::AnalysisSnapshot snapshot;
+        opt.snapshot = &snapshot;
+        core::analyzeDesign(design, spefOf(10.0, 0.0), opt);
+        opt.snapshot = nullptr;
+        const std::size_t victims = snapshot.victims.size();
+
+        core::DesignDelta edit;
+        edit.nets = {"s1"};
+        edit.instances = {"c2"};
+        core::IncrementalStats stats;
+        design.replaceCell("c2", "INV_X2");
+        core::analyzeDesignIncremental(design, spefOf(6.0, 0.0), edit,
+                                       snapshot, opt, &stats);
+        EXPECT_EQ(stats.solvedVictimReports, 2u) << tag;
+
+        core::DesignDelta couple;
+        couple.nets = {"s3", "g3_0"};
+        const auto coupled = spefOf(6.0, 14.0);
+        core::analyzeDesignIncremental(design, coupled, couple, snapshot,
+                                       opt, &stats);
+        EXPECT_EQ(snapshot.victims.size(), victims + 1) << tag;
+
+        design.replaceCell("c2", "INV_X1");
+        const auto reverted = spefOf(10.0, 14.0);
+        const auto fast = core::analyzeDesignIncremental(
+            design, reverted, edit, snapshot, opt, &stats);
+        EXPECT_FALSE(stats.indexRebuilt) << tag;
+        EXPECT_EQ(stats.restoredTasks, 0u) << tag;
+        EXPECT_GE(stats.solvedVictimReports, 2u) << tag;
+        core::AnalysisSnapshot fresh;
+        opt.snapshot = &fresh;
+        expectSameReports(fast, core::analyzeDesign(design, reverted, opt),
+                          tag);
+        expectRetainedSlotsCurrent(snapshot, fresh, tag);
+    }
+}
+
 // ------------------------------------------- explicit-window and cone edits
 
 // One SPEF section: driver pin, load pins, and coupling caps to other nets'
@@ -1499,12 +1744,12 @@ TEST(IncrementalWindows, ConeCounterStaysOnTheResizedChain) {
 }
 
 // ROADMAP item 4: a seeded random ECO sequence — driver resizes, coupling
-// re-extractions, explicit-window edits, and empty deltas — on a small
-// windowed multi-chain design. After every step the incremental run (at
-// threads 1 and 4, each on its own snapshot) must equal a cold full run
-// bit for bit, without ever falling back to a rebuild, and its retained
-// slots must equal the full run's — early cutoff included, which the
-// sequence must exercise.
+// re-extractions, explicit-window edits, empty deltas, and undos of the
+// step before — on a small windowed multi-chain design. After every step
+// the incremental run (at threads 1 and 4, each on its own snapshot) must
+// equal a cold full run bit for bit, without ever falling back to a
+// rebuild, and its retained slots must equal the full run's — early cutoff
+// and restored solves included, which the sequence must exercise.
 TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
     const cell::CellLibrary lib(tech::tech130());
     const MultiChain mc;
@@ -1536,25 +1781,35 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
     }
     opt.snapshot = nullptr;
 
+    // The edited state: stage gate cells, coupling caps, explicit windows.
+    struct EcoState {
+        std::map<std::string, std::string> cells;
+        std::vector<double> cc;
+        std::map<std::string, core::TimingWindow> entries;
+    };
+    std::map<std::string, std::string> cells;
+    for (int k = 0; k < mc.chains; ++k) {
+        for (int i = 0; i < mc.stages; ++i) cells[mc.gate(k, i)] = "INV_X1";
+    }
+    EcoState before{cells, cc, entries};  // the state the last step left
+
     util::Rng rng(20051);
-    std::array<int, 4> kinds{};
+    std::array<int, 5> kinds{};
     std::size_t cutoffTasks = 0;
+    std::size_t restoredTasks = 0;
     for (int step = 0; step < 40; ++step) {
+        EcoState now{cells, cc, entries};
         core::DesignDelta delta;
-        const int kind = rng.uniformInt(0, 3);
+        const int kind = rng.uniformInt(0, 4);
         ++kinds[static_cast<std::size_t>(kind)];
         const int k = rng.uniformInt(0, mc.chains - 1);
         const int i = rng.uniformInt(0, mc.stages - 1);
         std::string what;
         if (kind == 0) {
             const std::string g = mc.gate(k, i);
-            const core::Instance* inst = nullptr;
-            for (const auto& in : design.instances()) {
-                if (in.name == g) inst = &in;
-            }
-            ASSERT_NE(inst, nullptr);
-            design.replaceCell(
-                g, inst->cellName == "INV_X1" ? "INV_X2" : "INV_X1");
+            std::string& cell = cells.at(g);
+            cell = cell == "INV_X1" ? "INV_X2" : "INV_X1";
+            design.replaceCell(g, cell);
             delta.instances.push_back(g);
             what = "resize " + g;
         } else if (kind == 1) {
@@ -1577,9 +1832,31 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
             windows = std::make_unique<core::TimingWindows>(
                 windowsOf(entries));
             opt.windows = windows.get();
-        } else {
+        } else if (kind == 3) {
             what = "empty";
+        } else {
+            // Undo the step before, bit for bit: its cell, caps and windows.
+            for (const auto& [g, cell] : before.cells) {
+                if (cells.at(g) == cell) continue;
+                design.replaceCell(g, cell);
+                delta.instances.push_back(g);
+            }
+            for (std::size_t slot = 0; slot < cc.size(); ++slot) {
+                if (cc[slot] == before.cc[slot]) continue;
+                delta.nets.push_back(
+                    mc.net(static_cast<int>(slot) / mc.stages,
+                           static_cast<int>(slot) % mc.stages));
+            }
+            cells = before.cells;
+            cc = before.cc;
+            entries = before.entries;
+            spef = parser::parseSpef(mc.spef(cc));
+            windows = std::make_unique<core::TimingWindows>(
+                windowsOf(entries));
+            opt.windows = windows.get();
+            what = "undo";
         }
+        before = std::move(now);
         const std::string tag =
             "step " + std::to_string(step) + " (" + what + ")";
 
@@ -1600,11 +1877,13 @@ TEST(IncrementalWindows, RandomEcoSequenceMatchesFullRuns) {
             expectSameReports(fast, full, t);
             expectRetainedSlotsCurrent(*snap, fresh, t);
             cutoffTasks += stats.cutoffTasks;
+            restoredTasks += stats.restoredTasks;
         }
         if (testing::Test::HasFailure()) break;
     }
     for (const int count : kinds) EXPECT_GT(count, 0);
     EXPECT_GT(cutoffTasks, 0u);
+    EXPECT_GT(restoredTasks, 0u);
     expectRetainedWindowsCurrent(snap1, *windows, "final");
 }
 
