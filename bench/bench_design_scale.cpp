@@ -3,10 +3,8 @@
 // Generates synthetic N-net coupled designs (a ring of parallel routes, each
 // net coupled to both neighbours through distinct caps) as SPEF text,
 // connects a gate-level design to them, and times end-to-end analyzeDesign:
-//   * reference: the pre-index brute-force sweep (linear instance scans,
-//     all-net cap scans, full per-cluster re-characterization, serial);
-//   * optimized: DesignIndex + shared CharCache, swept across --threads
-//     (default 1,2,4,8);
+//   * flat: DesignIndex + shared CharCache, swept across --threads
+//     (default 1,2,4,8), every count's margins checked against the first;
 //   * propagate: the same parasitics wired as `--chains` parallel chains of
 //     depth N/chains (deep levels), analyzed with the dependency-counted
 //     task-graph wavefront and stage-to-stage glitch propagation, across
@@ -45,13 +43,12 @@
 //     and runs every task dirty: its margins must match the full run
 //     bitwise (eco_rebuild_margin_diff, asserted 0) and its scheduler must
 //     execute every task (eco_rebuild_sched_tasks == eco_total_tasks).
-// Margins are cross-checked within 1e-9 between every flat path. Emits one
-// JSON object (for the bench trajectory) after the human-readable table.
+// Emits one JSON object (for the bench trajectory) after the human-readable
+// tables.
 //
 // Run:  ./build/bench_design_scale [--nets 50,200,800] [--threads 1,2,4,8]
-//                                  [--reference-max 200] [--chains 4]
-//                                  [--eco 1] [--smoke]
-// --smoke: one tiny size, threads 1,4, no reference sweep — a CI-speed run
+//                                  [--chains 4] [--eco 1] [--smoke]
+// --smoke: one tiny size, threads 1,4 — a CI-speed run
 // whose JSON carries the full schema so bench bit-rot is caught before
 // merge.
 #include <chrono>
@@ -237,7 +234,6 @@ struct SweepPoint {
 
 struct Row {
     int nets = 0;
-    double refSec = -1.0;  ///< < 0: reference not measured at this size
     double opt1Sec = 0.0;
     double opt4Sec = 0.0;
     std::vector<SweepPoint> sweep;
@@ -319,17 +315,15 @@ struct Row {
 int main(int argc, char** argv) {
     std::vector<int> sizes{50, 200, 800};
     std::vector<int> threadsSweep{1, 2, 4, 8};
-    int referenceMax = 200;  // brute force is super-quadratic; cap it
     int chains = 4;
     int eco = 1;  // drivers perturbed by the incremental ECO pass
     try {
         for (int i = 1; i < argc; ++i) {
             if (std::strcmp(argv[i], "--smoke") == 0) {
-                // CI-speed run: one tiny size, no reference sweep, short
-                // thread sweep. The JSON still carries every schema field.
+                // CI-speed run: one tiny size, short thread sweep. The JSON
+                // still carries every schema field.
                 sizes = {12};
                 threadsSweep = {1, 4};
-                referenceMax = 0;
                 continue;
             }
             if (std::strcmp(argv[i], "--nets") == 0 && i + 1 < argc) {
@@ -351,9 +345,6 @@ int main(int argc, char** argv) {
                     std::fprintf(stderr, "--threads needs a list\n");
                     return 1;
                 }
-            } else if (std::strcmp(argv[i], "--reference-max") == 0 &&
-                       i + 1 < argc) {
-                referenceMax = std::stoi(argv[++i]);
             } else if (std::strcmp(argv[i], "--chains") == 0 &&
                        i + 1 < argc) {
                 chains = std::stoi(argv[++i]);
@@ -370,7 +361,7 @@ int main(int argc, char** argv) {
             } else {
                 std::fprintf(stderr,
                              "usage: %s [--nets N1,N2,...] "
-                             "[--threads T1,T2,...] [--reference-max N] "
+                             "[--threads T1,T2,...] "
                              "[--chains K] [--eco K] [--smoke]\n",
                              argv[0]);
                 return 1;
@@ -427,14 +418,6 @@ int main(int argc, char** argv) {
         }
         if (row.opt1Sec == 0.0) row.opt1Sec = row.sweep.front().flatSec;
         if (row.opt4Sec == 0.0) row.opt4Sec = row.sweep.back().flatSec;
-
-        if (n <= referenceMax) {
-            t0 = std::chrono::steady_clock::now();
-            const auto ref = core::analyzeDesignReference(design, spef, opt);
-            row.refSec = seconds(t0);
-            row.marginDiff =
-                std::max(row.marginDiff, maxMarginDiff(opt1, ref));
-        }
 
         // ---- propagation-enabled chained variant -------------------------
         // An aggressive-coupling corner (2.2x the flat variant's caps): weak
@@ -756,16 +739,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "done %d nets\n", n);
     }
 
-    util::Table table({"Nets", "Reports", "Reference (s)", "Opt t=1 (s)",
-                       "Opt t=4 (s)", "Speed-up", "Max |dMargin| (V)",
-                       "LC runs", "Thev runs", "NRC points"});
+    util::Table table({"Nets", "Reports", "Opt t=1 (s)", "Opt t=4 (s)",
+                       "Max |dMargin| (V)", "LC runs", "Thev runs",
+                       "NRC points"});
     for (const auto& r : rows) {
-        const double best = std::min(r.opt1Sec, r.opt4Sec);
         table.addRow(
             {std::to_string(r.nets), std::to_string(r.reports),
-             r.refSec < 0 ? "-" : util::Table::num(r.refSec, 2),
              util::Table::num(r.opt1Sec, 2), util::Table::num(r.opt4Sec, 2),
-             r.refSec < 0 ? "-" : util::Table::num(r.refSec / best, 1),
              util::Table::num(r.marginDiff, 12),
              std::to_string(r.loadCurveRuns), std::to_string(r.theveninRuns),
              std::to_string(r.nrcRuns)});
@@ -873,13 +853,6 @@ int main(int argc, char** argv) {
     std::printf("{\"bench\": \"design_scale\", \"rows\": [");
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto& r = rows[i];
-        const std::string refStr =
-            r.refSec < 0 ? "null" : util::Table::num(r.refSec, 4);
-        const std::string speedupStr =
-            r.refSec < 0
-                ? "null"
-                : util::Table::num(r.refSec / std::min(r.opt1Sec, r.opt4Sec),
-                                   2);
         std::ostringstream sweepJson;
         for (std::size_t k = 0; k < r.sweep.size(); ++k) {
             sweepJson << (k == 0 ? "" : ", ") << "{\"threads\": "
@@ -895,9 +868,9 @@ int main(int argc, char** argv) {
                      << util::Table::num(r.schedBusy[k], 4);
         }
         std::printf(
-            "%s{\"nets\": %d, \"reports\": %zu, \"reference_sec\": %s, "
+            "%s{\"nets\": %d, \"reports\": %zu, "
             "\"optimized_t1_sec\": %.4f, \"optimized_t4_sec\": %.4f, "
-            "\"speedup\": %s, \"max_margin_diff\": %.3e, "
+            "\"max_margin_diff\": %.3e, "
             "\"load_curve_runs\": %zu, \"thevenin_runs\": %zu, "
             "\"nrc_runs\": %zu, "
             "\"threads_sweep\": [%s], "
@@ -930,8 +903,8 @@ int main(int argc, char** argv) {
             "\"eco_rebuild_sched_tasks\": %zu, "
             "\"frontend_parse_sec\": %.4f, \"frontend_roundtrip_ok\": %s, "
             "\"frontend_instances\": %zu}",
-            i == 0 ? "" : ", ", r.nets, r.reports, refStr.c_str(), r.opt1Sec,
-            r.opt4Sec, speedupStr.c_str(), r.marginDiff, r.loadCurveRuns,
+            i == 0 ? "" : ", ", r.nets, r.reports, r.opt1Sec, r.opt4Sec,
+            r.marginDiff, r.loadCurveRuns,
             r.theveninRuns, r.nrcRuns, sweepJson.str().c_str(), r.levels, r.lintSec,
             r.lintErrors, r.lintWarnings, r.lintInfos, r.prop1Sec,
             r.prop4Sec, r.propMarginDiff, r.serialMarginDiff, r.schedTasks,

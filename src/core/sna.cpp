@@ -91,12 +91,11 @@ std::vector<std::pair<const Instance*, std::string>> Design::loadsOf(
 namespace {
 
 /// Records one cluster run's output glitch in the net's surviving front.
-void recordRun(SurvivingSet* out, const ClusterReport& run) {
-    if (out == nullptr) return;
+void recordRun(SurvivingSet& out, const ClusterReport& run) {
     SurvivingGlitch sg;
     sg.height = std::abs(run.worst.metrics.peak);
     sg.width = run.worst.metrics.width;
-    mergeSurviving(*out, sg);
+    mergeSurviving(out, sg);
 }
 
 /// Windows mode's view of one net's inputs (SolveRun::gateWindows): the
@@ -404,15 +403,14 @@ std::string taskKey(const TaskInputs& in) {
     return key;
 }
 
-/// One victim's solve, for every run and for analyzeDesignReference: the
-/// local-only verdict (exactly what the flat sweep computes), then one
-/// combined run per incoming candidate (the Pareto front is incomparable
-/// until solved), each at both holding levels on one macromodel per level.
-/// The worst margin over {local, each combined candidate} governs: a
-/// destructively aligned injection must not mask a local failure. Every
-/// run's output glitch joins `produced` when given: a non-governing
-/// candidate or level can still leave the wider (or taller) glitch on the
-/// net, and downstream stages must see it.
+/// One victim's solve: the local-only verdict (exactly what the flat sweep
+/// computes), then one combined run per incoming candidate (the Pareto
+/// front is incomparable until solved), each at both holding levels on one
+/// macromodel per level. The worst margin over {local, each combined
+/// candidate} governs: a destructively aligned injection must not mask a
+/// local failure. Every run's output glitch joins `produced`: a
+/// non-governing candidate or level can still leave the wider (or taller)
+/// glitch on the net, and downstream stages must see it.
 ///
 /// `windowed` marks a run with timing windows. With a constraining gate the
 /// runs are window-constrained (they govern the verdict and feed the
@@ -423,7 +421,7 @@ std::string taskKey(const TaskInputs& in) {
 NetNoiseReport solveVictim(const cell::CellLibrary& lib,
                            const std::string& net, TaskInputs& in,
                            double tstop, const ReportOptions& ropt,
-                           bool windowed, SurvivingSet* produced) {
+                           bool windowed, SurvivingSet& produced) {
     const std::vector<IncomingGlitch>& incoming = in.incoming;
     WindowGate& gate = in.gate;
     NetNoiseReport r;
@@ -936,7 +934,7 @@ struct SolveRun {
         SurvivingSet produced;
         if (slot >= 0) {
             state.victimReports[static_cast<std::size_t>(slot)] = solveVictim(
-                lib, tg.nets[uid], in, opt.tstop, ropt, useWindows, &produced);
+                lib, tg.nets[uid], in, opt.tstop, ropt, useWindows, produced);
         } else if (!in.incoming.empty() &&
                    (in.firstLoad != nullptr ||
                     !index.fanoutOf(tg.nets[uid]).empty())) {
@@ -1487,91 +1485,6 @@ std::vector<NetNoiseReport> analyzeDesignIncremental(
     const DesignNoiseOptions& opt, IncrementalStats* statsOut) {
     return reportsOrThrow(analyzeDesignIncrementalOutcome(
         design, spef, delta, snapshot, opt, statsOut));
-}
-
-std::vector<NetNoiseReport> analyzeDesignReference(
-    const Design& design, const parser::SpefFile& spef,
-    const DesignNoiseOptions& opt) {
-    std::vector<NetNoiseReport> reports;
-    const cell::CellLibrary& lib = design.library();
-    ReportOptions ropt = opt.report;
-    ropt.macromodel.cache = nullptr;
-
-    for (const auto& [netName, spefNet] : spef.nets()) {
-        auto aggressors = spef.aggressorsOf(netName);
-        if (aggressors.empty()) continue;
-        const Instance* driver = design.driverOf(netName);
-        if (driver == nullptr) {
-            log::warn() << "SPEF net '" << netName
-                        << "' has coupling but no driver in the design";
-            continue;
-        }
-        const auto loads = design.loadsOf(netName);
-        if (loads.empty()) continue;
-
-        // The pre-index cost model: coupling caps may be listed under either
-        // net's section, so every (victim, aggressor) pair rescans all nets.
-        auto ownerOf = [](const std::string& node) {
-            return node.substr(0, node.find(':'));
-        };
-        std::vector<std::pair<double, std::string>> ranked;
-        for (const auto& agg : aggressors) {
-            if (spef.nets().find(agg) == spef.nets().end()) continue;
-            if (design.driverOf(agg) == nullptr) continue;
-            double cc = 0.0;
-            for (const auto& [otherName, otherNet] : spef.nets()) {
-                for (const auto& cap : otherNet.caps) {
-                    if (cap.node2.empty()) continue;
-                    const std::string o1 = ownerOf(cap.node1);
-                    const std::string o2 = ownerOf(cap.node2);
-                    if ((o1 == netName && o2 == agg) ||
-                        (o2 == netName && o1 == agg)) {
-                        cc += cap.farads;
-                    }
-                }
-            }
-            ranked.push_back({cc, agg});
-        }
-        std::sort(ranked.begin(), ranked.end(), [](const auto& a,
-                                                   const auto& b) {
-            return a.first != b.first ? a.first > b.first
-                                      : a.second < b.second;
-        });
-        if (ranked.size() > opt.maxAggressors) {
-            ranked.resize(opt.maxAggressors);
-        }
-        if (ranked.empty()) continue;
-
-        std::vector<std::string> clusterNets{netName};
-        for (const auto& [cc, agg] : ranked) clusterNets.push_back(agg);
-        std::vector<std::pair<std::string, std::string>> rankedAggressors;
-        for (const auto& [cc, agg] : ranked) {
-            rankedAggressors.push_back({design.driverOf(agg)->cellName, agg});
-        }
-        // Surface the non-winning drivers of a multiply-driven net, same
-        // as the indexed path.
-        std::vector<std::string> otherDrivers;
-        for (const auto& inst : design.instances()) {
-            const cell::Cell& c = lib.cell(inst.cellName);
-            const auto out = inst.pinToNet.find(c.outputName());
-            if (out != inst.pinToNet.end() && out->second == netName &&
-                &inst != driver) {
-                otherDrivers.push_back(inst.name);
-            }
-        }
-        std::sort(otherDrivers.begin(), otherDrivers.end());
-
-        TaskInputs in;
-        in.driver = driver;
-        in.firstLoad = loads.front().first;
-        in.ranked = &rankedAggressors;
-        in.rc = ic::rcFromSpef(spef, clusterNets);
-        in.otherDrivers = &otherDrivers;
-        // Uncached, serial cluster analysis: every cluster re-characterizes.
-        reports.push_back(
-            solveVictim(lib, netName, in, opt.tstop, ropt, false, nullptr));
-    }
-    return reports;
 }
 
 }  // namespace sna::core

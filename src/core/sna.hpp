@@ -289,13 +289,4 @@ AnalysisOutcome analyzeDesignOutcome(const Design& design,
                                      const parser::SpefFile& spef,
                                      const DesignNoiseOptions& opt = {});
 
-/// The pre-index brute-force sweep (linear instance scans per query, all-net
-/// cap scans per aggressor, full re-characterization per cluster, serial).
-/// Kept as the validation and benchmarking baseline: its reports must match
-/// analyzeDesign exactly with `opt.propagate == false`. `opt.threads`,
-/// `opt.cache`, and `opt.propagate` are ignored.
-std::vector<NetNoiseReport> analyzeDesignReference(
-    const Design& design, const parser::SpefFile& spef,
-    const DesignNoiseOptions& opt = {});
-
 }  // namespace sna::core

@@ -23,40 +23,6 @@ const SpefNet& SpefFile::net(const std::string& name) const {
     return it->second;
 }
 
-const std::vector<std::string>& SpefFile::aggressorsOf(
-    const std::string& name) const {
-    net(name);  // ModelError for unknown nets, as before
-    static const std::vector<std::string> kEmpty;
-    const auto it = coupled_.find(str::toLower(name));
-    return it == coupled_.end() ? kEmpty : it->second;
-}
-
-void SpefFile::indexCoupling() {
-    auto ownerOf = [](const std::string& node) {
-        const std::size_t colon = node.find(':');
-        return node.substr(0, colon);
-    };
-    auto pushUnique = [](std::vector<std::string>& v, const std::string& s) {
-        if (std::find(v.begin(), v.end(), s) == v.end()) v.push_back(s);
-    };
-    // Coupling caps are listed once, under whichever net the writer chose;
-    // index every section so discovery is symmetric. A node whose owner is
-    // not a declared net is dangling (lint rule SNA-L103's territory) and
-    // names no aggressor.
-    coupled_.clear();
-    for (const auto& [netName, spefNet] : nets_) {
-        for (const auto& cap : spefNet.caps) {
-            if (cap.node2.empty()) continue;
-            const std::string o1 = ownerOf(cap.node1);
-            const std::string o2 = ownerOf(cap.node2);
-            if (o1 == o2) continue;
-            if (nets_.count(o1) == 0 || nets_.count(o2) == 0) continue;
-            pushUnique(coupled_[o1], o2);
-            pushUnique(coupled_[o2], o1);
-        }
-    }
-}
-
 namespace {
 
 double unitScale(const std::vector<std::string_view>& tokens, int line) {
@@ -221,7 +187,6 @@ SpefFile parseSpef(const std::string& text) {
         }
         throw ParseError("unparsed line '" + line + "'", lineNo);
     }
-    out.indexCoupling();
     return out;
 }
 

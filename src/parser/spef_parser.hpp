@@ -50,28 +50,11 @@ public:
     const std::map<std::string, SpefNet>& nets() const { return nets_; }
     const SpefNet& net(const std::string& name) const;
 
-    /// Names of nets coupled to `name` through at least one coupling cap.
-    /// Served from a map built once at parse time (O(log n) per query, not
-    /// a rescan of every cap section). Only nodes whose owner is a net
-    /// declared in this SPEF count: a coupling node with an unknown owner
-    /// is dangling (what lint rule SNA-L103 reports), not an aggressor.
-    /// Throws ModelError when `name` itself is not a SPEF net.
-    const std::vector<std::string>& aggressorsOf(
-        const std::string& name) const;
-
 private:
     friend SpefFile parseSpef(const std::string& text);
 
-    /// Populate coupled_ from every net's cap section (called once, at the
-    /// end of parseSpef).
-    void indexCoupling();
-
     std::string design_;
     std::map<std::string, SpefNet> nets_;
-    /// net -> nets coupled to it through at least one coupling cap, in the
-    /// order the old per-query scan discovered them (sections in net-name
-    /// order, caps in file order). Nets with no coupling have no entry.
-    std::map<std::string, std::vector<std::string>> coupled_;
 };
 
 /// Parse SPEF text. Throws sna::ParseError with line numbers.

@@ -367,6 +367,63 @@ TEST(Report, PassesQuietCluster) {
     EXPECT_GT(report.margin, 0.0);
 }
 
+// A cached characterization must be the direct one, bit for bit: every
+// design run shares a CharCache, so this is the only check that the cache
+// keys and stores what it serves. The cold model fills the cache (misses),
+// the warm one reads it back (hits); both must equal the uncached model.
+// Both glitch pins and both levels go through one cache, so an entry keyed
+// without its pin or level is served to the wrong model.
+TEST(Report, CachedClusterMatchesDirect) {
+    const auto sameGrid = [](const la::Grid2d& a, const la::Grid2d& b) {
+        ASSERT_EQ(a.xs(), b.xs());
+        ASSERT_EQ(a.ys(), b.ys());
+        for (std::size_t ix = 0; ix < a.xs().size(); ++ix) {
+            for (std::size_t iy = 0; iy < a.ys().size(); ++iy) {
+                EXPECT_EQ(a.at(ix, iy), b.at(ix, iy)) << ix << "," << iy;
+            }
+        }
+    };
+    charlib::CharCache cache;
+    for (const char* pin : {"a", "b"}) {
+        for (const bool level : {false, true}) {
+            ClusterSpec spec = paperCluster(0.7, 2);
+            spec.victim.glitchInput = pin;
+            spec.victim.outputLevel = level;
+            for (AggressorSpec& agg : spec.aggressors) {
+                agg.outputRising = !level;
+            }
+            ClusterMacromodel::Options direct;
+            direct.loadCurveGrid = 9;
+            ClusterMacromodel::Options cached = direct;
+            cached.cache = &cache;
+            const ClusterMacromodel want(spec, direct);
+            const auto ref = want.analyzeAt({0.5e-9, 0.6e-9}, 0.45e-9);
+            const double refLimit =
+                core::nrcLimitFor(spec, ref.metrics, nullptr);
+            for (const char* pass : {"cold", "warm"}) {
+                SCOPED_TRACE(std::string(pass) + " pin=" + pin +
+                             " level=" + std::to_string(level));
+                const ClusterMacromodel got(spec, cached);
+                const auto run = got.analyzeAt({0.5e-9, 0.6e-9}, 0.45e-9);
+                EXPECT_EQ(run.metrics.peak, ref.metrics.peak);
+                EXPECT_EQ(run.metrics.width, ref.metrics.width);
+                const auto& table = got.propagationTable();
+                const auto& refTable = want.propagationTable();
+                sameGrid(table.peak, refTable.peak);
+                sameGrid(table.area, refTable.area);
+                EXPECT_EQ(table.outputBaseline, refTable.outputBaseline);
+                EXPECT_EQ(core::nrcLimitFor(spec, run.metrics, &cache),
+                          refLimit);
+            }
+        }
+    }
+    const auto stats = cache.stats();
+    EXPECT_GT(stats.loadCurveHits, 0u);
+    EXPECT_GT(stats.theveninHits, 0u);
+    EXPECT_GT(stats.nrcHits, 0u);
+    EXPECT_GT(stats.propagationHits, 0u);
+}
+
 // ----------------------------------------------------------------- design
 
 TEST(DesignFlow, AnalyzesSpefClusters) {

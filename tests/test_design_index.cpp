@@ -1,9 +1,12 @@
 // Tests for the indexed, cached, parallel full-design pipeline: DesignIndex
-// vs the brute-force scans, analyzeDesign vs the reference path, thread
-// determinism, and the characterization cache's once-per-cell guarantee.
+// vs the brute-force scans, analyzeDesign's victim selection vs a
+// brute-force selection, thread determinism, and the characterization
+// cache's once-per-cell guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 
 #include "charlib/char_cache.hpp"
@@ -111,7 +114,7 @@ TEST(DesignIndex, MatchesBruteForceScans) {
 
 // ------------------------------------------------------------- regression
 
-TEST(DesignFlowRegression, IndexedPipelineMatchesReference) {
+TEST(DesignFlowRegression, ThreadCountsMatchSerialSchedule) {
     const cell::CellLibrary lib(tech::tech130());
     const auto spef = parser::parseSpef(ringSpef(4));
     core::Design design(lib);
@@ -122,28 +125,184 @@ TEST(DesignFlowRegression, IndexedPipelineMatchesReference) {
     opt.report.searchAlignment = false;  // keep the test fast
     opt.report.macromodel.loadCurveGrid = 9;
 
-    const auto ref = core::analyzeDesignReference(design, spef, opt);
     opt.threads = 1;
-    const auto fast1 = core::analyzeDesign(design, spef, opt);
+    const auto serial = core::analyzeDesign(design, spef, opt);
     opt.threads = 4;
     const auto fast4 = core::analyzeDesign(design, spef, opt);
 
-    ASSERT_EQ(ref.size(), 4u);
-    ASSERT_EQ(fast1.size(), ref.size());
-    ASSERT_EQ(fast4.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(fast1[i].net, ref[i].net);
-        EXPECT_EQ(fast1[i].aggressorNets, ref[i].aggressorNets);
+    ASSERT_EQ(serial.size(), 4u);
+    ASSERT_EQ(fast4.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
         // Every net has exactly its two ring neighbours, listed once (the
         // old implementation appended them per holding level and trimmed).
-        EXPECT_EQ(ref[i].aggressorNets.size(), 2u);
-        EXPECT_NEAR(fast1[i].cluster.margin, ref[i].cluster.margin, 1e-9);
-        EXPECT_NEAR(fast1[i].cluster.nrcLimit, ref[i].cluster.nrcLimit, 1e-9);
-        EXPECT_EQ(fast1[i].cluster.fails, ref[i].cluster.fails);
+        EXPECT_EQ(serial[i].aggressorNets.size(), 2u);
 
-        EXPECT_EQ(fast4[i].net, fast1[i].net);
-        EXPECT_EQ(fast4[i].aggressorNets, fast1[i].aggressorNets);
-        EXPECT_NEAR(fast4[i].cluster.margin, fast1[i].cluster.margin, 1e-9);
+        EXPECT_EQ(fast4[i].net, serial[i].net);
+        EXPECT_EQ(fast4[i].aggressorNets, serial[i].aggressorNets);
+        EXPECT_EQ(fast4[i].cluster.margin, serial[i].cluster.margin);
+        EXPECT_EQ(fast4[i].cluster.nrcLimit, serial[i].cluster.nrcLimit);
+        EXPECT_EQ(fast4[i].cluster.fails, serial[i].cluster.fails);
+    }
+}
+
+// ------------------------------------------------------------- selection
+
+// Ring n0..n5 with extra couplings, built so that every selection rule
+// fires at least once with maxAggressors = 2:
+//   * n0 couples to n1 (5 fF), n2 and n3 (4 fF each: a tie at the cut),
+//     n5 (1 fF), the undriven `orphan` (12 fF) and the dangling node
+//     `po_n1:1` (9 fF; its owner is driven in the design but is no SPEF
+//     net, so only the dangling rule keeps it out);
+//   * n2-n3 coupling is split over both sections (1.5 + 1.5 fF), and the
+//     n1-n4 cap is listed only under n1's section;
+//   * n2 is also driven by zz_dup (a multiply-driven net);
+//   * `lonely` couples only to dangling nodes and heads no cluster, and
+//     `sink` is driven and coupled but has no load.
+std::string selectionSpef() {
+    std::ostringstream os;
+    os << "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"select\"\n";
+    os << "*T_UNIT 1 PS\n*C_UNIT 1 FF\n*R_UNIT 1 OHM\n\n";
+    const auto net = [&](const std::string& n, const std::string& caps) {
+        os << "*D_NET " << n << " 20.0\n*CONN\n*I d_" << n << ":y O\n"
+           << "*I r_" << n << ":a I\n*CAP\n1 " << n << ":1 3.0\n" << caps
+           << "*RES\n1 d_" << n << ":y " << n << ":1 40\n2 " << n
+           << ":1 r_" << n << ":a 40\n*END\n\n";
+    };
+    net("n0",
+        "2 n0:1 n1:1 5.0\n3 n0:1 n2:1 4.0\n4 n0:1 n3:1 4.0\n"
+        "5 n0:1 po_n1:1 9.0\n");
+    net("n1", "2 n1:1 n2:1 7.0\n3 n1:1 n4:1 6.0\n");
+    net("n2", "2 n2:1 n3:1 1.5\n");
+    net("n3", "2 n3:1 n2:1 1.5\n3 n3:1 n4:1 2.5\n");
+    net("n4", "2 n4:1 n5:1 3.5\n");
+    net("n5", "2 n5:1 n0:1 1.0\n");
+    net("lonely", "2 lonely:1 ghost:2 8.0\n");
+    net("sink", "2 sink:1 n5:1 2.0\n");
+    os << "*D_NET orphan 4.0\n*CONN\n*P orphan_in I\n*CAP\n";
+    os << "1 orphan:1 2.0\n2 orphan:1 n0:1 12.0\n*RES\n";
+    os << "1 orphan_in orphan:1 10\n*END\n";
+    return os.str();
+}
+
+void buildSelectionDesign(core::Design& design) {
+    const auto inst = [&](const std::string& name, const std::string& cell,
+                          std::map<std::string, std::string> pins) {
+        core::Instance in;
+        in.name = name;
+        in.cellName = cell;
+        in.pinToNet = std::move(pins);
+        design.addInstance(std::move(in));
+    };
+    for (const std::string n : {"n0", "n1", "n2", "n3", "n4", "n5", "lonely",
+                                "sink"}) {
+        inst("d_" + n, n == "n1" ? "INV_X2" : "INV_X1",
+             {{"a", "pi_" + n}, {"y", n}});
+        if (n != "sink") {
+            inst("r_" + n, "INV_X2", {{"a", n}, {"y", "po_" + n}});
+        }
+    }
+    inst("zz_dup", "INV_X4", {{"a", "dup_in"}, {"y", "n2"}});
+}
+
+TEST(DesignIndex, SelectionMatchesBruteForce) {
+    const cell::CellLibrary lib(tech::tech130());
+    const auto spef = parser::parseSpef(selectionSpef());
+    core::Design design(lib);
+    buildSelectionDesign(design);
+    const std::size_t maxAggressors = 2;
+
+    // Brute force over the design's own linear scans and every SPEF cap.
+    const auto ownerOf = [](const std::string& node) {
+        return node.substr(0, node.find(':'));
+    };
+    struct Expected {
+        std::string net;
+        std::vector<std::string> aggressorNets;
+        std::vector<std::string> otherDrivers;
+    };
+    std::vector<Expected> expected;
+    bool sawTie = false, sawCut = false, sawUndriven = false;
+    bool sawDangling = false, sawOtherSection = false, sawMulti = false;
+    for (const auto& [netName, spefNet] : spef.nets()) {
+        const core::Instance* driver = design.driverOf(netName);
+        if (driver == nullptr || design.loadsOf(netName).empty()) continue;
+        std::map<std::string, double> cc;
+        for (const auto& [section, sectionNet] : spef.nets()) {
+            for (const auto& cap : sectionNet.caps) {
+                if (cap.node2.empty()) continue;
+                const std::string o1 = ownerOf(cap.node1);
+                const std::string o2 = ownerOf(cap.node2);
+                std::string other;
+                if (o1 == netName && o2 != netName) other = o2;
+                if (o2 == netName && o1 != netName) other = o1;
+                if (other.empty()) continue;
+                if (spef.nets().count(other) == 0) {
+                    sawDangling = true;
+                    continue;
+                }
+                if (design.driverOf(other) == nullptr) {
+                    sawUndriven = true;
+                    continue;
+                }
+                if (section != netName) sawOtherSection = true;
+                cc[other] += cap.farads;
+            }
+        }
+        std::vector<std::pair<double, std::string>> ranked;
+        for (const auto& [agg, c] : cc) ranked.push_back({c, agg});
+        std::sort(ranked.begin(), ranked.end(), [](const auto& a,
+                                                   const auto& b) {
+            return a.first != b.first ? a.first > b.first
+                                      : a.second < b.second;
+        });
+        for (std::size_t i = 1; i < ranked.size(); ++i) {
+            if (ranked[i].first == ranked[i - 1].first) sawTie = true;
+        }
+        if (ranked.size() > maxAggressors) {
+            sawCut = true;
+            ranked.resize(maxAggressors);
+        }
+        if (ranked.empty()) continue;
+        Expected e;
+        e.net = netName;
+        for (const auto& [c, agg] : ranked) e.aggressorNets.push_back(agg);
+        const cell::CellLibrary& cells = design.library();
+        for (const auto& inst : design.instances()) {
+            const auto out =
+                inst.pinToNet.find(cells.cell(inst.cellName).outputName());
+            if (out != inst.pinToNet.end() && out->second == netName &&
+                &inst != driver) {
+                e.otherDrivers.push_back(inst.name);
+            }
+        }
+        std::sort(e.otherDrivers.begin(), e.otherDrivers.end());
+        sawMulti = sawMulti || !e.otherDrivers.empty();
+        expected.push_back(std::move(e));
+    }
+    // The fixture exercises every rule.
+    EXPECT_TRUE(sawTie);
+    EXPECT_TRUE(sawCut);
+    EXPECT_TRUE(sawUndriven);
+    EXPECT_TRUE(sawDangling);
+    EXPECT_TRUE(sawOtherSection);
+    EXPECT_TRUE(sawMulti);
+    ASSERT_EQ(expected.size(), 6u);  // n0..n5; not lonely, sink or orphan
+    EXPECT_EQ(expected[0].aggressorNets,
+              (std::vector<std::string>{"n1", "n2"}));  // n3 loses the tie
+
+    core::DesignNoiseOptions opt;
+    opt.maxAggressors = maxAggressors;
+    opt.propagate = false;  // victim reports only, in SPEF order
+    opt.report.searchAlignment = false;
+    opt.report.macromodel.loadCurveGrid = 9;
+    const auto reports = core::analyzeDesign(design, spef, opt);
+    ASSERT_EQ(reports.size(), expected.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_EQ(reports[i].net, expected[i].net);
+        EXPECT_EQ(reports[i].aggressorNets, expected[i].aggressorNets)
+            << expected[i].net;
+        EXPECT_EQ(reports[i].otherDrivers, expected[i].otherDrivers)
+            << expected[i].net;
     }
 }
 

@@ -2,6 +2,7 @@
 // SPEF round-trip, and convergence with segment refinement.
 #include <gtest/gtest.h>
 
+#include "core/design_index.hpp"
 #include "interconnect/parallel_bus.hpp"
 #include "parser/spef_parser.hpp"
 #include "spice/tran.hpp"
@@ -117,9 +118,14 @@ TEST(ParallelBus, SpefRoundTripPreservesTotals) {
     double rTotal = 0.0;
     for (const auto& r : spef.net("victim").ress) rTotal += r.ohms;
     EXPECT_NEAR(rTotal, net.totalResistanceOf(0), 1e-9);
-    // Coupling caps connect victim to both neighbors exactly once.
-    const auto aggs = spef.aggressorsOf("victim");
-    EXPECT_EQ(aggs.size(), 1u);  // victim couples only to agg1 (adjacent)
+    // Coupling caps connect each wire to its adjacent neighbours only.
+    const cell::CellLibrary lib(tech::tech130());
+    const core::Design design(lib);  // no instances: coupling only
+    const core::DesignIndex index(design, spef);
+    const auto& aggs = index.couplingOf("victim");
+    ASSERT_EQ(aggs.size(), 1u);  // victim couples only to agg1 (adjacent)
+    EXPECT_EQ(aggs.begin()->first, "agg1");
+    EXPECT_EQ(index.couplingOf("agg1").size(), 2u);  // victim and agg2
     // Total capacitance over all nets is conserved.
     double capAll = 0.0;
     for (const auto& [name, n] : spef.nets()) capAll += n.sectionCapTotal();

@@ -1,7 +1,9 @@
 // Tests for the SPEF front-end.
 #include <gtest/gtest.h>
 
+#include "core/design_index.hpp"
 #include "parser/spef_parser.hpp"
+#include "tech/tech.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -56,17 +58,24 @@ TEST(SpefParser, ParsesNetsCapsRes) {
     EXPECT_EQ(v.conns[1].direction, 'O');
 }
 
-TEST(SpefParser, AggressorDiscoveryThroughCouplingCaps) {
+TEST(SpefParser, CouplingDiscoveryIsSymmetric) {
     const auto spef = parser::parseSpef(kSpef);
-    const auto aggs = spef.aggressorsOf("victim");
-    // "victim_2_agg" is a dangling coupling node (its owner is not a
-    // declared net — SNA-L103's finding), so only "aggr" is an aggressor.
-    ASSERT_EQ(aggs.size(), 1u);
-    EXPECT_NE(std::find(aggs.begin(), aggs.end(), "aggr"), aggs.end());
+    const cell::CellLibrary lib(tech::tech130());
+    const core::Design design(lib);  // no instances: coupling only
+    const core::DesignIndex index(design, spef);
     // Discovery is symmetric even though the cap is listed under "victim".
-    const auto& back = spef.aggressorsOf("aggr");
+    const auto& back = index.couplingOf("aggr");
     ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0], "victim");
+    EXPECT_EQ(back.begin()->first, "victim");
+    EXPECT_DOUBLE_EQ(back.begin()->second, 20e-15);
+    // "victim_2_agg" is a dangling coupling node (its owner is not a
+    // declared net — SNA-L103's finding). The index keeps its cap; victim
+    // selection never makes it an aggressor (see
+    // DesignIndex.SelectionMatchesBruteForce).
+    const auto& fwd = index.couplingOf("victim");
+    ASSERT_EQ(fwd.size(), 2u);
+    EXPECT_DOUBLE_EQ(fwd.at("aggr"), 20e-15);
+    EXPECT_DOUBLE_EQ(fwd.at("victim_2_agg"), 10e-15);
 }
 
 TEST(SpefParser, UnitScalingPf) {

@@ -212,7 +212,7 @@ void buildRingDesign(core::Design& design, int nets) {
     }
 }
 
-TEST(PropagateOff, BitIdenticalToReferenceAtAnyThreadCount) {
+TEST(PropagateOff, BitIdenticalToSerialAtAnyThreadCount) {
     const cell::CellLibrary lib(tech::tech130());
     const auto spef = parser::parseSpef(ringSpef(4));
     core::Design design(lib);
@@ -224,25 +224,26 @@ TEST(PropagateOff, BitIdenticalToReferenceAtAnyThreadCount) {
     opt.report.macromodel.loadCurveGrid = 9;
     opt.propagate = false;
 
-    const auto ref = core::analyzeDesignReference(design, spef, opt);
-    ASSERT_EQ(ref.size(), 4u);
-    for (const int threads : {1, 4}) {
+    opt.threads = 1;
+    const auto serial = core::analyzeDesign(design, spef, opt);
+    ASSERT_EQ(serial.size(), 4u);
+    for (const int threads : {1, 4, 8}) {
         opt.threads = threads;
         const auto fast = core::analyzeDesign(design, spef, opt);
-        ASSERT_EQ(fast.size(), ref.size()) << "threads=" << threads;
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-            EXPECT_EQ(fast[i].net, ref[i].net);
-            EXPECT_EQ(fast[i].aggressorNets, ref[i].aggressorNets);
-            // Bit-identical, not merely close: the cached pipeline must
-            // reproduce the brute-force sweep exactly.
-            EXPECT_EQ(fast[i].cluster.margin, ref[i].cluster.margin)
+        ASSERT_EQ(fast.size(), serial.size()) << "threads=" << threads;
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_EQ(fast[i].net, serial[i].net);
+            EXPECT_EQ(fast[i].aggressorNets, serial[i].aggressorNets);
+            // Bit-identical, not merely close: the parallel sweep must
+            // reproduce the serial schedule exactly.
+            EXPECT_EQ(fast[i].cluster.margin, serial[i].cluster.margin)
                 << fast[i].net << " threads=" << threads;
-            EXPECT_EQ(fast[i].cluster.nrcLimit, ref[i].cluster.nrcLimit);
+            EXPECT_EQ(fast[i].cluster.nrcLimit, serial[i].cluster.nrcLimit);
             EXPECT_EQ(fast[i].cluster.worst.metrics.peak,
-                      ref[i].cluster.worst.metrics.peak);
+                      serial[i].cluster.worst.metrics.peak);
             EXPECT_EQ(fast[i].cluster.worst.metrics.width,
-                      ref[i].cluster.worst.metrics.width);
-            EXPECT_EQ(fast[i].cluster.fails, ref[i].cluster.fails);
+                      serial[i].cluster.worst.metrics.width);
+            EXPECT_EQ(fast[i].cluster.fails, serial[i].cluster.fails);
             // Without propagation the local mirror equals the verdict.
             EXPECT_FALSE(fast[i].propagated.present);
             EXPECT_EQ(fast[i].propagated.localMargin,

@@ -642,6 +642,7 @@ TEST(MultiDriver, DeterministicWinnerUnderInstancePermutation) {
     opt.maxAggressors = 2;
     opt.report.searchAlignment = false;
     opt.report.macromodel.loadCurveGrid = 9;
+    opt.threads = 1;
 
     std::vector<std::vector<core::NetNoiseReport>> runs;
     for (const bool dupFirst : {false, true}) {
@@ -672,13 +673,15 @@ TEST(MultiDriver, DeterministicWinnerUnderInstancePermutation) {
               (std::vector<std::string>{"zz_dup"}));
     EXPECT_TRUE(runs[0][1].otherDrivers.empty());
 
-    // The brute-force reference makes the same deterministic choice.
-    const auto ref =
-        core::analyzeDesignReference(build(true), spef, opt);
-    ASSERT_EQ(ref.size(), runs[0].size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(ref[i].cluster.margin, runs[0][i].cluster.margin);
-        EXPECT_EQ(ref[i].otherDrivers, runs[0][i].otherDrivers);
+    // The parallel schedule makes the same deterministic choice as the
+    // serial one.
+    opt.threads = 4;
+    const auto parallel = core::analyzeDesign(build(true), spef, opt);
+    ASSERT_EQ(parallel.size(), runs[0].size());
+    for (std::size_t i = 0; i < parallel.size(); ++i) {
+        EXPECT_EQ(parallel[i].net, runs[0][i].net);
+        EXPECT_EQ(parallel[i].cluster.margin, runs[0][i].cluster.margin);
+        EXPECT_EQ(parallel[i].otherDrivers, runs[0][i].otherDrivers);
     }
 }
 
