@@ -28,7 +28,7 @@
 //     dirty cone against the retained snapshot, timed against the full
 //     warm-cache re-run; the incremental margins must match the full run
 //     bitwise (incremental_margin_diff, asserted 0). eco_cutoff_tasks counts
-//     the scheduled tasks that kept their retained results because their
+//     the dirty tasks that kept their retained results because their
 //     inputs key came out bit-identical: closure tasks whose upstream noise
 //     converged, and must-solve tasks such as the coupling neighbour of a
 //     resized driver's input net, whose cluster never reads that net's
@@ -37,7 +37,9 @@
 //     both calls restore the solves the call before them replaced, so the
 //     revert solves no victim (eco_revert_solved_victims, asserted 0;
 //     eco_revert_restored_tasks counts its restored tasks, eco_revert_sec
-//     times it). The revert must match the cold run and the re-apply the
+//     times it). The calling thread restores them all before the scheduler
+//     starts, so the revert schedules nothing (eco_revert_sched_tasks,
+//     asserted 0). The revert must match the cold run and the re-apply the
 //     full re-run bitwise (eco_revert_margin_diff, asserted 0). One more
 //     call on the same snapshot flags connectivityChanged, so it rebuilds
 //     and runs every task dirty: its margins must match the full run
@@ -291,7 +293,7 @@ struct Row {
     std::size_t cacheDiskHits = 0;
     // Incremental ECO re-analysis against the retained snapshot.
     std::size_t ecoNets = 0;        ///< drivers resized in place
-    std::size_t ecoDirtyTasks = 0;  ///< cone the incremental run scheduled
+    std::size_t ecoDirtyTasks = 0;  ///< the incremental run's dirty cone
     std::size_t ecoCutoffTasks = 0;  ///< of those, cut off without a solve
     std::size_t ecoTotalTasks = 0;
     double ecoIncrementalSec = 0.0;
@@ -303,6 +305,9 @@ struct Row {
     double ecoRevertSec = 0.0;
     std::size_t ecoRevertRestoredTasks = 0;
     std::size_t ecoRevertSolvedVictims = 0;
+    /// The tasks the revert's scheduler ran: 0, since the calling thread
+    /// restores every dirty task before the scheduler starts.
+    std::size_t ecoRevertSchedTasks = 0;
     double ecoRevertMarginDiff = 0.0;
     /// The connectivityChanged call on the same snapshot: vs the full
     /// re-run (must be 0), and the tasks its scheduler executed.
@@ -703,6 +708,7 @@ int main(int argc, char** argv) {
             row.ecoRevertSec = seconds(t0);
             row.ecoRevertRestoredTasks = vstats.restoredTasks;
             row.ecoRevertSolvedVictims = vstats.solvedVictimReports;
+            row.ecoRevertSchedTasks = vstats.scheduler.tasksExecuted;
             rebind(std::vector<std::string>(cellBefore.size(), "INV_X2"));
             const auto reapplied = core::analyzeDesignIncremental(
                 chained, chainSpef, delta, snapshot, eopt);
@@ -898,6 +904,7 @@ int main(int argc, char** argv) {
             "\"eco_full_sec\": %.4f, \"incremental_margin_diff\": %.3e, "
             "\"eco_revert_sec\": %.4f, \"eco_revert_restored_tasks\": %zu, "
             "\"eco_revert_solved_victims\": %zu, "
+            "\"eco_revert_sched_tasks\": %zu, "
             "\"eco_revert_margin_diff\": %.3e, "
             "\"eco_rebuild_margin_diff\": %.3e, "
             "\"eco_rebuild_sched_tasks\": %zu, "
@@ -919,7 +926,8 @@ int main(int argc, char** argv) {
             r.ecoTotalTasks,
             r.ecoIncrementalSec, r.ecoFullSec, r.incrementalMarginDiff,
             r.ecoRevertSec, r.ecoRevertRestoredTasks,
-            r.ecoRevertSolvedVictims, r.ecoRevertMarginDiff,
+            r.ecoRevertSolvedVictims, r.ecoRevertSchedTasks,
+            r.ecoRevertMarginDiff,
             r.ecoRebuildMarginDiff, r.ecoRebuildSchedTasks,
             r.frontendParseSec, r.frontendRoundtripOk ? "true" : "false",
             r.frontendInstances);

@@ -24,27 +24,43 @@ namespace sna::charlib {
 
 namespace {
 
-// Every key leads with "<technology identity>/<cell>/<pin>/<0|1>". Cells
+// Every key leads with "<technology identity>/<cell>/<pin>/", then the held
+// level "<0|1>" (a load curve keys its held side inputs instead). Cells
 // from different technologies share names (every library has an INV_X1), so
 // the technology's full electrical identity comes first: a shared cache must
 // not hand tech-A models to a tech-B run. Doubles follow bitwise
 // (tech::appendBits): a hit must reproduce the direct call exactly, so no
 // rounding or formatting is involved. A shared library's cell carries its
 // technology's key ready-made (Cell::technologyKey).
-std::string arcKey(const cell::Cell& c, const std::string& pin, bool level) {
+std::string pinKey(const cell::Cell& c, const std::string& pin) {
     std::string key = c.technologyKey();
     key += '/';
     key += c.name();
     key += '/';
     key += pin;
     key += '/';
+    return key;
+}
+
+std::string arcKey(const cell::Cell& c, const std::string& pin, bool level) {
+    std::string key = pinKey(c, pin);
     key += level ? '1' : '0';
     return key;
 }
 
+// The sweep reads the held level only through the side inputs of its
+// holding vector (the swept input's own value is overridden), so those key
+// it in the level's place: both levels of an INV, or of a NAND2 on either
+// pin, hold the same side inputs and share one table.
 std::string keyOf(const LoadCurveSpec& s) {
     SNA_REQUIRE(s.cell != nullptr, "load-curve spec needs a cell");
-    std::string key = arcKey(*s.cell, s.input, s.outputLevel);
+    std::string key = pinKey(*s.cell, s.input);
+    for (const auto& [pin, high] :
+         s.cell->holdingVector(s.outputLevel, s.input)) {
+        if (pin == s.input) continue;
+        key += pin;
+        key += high ? "=1," : "=0,";
+    }
     key += '/' + std::to_string(s.nVin) + '/' + std::to_string(s.nVout);
     tech::appendBits(key, s.vMin);
     tech::appendBits(key, s.vMax);

@@ -71,8 +71,8 @@ DesignIndex::DesignIndex(const Design& design, const parser::SpefFile& spef,
             if (o1 == o2) continue;
             pairs.emplace_back(std::move(o1), std::move(o2), cap.farads);
         }
-        if (pairs.empty()) sectionPairs_.erase(netName);
     }
+    sectionDigest_ = spef.sectionDigest();
     for (const auto& [section, pairs] : sectionPairs_) {
         for (const auto& [o1, o2, farads] : pairs) {
             couplingByNet_[o1][o2] += farads;
@@ -95,14 +95,17 @@ std::vector<std::string> DesignIndex::patchParasitics(
         }
     };
     for (const std::string& section : changedNets) {
+        const std::uint64_t term = parser::SpefFile::sectionHash(section);
         if (const auto old = sectionPairs_.find(section);
             old != sectionPairs_.end()) {
             collect(old->second);
             sectionPairs_.erase(old);
+            sectionDigest_ -= term;
         }
         const auto it = spef.nets().find(section);
         if (it == spef.nets().end()) continue;  // section removed by the ECO
         auto& pairs = sectionPairs_[section];
+        sectionDigest_ += term;
         for (const auto& cap : it->second.caps) {
             if (cap.node2.empty()) continue;
             std::string o1 = ownerOf(cap.node1);
@@ -110,11 +113,7 @@ std::vector<std::string> DesignIndex::patchParasitics(
             if (o1 == o2) continue;
             pairs.emplace_back(std::move(o1), std::move(o2), cap.farads);
         }
-        if (pairs.empty()) {
-            sectionPairs_.erase(section);
-        } else {
-            collect(pairs);
-        }
+        collect(pairs);
     }
 
     // Re-accumulate the affected nets' sums from scratch over every section,
@@ -144,6 +143,26 @@ std::vector<std::string> DesignIndex::patchParasitics(
         }
     }
     return changed;
+}
+
+bool DesignIndex::sectionsFollow(
+    const parser::SpefFile& spef,
+    const std::vector<std::string>& changedNets) const {
+    const std::set<std::string> named(changedNets.begin(), changedNets.end());
+    std::size_t count = sectionPairs_.size();
+    std::uint64_t digest = sectionDigest_;
+    for (const std::string& section : named) {
+        const std::uint64_t term = parser::SpefFile::sectionHash(section);
+        if (sectionPairs_.count(section) != 0) {
+            --count;
+            digest -= term;
+        }
+        if (spef.nets().count(section) != 0) {
+            ++count;
+            digest += term;
+        }
+    }
+    return count == spef.nets().size() && digest == spef.sectionDigest();
 }
 
 void DesignIndex::buildGraph() const {

@@ -24,6 +24,7 @@
 // reproducible regardless of instance insertion order or thread count.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -126,6 +127,15 @@ public:
         const parser::SpefFile& spef,
         const std::vector<std::string>& changedNets);
 
+    /// Whether `spef`'s sections are exactly the index's with the sections
+    /// named in `changedNets` re-read (each named one counted as `spef` now
+    /// has it): the count and the name digest (SpefFile::sectionDigest)
+    /// must both match. A section added or removed without being named,
+    /// even alongside another that keeps the count, fails the check, since
+    /// patchParasitics cannot follow it. O(named sections).
+    bool sectionsFollow(const parser::SpefFile& spef,
+                        const std::vector<std::string>& changedNets) const;
+
     /// (instance, input pin) loads of `net`, in design order; empty if none.
     const std::vector<std::pair<const Instance*, std::string>>& loadsOf(
         const std::string& net) const;
@@ -170,13 +180,16 @@ private:
     std::unordered_map<std::string, std::map<std::string, double>>
         couplingByNet_;
     /// Per-SPEF-section coupling contributions as (owner1, owner2, farads)
-    /// in cap-listing order. couplingByNet_ is always derived from this (in
-    /// sorted section order, matching SpefFile::nets() iteration), which is
-    /// what lets patchParasitics rebuild a net's summed caps bit-identically
-    /// to a from-scratch construction.
+    /// in cap-listing order, one entry (empty without coupling) per section.
+    /// couplingByNet_ is always derived from this (in sorted section order,
+    /// matching SpefFile::nets() iteration), which is what lets
+    /// patchParasitics rebuild a net's summed caps bit-identically to a
+    /// from-scratch construction.
     std::map<std::string,
              std::vector<std::tuple<std::string, std::string, double>>>
         sectionPairs_;
+    /// SpefFile::sectionDigest of sectionPairs_'s keys.
+    std::uint64_t sectionDigest_ = 0;
     mutable std::once_flag graphOnce_;
     mutable std::unordered_map<std::string, std::vector<FaninEdge>>
         faninByNet_;

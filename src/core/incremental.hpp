@@ -18,25 +18,38 @@
 // cluster RC, its incoming glitches, its window gate and the net's other
 // drivers; a pass-through net its driver and first-load cells, its incoming
 // glitches and its gate. The task builds those inputs once and serializes
-// them bitwise into a key. Each task id keeps two solves: the retained one
-// its slots hold, with its key, and the previous one those slots replaced
-// (AnalysisSnapshot::TaskMemo). When every scheduled fanin finished ok in
-// this run, the key picks one of three ways:
+// them bitwise into a key. Each task id keeps the retained solve its slots
+// hold, with its key, and the last three solves those slots replaced, most
+// recent first (AnalysisSnapshot::TaskMemo). When every dirty fanin
+// finished ok in this run, the key picks one of three ways:
 //   * keep — it equals the retained key: the task keeps its retained front
 //     and reports without a solve. So the re-solve stops where the noise
 //     converges, and a must-solve coupling neighbour whose cluster reads
 //     nothing the delta changed (an aggressor reads its net's driver, SPEF
 //     section and window, never its receivers) is not solved either;
-//   * restore — it equals the previous key: the previous front and report
-//     are swapped back into the slots, without a solve. An ECO that undoes
-//     the one before it (a resize tried and reverted, a cap toggled back)
-//     re-solves nothing;
+//   * restore — it equals a previous key: that front and report are
+//     swapped back into the slots, without a solve, and the replaced solve
+//     becomes the most recent previous one. An ECO that undoes the one
+//     before it (a resize tried and reverted, a cap toggled back)
+//     re-solves nothing, and neither do two such edits whose cones meet:
+//     toggled in any order, they walk a shared task through four states;
 //   * solve — any other key moves the retained slots and key into the
-//     previous entry, then solves.
+//     most recent previous entry, dropping the least recent past three,
+//     then solves.
 // Entries move, never copy, so a restored report shares the samples of the
-// report first returned for it. One previous entry per task is what a
-// toggle needs; an A->B->C->A sequence re-solves. The check runs after the
-// `core.solve_net` fault point and the failure policy's upstream checks.
+// report first returned for it. A sequence through five or more states
+// re-solves a state older than the three kept. A keep or restore takes
+// effect after the `core.solve_net` fault point and the failure policy's
+// upstream checks.
+//
+// Keeps and restores are decided on the calling thread. On a retained
+// snapshot that is not rebuilt, it walks the dirty tasks in topological
+// order before the scheduler starts: a task whose dirty fanins it already
+// decided, all ok, builds its key, and a keep or restore is applied right
+// there — fault point, failure policy and cancel token honoured as on the
+// scheduled path. Only the tasks that must solve, and their downstream
+// closure, reach the scheduler, so an update that re-solves nothing wakes
+// no worker.
 //
 // There is one run path. A full analyzeDesign is the update that rebuilds
 // the index, reselects every victim and marks every task must-solve; an
@@ -51,34 +64,43 @@
 //     re-propagated, stopping where a window comes out bit-identical; a
 //     window never reads parasitics, so a re-extraction moves none;
 //   * victim selection — only must-solve victims are re-ranked (the whole
-//     list is reselected only when one gains or loses victim status);
-//   * the solve — the scheduler runs the dirty task ids only, and the
+//     list is reselected only when one gains or loses victim status), and
+//     the SPEF's section count and name digest are checked against the
+//     index's sections with the delta's named sections applied
+//     (DesignIndex::sectionsFollow: a section the delta adds or removes
+//     without naming it forces a rebuild);
+//   * the solve — the calling thread decides every keep and restore it can
+//     reach, and the scheduler runs the remaining dirty task ids only; the
 //     retained slots are rewritten in place for those ids alone; each
 //     dirty task builds its inputs and key (a victim's includes its
 //     cluster RC, which a solve builds anyway), and a task kept or
-//     restored costs that and at most two comparisons (a restore, a swap
-//     of its slots) instead of a solve;
-//   * the returned vector — every report is returned, but a report's
-//     waveform shares the retained samples (wave::Waveform), so a clean
-//     report costs its scalars and names, not ~300 samples;
+//     restored costs that and at most four key comparisons (a restore, a
+//     swap of its slots) instead of a solve;
 //   * the workers — the snapshot keeps its pool (AnalysisSnapshot::pool),
-//     so only a call that changes the thread count spawns threads.
-// O(design), by design: the `unrecorded` safety scan over the SPEF nets,
-// the per-task records of markDirty and the restricted task graph of
-// restrictTaskGraph, and the explicit-window comparison (O(explicit
-// windows)). A call whose snapshot is not reusable runs this path with
-// every task dirty, so it costs what a full run costs, plus one key per
-// task; a run without a snapshot builds no key. The retained keys cost
-// a few hundred bytes per task, and each task that ever re-solved keyed
-// slots keeps one superseded solve beside them: a key, a report (~300
-// waveform samples for a victim) and a surviving front.
+//     so only a call that changes the thread count spawns threads, and a
+//     call that solves nothing wakes none.
+// O(design), by design:
+//   * the returned vector — every report is copied out, the largest part
+//     of a call that solves nothing; a report's waveform shares the
+//     retained samples (wave::Waveform), so a clean report costs its
+//     scalars and names, not ~300 samples;
+//   * the per-task records of markDirty and the restricted task graph of
+//     restrictTaskGraph;
+//   * the explicit-window comparison (O(explicit windows)).
+// A call whose snapshot is not reusable runs this path with every task
+// dirty, so it costs what a full run costs, plus one key per task; a run
+// without a snapshot builds no key. The retained keys cost a few hundred
+// bytes per task, and each task that ever re-solved keyed slots keeps one
+// superseded solve beside them: a key, a report (~300 waveform samples for
+// a victim) and a surviving front.
 //
 // Contract: analyzeDesignIncremental returns reports bit-identical to a
 // cold analyzeDesign over the same (mutated) design at any thread count.
 // Whenever the snapshot cannot guarantee that — no prior run, different
-// Design object, changed analysis options, or a connectivity change — the
-// call rebuilds the index and runs this path with every task dirty
-// (capturing a fresh snapshot), never a wrong answer.
+// Design object, changed analysis options, a connectivity change, or a SPEF
+// section added or removed without being named — the call rebuilds the
+// index and runs this path with every task dirty (capturing a fresh
+// snapshot), never a wrong answer.
 #pragma once
 
 #include <cstddef>
@@ -104,8 +126,9 @@ namespace sna::core {
 /// typo'd delta throws instead of silently splicing stale results.
 struct DesignDelta {
     /// SPEF net sections whose parasitics were re-extracted (the SpefFile
-    /// passed to analyzeDesignIncremental carries the new values). Also
-    /// list here the nets of any removed instance.
+    /// passed to analyzeDesignIncremental carries the new values), added or
+    /// removed. Also list here the nets of any removed instance. A section
+    /// added or removed without being listed forces a rebuild.
     std::vector<std::string> nets;
     /// Instances whose cell binding changed in place (Design::replaceCell).
     /// Every net on the instance's pins is re-solved.
@@ -163,8 +186,12 @@ struct AnalysisSnapshot {
     TimingWindows explicitWindows;
     /// One task's solve memo (see the header comment): the inputs key its
     /// retained slots were solved from, empty where none is known, and the
-    /// solve those slots replaced, null until a solve replaces keyed slots.
+    /// last kPrevious solves those slots replaced, most recent first, none
+    /// until a solve replaces keyed slots.
     struct TaskMemo {
+        /// Two edits whose cones meet, each toggled, walk a task through
+        /// four input states: the retained one and three replaced ones.
+        static constexpr std::size_t kPrevious = 3;
         /// The superseded solve, moved out of the task's slots.
         struct Previous {
             std::string key;
@@ -174,7 +201,7 @@ struct AnalysisSnapshot {
             SurvivingSet surviving;
         };
         std::string key;
-        std::unique_ptr<Previous> previous;
+        std::vector<Previous> previous;
     };
     /// By task id. A victim reselect and a rebuild drop every memo.
     std::vector<TaskMemo> taskMemos;
@@ -193,19 +220,25 @@ struct AnalysisSnapshot {
 /// counts like any other update with every task dirty.
 struct IncrementalStats {
     std::size_t totalTasks = 0;  ///< graph nets (wavefront) or victims (flat)
-    /// Scheduled this call: the must-solve nets and their downstream
-    /// closure, every task when the call rebuilt. Equals
-    /// scheduler.tasksExecuted on a completed run.
+    /// Dirty this call: the must-solve nets and their downstream closure,
+    /// every task when the call rebuilt. On a completed run, callerTasks +
+    /// scheduler.tasksExecuted.
     std::size_t dirtyTasks = 0;
+    /// Of dirtyTasks, the tasks the calling thread decided before the
+    /// scheduler started: a keep or restore whose dirty fanins were all
+    /// decided there and finished ok (a fault at the task's fault point
+    /// counts too). The scheduler runs the rest. 0 when the call rebuilt.
+    std::size_t callerTasks = 0;
     /// Of dirtyTasks, the tasks that kept their retained slots without a
     /// solve: their inputs key equalled the retained one and every
-    /// scheduled fanin finished ok. Must-solve tasks count here as well as
-    /// closure tasks; 0 when the call rebuilt.
+    /// dirty fanin finished ok. Must-solve tasks count here as well as
+    /// closure tasks, on the calling thread or scheduled; 0 when the call
+    /// rebuilt.
     std::size_t cutoffTasks = 0;
-    /// Of dirtyTasks, the tasks whose slots came back from their previous
-    /// solve: their inputs key equalled the key of the solve their retained
-    /// slots had replaced, and every scheduled fanin finished ok. Counted
-    /// apart from cutoffTasks; 0 when the call rebuilt.
+    /// Of dirtyTasks, the tasks whose slots came back from a previous
+    /// solve: their inputs key equalled the key of one of the solves their
+    /// retained slots had replaced, and every dirty fanin finished ok.
+    /// Counted apart from cutoffTasks; 0 when the call rebuilt.
     std::size_t restoredTasks = 0;
     /// Delta nets/pins + window/coupling diffs; 0 when the call rebuilt.
     std::size_t seedNets = 0;
@@ -219,10 +252,12 @@ struct IncrementalStats {
     /// every net when the call rebuilt.
     std::size_t windowNetsRepropagated = 0;
     /// True when the call could not splice (invalid snapshot, option or
-    /// connectivity change): it rebuilt the index, reselected every victim
-    /// and ran every task dirty.
+    /// connectivity change, a SPEF section come or gone unnamed): it
+    /// rebuilt the index, reselected every victim and ran every task dirty.
     bool indexRebuilt = false;
-    util::SchedulerStats scheduler;  ///< the restricted run's counters
+    /// The scheduled run's counters: the dirty tasks the calling thread
+    /// left, none when it decided every one.
+    util::SchedulerStats scheduler;
 };
 
 /// The must-solve set of `seeds` on the index: seeds, plus every coupling

@@ -289,22 +289,24 @@ struct DirtyInputs {
     std::vector<int> unrecordedSlots;
 };
 
-/// One task's state in one run. Set before the scheduler starts, then
-/// written only by the task itself and read by its fanouts once their
-/// dependency count reached zero, so no completion order can race.
+/// One task's state in one run. Set before the scheduler starts (by the
+/// marking and the calling thread's decisions), then written only by the
+/// task itself and read by its fanouts once their dependency count reached
+/// zero, so no completion order can race.
 struct TaskRecord {
-    /// A dirty task is scheduled: it is must-solve, or downstream of one.
-    /// It becomes reused when its inputs' key matched the retained one and
-    /// it kept its retained slots, restored when the key matched its
-    /// previous solve's and that solve came back. A clean task is not
-    /// scheduled.
+    /// A dirty task is must-solve, or downstream of one. It becomes reused
+    /// when its inputs' key matched the retained one and it kept its
+    /// retained slots, restored when the key matched its previous solve's
+    /// and that solve came back. A clean task is not run.
     enum class Role : char { clean, dirty, reused, restored };
     /// The failure policy's verdict on the task.
     enum class State : char { ok, failed, quarantined, degraded };
     Role role = Role::clean;
     State state = State::ok;
-    /// Ran to a decision (solved, reused, stubbed or quarantined), or is
-    /// clean; still false after the run where cancellation skipped it.
+    /// Ran to a decision (solved, reused, restored, stubbed or
+    /// quarantined), or is clean; still false after the run where
+    /// cancellation skipped it. A dirty task not yet done when the
+    /// scheduler starts is scheduled.
     bool done = true;
 };
 
@@ -884,50 +886,88 @@ struct SolveRun {
         state.quietReports[static_cast<std::size_t>(id)] = std::move(pr);
     }
 
+    /// The keep/restore rule on task `uid`'s inputs key, for a task whose
+    /// dirty fanins all finished ok (see core/incremental.hpp): reused
+    /// when the key equals the one its retained slots were solved from,
+    /// restored when it equals the key of one of the solves they replaced
+    /// (that solve's index in TaskMemo::previous goes to `entry`), dirty
+    /// (the task must solve) otherwise. Reads only: runTask applies a
+    /// restore.
+    TaskRecord::Role memoRole(std::size_t uid, const std::string& key,
+                              std::size_t& entry) const {
+        const AnalysisSnapshot::TaskMemo& memo = state.taskMemos[uid];
+        if (key == memo.key) return TaskRecord::Role::reused;
+        for (std::size_t i = 0; i < memo.previous.size(); ++i) {
+            if (key == memo.previous[i].key) {
+                entry = i;
+                return TaskRecord::Role::restored;
+            }
+        }
+        return TaskRecord::Role::dirty;
+    }
+
+    /// Swaps task `uid`'s retained slots and key with the solve in `prev`.
+    /// Swapped, never copied, so a restored report shares the samples of
+    /// the report first returned for it.
+    void swapSlots(std::size_t uid, int slot,
+                   AnalysisSnapshot::TaskMemo::Previous& prev) {
+        std::swap(state.taskMemos[uid].key, prev.key);
+        std::swap(state.surviving[uid], prev.surviving);
+        if (slot < 0) {
+            state.quietReports[uid].swap(prev.report);
+        } else {
+            if (!prev.report) prev.report.emplace();  // a new entry
+            std::swap(state.victimReports[static_cast<std::size_t>(slot)],
+                      *prev.report);
+        }
+    }
+
+    /// A restore: previous solve `entry` comes back into task `uid`'s
+    /// slots, and the solve it replaces becomes the most recent previous
+    /// one.
+    void restorePrevious(std::size_t uid, int slot, std::size_t entry) {
+        auto& previous = state.taskMemos[uid].previous;
+        const auto it = previous.begin() + static_cast<std::ptrdiff_t>(entry);
+        swapSlots(uid, slot, *it);
+        std::rotate(previous.begin(), it, it + 1);
+    }
+
+    /// A superseding solve: the retained slots and key become the most
+    /// recent previous solve, and the least recent one past
+    /// TaskMemo::kPrevious is dropped (its contents land in the slots the
+    /// solve then clears).
+    void retireRetained(std::size_t uid, int slot) {
+        auto& previous = state.taskMemos[uid].previous;
+        if (previous.size() < AnalysisSnapshot::TaskMemo::kPrevious) {
+            previous.emplace_back();
+        }
+        std::rotate(previous.begin(), previous.end() - 1, previous.end());
+        swapSlots(uid, slot, previous.front());
+    }
+
     /// Task `id`'s solve from its inputs, built once. When the run retains
-    /// its slots and every scheduled fanin finished ok (`faninsOk`), the
-    /// inputs key picks the answer (see core/incremental.hpp): the key the
-    /// retained slots were solved from keeps them (reused); the key of the
-    /// solve they replaced swaps that solve back in (restored). Otherwise
-    /// the retained slots and key move into the task's previous solve, and
-    /// the task solves as a victim cluster or a pass-through net into
-    /// cleared slots, publishes its surviving front and retains its new key
-    /// (dirty). A quiet non-victim net, or a leaf with neither downstream
+    /// its slots and every scheduled fanin finished ok (`faninsOk`), a keep
+    /// or restore (memoRole, setting `entry`) answers without a solve;
+    /// runTask swaps a restored solve back into the slots. Otherwise the
+    /// retained slots and key become the task's most recent previous solve
+    /// (retireRetained), and the task solves as a
+    /// victim cluster or a pass-through net into cleared slots, publishes
+    /// its surviving front and retains its new key (dirty). A quiet non-victim net, or a leaf with neither downstream
     /// nets nor a receiver to check, has nothing to do (a loaded net with
     /// no fanout still needs the NRC check).
-    TaskRecord::Role solveNet(int id, int slot, bool faninsOk) {
+    TaskRecord::Role solveNet(int id, int slot, bool faninsOk,
+                              std::size_t& entry) {
         const auto uid = static_cast<std::size_t>(id);
         TaskInputs in = inputsOf(id, slot);
         std::string key;
         if (retain) {
             key = taskKey(in);
-            AnalysisSnapshot::TaskMemo& memo = state.taskMemos[uid];
-            if (faninsOk && key == memo.key) return TaskRecord::Role::reused;
+            const TaskRecord::Role role =
+                faninsOk ? memoRole(uid, key, entry) : TaskRecord::Role::dirty;
+            if (role != TaskRecord::Role::dirty) return role;
             // Slots that no key describes (a capture run's, a reselect's)
             // are nothing to restore, so they get no previous entry.
-            if (!memo.key.empty()) {
-                auto& prev = memo.previous;
-                if (prev == nullptr) {
-                    prev = std::make_unique<
-                        AnalysisSnapshot::TaskMemo::Previous>();
-                }
-                // Swapped, never copied: the retained solve becomes the
-                // previous one, and the previous one comes back or is
-                // overwritten below.
-                std::swap(memo.key, prev->key);
-                std::swap(state.surviving[uid], prev->surviving);
-                if (slot < 0) {
-                    state.quietReports[uid].swap(prev->report);
-                } else {
-                    if (!prev->report) prev->report.emplace();  // a new entry
-                    std::swap(
-                        state.victimReports[static_cast<std::size_t>(slot)],
-                        *prev->report);
-                }
-                if (faninsOk && key == memo.key) {
-                    return TaskRecord::Role::restored;
-                }
-            }
+            if (!state.taskMemos[uid].key.empty()) retireRetained(uid, slot);
         }
         state.surviving[uid].clear();
         state.quietReports[uid].reset();
@@ -956,17 +996,21 @@ struct SolveRun {
         return TaskRecord::Role::dirty;
     }
 
-    /// The task the scheduler runs: one solve under the failure-quarantine
-    /// policy. The fault point and the policy's upstream checks come before
-    /// the key check, so neither a retained nor a previous key ever hides
-    /// an injected fault or a failed cone. Under failFast no fanin is ever
+    /// One task under the failure-quarantine policy: the task the scheduler
+    /// runs, and, with `decided` a keep or restore (of previous solve
+    /// `entry`), a task the calling thread decided from its key
+    /// (decideOnCaller). The fault point and
+    /// the policy's upstream checks come before any keep or restore takes
+    /// effect, so neither a retained nor a previous key ever hides an
+    /// injected fault or a failed cone. Under failFast no fanin is ever
     /// failed, quarantined or degraded, and a throwing solve is rethrown
     /// before any state is written, so exceptions propagate through the
     /// scheduler untouched. A flat task has no fanins, so quarantineCone
     /// and degradeToPassthrough both reduce to "capture the failure and go
     /// on". A task that fails or is quarantined leaves slots that no key
     /// describes; such a run never leaves the snapshot splice input.
-    void runTask(int id) {
+    void runTask(int id, TaskRecord::Role decided = TaskRecord::Role::dirty,
+                 std::size_t entry = 0) {
         const auto uid = static_cast<std::size_t>(id);
         const std::string& net = tg.nets[uid];
         const int slot = victimSlot(net);
@@ -1002,7 +1046,12 @@ struct SolveRun {
         try {
             SNA_FAULT_POINT("core.solve_net", net);
             const bool faninsOk = !upstreamFault && !upstreamDegraded;
-            task.role = solveNet(id, slot, faninsOk);
+            task.role = decided != TaskRecord::Role::dirty
+                            ? decided
+                            : solveNet(id, slot, faninsOk, entry);
+            if (task.role == TaskRecord::Role::restored) {
+                restorePrevious(uid, slot, entry);
+            }
             if (!faninsOk) {
                 // degradeToPassthrough: solved across a bridged failure —
                 // margins are real numbers but built on approximate inputs.
@@ -1082,7 +1131,6 @@ struct SolveRun {
     /// complete and bitwise-identical to the same net's report in an
     /// uncancelled run.
     AnalysisOutcome assembleOutcome(util::SchedulerStats sched,
-                                    const util::RestrictedTaskGraph& sub,
                                     IncrementalStats& st) {
         AnalysisOutcome outcome;
         bool cancelled = false;
@@ -1121,14 +1169,15 @@ struct SolveRun {
         sortUnique(outcome.quarantinedNets);
         sortUnique(outcome.degradedNets);
         st.totalTasks = tasks.size();
-        st.dirtyTasks = sub.fullId.size();
-        for (const int id : sub.fullId) {
-            const auto uid = static_cast<std::size_t>(id);
-            if (tasks[uid].role == TaskRecord::Role::reused) {
+        for (std::size_t id = 0; id < tasks.size(); ++id) {
+            const TaskRecord::Role role = tasks[id].role;
+            if (role == TaskRecord::Role::clean) continue;
+            ++st.dirtyTasks;
+            if (role == TaskRecord::Role::reused) {
                 ++st.cutoffTasks;
-            } else if (tasks[uid].role == TaskRecord::Role::restored) {
+            } else if (role == TaskRecord::Role::restored) {
                 ++st.restoredTasks;
-            } else if (victimSlot(tg.nets[uid]) >= 0) {
+            } else if (victimSlot(tg.nets[id]) >= 0) {
                 ++st.solvedVictimReports;
             }
         }
@@ -1141,15 +1190,58 @@ struct SolveRun {
         return outcome;
     }
 
-    /// Marks the dirty tasks and runs them alone: edges from a clean fanin
-    /// vanish (its slot is already filled); edges among dirty tasks keep
-    /// their dependency order, so a dirty net still solves after every
-    /// dirty upstream net, and the whole ready frontier runs at once.
+    /// Decides on the calling thread, before the scheduler starts, every
+    /// dirty task that needs no solve. In topological (task id) order, a
+    /// task whose dirty fanins were all decided here and finished ok builds
+    /// its inputs and key; a keep or restore (memoRole) then runs through
+    /// runTask, the fault point and the failure policy included, exactly
+    /// as a scheduled task would. A task that must solve, or whose inputs
+    /// throw while they are built, and its downstream closure, are left to
+    /// the scheduler (where runTask applies the policy to that exception),
+    /// so an update that solves nothing wakes no worker. A stopped cancel
+    /// token ends the walk: the rest drains unsolved through the scheduler.
+    /// Returns the number of tasks decided.
+    std::size_t decideOnCaller() {
+        std::size_t decided = 0;
+        for (std::size_t uid = 0; uid < tasks.size(); ++uid) {
+            if (tasks[uid].done) continue;  // clean
+            const auto& fanins = tg.faninIds[uid];
+            if (!std::all_of(fanins.begin(), fanins.end(), [&](int f) {
+                    const TaskRecord& t = tasks[static_cast<std::size_t>(f)];
+                    return t.done && t.state == TaskRecord::State::ok;
+                })) {
+                continue;
+            }
+            if (cancel != nullptr && cancel->stopRequested()) break;
+            const int id = static_cast<int>(uid);
+            const int slot = victimSlot(tg.nets[uid]);
+            TaskRecord::Role role = TaskRecord::Role::dirty;
+            std::size_t entry = 0;
+            try {
+                role = memoRole(uid, taskKey(inputsOf(id, slot)), entry);
+            } catch (const std::exception&) {
+                // Inputs that cannot be built (a section without a driver
+                // conn, say) fail in the scheduled solve, under the policy.
+            }
+            if (role == TaskRecord::Role::dirty) continue;
+            runTask(id, role, entry);
+            ++decided;
+        }
+        return decided;
+    }
+
+    /// Marks the dirty tasks, decides on the calling thread those a
+    /// retained snapshot keeps or restores (a rebuild has no key to match),
+    /// and runs the rest alone: edges from a clean or decided fanin vanish
+    /// (its slot is already filled); edges among the rest keep their
+    /// dependency order, so a net still solves after every scheduled
+    /// upstream net, and the whole ready frontier runs at once.
     AnalysisOutcome run(const DirtyInputs& dirty, IncrementalStats& st) {
         markDirty(dirty);
+        if (retain && !dirty.everyTask) st.callerTasks = decideOnCaller();
         std::vector<char> keep(tasks.size());
         for (std::size_t id = 0; id < tasks.size(); ++id) {
-            keep[id] = tasks[id].role != TaskRecord::Role::clean ? 1 : 0;
+            keep[id] = tasks[id].done ? 0 : 1;
         }
         const util::RestrictedTaskGraph sub =
             util::restrictTaskGraph(tg.graph, keep);
@@ -1168,7 +1260,7 @@ struct SolveRun {
             sub.graph,
             [&](int t) { runTask(sub.fullId[static_cast<std::size_t>(t)]); },
             pool.get(), cancel);
-        return assembleOutcome(std::move(sched), sub, st);
+        return assembleOutcome(std::move(sched), st);
     }
 };
 
@@ -1377,34 +1469,14 @@ DirtyInputs preparePatch(const parser::SpefFile& spef,
         }
     }
     dirty.mustSolve = expandDirtyCone(index, seeds, &st.coupledNeighbors);
-
-    // Safety net: a victim the snapshot never recorded must be solved
-    // (with its cone), not spliced-as-absent. Unreachable without a
-    // connectivity change, but a wrong must-solve set must degrade to extra
-    // work, never to a missing report. "Victim" is phase 1's own predicate:
-    // a net coupled only to undriven nets heads no cluster, and must not be
-    // seeded on every call. The same scan notices a retained victim whose
-    // SPEF section is gone: the victim list is then reselected.
-    std::unordered_set<std::string> unrecorded;
-    std::size_t retainedVictims = 0;
-    for (const auto& [netName, spefNet] : spef.nets()) {
-        if (snapshot.slotOf.count(netName) != 0) {
-            ++retainedVictims;
-            continue;
-        }
-        if (dirty.mustSolve.count(netName) == 0 &&
-            selectVictim(index, spef, netName, opt.maxAggressors)) {
-            unrecorded.insert(netName);
-        }
-    }
-    if (!unrecorded.empty()) {
-        seeds.insert(unrecorded.begin(), unrecorded.end());
-        dirty.mustSolve = expandDirtyCone(index, seeds, &st.coupledNeighbors);
-    }
     st.seedNets = seeds.size();
-    dirty.unrecordedSlots = refreshVictims(
-        snapshot, index, spef, opt.maxAggressors, dirty.mustSolve,
-        retainedVictims != snapshot.victims.size());
+    // Every net whose victim status can change is must-solve: a patched
+    // coupling owner, a re-read section, a pin net of a rebound instance.
+    // refreshVictims re-ranks each of them, and reselects the whole list
+    // when one gains or loses victim status.
+    dirty.unrecordedSlots = refreshVictims(snapshot, index, spef,
+                                           opt.maxAggressors, dirty.mustSolve,
+                                           false);
     return dirty;
 }
 
@@ -1433,7 +1505,8 @@ AnalysisOutcome runAnalysis(const Design& design, const parser::SpefFile& spef,
         snapshot != nullptr && snapshot->valid && snapshot->index != nullptr &&
         snapshot->design == &design &&
         snapshot->instanceCount == design.instances().size() &&
-        snapshot->fingerprint == fingerprintOf(opt);
+        snapshot->fingerprint == fingerprintOf(opt) &&
+        snapshot->index->sectionsFollow(spef, delta->nets);
 
     AnalysisSnapshot scratch;
     AnalysisSnapshot& state = snapshot != nullptr ? *snapshot : scratch;

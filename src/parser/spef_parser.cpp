@@ -23,6 +23,21 @@ const SpefNet& SpefFile::net(const std::string& name) const {
     return it->second;
 }
 
+std::uint64_t SpefFile::sectionHash(const std::string& name) {
+    // FNV-1a, then the splitmix64 finalizer, so that sums of terms stay
+    // well mixed.
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : name) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    return h ^ (h >> 31);
+}
+
 namespace {
 
 double unitScale(const std::vector<std::string_view>& tokens, int line) {
@@ -114,6 +129,7 @@ SpefFile parseSpef(const std::string& text) {
                 throw ParseError("duplicate *D_NET '" + it->first + "'",
                                  lineNo);
             }
+            out.sectionDigest_ += SpefFile::sectionHash(it->first);
             current = &it->second;
             section = Section::None;
             continue;

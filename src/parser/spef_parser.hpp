@@ -7,6 +7,7 @@
 // the "EDA parsers exist" piece of the reproduction.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -50,11 +51,20 @@ public:
     const std::map<std::string, SpefNet>& nets() const { return nets_; }
     const SpefNet& net(const std::string& name) const;
 
+    /// An order-independent digest of the section names: the sum, modulo
+    /// 2^64, of sectionHash over nets(). A record of section names kept
+    /// beside an earlier parse can follow added and removed sections by
+    /// adding and subtracting their terms, then be checked against this.
+    std::uint64_t sectionDigest() const { return sectionDigest_; }
+    /// One section name's term of sectionDigest.
+    static std::uint64_t sectionHash(const std::string& name);
+
 private:
     friend SpefFile parseSpef(const std::string& text);
 
     std::string design_;
     std::map<std::string, SpefNet> nets_;
+    std::uint64_t sectionDigest_ = 0;
 };
 
 /// Parse SPEF text. Throws sna::ParseError with line numbers.

@@ -697,6 +697,36 @@ TEST(CharCache, RthSolvedOncePerArc) {
     EXPECT_EQ(stats.totalRuns(), fits);
 }
 
+TEST(CharCache, LoadCurveSweptOncePerHeldSideInputs) {
+    // The sweep overrides the swept input, so the held level reaches the
+    // table only through the side inputs. An INV has none, and a NAND2
+    // holds its other input high at both levels: each (cell, pin) sweeps
+    // once, and the level that hits equals its own direct sweep bit for bit.
+    charlib::CharCache cache;
+    for (const char* name : {"INV_X1", "NAND2_X1"}) {
+        for (const bool level : {false, true}) {
+            charlib::LoadCurveSpec spec;
+            spec.cell = &lib130().cell(name);
+            spec.input = "a";
+            spec.outputLevel = level;
+            spec.nVin = 5;
+            spec.nVout = 5;
+            const auto cached = cache.loadCurve(spec);
+            const auto direct = charlib::characterizeLoadCurve(spec);
+            SCOPED_TRACE(std::string(name) + (level ? " high" : " low"));
+            ASSERT_EQ(cached->xs(), direct.xs());
+            ASSERT_EQ(cached->ys(), direct.ys());
+            for (std::size_t ix = 0; ix < direct.xs().size(); ++ix) {
+                for (std::size_t iy = 0; iy < direct.ys().size(); ++iy) {
+                    EXPECT_EQ(cached->at(ix, iy), direct.at(ix, iy));
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cache.stats().loadCurveRuns, 2u);
+    EXPECT_EQ(cache.stats().loadCurveHits, 2u);
+}
+
 TEST(CharCache, CallerOwnedTechnologyMutatedInPlaceMisses) {
     // The cell keeps pointing at the caller's technology, so an in-place
     // corner change must reach the key: the next lookup recharacterizes.

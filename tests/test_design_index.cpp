@@ -326,8 +326,9 @@ TEST(CharCacheDesign, OneCharacterizationPerCellAndLevel) {
 
     const auto stats = cache.stats();
     // Victim drivers are INV_X1 and INV_X2, each analyzed at both holding
-    // levels: exactly 4 load-curve DC sweeps regardless of net count.
-    EXPECT_EQ(stats.loadCurveRuns, 4u);
+    // levels. An INV holds no side input, so its two levels share one
+    // load curve: exactly 2 DC sweeps regardless of net count.
+    EXPECT_EQ(stats.loadCurveRuns, 2u);
     EXPECT_GT(stats.loadCurveHits, 0u);
     // Receivers are INV_X2 and INV_X1 at both quiet levels. A lookup reads
     // the two canonical grid widths that bracket its glitch, so the run

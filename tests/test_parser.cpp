@@ -1,6 +1,9 @@
 // Tests for the SPEF front-end.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/design_index.hpp"
 #include "parser/spef_parser.hpp"
 #include "tech/tech.hpp"
@@ -106,6 +109,42 @@ INSTANTIATE_TEST_SUITE_P(
                       "*D_NET a 1\n*RES\n1 a:1 5.0\n*END\n",
                       "1 a:1 a:2 5.0\n", "*C_UNIT 1 LIGHTYEAR\n",
                       "*D_NET a 1\n*D_NET a 1\n"));
+
+// A SPEF with one section per name: a grounded cap each, no coupling.
+std::string sectionsSpef(const std::vector<std::string>& names) {
+    std::string text = "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"d\"\n";
+    for (const std::string& n : names) {
+        text += "*D_NET " + n + " 1.0\n*CAP\n1 " + n + ":1 1.0\n*END\n\n";
+    }
+    return text;
+}
+
+// The section-name digest ignores the order of the sections, and the
+// index follows a re-extraction only when every added or removed section
+// is named, even when an addition and a removal keep the count.
+TEST(SpefParser, SectionDigestTracksNamedSections) {
+    const auto abc = parser::parseSpef(sectionsSpef({"a", "b", "c"}));
+    EXPECT_EQ(abc.sectionDigest(),
+              parser::parseSpef(sectionsSpef({"c", "a", "b"})).sectionDigest());
+    EXPECT_EQ(abc.sectionDigest(), parser::SpefFile::sectionHash("a") +
+                                       parser::SpefFile::sectionHash("b") +
+                                       parser::SpefFile::sectionHash("c"));
+
+    const cell::CellLibrary lib(tech::tech130());
+    const core::Design design(lib);
+    core::DesignIndex index(design, abc);
+    EXPECT_TRUE(index.sectionsFollow(abc, {}));
+    EXPECT_TRUE(index.sectionsFollow(abc, {"b", "b", "z"}));
+
+    const auto abd = parser::parseSpef(sectionsSpef({"a", "b", "d"}));
+    EXPECT_FALSE(index.sectionsFollow(abd, {}));     // c gone, d new
+    EXPECT_FALSE(index.sectionsFollow(abd, {"c"}));  // d unnamed
+    EXPECT_TRUE(index.sectionsFollow(abd, {"c", "d"}));
+
+    index.patchParasitics(abd, {"c", "d"});
+    EXPECT_TRUE(index.sectionsFollow(abd, {}));
+    EXPECT_FALSE(index.sectionsFollow(abc, {}));
+}
 
 TEST(SpefParser, UnknownNetThrowsModelError) {
     const auto spef = parser::parseSpef(kSpef);
