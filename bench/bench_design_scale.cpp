@@ -40,7 +40,10 @@
 //     times it). The calling thread restores them all before the scheduler
 //     starts, so the revert schedules nothing (eco_revert_sched_tasks,
 //     asserted 0). The revert must match the cold run and the re-apply the
-//     full re-run bitwise (eco_revert_margin_diff, asserted 0). One more
+//     full re-run bitwise (eco_revert_margin_diff, asserted 0). An
+//     empty-delta call then finds no other holder of the snapshot's report
+//     list, so it returns that list without copying a report
+//     (eco_noop_reports_copied, asserted 0). One more
 //     call on the same snapshot flags connectivityChanged, so it rebuilds
 //     and runs every task dirty: its margins must match the full run
 //     bitwise (eco_rebuild_margin_diff, asserted 0) and its scheduler must
@@ -309,6 +312,9 @@ struct Row {
     /// restores every dirty task before the scheduler starts.
     std::size_t ecoRevertSchedTasks = 0;
     double ecoRevertMarginDiff = 0.0;
+    /// Reports the empty-delta call copied into its list: 0, since no
+    /// caller holds the list the call before it returned.
+    std::size_t ecoNoopReportsCopied = 0;
     /// The connectivityChanged call on the same snapshot: vs the full
     /// re-run (must be 0), and the tasks its scheduler executed.
     double ecoRebuildMarginDiff = 0.0;
@@ -723,6 +729,13 @@ int main(int argc, char** argv) {
                 return 1;
             }
 
+            // Nothing holds the list the re-apply returned (its vector is a
+            // copy), so an empty delta patches the snapshot's list in place.
+            core::IncrementalStats nstats;
+            core::analyzeDesignIncrementalOutcome(chained, chainSpef, {},
+                                                  snapshot, eopt, &nstats);
+            row.ecoNoopReportsCopied = nstats.reportsCopied;
+
             // The rebuild path: an update that cannot splice runs every
             // task dirty and must land on the full run's bits.
             core::DesignDelta rebuild;
@@ -906,6 +919,7 @@ int main(int argc, char** argv) {
             "\"eco_revert_solved_victims\": %zu, "
             "\"eco_revert_sched_tasks\": %zu, "
             "\"eco_revert_margin_diff\": %.3e, "
+            "\"eco_noop_reports_copied\": %zu, "
             "\"eco_rebuild_margin_diff\": %.3e, "
             "\"eco_rebuild_sched_tasks\": %zu, "
             "\"frontend_parse_sec\": %.4f, \"frontend_roundtrip_ok\": %s, "
@@ -927,7 +941,7 @@ int main(int argc, char** argv) {
             r.ecoIncrementalSec, r.ecoFullSec, r.incrementalMarginDiff,
             r.ecoRevertSec, r.ecoRevertRestoredTasks,
             r.ecoRevertSolvedVictims, r.ecoRevertSchedTasks,
-            r.ecoRevertMarginDiff,
+            r.ecoRevertMarginDiff, r.ecoNoopReportsCopied,
             r.ecoRebuildMarginDiff, r.ecoRebuildSchedTasks,
             r.frontendParseSec, r.frontendRoundtripOk ? "true" : "false",
             r.frontendInstances);

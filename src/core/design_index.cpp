@@ -115,6 +115,8 @@ std::vector<std::string> DesignIndex::patchParasitics(
         }
         collect(pairs);
     }
+    // No owner touched: no sum can move (every resize ECO).
+    if (affected.empty()) return {};
 
     // Re-accumulate the affected nets' sums from scratch over every section,
     // in the same order the constructor used — any cheaper subtract-then-add

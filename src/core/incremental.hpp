@@ -78,14 +78,21 @@
 //     swap of its slots) instead of a solve;
 //   * the workers — the snapshot keeps its pool (AnalysisSnapshot::pool),
 //     so only a call that changes the thread count spawns threads, and a
-//     call that solves nothing wakes none.
+//     call that solves nothing wakes none and builds no restricted graph;
+//   * the returned list — the snapshot owns it (AnalysisSnapshot::reports)
+//     and the outcome shares it: the run writes the entries of its
+//     solved, restored, failed and quarantined tasks in place, and a clean
+//     report is neither copied nor moved. Copy-on-write: when the caller
+//     still holds the list the previous call returned, this call clones it
+//     first (O(design), once), so a held list never changes. A quiet net
+//     gaining or losing its report moves the quiet reports behind it.
 // O(design), by design:
-//   * the returned vector — every report is copied out, the largest part
-//     of a call that solves nothing; a report's waveform shares the
-//     retained samples (wave::Waveform), so a clean report costs its
-//     scalars and names, not ~300 samples;
-//   * the per-task records of markDirty and the restricted task graph of
-//     restrictTaskGraph;
+//   * the per-task records of markDirty, and the restricted task graph of
+//     restrictTaskGraph when any task reaches the scheduler;
+//   * on a re-extraction, patchParasitics re-sums the coupling of the
+//     owners it touched over every section's coupling pairs (in the
+//     constructor's order, for bit-identity); a call whose re-read
+//     sections touch no owner (every resize) skips it;
 //   * the explicit-window comparison (O(explicit windows)).
 // A call whose snapshot is not reusable runs this path with every task
 // dirty, so it costs what a full run costs, plus one key per task; a run
@@ -162,6 +169,9 @@ struct VictimSelection {
 /// and a run writes its dirty slots in place (a full run is the case where
 /// every slot is dirty). A run that is cancelled or faulted may therefore
 /// leave slots half-written; it always clears `valid`.
+///
+/// The reports are the list the last run returned (see `reports`), so a
+/// clean net's report is neither copied nor moved by an update.
 struct AnalysisSnapshot {
     bool valid = false;
     const Design* design = nullptr;  ///< identity check only, not owned
@@ -175,10 +185,16 @@ struct AnalysisSnapshot {
     /// and reselects the whole list when one gains or loses victim status.
     std::vector<VictimSelection> victims;
     std::unordered_map<std::string, int> slotOf;  ///< victim net -> slot
-    std::vector<NetNoiseReport> victimReports;     ///< by victim slot
-    /// By task id (DesignIndex::taskGraph; the flat sweep's are empty):
-    std::vector<SurvivingSet> surviving;
-    std::vector<std::optional<NetNoiseReport>> quietReports;
+    /// The report list the last run returned (AnalysisOutcome::reports
+    /// shares it): victim slot i is entry i, and the quiet nets' reports
+    /// follow in task-id order. A run writes the entries of the tasks it
+    /// solved, restored, failed or quarantined in place, after cloning the
+    /// list if a caller still holds it.
+    std::shared_ptr<std::vector<NetNoiseReport>> reports;
+    /// By task id (DesignIndex::taskGraph; the flat sweep's are empty): the
+    /// entry of the net's quiet report in `reports`, -1 when it has none.
+    std::vector<int> quietEntry;
+    std::vector<SurvivingSet> surviving;  ///< by task id
     /// Windows mode only: the propagated window of every task id, and the
     /// explicit window set it was propagated from (a copy, compared bit for
     /// bit on the next call — the caller may edit its windows in place).
@@ -247,6 +263,12 @@ struct IncrementalStats {
     /// and victim reports solved this call; together, the victim count.
     std::size_t reusedVictimReports = 0;
     std::size_t solvedVictimReports = 0;
+    /// Reports this call copied into the list (or vector) it returned: the
+    /// whole list when a caller still held the one the snapshot's last run
+    /// returned, the finished reports of a cancelled run on a retained
+    /// snapshot, every report for analyzeDesignIncremental's vector, and
+    /// none otherwise — an update writes its changed entries in place.
+    std::size_t reportsCopied = 0;
     /// Nets whose switching window was recomputed (windows mode): the
     /// window sources and whatever their moved windows reached downstream,
     /// every net when the call rebuilt.
@@ -282,7 +304,9 @@ std::unordered_set<std::string> expandDirtyCone(
 /// for the next iteration. Reports are bit-identical to
 /// a cold analyzeDesign over the same state at any thread count; when the
 /// snapshot cannot be reused the call rebuilds the index and runs every
-/// task dirty, which is exactly that full run.
+/// task dirty, which is exactly that full run. The returned vector is a
+/// copy of the snapshot's report list (O(design));
+/// analyzeDesignIncrementalOutcome shares the list instead.
 std::vector<NetNoiseReport> analyzeDesignIncremental(
     const Design& design, const parser::SpefFile& spef,
     const DesignDelta& delta, AnalysisSnapshot& snapshot,

@@ -1,6 +1,7 @@
 #include "core/sna.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -86,6 +87,15 @@ std::vector<std::pair<const Instance*, std::string>> Design::loadsOf(
         }
     }
     return out;
+}
+
+std::vector<NetNoiseReport> ReportList::release() && {
+    const std::shared_ptr<std::vector<NetNoiseReport>> list = std::move(list_);
+    if (list == nullptr) return {};
+    if (list.use_count() != 1) return *list;
+    // Sole owner: the last other handle's release happened before this.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return std::move(*list);
 }
 
 namespace {
@@ -208,8 +218,10 @@ std::optional<VictimSelection> selectVictim(const DesignIndex& index,
 /// its retained selection is current). When a must-solve net gains or
 /// loses victim status — or `reselect` — the whole list is selected again
 /// in SPEF order and every retained report follows its net to the new
-/// slot; a rebuild reselects on an emptied snapshot. Returns the victim
-/// slots left without a retained report.
+/// slot, the quiet reports following the new victim entries in their
+/// order; a rebuild reselects on an emptied snapshot. The snapshot must be
+/// the only holder of its report list. Returns the victim slots left
+/// without a retained report.
 std::vector<int> refreshVictims(
     AnalysisSnapshot& state, const DesignIndex& index,
     const parser::SpefFile& spef, std::size_t maxAggressors,
@@ -234,7 +246,9 @@ std::vector<int> refreshVictims(
     state.taskMemos.clear();
     const std::unordered_map<std::string, int> oldSlot =
         std::move(state.slotOf);
-    std::vector<NetNoiseReport> oldReports = std::move(state.victimReports);
+    const std::size_t oldVictims = state.victims.size();
+    const std::shared_ptr<std::vector<NetNoiseReport>> old =
+        std::move(state.reports);
     state.victims.clear();
     state.slotOf.clear();
     for (const auto& [netName, spefNet] : spef.nets()) {
@@ -250,16 +264,28 @@ std::vector<int> refreshVictims(
         state.slotOf.emplace(netName, static_cast<int>(state.victims.size()));
         state.victims.push_back(std::move(*v));
     }
-    state.victimReports.assign(state.victims.size(), NetNoiseReport{});
+    const std::size_t victims = state.victims.size();
+    state.reports = std::make_shared<std::vector<NetNoiseReport>>(victims);
+    std::vector<NetNoiseReport>& list = *state.reports;
     std::vector<int> unrecorded;
-    for (std::size_t i = 0; i < state.victims.size(); ++i) {
+    for (std::size_t i = 0; i < victims; ++i) {
         const auto it = oldSlot.find(state.victims[i].net);
         if (it == oldSlot.end()) {
             unrecorded.push_back(static_cast<int>(i));
             continue;
         }
-        state.victimReports[i] =
-            std::move(oldReports[static_cast<std::size_t>(it->second)]);
+        list[i] = std::move((*old)[static_cast<std::size_t>(it->second)]);
+    }
+    if (old != nullptr) {
+        list.insert(list.end(),
+                    std::make_move_iterator(old->begin() +
+                                            static_cast<std::ptrdiff_t>(
+                                                oldVictims)),
+                    std::make_move_iterator(old->end()));
+    }
+    const int shift = static_cast<int>(victims) - static_cast<int>(oldVictims);
+    for (int& e : state.quietEntry) {
+        if (e >= 0) e += shift;
     }
     return unrecorded;
 }
@@ -308,6 +334,8 @@ struct TaskRecord {
     /// cancellation skipped it. A dirty task not yet done when the
     /// scheduler starts is scheduled.
     bool done = true;
+    /// A dirty task's entry in SolveRun::quiet; -1 for a clean task.
+    int quiet = -1;
 };
 
 /// Everything one task's solve reads besides the run's options (which the
@@ -566,12 +594,12 @@ struct NrcScan {
 /// wavefront's tasks are the nets of the design graph, and a net solves the
 /// moment its scheduled fanins finish; the flat sweep is the same graph
 /// with no edges and one task per victim. Every per-net output is
-/// slot-addressed — reports by victim slot, surviving fronts and quiet
-/// reports by task id — and a task reads nothing but its scheduled fanins'
-/// slots, so completion order cannot change a single bit. Only the dirty
-/// tasks are scheduled; every clean task's slots still hold the prior
-/// run's values, so a dirty task reads its clean fanins exactly as it
-/// would after solving them.
+/// slot-addressed — reports by victim slot (their entries in the report
+/// list), surviving fronts and quiet reports by task id — and a task reads
+/// nothing but its scheduled fanins' slots, so completion order cannot
+/// change a single bit. Only the dirty tasks are scheduled; every clean
+/// task's slots still hold the prior run's values, so a dirty task reads
+/// its clean fanins exactly as it would after solving them.
 struct SolveRun {
     const cell::CellLibrary& lib;
     const parser::SpefFile& spef;
@@ -584,12 +612,19 @@ struct SolveRun {
     NetTaskGraph flat;  ///< the flat sweep's graph; empty when propagating
     const NetTaskGraph& tg;
     const bool useWindows;
-    /// `state` is a retained snapshot: its reports are copied out, each
-    /// solved task's inputs key is kept with its slots, and a dirty task
-    /// whose key matches keeps them or restores its previous solve. A run
-    /// on a throwaway snapshot builds no key and moves its reports out.
+    /// `state` is a retained snapshot: each solved task's inputs key is
+    /// kept with its slots, and a dirty task whose key matches keeps them
+    /// or restores its previous solve. A run on a throwaway snapshot builds
+    /// no key. Both return the snapshot's report list itself (a cancelled
+    /// run a list of its own: copied from a retained snapshot, moved from a
+    /// throwaway one).
     const bool retain;
     std::vector<TaskRecord> tasks;
+    /// The quiet report slot of every dirty task (TaskRecord::quiet), moved
+    /// out of the report list while the run may replace, drop or add it,
+    /// and the task id of each; publishQuiet moves them back.
+    std::vector<std::optional<NetNoiseReport>> quiet;
+    std::vector<std::size_t> quietIds;
     /// Run-local cancellation: the caller's token (if any) chains under a
     /// token that also carries the run's deadline, so both compose. With
     /// neither set `cancel` stays null and every solve path is exactly the
@@ -621,10 +656,10 @@ struct SolveRun {
         // victim list may change its task count.
         if (!opt.propagate) {
             state.surviving.clear();
-            state.quietReports.clear();
+            state.quietEntry.clear();
         }
         state.surviving.resize(tg.nets.size());
-        state.quietReports.resize(tg.nets.size());
+        state.quietEntry.resize(tg.nets.size(), -1);
         if (retain) state.taskMemos.resize(tg.nets.size());
     }
 
@@ -634,6 +669,16 @@ struct SolveRun {
         return it != state.slotOf.end() ? it->second : -1;
     }
 
+    /// Victim slot `slot`'s report: its entry in the report list.
+    NetNoiseReport& victimReport(int slot) {
+        return (*state.reports)[static_cast<std::size_t>(slot)];
+    }
+
+    /// Dirty task `id`'s quiet report slot.
+    std::optional<NetNoiseReport>& quietReport(std::size_t id) {
+        return quiet[static_cast<std::size_t>(tasks[id].quiet)];
+    }
+
     TimingWindow windowAt(const std::string& net) const {
         const auto it = tg.idOf.find(net);
         return it != tg.idOf.end()
@@ -641,24 +686,39 @@ struct SolveRun {
                    : TimingWindow::unbounded();
     }
 
+    /// Marks task `id` dirty and moves its quiet report, if any, out of the
+    /// report list into its slot for the run.
+    void markTask(std::size_t id) {
+        TaskRecord& t = tasks[id];
+        t.role = TaskRecord::Role::dirty;
+        t.done = false;
+        t.quiet = static_cast<int>(quiet.size());
+        std::optional<NetNoiseReport>& q = quiet.emplace_back();
+        quietIds.push_back(id);
+        const int e = state.quietEntry[id];
+        if (e >= 0) {
+            q = std::move((*state.reports)[static_cast<std::size_t>(e)]);
+        }
+    }
+
     /// Marks the must-solve tasks dirty, then their downstream closure over
     /// the scheduled fanout edges (the flat sweep has none) — exactly the
-    /// edges over which a solve can observe an upstream front.
-    void markDirty(const DirtyInputs& dirty) {
+    /// edges over which a solve can observe an upstream front. Returns the
+    /// number of dirty tasks.
+    std::size_t markDirty(const DirtyInputs& dirty) {
         tasks.assign(tg.nets.size(), TaskRecord{});
         if (dirty.everyTask) {
-            for (TaskRecord& t : tasks) {
-                t.role = TaskRecord::Role::dirty;
-                t.done = false;
-            }
-            return;  // nothing is left to close over
+            quiet.reserve(tasks.size());
+            for (std::size_t id = 0; id < tasks.size(); ++id) markTask(id);
+            return tasks.size();  // nothing is left to close over
         }
         std::vector<int> stack;
         const auto mark = [&](int id) {
-            TaskRecord& t = tasks[static_cast<std::size_t>(id)];
-            if (t.role != TaskRecord::Role::clean) return;
-            t.role = TaskRecord::Role::dirty;
-            t.done = false;
+            if (tasks[static_cast<std::size_t>(id)].role !=
+                TaskRecord::Role::clean) {
+                return;
+            }
+            markTask(static_cast<std::size_t>(id));
             stack.push_back(id);
         };
         const auto markNet = [&](const std::string& net) {
@@ -679,6 +739,7 @@ struct SolveRun {
                 mark(d);
             }
         }
+        return quiet.size();
     }
 
     /// The glitches reaching task `id`'s driver. Surviving fronts are
@@ -883,7 +944,7 @@ struct SolveRun {
         pr.propagated.localNrcLimit = pr.cluster.nrcLimit;
         pr.propagated.localMargin = pr.cluster.nrcLimit;
         pr.propagated.localFails = false;
-        state.quietReports[static_cast<std::size_t>(id)] = std::move(pr);
+        quietReport(static_cast<std::size_t>(id)) = std::move(pr);
     }
 
     /// The keep/restore rule on task `uid`'s inputs key, for a task whose
@@ -914,11 +975,10 @@ struct SolveRun {
         std::swap(state.taskMemos[uid].key, prev.key);
         std::swap(state.surviving[uid], prev.surviving);
         if (slot < 0) {
-            state.quietReports[uid].swap(prev.report);
+            quietReport(uid).swap(prev.report);
         } else {
             if (!prev.report) prev.report.emplace();  // a new entry
-            std::swap(state.victimReports[static_cast<std::size_t>(slot)],
-                      *prev.report);
+            std::swap(victimReport(slot), *prev.report);
         }
     }
 
@@ -970,10 +1030,10 @@ struct SolveRun {
             if (!state.taskMemos[uid].key.empty()) retireRetained(uid, slot);
         }
         state.surviving[uid].clear();
-        state.quietReports[uid].reset();
+        quietReport(uid).reset();
         SurvivingSet produced;
         if (slot >= 0) {
-            state.victimReports[static_cast<std::size_t>(slot)] = solveVictim(
+            victimReport(slot) = solveVictim(
                 lib, tg.nets[uid], in, opt.tstop, ropt, useWindows, produced);
         } else if (!in.incoming.empty() &&
                    (in.firstLoad != nullptr ||
@@ -1035,9 +1095,9 @@ struct SolveRun {
             // propagates out of the cone), stub report for victims.
             task.state = TaskRecord::State::quarantined;
             state.surviving[uid].clear();
-            state.quietReports[uid].reset();
+            quietReport(uid).reset();
             if (slot >= 0) {
-                state.victimReports[static_cast<std::size_t>(slot)] =
+                victimReport(slot) =
                     failureStub(net, NetNoiseReport::Status::quarantined);
             }
             task.done = true;
@@ -1057,13 +1117,11 @@ struct SolveRun {
                 // margins are real numbers but built on approximate inputs.
                 task.state = TaskRecord::State::degraded;
                 if (slot >= 0) {
-                    state.victimReports[static_cast<std::size_t>(slot)]
-                        .status = NetNoiseReport::Status::degraded;
+                    victimReport(slot).status =
+                        NetNoiseReport::Status::degraded;
                 }
-                auto& quiet = state.quietReports[uid];
-                if (quiet.has_value()) {
-                    quiet->status = NetNoiseReport::Status::degraded;
-                }
+                std::optional<NetNoiseReport>& q = quietReport(uid);
+                if (q.has_value()) q->status = NetNoiseReport::Status::degraded;
             }
         } catch (const util::CancelledError&) {
             throw;  // cancellation is never a per-net failure
@@ -1071,10 +1129,10 @@ struct SolveRun {
             if (policy == NetFailurePolicy::failFast) throw;
             task.state = TaskRecord::State::failed;
             if (slot >= 0) {
-                state.victimReports[static_cast<std::size_t>(slot)] =
+                victimReport(slot) =
                     failureStub(net, NetNoiseReport::Status::failed, e.what());
             }
-            state.quietReports[uid].reset();
+            quietReport(uid).reset();
             SurvivingSet pass;
             if (policy == NetFailurePolicy::degradeToPassthrough) {
                 // Bridge the failed stage conservatively: its incoming
@@ -1094,34 +1152,72 @@ struct SolveRun {
         task.done = true;
     }
 
-    /// The returned report list: every finished victim slot in SPEF order,
-    /// then the finished quiet nets' propagated-only reports in task-id
-    /// order. A victim is finished when its task is; only a cancelled run
-    /// has unfinished ones. Copied when `state` is a retained snapshot (a
-    /// copy shares its waveform's samples), moved out of a throwaway one.
-    std::vector<NetNoiseReport> collectReports(bool cancelled) {
-        std::vector<NetNoiseReport> out;
-        out.reserve(state.victimReports.size() +
-                    static_cast<std::size_t>(std::count_if(
-                        state.quietReports.begin(), state.quietReports.end(),
-                        [](const auto& q) { return q.has_value(); })));
-        const auto take = [this, &out](NetNoiseReport& r) {
+    /// Moves the dirty tasks' quiet reports back into the report list: in
+    /// place when each task has a report exactly where it had one before,
+    /// else into a quiet tail rebuilt in task-id order (moves either way).
+    void publishQuiet() {
+        std::vector<NetNoiseReport>& list = *state.reports;
+        bool reshaped = false;
+        for (std::size_t k = 0; k < quiet.size(); ++k) {
+            reshaped = reshaped || (state.quietEntry[quietIds[k]] >= 0) !=
+                                       quiet[k].has_value();
+        }
+        if (!reshaped) {
+            for (std::size_t k = 0; k < quiet.size(); ++k) {
+                if (!quiet[k]) continue;
+                const int e = state.quietEntry[quietIds[k]];
+                list[static_cast<std::size_t>(e)] = std::move(*quiet[k]);
+            }
+            return;
+        }
+        const std::size_t victims = state.victims.size();
+        std::vector<NetNoiseReport> tail;
+        for (std::size_t id = 0; id < tasks.size(); ++id) {
+            int& e = state.quietEntry[id];
+            std::optional<NetNoiseReport>* q =
+                tasks[id].quiet >= 0 ? &quietReport(id) : nullptr;
+            if (q != nullptr ? !q->has_value() : e < 0) {
+                e = -1;
+                continue;
+            }
+            tail.push_back(q != nullptr
+                               ? std::move(**q)
+                               : std::move(list[static_cast<std::size_t>(e)]));
+            e = static_cast<int>(victims + tail.size() - 1);
+        }
+        list.erase(list.begin() + static_cast<std::ptrdiff_t>(victims),
+                   list.end());
+        list.insert(list.end(), std::make_move_iterator(tail.begin()),
+                    std::make_move_iterator(tail.end()));
+    }
+
+    /// The returned report list: the snapshot's own — every victim slot in
+    /// SPEF order, then the quiet nets' propagated-only reports in task-id
+    /// order. A cancelled run returns a list of its own holding only the
+    /// finished tasks' reports, copied from a retained snapshot (counted in
+    /// `st`) and moved out of a throwaway one.
+    ReportList publishReports(bool cancelled, IncrementalStats& st) {
+        publishQuiet();
+        if (!cancelled) return ReportList(state.reports);
+        std::vector<NetNoiseReport>& list = *state.reports;
+        auto out = std::make_shared<std::vector<NetNoiseReport>>();
+        const auto take = [&](std::size_t e) {
             if (retain) {
-                out.push_back(r);
+                out->push_back(list[e]);
             } else {
-                out.push_back(std::move(r));
+                out->push_back(std::move(list[e]));
             }
         };
-        for (std::size_t i = 0; i < state.victimReports.size(); ++i) {
-            const int id = cancelled ? tg.idOf.at(state.victims[i].net) : -1;
-            if (id >= 0 && !tasks[static_cast<std::size_t>(id)].done) continue;
-            take(state.victimReports[i]);
+        for (std::size_t i = 0; i < state.victims.size(); ++i) {
+            const int id = tg.idOf.at(state.victims[i].net);
+            if (tasks[static_cast<std::size_t>(id)].done) take(i);
         }
-        for (std::size_t id = 0; id < state.quietReports.size(); ++id) {
-            auto& quiet = state.quietReports[id];
-            if (quiet.has_value() && tasks[id].done) take(*quiet);
+        for (std::size_t id = 0; id < tasks.size(); ++id) {
+            const int e = state.quietEntry[id];
+            if (e >= 0 && tasks[id].done) take(static_cast<std::size_t>(e));
         }
-        return out;
+        if (retain) st.reportsCopied += out->size();
+        return ReportList(std::move(out));
     }
 
     /// Resilience accounting and partial-result assembly: per-task verdicts
@@ -1186,7 +1282,7 @@ struct SolveRun {
         if (opt.schedulerStats != nullptr) {
             *opt.schedulerStats = std::move(sched);
         }
-        outcome.reports = collectReports(cancelled);
+        outcome.reports = publishReports(cancelled, st);
         return outcome;
     }
 
@@ -1235,16 +1331,12 @@ struct SolveRun {
     /// and runs the rest alone: edges from a clean or decided fanin vanish
     /// (its slot is already filled); edges among the rest keep their
     /// dependency order, so a net still solves after every scheduled
-    /// upstream net, and the whole ready frontier runs at once.
+    /// upstream net, and the whole ready frontier runs at once. When the
+    /// calling thread decided every dirty task there is no rest, and the
+    /// scheduler's counters are those of its empty run.
     AnalysisOutcome run(const DirtyInputs& dirty, IncrementalStats& st) {
-        markDirty(dirty);
+        const std::size_t dirtyTasks = markDirty(dirty);
         if (retain && !dirty.everyTask) st.callerTasks = decideOnCaller();
-        std::vector<char> keep(tasks.size());
-        for (std::size_t id = 0; id < tasks.size(); ++id) {
-            keep[id] = tasks[id].done ? 0 : 1;
-        }
-        const util::RestrictedTaskGraph sub =
-            util::restrictTaskGraph(tg.graph, keep);
         // threads == 0 means "use the machine" (hardware_concurrency). A
         // retained snapshot keeps its pool for the next call; a throwaway
         // one's pool ends with the call.
@@ -1256,10 +1348,22 @@ struct SolveRun {
             pool.reset();  // release the old workers before spawning new ones
             pool = std::make_shared<util::ThreadPool>(threads);
         }
-        util::SchedulerStats sched = util::runTaskGraph(
-            sub.graph,
-            [&](int t) { runTask(sub.fullId[static_cast<std::size_t>(t)]); },
-            pool.get(), cancel);
+        util::SchedulerStats sched;  // what an empty run reports
+        sched.workers = pool != nullptr ? std::max(1, pool->size()) : 1;
+        if (st.callerTasks < dirtyTasks) {
+            std::vector<char> keep(tasks.size());
+            for (std::size_t id = 0; id < tasks.size(); ++id) {
+                keep[id] = tasks[id].done ? 0 : 1;
+            }
+            const util::RestrictedTaskGraph sub =
+                util::restrictTaskGraph(tg.graph, keep);
+            sched = util::runTaskGraph(
+                sub.graph,
+                [&](int t) {
+                    runTask(sub.fullId[static_cast<std::size_t>(t)]);
+                },
+                pool.get(), cancel);
+        }
         return assembleOutcome(std::move(sched), st);
     }
 };
@@ -1326,7 +1430,7 @@ std::vector<NetNoiseReport> reportsOrThrow(AnalysisOutcome&& outcome) {
                 ? "analysis deadline expired"
                 : "analysis cancelled");
     }
-    return std::move(outcome.reports);
+    return std::move(outcome.reports).release();
 }
 
 /// Calls `changed(net)` for every net whose explicit window differs bit for
@@ -1406,6 +1510,23 @@ DirtyInputs prepareRebuild(const Design& design, const parser::SpefFile& spef,
     return dirty;
 }
 
+/// Makes `state` the only holder of its report list before anything
+/// writes to it: a list that a caller still holds is cloned first
+/// (copy-on-write), so the caller's stays as it was returned. Returns the
+/// number of reports copied.
+std::size_t ownReports(AnalysisSnapshot& state) {
+    if (state.reports.use_count() == 1) {
+        // The other holders' reads of the list happen before this run's
+        // writes: each released its handle with a release decrement, which
+        // the count just read observed.
+        std::atomic_thread_fence(std::memory_order_acquire);
+        return 0;
+    }
+    state.reports =
+        std::make_shared<std::vector<NetNoiseReport>>(*state.reports);
+    return state.reports->size();
+}
+
 /// The update prepare step on a reusable snapshot: the retained index is
 /// patched for `delta`, the windows of its cone re-propagated, and the
 /// must-solve set is the delta's seeds with their coupling neighbours.
@@ -1419,6 +1540,7 @@ DirtyInputs preparePatch(const parser::SpefFile& spef,
     // here on: until this call's run completes cleanly the snapshot is no
     // splice input (an exception below leaves it invalid).
     snapshot.valid = false;
+    st.reportsCopied += ownReports(snapshot);
 
     // ---- seeds: what the delta touched directly -------------------------
     // Window sources are the nets whose window inputs changed: the pins of
@@ -1556,8 +1678,13 @@ std::vector<NetNoiseReport> analyzeDesignIncremental(
     const Design& design, const parser::SpefFile& spef,
     const DesignDelta& delta, AnalysisSnapshot& snapshot,
     const DesignNoiseOptions& opt, IncrementalStats* statsOut) {
-    return reportsOrThrow(analyzeDesignIncrementalOutcome(
-        design, spef, delta, snapshot, opt, statsOut));
+    IncrementalStats stats;
+    IncrementalStats& st = statsOut != nullptr ? *statsOut : stats;
+    std::vector<NetNoiseReport> reports = reportsOrThrow(
+        runAnalysis(design, spef, opt, &delta, &snapshot, st));
+    // The snapshot keeps the list, so the vector is a copy of it.
+    st.reportsCopied += reports.size();
+    return reports;
 }
 
 }  // namespace sna::core

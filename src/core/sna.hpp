@@ -9,7 +9,9 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
@@ -224,6 +226,45 @@ enum class TerminationReason {
     deadlineExpired,  ///< the deadline tripped mid-run
 };
 
+/// An immutable report list behind a shared handle. Copies of the handle
+/// share one vector, so returning, storing or passing the list never copies
+/// a report. It reads like a `const std::vector<NetNoiseReport>` and binds
+/// to one. A retained AnalysisSnapshot owns the vector of the list its last
+/// run returned and patches it in place on the next update, but only once
+/// no handle but its own is left; while a caller still holds the list, that
+/// update first clones it (copy-on-write), so a held list never changes.
+class ReportList {
+public:
+    using const_iterator = std::vector<NetNoiseReport>::const_iterator;
+
+    ReportList() = default;
+    explicit ReportList(std::shared_ptr<std::vector<NetNoiseReport>> list)
+        : list_(std::move(list)) {}
+
+    const std::vector<NetNoiseReport>& vector() const {
+        static const std::vector<NetNoiseReport> kEmpty;
+        return list_ != nullptr ? *list_ : kEmpty;
+    }
+    operator const std::vector<NetNoiseReport>&() const { return vector(); }
+
+    const_iterator begin() const { return vector().begin(); }
+    const_iterator end() const { return vector().end(); }
+    std::size_t size() const { return vector().size(); }
+    bool empty() const { return vector().empty(); }
+    const NetNoiseReport& operator[](std::size_t i) const {
+        return vector()[i];
+    }
+    const NetNoiseReport& front() const { return vector().front(); }
+    const NetNoiseReport& back() const { return vector().back(); }
+
+    /// The reports as a vector of their own: moved out when this is the
+    /// list's only handle, copied otherwise.
+    std::vector<NetNoiseReport> release() &&;
+
+private:
+    std::shared_ptr<std::vector<NetNoiseReport>> list_;
+};
+
 /// The structured result of a resilient run. On a completed run `reports`
 /// is exactly what analyzeDesign returns (plus per-report status marks
 /// under a non-failFast policy). On a cancelled/timed-out run it carries
@@ -232,7 +273,11 @@ enum class TerminationReason {
 /// whose tasks never ran; nothing torn is ever returned, and the retained
 /// AnalysisSnapshot is only captured on full, fault-free completion.
 struct AnalysisOutcome {
-    std::vector<NetNoiseReport> reports;
+    /// Immutable and shared with the retained snapshot of the run, if any:
+    /// holding it costs nothing until the snapshot's next update, which
+    /// then copies the whole list once so that this one stays as returned.
+    /// Dropped before that update, it costs the update nothing.
+    ReportList reports;
     TerminationReason reason = TerminationReason::completed;
     /// Victim nets whose task did not complete before cancellation, in
     /// deterministic task order (pass-through propagation tasks are an

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -199,7 +200,8 @@ void expectRetainedSlotsCurrent(const core::AnalysisSnapshot& kept,
                                 const core::AnalysisSnapshot& fresh,
                                 const std::string& label) {
     ASSERT_EQ(kept.surviving.size(), fresh.surviving.size()) << label;
-    ASSERT_EQ(kept.quietReports.size(), fresh.quietReports.size()) << label;
+    ASSERT_EQ(kept.quietEntry.size(), fresh.quietEntry.size()) << label;
+    ASSERT_EQ(kept.reports->size(), fresh.reports->size()) << label;
     std::vector<core::NetNoiseReport> keptQuiet, freshQuiet;
     for (std::size_t id = 0; id < fresh.surviving.size(); ++id) {
         const auto& a = kept.surviving[id];
@@ -209,12 +211,14 @@ void expectRetainedSlotsCurrent(const core::AnalysisSnapshot& kept,
             EXPECT_EQ(a[g].height, b[g].height) << label << " task " << id;
             EXPECT_EQ(a[g].width, b[g].width) << label << " task " << id;
         }
-        ASSERT_EQ(kept.quietReports[id].has_value(),
-                  fresh.quietReports[id].has_value())
-            << label << " task " << id;
-        if (fresh.quietReports[id].has_value()) {
-            keptQuiet.push_back(*kept.quietReports[id]);
-            freshQuiet.push_back(*fresh.quietReports[id]);
+        const int keptEntry = kept.quietEntry[id];
+        const int freshEntry = fresh.quietEntry[id];
+        ASSERT_EQ(keptEntry, freshEntry) << label << " task " << id;
+        if (freshEntry >= 0) {
+            keptQuiet.push_back(
+                (*kept.reports)[static_cast<std::size_t>(keptEntry)]);
+            freshQuiet.push_back(
+                (*fresh.reports)[static_cast<std::size_t>(freshEntry)]);
         }
     }
     expectSameReports(keptQuiet, freshQuiet, label + " quiet");
@@ -1283,8 +1287,8 @@ TEST(IncrementalRestore, EveryStateInTheHistoryRestores) {
         EXPECT_GE(stats.solvedVictimReports, 1u) << tag;
         const std::vector<std::pair<const ChainState*,
                                     const std::vector<core::NetNoiseReport>*>>
-            back = {{&kStateA, &rc.coldA}, {&kStateB, &b.reports},
-                    {&kStateC, &c.reports}};
+            back = {{&kStateA, &rc.coldA}, {&kStateB, &b.reports.vector()},
+                    {&kStateC, &c.reports.vector()}};
         for (const auto& [state, first] : back) {
             const auto again = rc.step(*state, stats);
             ASSERT_TRUE(again.clean()) << tag;
@@ -2430,7 +2434,7 @@ TEST(Incremental, TaskKeyCoversEveryInputTheSolveReads) {
             // Holding the retained reports keeps their sample buffers alive,
             // so a re-solve cannot land on the same address.
             const std::vector<core::NetNoiseReport> before =
-                snapshot.victimReports;
+                *snapshot.reports;
             const auto bufferOf = [](const core::NetNoiseReport& r) {
                 return r.cluster.worst.waveform.samples().data();
             };
@@ -2456,7 +2460,7 @@ TEST(Incremental, TaskKeyCoversEveryInputTheSolveReads) {
                 EXPECT_EQ(fast[i].otherDrivers, full[i].otherDrivers) << tag;
             }
             const auto afterBuffer = [&](const std::string& net) {
-                return bufferOf(snapshot.victimReports[static_cast<std::size_t>(
+                return bufferOf((*snapshot.reports)[static_cast<std::size_t>(
                     snapshot.slotOf.at(net))]);
             };
             for (const std::string& net : row.resolved) {
@@ -2494,23 +2498,198 @@ TEST(Incremental, ReturnedReportsShareTheSnapshotsWaveforms) {
 
     const auto reports = core::analyzeDesignIncremental(
         design, spef, core::DesignDelta{}, snapshot, opt);
-    std::vector<const core::NetNoiseReport*> kept;
-    for (const auto& r : snapshot.victimReports) kept.push_back(&r);
-    for (const auto& q : snapshot.quietReports) {
-        if (q.has_value()) kept.push_back(&*q);
-    }
+    const std::vector<core::NetNoiseReport>& kept = *snapshot.reports;
     ASSERT_EQ(reports.size(), kept.size());
     for (std::size_t i = 0; i < reports.size(); ++i) {
         const wave::Waveform& w = reports[i].cluster.worst.waveform;
-        EXPECT_EQ(reports[i].net, kept[i]->net);
+        EXPECT_EQ(reports[i].net, kept[i].net);
         // A quiet net's propagated-only report may carry no waveform.
-        if (i < snapshot.victimReports.size()) {
+        if (i < snapshot.victims.size()) {
             EXPECT_FALSE(w.empty()) << reports[i].net;
         }
         EXPECT_EQ(w.samples().data(),
-                  kept[i]->cluster.worst.waveform.samples().data())
+                  kept[i].cluster.worst.waveform.samples().data())
             << reports[i].net;
     }
+}
+
+// ------------------------------------------- the shared report list
+
+// Rebinds c2 on the fading chain: a resize, named in the delta alone.
+core::AnalysisOutcome resizeC2(RevertChain& rc, const char* cell,
+                               core::IncrementalStats& stats) {
+    rc.design.replaceCell("c2", cell);
+    core::DesignDelta delta;
+    delta.instances = {"c2"};
+    return core::analyzeDesignIncrementalOutcome(rc.design, rc.spef, delta,
+                                                 rc.snapshot, rc.opt, &stats);
+}
+
+// Re-extracts s1 at `cc` fF per coupling cap, named in the delta alone.
+core::AnalysisOutcome reextractS1(RevertChain& rc, double cc,
+                                  core::IncrementalStats& stats) {
+    rc.spef = RevertChain::spefOf(ChainState{"", cc});
+    core::DesignDelta delta;
+    delta.nets = {"s1"};
+    return core::analyzeDesignIncrementalOutcome(rc.design, rc.spef, delta,
+                                                 rc.snapshot, rc.opt, &stats);
+}
+
+const void* bufferOf(const core::NetNoiseReport& r) {
+    return r.cluster.worst.waveform.samples().data();
+}
+
+// `list` holds exactly what `asReturned` copied when it was returned: the
+// same values, statuses and waveform buffers.
+void expectAsReturned(const core::ReportList& list,
+                      const std::vector<core::NetNoiseReport>& asReturned,
+                      const std::string& tag) {
+    expectSameReports(list, asReturned, tag);
+    ASSERT_EQ(list.size(), asReturned.size()) << tag;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        EXPECT_EQ(list[i].status, asReturned[i].status) << tag;
+        EXPECT_EQ(bufferOf(list[i]), bufferOf(asReturned[i]))
+            << tag << " " << list[i].net;
+    }
+}
+
+// A list the caller holds never changes: the updates after it clone it
+// once each before writing (the whole list counted as copied), and their
+// own lists are a cold run's.
+TEST(IncrementalReportList, HeldOutcomeStaysAsReturned) {
+    const cell::CellLibrary lib(tech::tech130());
+    for (const int threads : {1, 4, 8}) {
+        const std::string tag = "threads=" + std::to_string(threads);
+        RevertChain rc(lib, threads);
+        core::IncrementalStats stats;
+        const core::AnalysisOutcome held =
+            core::analyzeDesignIncrementalOutcome(rc.design, rc.spef, {},
+                                                  rc.snapshot, rc.opt, &stats);
+        EXPECT_EQ(stats.reportsCopied, 0u) << tag;
+        const std::vector<core::NetNoiseReport> asReturned = held.reports;
+        const core::NetNoiseReport* const at = &held.reports.front();
+
+        const std::function<core::AnalysisOutcome()> ecos[] = {
+            [&] { return resizeC2(rc, "INV_X2", stats); },
+            [&] { return resizeC2(rc, "INV_X1", stats); },
+            [&] { return reextractS1(rc, 14.0, stats); },
+        };
+        for (std::size_t k = 0; k < std::size(ecos); ++k) {
+            const std::string step = tag + " eco " + std::to_string(k);
+            const core::AnalysisOutcome out = ecos[k]();
+            ASSERT_TRUE(out.clean()) << step;
+            EXPECT_FALSE(stats.indexRebuilt) << step;
+            // The first update clones the held list; the later ones find
+            // theirs dropped.
+            EXPECT_EQ(stats.reportsCopied, k == 0 ? held.reports.size() : 0u)
+                << step;
+            EXPECT_NE(&out.reports.front(), at) << step;
+            rc.expectCold(out.reports, step);
+            expectAsReturned(held.reports, asReturned, step + " held");
+            EXPECT_EQ(&held.reports.front(), at) << step;
+        }
+    }
+}
+
+// With no other holder, each update patches the snapshot's list in place:
+// the same storage comes back, the re-solved entries hold new reports, a
+// revert swaps the earlier ones back, and no report is copied.
+TEST(IncrementalReportList, DroppedOutcomeIsPatchedInPlace) {
+    const cell::CellLibrary lib(tech::tech130());
+    for (const int threads : {1, 4, 8}) {
+        const std::string tag = "threads=" + std::to_string(threads);
+        RevertChain rc(lib, threads);  // keeps a copy of the capture run's
+        const core::NetNoiseReport* const at = &rc.snapshot.reports->front();
+        const std::size_t victims = rc.snapshot.victims.size();
+        core::IncrementalStats stats;
+        // Victim entries whose report is not the capture run's.
+        const auto replaced = [&](const core::ReportList& list) {
+            std::size_t n = 0;
+            for (std::size_t i = 0; i < victims; ++i) {
+                n += bufferOf(list[i]) != bufferOf(rc.coldA[i]) ? 1 : 0;
+            }
+            return n;
+        };
+        {
+            const auto out = core::analyzeDesignIncrementalOutcome(
+                rc.design, rc.spef, {}, rc.snapshot, rc.opt, &stats);
+            EXPECT_EQ(stats.reportsCopied, 0u) << tag;
+            EXPECT_EQ(&out.reports.front(), at) << tag;
+            EXPECT_EQ(replaced(out.reports), 0u) << tag;
+        }
+        {
+            const auto out = resizeC2(rc, "INV_X2", stats);
+            EXPECT_GT(stats.solvedVictimReports, 0u) << tag;
+            EXPECT_EQ(stats.reportsCopied, 0u) << tag;
+            EXPECT_EQ(&out.reports.front(), at) << tag;
+            EXPECT_EQ(replaced(out.reports), stats.solvedVictimReports) << tag;
+            rc.expectCold(out.reports, tag + " resize");
+        }
+        {
+            const auto out = resizeC2(rc, "INV_X1", stats);
+            EXPECT_EQ(stats.solvedVictimReports, 0u) << tag;
+            EXPECT_EQ(stats.reportsCopied, 0u) << tag;
+            EXPECT_EQ(&out.reports.front(), at) << tag;
+            EXPECT_EQ(replaced(out.reports), 0u) << tag;
+            expectAsReturned(out.reports, rc.coldA, tag + " revert");
+        }
+        {
+            const auto out = reextractS1(rc, 14.0, stats);
+            EXPECT_GT(stats.solvedVictimReports, 0u) << tag;
+            EXPECT_EQ(stats.reportsCopied, 0u) << tag;
+            EXPECT_EQ(&out.reports.front(), at) << tag;
+            rc.expectCold(out.reports, tag + " re-extraction");
+        }
+    }
+}
+
+// A reader on another thread walks a list it holds while the calling
+// thread runs the next updates on the snapshot that returned it: the
+// reader sees the list as returned on every pass (and under TSan, no race).
+TEST(IncrementalReportList, ReaderThreadSeesItsListWhileTheNextUpdateRuns) {
+    const cell::CellLibrary lib(tech::tech130());
+    RevertChain rc(lib, 4);
+    core::IncrementalStats stats;
+    core::ReportList held =
+        core::analyzeDesignIncrementalOutcome(rc.design, rc.spef, {},
+                                              rc.snapshot, rc.opt, &stats)
+            .reports;
+    const std::vector<core::NetNoiseReport> asReturned = held;
+    std::atomic<bool> updating{true};
+    std::size_t passes = 0;
+    std::size_t mismatches = 0;
+    std::thread reader([list = std::move(held), &asReturned, &updating,
+                        &passes, &mismatches] {
+        // At least one pass after the updates ended, and one per loop.
+        for (bool last = false; !last; ++passes) {
+            last = !updating.load(std::memory_order_acquire);
+            if (list.size() != asReturned.size()) {
+                ++mismatches;
+                continue;
+            }
+            for (std::size_t i = 0; i < list.size(); ++i) {
+                const bool same =
+                    list[i].net == asReturned[i].net &&
+                    list[i].cluster.margin == asReturned[i].cluster.margin &&
+                    list[i].status == asReturned[i].status &&
+                    bufferOf(list[i]) == bufferOf(asReturned[i]);
+                mismatches += same ? 0 : 1;
+            }
+        }
+    });
+    for (int k = 0; k < 3; ++k) {
+        EXPECT_TRUE(resizeC2(rc, "INV_X2", stats).clean());
+        EXPECT_TRUE(reextractS1(rc, 14.0, stats).clean());
+        EXPECT_TRUE(resizeC2(rc, "INV_X1", stats).clean());
+        EXPECT_TRUE(reextractS1(rc, 10.0, stats).clean());
+    }
+    updating.store(false, std::memory_order_release);
+    reader.join();
+    EXPECT_GE(passes, 1u);
+    EXPECT_EQ(mismatches, 0u);
+    const auto out = core::analyzeDesignIncrementalOutcome(
+        rc.design, rc.spef, {}, rc.snapshot, rc.opt, &stats);
+    expectAsReturned(out.reports, rc.coldA, "back at the capture state");
 }
 
 TEST(Incremental, SnapshotKeepsOneWorkerPoolAcrossCalls) {
